@@ -2,10 +2,10 @@
 //!
 //! At paper scale (6–64 nodes) scanning every node per decision is free; at
 //! 10k nodes the linear scan in front of the expensive ranking model starts to
-//! dominate decision latency. [`FeasibilityIndex`] precomputes, per
+//! dominate decision latency. [`FeasibilityIndex`] keeps, per
 //! [`ClusterState::generation`], which nodes are *eligible* for driver pods
 //! (schedulable and free of untolerated `NoSchedule` taints — the
-//! request-independent part of [`DefaultScheduler::filter`]) together with two
+//! request-independent part of [`crate::DefaultScheduler::filter`]) together with two
 //! resource-sorted arrays over the eligible set. A query binary-searches the
 //! sorted arrays to find the nodes with enough free CPU / memory, then walks
 //! only the *smaller* of the two suffixes applying the exact
@@ -13,71 +13,78 @@
 //! naive full scan, in ascending [`NodeId`] order, while the work is
 //! proportional to the matching suffix rather than the node table.
 //!
+//! # Incremental maintenance
+//!
+//! A serving loop binds a pod between any two decisions, and every bind bumps
+//! the generation. [`FeasibilityIndex::sync`] therefore does not re-sort: on a
+//! generation change it compares every node's free resources and eligibility
+//! with what it indexed (one linear pass, no sorting) and *patches* the few
+//! nodes that differ — a binary-search remove + reinsert of one
+//! `(value, node)` pair per sorted array. A full rebuild (one pass plus two
+//! sorts) happens only for the first build, a node table that grew, or more
+//! changed nodes than `MAX_PATCHED_NODES`; only those count in
+//! [`FeasibilityIndex::rebuilds`] and make `sync` return `true`. A patched
+//! index is indistinguishable from a rebuilt one: the arrays hold the same
+//! pairs in the same (total) order.
+//!
 //! Driver pods carry no node selector, no affinity and no tolerations (see
 //! [`crate::job::JobSpec::driver_pod`]), so eligibility plus the resource fit
 //! is the complete filter for them. The index is *not* valid for pods with
 //! selectors/affinity/tolerations; callers with such pods must use
-//! [`DefaultScheduler::filter`] directly.
+//! [`crate::DefaultScheduler::filter`] directly.
 
+use crate::affinity::tolerates_all_no_schedule;
 use crate::node::Node;
-use crate::pod::PodSpec;
 use crate::resources::Resources;
-use crate::scheduler::{DefaultScheduler, FilterResult};
 use crate::state::{ClusterState, NodeId};
+
+/// Changed nodes one [`FeasibilityIndex::sync`] patches in place before it
+/// gives up and rebuilds: a patch shifts part of each sorted array per node,
+/// a rebuild sorts both arrays once. A burst's worth of binds and releases
+/// stays under it; a cluster-wide `nodes_mut` sweep does not.
+const MAX_PATCHED_NODES: usize = 64;
 
 /// Sorted per-resource feasibility index, cached against a cluster
 /// [generation](ClusterState::generation).
 ///
-/// Build with [`FeasibilityIndex::sync`], query with
-/// [`FeasibilityIndex::query_into`]. `sync` is a no-op (single integer
-/// compare) while the cluster generation is unchanged, which is what makes
-/// the index shareable across decision bursts on the PR 6 held-epoch fast
-/// path.
-#[derive(Debug, Clone)]
+/// Bring up to date with [`FeasibilityIndex::sync`], query with
+/// [`FeasibilityIndex::query_into`]. `sync` is a single integer compare while
+/// the cluster generation is unchanged and a diff-and-patch when it moved
+/// (see the module docs), which is what makes the index shareable across
+/// decisions that each bind a pod.
+#[derive(Debug, Clone, Default)]
 pub struct FeasibilityIndex {
-    /// Generation of the cluster this index was built against.
+    /// Generation of the cluster this index reflects.
     generation: Option<u64>,
-    /// How many times the index was actually rebuilt (not merely synced).
+    /// How many times the index was fully rebuilt (not patched or reused).
     rebuilds: u64,
     /// Free resources per node, dense by [`NodeId`] index. Only entries for
     /// eligible nodes are consulted by queries.
     available: Vec<Resources>,
+    /// Eligibility per node, dense by [`NodeId`] index: whether the node has
+    /// an entry in the sorted arrays.
+    eligible: Vec<bool>,
     /// `(available cpu_millis, node index)` over eligible nodes, ascending.
     by_cpu: Vec<(u64, u32)>,
     /// `(available memory_bytes, node index)` over eligible nodes, ascending.
     by_memory: Vec<(u64, u32)>,
-    /// Zero-request, selector-free, toleration-free probe pod the eligibility
-    /// pass filters with. Held (rather than built per rebuild) so rebuilds
-    /// stay allocation-free once the sorted arrays' capacity has warmed.
-    probe: PodSpec,
 }
 
-impl Default for FeasibilityIndex {
-    fn default() -> Self {
-        FeasibilityIndex {
-            generation: None,
-            rebuilds: 0,
-            available: Vec::new(),
-            by_cpu: Vec::new(),
-            by_memory: Vec::new(),
-            // Built field-by-field (not via `PodSpec::new`, which allocates
-            // its name/namespace strings) so index construction inside
-            // `mem::take`-style scratch swaps stays heap-free. The filter
-            // only reads requests, selector, affinity and tolerations, so
-            // the empty name is irrelevant.
-            probe: PodSpec {
-                name: String::new(),
-                namespace: String::new(),
-                labels: std::collections::BTreeMap::new(),
-                requests: Resources::ZERO,
-                limits: Resources::ZERO,
-                node_selector: std::collections::BTreeMap::new(),
-                affinity: crate::NodeAffinity::none(),
-                tolerations: Vec::new(),
-                role: crate::pod::PodRole::Standalone,
-            },
+/// Remove `(value, node)` from an ascending array; `false` when absent.
+fn remove_pair(sorted: &mut Vec<(u64, u32)>, node: u32, value: u64) -> bool {
+    match sorted.binary_search(&(value, node)) {
+        Ok(at) => {
+            sorted.remove(at);
+            true
         }
+        Err(_) => false,
     }
+}
+
+/// Insert `(value, node)` into an ascending array.
+fn insert_pair(sorted: &mut Vec<(u64, u32)>, node: u32, value: u64) {
+    let at = sorted.partition_point(|&pair| pair < (value, node));
+    sorted.insert(at, (value, node));
 }
 
 impl FeasibilityIndex {
@@ -87,41 +94,91 @@ impl FeasibilityIndex {
     }
 
     /// True when `node` can host *some* driver pod: it is schedulable and has
-    /// no untolerated `NoSchedule` taint. This is exactly
-    /// [`DefaultScheduler::filter`] with a zero-request, selector-free,
-    /// toleration-free probe pod, so it cannot drift from the scheduler's
-    /// filter semantics.
+    /// no untolerated `NoSchedule` taint. This is what
+    /// [`crate::DefaultScheduler::filter`] reduces to for a zero-request,
+    /// selector-free, toleration-free pod (and goes through the filter's own
+    /// taint check), spelled out because every sync evaluates it for every
+    /// node; a unit test pins the two together.
     pub fn eligible(node: &Node) -> bool {
-        let probe = PodSpec::new("feasibility-probe", Resources::ZERO);
-        DefaultScheduler::filter(&probe, node) == FilterResult::Feasible
+        node.schedulable && tolerates_all_no_schedule(&node.taints, &[])
     }
 
-    /// Bring the index up to date with `cluster`. Returns `true` when a
-    /// rebuild actually happened, `false` when the cached generation matched
-    /// and the call was a single compare. A rebuild is one pass over the
-    /// node table plus two sorts, allocation-free at steady cluster size.
+    /// Bring the index up to date with `cluster`. A matching generation is a
+    /// single compare. Otherwise one pass finds the nodes whose free
+    /// resources or eligibility differ from what is indexed and patches them
+    /// in place; the index is rebuilt from scratch — the only case that
+    /// returns `true` and counts in [`rebuilds`](Self::rebuilds) — on the
+    /// first sync, when the node table changed size, or when more than
+    /// `MAX_PATCHED_NODES` nodes changed. Allocation-free at steady cluster
+    /// size either way.
     pub fn sync(&mut self, cluster: &ClusterState) -> bool {
         if self.generation == Some(cluster.generation()) {
             return false;
         }
-        let nodes = cluster.nodes();
+        let rebuilt = !self.patch(cluster.nodes());
+        if rebuilt {
+            self.rebuild(cluster.nodes());
+        }
+        self.generation = Some(cluster.generation());
+        rebuilt
+    }
+
+    /// Patch the index to `nodes` in place; `false` when a rebuild is needed
+    /// instead (see [`sync`](Self::sync)), in which case the index may be
+    /// partially patched.
+    fn patch(&mut self, nodes: &[Node]) -> bool {
+        if self.generation.is_none() || nodes.len() != self.available.len() {
+            return false;
+        }
+        let mut patched = 0;
+        for (index, node) in nodes.iter().enumerate() {
+            let (was, now) = (self.available[index], node.available());
+            let (was_eligible, eligible) = (self.eligible[index], Self::eligible(node));
+            if was == now && was_eligible == eligible {
+                continue;
+            }
+            patched += 1;
+            if patched > MAX_PATCHED_NODES {
+                return false;
+            }
+            let id = index as u32;
+            // A pair that is not where the order says it must be means the
+            // index is corrupt: rebuild rather than trust it.
+            if was_eligible
+                && !(remove_pair(&mut self.by_cpu, id, was.cpu_millis)
+                    && remove_pair(&mut self.by_memory, id, was.memory_bytes))
+            {
+                return false;
+            }
+            if eligible {
+                insert_pair(&mut self.by_cpu, id, now.cpu_millis);
+                insert_pair(&mut self.by_memory, id, now.memory_bytes);
+            }
+            self.available[index] = now;
+            self.eligible[index] = eligible;
+        }
+        true
+    }
+
+    /// Rebuild from scratch: one pass over the node table plus two sorts.
+    fn rebuild(&mut self, nodes: &[Node]) {
         self.available.clear();
-        self.available.reserve(nodes.len());
+        self.eligible.clear();
         self.by_cpu.clear();
         self.by_memory.clear();
         for (index, node) in nodes.iter().enumerate() {
             let free = node.available();
+            let eligible = Self::eligible(node);
             self.available.push(free);
-            if DefaultScheduler::filter(&self.probe, node) == FilterResult::Feasible {
+            self.eligible.push(eligible);
+            if eligible {
                 self.by_cpu.push((free.cpu_millis, index as u32));
                 self.by_memory.push((free.memory_bytes, index as u32));
             }
         }
         self.by_cpu.sort_unstable();
         self.by_memory.sort_unstable();
-        self.generation = Some(cluster.generation());
         self.rebuilds += 1;
-        true
     }
 
     /// Number of eligible nodes in the index.
@@ -129,7 +186,8 @@ impl FeasibilityIndex {
         self.by_cpu.len()
     }
 
-    /// How many times [`sync`](Self::sync) actually rebuilt the index.
+    /// How many times [`sync`](Self::sync) rebuilt the index from scratch
+    /// (patched and no-op syncs do not count).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -141,7 +199,7 @@ impl FeasibilityIndex {
 
     /// Collect every eligible node whose free resources fit `requests`, in
     /// ascending [`NodeId`] order, into `out` (cleared first). Byte-identical
-    /// to filtering every node with [`DefaultScheduler::filter`] for a
+    /// to filtering every node with [`crate::DefaultScheduler::filter`] for a
     /// selector-free, toleration-free pod with the same requests.
     pub fn query_into(&self, requests: &Resources, out: &mut Vec<NodeId>) {
         out.clear();
@@ -181,7 +239,8 @@ impl FeasibilityIndex {
 mod tests {
     use super::*;
     use crate::affinity::{Taint, TaintEffect};
-    use crate::pod::PodId;
+    use crate::pod::{PodId, PodSpec};
+    use crate::scheduler::{DefaultScheduler, FilterResult};
     use simcore::rng::Rng;
     use simnet::NodeId as NetId;
 
@@ -250,6 +309,24 @@ mod tests {
     }
 
     #[test]
+    fn eligibility_is_the_scheduler_filter_for_a_zero_request_pod() {
+        let probe = PodSpec::new("feasibility-probe", Resources::ZERO);
+        let (mut eligible, mut ineligible) = (0, 0);
+        for seed in 0..8 {
+            for node in varied_world(40, seed).nodes() {
+                let expected = DefaultScheduler::filter(&probe, node) == FilterResult::Feasible;
+                assert_eq!(FeasibilityIndex::eligible(node), expected, "{}", node.name);
+                if expected {
+                    eligible += 1;
+                } else {
+                    ineligible += 1;
+                }
+            }
+        }
+        assert!(eligible > 0 && ineligible > 0, "both outcomes exercised");
+    }
+
+    #[test]
     fn query_matches_naive_filter_on_varied_worlds() {
         for seed in 0..8 {
             let cluster = varied_world(40, seed);
@@ -267,22 +344,127 @@ mod tests {
     }
 
     #[test]
-    fn sync_is_generation_keyed() {
+    fn sync_is_generation_keyed_and_patches_in_place() {
         let mut cluster = varied_world(10, 3);
         let mut index = FeasibilityIndex::new();
         assert!(index.sync(&cluster));
         assert_eq!(index.rebuilds(), 1);
         assert_eq!(index.generation(), Some(cluster.generation()));
-        // Unchanged cluster: no rebuild.
+        // Unchanged cluster: a single compare.
         assert!(!index.sync(&cluster));
         assert!(!index.sync(&cluster));
         assert_eq!(index.rebuilds(), 1);
-        // Any node mutation invalidates.
+        // A node mutation is patched in place: the index follows the cluster
+        // without a rebuild.
         cluster.node_by_id_mut(NodeId(0)).unwrap().schedulable = false;
-        assert!(index.sync(&cluster));
-        assert_eq!(index.rebuilds(), 2);
+        assert!(!index.sync(&cluster));
+        assert_eq!(index.rebuilds(), 1);
+        assert_eq!(index.generation(), Some(cluster.generation()));
         let req = Resources::ZERO;
         assert_eq!(index.query(&req), naive(&cluster, &req));
+        // A grown node table is rebuilt.
+        cluster.add_node(Node::new(
+            "late",
+            NetId(99),
+            Resources::from_cores_and_gib(4, 4),
+            "SITE",
+        ));
+        assert!(index.sync(&cluster));
+        assert_eq!(index.rebuilds(), 2);
+        assert_eq!(index.query(&req), naive(&cluster, &req));
+    }
+
+    /// The index's whole state, for comparing a patched index with a rebuilt
+    /// one.
+    fn state(index: &FeasibilityIndex) -> impl PartialEq + std::fmt::Debug + '_ {
+        (
+            &index.available,
+            &index.eligible,
+            &index.by_cpu,
+            &index.by_memory,
+        )
+    }
+
+    #[test]
+    fn patched_index_is_identical_to_a_rebuilt_one() {
+        for seed in 0..6 {
+            let mut cluster = varied_world(60, seed);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xFEA5);
+            let mut index = FeasibilityIndex::new();
+            index.sync(&cluster);
+            for step in 0..200 {
+                let id = NodeId::from_index(rng.gen_range_usize(0, 60));
+                let pod = PodId(10_000 + step);
+                let node = cluster.node_by_id_mut(id).unwrap();
+                match rng.gen_range_usize(0, 5) {
+                    0 => node.schedulable = !node.schedulable,
+                    1 => {
+                        if node.taints.is_empty() {
+                            node.taints.push(Taint {
+                                key: "dedicated".into(),
+                                value: "infra".into(),
+                                effect: TaintEffect::NoSchedule,
+                            });
+                        } else {
+                            node.taints.clear();
+                        }
+                    }
+                    2 => {
+                        // Release everything bound to the node.
+                        let bound: Vec<PodId> = node.bound_pods().collect();
+                        let share = node.allocated();
+                        if let Some(&first) = bound.first() {
+                            // One pod holds the node's whole allocation in
+                            // this fixture (each node binds at most one pod
+                            // at a time below).
+                            node.release(first, share);
+                        }
+                    }
+                    _ => {
+                        if node.pod_count() == 0 {
+                            let free = node.available();
+                            node.bind(
+                                pod,
+                                Resources {
+                                    cpu_millis: free.cpu_millis / 2,
+                                    memory_bytes: free.memory_bytes / 3,
+                                },
+                            );
+                        }
+                    }
+                }
+                // Sync after every mutation or after a few, so single and
+                // multi-node patches both run.
+                if step % 3 != 1 {
+                    assert!(!index.sync(&cluster), "seed {seed} step {step}: patched");
+                    let mut fresh = FeasibilityIndex::new();
+                    fresh.sync(&cluster);
+                    assert_eq!(state(&index), state(&fresh), "seed {seed} step {step}");
+                }
+            }
+            assert_eq!(index.rebuilds(), 1);
+        }
+    }
+
+    #[test]
+    fn a_cluster_wide_change_rebuilds_instead_of_patching() {
+        let mut cluster = varied_world(3 * MAX_PATCHED_NODES, 1);
+        let mut index = FeasibilityIndex::new();
+        index.sync(&cluster);
+        // Exactly the patch budget: still patched.
+        for node in cluster.nodes_mut().iter_mut().take(MAX_PATCHED_NODES) {
+            node.allocatable.cpu_millis += 1000;
+        }
+        assert!(!index.sync(&cluster));
+        // One more than the budget: rebuilt.
+        for node in cluster.nodes_mut().iter_mut().take(MAX_PATCHED_NODES + 1) {
+            node.allocatable.cpu_millis += 1000;
+        }
+        assert!(index.sync(&cluster));
+        assert_eq!(index.rebuilds(), 2);
+        let mut fresh = FeasibilityIndex::new();
+        fresh.sync(&cluster);
+        assert_eq!(state(&index), state(&fresh));
     }
 
     #[test]
@@ -300,7 +482,7 @@ mod tests {
         cluster.node_mut("only").unwrap().schedulable = false;
         // Until synced, the index still answers from the old generation.
         assert_eq!(index.query(&Resources::ZERO).len(), 1);
-        assert!(index.sync(&cluster));
+        assert!(!index.sync(&cluster), "one cordon is patched, not rebuilt");
         assert!(index.query(&Resources::ZERO).is_empty());
         assert_eq!(index.eligible_count(), 0);
     }

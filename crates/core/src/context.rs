@@ -1,32 +1,43 @@
-//! The borrowed, reusable scheduling context.
+//! The borrowed scheduling context and the keyed decision view behind it.
 //!
-//! Placement decisions arrive in bursts: many jobs ranked against the same
-//! telemetry snapshot and cluster state. [`SchedulingContext`] is the
-//! amortization point for such a burst. Built once from a borrowed snapshot +
-//! cluster, it:
+//! Placement decisions arrive one at a time or in bursts, and between any two
+//! of them little changes: a pod was bound, perhaps a telemetry epoch landed.
+//! Everything the ranker derives is a pure function of three versions — the
+//! snapshot's [`revision`](ClusterSnapshot::revision), the cluster's
+//! [`generation`](ClusterState::generation) and the predictor's
+//! [`ModelVersion`] — so it lives in one `DecisionView`, carried inside
+//! [`ContextScratch`] from one [`SchedulingContext`] to the next.
+//! [`SchedulingContext::with_scratch`] *re-keys* the view instead of
+//! discarding it; each of its three legs is refreshed only by what actually
+//! invalidates it:
 //!
-//! * resolves the name-keyed snapshot into a dense [`NodeId`]-indexed view
-//!   (telemetry lookups become array indexing; the RTT mesh is scanned once,
-//!   not once per candidate per decision),
-//! * finds the feasible set through a resource-sorted
-//!   [`cluster::FeasibilityIndex`] carried in the scratch — generation-keyed,
-//!   so it is rebuilt only when the cluster actually changed, even across
-//!   bursts — instead of filtering every node, and caches the answer across
-//!   consecutive jobs with the same driver sizing (the common case in a
-//!   burst),
-//! * optionally **prunes** the candidate set to a configurable top-K
-//!   ([`SchedulingContext::set_top_k`]) before the expensive model rank —
-//!   the two-stage decision path that keeps 10k-node decisions under a
-//!   millisecond. Stage one is selected by [`PruningPolicy`]: a cheap
-//!   model-blind prefilter score kept top-K through a bounded heap in the
-//!   context scratch ([`SchedulingContext::pruned_candidates`]), or — the
-//!   default for the supervised rank — a pooled per-burst coarse scoreboard
-//!   of the model's own scores, keyed by the job's cell in the model's
-//!   split-threshold partition ([`SchedulingContext::rank_feasible_batch`]),
-//!   whose top-K provably preserves the unpruned top-1 decision (equal cells
-//!   take identical tree paths), and
-//! * owns the candidate / prediction / feature scratch buffers every policy
-//!   reuses, so steady-state decisions allocate only their output ranking.
+//! * **Telemetry** — the dense [`NodeId`]-indexed [`IndexedTelemetry`]
+//!   (per-node telemetry plus the Table-1 RTT statistics), keyed by
+//!   `(snapshot revision, node count)`: handed the revision it already
+//!   indexed, the view does nothing. A new revision (or an unsealed
+//!   snapshot, revision 0) is re-indexed — sealed RTT rows are copied, not
+//!   re-accumulated — and diffed bitwise against the previous index; rows
+//!   that differ are stamped in `changed_at` with a new telemetry version.
+//! * **Cluster** — the feasible set, answered by a resource-sorted
+//!   [`cluster::FeasibilityIndex`] that patches itself incrementally when the
+//!   generation moved, and cached per `(driver sizing, generation)`.
+//! * **Model** — under a top-K budget ([`SchedulingContext::set_top_k`]) the
+//!   supervised rank prunes by a pool of coarse scoreboards of the model's
+//!   *own* per-node scores, keyed by `(ModelVersion, the job's cell in the
+//!   model's split-threshold partition)`. Boards outlive bursts and epochs: a
+//!   board that lags the telemetry version re-predicts only the rows stamped
+//!   since it last synced. Row predictions are batch-independent, so a
+//!   patched board is bit-identical to a rebuilt one, and its top-K provably
+//!   preserves the unpruned top-1 (equal cells take identical tree paths). A
+//!   retrained or reloaded model carries a new version and never matches an
+//!   old board.
+//!
+//! Stage one — the cheap model-blind prefilter ([`PruningPolicy`]) or a
+//! scoreboard — goes through one bounded-heap selection, cached under one
+//! key: `(driver sizing, generation, budget, score source and its freshness
+//! stamp)`. The context also owns the per-decision feature / prediction
+//! scratch every policy reuses, so steady-state decisions allocate only their
+//! output ranking.
 //!
 //! All [`crate::schedulers::JobScheduler`] policies take `&mut
 //! SchedulingContext` in [`crate::schedulers::JobScheduler::select`] and
@@ -35,7 +46,7 @@
 //! `top_k = K ≥ |feasible|` it still is, by construction.
 
 use crate::decision::{DecisionModule, NodeRanking};
-use crate::predictor::CompletionTimePredictor;
+use crate::predictor::{CompletionTimePredictor, ModelVersion};
 use crate::request::JobRequest;
 use cluster::{ClusterState, FeasibilityIndex, NodeId};
 use mlcore::FeatureMatrix;
@@ -66,95 +77,149 @@ pub enum PruningPolicy {
     LeastAllocated,
 }
 
-/// One cached stage-1 scoreboard: the predictor's score for every node at a
-/// fixed job-feature signature (one workload class × input size).
+/// One stage-1 scoreboard: a model's score for every node at a fixed
+/// job-feature signature cell (one workload class × input-size band).
 #[derive(Debug, Clone)]
 struct CoarseBoard {
-    /// Stable identity folded into the model-pruned cache key; unlike the
-    /// board's position in the pool it survives FIFO eviction.
-    id: u64,
-    /// The burst the scores were computed in. Telemetry changes between
-    /// bursts, so a board from an older epoch is stale; its buffers are
-    /// recycled in place instead of reallocated.
-    epoch: u64,
-    /// `(address, signature-row prediction)` fingerprint of the predictor the
-    /// scores were computed with.
-    predictor: (usize, f64),
-    /// The job-feature signature row the scores belong to.
+    /// The model the scores came from.
+    version: ModelVersion,
+    /// The job-feature signature cell the scores belong to.
     sig: Vec<f64>,
+    /// The (nameless) job the scores were computed with. Dirty rows are
+    /// refreshed with *these* job columns, never the current request's: a
+    /// linear model puts every request in cell 0 and its job columns shift
+    /// all nodes by a per-request constant, so mixing requests inside one
+    /// board would break its ordering.
+    job: JobRequest,
     /// One coarse score per node (index = `NodeId::index`).
     scores: Vec<f64>,
+    /// The telemetry version the scores reflect.
+    synced_at: u64,
+    /// Renewed whenever `scores` change; what the selection cache keys on.
+    stamp: u64,
 }
 
-/// The reusable buffers behind a [`SchedulingContext`], detached from any
-/// particular snapshot borrow so a long-lived owner (the scheduler service)
-/// can carry them across bursts: indexed telemetry, the generation-keyed
-/// feasibility index, candidate/pruning/prediction scratch, the batch
-/// feature matrix and the coarse scoreboard pool. Steady-state bursts over a
-/// fixed cluster size re-enter with warm buffers and touch no heap.
+/// Where stage one reads a node's score from, with the stamp that says how
+/// fresh those scores are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ScoreSource {
+    /// [`SchedulingContext::prefilter_score`] under a policy, over the
+    /// telemetry of one view version.
+    Prefilter(PruningPolicy, u64),
+    /// A scoreboard, by pool slot and [`CoarseBoard::stamp`].
+    Board(usize, u64),
+}
+
+/// What the cached feasible set and stage-one selection were derived from.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct SelectionKey {
+    /// Driver sizing and cluster generation behind `candidates`.
+    feasible: Option<(u64, u64, u64)>,
+    /// Budget and score source behind `selected`; `None` until a selection
+    /// ran over the current `candidates`.
+    stage_one: Option<(Option<usize>, ScoreSource)>,
+}
+
+/// Everything the ranker derives from (snapshot, cluster, model), kept across
+/// contexts and refreshed leg by leg (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct DecisionView {
+    telemetry: IndexedTelemetry,
+    /// The previous index, kept to diff the next one against (and as its
+    /// buffer).
+    spare: IndexedTelemetry,
+    /// `(snapshot revision, node count)` `telemetry` was indexed from;
+    /// revision 0 (unsealed) never matches.
+    telemetry_key: (u64, usize),
+    /// Bumped by every re-index that changed at least one row.
+    telemetry_version: u64,
+    /// Per node: the telemetry version at which its row last changed.
+    changed_at: Vec<u64>,
+    /// Resource-sorted feasibility index; syncs itself against the cluster
+    /// generation, incrementally.
+    index: FeasibilityIndex,
+    /// The full feasible set (pre-pruning) for `key.feasible`.
+    candidates: Vec<NodeId>,
+    /// The set the rankers run over for `key.stage_one`: `candidates`, or its
+    /// top-K by the keyed score source.
+    selected: Vec<NodeId>,
+    key: SelectionKey,
+    /// Scoreboard pool, one per (model, job cell) seen, bounded by
+    /// [`SchedulingContext::MAX_COARSE_BOARDS`].
+    boards: Vec<CoarseBoard>,
+    /// The slot the next board evicts once the pool is full (oldest first).
+    next_evicted: usize,
+    /// Source of [`CoarseBoard::stamp`]s.
+    next_stamp: u64,
+}
+
+impl DecisionView {
+    /// Re-key the telemetry leg to `snapshot`: nothing when its revision is
+    /// the one already indexed, else re-index and stamp the rows that differ.
+    fn adopt(&mut self, snapshot: &ClusterSnapshot, cluster: &ClusterState) {
+        let key = (snapshot.revision(), cluster.node_count());
+        if key.0 != 0 && key == self.telemetry_key {
+            return;
+        }
+        self.telemetry_key = key;
+        std::mem::swap(&mut self.telemetry, &mut self.spare);
+        snapshot.index_into(cluster, &mut self.telemetry);
+        self.changed_at.resize(self.telemetry.len(), 0);
+        let version = self.telemetry_version + 1;
+        let changed_at = &mut self.changed_at;
+        let mut changed = false;
+        self.telemetry.changed_rows(&self.spare, |id| {
+            changed = true;
+            if let Some(at) = changed_at.get_mut(id.index()) {
+                *at = version;
+            }
+        });
+        if changed {
+            self.telemetry_version = version;
+        }
+    }
+}
+
+/// The reusable state behind a [`SchedulingContext`], detached from any
+/// snapshot borrow so a long-lived owner (the scheduler service) can carry it
+/// from one context to the next: the keyed `DecisionView` plus
+/// per-decision buffers. Warm decisions over a fixed cluster size touch no
+/// heap.
 ///
-/// The scratch must be reused against the same logical cluster: staleness of
-/// the feasibility index is detected through
-/// [`ClusterState::generation`](cluster::ClusterState::generation), which is
+/// The scratch must be reused against the same logical cluster: the view is
+/// keyed by [`ClusterState::generation`] and the node count, which are
 /// monotone per cluster instance, not globally unique.
 #[derive(Debug, Clone, Default)]
 pub struct ContextScratch {
-    telemetry: IndexedTelemetry,
-    /// Resource-sorted feasibility index, synced lazily against the cluster
-    /// generation on first use each burst.
-    index: FeasibilityIndex,
-    /// The current full feasible candidate set (pre-pruning).
-    candidates: Vec<NodeId>,
-    /// Driver sizing the cached candidate set was computed for.
-    candidate_key: Option<(u64, u64)>,
-    /// The pruned candidate set the rankers actually run over (equal to
-    /// `candidates` when pruning is off or `K ≥ |feasible|`).
-    pruned: Vec<NodeId>,
-    /// `(driver sizing, top_k, policy)` the cached pruned set was computed
-    /// for.
-    pruned_key: Option<(u64, u64, Option<usize>, PruningPolicy)>,
+    view: DecisionView,
     /// `(score, id)` bounded max-heap scratch for top-K selection: the worst
     /// survivor sits at the root and is evicted when a better candidate
     /// arrives, so selection is `O(n log K)` with no allocation past warmup.
     heap: Vec<(f64, NodeId)>,
-    /// Pool of coarse stage-1 scoreboards, one per (predictor, job-feature
-    /// signature) seen this burst, FIFO-bounded — so bursts that interleave
-    /// workload classes still amortize the full-cluster inference each board
-    /// costs (see [`SchedulingContext::rank_feasible_batch`]).
-    coarse_boards: Vec<CoarseBoard>,
-    /// Monotone id source for scoreboards (stable across pool eviction, used
-    /// in the model-pruned cache key).
-    coarse_next_id: u64,
-    /// The current burst number; boards from earlier bursts are stale (their
-    /// scores read retired telemetry) and get recycled in place.
-    board_epoch: u64,
     /// Scratch for building the signature row without allocating.
     sig_scratch: Vec<f64>,
-    /// The model-pruned candidate set (supervised stage-1 output).
-    model_pruned: Vec<NodeId>,
-    /// `(driver sizing, k, scoreboard id)` the cached model-pruned set was
-    /// computed for.
-    model_pruned_key: Option<(u64, u64, usize, u64)>,
+    /// Scratch: the rows a lagging scoreboard re-predicts.
+    dirty: Vec<NodeId>,
     /// One prediction per candidate.
     predictions: Vec<f64>,
-    /// The candidate × feature matrix one decision's batch inference runs
-    /// over (one contiguous buffer, reused across decisions).
+    /// The candidate × feature matrix one batch inference runs over (one
+    /// contiguous buffer, reused across decisions).
     features: FeatureMatrix,
 }
 
 impl ContextScratch {
-    /// How many times the carried feasibility index was actually rebuilt
-    /// (generation changes observed), as opposed to answered from cache.
+    /// How many times the carried feasibility index was rebuilt from scratch
+    /// (as opposed to patched in place or answered from cache).
     pub fn feasibility_rebuilds(&self) -> u64 {
-        self.index.rebuilds()
+        self.view.index.rebuilds()
     }
 }
 
 /// Offer `entry` to a bounded max-heap of the `k` smallest `(score, id)`
 /// pairs under `(total_cmp, id)` order: while under budget the entry is
 /// pushed and sifted up; at budget it replaces the root (the worst survivor)
-/// only when strictly better, then sifts down. The total order makes
-/// membership deterministic for equal scores.
+/// only when strictly better, then sifts down (`k = 0` keeps nothing). The
+/// total order makes membership deterministic for equal scores.
 fn bounded_heap_offer(heap: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, NodeId)) {
     fn worse(a: &(f64, NodeId), b: &(f64, NodeId)) -> bool {
         a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)).is_gt()
@@ -171,7 +236,7 @@ fn bounded_heap_offer(heap: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, Node
                 break;
             }
         }
-    } else if worse(&heap[0], &entry) {
+    } else if k > 0 && worse(&heap[0], &entry) {
         heap[0] = entry;
         let mut at = 0;
         loop {
@@ -193,7 +258,8 @@ fn bounded_heap_offer(heap: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, Node
     }
 }
 
-/// Per-burst scheduling state: borrowed world view plus reusable scratch.
+/// One or more decisions against a borrowed snapshot and cluster: the world
+/// view plus the carried [`ContextScratch`].
 #[derive(Debug)]
 pub struct SchedulingContext<'a> {
     snapshot: &'a ClusterSnapshot,
@@ -207,28 +273,23 @@ pub struct SchedulingContext<'a> {
 }
 
 impl<'a> SchedulingContext<'a> {
-    /// Build a context for one burst of decisions against a frozen snapshot
-    /// and cluster state. Costs one pass over the snapshot (nodes + RTT
-    /// mesh); everything after that is per-decision work.
+    /// Build a context against a frozen snapshot and cluster state from
+    /// nothing: one pass over the snapshot, then per-decision work only.
     pub fn new(snapshot: &'a ClusterSnapshot, cluster: &'a ClusterState) -> Self {
         Self::with_scratch(snapshot, cluster, ContextScratch::default())
     }
 
-    /// Build a context reusing buffers carried over from a previous burst.
-    /// The cached feasibility / pruning keys and the scoreboard pool are
-    /// invalidated (snapshot and cluster state may have changed between
-    /// bursts); the buffer allocations — and the feasibility index, which
-    /// re-validates itself against the cluster generation — are kept.
+    /// Build a context on the state carried over from a previous one. The
+    /// decision view is re-keyed, not invalidated: a snapshot revision it
+    /// already indexed costs one compare, and every leg stays valid as long
+    /// as its own key holds (see the module docs). Budget and policy start at
+    /// their defaults.
     pub fn with_scratch(
         snapshot: &'a ClusterSnapshot,
         cluster: &'a ClusterState,
         mut scratch: ContextScratch,
     ) -> Self {
-        snapshot.index_into(cluster, &mut scratch.telemetry);
-        scratch.candidate_key = None;
-        scratch.pruned_key = None;
-        scratch.model_pruned_key = None;
-        scratch.board_epoch += 1;
+        scratch.view.adopt(snapshot, cluster);
         SchedulingContext {
             snapshot,
             cluster,
@@ -238,7 +299,7 @@ impl<'a> SchedulingContext<'a> {
         }
     }
 
-    /// Release the context's buffers for reuse by a later burst.
+    /// Release the context's state for reuse by a later context.
     pub fn into_scratch(self) -> ContextScratch {
         self.scratch
     }
@@ -265,29 +326,29 @@ impl<'a> SchedulingContext<'a> {
         self.policy
     }
 
-    /// The telemetry snapshot this burst decides against.
+    /// The telemetry snapshot this context decides against.
     pub fn snapshot(&self) -> &'a ClusterSnapshot {
         self.snapshot
     }
 
-    /// The cluster state this burst decides against.
+    /// The cluster state this context decides against.
     pub fn cluster(&self) -> &'a ClusterState {
         self.cluster
     }
 
     /// The dense node-indexed telemetry view.
     pub fn telemetry(&self) -> &IndexedTelemetry {
-        &self.scratch.telemetry
+        &self.scratch.view.telemetry
     }
 
     /// Host telemetry for one node (`None` when it was not scraped).
     pub fn node_telemetry(&self, id: NodeId) -> Option<&NodeTelemetry> {
-        self.scratch.telemetry.node(id)
+        self.scratch.view.telemetry.node(id)
     }
 
     /// Precomputed (mean, max, std-dev) RTT statistics from one node.
     pub fn rtt_stats(&self, id: NodeId) -> (f64, f64, f64) {
-        self.scratch.telemetry.rtt_stats(id)
+        self.scratch.view.telemetry.rtt_stats(id)
     }
 
     /// Ids of the nodes on which the job's driver pod passes the default
@@ -295,7 +356,7 @@ impl<'a> SchedulingContext<'a> {
     /// policies rank within this same candidate set so comparisons are
     /// apples-to-apples.
     ///
-    /// The set is answered by the scratch-carried resource-sorted
+    /// The set is answered by the view's resource-sorted
     /// [`FeasibilityIndex`] — two `partition_point` binary searches plus a
     /// walk of the shorter matching suffix, instead of a scan of every node
     /// — and is byte-identical (membership and ascending-id order) to
@@ -303,20 +364,25 @@ impl<'a> SchedulingContext<'a> {
     /// driver pods reduce to exactly (they carry no selector, affinity or
     /// tolerations).
     ///
-    /// The result is cached across consecutive calls with identical driver
-    /// sizing — an unpinned driver pod's feasibility depends only on its
-    /// resource requests — which amortizes filtering across a burst of
-    /// same-shaped jobs.
+    /// Cached per `(driver sizing, cluster generation)` — an unpinned driver
+    /// pod's feasibility depends on nothing else — across contexts too.
     pub fn feasible_candidates(&mut self, request: &JobRequest) -> &[NodeId] {
-        let key = (request.driver_cpu_millis, request.driver_memory_bytes);
-        if self.scratch.candidate_key != Some(key) {
-            self.scratch.index.sync(self.cluster);
-            self.scratch
-                .index
-                .query_into(&request.driver_resources(), &mut self.scratch.candidates);
-            self.scratch.candidate_key = Some(key);
+        let feasible = Some((
+            request.driver_cpu_millis,
+            request.driver_memory_bytes,
+            self.cluster.generation(),
+        ));
+        let view = &mut self.scratch.view;
+        if view.key.feasible != feasible {
+            view.index.sync(self.cluster);
+            view.index
+                .query_into(&request.driver_resources(), &mut view.candidates);
+            view.key = SelectionKey {
+                feasible,
+                stage_one: None,
+            };
         }
-        &self.scratch.candidates
+        &view.candidates
     }
 
     /// The cheap stage-1 prefilter score for one node under the current
@@ -333,8 +399,8 @@ impl<'a> SchedulingContext<'a> {
         const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
         match self.policy {
             PruningPolicy::ModelAligned | PruningPolicy::LinearBlend => {
-                let node = self.scratch.telemetry.node(id).copied().unwrap_or_default();
-                let (rtt_mean, _, _) = self.scratch.telemetry.rtt_stats(id);
+                let node = self.node_telemetry(id).copied().unwrap_or_default();
+                let (rtt_mean, _, _) = self.rtt_stats(id);
                 node.cpu_load + 1000.0 * rtt_mean - node.memory_available_bytes / (64.0 * GIB)
             }
             PruningPolicy::LeastAllocated => {
@@ -351,47 +417,50 @@ impl<'a> SchedulingContext<'a> {
     /// The candidate set the score-closure rankers and non-supervised
     /// policies run over: the full feasible set when pruning is off (or
     /// `K ≥ |feasible|`), otherwise the top-K nodes by
-    /// [`SchedulingContext::prefilter_score`] (ties broken by ascending id),
-    /// selected through the bounded heap in the context scratch. Always in
-    /// ascending [`NodeId`] order, so downstream ranking and RNG-consuming
-    /// policies behave identically to the unpruned path at `K = ∞`. Cached
-    /// per `(driver sizing, top_k, policy)` like the feasible set.
+    /// [`SchedulingContext::prefilter_score`] (ties broken by ascending id).
+    /// Always in ascending [`NodeId`] order, so downstream ranking and
+    /// RNG-consuming policies behave identically to the unpruned path at
+    /// `K = ∞`.
     pub fn pruned_candidates(&mut self, request: &JobRequest) -> &[NodeId] {
-        let key = (
-            request.driver_cpu_millis,
-            request.driver_memory_bytes,
-            self.top_k,
-            self.policy,
-        );
-        if self.scratch.pruned_key != Some(key) {
-            self.feasible_candidates(request);
+        let source = ScoreSource::Prefilter(self.policy, self.scratch.view.telemetry_version);
+        self.select(request, source)
+    }
+
+    /// Stage one, the only selection path: the feasible set itself when the
+    /// budget does not bind, else its K best nodes by `source`'s score (ties
+    /// by ascending id — the total order the exact rank uses) through the
+    /// scratch's bounded heap, in ascending [`NodeId`] order. Cached under
+    /// the view's one [`SelectionKey`].
+    fn select(&mut self, request: &JobRequest, source: ScoreSource) -> &[NodeId] {
+        self.feasible_candidates(request);
+        let stage_one = Some((self.top_k, source));
+        if self.scratch.view.key.stage_one != stage_one {
+            let mut selected = std::mem::take(&mut self.scratch.view.selected);
+            selected.clear();
+            let candidates = &self.scratch.view.candidates;
             match self.top_k {
-                Some(k) if k < self.scratch.candidates.len() => {
+                Some(k) if k < candidates.len() => {
                     let mut heap = std::mem::take(&mut self.scratch.heap);
                     heap.clear();
-                    if k > 0 {
-                        let count = self.scratch.candidates.len();
-                        for i in 0..count {
-                            let id = self.scratch.candidates[i];
-                            let score = self.prefilter_score(id);
-                            bounded_heap_offer(&mut heap, k, (score, id));
-                        }
+                    for &id in candidates {
+                        let score = match source {
+                            ScoreSource::Prefilter(..) => self.prefilter_score(id),
+                            ScoreSource::Board(slot, _) => {
+                                self.scratch.view.boards[slot].scores[id.index()]
+                            }
+                        };
+                        bounded_heap_offer(&mut heap, k, (score, id));
                     }
-                    self.scratch.pruned.clear();
-                    self.scratch.pruned.extend(heap.iter().map(|&(_, id)| id));
-                    self.scratch.pruned.sort_unstable();
+                    selected.extend(heap.iter().map(|&(_, id)| id));
+                    selected.sort_unstable();
                     self.scratch.heap = heap;
                 }
-                _ => {
-                    self.scratch.pruned.clear();
-                    self.scratch
-                        .pruned
-                        .extend_from_slice(&self.scratch.candidates);
-                }
+                _ => selected.extend_from_slice(candidates),
             }
-            self.scratch.pruned_key = Some(key);
+            self.scratch.view.selected = selected;
+            self.scratch.view.key.stage_one = stage_one;
         }
-        &self.scratch.pruned
+        &self.scratch.view.selected
     }
 
     /// Rank the (pruned) feasible candidates for `request` by a per-node
@@ -408,11 +477,11 @@ impl<'a> SchedulingContext<'a> {
         let count = self.pruned_candidates(request).len();
         self.scratch.predictions.clear();
         for i in 0..count {
-            let id = self.scratch.pruned[i];
+            let id = self.scratch.view.selected[i];
             let value = score(self, id);
             self.scratch.predictions.push(value);
         }
-        DecisionModule.rank(&self.scratch.pruned, &self.scratch.predictions)
+        DecisionModule.rank(&self.scratch.view.selected, &self.scratch.predictions)
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
@@ -439,28 +508,21 @@ impl<'a> SchedulingContext<'a> {
     ///
     /// With pruning enabled (`top_k = Some(K) < |feasible|`) this is a true
     /// two-stage path. Under [`PruningPolicy::ModelAligned`] (the default)
-    /// stage one is — unlike the policy-agnostic
-    /// [`SchedulingContext::pruned_candidates`] heuristic — **model-aligned**:
-    /// a per-node *coarse scoreboard* of the predictor's own scores, computed
-    /// once per (predictor, job-signature **cell**) and reused for every
-    /// decision in the burst. The cell is the job's feature row collapsed
-    /// onto the model's own split-threshold partition
+    /// stage one reads the view's coarse scoreboard of the predictor's *own*
+    /// scores for the job's signature **cell**
     /// ([`CompletionTimePredictor::signature_cells`]): jobs in the same cell
     /// take identical paths through every tree, so they share *identical*
-    /// per-node scores (linear models shift every node by the same constant),
-    /// and the scoreboard's node-ordering is exactly the full rank's
-    /// ordering. Taking the board's top-K therefore keeps exactly the first
-    /// K nodes of the unpruned ranking — the top-1 decision is byte-identical
-    /// to the full scan at every `K ≥ 1`, and the board key space is bounded
-    /// by the model's split granularity, not the stream's diversity. A
-    /// forest rank over 10k nodes costs milliseconds — paid once per burst
-    /// per cell here, instead of once per decision — while the per-decision
-    /// cost drops to an `O(n)` top-K selection plus a K-row exact re-rank.
+    /// per-node scores (linear models shift every node by the same constant)
+    /// and the board's node-ordering is exactly the full rank's. Its top-K is
+    /// therefore the first K nodes of the unpruned ranking — the top-1
+    /// decision is byte-identical to the full scan at every `K ≥ 1` — while
+    /// the per-decision cost drops from a full-cluster inference to an `O(n)`
+    /// top-K selection plus a K-row exact re-rank.
     ///
-    /// Under the model-blind policies stage one is the same prefilter +
-    /// bounded heap the other rankers use, and the survivors get the exact
-    /// model re-rank — cheaper stage one, measurable accuracy cost (the
-    /// `scenario_scale` sweep publishes both).
+    /// Under the model-blind policies stage one is the same prefilter the
+    /// other rankers use, and the survivors get the exact model re-rank —
+    /// cheaper stage one, measurable accuracy cost (the `scenario_scale`
+    /// sweep publishes both).
     pub fn rank_feasible_batch_into(
         &mut self,
         request: &JobRequest,
@@ -468,172 +530,109 @@ impl<'a> SchedulingContext<'a> {
         out: &mut NodeRanking,
     ) {
         let feasible_len = self.feasible_candidates(request).len();
-        let mut use_model = false;
-        let count = match self.top_k {
+        match self.top_k {
             Some(k) if k < feasible_len && self.policy == PruningPolicy::ModelAligned => {
-                use_model = true;
                 let board = self.sync_coarse_scores(request, predictor);
-                self.model_pruned_for(request, k, board);
-                self.scratch.model_pruned.len()
+                self.select(request, board);
             }
-            _ => self.pruned_candidates(request).len(),
-        };
+            _ => _ = self.pruned_candidates(request),
+        }
         let schema = predictor.schema();
+        let view = &self.scratch.view;
         self.scratch.features.reset(schema.len());
-        for i in 0..count {
-            let id = if use_model {
-                self.scratch.model_pruned[i]
-            } else {
-                self.scratch.pruned[i]
-            };
-            let node = self.scratch.telemetry.node(id).copied().unwrap_or_default();
-            let rtt_stats = self.scratch.telemetry.rtt_stats(id);
+        for &id in &view.selected {
+            let node = view.telemetry.node(id).copied().unwrap_or_default();
+            let rtt_stats = view.telemetry.rtt_stats(id);
             schema.construct_into_matrix(&mut self.scratch.features, &node, rtt_stats, request);
         }
         predictor.predict_batch_into(&self.scratch.features, &mut self.scratch.predictions);
-        let ranked: &[NodeId] = if use_model {
-            &self.scratch.model_pruned
-        } else {
-            &self.scratch.pruned
-        };
-        DecisionModule.rank_into(ranked, &self.scratch.predictions, out);
+        DecisionModule.rank_into(&view.selected, &self.scratch.predictions, out);
     }
 
     /// How many coarse scoreboards the pool keeps before evicting the
-    /// oldest. Bursts interleaving up to this many (predictor, job signature
-    /// cell) pairs pay the full-cluster inference once per pair, not once
-    /// per decision; at 10k nodes a board is ~80 KB, so even a full pool
-    /// stays a few MB of scratch.
+    /// oldest. Streams touching up to this many (model, job cell) pairs pay
+    /// the full-cluster inference once per pair; at 10k nodes a board is
+    /// ~80 KB, so even a full pool stays a few MB of scratch.
     const MAX_COARSE_BOARDS: usize = 64;
 
-    /// Ensure a coarse scoreboard covering every node exists for this
-    /// (predictor, job-signature cell) pair, and return its index in the
-    /// pool. The signature is the job's feature row over a default node,
-    /// collapsed to the model's own partition cells
-    /// ([`CompletionTimePredictor::signature_cells`]): every job whose
-    /// columns land in the same inter-threshold cells shares one board, and
-    /// — because equal cells mean identical tree paths — shares the *exact*
-    /// scores, so the key space is bounded by the model's split granularity
-    /// rather than the stream's diversity. A build is one batch inference
-    /// over the *whole* cluster; the cell row doubles as a predictor
-    /// fingerprint so a different model (even one reusing the same
-    /// allocation) can't serve stale scores. Boards are pooled FIFO so
-    /// request streams that alternate workload classes don't thrash a single
-    /// cache slot, and stale boards from earlier bursts (retired telemetry)
-    /// are recycled in place, buffers and all.
+    /// Bring the scoreboard for this (model version, job-signature cell) pair
+    /// up to date with the view's telemetry and return it as a score source.
+    /// The cell is the job's feature row over a default node, collapsed onto
+    /// the model's partition, so the key space is bounded by the model's split
+    /// granularity, not the stream's diversity. A miss claims a slot (growing
+    /// the pool, then evicting oldest first) and scores the whole cluster in
+    /// one batch inference; a hit that lags the telemetry version re-predicts
+    /// only the rows stamped since, with the board's own job columns; a
+    /// current hit is a pool lookup.
     fn sync_coarse_scores(
         &mut self,
         request: &JobRequest,
         predictor: &CompletionTimePredictor,
-    ) -> usize {
+    ) -> ScoreSource {
         let schema = predictor.schema();
-        let mut sig = std::mem::take(&mut self.scratch.sig_scratch);
-        schema.construct_into(
-            &mut sig,
-            &NodeTelemetry::default(),
-            (0.0, 0.0, 0.0),
-            request,
-        );
-        predictor.signature_cells(&mut sig);
-        let ident = (
-            std::ptr::from_ref(predictor) as usize,
-            predictor.predict_from_features(&sig),
-        );
-        let epoch = self.scratch.board_epoch;
-        let hit = self
-            .scratch
-            .coarse_boards
+        let nodes = self.cluster.node_count();
+        let ContextScratch {
+            view,
+            sig_scratch: sig,
+            dirty,
+            predictions,
+            features,
+            ..
+        } = &mut self.scratch;
+        schema.construct_into(sig, &NodeTelemetry::default(), (0.0, 0.0, 0.0), request);
+        predictor.signature_cells(sig);
+        let version = predictor.version();
+        let hit = view
+            .boards
             .iter()
-            .position(|b| b.epoch == epoch && b.predictor == ident && b.sig == sig);
-        let board = match hit {
-            Some(at) => at,
-            None => {
-                // Recycle a stale board's buffers in place when one exists;
-                // otherwise evict the oldest once full, or grow the pool.
-                let at = match self
-                    .scratch
-                    .coarse_boards
-                    .iter()
-                    .position(|b| b.epoch != epoch)
-                {
-                    Some(stale) => stale,
-                    None => {
-                        if self.scratch.coarse_boards.len() >= Self::MAX_COARSE_BOARDS {
-                            let recycled = self.scratch.coarse_boards.remove(0);
-                            self.scratch.coarse_boards.push(recycled);
-                        } else {
-                            self.scratch.coarse_boards.push(CoarseBoard {
-                                id: 0,
-                                epoch,
-                                predictor: (0, 0.0),
-                                sig: Vec::new(),
-                                scores: Vec::new(),
-                            });
-                        }
-                        self.scratch.coarse_boards.len() - 1
-                    }
-                };
-                self.scratch.coarse_boards[at].id = self.scratch.coarse_next_id;
-                self.scratch.coarse_next_id += 1;
-                self.scratch.coarse_boards[at].epoch = epoch;
-                self.scratch.coarse_boards[at].predictor = ident;
-                std::mem::swap(&mut self.scratch.coarse_boards[at].sig, &mut sig);
-                self.scratch.features.reset(schema.len());
-                for idx in 0..self.cluster.node_count() {
-                    let id = NodeId(idx as u32);
-                    let node = self.scratch.telemetry.node(id).copied().unwrap_or_default();
-                    let rtt_stats = self.scratch.telemetry.rtt_stats(id);
-                    schema.construct_into_matrix(
-                        &mut self.scratch.features,
-                        &node,
-                        rtt_stats,
-                        request,
-                    );
-                }
-                predictor.predict_batch_into(
-                    &self.scratch.features,
-                    &mut self.scratch.coarse_boards[at].scores,
-                );
-                at
+            .position(|board| board.version == version && board.sig == *sig);
+        let slot = hit.unwrap_or_else(|| {
+            let board = CoarseBoard {
+                version,
+                sig: sig.clone(),
+                job: JobRequest::new(String::new(), request.workload.clone()),
+                scores: Vec::new(),
+                synced_at: 0,
+                stamp: 0,
+            };
+            if view.boards.len() < Self::MAX_COARSE_BOARDS {
+                view.boards.push(board);
+                return view.boards.len() - 1;
             }
-        };
-        sig.clear();
-        self.scratch.sig_scratch = sig;
-        board
-    }
-
-    /// Select the K best feasible candidates by the given scoreboard's score
-    /// (ties by ascending id — the same total order the exact rank uses), in
-    /// ascending [`NodeId`] order, through the scratch's bounded heap.
-    /// Cached per `(driver sizing, K, board)`.
-    fn model_pruned_for(&mut self, request: &JobRequest, k: usize, board: usize) {
-        let board_id = self.scratch.coarse_boards[board].id;
-        let key = (
-            request.driver_cpu_millis,
-            request.driver_memory_bytes,
-            k,
-            board_id,
-        );
-        if self.scratch.model_pruned_key != Some(key) {
-            self.feasible_candidates(request);
-            let mut heap = std::mem::take(&mut self.scratch.heap);
-            heap.clear();
-            if k > 0 {
-                let count = self.scratch.candidates.len();
-                for i in 0..count {
-                    let id = self.scratch.candidates[i];
-                    let score = self.scratch.coarse_boards[board].scores[id.index()];
-                    bounded_heap_offer(&mut heap, k, (score, id));
-                }
-            }
-            self.scratch.model_pruned.clear();
-            self.scratch
-                .model_pruned
-                .extend(heap.iter().map(|&(_, id)| id));
-            self.scratch.model_pruned.sort_unstable();
-            self.scratch.heap = heap;
-            self.scratch.model_pruned_key = Some(key);
+            let oldest = view.next_evicted;
+            view.next_evicted = (oldest + 1) % Self::MAX_COARSE_BOARDS;
+            view.boards[oldest] = board;
+            oldest
+        });
+        let board = &mut view.boards[slot];
+        dirty.clear();
+        if board.scores.len() != nodes {
+            board.scores.resize(nodes, 0.0);
+            dirty.extend((0..nodes).map(NodeId::from_index));
+        } else if board.synced_at != view.telemetry_version {
+            let since = board.synced_at;
+            dirty.extend(
+                (0..nodes)
+                    .filter(|&index| view.changed_at[index] > since)
+                    .map(NodeId::from_index),
+            );
         }
+        board.synced_at = view.telemetry_version;
+        if !dirty.is_empty() {
+            features.reset(schema.len());
+            for &id in dirty.iter() {
+                let node = view.telemetry.node(id).copied().unwrap_or_default();
+                let rtt_stats = view.telemetry.rtt_stats(id);
+                schema.construct_into_matrix(features, &node, rtt_stats, &board.job);
+            }
+            predictor.predict_batch_into(features, predictions);
+            for (&id, &score) in dirty.iter().zip(predictions.iter()) {
+                board.scores[id.index()] = score;
+            }
+            view.next_stamp += 1;
+            board.stamp = view.next_stamp;
+        }
+        ScoreSource::Board(slot, board.stamp)
     }
 }
 
@@ -917,7 +916,7 @@ mod tests {
         let mut scratch = ctx.into_scratch();
         assert_eq!(scratch.feasibility_rebuilds(), 0, "no query yet");
 
-        // First burst syncs the index once; a second burst over the
+        // The first context builds the index once; a second one over the
         // unchanged cluster reuses it (generation-keyed).
         for _ in 0..2 {
             let mut ctx = SchedulingContext::with_scratch(&snap, &c, scratch);
@@ -926,11 +925,70 @@ mod tests {
         }
         assert_eq!(scratch.feasibility_rebuilds(), 1);
 
-        // A cluster mutation between bursts forces exactly one rebuild.
+        // A cluster mutation between contexts is patched into the carried
+        // index: the answer follows the cluster without a rebuild.
         c.node_mut("node-4").unwrap().schedulable = false;
         let mut ctx = SchedulingContext::with_scratch(&snap, &c, scratch);
         assert_eq!(ctx.feasible_candidates(&request("a")).len(), 3);
         scratch = ctx.into_scratch();
-        assert_eq!(scratch.feasibility_rebuilds(), 2);
+        assert_eq!(scratch.feasibility_rebuilds(), 1);
+    }
+
+    #[test]
+    fn boards_survive_contexts_and_refresh_only_what_changed() {
+        use crate::features::FeatureSchema;
+        use mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
+        use simcore::rng::Rng;
+
+        // A forest whose prediction grows with the candidate's CPU load.
+        let schema = FeatureSchema::standard();
+        let mut data = Dataset::new(schema.names().to_vec());
+        for step in 0..60 {
+            let mut snap = snapshot(1);
+            snap.node_mut("node-1").unwrap().cpu_load = step as f64 / 6.0;
+            let features = schema.construct(&snap, "node-1", &request("train"));
+            data.push(features, 50.0 + step as f64).unwrap();
+        }
+        let model = TrainedModel::train(
+            ModelKind::RandomForest,
+            &ModelConfig::default(),
+            &data,
+            &mut Rng::seed_from_u64(5),
+        );
+        let predictor = CompletionTimePredictor::new(schema, model).unwrap();
+
+        let c = cluster(12);
+        let mut snap = snapshot(12);
+        let job = request("a");
+        let mut scratch = ContextScratch::default();
+        // A long-lived scratch ranks exactly like a cold context.
+        let rank = |scratch: ContextScratch, snap: &ClusterSnapshot| {
+            let mut warm = SchedulingContext::with_scratch(snap, &c, scratch);
+            warm.set_top_k(Some(3));
+            let mut cold = SchedulingContext::new(snap, &c);
+            cold.set_top_k(Some(3));
+            assert_eq!(
+                warm.rank_feasible_batch(&job, &predictor),
+                cold.rank_feasible_batch(&job, &predictor)
+            );
+            warm.into_scratch()
+        };
+        for epoch in 0..6 {
+            // Unsealed (revision 0) and sealed snapshots alike: contents are
+            // diffed, so either way only real changes dirty a board.
+            if epoch % 2 == 1 {
+                snap.seal();
+            }
+            scratch = rank(scratch, &snap);
+            let stamp = scratch.view.boards[0].stamp;
+            // Same telemetry again: the board is current, its scores untouched.
+            scratch = rank(scratch, &snap);
+            assert_eq!(scratch.view.boards.len(), 1);
+            assert_eq!(scratch.view.boards[0].stamp, stamp);
+            // Next epoch: the best node becomes the worst; one row to refresh.
+            let name = format!("node-{}", epoch + 1);
+            snap.node_mut(&name).unwrap().cpu_load = 40.0 + epoch as f64;
+        }
+        assert_eq!(scratch.view.telemetry_version, 6);
     }
 }

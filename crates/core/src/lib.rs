@@ -23,11 +23,13 @@
 //! and two telemetry heuristics), all behind one [`schedulers::JobScheduler`]
 //! trait, and [`service::SchedulerService`] wires the whole pipeline together.
 //!
-//! Decisions run against a borrowed [`context::SchedulingContext`]: one
-//! burst-scoped view that indexes telemetry by interned [`cluster::NodeId`],
-//! caches feasibility filtering and owns the scratch buffers, so ranking a
-//! job allocates nothing but its output and batches amortize all shared work
-//! ([`schedulers::JobScheduler::select_batch`]).
+//! Decisions run against a borrowed [`context::SchedulingContext`] over a
+//! carried [`context::ContextScratch`]: telemetry indexed by interned
+//! [`cluster::NodeId`], the feasible set and the stage-one scoreboards live in
+//! one decision view keyed by (snapshot revision, cluster generation, model
+//! version), so a decision re-derives only what changed since the previous
+//! one, allocates nothing but its output, and batches amortize all shared
+//! work ([`schedulers::JobScheduler::select_batch`]).
 //!
 //! Telemetry reaches decisions through the [`telemetry::SnapshotSource`]
 //! seam. Against an **epoch-publishing** source (`telemetry::publish`) the
@@ -57,7 +59,7 @@ pub use decision::{DecisionModule, NodeRanking, RankedNode};
 pub use features::{FeatureGroup, FeatureSchema, FeatureVector};
 pub use fetcher::TelemetryFetcher;
 pub use logger::{ExecutionLogger, TrainingRecord};
-pub use predictor::CompletionTimePredictor;
+pub use predictor::{CompletionTimePredictor, ModelVersion};
 pub use request::JobRequest;
 pub use schedulers::{
     JobScheduler, KubeDefaultScheduler, LeastLoadedScheduler, LowestRttScheduler, RandomScheduler,

@@ -16,7 +16,28 @@ use crate::request::JobRequest;
 use mlcore::{FeatureMatrix, ModelKind, Regressor, TrainedModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use telemetry::ClusterSnapshot;
+
+/// The identity of one trained model, for consumers that cache anything
+/// derived from its predictions (the decision view's stage-one scoreboards).
+/// Every predictor built by [`CompletionTimePredictor::new`] — which covers
+/// training, retraining and loading from an archive — gets a version no other
+/// predictor in the process has; `Clone` keeps it, because a clone *is* the
+/// same model. It is never serialised. Unlike an address it survives moves and
+/// cannot be reused: `SupervisedScheduler::set_predictor` overwrites the old
+/// model in place, at the same address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ModelVersion(u64);
+
+impl ModelVersion {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        // ordering: Relaxed — the counter only hands out distinct stamps; no
+        // memory is published through it.
+        ModelVersion(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
 
 /// Errors raised when assembling a predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +77,8 @@ pub struct CompletionTimePredictor {
     /// cached at construction for [`CompletionTimePredictor::signature_cells`].
     /// Derived state — not serialized, rebuilt on load.
     signature_grid: Vec<Vec<f64>>,
+    /// Stamped at construction, kept by `Clone`, never serialized.
+    version: ModelVersion,
 }
 
 /// The serialized form: schema + model only — the signature grid is derived
@@ -113,7 +136,13 @@ impl CompletionTimePredictor {
             schema,
             model,
             signature_grid,
+            version: ModelVersion::fresh(),
         })
+    }
+
+    /// This model's process-unique identity (see [`ModelVersion`]).
+    pub fn version(&self) -> ModelVersion {
+        self.version
     }
 
     /// Collapse a feature row to the model's partition-cell coordinates in
@@ -308,6 +337,7 @@ mod tests {
             schema: narrow,
             model: predictor.model().clone(),
             signature_grid: Vec::new(),
+            version: ModelVersion::fresh(),
         };
         let json = sabotaged.to_json();
         assert!(CompletionTimePredictor::from_json(&json).is_err());
@@ -346,6 +376,11 @@ mod tests {
             restored.predict(&snap, "node-1", &job)
         );
         assert!(CompletionTimePredictor::from_json("{").is_err());
+        // A loaded model is a new model as far as caches are concerned; a
+        // clone is the same one.
+        assert_ne!(restored.version(), predictor.version());
+        assert_eq!(predictor.clone().version(), predictor.version());
+        assert!(!json.contains("version"));
     }
 
     #[test]

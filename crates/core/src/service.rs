@@ -101,12 +101,12 @@ pub struct SchedulerService {
     /// nothing new since the last burst, the fetch is skipped entirely and
     /// the held `Arc` is reused — one atomic load per burst.
     held_epoch: Option<u64>,
-    /// Context buffers carried across bursts (indexed telemetry, the
-    /// generation-keyed feasibility index, candidate/pruning/prediction
-    /// scratch, the batch feature matrix): each burst takes them, decides,
-    /// and puts them back warm. On the held-epoch fast path — and any burst
-    /// where the cluster did not change — feasibility costs one integer
-    /// compare instead of an index rebuild.
+    /// The keyed decision view (indexed telemetry, incremental feasibility
+    /// index, stage-one scoreboards) and per-decision buffers, carried from
+    /// call to call: each call takes them, decides, and puts them back. A
+    /// held epoch re-keys with one compare, a bind between two decisions
+    /// patches one node of the feasibility index, and a new epoch refreshes
+    /// only the scoreboard rows whose telemetry changed.
     ctx_scratch: ContextScratch,
 }
 
@@ -161,10 +161,10 @@ impl SchedulerService {
         self.scheduler.is_some()
     }
 
-    /// How many times the persistent feasibility index was actually rebuilt
-    /// (as opposed to reused after a generation match). A burst against an
-    /// unchanged cluster — e.g. the held-epoch fast path — must not bump
-    /// this.
+    /// How many times the persistent feasibility index was rebuilt from
+    /// scratch (as opposed to reused after a generation match, or patched in
+    /// place after binds and releases). In a serving loop over a fixed node
+    /// table this stays at 1.
     pub fn feasibility_rebuilds(&self) -> u64 {
         self.ctx_scratch.feasibility_rebuilds()
     }
@@ -642,17 +642,21 @@ mod tests {
         service.schedule(&request(5), &published, &cluster, now);
         assert_eq!(service.feasibility_rebuilds(), 1);
 
-        // …while a cluster mutation (bind bumps the generation) forces
-        // exactly one rebuild on the next burst.
+        // …and a cluster mutation (bind bumps the generation) is patched
+        // into the index in place: the next decision sees the bind, still
+        // without a rebuild.
         let pod = cluster.create_pod(
-            cluster::PodSpec::new("hog", Resources::from_cores_and_gib(1, 1)),
+            cluster::PodSpec::new("hog", Resources::from_cores_and_gib(6, 8)),
             SimTime::ZERO,
         );
         cluster.bind_pod(pod, "node-1", SimTime::ZERO).unwrap();
-        service.schedule(&request(6), &published, &cluster, now);
-        assert_eq!(service.feasibility_rebuilds(), 2);
-        service.schedule(&request(7), &published, &cluster, now);
-        assert_eq!(service.feasibility_rebuilds(), 2);
+        let decision = service.schedule(&request(6), &published, &cluster, now);
+        assert_eq!(
+            decision.ranking.len(),
+            3,
+            "the full node left the feasible set"
+        );
+        assert_eq!(service.feasibility_rebuilds(), 1);
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //!   (no reader retains an epoch for more than a few publishes) the previous
 //!   buffer is uniquely owned again by the time it cycles back, so publishing
 //!   mutates it in place — no node-table, mesh or `String` reallocation, only
-//!   the handful of values that scrape changed are rewritten.
+//!   the handful of values that scrape changed are rewritten. After the fill
+//!   the publisher **seals** the buffer ([`ClusterSnapshot::seal`]): the RTT
+//!   statistics of the source rows the fill dirtied are recomputed — once,
+//!   here, instead of once per reader per burst — and the snapshot gets a
+//!   process-unique `revision`. Readers key their derived views on that
+//!   revision, never on the `Arc`'s address: with four recycled buffers the
+//!   same address holds different contents every fourth epoch.
 //! * The **reader side** ([`PublishedSnapshot`]) resolves the current epoch
 //!   with one atomic load and clones the published `Arc` out of its slot —
 //!   never touching the store, its shard locks, or the commit epoch protocol.
@@ -126,9 +132,10 @@ impl SnapshotPublisher {
 
     /// Publish the next epoch: `fill` rewrites the epoch's snapshot buffer
     /// (copy-on-write — in place unless a reader still retains the buffer
-    /// from `SLOT_COUNT` epochs ago), then the buffer is installed in its
-    /// slot and the epoch counter is bumped with release ordering. Returns
-    /// the published epoch number.
+    /// from `SLOT_COUNT` epochs ago) and the buffer is sealed (dirty RTT rows
+    /// resummarised, fresh revision — see [`ClusterSnapshot::seal`]); then it
+    /// is installed in its slot and the epoch counter is bumped with release
+    /// ordering. Returns the published epoch number.
     pub fn publish_with(&mut self, fill: impl FnOnce(&mut ClusterSnapshot)) -> u64 {
         let epoch = self.next_epoch;
         let index = (epoch as usize) % SLOT_COUNT;
@@ -138,7 +145,9 @@ impl SnapshotPublisher {
         // finds the slot empty or mismatched.
         *self.shared.slots[index].lock() = None;
         let buffer = &mut self.buffers[index];
-        fill(Arc::make_mut(buffer));
+        let snapshot = Arc::make_mut(buffer);
+        fill(snapshot);
+        snapshot.seal();
         *self.shared.slots[index].lock() = Some(PublishedEpoch {
             epoch,
             snapshot: Arc::clone(buffer),
@@ -311,6 +320,37 @@ mod tests {
         }
         let after = Arc::as_ptr(&handle.latest().unwrap().snapshot);
         assert_eq!(before, after, "slot buffer must be reused, not reallocated");
+    }
+
+    #[test]
+    fn published_epochs_are_sealed_with_distinct_revisions() {
+        let mut publisher = SnapshotPublisher::new();
+        let handle = publisher.handle();
+        let mut revisions = Vec::new();
+        for i in 0..2 * SLOT_COUNT as u64 {
+            publisher.publish_with(|snap| {
+                if snap.is_empty() {
+                    *snap = snap_with_load(0.0);
+                }
+                snap.node_mut("node-1").expect("scraped above").cpu_load = i as f64;
+            });
+            let latest = handle.latest().unwrap();
+            assert_ne!(latest.snapshot.revision(), 0, "publishing seals");
+            revisions.push(latest.snapshot.revision());
+        }
+        // Buffers (and so addresses) repeat every SLOT_COUNT epochs;
+        // revisions never do.
+        let mut distinct = revisions.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), revisions.len());
+        // A fill that changes nothing keeps the revision: same contents.
+        let before = publisher.latest().unwrap().snapshot;
+        publisher.publish_with(|snap| snap.clone_from(&before));
+        assert_eq!(
+            publisher.latest().unwrap().snapshot.revision(),
+            before.revision()
+        );
     }
 
     #[test]

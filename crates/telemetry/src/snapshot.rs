@@ -14,6 +14,34 @@
 //! through `String`. A snapshot produced by the scrape manager's interned
 //! layout uses the cluster's own `NodeId` assignment; hand-built snapshots
 //! intern names in insertion order.
+//!
+//! # Sealing and revisions
+//!
+//! The Table-1 RTT statistics `(mean, max, std)` of a source row are a pure
+//! function of that row's mesh entries, so the single writer computes them
+//! **once, at publish time**: [`ClusterSnapshot::seal`] (called by
+//! [`crate::SnapshotPublisher::publish_with`] after its `fill`) recomputes the
+//! statistics of exactly the rows a `&mut` accessor dirtied since the last
+//! seal — a dirty-row *list*, so an epoch that rewrote only node telemetry
+//! seals in O(1) — and stamps the snapshot with a process-unique non-zero
+//! [`ClusterSnapshot::revision`]. The contract:
+//!
+//! * every mutating accessor clears the revision (0 = "unsealed or mutated
+//!   since"), and RTT mutators additionally dirty the source row they touch;
+//!   bulk resets (`clear`, `reset_for*`) drop the sealed rows wholesale;
+//! * `Clone`/`clone_from` copy the sealed rows and the revision — a clone has
+//!   the same contents, so it may share the stamp;
+//! * the public [`ClusterSnapshot::time`] field is *not* covered: the
+//!   revision identifies the node table, telemetry and mesh, which is all
+//!   [`ClusterSnapshot::index_into`] reads.
+//!
+//! Readers get two things from it. [`ClusterSnapshot::index_into`] copies
+//! sealed rows and accumulates only dirty or never-sealed ones — through the
+//! same accumulation routine, so the result is bit-identical to indexing an
+//! unsealed copy. And a consumer that remembers the revision it last indexed
+//! can skip re-indexing altogether when it is handed the same revision again;
+//! buffer *addresses* cannot serve as that key, because the publisher's slot
+//! ring recycles them.
 
 use crate::metrics::SeriesKey;
 use crate::store::TimeSeriesStore;
@@ -24,6 +52,55 @@ use crate::{
 use cluster::NodeId;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of process-unique [`ClusterSnapshot::revision`] stamps (0 is
+/// reserved for "unsealed").
+static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
+
+/// `(mean, max, std-dev)` of a row without probes.
+const NO_RTT_STATS: (f64, f64, f64) = (0.0, 0.0, 0.0);
+
+/// Publish-time RTT statistics: `(mean, max, std-dev)` per source row as of
+/// the last [`ClusterSnapshot::seal`], plus which of those rows a mutation
+/// has dirtied since. Rows at or past `stats.len()` were never sealed, so an
+/// empty value means "nothing sealed" and hand-built snapshots pay nothing.
+#[derive(Debug, Clone, Default)]
+struct SealedRtt {
+    stats: Vec<(f64, f64, f64)>,
+    /// Per sealed row: its mesh entries changed since the seal.
+    stale: Vec<bool>,
+    /// The rows flagged in `stale`, so resealing costs O(dirty rows) instead
+    /// of a scan over every flag.
+    stale_rows: Vec<u32>,
+}
+
+impl SealedRtt {
+    /// The sealed statistics of `row`, unless it is dirty or was never sealed.
+    fn get(&self, row: usize) -> Option<(f64, f64, f64)> {
+        match self.stale.get(row) {
+            Some(false) => Some(self.stats[row]),
+            _ => None,
+        }
+    }
+
+    /// Note that `row`'s mesh entries changed.
+    fn touch(&mut self, row: usize) {
+        if let Some(stale) = self.stale.get_mut(row) {
+            if !*stale {
+                *stale = true;
+                self.stale_rows.push(row as u32);
+            }
+        }
+    }
+
+    /// Forget every sealed row (the mesh was reset wholesale).
+    fn invalidate(&mut self) {
+        self.stats.clear();
+        self.stale.clear();
+        self.stale_rows.clear();
+    }
+}
 
 /// Host-level telemetry for one node at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -297,6 +374,12 @@ pub struct ClusterSnapshot {
     /// (0 = none / table mutated since). Purely an internal fast-path stamp:
     /// excluded from equality and serialization.
     layout_generation: u64,
+    /// Publish-time RTT statistics (see the module docs). Derived state:
+    /// excluded from equality and serialization.
+    sealed: SealedRtt,
+    /// Process-unique stamp of the sealed contents; 0 = unsealed, or mutated
+    /// since the last seal.
+    revision: u64,
 }
 
 impl ClusterSnapshot {
@@ -364,7 +447,7 @@ impl ClusterSnapshot {
                 let key = store.key(id);
                 if let (Some(src), Some(dst)) = (key.label("source"), key.label("target")) {
                     let (src, dst) = (self.intern(src), self.intern(dst));
-                    self.rtt.set(src, dst, value);
+                    self.set_rtt(src, dst, value);
                 }
             }
         }
@@ -381,6 +464,8 @@ impl ClusterSnapshot {
         self.nodes.clear();
         self.rtt.reset();
         self.layout_generation = 0;
+        self.sealed.invalidate();
+        self.revision = 0;
     }
 
     /// Reset the snapshot for a fresh fetch over a fixed node table: keeps
@@ -401,8 +486,7 @@ impl ClusterSnapshot {
     pub fn reset_for_generation(&mut self, time: SimTime, generation: u64, names: &[String]) {
         if generation != 0 && generation == self.layout_generation {
             self.time = time;
-            self.nodes.iter_mut().for_each(|n| *n = None);
-            self.rtt.clear_values();
+            self.clear_values();
             return;
         }
         self.reset_for_table(time, names);
@@ -420,9 +504,16 @@ impl ClusterSnapshot {
                 self.intern(name);
             }
         } else {
-            self.nodes.iter_mut().for_each(|n| *n = None);
-            self.rtt.clear_values();
+            self.clear_values();
         }
+    }
+
+    /// Drop every telemetry and mesh value, keeping the node table.
+    fn clear_values(&mut self) {
+        self.nodes.iter_mut().for_each(|n| *n = None);
+        self.rtt.clear_values();
+        self.sealed.invalidate();
+        self.revision = 0;
     }
 
     /// Intern a node name, returning its snapshot-local id. The telemetry
@@ -437,6 +528,7 @@ impl ClusterSnapshot {
                 self.nodes.push(None);
                 self.sorted.insert(pos, id);
                 self.layout_generation = 0;
+                self.revision = 0;
                 NodeId(id)
             }
         }
@@ -450,37 +542,55 @@ impl ClusterSnapshot {
 
     /// Telemetry entry for a node, creating a zeroed one if absent.
     fn entry(&mut self, id: NodeId) -> &mut NodeTelemetry {
+        self.revision = 0;
         self.nodes[id.index()].get_or_insert_with(NodeTelemetry::default)
+    }
+
+    /// Record one mesh entry, dirtying the sealed statistics of its source
+    /// row. A dense → sparse migration changes every row's accumulation order
+    /// (target-name order → target-id order), so it drops all sealed rows.
+    fn set_rtt(&mut self, src: NodeId, dst: NodeId, rtt_seconds: f64) {
+        let was_dense = self.rtt.is_dense();
+        self.rtt.set(src, dst, rtt_seconds);
+        if was_dense == self.rtt.is_dense() {
+            self.sealed.touch(src.index());
+        } else {
+            self.sealed.invalidate();
+        }
+        self.revision = 0;
     }
 
     /// Record (or overwrite) one node's telemetry, returning its id.
     pub fn insert_node(&mut self, name: &str, telemetry: NodeTelemetry) -> NodeId {
         let id = self.intern(name);
-        self.nodes[id.index()] = Some(telemetry);
+        self.set_node_by_id(id, telemetry);
         id
     }
 
     /// Mutable telemetry of a node, if scraped.
     pub fn node_mut(&mut self, name: &str) -> Option<&mut NodeTelemetry> {
         let id = self.node_id(name)?;
-        self.nodes[id.index()].as_mut()
+        let node = self.nodes[id.index()].as_mut()?;
+        self.revision = 0;
+        Some(node)
     }
 
     /// Record an RTT probe between two nodes by name (interning both).
     pub fn insert_rtt(&mut self, source: &str, target: &str, rtt_seconds: f64) {
         let (src, dst) = (self.intern(source), self.intern(target));
-        self.rtt.set(src, dst, rtt_seconds);
+        self.set_rtt(src, dst, rtt_seconds);
     }
 
     /// Record an RTT probe between two already-interned node ids.
     pub fn insert_rtt_by_id(&mut self, source: NodeId, target: NodeId, rtt_seconds: f64) {
-        self.rtt.set(source, target, rtt_seconds);
+        self.set_rtt(source, target, rtt_seconds);
     }
 
     /// Record one node's telemetry by pre-interned id (the interned scrape
     /// path; ids follow the order `reset_for` installed).
     pub fn set_node_by_id(&mut self, id: NodeId, telemetry: NodeTelemetry) {
         self.nodes[id.index()] = Some(telemetry);
+        self.revision = 0;
     }
 
     /// Resolve a node name to its snapshot-local id.
@@ -553,15 +663,62 @@ impl ClusterSnapshot {
     /// meshes accumulation runs in target-name order so results are
     /// bit-identical to the name-keyed mesh this replaced.
     pub fn rtt_stats_from(&self, source: &str) -> (f64, f64, f64) {
-        let Some(src) = self.node_id(source) else {
-            return (0.0, 0.0, 0.0);
-        };
+        self.node_id(source)
+            .map_or(NO_RTT_STATS, |src| self.row_stats(src))
+    }
+
+    /// `(mean, max, std-dev)` of the RTTs probed from `src`: the sealed value
+    /// when the row is clean, otherwise accumulated now — the one routine
+    /// [`ClusterSnapshot::seal`] fills sealed rows with, so the two agree
+    /// bitwise.
+    fn row_stats(&self, src: NodeId) -> (f64, f64, f64) {
+        self.sealed
+            .get(src.index())
+            .unwrap_or_else(|| self.accumulate_row_stats(src))
+    }
+
+    fn accumulate_row_stats(&self, src: NodeId) -> (f64, f64, f64) {
         let mut stats = simcore::OnlineStats::new();
         self.accumulate_rtts_from(src, &mut stats);
         if stats.count() == 0 {
-            return (0.0, 0.0, 0.0);
+            return NO_RTT_STATS;
         }
         (stats.mean(), stats.max(), stats.std_dev())
+    }
+
+    /// Seal the snapshot: recompute the RTT statistics of every source row
+    /// dirtied (or interned) since the last seal, and stamp a fresh
+    /// process-unique [`ClusterSnapshot::revision`]. A no-op on a snapshot
+    /// that is still sealed. Cost is proportional to the dirty rows' entries
+    /// — nothing at all for an epoch that rewrote only node telemetry.
+    pub fn seal(&mut self) {
+        if self.revision != 0 {
+            return;
+        }
+        let mut sealed = std::mem::take(&mut self.sealed);
+        for &row in &sealed.stale_rows {
+            sealed.stats[row as usize] = self.accumulate_row_stats(NodeId(row));
+            sealed.stale[row as usize] = false;
+        }
+        sealed.stale_rows.clear();
+        for row in sealed.stats.len()..self.names.len() {
+            sealed
+                .stats
+                .push(self.accumulate_row_stats(NodeId(row as u32)));
+        }
+        sealed.stale.resize(sealed.stats.len(), false);
+        self.sealed = sealed;
+        // ordering: Relaxed — the counter only hands out distinct stamps; the
+        // snapshot it stamps is handed to readers by the publisher's own
+        // Release/Acquire epoch protocol.
+        self.revision = NEXT_REVISION.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The stamp [`ClusterSnapshot::seal`] gave the current contents (node
+    /// table, telemetry, mesh), or 0 when the snapshot was never sealed or
+    /// has been mutated since. Equal non-zero revisions prove equal contents.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Push every RTT probed from `src` into `stats`. Dense meshes
@@ -614,47 +771,25 @@ impl ClusterSnapshot {
     }
 
     /// In-place variant of [`ClusterSnapshot::index_for`]: resolve this
-    /// snapshot into `out`, reusing its node table, statistics table and
-    /// accumulator scratch. Steady-state bursts over a fixed cluster size
-    /// re-index without touching the heap.
+    /// snapshot into `out`, reusing its tables. Sealed RTT rows are copied;
+    /// only rows dirtied (or never sealed) since are accumulated, through the
+    /// routine that sealed the others. Steady-state bursts over a fixed
+    /// cluster size re-index without touching the heap.
     pub fn index_into(&self, cluster: &cluster::ClusterState, out: &mut IndexedTelemetry) {
-        let n = cluster.node_count();
-        let aligned = self.is_aligned_with(cluster);
         out.nodes.clear();
-        if aligned {
-            out.nodes.extend_from_slice(&self.nodes);
-        } else {
-            out.nodes.extend(
-                cluster
-                    .nodes()
-                    .iter()
-                    .map(|node| self.node(&node.name).copied()),
-            );
-        }
-
-        let stats = &mut out.stats_scratch;
-        stats.clear();
-        stats.resize(n, simcore::OnlineStats::new());
-        for src_idx in 0..self.names.len() {
-            let cluster_idx = if aligned {
-                src_idx
-            } else {
-                match cluster.node_id(&self.names[src_idx]) {
-                    Some(id) => id.index(),
-                    None => continue,
-                }
-            };
-            let src = NodeId(src_idx as u32);
-            self.accumulate_rtts_from(src, &mut stats[cluster_idx]);
-        }
         out.rtt_stats.clear();
-        out.rtt_stats.extend(stats.iter().map(|s| {
-            if s.count() == 0 {
-                (0.0, 0.0, 0.0)
-            } else {
-                (s.mean(), s.max(), s.std_dev())
+        if self.is_aligned_with(cluster) {
+            out.nodes.extend_from_slice(&self.nodes);
+            out.rtt_stats
+                .extend((0..self.names.len()).map(|row| self.row_stats(NodeId(row as u32))));
+        } else {
+            for node in cluster.nodes() {
+                let id = self.node_id(&node.name);
+                out.nodes.push(id.and_then(|id| self.nodes[id.index()]));
+                out.rtt_stats
+                    .push(id.map_or(NO_RTT_STATS, |id| self.row_stats(id)));
             }
-        }));
+        }
     }
 }
 
@@ -774,23 +909,12 @@ pub trait SnapshotSource {
 /// A dense, [`NodeId`]-indexed resolution of a [`ClusterSnapshot`] against
 /// one cluster's node table. Built once per scheduling burst by
 /// [`ClusterSnapshot::index_for`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexedTelemetry {
     /// Host telemetry per node id; `None` when the node was not scraped.
     nodes: Vec<Option<NodeTelemetry>>,
     /// Precomputed (mean, max, std-dev) RTT-from-node statistics per node id.
     rtt_stats: Vec<(f64, f64, f64)>,
-    /// Accumulator scratch reused by [`ClusterSnapshot::index_into`]; not
-    /// part of the observable value.
-    stats_scratch: Vec<simcore::OnlineStats>,
-}
-
-/// Equality over the observable view (node table + RTT statistics) only; the
-/// internal accumulator scratch carries no information.
-impl PartialEq for IndexedTelemetry {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.rtt_stats == other.rtt_stats
-    }
 }
 
 impl IndexedTelemetry {
@@ -816,6 +940,30 @@ impl IndexedTelemetry {
     /// True when no nodes are indexed.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Call `changed` with every node id whose telemetry or RTT statistics
+    /// differ **bitwise** from `previous` (so `-0.0` vs `0.0` and NaN
+    /// payloads count), including ids only one of the two views covers. What
+    /// a consumer caching per-node derivations needs to refresh.
+    pub fn changed_rows(&self, previous: &IndexedTelemetry, mut changed: impl FnMut(NodeId)) {
+        fn bits(view: &IndexedTelemetry, row: usize) -> Option<(Option<[u64; 4]>, [u64; 3])> {
+            let node = view.nodes.get(row)?.map(|t| {
+                [
+                    t.cpu_load.to_bits(),
+                    t.memory_available_bytes.to_bits(),
+                    t.tx_rate.to_bits(),
+                    t.rx_rate.to_bits(),
+                ]
+            });
+            let (mean, max, std) = view.rtt_stats[row];
+            Some((node, [mean.to_bits(), max.to_bits(), std.to_bits()]))
+        }
+        for row in 0..self.len().max(previous.len()) {
+            if bits(self, row) != bits(previous, row) {
+                changed(NodeId(row as u32));
+            }
+        }
     }
 }
 
@@ -1247,6 +1395,82 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: ClusterSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn sealing_resummarises_only_dirty_rows_and_stamps_a_revision() {
+        let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
+        for (src, dst, rtt) in [("a", "b", 0.010), ("a", "c", 0.030), ("b", "a", 0.020)] {
+            snap.insert_rtt(src, dst, rtt);
+        }
+        assert_eq!(snap.revision(), 0, "hand-built snapshots start unsealed");
+        let unsealed = snap.rtt_stats_from("a");
+        snap.seal();
+        let first = snap.revision();
+        assert_ne!(first, 0);
+        assert_eq!(snap.rtt_stats_from("a"), unsealed);
+        assert_eq!(snap.sealed.stats.len(), 3);
+        // Sealing a sealed snapshot changes nothing; a clone shares the stamp.
+        snap.seal();
+        assert_eq!(snap.revision(), first);
+        assert_eq!(snap.clone().revision(), first);
+
+        // Node telemetry clears the revision but dirties no RTT row …
+        snap.insert_node("a", NodeTelemetry::default());
+        assert_eq!(snap.revision(), 0);
+        assert!(snap.sealed.stale_rows.is_empty());
+        // … a probe dirties exactly its source row, once.
+        snap.insert_rtt("b", "c", 0.5);
+        snap.insert_rtt("b", "a", 0.7);
+        assert_eq!(snap.sealed.stale_rows, vec![1]);
+        assert_eq!(snap.sealed.get(0), Some(unsealed));
+        assert_eq!(snap.sealed.get(1), None);
+        // Dirty rows read through to the mesh until the next seal.
+        let (mean, max, _) = snap.rtt_stats_from("b");
+        assert_eq!((mean, max), (0.6, 0.7));
+        snap.seal();
+        assert!(snap.revision() > first, "revisions are never reused");
+        assert_eq!(
+            snap.sealed.get(1),
+            Some(snap.accumulate_row_stats(NodeId(1)))
+        );
+
+        // Interning a node after the seal leaves it unsealed until the next.
+        snap.insert_rtt("d", "a", 0.9);
+        assert_eq!(snap.sealed.get(3), None);
+        assert_eq!(snap.rtt_stats_from("d"), (0.9, 0.9, 0.0));
+        // Bulk resets drop every sealed row.
+        snap.reset_for(SimTime::from_secs(2), &["a".to_string(), "b".to_string()]);
+        assert!(snap.sealed.stats.is_empty());
+        assert_eq!(snap.revision(), 0);
+    }
+
+    #[test]
+    fn dense_to_sparse_migration_drops_the_sealed_rows() {
+        // Dense rows accumulate in target-name order, sparse rows in target-id
+        // order, so a sealed dense row may differ bitwise from the sparse
+        // accumulation of the same entries: the migration must reseal.
+        let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
+        for (dst, rtt) in [("z", 0.1), ("m", 0.2), ("b", 0.3)] {
+            snap.insert_rtt("a", dst, rtt);
+        }
+        snap.seal();
+        assert!(snap.rtt().is_dense());
+        for i in 0..super::DENSE_NODE_LIMIT {
+            snap.insert_node(&format!("filler-{i}"), NodeTelemetry::default());
+        }
+        assert_eq!(
+            snap.sealed.get(0),
+            Some(snap.accumulate_row_stats(NodeId(0)))
+        );
+        let last = format!("filler-{}", super::DENSE_NODE_LIMIT - 1);
+        snap.insert_rtt(&last, "a", 0.4);
+        assert!(!snap.rtt().is_dense());
+        assert!(snap.sealed.stats.is_empty());
+        assert_eq!(
+            snap.rtt_stats_from("a"),
+            snap.accumulate_row_stats(NodeId(0))
+        );
     }
 
     #[test]

@@ -14,16 +14,26 @@
 //!   prefilter scores under the active policy, budgets nest (`S_K ⊆ S_K'`),
 //!   and the supervised top-1 under K can only move toward the full-rank
 //!   top-1 as K grows.
+//! * **Incremental feasibility.** After random sequences of bind / complete /
+//!   delete / cordon / taint / `nodes_mut` / `add_node`, the incrementally
+//!   patched index equals a freshly built one and the naive scan.
+//! * **Keyed decision view.** One long-lived `ContextScratch`, driven through
+//!   random interleavings of new epochs (sealed or not, aligned or not, nodes
+//!   going missing), binds, releases, model swaps at the same address,
+//!   requests from different cells and budget/policy changes, ranks
+//!   byte-identically to a cold context at every step — for linear, forest
+//!   and boosted models. A regression test pins the two staleness traps the
+//!   retired address fingerprints hid.
 //! * **Stress.** Pruned decision bursts against a `published_handle()` reader
 //!   while ingest commits epochs on another thread: every decision uses a
-//!   whole committed epoch, even while cluster mutations force feasibility
-//!   index rebuilds between bursts.
+//!   whole committed epoch and sees every bind made before it, and the
+//!   feasibility index is built exactly once.
 
 use netsched::cluster::{
     ClusterState, DefaultScheduler, FeasibilityIndex, FilterResult, Node, PodId, PodSpec,
     Resources, Taint, TaintEffect,
 };
-use netsched::core::context::SchedulingContext;
+use netsched::core::context::{ContextScratch, SchedulingContext};
 use netsched::core::features::FeatureSchema;
 use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
@@ -33,10 +43,12 @@ use netsched::core::schedulers::{
 };
 use netsched::core::service::{SchedulerConfig, SchedulerService};
 use netsched::core::PruningPolicy;
-use netsched::mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
+use netsched::mlcore::{
+    Dataset, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
+};
 use netsched::simcore::rng::Rng;
 use netsched::simcore::SimTime;
-use netsched::telemetry::{ClusterSnapshot, NodeTelemetry};
+use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
 
@@ -180,6 +192,125 @@ fn naive_feasible(cluster: &ClusterState, request: &JobRequest) -> Vec<ClusterNo
         .filter(|(_, node)| DefaultScheduler::filter(&driver, node) == FilterResult::Feasible)
         .map(|(index, _)| ClusterNodeId::from_index(index))
         .collect()
+}
+
+/// One node's telemetry, drawn over the ranges the test models train on.
+fn random_telemetry(rng: &mut Rng) -> NodeTelemetry {
+    NodeTelemetry {
+        cpu_load: rng.uniform(0.0, 8.0),
+        memory_available_bytes: rng.uniform(1e9, 3e10),
+        tx_rate: rng.uniform(0.0, 1e7),
+        rx_rate: rng.uniform(0.0, 1e7),
+    }
+}
+
+/// A small trained model of `kind` whose predictions depend on node
+/// telemetry *and* on the job (so requests land in different signature cells)
+/// and stay far above the predictor's clamp at 0. `variant` changes the
+/// weights: different variants disagree on every loaded node.
+fn cell_model(kind: ModelKind, variant: u64) -> CompletionTimePredictor {
+    let schema = FeatureSchema::standard();
+    let mut data = Dataset::new(schema.names().to_vec());
+    let mut rng = Rng::seed_from_u64(0xCE11 + variant);
+    let kinds = netsched::sparksim::WorkloadKind::ALL;
+    let weight = 3.0 + 2.0 * variant as f64;
+    for i in 0..240usize {
+        let job = JobRequest::named("train", kinds[i % kinds.len()], 20_000 << (i % 6), 2);
+        let node = random_telemetry(&mut rng);
+        let rtt = rng.uniform(0.0, 0.08);
+        let mut row = Vec::new();
+        schema.construct_into(&mut row, &node, (rtt, 2.0 * rtt, 0.5 * rtt), &job);
+        let target = 200.0
+            + weight * node.cpu_load
+            + 400.0 * rtt
+            + 1e-6 * node.tx_rate
+            + 5.0 * (i % kinds.len()) as f64
+            + 1e-4 * job.workload.input_records as f64;
+        data.push(row, target).unwrap();
+    }
+    let config = ModelConfig {
+        forest: RandomForestConfig {
+            n_trees: 8,
+            workers: 1,
+            ..Default::default()
+        },
+        gbdt: GradientBoostingConfig {
+            n_rounds: 12,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let model = TrainedModel::train(kind, &config, &data, &mut rng);
+    CompletionTimePredictor::new(schema, model).expect("schema matches training data")
+}
+
+/// Two variants of each model family, trained once.
+fn cell_models() -> &'static [[CompletionTimePredictor; 2]; 3] {
+    static CACHE: std::sync::OnceLock<[[CompletionTimePredictor; 2]; 3]> =
+        std::sync::OnceLock::new();
+    CACHE.get_or_init(|| ModelKind::ALL.map(|kind| [cell_model(kind, 0), cell_model(kind, 1)]))
+}
+
+/// Telemetry as plain data, so each epoch's snapshot can be rebuilt from
+/// scratch: `None` = the node went missing from the scrape.
+#[derive(Clone)]
+struct Telemetry {
+    nodes: Vec<Option<NodeTelemetry>>,
+    /// `(source, target, rtt)` probes.
+    rtts: Vec<(usize, usize, f64)>,
+}
+
+impl Telemetry {
+    fn random(nodes: usize, rng: &mut Rng) -> Self {
+        Telemetry {
+            nodes: (0..nodes).map(|_| Some(random_telemetry(rng))).collect(),
+            rtts: (0..nodes)
+                .flat_map(|i| [1usize, 3].map(|hop| (i, (i + hop) % nodes)))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a, b, rng.uniform(0.0002, 0.08)))
+                .collect(),
+        }
+    }
+
+    /// A new epoch: `k` nodes' telemetry changes (one of them may go missing
+    /// or come back), and sometimes a probe does.
+    fn perturb(&mut self, k: usize, rng: &mut Rng) {
+        for _ in 0..k {
+            let at = rng.gen_range_usize(0, self.nodes.len());
+            self.nodes[at] = match rng.gen_range_usize(0, 6) {
+                0 => None,
+                _ => Some(random_telemetry(rng)),
+            };
+        }
+        if rng.gen_range_usize(0, 3) == 0 && !self.rtts.is_empty() {
+            let at = rng.gen_range_usize(0, self.rtts.len());
+            self.rtts[at].2 = rng.uniform(0.0002, 0.08);
+        }
+    }
+
+    /// A hand-built snapshot of this telemetry. With `aligned` the node table
+    /// is the cluster's (ids match); without, names are interned in reverse,
+    /// so indexing must resolve every name.
+    fn snapshot(&self, aligned: bool) -> ClusterSnapshot {
+        let mut snap = ClusterSnapshot::at(SimTime::from_secs(30));
+        let name = |i: usize| format!("node-{}", i + 1);
+        let order: Vec<usize> = if aligned {
+            (0..self.nodes.len()).collect()
+        } else {
+            (0..self.nodes.len()).rev().collect()
+        };
+        for &i in &order {
+            // Registers the name in `order` even for missing nodes.
+            snap.insert_rtt(&name(i), &name(i), 0.0);
+            if let Some(telemetry) = self.nodes[i] {
+                snap.insert_node(&name(i), telemetry);
+            }
+        }
+        for &(a, b, rtt) in &self.rtts {
+            snap.insert_rtt(&name(a), &name(b), rtt);
+        }
+        snap
+    }
 }
 
 proptest! {
@@ -363,14 +494,350 @@ proptest! {
             }
         }
     }
+
+    /// After any sequence of cluster mutations the incrementally patched
+    /// index is indistinguishable from one built from scratch, and both equal
+    /// the naive scan through the scheduler's filter.
+    #[test]
+    fn incremental_feasibility_equals_rebuild_and_naive_scan(
+        seed in 0u64..1_000_000,
+        nodes in 2usize..40,
+        steps in 1usize..60,
+    ) {
+        let (mut cluster, _) = varied_world(nodes, seed);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x1DE7);
+        let mut index = FeasibilityIndex::new();
+        index.sync(&cluster);
+        let mut pods = Vec::new();
+        for step in 0..steps {
+            let name = format!("node-{}", 1 + rng.gen_range_usize(0, cluster.node_count()));
+            match rng.gen_range_usize(0, 8) {
+                0 | 1 => {
+                    let free = cluster.node(&name).unwrap().available();
+                    let share = 1 + rng.gen_range_usize(0, 3) as u64;
+                    let spec = PodSpec::new(
+                        format!("pod-{step}"),
+                        Resources {
+                            cpu_millis: free.cpu_millis / share,
+                            memory_bytes: free.memory_bytes / share,
+                        },
+                    );
+                    let pod = cluster.create_pod(spec, SimTime::ZERO);
+                    // Cordoned or tainted nodes still take an explicit bind.
+                    if cluster.bind_pod(pod, &name, SimTime::ZERO).is_ok() {
+                        pods.push(pod);
+                    }
+                }
+                2 if !pods.is_empty() => {
+                    let pod = pods.swap_remove(rng.gen_range_usize(0, pods.len()));
+                    cluster.complete_pod(pod, true, SimTime::ZERO).unwrap();
+                }
+                3 if !pods.is_empty() => {
+                    let pod = pods.swap_remove(rng.gen_range_usize(0, pods.len()));
+                    cluster.delete_pod(pod, SimTime::ZERO).unwrap();
+                }
+                4 => {
+                    let node = cluster.node_mut(&name).unwrap();
+                    node.schedulable = !node.schedulable;
+                }
+                5 => {
+                    let node = cluster.node_mut(&name).unwrap();
+                    if node.taints.is_empty() {
+                        node.taints.push(Taint {
+                            key: "dedicated".into(),
+                            value: "infra".into(),
+                            effect: if rng.gen_range_usize(0, 2) == 0 {
+                                TaintEffect::NoSchedule
+                            } else {
+                                TaintEffect::PreferNoSchedule
+                            },
+                        });
+                    } else {
+                        node.taints.clear();
+                    }
+                }
+                6 => {
+                    // A sweep over the whole table (how background load is
+                    // injected), here resizing every third node.
+                    for node in cluster.nodes_mut().iter_mut().step_by(3) {
+                        node.allocatable.memory_bytes += 1 << 30;
+                    }
+                }
+                _ => {
+                    let id = cluster.node_count();
+                    cluster.add_node(Node::new(
+                        format!("node-{}", id + 1),
+                        SimNodeId(id),
+                        Resources::from_cores_and_gib(4, 8),
+                        "EAST",
+                    ));
+                }
+            }
+            // Sync after most steps, skipping some so multi-node patches run.
+            if rng.gen_range_usize(0, 4) == 0 {
+                continue;
+            }
+            index.sync(&cluster);
+            let mut fresh = FeasibilityIndex::new();
+            fresh.sync(&cluster);
+            prop_assert_eq!(index.eligible_count(), fresh.eligible_count());
+            for (cpu_millis, mem_gib) in [(0, 0), (500, 1), (2_500, 4), (9_000, 1)] {
+                let request = driver_request(0, cpu_millis, mem_gib);
+                let requests = request.driver_resources();
+                let expected = naive_feasible(&cluster, &request);
+                prop_assert!(index.query(&requests) == expected, "patched, step {}", step);
+                prop_assert!(fresh.query(&requests) == expected, "rebuilt, step {}", step);
+            }
+        }
+    }
+
+    /// One long-lived scratch, re-keyed through everything a serving loop
+    /// does to it, ranks byte-identically to a context built from nothing —
+    /// for every model family.
+    #[test]
+    fn long_lived_scratch_ranks_like_a_cold_context(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..28,
+        steps in 4usize..40,
+    ) {
+        let (mut cluster, _) = varied_world(nodes, seed);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5C8A);
+        let mut telemetry = Telemetry::random(nodes, &mut rng);
+        let kinds = netsched::sparksim::WorkloadKind::ALL;
+        for family in cell_models() {
+            // The model lives in one scheduler for the whole run, so a swap
+            // overwrites it at the same address.
+            let mut scheduler = SupervisedScheduler::new(family[0].clone());
+            let mut publisher = SnapshotPublisher::new();
+            let mut snapshot = std::sync::Arc::new(telemetry.snapshot(true));
+            let mut scratch = ContextScratch::default();
+            let mut pods = Vec::new();
+            for step in 0..steps {
+                match rng.gen_range_usize(0, 6) {
+                    0 | 1 => {
+                        // A new epoch, hand-built (unsealed, sometimes not
+                        // id-aligned) or published through the buffer ring
+                        // (sealed, recycled addresses).
+                        telemetry.perturb(1 + rng.gen_range_usize(0, 4), &mut rng);
+                        let built = telemetry.snapshot(rng.gen_range_usize(0, 3) != 0);
+                        snapshot = if rng.gen_range_usize(0, 2) == 0 {
+                            std::sync::Arc::new(built)
+                        } else {
+                            drop(snapshot);
+                            publisher.publish_with(|epoch| *epoch = built);
+                            publisher.latest().unwrap().snapshot
+                        };
+                    }
+                    2 => {
+                        let name = format!("node-{}", 1 + rng.gen_range_usize(0, nodes));
+                        let free = cluster.node(&name).unwrap().available();
+                        let spec = PodSpec::new(
+                            format!("pod-{step}"),
+                            Resources {
+                                cpu_millis: free.cpu_millis / 2,
+                                memory_bytes: free.memory_bytes,
+                            },
+                        );
+                        let pod = cluster.create_pod(spec, SimTime::ZERO);
+                        if cluster.bind_pod(pod, &name, SimTime::ZERO).is_ok() {
+                            pods.push(pod);
+                        }
+                    }
+                    3 if !pods.is_empty() => {
+                        let pod = pods.swap_remove(rng.gen_range_usize(0, pods.len()));
+                        cluster.complete_pod(pod, true, SimTime::ZERO).unwrap();
+                    }
+                    4 => {
+                        // Retrain: a model with a new version (reloaded from
+                        // its archive) or an earlier one (a clone keeps its
+                        // version, and its boards may still be pooled).
+                        let next = &family[rng.gen_range_usize(0, 2)];
+                        scheduler.set_predictor(if rng.gen_range_usize(0, 2) == 0 {
+                            next.clone()
+                        } else {
+                            CompletionTimePredictor::from_json(&next.to_json()).unwrap()
+                        });
+                    }
+                    _ => {}
+                }
+                let request = JobRequest::named(
+                    format!("job-{step}"),
+                    kinds[rng.gen_range_usize(0, kinds.len())],
+                    20_000 << rng.gen_range_usize(0, 6),
+                    2,
+                )
+                .with_driver_resources(250 * rng.gen_range_usize(0, 5) as u64, 1 << 30);
+                let top_k = [None, Some(1), Some(3), Some(8), Some(1_000)][rng.gen_range_usize(0, 5)];
+                let policy = POLICIES[rng.gen_range_usize(0, 4) % 3];
+
+                let mut warm = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
+                let mut cold = SchedulingContext::new(&snapshot, &cluster);
+                for ctx in [&mut warm, &mut cold] {
+                    ctx.set_top_k(top_k);
+                    ctx.set_pruning_policy(policy);
+                }
+                prop_assert!(
+                    warm.pruned_candidates(&request) == cold.pruned_candidates(&request),
+                    "prefilter, step {} {:?} {:?}", step, top_k, policy
+                );
+                prop_assert!(
+                    warm.rank_feasible_batch(&request, scheduler.predictor())
+                        == cold.rank_feasible_batch(&request, scheduler.predictor()),
+                    "{} step {} {:?} {:?}", scheduler.name(), step, top_k, policy
+                );
+                scratch = warm.into_scratch();
+            }
+        }
+    }
+}
+
+/// The two staleness traps an `(address, one prediction)` model fingerprint
+/// and an `Arc`-address snapshot key would fall into once scoreboards and
+/// indexed telemetry outlive a burst.
+#[test]
+fn a_model_at_the_same_address_and_a_recycled_buffer_serve_nothing_stale() {
+    let nodes = 12usize;
+    let mut cluster = ClusterState::new();
+    for i in 0..nodes {
+        cluster.add_node(Node::new(
+            format!("node-{}", i + 1),
+            SimNodeId(i),
+            Resources::from_cores_and_gib(8, 16),
+            "EAST",
+        ));
+    }
+    // Node i runs at load i / 2: nodes 1–6 below 3.0, nodes 7–12 at or above.
+    let loads = |reversed: bool| {
+        let mut snap = ClusterSnapshot::at(SimTime::from_secs(30));
+        for i in 0..nodes {
+            let rank = if reversed { nodes - 1 - i } else { i };
+            snap.insert_node(
+                &format!("node-{}", i + 1),
+                NodeTelemetry {
+                    cpu_load: rank as f64 / 2.0,
+                    memory_available_bytes: 8e9,
+                    tx_rate: 0.0,
+                    rx_rate: 0.0,
+                },
+            );
+        }
+        snap
+    };
+    let mut publisher = SnapshotPublisher::new();
+    publisher.publish_with(|epoch| *epoch = loads(false));
+    let published = publisher.handle();
+    let request = driver_request(0, 500, 1);
+    let top2 = |ranking: &netsched::core::NodeRanking| -> Vec<ClusterNodeId> {
+        ranking.ranked.iter().take(2).map(|r| r.node).collect()
+    };
+
+    // --- A retrained model, installed over the old one in place. Both are
+    // linear (one shared cell) and predict `−1000 + 1.5e-7 · memory +
+    // w · load`: on the signature row — a default node, memory 0 — both clamp
+    // to exactly 0 s, which is all the retired fingerprint looked at, while on
+    // real nodes (8 GB free) they disagree: `w = 10`, then `w ≈ −22` once the
+    // second batch outweighs the first.
+    let mut service = SchedulerService::new(
+        SchedulerConfig {
+            prune_top_k: Some(2),
+            min_training_samples: 10,
+            model_kind: ModelKind::Linear,
+            ..Default::default()
+        },
+        7,
+    );
+    let mut rng = Rng::seed_from_u64(3);
+    let log = |service: &mut SchedulerService, weight: f64, repeats: usize| {
+        for step in 0..12 * repeats {
+            let node = NodeTelemetry {
+                cpu_load: (step % 12) as f64 / 2.0,
+                memory_available_bytes: [7e9, 8e9, 9e9][step % 3],
+                tx_rate: 0.0,
+                rx_rate: 0.0,
+            };
+            let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
+            snap.insert_node("node-1", node);
+            let seconds = -1000.0 + 1.5e-7 * node.memory_available_bytes + weight * node.cpu_load;
+            service.record_outcome(&snap, &request, "node-1", seconds);
+        }
+    };
+    log(&mut service, 10.0, 4);
+    assert!(service.retrain(&mut rng));
+    let now = SimTime::from_secs(31);
+    let first = service.schedule(&request, &published, &cluster, now);
+    assert_eq!(
+        top2(&first.ranking),
+        vec![ClusterNodeId(0), ClusterNodeId(1)],
+        "the first model prefers idle nodes"
+    );
+    let address = std::ptr::from_ref(service.predictor().unwrap());
+    let signature_row = |service: &SchedulerService| {
+        let predictor = service.predictor().unwrap();
+        let mut row = Vec::new();
+        let idle = NodeTelemetry::default();
+        predictor
+            .schema()
+            .construct_into(&mut row, &idle, (0.0, 0.0, 0.0), &request);
+        predictor.predict_from_features(&row).to_bits()
+    };
+    let fingerprint = signature_row(&service);
+
+    log(&mut service, -30.0, 16);
+    assert!(service.retrain(&mut rng));
+    assert_eq!(
+        std::ptr::from_ref(service.predictor().unwrap()),
+        address,
+        "retrain overwrites the model in place"
+    );
+    assert_eq!(signature_row(&service), fingerprint);
+    // Same held epoch, same cluster, same cell: only the model version says
+    // the pooled board is stale.
+    let second = service.schedule(&request, &published, &cluster, now);
+    let mut cold = SchedulingContext::new(&second.snapshot, &cluster);
+    let unpruned = cold.rank_feasible_batch(&request, service.predictor().unwrap());
+    assert_eq!(second.ranking.ranked.as_slice(), &unpruned.ranked[..2]);
+    assert!(
+        top2(&second.ranking).iter().all(|id| id.index() >= 6),
+        "the retrained model prefers loaded nodes: {:?}",
+        second.ranking
+    );
+
+    // --- A recycled publish buffer. The ring has four slots, so the fifth
+    // epoch is written into the first one's buffer: same `Arc` address,
+    // different contents.
+    let predictor = service.predictor().unwrap().clone();
+    let first_epoch = published.latest().unwrap().snapshot;
+    let mut ctx = SchedulingContext::new(&first_epoch, &cluster);
+    ctx.set_top_k(Some(2));
+    let before = ctx.rank_feasible_batch(&request, &predictor);
+    let scratch = ctx.into_scratch();
+    let first_address = std::sync::Arc::as_ptr(&first_epoch);
+    drop((first_epoch, first, second, service));
+    for _ in 0..4 {
+        publisher.publish_with(|epoch| *epoch = loads(true));
+    }
+    let fifth_epoch = published.latest().unwrap().snapshot;
+    assert_eq!(
+        std::sync::Arc::as_ptr(&fifth_epoch),
+        first_address,
+        "the buffer was recycled in place"
+    );
+    let mut warm = SchedulingContext::with_scratch(&fifth_epoch, &cluster, scratch);
+    warm.set_top_k(Some(2));
+    assert_eq!(warm.node_telemetry(ClusterNodeId(0)).unwrap().cpu_load, 5.5);
+    let after = warm.rank_feasible_batch(&request, &predictor);
+    let mut cold = SchedulingContext::new(&fifth_epoch, &cluster);
+    cold.set_top_k(Some(2));
+    assert_eq!(after, cold.rank_feasible_batch(&request, &predictor));
+    assert_ne!(top2(&after), top2(&before), "the loads were reversed");
 }
 
 /// Pruned decision bursts against a published-epoch reader while ingest runs
-/// on another thread, with cluster mutations between bursts forcing
-/// feasibility index rebuilds mid-stream. Every decision must use a whole
-/// committed epoch, epochs must advance monotonically, and the index must
-/// rebuild exactly once per cluster mutation — never because an epoch
-/// changed.
+/// on another thread, with binds and releases between bursts patching the
+/// feasibility index mid-stream. Every decision must use a whole committed
+/// epoch and see every bind made before it, epochs must advance
+/// monotonically, and the index must be built exactly once — neither an
+/// epoch nor a bind rebuilds it.
 #[test]
 fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     use netsched::simcore::SimDuration;
@@ -431,7 +898,7 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     let published = manager.published_handle();
 
     // The scheduler works on its own view of the cluster so bursts can bind
-    // pods (forcing index rebuilds) while ingest holds the scraped one.
+    // pods (patching the index) while ingest holds the scraped one.
     let mut sched_cluster = cluster.clone();
     let mut service = SchedulerService::new(
         SchedulerConfig {
@@ -449,8 +916,9 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
             manager
         });
         let mut observed: Vec<SimTime> = Vec::new();
-        let mut mutations = 0u64;
+        let mut filler: Option<PodId> = None;
         let mut burst = 0usize;
+        let mut trailing = false;
         loop {
             let finished = ingest.is_finished();
             let requests: Vec<JobRequest> = (0..3)
@@ -458,7 +926,7 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                 .collect();
             let decisions =
                 service.schedule_batch(&requests, &published, &sched_cluster, SimTime::ZERO);
-            for decision in &decisions {
+            for (request, decision) in requests.iter().zip(&decisions) {
                 // Whole-epoch consistency: the adopted snapshot is
                 // byte-identical to the sequential state after some committed
                 // round — never a torn mix of rounds.
@@ -474,37 +942,50 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                 if observed.last() != Some(&decision.snapshot.time) {
                     observed.push(decision.snapshot.time);
                 }
-                // The budget binds: 3 of 8 feasible nodes get ranked.
-                assert_eq!(decision.ranking.len(), 3);
+                // The budget binds (3 of the ≥ 7 feasible nodes get ranked),
+                // and the ranked set is what a context built from nothing
+                // over the cluster as it is *now* would keep: the decision
+                // saw every bind and release made before it.
+                let mut ranked: Vec<ClusterNodeId> =
+                    decision.ranking.ranked.iter().map(|r| r.node).collect();
+                ranked.sort_unstable();
+                let mut cold = SchedulingContext::new(&decision.snapshot, &sched_cluster);
+                cold.set_top_k(Some(3));
+                assert_eq!(ranked, cold.pruned_candidates(request), "burst {burst}");
+                assert_eq!(ranked.len(), 3);
             }
             burst += 1;
-            // Every few bursts, bind a pod: the generation bump must force
-            // exactly one index rebuild on the next burst, mid-ingest.
-            if burst.is_multiple_of(8) {
-                let pod = sched_cluster.create_pod(
-                    PodSpec::new(
-                        format!("stress-{burst}"),
-                        Resources::from_cores_and_gib(0, 0),
-                    ),
-                    SimTime::ZERO,
-                );
-                sched_cluster
-                    .bind_pod(
-                        pod,
-                        &format!("node-{}", 1 + (burst / 8) % nodes),
-                        SimTime::ZERO,
-                    )
-                    .expect("zero-request stress pod always fits");
-                mutations += 1;
-            }
-            if finished {
+            if trailing {
                 break;
             }
+            // Every few bursts, move a node-filling pod onto the node the
+            // last decision ranked: that node must leave the next burst's
+            // feasible set and the previously filled one re-enter it, while
+            // ingest keeps committing epochs.
+            if burst.is_multiple_of(8) {
+                if let Some(pod) = filler.take() {
+                    sched_cluster
+                        .complete_pod(pod, true, SimTime::ZERO)
+                        .expect("the filler pod is running");
+                }
+                let target = decisions[2].ranking.ranked[0].node;
+                let name = sched_cluster.node_name(target).to_string();
+                let free = sched_cluster.node(&name).unwrap().available();
+                let pod = sched_cluster
+                    .create_pod(PodSpec::new(format!("stress-{burst}"), free), SimTime::ZERO);
+                sched_cluster
+                    .bind_pod(pod, &name, SimTime::ZERO)
+                    .expect("a pod sized to the node's free resources fits");
+                filler = Some(pod);
+            }
+            // One trailing burst after ingest is done, so the last bind is
+            // observed too (and the final epoch is).
+            trailing = finished;
         }
         ingest.join().expect("ingest thread");
-        // One initial build plus exactly one rebuild per cluster mutation —
-        // epoch adoption alone must never rebuild the feasibility index.
-        assert_eq!(service.feasibility_rebuilds(), 1 + mutations);
+        // One initial build; every bind, release and epoch since was patched
+        // in or left the index alone.
+        assert_eq!(service.feasibility_rebuilds(), 1);
         observed
     });
 

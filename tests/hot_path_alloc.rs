@@ -8,9 +8,12 @@
 //! trained model, a warm `schedule_batch_into` burst must not allocate,
 //! deallocate or reallocate at all — not in telemetry indexing, feasibility
 //! filtering, feature construction, batch inference, ranking, or job/manifest
-//! building.
+//! building. The same holds for a serving loop: with a bind between bursts
+//! (the feasibility index is patched in place) and across a new epoch over an
+//! unchanged node set (telemetry is re-indexed and diffed into warm buffers,
+//! scoreboards refresh only their dirty rows).
 
-use netsched::cluster::{ClusterState, Node, Resources};
+use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
 use netsched::core::request::JobRequest;
 use netsched::core::service::{SchedulerConfig, SchedulerService, SchedulingDecision};
 use netsched::core::PruningPolicy;
@@ -21,45 +24,60 @@ use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{ScrapeConfig, ScrapeManager};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Pass-through allocator that counts every heap operation while armed.
+/// Pass-through allocator that counts the heap operations of a thread while
+/// that thread is armed.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
+/// `[allocs, deallocs, reallocs]` of one armed window.
+type Tally = [u64; 3];
 
-// ordering: counters are independent tallies with no cross-thread
-// synchronization requirement; the test reads them on the same thread that
-// armed them.
+thread_local! {
+    // Per thread, so a window measures the burst and only the burst: the
+    // harness runs the `#[test]`s of this binary on parallel threads (and its
+    // own main thread allocates too). Const-initialised and `Drop`-free, so
+    // reading them inside the allocator never allocates or registers a
+    // destructor.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static TALLY: Cell<Tally> = const { Cell::new([0; 3]) };
+}
+
+fn count(operation: usize) {
+    // `try_with`: a thread may allocate while its locals are torn down, and
+    // that must not panic inside the allocator.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = TALLY.try_with(|tally| {
+                let mut counts = tally.get();
+                counts[operation] += 1;
+                tally.set(counts);
+            });
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only added work is a thread-local
+// integer update that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if ARMED.load(Ordering::Relaxed) {
-            DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(2);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,20 +85,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Start counting this thread's heap operations from zero.
 fn arm() {
-    ALLOCS.store(0, Ordering::Relaxed);
-    DEALLOCS.store(0, Ordering::Relaxed);
-    REALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    TALLY.with(|tally| tally.set([0; 3]));
+    ARMED.with(|armed| armed.set(true));
 }
 
+/// Stop counting; `(allocs, deallocs, reallocs)` since [`arm`].
 fn disarm() -> (u64, u64, u64) {
-    ARMED.store(false, Ordering::Relaxed);
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        DEALLOCS.load(Ordering::Relaxed),
-        REALLOCS.load(Ordering::Relaxed),
-    )
+    ARMED.with(|armed| armed.set(false));
+    let [allocs, deallocs, reallocs] = TALLY.with(Cell::get);
+    (allocs, deallocs, reallocs)
 }
 
 /// A 4-node, 2-site world with a scraped telemetry round.
@@ -299,4 +314,67 @@ fn steady_state_fallback_burst_is_allocation_free() {
          (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
     );
     assert!(decisions.iter().all(|d| !d.used_model));
+}
+
+#[test]
+fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
+    // schedule_batch_into → bind → schedule_batch_into, on a held epoch and
+    // across a new one, with pruning on: every burst re-keys the decision
+    // view (one feasibility patch per bind; per new epoch one re-index, one
+    // diff and a dirty-row scoreboard refresh) without touching the heap.
+    let (mut cluster, network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let mut service = trained_service_with(
+        &cluster,
+        &scrape,
+        SchedulerConfig {
+            prune_top_k: Some(2),
+            ..Default::default()
+        },
+    );
+    let requests: Vec<JobRequest> = (0..8).map(request).collect();
+    let now = SimTime::from_secs(3);
+    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+
+    let mut tally = (0, 0, 0);
+    for round in 0..12u64 {
+        // Rounds 0–3 are warm-up: one pass through each kind of step (and
+        // through all four publish buffers) sizes every reused buffer.
+        let measured = round >= 4;
+        if measured {
+            arm();
+        }
+        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+        if measured {
+            let (allocs, deallocs, reallocs) = disarm();
+            tally = (tally.0 + allocs, tally.1 + deallocs, tally.2 + reallocs);
+        }
+        assert!(decisions
+            .iter()
+            .all(|d| d.used_model && d.ranking.len() == 2));
+
+        // Outside the measured window (the cluster API and the scraper
+        // allocate by design): bind the first decision's driver, so the next
+        // burst sees a new cluster generation …
+        let target = decisions[0].job.target_node.clone().unwrap();
+        let pod = cluster.create_pod(
+            PodSpec::new(
+                format!("driver-{round}"),
+                Resources::from_cores_and_gib(1, 1),
+            ),
+            now,
+        );
+        cluster.bind_pod(pod, &target, now).unwrap();
+        // … and on every other round scrape, so it also sees a new epoch
+        // whose node loads reflect the binds so far.
+        if round % 2 == 1 {
+            scrape.scrape(&cluster, &network, SimTime::from_secs(10 + 5 * round));
+        }
+    }
+    assert_eq!(
+        tally,
+        (0, 0, 0),
+        "warm serving-loop bursts must be allocation-free across binds and epochs"
+    );
+    assert_eq!(service.feasibility_rebuilds(), 1);
 }

@@ -2,17 +2,21 @@
 //!
 //! These complement the unit-level proptests inside `simnet` by checking
 //! cross-crate invariants: conservation of bytes in the fluid network, ranking
-//! invariants of the decision module, schema/feature alignment and monotone
-//! behaviour of the execution model.
+//! invariants of the decision module, schema/feature alignment, monotone
+//! behaviour of the execution model, and the snapshot seal contract (indexing
+//! a sealed snapshot is bit-identical to indexing an unsealed twin).
 
+use netsched::cluster::{ClusterState, Node, Resources};
 use netsched::core::decision::DecisionModule;
 use netsched::core::features::FeatureSchema;
 use netsched::core::request::JobRequest;
 use netsched::experiments::{FabricTestbed, SimWorld};
+use netsched::simcore::rng::Rng;
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::flow::FlowKind;
 use netsched::simnet::Network;
 use netsched::sparksim::WorkloadKind;
+use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
 
@@ -137,5 +141,142 @@ proptest! {
         let small = run(base);
         let large = run(base * factor);
         prop_assert!(large >= small, "large {large} < small {small}");
+    }
+}
+
+/// A cluster over `names`, registered in the given order.
+fn cluster_of<'a>(names: impl Iterator<Item = &'a String>) -> ClusterState {
+    let mut cluster = ClusterState::new();
+    for (i, name) in names.enumerate() {
+        cluster.add_node(Node::new(
+            name.as_str(),
+            SimNodeId(i),
+            Resources::from_cores_and_gib(4, 8),
+            "SITE",
+        ));
+    }
+    cluster
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `index_into` reads sealed RTT rows where it can and accumulates the
+    /// rest; an unsealed twin accumulates everything. After any sequence of
+    /// mutations, seals, publishes and `clone_from`s the two index to the
+    /// same bits — on dense meshes (rows accumulate in target-name order) and
+    /// sparse ones, against an id-aligned cluster and a name-resolved one.
+    #[test]
+    fn sealed_snapshots_index_like_their_unsealed_twins(
+        seed in 0u64..1_000_000,
+        dense_nodes in 3usize..24,
+        sparse in 0usize..3,
+        steps in 1usize..40,
+    ) {
+        // Past 512 nodes the mesh is a sparse map.
+        let nodes = if sparse == 0 { 520 } else { dense_nodes };
+        let mut rng = Rng::seed_from_u64(seed);
+        // Unique names whose sort order is not their id order.
+        let names: Vec<String> = (0..nodes).map(|i| format!("node-{}", i * 7919 % 100_003)).collect();
+        let aligned = cluster_of(names.iter());
+        // Reversed ids, one snapshot node unknown, one cluster node unscraped.
+        let stranger = "stranger".to_string();
+        let resolved = cluster_of(names.iter().skip(1).rev().chain([&stranger]));
+
+        let telemetry = |rng: &mut Rng| NodeTelemetry {
+            cpu_load: rng.uniform(0.0, 8.0),
+            memory_available_bytes: rng.uniform(1e9, 3e10),
+            tx_rate: rng.uniform(0.0, 1e7),
+            rx_rate: rng.uniform(0.0, 1e7),
+        };
+        let mut plain = ClusterSnapshot::at(SimTime::from_secs(1));
+        for name in &names {
+            plain.insert_node(name, telemetry(&mut rng));
+        }
+        // Probes from the highest ids, so a 520-node table really goes sparse.
+        for i in nodes.saturating_sub(64)..nodes {
+            for hop in [1, 2, 5] {
+                plain.insert_rtt(&names[i], &names[(i + hop) % nodes], rng.uniform(0.0002, 0.08));
+            }
+        }
+        prop_assert_eq!(plain.rtt().is_dense(), sparse != 0);
+        prop_assert_eq!(plain.revision(), 0);
+        let mut sealed = plain.clone();
+        sealed.seal();
+        // An earlier state of each twin, for `clone_from`.
+        let (mut plain_then, mut sealed_then) = (plain.clone(), sealed.clone());
+        let mut publisher = SnapshotPublisher::new();
+
+        for step in 0..steps {
+            let (a, b) = (rng.gen_range_usize(0, nodes), rng.gen_range_usize(0, nodes));
+            let value = rng.uniform(0.0002, 0.08);
+            let node = telemetry(&mut rng);
+            let op = rng.gen_range_usize(0, 7);
+            for snap in [&mut plain, &mut sealed] {
+                match op {
+                    0 => snap.insert_rtt(&names[a], &names[b], value),
+                    1 => {
+                        let (a, b) = (snap.node_id(&names[a]).unwrap(), snap.node_id(&names[b]).unwrap());
+                        snap.insert_rtt_by_id(a, b, value);
+                    }
+                    2 => {
+                        // `None` (no mutation) when a reset left the node unscraped.
+                        if let Some(telemetry) = snap.node_mut(&names[a]) {
+                            telemetry.cpu_load = value;
+                        }
+                    }
+                    3 => snap.set_node_by_id(snap.node_id(&names[b]).unwrap(), node),
+                    4 => {
+                        // What a scrape does: clear every value, refill some.
+                        snap.reset_for_generation(SimTime::from_secs(2 + step as u64), 9, &names);
+                        for i in (0..nodes.min(40)).step_by(1 + a % 3) {
+                            let id = snap.node_id(&names[i]).unwrap();
+                            snap.set_node_by_id(id, node);
+                            let peer = snap.node_id(&names[(i + 1 + b) % nodes]).unwrap();
+                            snap.insert_rtt_by_id(id, peer, value * (1 + i) as f64);
+                        }
+                    }
+                    _ => {}
+                }
+                if op < 5 && op != 2 {
+                    prop_assert!(snap.revision() == 0, "a mutation clears the revision");
+                }
+            }
+            match op {
+                5 => {
+                    plain.clone_from(&plain_then);
+                    sealed.clone_from(&sealed_then);
+                    prop_assert_eq!(sealed.revision(), sealed_then.revision());
+                }
+                6 => {
+                    plain_then.clone_from(&plain);
+                    sealed_then.clone_from(&sealed);
+                }
+                _ => {}
+            }
+            // Seal the sealed twin now and then — directly, or by publishing
+            // it — so steps run against clean, dirty and mixed rows.
+            match rng.gen_range_usize(0, 4) {
+                0 => sealed.seal(),
+                1 => {
+                    publisher.publish_with(|epoch| epoch.clone_from(&sealed));
+                    sealed.clone_from(&publisher.latest().unwrap().snapshot);
+                }
+                _ => {}
+            }
+            prop_assert!(plain == sealed);
+            for cluster in [&aligned, &resolved] {
+                let (reference, indexed) = (plain.index_for(cluster), sealed.index_for(cluster));
+                let mut differing = Vec::new();
+                indexed.changed_rows(&reference, |id| differing.push(id));
+                prop_assert!(differing.is_empty(), "step {} op {}: rows {:?}", step, op, differing);
+            }
+            let name = &names[a];
+            prop_assert_eq!(sealed.rtt_stats_from(name), plain.rtt_stats_from(name));
+        }
+        sealed.seal();
+        prop_assert!(sealed.revision() != 0);
+        prop_assert_eq!(sealed.clone().revision(), sealed.revision());
+        prop_assert!(plain.revision() == 0, "the twin was never sealed");
     }
 }
