@@ -14,10 +14,15 @@
 //! * **Telemetry** — the dense [`NodeId`]-indexed [`IndexedTelemetry`]
 //!   (per-node telemetry plus the Table-1 RTT statistics), keyed by
 //!   `(snapshot revision, node count)`: handed the revision it already
-//!   indexed, the view does nothing. A new revision (or an unsealed
-//!   snapshot, revision 0) is re-indexed — sealed RTT rows are copied, not
-//!   re-accumulated — and diffed bitwise against the previous index; rows
-//!   that differ are stamped in `changed_at` with a new telemetry version.
+//!   indexed, the view does nothing. A new revision is re-indexed — sealed
+//!   RTT rows are copied, not re-accumulated — and diffed bitwise against
+//!   the previous index; rows that differ are stamped in `changed_at` with a
+//!   new telemetry version. Everything [`crate::SchedulerService`] hands in
+//!   is a published, sealed epoch, so serving never sees revision 0; it
+//!   still occurs for the snapshots experiments and tests build by hand or
+//!   query by value and pass to [`SchedulingContext::new`] (and for the
+//!   empty snapshot a service holds before the first publish), and those
+//!   are re-indexed on every context — correct, merely not cached.
 //! * **Cluster** — the feasible set, answered by a resource-sorted
 //!   [`cluster::FeasibilityIndex`] that patches itself incrementally when the
 //!   generation moved, and cached per `(driver sizing, generation)`.

@@ -83,10 +83,12 @@ impl DecisionModule {
     }
 
     /// In-place variant of [`DecisionModule::rank`]: build the ranking into
-    /// `out`, reusing its buffer. The sort is unstable, which is
-    /// result-identical to a stable sort here because the [`NodeId`]
-    /// tie-break makes the comparator a total order over distinct candidates
-    /// (for finite predictions).
+    /// `out`, reusing its buffer. NaN predictions rank after every number
+    /// (among themselves by [`NodeId`]); numbers compare by value, `-0.0`
+    /// and `+0.0` tying. With the [`NodeId`] tie-break that is a total order
+    /// over distinct candidates, which the unstable sort requires — it may
+    /// panic on an inconsistent comparator — and which makes it
+    /// result-identical to a stable sort.
     pub fn rank_into(&self, candidates: &[NodeId], predictions: &[f64], out: &mut NodeRanking) {
         assert_eq!(
             candidates.len(),
@@ -104,9 +106,10 @@ impl DecisionModule {
                 }),
         );
         out.ranked.sort_unstable_by(|a, b| {
-            a.predicted_seconds
-                .partial_cmp(&b.predicted_seconds)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let (x, y) = (a.predicted_seconds, b.predicted_seconds);
+            x.is_nan()
+                .cmp(&y.is_nan())
+                .then_with(|| x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal))
                 .then_with(|| a.node.cmp(&b.node))
         });
     }
@@ -159,11 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn nan_predictions_do_not_crash_ranking() {
+    fn nan_predictions_rank_last() {
         let ranking = DecisionModule.rank(&ids(&[0, 1, 2]), &[f64::NAN, 1.0, 2.0]);
-        assert_eq!(ranking.len(), 3);
-        // All nodes still present.
-        assert!(ranking.position_of(NodeId(0)).is_some());
+        assert_eq!(ranking.top_k(3), ids(&[1, 2, 0]));
     }
 
     #[test]

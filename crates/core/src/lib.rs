@@ -10,7 +10,7 @@
 //! | Paper component | Module |
 //! |---|---|
 //! | Client (job request) | [`request`] |
-//! | Telemetry Fetcher | [`fetcher`] |
+//! | Telemetry Fetcher | [`service`] (adopts the latest [`telemetry::PublishedSnapshot`] epoch) |
 //! | Feature Constructor (Table 1) | [`features`] |
 //! | Supervised Learning Model | [`predictor`] (backed by `mlcore`) |
 //! | Decision Module | [`decision`] |
@@ -31,12 +31,12 @@
 //! one, allocates nothing but its output, and batches amortize all shared
 //! work ([`schedulers::JobScheduler::select_batch`]).
 //!
-//! Telemetry reaches decisions through the [`telemetry::SnapshotSource`]
-//! seam. Against an **epoch-publishing** source (`telemetry::publish`) the
-//! service adopts the published immutable `Arc` snapshot zero-copy and, while
-//! no new epoch lands, reuses the held one after a single atomic freshness
-//! check — so any number of service clones serve bursts concurrently with
-//! live ingest, without touching a store lock.
+//! Telemetry reaches decisions one way: the service reads the metrics
+//! server's [`telemetry::PublishedSnapshot`] handle, adopts the published
+//! epoch's immutable `Arc` snapshot zero-copy and, while no new epoch lands,
+//! reuses the held one after a single atomic freshness check — so any number
+//! of service clones serve bursts concurrently with live ingest, without
+//! touching a store lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,6 @@ pub mod builder;
 pub mod context;
 pub mod decision;
 pub mod features;
-pub mod fetcher;
 pub mod logger;
 pub mod predictor;
 pub mod request;
@@ -57,7 +56,6 @@ pub use builder::JobBuilder;
 pub use context::{ContextScratch, PruningPolicy, SchedulingContext};
 pub use decision::{DecisionModule, NodeRanking, RankedNode};
 pub use features::{FeatureGroup, FeatureSchema, FeatureVector};
-pub use fetcher::TelemetryFetcher;
 pub use logger::{ExecutionLogger, TrainingRecord};
 pub use predictor::{CompletionTimePredictor, ModelVersion};
 pub use request::JobRequest;

@@ -1,16 +1,24 @@
 //! The end-to-end scheduler service.
 //!
-//! [`SchedulerService`] wires the paper's pipeline together: fetch telemetry,
-//! construct features, predict per-node completion times, rank, build the
-//! pinned job manifest, and log the outcome for retraining. It runs entirely
-//! in user space against the metrics server and the cluster API — no control
-//! plane modification, exactly as the paper emphasizes.
+//! [`SchedulerService`] wires the paper's pipeline together: read the metrics
+//! server's latest published telemetry, construct features, predict per-node
+//! completion times, rank, build the pinned job manifest, and log the outcome
+//! for retraining. It runs entirely in user space against the metrics server
+//! and the cluster API — no control plane modification, exactly as the paper
+//! emphasizes.
+//!
+//! There is one way telemetry reaches a decision: the
+//! [`telemetry::PublishedSnapshot`] handle of the scrape manager that plays
+//! the metrics server. A decision compares the handle's epoch with the one it
+//! holds (one atomic load) and, only when a new epoch has been published,
+//! adopts that epoch's immutable, sealed `Arc` snapshot — no store access, no
+//! locks beyond the slot mutex, no copy. The store-backed
+//! [`telemetry::SnapshotSource`] query stays with the scrape managers for
+//! history queries and tests; the service never calls it.
 
 use crate::builder::{BuiltJob, JobBuilder};
-use crate::context::PruningPolicy;
-use crate::context::{ContextScratch, SchedulingContext};
+use crate::context::{ContextScratch, PruningPolicy, SchedulingContext};
 use crate::decision::{NodeRanking, RankedNode};
-use crate::fetcher::TelemetryFetcher;
 use crate::logger::ExecutionLogger;
 use crate::predictor::CompletionTimePredictor;
 use crate::request::JobRequest;
@@ -20,17 +28,19 @@ use cluster::ClusterState;
 use mlcore::ModelKind;
 use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 use std::sync::Arc;
-use telemetry::{ClusterSnapshot, SnapshotSource};
+use telemetry::{ClusterSnapshot, PublishedSnapshot};
 
 /// Service configuration.
+///
+/// There is no telemetry knob here: throughput rates are derived once, on
+/// the ingest side, with `telemetry::ScrapeConfig::rate_window`, and a
+/// decision reads them as published.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SchedulerConfig {
     /// Which model family to use once trained.
     pub model_kind: ModelKind,
-    /// Telemetry rate window for throughput derivation.
-    pub rate_window: SimDuration,
     /// Minimum number of logged executions before the service switches from
     /// fallback placement to supervised placement.
     pub min_training_samples: usize,
@@ -51,7 +61,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             model_kind: ModelKind::RandomForest,
-            rate_window: SimDuration::from_secs(30),
             min_training_samples: 50,
             prune_top_k: None,
             pruning_policy: PruningPolicy::default(),
@@ -66,8 +75,9 @@ pub struct SchedulingDecision {
     pub job: BuiltJob,
     /// The ranking over candidate nodes.
     pub ranking: NodeRanking,
-    /// The telemetry snapshot the decision was based on. Shared (not deep
-    /// copied) across every decision of a batch.
+    /// The telemetry snapshot the decision was based on: the published
+    /// epoch's own `Arc`, shared (not copied) across every decision that
+    /// used that epoch.
     pub snapshot: Arc<ClusterSnapshot>,
     /// Whether the supervised model was used (false = fallback placement
     /// because no model is trained yet).
@@ -79,28 +89,28 @@ pub struct SchedulingDecision {
 /// The supervised scheduler is built once when a model becomes available and
 /// cached on the service; it is invalidated only by [`SchedulerService::retrain`].
 /// Decisions never clone the predictor.
+///
+/// **One service follows one publisher.** The held epoch is a number, not a
+/// handle identity: handing the same service handles of two different
+/// publishers would let equal epoch numbers alias different snapshots. It is
+/// the rule [`ContextScratch`] already states for the cluster — one scratch,
+/// one cluster — applied to telemetry; build one service per metrics server.
 #[derive(Debug, Clone)]
 pub struct SchedulerService {
     config: SchedulerConfig,
-    fetcher: TelemetryFetcher,
     builder: JobBuilder,
     logger: ExecutionLogger,
     pipeline: TrainingPipeline,
     scheduler: Option<SupervisedScheduler>,
     fallback_rng: Rng,
-    /// Reusable snapshot buffer: each fetch overwrites it in place instead of
-    /// rebuilding the node table and RTT mesh. Decisions share it via `Arc`;
-    /// when a caller still holds a previous decision's snapshot the next
-    /// fetch transparently copies on write. Against an epoch-publishing
-    /// metrics server this *is* the published epoch's own `Arc` — adopted,
-    /// never copied.
-    snapshot_scratch: Arc<ClusterSnapshot>,
-    /// Epoch of the published snapshot currently held in `snapshot_scratch`
-    /// (`None` when the last fetch went through a non-publishing source).
-    /// The freshness fast-path: when the metrics server has published
-    /// nothing new since the last burst, the fetch is skipped entirely and
-    /// the held `Arc` is reused — one atomic load per burst.
-    held_epoch: Option<u64>,
+    /// The snapshot decisions are currently made against: the adopted
+    /// `Arc` of published epoch `held_epoch`, or an empty snapshot while
+    /// nothing has been published.
+    held: Arc<ClusterSnapshot>,
+    /// Epoch number of `held` (0 = nothing published yet). While the
+    /// publisher's epoch equals it, a burst reuses `held` after one atomic
+    /// load.
+    held_epoch: u64,
     /// The keyed decision view (indexed telemetry, incremental feasibility
     /// index, stage-one scoreboards) and per-decision buffers, carried from
     /// call to call: each call takes them, decides, and puts them back. A
@@ -115,15 +125,14 @@ impl SchedulerService {
     pub fn new(config: SchedulerConfig, seed: u64) -> Self {
         let pipeline = TrainingPipeline::default();
         SchedulerService {
-            fetcher: TelemetryFetcher::new(config.rate_window),
             builder: JobBuilder,
             logger: ExecutionLogger::new(pipeline.schema.clone()),
             pipeline,
             scheduler: None,
             config,
             fallback_rng: Rng::seed_from_u64(seed),
-            snapshot_scratch: Arc::new(ClusterSnapshot::default()),
-            held_epoch: None,
+            held: Arc::new(ClusterSnapshot::default()),
+            held_epoch: 0,
             ctx_scratch: ContextScratch::default(),
         }
     }
@@ -169,26 +178,31 @@ impl SchedulerService {
         self.ctx_scratch.feasibility_rebuilds()
     }
 
-    /// Make a placement decision for `request` at time `now`.
+    /// Make a placement decision for `request`.
     ///
-    /// Telemetry is fetched from `metrics_server` — any
-    /// [`SnapshotSource`], including a [`telemetry::TelemetryReader`] over a
-    /// concurrent ingest running on another thread, so decision bursts can
-    /// overlap with scraping. A [`telemetry::PublishedSnapshot`] handle is
-    /// the fastest source: the decision adopts the published epoch's
-    /// immutable snapshot without locks or copies, and an unchanged epoch
-    /// skips the fetch entirely. Feasibility comes from the cluster state.
-    /// Before a model is available the service falls back to a uniformly
-    /// random feasible node (matching how the paper bootstraps its training
-    /// data with varied `target_node` assignments).
-    pub fn schedule<S: SnapshotSource + ?Sized>(
+    /// Telemetry is the latest epoch `metrics_server` has published — the
+    /// [`PublishedSnapshot`] handle of a [`telemetry::ScrapeManager`] or a
+    /// [`telemetry::ConcurrentScrapeManager`], so decision bursts overlap
+    /// with live ingest on another thread and only ever see whole committed
+    /// scrape rounds. Before the first publish the snapshot is empty and
+    /// every feasible node is ranked on job features alone. Feasibility
+    /// comes from the cluster state. Before a model is available the service
+    /// falls back to a uniformly random feasible node (matching how the
+    /// paper bootstraps its training data with varied `target_node`
+    /// assignments).
+    ///
+    /// `_now` is the decision time. A published snapshot carries its own
+    /// scrape time, so `_now` stamps nothing; it stays in the signature as
+    /// the instant a snapshot-age limit compares with `snapshot.time`
+    /// (ROADMAP item 3).
+    pub fn schedule(
         &mut self,
         request: &JobRequest,
-        metrics_server: &S,
+        metrics_server: &PublishedSnapshot,
         cluster: &ClusterState,
-        now: SimTime,
+        _now: SimTime,
     ) -> SchedulingDecision {
-        let snapshot = self.fetch_shared(metrics_server, now);
+        let snapshot = self.fetch_shared(metrics_server);
         let scratch = std::mem::take(&mut self.ctx_scratch);
         let mut ctx = SchedulingContext::with_scratch(&snapshot, cluster, scratch);
         ctx.set_top_k(self.config.prune_top_k);
@@ -206,12 +220,12 @@ impl SchedulerService {
     }
 
     /// Make placement decisions for a whole burst of requests against one
-    /// telemetry fetch and one [`SchedulingContext`], amortizing snapshot
+    /// published epoch and one [`SchedulingContext`], amortizing snapshot
     /// indexing and feasibility filtering across the burst.
-    pub fn schedule_batch<S: SnapshotSource + ?Sized>(
+    pub fn schedule_batch(
         &mut self,
         requests: &[JobRequest],
-        metrics_server: &S,
+        metrics_server: &PublishedSnapshot,
         cluster: &ClusterState,
         now: SimTime,
     ) -> Vec<SchedulingDecision> {
@@ -223,19 +237,19 @@ impl SchedulerService {
     /// In-place variant of [`SchedulerService::schedule_batch`]: decisions
     /// are written into `out`, reusing the rankings, job specs, pod specs
     /// and manifest strings of the decisions already there (slots are added
-    /// or dropped to match `requests`). Combined with the epoch fast-path
-    /// and the carried context scratch, a steady-state burst against a
-    /// published snapshot performs **zero heap allocations** — the property
-    /// the `hot_path_alloc` harness pins at runtime.
-    pub fn schedule_batch_into<S: SnapshotSource + ?Sized>(
+    /// or dropped to match `requests`). Combined with the held epoch and the
+    /// carried context scratch, a steady-state burst performs **zero heap
+    /// allocations** — the property the `hot_path_alloc` harness pins at
+    /// runtime.
+    pub fn schedule_batch_into(
         &mut self,
         requests: &[JobRequest],
-        metrics_server: &S,
+        metrics_server: &PublishedSnapshot,
         cluster: &ClusterState,
-        now: SimTime,
+        _now: SimTime,
         out: &mut Vec<SchedulingDecision>,
     ) {
-        let snapshot = self.fetch_shared(metrics_server, now);
+        let snapshot = self.fetch_shared(metrics_server);
         let scratch = std::mem::take(&mut self.ctx_scratch);
         let mut ctx = SchedulingContext::with_scratch(&snapshot, cluster, scratch);
         ctx.set_top_k(self.config.prune_top_k);
@@ -261,46 +275,18 @@ impl SchedulerService {
         self.ctx_scratch = ctx.into_scratch();
     }
 
-    /// Fetch the current telemetry snapshot into the service's reusable
-    /// scratch buffer and hand out a shared reference. The buffer is
-    /// overwritten in place (no node-table or mesh reallocation) unless a
-    /// caller still holds a previous decision's snapshot, in which case the
-    /// scratch is replaced with a fresh buffer (cheaper than cloning the old
-    /// contents only to overwrite them).
-    ///
-    /// Against an **epoch-publishing** metrics server (see
-    /// [`telemetry::publish`]) no assembly happens at all: the published
-    /// epoch's immutable `Arc` is adopted as-is (an atomic load plus a
-    /// refcount bump), and while no new epoch has been published since the
-    /// last burst even that is skipped — the held `Arc` is reused after a
-    /// single atomic freshness check. Published snapshots carry their own
-    /// scrape time, so `now` only stamps the non-published fallback.
-    fn fetch_shared<S: SnapshotSource + ?Sized>(
-        &mut self,
-        metrics_server: &S,
-        now: SimTime,
-    ) -> Arc<ClusterSnapshot> {
-        if let Some(epoch) = self.fetcher.published_epoch(metrics_server) {
-            if self.held_epoch == Some(epoch) {
-                return Arc::clone(&self.snapshot_scratch);
-            }
-            if let Some(published) = self.fetcher.fetch_published(metrics_server) {
-                self.held_epoch = Some(published.epoch);
-                self.snapshot_scratch = published.snapshot;
-                return Arc::clone(&self.snapshot_scratch);
+    /// The snapshot this burst decides against: the held `Arc` while the
+    /// publisher's epoch is the held one (one atomic load), otherwise the
+    /// newly published epoch's `Arc`, adopted as-is (a slot lock plus a
+    /// refcount bump — the snapshot is never copied or re-assembled).
+    fn fetch_shared(&mut self, metrics_server: &PublishedSnapshot) -> Arc<ClusterSnapshot> {
+        if metrics_server.epoch() != self.held_epoch {
+            if let Some(published) = metrics_server.latest() {
+                self.held_epoch = published.epoch;
+                self.held = published.snapshot;
             }
         }
-        self.held_epoch = None;
-        let fetcher = self.fetcher;
-        if Arc::get_mut(&mut self.snapshot_scratch).is_none() {
-            self.snapshot_scratch = Arc::new(ClusterSnapshot::default());
-        }
-        // Always `Some`: the branch above replaced any shared buffer with a
-        // freshly created (uniquely owned) one.
-        if let Some(scratch) = Arc::get_mut(&mut self.snapshot_scratch) {
-            fetcher.fetch_into(metrics_server, now, scratch);
-        }
-        Arc::clone(&self.snapshot_scratch)
+        Arc::clone(&self.held)
     }
 
     /// The core decision: supervised when a model is cached, random-feasible
@@ -376,11 +362,14 @@ mod tests {
     use super::*;
     use cluster::{Node, Resources};
     use simcore::SimDuration;
+    use simnet::flow::FlowKind;
     use simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
     use sparksim::WorkloadKind;
-    use telemetry::{ScrapeConfig, ScrapeManager};
+    use telemetry::{ConcurrentScrapeManager, ScrapeConfig, ScrapeManager, SnapshotSource};
 
-    fn test_world() -> (ClusterState, Network, ScrapeManager) {
+    /// A 2 × 2-node two-site world, scraped once at t = 1 s, and the
+    /// published handle decisions read.
+    fn test_world() -> (ClusterState, Network, ScrapeManager, PublishedSnapshot) {
         let mut b = TopologyBuilder::new();
         let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
         let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
@@ -403,19 +392,43 @@ mod tests {
         }
         let mut scrape = ScrapeManager::new(ScrapeConfig::default());
         scrape.scrape(&cluster, &network, SimTime::from_secs(1));
-        (cluster, network, scrape)
+        let published = scrape.published_handle();
+        (cluster, network, scrape, published)
     }
 
     fn request(i: usize) -> JobRequest {
         JobRequest::named(format!("sort-{i}"), WorkloadKind::Sort, 100_000, 2)
     }
 
+    /// A tiny linear predictor trained through the service's own
+    /// schedule → record → retrain loop.
+    fn trained_predictor(
+        cluster: &ClusterState,
+        published: &PublishedSnapshot,
+    ) -> CompletionTimePredictor {
+        let mut bootstrap = SchedulerService::new(
+            SchedulerConfig {
+                min_training_samples: 5,
+                model_kind: ModelKind::Linear,
+                ..Default::default()
+            },
+            1,
+        );
+        for i in 0..10 {
+            let d = bootstrap.schedule(&request(i), published, cluster, SimTime::from_secs(2));
+            let node = d.job.target_node.clone().unwrap();
+            bootstrap.record_outcome(&d.snapshot, &request(i), &node, 25.0 + i as f64);
+        }
+        assert!(bootstrap.retrain(&mut Rng::seed_from_u64(2)));
+        bootstrap.predictor().unwrap().clone()
+    }
+
     #[test]
     fn fallback_placement_before_any_training() {
-        let (cluster, _network, scrape) = test_world();
+        let (cluster, _network, _scrape, published) = test_world();
         let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
         assert!(!service.is_model_active());
-        let decision = service.schedule(&request(0), &scrape, &cluster, SimTime::from_secs(2));
+        let decision = service.schedule(&request(0), &published, &cluster, SimTime::from_secs(2));
         assert!(!decision.used_model);
         assert_eq!(decision.ranking.len(), 4);
         assert!(decision.job.target_node.is_some());
@@ -425,7 +438,7 @@ mod tests {
 
     #[test]
     fn retrain_requires_minimum_samples_then_activates_model() {
-        let (cluster, _network, scrape) = test_world();
+        let (cluster, _network, _scrape, published) = test_world();
         let mut service = SchedulerService::new(
             SchedulerConfig {
                 min_training_samples: 30,
@@ -439,7 +452,8 @@ mod tests {
 
         // Log synthetic executions whose duration depends on cpu load.
         for i in 0..40 {
-            let decision = service.schedule(&request(i), &scrape, &cluster, SimTime::from_secs(2));
+            let decision =
+                service.schedule(&request(i), &published, &cluster, SimTime::from_secs(2));
             let node = decision.job.target_node.clone().unwrap();
             let load = decision
                 .snapshot
@@ -455,7 +469,7 @@ mod tests {
         assert!(service.predictor().is_some());
 
         // Decisions now use the model and produce a full ranking.
-        let decision = service.schedule(&request(99), &scrape, &cluster, SimTime::from_secs(3));
+        let decision = service.schedule(&request(99), &published, &cluster, SimTime::from_secs(3));
         assert!(decision.used_model);
         assert_eq!(decision.ranking.len(), 4);
         assert!(decision
@@ -467,33 +481,44 @@ mod tests {
 
     #[test]
     fn with_predictor_constructor_is_active_immediately() {
-        let (cluster, _network, scrape) = test_world();
-        // Train a tiny predictor via the service path first.
-        let mut bootstrap = SchedulerService::new(
-            SchedulerConfig {
-                min_training_samples: 5,
-                model_kind: ModelKind::Linear,
-                ..Default::default()
-            },
-            1,
-        );
-        let mut rng = Rng::seed_from_u64(2);
-        for i in 0..10 {
-            let d = bootstrap.schedule(&request(i), &scrape, &cluster, SimTime::from_secs(2));
-            let node = d.job.target_node.clone().unwrap();
-            bootstrap.record_outcome(&d.snapshot, &request(i), &node, 25.0 + i as f64);
-        }
-        assert!(bootstrap.retrain(&mut rng));
-        let predictor = bootstrap.predictor().unwrap().clone();
-
+        let (cluster, _network, _scrape, published) = test_world();
+        let predictor = trained_predictor(&cluster, &published);
         let service = SchedulerService::with_predictor(SchedulerConfig::default(), predictor, 9);
         assert!(service.is_model_active());
         assert_eq!(service.logged_executions(), 0);
     }
 
     #[test]
+    fn a_decision_before_the_first_publish_ranks_the_feasible_set_on_an_empty_snapshot() {
+        let (cluster, _network, _scrape, published) = test_world();
+        let predictor = trained_predictor(&cluster, &published);
+        // A metrics server that has never scraped: epoch 0, nothing to adopt.
+        let silent = ScrapeManager::new(ScrapeConfig::default()).published_handle();
+        assert_eq!(silent.epoch(), 0);
+        for mut service in [
+            SchedulerService::new(SchedulerConfig::default(), 7),
+            SchedulerService::with_predictor(SchedulerConfig::default(), predictor, 7),
+        ] {
+            let now = SimTime::from_secs(2);
+            let single = service.schedule(&request(0), &silent, &cluster, now);
+            let batch = service.schedule_batch(&[request(1), request(2)], &silent, &cluster, now);
+            for decision in batch.iter().chain([&single]) {
+                assert_eq!(decision.used_model, service.is_model_active());
+                assert!(decision.snapshot.is_empty());
+                assert_eq!(decision.ranking.len(), 4, "the whole feasible set");
+                assert!(decision.job.target_node.is_some());
+                assert!(decision
+                    .ranking
+                    .ranked
+                    .iter()
+                    .all(|r| r.predicted_seconds.is_finite()));
+            }
+        }
+    }
+
+    #[test]
     fn schedule_batch_matches_sequential_decisions() {
-        let (cluster, _network, scrape) = test_world();
+        let (cluster, _network, _scrape, published) = test_world();
         let requests: Vec<JobRequest> = (0..5).map(request).collect();
         let now = SimTime::from_secs(2);
 
@@ -501,10 +526,10 @@ mod tests {
         // way through the batch as through sequential calls.
         let mut batch_service = SchedulerService::new(SchedulerConfig::default(), 7);
         let mut seq_service = SchedulerService::new(SchedulerConfig::default(), 7);
-        let batch = batch_service.schedule_batch(&requests, &scrape, &cluster, now);
+        let batch = batch_service.schedule_batch(&requests, &published, &cluster, now);
         assert_eq!(batch.len(), requests.len());
         for (request, batched) in requests.iter().zip(&batch) {
-            let sequential = seq_service.schedule(request, &scrape, &cluster, now);
+            let sequential = seq_service.schedule(request, &published, &cluster, now);
             assert_eq!(batched.ranking, sequential.ranking);
             assert_eq!(batched.job.target_node, sequential.job.target_node);
             assert_eq!(batched.used_model, sequential.used_model);
@@ -514,16 +539,14 @@ mod tests {
 
     #[test]
     fn decisions_overlap_with_concurrent_ingest() {
-        use telemetry::ConcurrentScrapeManager;
-
-        let (cluster, network, _) = test_world();
+        let (cluster, network, _, _) = test_world();
         let mut manager = ConcurrentScrapeManager::new(ScrapeConfig::default());
         manager.scrape(&cluster, &network, SimTime::from_secs(1));
-        let reader = manager.reader();
+        let published = manager.published_handle();
 
         // Ingest a long scrape schedule on another thread while this thread
-        // keeps scheduling against the reader handle: every decision sees a
-        // consistent (whole-round) snapshot, never a torn one.
+        // keeps scheduling against the published handle: every decision sees
+        // a consistent (whole-round) snapshot, never a torn one.
         let times: Vec<SimTime> = (1..300u64).map(|i| SimTime::from_secs(1 + i * 5)).collect();
         let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
         let decisions = std::thread::scope(|scope| {
@@ -535,7 +558,7 @@ mod tests {
             for i in 0..50 {
                 decisions.push(service.schedule(
                     &request(i),
-                    &reader,
+                    &published,
                     &cluster,
                     SimTime::from_secs(2000),
                 ));
@@ -543,52 +566,64 @@ mod tests {
             ingest.join().expect("ingest thread");
             decisions
         });
+        for pair in decisions.windows(2) {
+            assert!(pair[0].snapshot.time <= pair[1].snapshot.time);
+        }
         for decision in &decisions {
             assert_eq!(decision.ranking.len(), 4);
-            assert!(!decision.snapshot.is_empty());
-            // Whole-round consistency: a scrape writes every node's load in
-            // one round, so a snapshot must never see only a subset.
+            // Whole-round consistency: a scrape writes every node's load and
+            // every ping pair in one round, so a snapshot must never see
+            // only a subset.
             assert_eq!(decision.snapshot.node_names().len(), 4);
+            assert_eq!(decision.snapshot.rtt().len(), 4 * 3);
         }
-        // After the ingest completes the reader serves the final state.
-        let decision = service.schedule(&request(99), &reader, &cluster, SimTime::from_secs(2000));
-        assert_eq!(decision.snapshot.node_names().len(), 4);
+        // After the ingest completes the handle serves the final round.
+        let decision =
+            service.schedule(&request(99), &published, &cluster, SimTime::from_secs(2000));
+        assert_eq!(decision.snapshot.time, *times.last().unwrap());
     }
 
     #[test]
-    fn published_source_decisions_match_store_backed_decisions() {
-        let (cluster, network, mut scrape) = test_world();
-        let published = scrape.published_handle();
-        // A publisher-free manager over the same scrape history: the
-        // store-backed reference the published path must agree with.
-        let mut plain = ScrapeManager::new(ScrapeConfig::default());
-        plain.scrape(&cluster, &network, SimTime::from_secs(1));
-        // Same seed, same world: adopting the published epoch's snapshot must
-        // produce the exact decisions the store-backed fetch produces.
-        let mut via_published = SchedulerService::new(SchedulerConfig::default(), 7);
-        let mut via_store = SchedulerService::new(SchedulerConfig::default(), 7);
-        // The published snapshot carries its own scrape time (t = 1), so the
-        // store-backed reference fetches at that same instant.
-        let now = SimTime::from_secs(1);
-        for i in 0..4 {
-            let p = via_published.schedule(&request(i), &published, &cluster, now);
-            let s = via_store.schedule(&request(i), &plain, &cluster, now);
-            assert_eq!(p.ranking, s.ranking);
-            assert_eq!(p.job.target_node, s.job.target_node);
-            assert_eq!(*p.snapshot, *s.snapshot);
+    fn a_decision_carries_the_ingest_sides_rate_window() {
+        // One cross-site transfer that ends well before the last scrape: a
+        // 10 s window at t = 40 s sees flat counters, a 30 s window still
+        // sees the transfer — so the two windows disagree on tx/rx rates,
+        // and the snapshot a decision carries must be the one the manager's
+        // own configured window yields (there is no second knob to drift).
+        let (cluster, mut network, _, _) = test_world();
+        network.start_flow(NodeId(0), NodeId(2), 1e9, FlowKind::Background);
+        let config = ScrapeConfig {
+            rate_window: SimDuration::from_secs(10),
+            ..Default::default()
+        };
+        let mut flat = ScrapeManager::new(config.clone());
+        let mut sharded = ConcurrentScrapeManager::new(config);
+        for t in (0..=40).step_by(5).map(SimTime::from_secs) {
+            network.advance_to(t);
+            flat.scrape(&cluster, &network, t);
+            sharded.scrape(&cluster, &network, t);
         }
-        // A fresh scrape publishes a new epoch; decisions pick it up.
-        scrape.scrape(&cluster, &network, SimTime::from_secs(6));
-        let d = via_published.schedule(&request(9), &published, &cluster, now);
-        assert_eq!(d.snapshot.time, SimTime::from_secs(6));
-        // Epoch numbers surface through the fetcher seam too.
-        assert_eq!(via_published.fetcher.published_epoch(&published), Some(2));
+        let at = SimTime::from_secs(40);
+        let handles = [flat.published_handle(), sharded.published_handle()];
+        let sources: [&dyn SnapshotSource; 2] = [&flat, &sharded];
+        for (published, source) in handles.iter().zip(sources) {
+            let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
+            let decision = service.schedule(&request(0), published, &cluster, at);
+            assert_eq!(
+                *decision.snapshot,
+                source.snapshot(at, SimDuration::from_secs(10))
+            );
+            assert_ne!(
+                *decision.snapshot,
+                source.snapshot(at, SimDuration::from_secs(30)),
+                "the schedule must make the two windows distinguishable"
+            );
+        }
     }
 
     #[test]
     fn unchanged_epoch_reuses_the_held_snapshot_arc() {
-        let (cluster, network, mut scrape) = test_world();
-        let published = scrape.published_handle();
+        let (cluster, network, mut scrape, published) = test_world();
         let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
         let now = SimTime::from_secs(2);
 
@@ -603,21 +638,11 @@ mod tests {
         let third = service.schedule(&request(2), &published, &cluster, now);
         assert!(!Arc::ptr_eq(&second.snapshot, &third.snapshot));
         assert_eq!(third.snapshot.time, SimTime::from_secs(6));
-
-        // Switching to a non-publishing source falls back to assembly (and
-        // resets the held epoch so the next published fetch re-adopts).
-        let mut plain = ScrapeManager::new(ScrapeConfig::default());
-        plain.scrape(&cluster, &network, SimTime::from_secs(1));
-        let fourth = service.schedule(&request(3), &plain, &cluster, now);
-        assert!(!fourth.snapshot.is_empty());
-        let fifth = service.schedule(&request(4), &published, &cluster, now);
-        assert_eq!(fifth.snapshot.time, SimTime::from_secs(6));
     }
 
     #[test]
     fn reused_epoch_does_not_rebuild_the_feasibility_index() {
-        let (mut cluster, network, mut scrape) = test_world();
-        let published = scrape.published_handle();
+        let (mut cluster, network, mut scrape, published) = test_world();
         let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
         let now = SimTime::from_secs(2);
 
@@ -661,7 +686,7 @@ mod tests {
 
     #[test]
     fn oversized_prune_budget_matches_unpruned_decisions() {
-        let (cluster, _network, scrape) = test_world();
+        let (cluster, _network, _scrape, published) = test_world();
         let requests: Vec<JobRequest> = (0..6).map(request).collect();
         let now = SimTime::from_secs(2);
         // K ≥ |feasible| must be byte-identical to pruning disabled, on both
@@ -677,8 +702,8 @@ mod tests {
         let mut rng_a = Rng::seed_from_u64(4);
         let mut rng_b = Rng::seed_from_u64(4);
         for (i, req) in requests.iter().enumerate() {
-            let u = unpruned.schedule(req, &scrape, &cluster, now);
-            let p = pruned.schedule(req, &scrape, &cluster, now);
+            let u = unpruned.schedule(req, &published, &cluster, now);
+            let p = pruned.schedule(req, &published, &cluster, now);
             assert_eq!(u.ranking, p.ranking, "request {i}");
             assert_eq!(u.job.target_node, p.job.target_node);
             let node = u.job.target_node.clone().unwrap();
@@ -692,8 +717,8 @@ mod tests {
         }
         assert!(unpruned.retrain(&mut rng_a));
         assert!(pruned.retrain(&mut rng_b));
-        let u = unpruned.schedule(&request(50), &scrape, &cluster, now);
-        let p = pruned.schedule(&request(50), &scrape, &cluster, now);
+        let u = unpruned.schedule(&request(50), &published, &cluster, now);
+        let p = pruned.schedule(&request(50), &published, &cluster, now);
         assert!(u.used_model && p.used_model);
         assert_eq!(u.ranking, p.ranking);
         assert_eq!(u.job.target_node, p.job.target_node);
@@ -706,15 +731,15 @@ mod tests {
             },
             7,
         );
-        let d = tight.schedule(&request(0), &scrape, &cluster, now);
+        let d = tight.schedule(&request(0), &published, &cluster, now);
         assert_eq!(d.ranking.len(), 2);
     }
 
     #[test]
     fn logged_outcomes_are_exported_via_logger() {
-        let (cluster, _network, scrape) = test_world();
+        let (cluster, _network, _scrape, published) = test_world();
         let mut service = SchedulerService::new(SchedulerConfig::default(), 5);
-        let d = service.schedule(&request(0), &scrape, &cluster, SimTime::from_secs(2));
+        let d = service.schedule(&request(0), &published, &cluster, SimTime::from_secs(2));
         service.record_outcome(&d.snapshot, &request(0), "node-1", 17.5);
         assert_eq!(service.logger().len(), 1);
         assert!(service.logger().to_csv().contains("sort-0"));

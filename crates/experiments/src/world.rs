@@ -11,7 +11,6 @@
 use crate::fabric::FabricTestbed;
 use cluster::scheduler::Scheduler as _;
 use cluster::{ClusterState, DefaultScheduler, Node, PodId, Resources};
-use netsched_core::fetcher::TelemetryFetcher;
 use netsched_core::request::JobRequest;
 use simcore::rng::Rng;
 use simcore::{SimDuration, SimTime};
@@ -20,7 +19,7 @@ use simnet::{
 };
 use sparksim::engine::{execute_job, ContentionDriver, ExecutionConfig};
 use sparksim::{JobRunResult, Placement};
-use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager};
+use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager, SnapshotSource};
 
 /// A built substrate: the flow-level network plus the mini-Kubernetes view of
 /// its nodes. This is what [`SimWorld`] runs on; the FABRIC slice
@@ -186,7 +185,6 @@ pub struct SimWorld {
     pub metrics: ScrapeManager,
     background: BackgroundDriver,
     executor_scheduler: DefaultScheduler,
-    fetcher: TelemetryFetcher,
     exec_config: ExecutionConfig,
     rng: Rng,
     now: SimTime,
@@ -217,7 +215,6 @@ impl SimWorld {
             }),
             background: BackgroundDriver::new(background_rng),
             executor_scheduler: DefaultScheduler::new(scheduler_seed),
-            fetcher: TelemetryFetcher::new(SimDuration::from_secs(30)),
             exec_config: ExecutionConfig {
                 control_rtts_per_wave: 8.0,
                 ..Default::default()
@@ -338,7 +335,8 @@ impl SimWorld {
     /// Take a fresh scrape right now and return the scheduler-facing snapshot.
     pub fn snapshot(&mut self) -> ClusterSnapshot {
         self.metrics.scrape(&self.cluster, &self.network, self.now);
-        self.fetcher.fetch(&self.metrics, self.now)
+        self.metrics
+            .snapshot(self.now, self.metrics.config().rate_window)
     }
 
     /// Run `request` with its driver pinned to `driver_node`. Executors are

@@ -28,7 +28,7 @@
 //! (same cadence grid, flat store) for callers that don't need overlap.
 
 use crate::exporters::ExporterLayout;
-use crate::publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
+use crate::publish::{PublishedSnapshot, SnapshotPublisher};
 use crate::scrape::{ScrapeCadence, ScrapeConfig};
 use crate::shards::{ShardRouter, ShardedSeriesId};
 use crate::snapshot::{ClusterSnapshot, SnapshotSource};
@@ -396,9 +396,10 @@ impl WriterPool {
 /// Same cadence grid and exporter set as [`crate::ScrapeManager`]; the store
 /// is sharded by metric name behind per-shard locks, single rounds commit
 /// through the epoch protocol, and [`ConcurrentScrapeManager::ingest`]
-/// pipelines whole scrape schedules across worker threads. Hand a
-/// [`TelemetryReader`] to the scheduler (it implements
-/// [`SnapshotSource`]) and decision bursts overlap with scraping.
+/// pipelines whole scrape schedules across worker threads. Hand its
+/// [`ConcurrentScrapeManager::published_handle`] to the scheduler and
+/// decision bursts overlap with scraping; a [`TelemetryReader`] runs history
+/// queries ([`SnapshotSource`]) against the shards from another thread.
 #[derive(Debug)]
 pub struct ConcurrentScrapeManager {
     config: ScrapeConfig,
@@ -516,26 +517,24 @@ impl ConcurrentScrapeManager {
     /// what [`SnapshotSource::snapshot_into`] would assemble at that time.
     pub fn published_handle(&mut self) -> PublishedSnapshot {
         if self.publisher.is_none() {
-            let mut publisher = SnapshotPublisher::new();
+            self.publisher = Some(SnapshotPublisher::new());
             if let Some(at) = self.last_scrape {
-                let shared = &self.shared;
-                let rate_window = self.config.rate_window;
-                publisher.publish_with(|snap| shared.snapshot_into(at, rate_window, snap));
+                self.publish(at);
             }
-            self.publisher = Some(publisher);
         }
         self.publisher.as_ref().expect("publisher active").handle()
     }
 
     /// Record a committed round at `at` and, when publishing is active,
     /// materialize + publish the next epoch's snapshot (copy-on-write over
-    /// the previous epoch; in steady state only the values that scrape
-    /// changed are rewritten, via the layout-generation fast path).
-    fn publish_round(&mut self, at: SimTime) {
+    /// the buffer of four epochs ago; in steady state only the values that
+    /// scrape changed are rewritten, via the layout-generation fast path).
+    /// Callers invoke it between commits — the epoch is even and no writer
+    /// holds a shard — so assembly never contends with appends.
+    fn publish(&mut self, at: SimTime) {
         self.last_scrape = Some(at);
         if let Some(publisher) = &mut self.publisher {
-            let shared = &self.shared;
-            let rate_window = self.config.rate_window;
+            let (shared, rate_window) = (&self.shared, self.config.rate_window);
             publisher.publish_with(|snap| shared.snapshot_into(at, rate_window, snap));
         }
     }
@@ -562,11 +561,19 @@ impl ConcurrentScrapeManager {
         self.layout.as_ref().expect("layout built above").clone()
     }
 
-    /// Apply one chunk of evaluated batches under the epoch protocol,
-    /// appending each shard's batch sequentially on the caller thread. Each
-    /// batch is drained in place so the caller can reuse the buffers (and
-    /// their capacity) across rounds.
-    fn commit_inline(&self, batches: &mut [Vec<Append>]) {
+    /// One synchronous scrape round on the caller thread: evaluate every
+    /// exporter series at `now` into `batches`, apply them shard by shard
+    /// under the epoch protocol, publish. Each batch is drained in place so
+    /// the caller can reuse the buffers (and their capacity) across rounds.
+    fn round_inline(
+        &mut self,
+        layout: &ShardedLayout,
+        cluster: &ClusterState,
+        network: &Network,
+        now: SimTime,
+        batches: &mut [Vec<Append>],
+    ) {
+        evaluate_round_into(layout, cluster, network, now, batches);
         self.shared.begin_commit();
         for (shard, appends) in batches.iter_mut().enumerate() {
             if appends.is_empty() {
@@ -578,6 +585,8 @@ impl ConcurrentScrapeManager {
             }
         }
         self.shared.end_commit();
+        self.publish(now);
+        self.scrape_count += 1;
     }
 
     /// Perform one scrape round at `now`, re-anchoring the periodic grid
@@ -585,10 +594,7 @@ impl ConcurrentScrapeManager {
     pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
         let layout = self.ensure_layout(cluster);
         let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
-        evaluate_round_into(&layout, cluster, network, now, &mut batches);
-        self.commit_inline(&mut batches);
-        self.publish_round(now);
-        self.scrape_count += 1;
+        self.round_inline(&layout, cluster, network, now, &mut batches);
         self.cadence.reanchor(now, self.config.interval);
     }
 
@@ -605,10 +611,7 @@ impl ConcurrentScrapeManager {
         }
         let layout = self.ensure_layout(cluster);
         let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
-        evaluate_round_into(&layout, cluster, network, now, &mut batches);
-        self.commit_inline(&mut batches);
-        self.publish_round(now);
-        self.scrape_count += 1;
+        self.round_inline(&layout, cluster, network, now, &mut batches);
         self.cadence.advance_on_grid(now, self.config.interval);
         true
     }
@@ -646,24 +649,22 @@ impl ConcurrentScrapeManager {
             // steady state.
             let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
             for &t in times {
-                evaluate_round_into(&layout, cluster, network, t, &mut batches);
-                self.commit_inline(&mut batches);
-                self.publish_round(t);
+                self.round_inline(&layout, cluster, network, t, &mut batches);
             }
-            self.scrape_count += times.len() as u64;
             self.cadence
                 .reanchor(*times.last().expect("non-empty"), self.config.interval);
             return;
         }
 
-        if self.writers.is_none() {
-            self.writers = Some(WriterPool::spawn(
+        // The pool is held by value for the duration of the call so the
+        // dispatcher below can borrow `self` to publish.
+        let pool = self.writers.take().unwrap_or_else(|| {
+            WriterPool::spawn(
                 &self.shared,
                 self.ingest.writer_workers,
                 self.ingest.queue_depth,
-            ));
-        }
-        let pool = self.writers.as_ref().expect("writer pool spawned above");
+            )
+        });
         let shard_count = self.shared.router.shard_count();
         let chunk_rounds = self.ingest.chunk_rounds.max(1);
         let chunks: Vec<&[SimTime]> = times.chunks(chunk_rounds).collect();
@@ -671,15 +672,6 @@ impl ConcurrentScrapeManager {
         let queue_depth = self.ingest.queue_depth.max(1);
         let layout = &layout;
         let cursor = AtomicUsize::new(0);
-        // Publishing, when active, happens on the dispatcher thread between
-        // chunks — right after a chunk's acks are collected the epoch is even
-        // and the writers are idle, so assembly never contends with appends.
-        // A chunk boundary is a round boundary, so every published epoch is a
-        // whole committed prefix of the schedule.
-        let mut publisher = self.publisher.take();
-        let publish_shared = Arc::clone(&self.shared);
-        let rate_window = self.config.rate_window;
-
         // Exact per-shard series counts, so chunk batches are allocated at
         // final size instead of growing through reallocation.
         let mut series_per_shard = vec![0usize; shard_count];
@@ -762,28 +754,23 @@ impl ConcurrentScrapeManager {
                 for _ in 0..inflight {
                     pool.ack_rx.recv().expect("writer workers alive");
                 }
+                // Publishing happens here, between chunks: the previous
+                // chunk's acks are in, so the epoch is even and the writers
+                // are idle. A chunk boundary is a round boundary, so every
+                // published epoch is a whole committed prefix of the schedule.
                 if next > 0 {
-                    if let Some(publisher) = publisher.as_mut() {
-                        let at = *chunks[next - 1].last().expect("chunks are non-empty");
-                        publisher.publish_with(|snap| {
-                            publish_shared.snapshot_into(at, rate_window, snap)
-                        });
-                    }
+                    self.publish(*chunks[next - 1].last().expect("chunks are non-empty"));
                 }
                 inflight = pool.dispatch(batches);
             }
             for _ in 0..inflight {
                 pool.ack_rx.recv().expect("writer workers alive");
             }
-            if let Some(publisher) = publisher.as_mut() {
-                let at = *times.last().expect("non-empty");
-                publisher.publish_with(|snap| publish_shared.snapshot_into(at, rate_window, snap));
-            }
+            self.publish(*times.last().expect("non-empty"));
         })
         .expect("ingest workers must not panic");
 
-        self.publisher = publisher;
-        self.last_scrape = Some(*times.last().expect("non-empty"));
+        self.writers = Some(pool);
         self.scrape_count += times.len() as u64;
         self.cadence
             .reanchor(*times.last().expect("non-empty"), self.config.interval);
@@ -794,22 +781,13 @@ impl SnapshotSource for ConcurrentScrapeManager {
     fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot) {
         self.shared.snapshot_into(at, rate_window, snap);
     }
-
-    fn published(&self) -> Option<PublishedEpoch> {
-        self.publisher.as_ref().and_then(SnapshotPublisher::latest)
-    }
-
-    fn published_epoch(&self) -> Option<u64> {
-        match self.publisher.as_ref().map_or(0, SnapshotPublisher::epoch) {
-            0 => None,
-            epoch => Some(epoch),
-        }
-    }
 }
 
-/// A cloneable, thread-safe read handle over a [`ConcurrentScrapeManager`]'s
-/// shards. Snapshots observe only fully-committed scrape rounds (epoch
-/// protocol), even while ingest is running on another thread.
+/// A cloneable, thread-safe history-query handle over a
+/// [`ConcurrentScrapeManager`]'s shards. Snapshots observe only
+/// fully-committed scrape rounds (epoch protocol), even while ingest is
+/// running on another thread — at the price of locking every shard per
+/// query, which is why decisions read the published epoch instead.
 #[derive(Debug, Clone)]
 pub struct TelemetryReader {
     shared: Arc<IngestShared>,

@@ -18,22 +18,25 @@
 //! * [`scrape`] — the scrape manager: drives all exporters on a grid-aligned
 //!   interval and appends into the store, exactly like a Prometheus server's
 //!   scrape loop.
-//! * [`shards`] — the store sharded by metric name: same semantics as the
-//!   flat store, per-shard appends and retention pruning.
+//! * [`shards`] — metric-name routing ([`shards::ShardRouter`]) for the
+//!   concurrent pipeline's one-flat-store-per-shard layout.
 //! * [`ingest`] — the concurrent scrape pipeline over the shards:
 //!   evaluation workers and per-shard writer workers behind bounded queues,
-//!   with an epoch counter so readers ([`ingest::TelemetryReader`]) only
-//!   ever observe fully-committed scrape rounds.
-//! * [`publish`] — epoch-published immutable snapshots: the scrape managers
-//!   materialize one copy-on-write [`snapshot::ClusterSnapshot`] per
-//!   committed round and publish it behind an atomic epoch counter, so any
-//!   number of [`publish::PublishedSnapshot`] readers fetch consistent
-//!   cluster state without touching the store or its locks.
+//!   with an epoch counter so history queries ([`ingest::TelemetryReader`])
+//!   only ever observe fully-committed scrape rounds.
+//! * [`publish`] — epoch-published immutable snapshots, **the serving
+//!   interface**: the scrape managers materialize one copy-on-write, sealed
+//!   [`snapshot::ClusterSnapshot`] per committed round and publish it behind
+//!   an atomic epoch counter, so any number of
+//!   [`publish::PublishedSnapshot`] readers — the scheduler service among
+//!   them — fetch consistent cluster state without touching the store or its
+//!   locks.
 //! * [`snapshot`] — the query surface the scheduler consumes: a
 //!   [`snapshot::ClusterSnapshot`] with per-node CPU/memory/tx/rx (densely
 //!   indexed by `cluster::NodeId`) and the `(NodeId, NodeId)`-keyed RTT
-//!   mesh, assembled from the store at decision time via any
-//!   [`snapshot::SnapshotSource`].
+//!   mesh. [`snapshot::SnapshotSource`] is the store owners' history query
+//!   (any instant, any rate window) — what the managers run once per round
+//!   to fill the epoch they publish, and what tests compare epochs against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +55,7 @@ pub use ingest::{ConcurrentScrapeManager, IngestConfig, TelemetryReader};
 pub use metrics::{Labels, MetricKind, Sample, SeriesKey};
 pub use publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
 pub use scrape::{ScrapeConfig, ScrapeManager};
-pub use shards::{ShardRouter, ShardedSeriesId, ShardedTimeSeriesStore};
+pub use shards::{ShardRouter, ShardedSeriesId};
 pub use snapshot::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, RttMesh, SnapshotSource};
 pub use store::{SeriesId, TimeSeriesStore};
 

@@ -1,11 +1,13 @@
 //! Epoch-published immutable snapshots.
 //!
 //! The sharded ingest pipeline of [`crate::ingest`] lets readers observe only
-//! whole committed scrape rounds — but every [`crate::TelemetryReader`] fetch
-//! still locks **all** shards to assemble its snapshot, so fetch latency
+//! whole committed scrape rounds — but every [`crate::TelemetryReader`] query
+//! still locks **all** shards to assemble its snapshot, so its latency
 //! degrades the moment writers contend for the same locks (the
-//! `fetch_during_ingest` penalty in `results/BENCH_ingest.json`). This module
-//! removes the reader/writer interplay entirely:
+//! `telemetry.store_fetch_us` contrast span of the `ingest_64n` workload in
+//! `benchmark/`). This module removes the reader/writer interplay entirely,
+//! and is the **one serving interface**: `netsched-core`'s scheduler service
+//! takes a [`PublishedSnapshot`] and nothing else.
 //!
 //! * The **writer side** ([`SnapshotPublisher`]) materializes one immutable
 //!   [`ClusterSnapshot`] per committed epoch and publishes it behind an
@@ -32,9 +34,8 @@
 //! snapshot the sequential path would have assembled at that epoch's scrape
 //! time — and consecutive reads observe monotonically non-decreasing epochs.
 
-use crate::snapshot::{ClusterSnapshot, SnapshotSource};
+use crate::snapshot::ClusterSnapshot;
 use parking_lot::Mutex;
-use simcore::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -179,11 +180,9 @@ impl Clone for SnapshotPublisher {
 /// published epoch with one atomic load plus one `Arc` clone — no store
 /// access, no shard locks, no waiting out in-flight commits.
 ///
-/// As a [`SnapshotSource`] it serves the *latest* published state regardless
-/// of the requested fetch time (the paper's fetcher semantics: "the most
-/// recent telemetry snapshot"); historical queries stay on the store-backed
-/// sources. [`SnapshotSource::published`] / [`SnapshotSource::published_epoch`]
-/// expose the zero-copy path schedulers use.
+/// It serves the *latest* published state (the paper's fetcher semantics:
+/// "the most recent telemetry snapshot"); queries about an earlier instant
+/// or another rate window go to the store owners' [`crate::SnapshotSource`].
 #[derive(Debug, Clone)]
 pub struct PublishedSnapshot {
     shared: Arc<PublishShared>,
@@ -220,40 +219,11 @@ impl PublishedSnapshot {
     }
 }
 
-impl SnapshotSource for PublishedSnapshot {
-    /// Copy the latest published snapshot into `snap` (the trait-compat
-    /// path; epoch-aware callers use [`SnapshotSource::published`] and share
-    /// the `Arc` without copying). `at` and `rate_window` are ignored — the
-    /// published snapshot carries its own scrape time and was assembled with
-    /// the ingest side's rate window. Before the first publish this yields an
-    /// empty snapshot stamped `at`, matching the other sources' pre-scrape
-    /// fallback.
-    fn snapshot_into(&self, at: SimTime, _rate_window: SimDuration, snap: &mut ClusterSnapshot) {
-        match self.latest() {
-            Some(published) => snap.clone_from(&published.snapshot),
-            None => {
-                snap.clear();
-                snap.time = at;
-            }
-        }
-    }
-
-    fn published(&self) -> Option<PublishedEpoch> {
-        self.latest()
-    }
-
-    fn published_epoch(&self) -> Option<u64> {
-        match self.epoch() {
-            0 => None,
-            epoch => Some(epoch),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::NodeTelemetry;
+    use simcore::SimTime;
 
     fn snap_with_load(load: f64) -> ClusterSnapshot {
         let mut snap = ClusterSnapshot::at(SimTime::from_secs(load as u64));
@@ -274,8 +244,6 @@ mod tests {
         assert_eq!(publisher.epoch(), 0);
         assert_eq!(handle.epoch(), 0);
         assert!(handle.latest().is_none());
-        assert!(handle.published().is_none());
-        assert_eq!(handle.published_epoch(), None);
 
         publisher.publish_with(|snap| *snap = snap_with_load(1.0));
         publisher.publish_with(|snap| *snap = snap_with_load(2.0));
@@ -283,19 +251,7 @@ mod tests {
         let latest = handle.latest().unwrap();
         assert_eq!(latest.epoch, 2);
         assert_eq!(latest.snapshot.node("node-1").unwrap().cpu_load, 2.0);
-        assert_eq!(handle.published_epoch(), Some(2));
-        // The trait-compat copy path serves the same snapshot.
-        let copied = handle.snapshot(SimTime::from_secs(99), SimDuration::from_secs(30));
-        assert_eq!(copied, *latest.snapshot);
-    }
-
-    #[test]
-    fn snapshot_into_before_first_publish_is_empty_at_requested_time() {
-        let publisher = SnapshotPublisher::new();
-        let handle = publisher.handle();
-        let snap = handle.snapshot(SimTime::from_secs(7), SimDuration::from_secs(30));
-        assert!(snap.is_empty());
-        assert_eq!(snap.time, SimTime::from_secs(7));
+        assert_eq!(handle.epoch(), 2);
     }
 
     #[test]
@@ -323,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn published_epochs_are_sealed_with_distinct_revisions() {
+    fn every_publish_seals_with_a_distinct_revision() {
         let mut publisher = SnapshotPublisher::new();
         let handle = publisher.handle();
         let mut revisions = Vec::new();

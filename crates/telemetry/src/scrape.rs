@@ -13,7 +13,7 @@
 //! is an operator action and re-anchors the grid at its own timestamp.
 
 use crate::exporters::{node_exporter_samples, ping_mesh_samples, ExporterLayout};
-use crate::publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
+use crate::publish::{PublishedSnapshot, SnapshotPublisher};
 use crate::snapshot::{ClusterSnapshot, SnapshotSource};
 use crate::store::TimeSeriesStore;
 use cluster::ClusterState;
@@ -132,33 +132,22 @@ impl ScrapeManager {
     /// scraped before activation is published immediately.
     pub fn published_handle(&mut self) -> PublishedSnapshot {
         if self.publisher.is_none() {
-            let mut publisher = SnapshotPublisher::new();
+            self.publisher = Some(SnapshotPublisher::new());
             if let Some(at) = self.last_scrape {
-                let store = &self.store;
-                let layout = self.layout.as_ref();
-                let rate_window = self.config.rate_window;
-                publisher.publish_with(|snap| match layout {
-                    Some(layout) => layout.snapshot_into(store, at, rate_window, snap),
-                    None => snap.assemble_from_store(store, at, rate_window),
-                });
+                self.publish(at);
             }
-            self.publisher = Some(publisher);
         }
         self.publisher.as_ref().expect("publisher active").handle()
     }
 
-    /// Record a scrape at `now` and, when publishing is active, publish the
-    /// next epoch's snapshot (copy-on-write over the previous epoch).
-    fn publish_round(&mut self, now: SimTime) {
-        self.last_scrape = Some(now);
-        if let Some(publisher) = &mut self.publisher {
-            let store = &self.store;
-            let layout = self.layout.as_ref();
-            let rate_window = self.config.rate_window;
-            publisher.publish_with(|snap| match layout {
-                Some(layout) => layout.snapshot_into(store, now, rate_window, snap),
-                None => snap.assemble_from_store(store, now, rate_window),
-            });
+    /// Record a scrape at `at` and, when publishing is active, publish the
+    /// next epoch: the state at `at` under the configured rate window
+    /// (copy-on-write over the buffer of four epochs ago).
+    fn publish(&mut self, at: SimTime) {
+        self.last_scrape = Some(at);
+        if let Some(mut publisher) = self.publisher.take() {
+            publisher.publish_with(|snap| self.snapshot_into(at, self.config.rate_window, snap));
+            self.publisher = Some(publisher);
         }
     }
 
@@ -188,7 +177,7 @@ impl ScrapeManager {
     }
 
     /// Run the exporters through the interned layout (building or rebuilding
-    /// it if the cluster changed) and append into the store.
+    /// it if the cluster changed), append into the store and publish.
     fn scrape_inner(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
         let rebuild = match &self.layout {
             Some(layout) => !layout.matches(cluster),
@@ -202,13 +191,13 @@ impl ScrapeManager {
             .expect("layout built above")
             .scrape_into(cluster, network, now, &mut self.store);
         self.scrape_count += 1;
+        self.publish(now);
     }
 
     /// Perform one explicit scrape of all exporters at time `now`,
     /// re-anchoring the periodic schedule grid at `now`.
     pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
         self.scrape_inner(cluster, network, now);
-        self.publish_round(now);
         self.cadence.reanchor(now, self.config.interval);
     }
 
@@ -226,7 +215,6 @@ impl ScrapeManager {
             return false;
         }
         self.scrape_inner(cluster, network, now);
-        self.publish_round(now);
         self.cadence.advance_on_grid(now, self.config.interval);
         true
     }
@@ -251,7 +239,7 @@ impl ScrapeManager {
         self.store
             .append_all(ping_mesh_samples(cluster, network, now));
         self.scrape_count += 1;
-        self.publish_round(now);
+        self.publish(now);
         self.cadence.reanchor(now, self.config.interval);
     }
 }
@@ -259,17 +247,6 @@ impl ScrapeManager {
 impl SnapshotSource for ScrapeManager {
     fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot) {
         ScrapeManager::snapshot_into(self, at, rate_window, snap);
-    }
-
-    fn published(&self) -> Option<PublishedEpoch> {
-        self.publisher.as_ref().and_then(SnapshotPublisher::latest)
-    }
-
-    fn published_epoch(&self) -> Option<u64> {
-        match self.publisher.as_ref().map_or(0, SnapshotPublisher::epoch) {
-            0 => None,
-            epoch => Some(epoch),
-        }
     }
 }
 

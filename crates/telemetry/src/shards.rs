@@ -1,31 +1,23 @@
 //! Sharding the time-series store by metric name.
 //!
-//! [`TimeSeriesStore`] is one flat series table; on clusters beyond a few
-//! hundred nodes every append and every retention prune serializes on it. The
-//! store's per-metric-name `SeriesId` buckets are the natural split, so this
-//! module shards by metric name:
+//! [`TimeSeriesStore`](crate::TimeSeriesStore) is one flat series table; on
+//! clusters beyond a few hundred nodes every append and every retention prune
+//! serializes on it. The store's per-metric-name `SeriesId` buckets are the
+//! natural split, so the concurrent ingest pipeline (`crate::ingest`) keeps
+//! one flat store per shard, each behind its own lock, and routes by metric
+//! name:
 //!
 //! * [`ShardRouter`] — the stable name → shard mapping (FNV-1a over the
 //!   metric name, modulo the shard count). Every series of one metric name
 //!   lands in one shard, so per-name queries still touch a single bucket.
 //! * [`ShardedSeriesId`] — a [`SeriesId`] qualified with its shard: the
-//!   interned identity handed out by sharded stores.
-//! * [`ShardedTimeSeriesStore`] — a drop-in value-type replacement for the
-//!   flat store: same append/ingestion rules, same query surface, answers
-//!   exactly equal to a flat store fed the same samples. The concurrent
-//!   ingest pipeline (`crate::ingest`) uses the same router over a
-//!   lock-per-shard layout so writer workers append in parallel.
+//!   interned identity the sharded exporter layout carries.
 //!
-//! **Retention equivalence.** The flat store's retention cutoff is monotone
-//! in the newest timestamp it has seen. A shard only sees its own metric
-//! names, so the sharded store forwards the *global* watermark to each shard
-//! ([`TimeSeriesStore::observe_time`]) before appending — without this, a
-//! shard ingesting slow-moving metrics would prune less than the flat store
-//! it replaces.
+//! That the sharded layout answers exactly like one flat store fed the same
+//! samples is pinned where it is live: the ingest tests compare the
+//! concurrent manager byte for byte against [`crate::ScrapeManager`].
 
-use crate::metrics::{MetricKind, Sample, SeriesKey};
-use crate::store::{SeriesId, TimeSeriesStore};
-use simcore::{SimDuration, SimTime};
+use crate::store::SeriesId;
 use std::fmt;
 
 /// Stable metric-name → shard routing: FNV-1a over the name bytes, modulo the
@@ -80,233 +72,11 @@ impl fmt::Display for ShardedSeriesId {
     }
 }
 
-/// A time-series store sharded by metric name.
-///
-/// Single-threaded value type with the flat store's exact semantics; the
-/// concurrent ingest pipeline puts the same shards behind per-shard locks.
-#[derive(Debug, Clone)]
-pub struct ShardedTimeSeriesStore {
-    router: ShardRouter,
-    shards: Vec<TimeSeriesStore>,
-    /// Global newest-timestamp watermark, forwarded to every shard so
-    /// retention cutoffs match the flat store's.
-    max_ts: SimTime,
-}
-
-impl ShardedTimeSeriesStore {
-    /// An unbounded-retention store over `shard_count` shards.
-    pub fn new(shard_count: usize) -> Self {
-        let router = ShardRouter::new(shard_count);
-        ShardedTimeSeriesStore {
-            shards: (0..router.shard_count())
-                .map(|_| TimeSeriesStore::new())
-                .collect(),
-            router,
-            max_ts: SimTime::ZERO,
-        }
-    }
-
-    /// A store that prunes points older than `retention` behind the global
-    /// newest-timestamp watermark.
-    pub fn with_retention(shard_count: usize, retention: SimDuration) -> Self {
-        let router = ShardRouter::new(shard_count);
-        ShardedTimeSeriesStore {
-            shards: (0..router.shard_count())
-                .map(|_| TimeSeriesStore::with_retention(retention))
-                .collect(),
-            router,
-            max_ts: SimTime::ZERO,
-        }
-    }
-
-    /// The router in use.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to one shard.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> &TimeSeriesStore {
-        &self.shards[shard]
-    }
-
-    /// Intern a series key into its metric name's shard.
-    pub fn intern(&mut self, key: &SeriesKey, kind: MetricKind) -> ShardedSeriesId {
-        let shard = self.router.shard_of(&key.name);
-        ShardedSeriesId {
-            shard: shard as u16,
-            series: self.shards[shard].intern(key, kind),
-        }
-    }
-
-    /// Resolve a key to its interned id, if the series exists.
-    pub fn series_id(&self, key: &SeriesKey) -> Option<ShardedSeriesId> {
-        let shard = self.router.shard_of(&key.name);
-        self.shards[shard]
-            .series_id(key)
-            .map(|series| ShardedSeriesId {
-                shard: shard as u16,
-                series,
-            })
-    }
-
-    /// The key of an interned series.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this store.
-    pub fn key(&self, id: ShardedSeriesId) -> &SeriesKey {
-        self.shards[id.shard as usize].key(id.series)
-    }
-
-    /// The kind of an interned series.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this store.
-    pub fn kind(&self, id: ShardedSeriesId) -> MetricKind {
-        self.shards[id.shard as usize].kind(id.series)
-    }
-
-    /// Ids of every series with the given metric name, in intern order.
-    pub fn ids_for_name(&self, name: &str) -> Vec<ShardedSeriesId> {
-        let shard = self.router.shard_of(name);
-        self.shards[shard]
-            .ids_for_name(name)
-            .iter()
-            .map(|&series| ShardedSeriesId {
-                shard: shard as u16,
-                series,
-            })
-            .collect()
-    }
-
-    /// Append one sample, interning its key.
-    pub fn append(&mut self, sample: Sample) {
-        let id = self.intern(&sample.key, sample.kind);
-        self.append_value(id, sample.value, sample.timestamp);
-    }
-
-    /// Append a value to a pre-interned series, with the flat store's exact
-    /// ingestion and (watermark-monotone) retention rules.
-    pub fn append_value(&mut self, id: ShardedSeriesId, value: f64, timestamp: SimTime) {
-        if timestamp > self.max_ts {
-            self.max_ts = timestamp;
-        }
-        let shard = &mut self.shards[id.shard as usize];
-        shard.observe_time(self.max_ts);
-        shard.append_value(id.series, value, timestamp);
-    }
-
-    /// Append many samples.
-    pub fn append_all(&mut self, samples: impl IntoIterator<Item = Sample>) {
-        for s in samples {
-            self.append(s);
-        }
-    }
-
-    /// The newest timestamp ever accepted, across all shards.
-    pub fn max_timestamp(&self) -> SimTime {
-        self.max_ts
-    }
-
-    /// Number of distinct series across all shards.
-    pub fn series_count(&self) -> usize {
-        self.shards.iter().map(TimeSeriesStore::series_count).sum()
-    }
-
-    /// Total number of stored points across all shards.
-    pub fn point_count(&self) -> usize {
-        self.shards.iter().map(TimeSeriesStore::point_count).sum()
-    }
-
-    /// Latest value of a series at or before `at`.
-    pub fn instant(&self, key: &SeriesKey, at: SimTime) -> Option<f64> {
-        self.instant_id(self.series_id(key)?, at)
-    }
-
-    /// Latest value of a pre-interned series at or before `at`.
-    pub fn instant_id(&self, id: ShardedSeriesId, at: SimTime) -> Option<f64> {
-        self.shards[id.shard as usize].instant_id(id.series, at)
-    }
-
-    /// All points of a series with timestamps in `[from, to]`, borrowed.
-    pub fn range(&self, key: &SeriesKey, from: SimTime, to: SimTime) -> &[(SimTime, f64)] {
-        match self.series_id(key) {
-            Some(id) => self.range_id(id, from, to),
-            None => &[],
-        }
-    }
-
-    /// Borrowed window `[from, to]` of a pre-interned series.
-    pub fn range_id(&self, id: ShardedSeriesId, from: SimTime, to: SimTime) -> &[(SimTime, f64)] {
-        self.shards[id.shard as usize].range_id(id.series, from, to)
-    }
-
-    /// Prometheus-style `rate()` over a counter window.
-    pub fn rate(&self, key: &SeriesKey, at: SimTime, window: SimDuration) -> Option<f64> {
-        self.rate_id(self.series_id(key)?, at, window)
-    }
-
-    /// `rate()` over a pre-interned counter series.
-    pub fn rate_id(&self, id: ShardedSeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
-        self.shards[id.shard as usize].rate_id(id.series, at, window)
-    }
-
-    /// Average of a series over `[at - window, at]`.
-    pub fn avg_over(&self, key: &SeriesKey, at: SimTime, window: SimDuration) -> Option<f64> {
-        self.avg_over_id(self.series_id(key)?, at, window)
-    }
-
-    /// Average over a pre-interned series.
-    pub fn avg_over_id(
-        &self,
-        id: ShardedSeriesId,
-        at: SimTime,
-        window: SimDuration,
-    ) -> Option<f64> {
-        self.shards[id.shard as usize].avg_over_id(id.series, at, window)
-    }
-
-    /// Latest gauge value per series of the given metric name (one shard's
-    /// bucket — never a cross-shard scan).
-    pub fn instant_by_name(&self, name: &str, at: SimTime) -> Vec<(ShardedSeriesId, f64)> {
-        let shard = self.router.shard_of(name);
-        self.shards[shard]
-            .instant_by_name(name, at)
-            .into_iter()
-            .map(|(series, value)| {
-                (
-                    ShardedSeriesId {
-                        shard: shard as u16,
-                        series,
-                    },
-                    value,
-                )
-            })
-            .collect()
-    }
-
-    /// All series keys across shards, sorted (the flat store's `keys` order).
-    pub fn keys(&self) -> Vec<&SeriesKey> {
-        let mut keys: Vec<&SeriesKey> = self.shards.iter().flat_map(|shard| shard.keys()).collect();
-        keys.sort();
-        keys
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key(name: &str, node: &str) -> SeriesKey {
-        SeriesKey::per_node(name, node)
-    }
+    use crate::metrics::{MetricKind, SeriesKey};
+    use crate::store::TimeSeriesStore;
 
     #[test]
     fn router_is_stable_and_in_range() {
@@ -326,60 +96,23 @@ mod tests {
 
     #[test]
     fn one_metric_name_lands_in_one_shard() {
-        let mut store = ShardedTimeSeriesStore::new(4);
+        // Routing reads the metric name alone, never the labels, so every
+        // series of one name shares a shard and a shard-local intern table.
+        let router = ShardRouter::new(4);
+        let mut shards = vec![TimeSeriesStore::new(); router.shard_count()];
         let ids: Vec<ShardedSeriesId> = (0..6)
-            .map(|i| store.intern(&key("node_load1", &format!("node-{i}")), MetricKind::Gauge))
+            .map(|i| {
+                let key = SeriesKey::per_node("node_load1", &format!("node-{i}"));
+                let shard = router.shard_of(&key.name);
+                ShardedSeriesId {
+                    shard: shard as u16,
+                    series: shards[shard].intern(&key, MetricKind::Gauge),
+                }
+            })
             .collect();
         let shard = ids[0].shard;
         assert!(ids.iter().all(|id| id.shard == shard));
-        assert_eq!(store.ids_for_name("node_load1"), ids);
-        assert!(store.ids_for_name("missing").is_empty());
+        assert_eq!(shards[shard as usize].series_count(), 6);
         assert_eq!(format!("{}", ids[0]), format!("shard#{shard}/s#0"));
-    }
-
-    #[test]
-    fn sharded_queries_match_flat_store() {
-        let mut sharded = ShardedTimeSeriesStore::with_retention(3, SimDuration::from_secs(120));
-        let mut flat = TimeSeriesStore::with_retention(SimDuration::from_secs(120));
-        let keys = [
-            (key("node_load1", "node-1"), MetricKind::Gauge),
-            (key("bytes_total", "node-1"), MetricKind::Counter),
-            (key("bytes_total", "node-2"), MetricKind::Counter),
-        ];
-        for step in 0..40u64 {
-            let (k, kind) = &keys[(step % 3) as usize];
-            let t = SimTime::from_secs(step * 7 % 150);
-            let sample = match kind {
-                MetricKind::Counter => Sample::counter(k.clone(), (step * step) as f64, t),
-                MetricKind::Gauge => Sample::gauge(k.clone(), step as f64, t),
-            };
-            sharded.append(sample.clone());
-            flat.append(sample);
-        }
-        assert_eq!(sharded.series_count(), flat.series_count());
-        assert_eq!(sharded.point_count(), flat.point_count());
-        assert_eq!(sharded.max_timestamp(), flat.max_timestamp());
-        let window = SimDuration::from_secs(60);
-        for (k, _) in &keys {
-            for t in [0u64, 50, 100, 200] {
-                let at = SimTime::from_secs(t);
-                assert_eq!(sharded.instant(k, at), flat.instant(k, at));
-                assert_eq!(sharded.rate(k, at, window), flat.rate(k, at, window));
-                assert_eq!(
-                    sharded.avg_over(k, at, window),
-                    flat.avg_over(k, at, window)
-                );
-                assert_eq!(
-                    sharded.range(k, SimTime::from_secs(t / 2), at),
-                    flat.range(k, SimTime::from_secs(t / 2), at)
-                );
-            }
-            let id = sharded.series_id(k).unwrap();
-            assert_eq!(sharded.key(id), k);
-            assert_eq!(sharded.kind(id), flat.kind(flat.series_id(k).unwrap()));
-        }
-        let sharded_keys: Vec<&SeriesKey> = sharded.keys();
-        let flat_keys: Vec<&SeriesKey> = flat.keys().collect();
-        assert_eq!(sharded_keys, flat_keys);
     }
 }

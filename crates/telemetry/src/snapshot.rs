@@ -7,6 +7,13 @@
 //! query against the [`TimeSeriesStore`], deriving tx/rx *rates* from the
 //! cumulative byte counters over the configured rate window.
 //!
+//! Decisions do not run that query themselves. The scrape managers run it
+//! once per committed round, with their own `ScrapeConfig::rate_window`, and
+//! *publish* the result ([`crate::publish`]); the serving path adopts the
+//! published epoch. [`SnapshotSource`] is the **history query** — any
+//! instant, any window — kept for retrospective reads and as the reference
+//! the published epochs are tested byte-identical against.
+//!
 //! Snapshots are **id-indexed**: node telemetry lives in a dense table and the
 //! RTT mesh ([`RttMesh`]) is keyed by `(NodeId, NodeId)` pairs, mirroring the
 //! cluster's node interning. Names are resolved only at the edges (reports,
@@ -198,7 +205,7 @@ impl Iterator for RowIter<'_> {
 /// The pairwise RTT mesh in seconds, keyed by `(source, target)` [`NodeId`]
 /// pairs: a dense matrix over the snapshot's node table at paper scale
 /// (reusable across fetches without reallocation), a sorted sparse map past
-/// [`DENSE_NODE_LIMIT`] nodes where full meshes are neither probed nor
+/// `DENSE_NODE_LIMIT` (512) nodes where full meshes are neither probed nor
 /// affordable.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RttMesh {
@@ -870,13 +877,17 @@ impl PartialEq for ClusterSnapshot {
     }
 }
 
-/// Anything the scheduler can fetch a telemetry snapshot from: the
-/// synchronous [`crate::ScrapeManager`], the sharded
-/// [`crate::ConcurrentScrapeManager`], or a [`crate::TelemetryReader`] handle
-/// observing a concurrent ingest from another thread. The telemetry fetcher
-/// and scheduler service are generic over this trait, so decision bursts can
-/// run against a live concurrent ingest without the core crate knowing which
-/// backend is wired in.
+/// The **history query** over a metrics store: assemble the cluster state as
+/// of any instant `at`, deriving throughput rates over any `rate_window`.
+/// Implemented by the store owners — the synchronous
+/// [`crate::ScrapeManager`], the sharded [`crate::ConcurrentScrapeManager`]
+/// and its cross-thread [`crate::TelemetryReader`] handle.
+///
+/// This is not the serving seam: a scheduling decision reads the epoch the
+/// manager *published* ([`crate::PublishedSnapshot`]) and never calls this.
+/// It remains for retrospective queries, for simulation drivers that want a
+/// snapshot by value, and as the reference the published epochs are tested
+/// byte-identical against.
 pub trait SnapshotSource {
     /// Assemble the snapshot at `at` into `snap`, reusing its storage.
     fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot);
@@ -887,22 +898,6 @@ pub trait SnapshotSource {
         let mut snap = ClusterSnapshot::default();
         self.snapshot_into(at, rate_window, &mut snap);
         snap
-    }
-
-    /// The latest epoch-published immutable snapshot, when this source is
-    /// backed by a [`crate::SnapshotPublisher`] (`None` for plain
-    /// store-backed sources, and before the first publish). Epoch-aware
-    /// readers share the returned `Arc` instead of copying, and use the
-    /// epoch number as a freshness stamp.
-    fn published(&self) -> Option<crate::publish::PublishedEpoch> {
-        None
-    }
-
-    /// The latest published epoch number alone (one atomic load — no `Arc`
-    /// traffic), for freshness checks. `None` when this source does not
-    /// publish epochs or nothing has been published yet.
-    fn published_epoch(&self) -> Option<u64> {
-        None
     }
 }
 

@@ -18,7 +18,7 @@
 //!
 //! | Module | Crate | What it provides |
 //! |---|---|---|
-//! | [`core`] | `netsched-core` | the scheduler: telemetry fetcher, feature constructor, predictor, decision module, job builder, logger, baselines |
+//! | [`core`] | `netsched-core` | the scheduler: feature constructor, predictor, decision module, job builder, logger, baselines |
 //! | [`simcore`] | `simcore` | discrete-event engine, deterministic RNG, statistics, parallel helpers |
 //! | [`simnet`] | `simnet` | sites/links/flows, max-min fair sharing, RTT model, background load |
 //! | [`cluster`] | `cluster` | pods, nodes, resources, the default kube-scheduler, manifests |

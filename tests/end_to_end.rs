@@ -87,6 +87,9 @@ fn scheduler_service_full_loop_learns_and_places() {
     let mut world = SimWorld::new(FabricTestbed::paper(), 777);
     world.place_background_load(2, &BackgroundLoadConfig::default());
     world.advance_by(SimDuration::from_secs(10));
+    // The one serving interface: decisions read what the world's metrics
+    // server publishes, never the store behind it.
+    let metrics_server = world.metrics.published_handle();
 
     let mut service = SchedulerService::new(
         SchedulerConfig {
@@ -101,7 +104,7 @@ fn scheduler_service_full_loop_learns_and_places() {
     for i in 0..30 {
         let kind = WorkloadKind::PAPER_SET[i % 3];
         let request = JobRequest::named(format!("boot-{i}"), kind, 50_000 + (i as u64 * 10_000), 2);
-        let decision = service.schedule(&request, &world.metrics, &world.cluster, world.now());
+        let decision = service.schedule(&request, &metrics_server, &world.cluster, world.now());
         assert!(!decision.used_model, "still bootstrapping");
         let target = decision.job.target_node.clone().expect("feasible node");
         let outcome = world.run_job(&request, &target).expect("bootstrap run");
@@ -119,7 +122,7 @@ fn scheduler_service_full_loop_learns_and_places() {
 
     // A post-training decision consults the model and pins the driver.
     let request = JobRequest::named("online-sort", WorkloadKind::Sort, 250_000, 2);
-    let decision = service.schedule(&request, &world.metrics, &world.cluster, world.now());
+    let decision = service.schedule(&request, &metrics_server, &world.cluster, world.now());
     assert!(decision.used_model);
     assert_eq!(decision.ranking.len(), 6);
     let target = decision

@@ -22,7 +22,7 @@ use netsched::simcore::rng::Rng;
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
-use netsched::telemetry::{ScrapeConfig, ScrapeManager};
+use netsched::telemetry::{PublishedSnapshot, ScrapeConfig, ScrapeManager};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -134,7 +134,7 @@ fn request(i: usize) -> JobRequest {
 /// scheduler, not the fallback.
 fn trained_service_with(
     cluster: &ClusterState,
-    scrape: &ScrapeManager,
+    published: &PublishedSnapshot,
     config: SchedulerConfig,
 ) -> SchedulerService {
     let mut service = SchedulerService::new(
@@ -147,7 +147,7 @@ fn trained_service_with(
     );
     let mut rng = Rng::seed_from_u64(11);
     for i in 0..30 {
-        let d = service.schedule(&request(i), scrape, cluster, SimTime::from_secs(2));
+        let d = service.schedule(&request(i), published, cluster, SimTime::from_secs(2));
         let node = d.job.target_node.clone().unwrap();
         let load = d.snapshot.node(&node).map(|t| t.cpu_load).unwrap_or(0.0);
         service.record_outcome(&d.snapshot, &request(i), &node, 20.0 + 5.0 * load);
@@ -157,15 +157,15 @@ fn trained_service_with(
     service
 }
 
-fn trained_service(cluster: &ClusterState, scrape: &ScrapeManager) -> SchedulerService {
-    trained_service_with(cluster, scrape, SchedulerConfig::default())
+fn trained_service(cluster: &ClusterState, published: &PublishedSnapshot) -> SchedulerService {
+    trained_service_with(cluster, published, SchedulerConfig::default())
 }
 
 #[test]
 fn steady_state_schedule_batch_burst_is_allocation_free() {
     let (cluster, _network, mut scrape) = test_world();
     let published = scrape.published_handle();
-    let mut service = trained_service(&cluster, &scrape);
+    let mut service = trained_service(&cluster, &published);
 
     let requests: Vec<JobRequest> = (0..8).map(request).collect();
     let now = SimTime::from_secs(3);
@@ -222,7 +222,7 @@ fn steady_state_pruned_bursts_are_allocation_free() {
     let published = scrape.published_handle();
     let mut service = trained_service_with(
         &cluster,
-        &scrape,
+        &published,
         SchedulerConfig {
             prune_top_k: Some(2),
             ..Default::default()
@@ -326,7 +326,7 @@ fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
     let published = scrape.published_handle();
     let mut service = trained_service_with(
         &cluster,
-        &scrape,
+        &published,
         SchedulerConfig {
             prune_top_k: Some(2),
             ..Default::default()

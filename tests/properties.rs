@@ -2,7 +2,8 @@
 //!
 //! These complement the unit-level proptests inside `simnet` by checking
 //! cross-crate invariants: conservation of bytes in the fluid network, ranking
-//! invariants of the decision module, schema/feature alignment, monotone
+//! invariants of the decision module (non-finite scores included),
+//! schema/feature alignment, monotone
 //! behaviour of the execution model, and the snapshot seal contract (indexing
 //! a sealed snapshot is bit-identical to indexing an unsealed twin).
 
@@ -88,6 +89,59 @@ proptest! {
         // The best node really does carry the minimum prediction.
         let min = predictions.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert!((ranking.best().unwrap().predicted_seconds - min).abs() < 1e-12);
+    }
+
+    /// Ranking is a total order at serving-scale candidate counts whatever
+    /// the scores are: NaN, infinities and signed zeros never panic the sort
+    /// or lose a candidate, NaN ranks last, and a NaN-free input is ordered
+    /// exactly as `partial_cmp` then id always ordered it.
+    #[test]
+    fn ranking_is_total_over_non_finite_scores(
+        draws in prop::collection::vec((0u8..8, -4.0f64..4.0), 21..513),
+    ) {
+        let candidates: Vec<ClusterNodeId> =
+            (0..draws.len()).rev().map(ClusterNodeId::from_index).collect();
+        let scores: Vec<f64> = draws
+            .iter()
+            .map(|&(pick, value)| match pick {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                // Rounded, so finite scores tie too.
+                _ => value.round(),
+            })
+            .collect();
+        let ranking = DecisionModule.rank(&candidates, &scores);
+        let mut returned: Vec<ClusterNodeId> = ranking.ranked.iter().map(|r| r.node).collect();
+        returned.sort_unstable();
+        returned.reverse();
+        prop_assert_eq!(&returned, &candidates);
+        let numbers = ranking.ranked.iter().take_while(|r| !r.predicted_seconds.is_nan()).count();
+        // Every NaN ranks after every number.
+        prop_assert_eq!(numbers, scores.iter().filter(|s| !s.is_nan()).count());
+        for pair in ranking.ranked[..numbers].windows(2) {
+            prop_assert!(pair[0].predicted_seconds <= pair[1].predicted_seconds);
+        }
+
+        let finite: Vec<f64> = scores.iter().map(|s| if s.is_nan() { 1.0 } else { *s }).collect();
+        let mut expected: Vec<(ClusterNodeId, f64)> =
+            candidates.iter().copied().zip(finite.iter().copied()).collect();
+        expected.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        let ranked: Vec<(ClusterNodeId, u64)> = DecisionModule
+            .rank(&candidates, &finite)
+            .ranked
+            .iter()
+            .map(|r| (r.node, r.predicted_seconds.to_bits()))
+            .collect();
+        let expected: Vec<(ClusterNodeId, u64)> =
+            expected.into_iter().map(|(node, s)| (node, s.to_bits())).collect();
+        prop_assert_eq!(ranked, expected);
     }
 
     /// Feature vectors always match the schema width, contain only finite

@@ -12,8 +12,7 @@ use netsched::cluster::{ClusterState, Node, Resources};
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::{gbps, mbps, Network, TopologyBuilder};
 use netsched::telemetry::{
-    ClusterSnapshot, MetricKind, Sample, ScrapeConfig, ScrapeManager, SeriesKey,
-    ShardedTimeSeriesStore, TimeSeriesStore,
+    ClusterSnapshot, MetricKind, Sample, ScrapeConfig, ScrapeManager, SeriesKey, TimeSeriesStore,
 };
 use netsched::SimNodeId;
 use proptest::prelude::*;
@@ -205,90 +204,6 @@ proptest! {
             fast_pairs.sort_by(|a, b| a.0.cmp(&b.0));
             naive_pairs.sort_by(|a, b| a.0.cmp(&b.0));
             prop_assert_eq!(fast_pairs, naive_pairs);
-        }
-    }
-
-    /// The metric-name-sharded store answers every query API exactly like
-    /// the flat store over the same random append sequence — including
-    /// out-of-order samples, duplicate timestamps and retention pruning
-    /// (whose cutoff is monotone in the global watermark, which the sharded
-    /// store must forward to each shard).
-    #[test]
-    fn sharded_store_matches_flat_reference(
-        ops in prop::collection::vec((0usize..6, 0u64..90, 0.0f64..1e6), 1..140),
-        queries in prop::collection::vec((0usize..6, 0u64..120, 1u64..80), 1..24),
-        retention_secs in 0u64..100,
-        shard_count in 1usize..6,
-    ) {
-        let keys = universe();
-        let retention = if retention_secs < 20 {
-            None
-        } else {
-            Some(SimDuration::from_secs(retention_secs))
-        };
-        let mut flat = match retention {
-            Some(r) => TimeSeriesStore::with_retention(r),
-            None => TimeSeriesStore::new(),
-        };
-        let mut sharded = match retention {
-            Some(r) => ShardedTimeSeriesStore::with_retention(shard_count, r),
-            None => ShardedTimeSeriesStore::new(shard_count),
-        };
-
-        for &(series, t, value) in &ops {
-            let (key, kind) = &keys[series];
-            let at = SimTime::from_secs(t);
-            let sample = match kind {
-                MetricKind::Counter => Sample::counter(key.clone(), value, at),
-                MetricKind::Gauge => Sample::gauge(key.clone(), value, at),
-            };
-            sharded.append(sample.clone());
-            flat.append(sample);
-        }
-
-        prop_assert_eq!(sharded.series_count(), flat.series_count());
-        prop_assert_eq!(sharded.point_count(), flat.point_count());
-        prop_assert_eq!(sharded.max_timestamp(), flat.max_timestamp());
-        {
-            let sharded_keys = sharded.keys();
-            let flat_keys: Vec<&SeriesKey> = flat.keys().collect();
-            prop_assert_eq!(sharded_keys, flat_keys);
-        }
-
-        for &(series, at, window) in &queries {
-            let (key, _) = &keys[series];
-            let at = SimTime::from_secs(at);
-            let window = SimDuration::from_secs(window);
-            prop_assert_eq!(sharded.instant(key, at), flat.instant(key, at));
-            prop_assert_eq!(sharded.rate(key, at, window), flat.rate(key, at, window));
-            prop_assert_eq!(sharded.avg_over(key, at, window), flat.avg_over(key, at, window));
-            let from = SimTime::from_secs(at.as_secs_f64() as u64 / 2);
-            prop_assert_eq!(sharded.range(key, from, at), flat.range(key, from, at));
-            // Pre-interned id queries agree with key queries across the
-            // shard boundary.
-            if let Some(id) = sharded.series_id(key) {
-                prop_assert_eq!(sharded.instant_id(id, at), flat.instant(key, at));
-                prop_assert_eq!(sharded.range_id(id, from, at), flat.range(key, from, at));
-                prop_assert_eq!(sharded.key(id), key);
-            }
-        }
-
-        // Per-name bucket queries agree (one shard bucket vs the flat one).
-        for name in ["bytes_total", "load", "missing"] {
-            let at = SimTime::from_secs(60);
-            let mut sharded_pairs: Vec<(SeriesKey, f64)> = sharded
-                .instant_by_name(name, at)
-                .into_iter()
-                .map(|(id, v)| (sharded.key(id).clone(), v))
-                .collect();
-            let mut flat_pairs: Vec<(SeriesKey, f64)> = flat
-                .instant_by_name(name, at)
-                .into_iter()
-                .map(|(id, v)| (flat.key(id).clone(), v))
-                .collect();
-            sharded_pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            flat_pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            prop_assert_eq!(sharded_pairs, flat_pairs);
         }
     }
 
