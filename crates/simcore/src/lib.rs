@@ -14,7 +14,7 @@
 //!   a time-ordered queue, letting handlers schedule follow-up events.
 //! * [`stats`] — online statistics (Welford), summaries, histograms and
 //!   exponentially weighted moving averages used by the telemetry substrate.
-//! * [`parallel`] — a small crossbeam-based fork/join helper used to run
+//! * [`parallel`] — a small scoped-thread fork/join helper used to run
 //!   independent simulation replications and to train tree ensembles in
 //!   parallel while keeping results deterministic (ordered reduction).
 //!

@@ -1,4 +1,4 @@
-//! Deterministic fork/join helpers built on crossbeam scoped threads.
+//! Deterministic fork/join helpers built on `std::thread::scope`.
 //!
 //! The workspace uses data parallelism in three places:
 //!
@@ -47,9 +47,10 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    // A panicking worker re-raises on this thread when the scope joins it.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 // ordering: Relaxed — the counter only claims work indices;
                 // results flow through the per-slot mutexes and scope join.
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
@@ -60,8 +61,7 @@ where
                 *slots[idx].lock() = Some(value);
             });
         }
-    })
-    .expect("worker threads must not panic");
+    });
 
     slots
         .into_iter()

@@ -10,11 +10,14 @@
 //! * [`node_exporter_samples`] / [`ping_mesh_samples`] are pure functions
 //!   returning owned [`Sample`]s — the reference implementation, handy in
 //!   tests and one-off probes.
-//! * [`ExporterLayout`] is the interned fast path the scrape loop uses: it
+//! * [`ExporterLayout`] is the interned fast path every scrape runs: it
 //!   interns every series key into the store **once** and caches the
 //!   [`SeriesId`]s, so each subsequent scrape appends raw values without
 //!   constructing a single `SeriesKey` or `String` — and the snapshot can be
-//!   assembled back out of the store through the same ids.
+//!   assembled back out of the store through the same ids. It holds the one
+//!   interned evaluation loop ([`ExporterLayout::scrape_into`]): a single
+//!   round appends its `(series, value)` pairs straight into the store, the
+//!   pipelined ingest of [`crate::ingest`] pushes them onto a chunk batch.
 
 use crate::metrics::{MetricKind, Sample, SeriesKey};
 use crate::snapshot::{ClusterSnapshot, NodeTelemetry};
@@ -112,14 +115,11 @@ pub(crate) fn pair_seed(a: u64, b: u64, now: SimTime) -> u64 {
 /// ([`ExporterLayout::snapshot_into`]) are pure id-indexed work: no
 /// `SeriesKey` construction, no label lookups, no `String` round-trips.
 ///
-/// The layout is generic over the interned id type: the flat store's
-/// [`SeriesId`] by default, the sharded pipeline's
-/// [`crate::shards::ShardedSeriesId`] in `crate::ingest`. Every build stamps
-/// a process-unique **generation** so downstream consumers (snapshot scratch
-/// reuse) can detect "same layout as last time" with one integer compare
-/// instead of a name-table comparison.
+/// Every build stamps a process-unique **generation** so downstream
+/// consumers (snapshot scratch reuse) can detect "same layout as last time"
+/// with one integer compare instead of a name-table comparison.
 #[derive(Debug, Clone)]
-pub struct ExporterLayout<Id = SeriesId> {
+pub struct ExporterLayout {
     /// Process-unique build stamp (never 0).
     pub(crate) generation: u64,
     /// Node names in cluster [`cluster::NodeId`] order.
@@ -127,26 +127,23 @@ pub struct ExporterLayout<Id = SeriesId> {
     /// Network interface of each node, aligned with `node_names`.
     pub(crate) net_ids: Vec<simnet::NodeId>,
     /// `node_load1` series per node.
-    pub(crate) load1: Vec<Id>,
+    pub(crate) load1: Vec<SeriesId>,
     /// `node_memory_MemAvailable_bytes` series per node.
-    pub(crate) mem: Vec<Id>,
+    pub(crate) mem: Vec<SeriesId>,
     /// `node_network_transmit_bytes_total` series per node.
-    pub(crate) tx: Vec<Id>,
+    pub(crate) tx: Vec<SeriesId>,
     /// `node_network_receive_bytes_total` series per node.
-    pub(crate) rx: Vec<Id>,
+    pub(crate) rx: Vec<SeriesId>,
     /// `(source index, target index, series)` per ordered ping pair.
-    pub(crate) pings: Vec<(u32, u32, Id)>,
+    pub(crate) pings: Vec<(u32, u32, SeriesId)>,
 }
 
-impl<Id: Copy> ExporterLayout<Id> {
-    /// Intern every exporter series for `cluster` through `intern` and
-    /// capture the resulting ids. Intern order matches the legacy sample
-    /// order (per node: load, memory, tx, rx; then the ordered ping pairs) so
-    /// the store's per-name buckets stay in cluster order.
-    pub fn build_with(
-        cluster: &ClusterState,
-        mut intern: impl FnMut(&SeriesKey, MetricKind) -> Id,
-    ) -> Self {
+impl ExporterLayout {
+    /// Intern every exporter series for `cluster` into `store` and capture
+    /// the resulting ids. Intern order matches the sample order of the
+    /// reference exporters (per node: load, memory, tx, rx; then the ordered
+    /// ping pairs) so the store's per-name buckets stay in cluster order.
+    pub fn build(cluster: &ClusterState, store: &mut TimeSeriesStore) -> Self {
         let nodes = cluster.nodes();
         let mut layout = ExporterLayout {
             // ordering: Relaxed — the generation is only a uniqueness tag for
@@ -164,19 +161,19 @@ impl<Id: Copy> ExporterLayout<Id> {
             let instance = node.name.as_str();
             layout.node_names.push(node.name.clone());
             layout.net_ids.push(node.net_id);
-            layout.load1.push(intern(
+            layout.load1.push(store.intern(
                 &SeriesKey::per_node(METRIC_NODE_LOAD1, instance),
                 MetricKind::Gauge,
             ));
-            layout.mem.push(intern(
+            layout.mem.push(store.intern(
                 &SeriesKey::per_node(METRIC_NODE_MEM_AVAILABLE, instance),
                 MetricKind::Gauge,
             ));
-            layout.tx.push(intern(
+            layout.tx.push(store.intern(
                 &SeriesKey::per_node(METRIC_NODE_TX_BYTES, instance),
                 MetricKind::Counter,
             ));
-            layout.rx.push(intern(
+            layout.rx.push(store.intern(
                 &SeriesKey::per_node(METRIC_NODE_RX_BYTES, instance),
                 MetricKind::Counter,
             ));
@@ -186,7 +183,7 @@ impl<Id: Copy> ExporterLayout<Id> {
                 if a == b {
                     continue;
                 }
-                let id = intern(
+                let id = store.intern(
                     &SeriesKey::new(
                         METRIC_PING_RTT,
                         &[
@@ -227,73 +224,31 @@ impl<Id: Copy> ExporterLayout<Id> {
         self.generation
     }
 
-    /// Shared snapshot-assembly body, generic over the store accessors (the
-    /// same pattern [`ExporterLayout::build_with`] uses for interning): the
-    /// flat path reads one store, the sharded path reads per-shard guards.
-    /// Keeping the loop in one place keeps the two paths float-op-identical,
-    /// which the "concurrent snapshots are byte-identical to sequential"
-    /// guarantee depends on.
-    pub(crate) fn assemble_with(
-        &self,
-        at: SimTime,
-        snap: &mut ClusterSnapshot,
-        mut instant: impl FnMut(Id, SimTime) -> Option<f64>,
-        mut rate: impl FnMut(Id, SimTime) -> Option<f64>,
-    ) {
-        snap.reset_for_generation(at, self.generation, &self.node_names);
-        for i in 0..self.node_names.len() {
-            let load = instant(self.load1[i], at);
-            let mem = instant(self.mem[i], at);
-            if load.is_none() && mem.is_none() {
-                continue;
-            }
-            snap.set_node_by_id(
-                cluster::NodeId(i as u32),
-                NodeTelemetry {
-                    cpu_load: load.unwrap_or(0.0),
-                    memory_available_bytes: mem.unwrap_or(0.0),
-                    tx_rate: rate(self.tx[i], at).unwrap_or(0.0),
-                    rx_rate: rate(self.rx[i], at).unwrap_or(0.0),
-                },
-            );
-        }
-        for &(a, b, id) in &self.pings {
-            if let Some(rtt) = instant(id, at) {
-                snap.insert_rtt_by_id(cluster::NodeId(a), cluster::NodeId(b), rtt);
-            }
-        }
-    }
-}
-
-impl ExporterLayout {
-    /// Intern every exporter series for `cluster` into `store` and capture
-    /// the resulting ids (see [`ExporterLayout::build_with`]).
-    pub fn build(cluster: &ClusterState, store: &mut TimeSeriesStore) -> Self {
-        Self::build_with(cluster, |key, kind| store.intern(key, kind))
-    }
-
-    /// Scrape all exporters at `now`, appending through pre-interned ids.
-    /// Emits exactly the samples [`node_exporter_samples`] and
-    /// [`ping_mesh_samples`] would, without building any of them.
+    /// Evaluate every exporter series at `now` through the pre-interned ids,
+    /// handing each `(series, value)` to `sink` — appended straight into the
+    /// store by a single scrape round, pushed onto a chunk batch by the
+    /// pipelined ingest. Emits exactly the samples [`node_exporter_samples`]
+    /// and [`ping_mesh_samples`] would, in their order, without building any
+    /// of them; a pure function of `(cluster, network, now)`, which is what
+    /// lets rounds evaluate concurrently.
     pub fn scrape_into(
         &self,
         cluster: &ClusterState,
         network: &Network,
         now: SimTime,
-        store: &mut TimeSeriesStore,
+        mut sink: impl FnMut(SeriesId, f64),
     ) {
         for (i, node) in cluster.nodes().iter().enumerate() {
             let counters = network.counters(self.net_ids[i]);
-            store.append_value(self.load1[i], node.cpu_load(), now);
-            store.append_value(self.mem[i], node.memory_available(), now);
-            store.append_value(self.tx[i], counters.tx_bytes, now);
-            store.append_value(self.rx[i], counters.rx_bytes, now);
+            sink(self.load1[i], node.cpu_load());
+            sink(self.mem[i], node.memory_available());
+            sink(self.tx[i], counters.tx_bytes);
+            sink(self.rx[i], counters.rx_bytes);
         }
         for &(a, b, id) in &self.pings {
             let (src, dst) = (self.net_ids[a as usize], self.net_ids[b as usize]);
             let seed = pair_seed(src.0 as u64, dst.0 as u64, now);
-            let rtt = network.current_rtt(src, dst, seed);
-            store.append_value(id, rtt.as_secs_f64(), now);
+            sink(id, network.current_rtt(src, dst, seed).as_secs_f64());
         }
     }
 
@@ -309,12 +264,28 @@ impl ExporterLayout {
         rate_window: SimDuration,
         snap: &mut ClusterSnapshot,
     ) {
-        self.assemble_with(
-            at,
-            snap,
-            |id, at| store.instant_id(id, at),
-            |id, at| store.rate_id(id, at, rate_window),
-        );
+        snap.reset_for_generation(at, self.generation, &self.node_names);
+        for i in 0..self.node_names.len() {
+            let load = store.instant_id(self.load1[i], at);
+            let mem = store.instant_id(self.mem[i], at);
+            if load.is_none() && mem.is_none() {
+                continue;
+            }
+            snap.set_node_by_id(
+                cluster::NodeId(i as u32),
+                NodeTelemetry {
+                    cpu_load: load.unwrap_or(0.0),
+                    memory_available_bytes: mem.unwrap_or(0.0),
+                    tx_rate: store.rate_id(self.tx[i], at, rate_window).unwrap_or(0.0),
+                    rx_rate: store.rate_id(self.rx[i], at, rate_window).unwrap_or(0.0),
+                },
+            );
+        }
+        for &(a, b, id) in &self.pings {
+            if let Some(rtt) = store.instant_id(id, at) {
+                snap.insert_rtt_by_id(cluster::NodeId(a), cluster::NodeId(b), rtt);
+            }
+        }
     }
 }
 
@@ -451,7 +422,9 @@ mod tests {
         assert!(layout.matches(&cluster));
         assert_eq!(layout.node_names(), &cluster.node_names()[..]);
         for &t in &times {
-            layout.scrape_into(&cluster, &network, t, &mut interned);
+            layout.scrape_into(&cluster, &network, t, |id, v| {
+                interned.append_value(id, v, t)
+            });
         }
 
         assert_eq!(reference.series_count(), interned.series_count());
@@ -489,7 +462,8 @@ mod tests {
         assert_ne!(layout.generation(), 0);
         assert_eq!(layout.clone().generation(), layout.generation());
 
-        layout.scrape_into(&cluster, &network, SimTime::from_secs(5), &mut store);
+        let t = SimTime::from_secs(5);
+        layout.scrape_into(&cluster, &network, t, |id, v| store.append_value(id, v, t));
         let at = SimTime::from_secs(6);
         let window = SimDuration::from_secs(30);
         let mut snap = ClusterSnapshot::default();
@@ -506,7 +480,9 @@ mod tests {
         small.add_node(cluster.nodes()[0].clone());
         let mut small_store = TimeSeriesStore::new();
         let small_layout = ExporterLayout::build(&small, &mut small_store);
-        small_layout.scrape_into(&small, &network, SimTime::from_secs(5), &mut small_store);
+        small_layout.scrape_into(&small, &network, t, |id, v| {
+            small_store.append_value(id, v, t)
+        });
         small_layout.snapshot_into(&small_store, at, window, &mut snap);
         assert_eq!(snap.node_names(), vec!["node-1"]);
         assert!(snap.node("node-2").is_none());

@@ -14,28 +14,27 @@
 //!   (CPU load average, available memory, cumulative tx/rx bytes) and a
 //!   full-mesh ping exporter (pairwise RTT), both reading the simulated
 //!   cluster and network state; [`exporters::ExporterLayout`] is the
-//!   pre-interned fast path the scrape loop uses.
+//!   pre-interned fast path — one evaluation loop — every scrape runs.
 //! * [`scrape`] — the scrape manager: drives all exporters on a grid-aligned
 //!   interval and appends into the store, exactly like a Prometheus server's
 //!   scrape loop.
-//! * [`shards`] — metric-name routing ([`shards::ShardRouter`]) for the
-//!   concurrent pipeline's one-flat-store-per-shard layout.
-//! * [`ingest`] — the concurrent scrape pipeline over the shards:
-//!   evaluation workers and per-shard writer workers behind bounded queues,
-//!   with an epoch counter so history queries ([`ingest::TelemetryReader`])
-//!   only ever observe fully-committed scrape rounds.
+//! * [`ingest`] — that same manager behind one lock shared with history
+//!   readers ([`ingest::TelemetryReader`]), plus a pipelined path for whole
+//!   schedules: exporter evaluation outside the lock overlapping one writer
+//!   lane that commits a chunk of rounds per hold, so readers only ever
+//!   observe fully-committed scrape rounds.
 //! * [`publish`] — epoch-published immutable snapshots, **the serving
 //!   interface**: the scrape managers materialize one copy-on-write, sealed
-//!   [`snapshot::ClusterSnapshot`] per committed round and publish it behind
+//!   [`snapshot::ClusterSnapshot`] per commit and publish it behind
 //!   an atomic epoch counter, so any number of
 //!   [`publish::PublishedSnapshot`] readers — the scheduler service among
 //!   them — fetch consistent cluster state without touching the store or its
-//!   locks.
+//!   lock.
 //! * [`snapshot`] — the query surface the scheduler consumes: a
 //!   [`snapshot::ClusterSnapshot`] with per-node CPU/memory/tx/rx (densely
 //!   indexed by `cluster::NodeId`) and the `(NodeId, NodeId)`-keyed RTT
 //!   mesh. [`snapshot::SnapshotSource`] is the store owners' history query
-//!   (any instant, any rate window) — what the managers run once per round
+//!   (any instant, any rate window) — what the managers run once per commit
 //!   to fill the epoch they publish, and what tests compare epochs against.
 
 #![forbid(unsafe_code)]
@@ -46,7 +45,6 @@ pub mod ingest;
 pub mod metrics;
 pub mod publish;
 pub mod scrape;
-pub mod shards;
 pub mod snapshot;
 pub mod store;
 
@@ -55,7 +53,6 @@ pub use ingest::{ConcurrentScrapeManager, IngestConfig, TelemetryReader};
 pub use metrics::{Labels, MetricKind, Sample, SeriesKey};
 pub use publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
 pub use scrape::{ScrapeConfig, ScrapeManager};
-pub use shards::{ShardRouter, ShardedSeriesId};
 pub use snapshot::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, RttMesh, SnapshotSource};
 pub use store::{SeriesId, TimeSeriesStore};
 

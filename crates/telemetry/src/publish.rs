@@ -1,16 +1,17 @@
 //! Epoch-published immutable snapshots.
 //!
-//! The sharded ingest pipeline of [`crate::ingest`] lets readers observe only
-//! whole committed scrape rounds — but every [`crate::TelemetryReader`] query
-//! still locks **all** shards to assemble its snapshot, so its latency
-//! degrades the moment writers contend for the same locks (the
+//! The store of [`crate::ingest`] sits behind one lock, so a history query
+//! ([`crate::TelemetryReader`]) observes only whole committed scrape rounds —
+//! but it waits out whatever commit is in flight, and the pipelined path
+//! holds the lock for a whole chunk of rounds at a time (the
 //! `telemetry.store_fetch_us` contrast span of the `ingest_64n` workload in
 //! `benchmark/`). This module removes the reader/writer interplay entirely,
 //! and is the **one serving interface**: `netsched-core`'s scheduler service
 //! takes a [`PublishedSnapshot`] and nothing else.
 //!
 //! * The **writer side** ([`SnapshotPublisher`]) materializes one immutable
-//!   [`ClusterSnapshot`] per committed epoch and publishes it behind an
+//!   [`ClusterSnapshot`] per commit (a scrape round, or a chunk of rounds on
+//!   the pipelined path), as that commit's last step, and publishes it behind an
 //!   atomically bumped epoch counter. Snapshots are built copy-on-write via
 //!   [`Arc::make_mut`] over a small ring of reusable buffers: in steady state
 //!   (no reader retains an epoch for more than a few publishes) the previous
@@ -25,7 +26,7 @@
 //!   same address holds different contents every fourth epoch.
 //! * The **reader side** ([`PublishedSnapshot`]) resolves the current epoch
 //!   with one atomic load and clones the published `Arc` out of its slot —
-//!   never touching the store, its shard locks, or the commit epoch protocol.
+//!   never touching the store or its lock.
 //!   Any number of readers share one published snapshot; a scheduler keeps
 //!   the `Arc` for a whole decision burst (or across bursts, via the epoch
 //!   stamp) at zero copies.
@@ -81,7 +82,7 @@ impl PublishShared {
 }
 
 /// The writer side: owned by whatever commits scrape rounds (the scrape
-/// managers), publishing one immutable snapshot per committed epoch.
+/// manager), publishing one immutable snapshot per commit.
 ///
 /// Single-writer by construction (`publish_with` takes `&mut self`).
 #[derive(Debug)]
@@ -178,7 +179,7 @@ impl Clone for SnapshotPublisher {
 
 /// The reader side: a cloneable, thread-safe handle resolving the latest
 /// published epoch with one atomic load plus one `Arc` clone — no store
-/// access, no shard locks, no waiting out in-flight commits.
+/// access, no store lock, no waiting out in-flight commits.
 ///
 /// It serves the *latest* published state (the paper's fetcher semantics:
 /// "the most recent telemetry snapshot"); queries about an earlier instant

@@ -5,6 +5,11 @@
 //! append raw values with zero key construction, and snapshot assembly
 //! ([`ScrapeManager::snapshot_into`]) runs entirely over interned ids.
 //!
+//! It is single-owner and synchronous: one round is evaluate → append →
+//! publish on the caller's thread. [`crate::ConcurrentScrapeManager`] is this
+//! same manager behind one lock, plus a pipelined path for whole schedules
+//! that commits a chunk of rounds at a time.
+//!
 //! **Cadence.** Periodic scrapes ([`ScrapeManager::scrape_if_due`]) fire on a
 //! fixed schedule grid: a tick that arrives late still scrapes immediately,
 //! but the *next* due time advances from the grid (`last_due + interval`),
@@ -12,14 +17,15 @@
 //! permanently phase-shift the cadence. An explicit [`ScrapeManager::scrape`]
 //! is an operator action and re-anchors the grid at its own timestamp.
 
-use crate::exporters::{node_exporter_samples, ping_mesh_samples, ExporterLayout};
+use crate::exporters::ExporterLayout;
 use crate::publish::{PublishedSnapshot, SnapshotPublisher};
 use crate::snapshot::{ClusterSnapshot, SnapshotSource};
-use crate::store::TimeSeriesStore;
+use crate::store::{Append, TimeSeriesStore};
 use cluster::ClusterState;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
+use std::sync::Arc;
 
 /// Scrape configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,36 +49,34 @@ impl Default for ScrapeConfig {
     }
 }
 
-/// The grid-aligned scrape schedule shared by every scrape-manager flavour
-/// (the synchronous [`ScrapeManager`] and the sharded
-/// [`crate::ConcurrentScrapeManager`]): tracks when the next periodic scrape
-/// is due and advances along the grid without drifting on late ticks.
+/// The grid-aligned scrape schedule: tracks when the next periodic scrape is
+/// due and advances along the grid without drifting on late ticks.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScrapeCadence {
+struct ScrapeCadence {
     /// When the next periodic scrape is due (`None` = never scraped).
     next_due: Option<SimTime>,
 }
 
 impl ScrapeCadence {
     /// When the next scrape is due (immediately if never scraped).
-    pub(crate) fn next_due(&self) -> SimTime {
+    fn next_due(&self) -> SimTime {
         self.next_due.unwrap_or(SimTime::ZERO)
     }
 
     /// True when a periodic scrape is due at `now`.
-    pub(crate) fn is_due(&self, now: SimTime) -> bool {
+    fn is_due(&self, now: SimTime) -> bool {
         now >= self.next_due()
     }
 
     /// Re-anchor the grid at `now` (an explicit operator scrape).
-    pub(crate) fn reanchor(&mut self, now: SimTime, interval: SimDuration) {
+    fn reanchor(&mut self, now: SimTime, interval: SimDuration) {
         self.next_due = Some(now + interval);
     }
 
     /// Advance the due time along the schedule grid past `now`
     /// (`due + k·interval`), skipping missed ticks in O(1), so a delayed tick
     /// does not drift the due times of subsequent scrapes.
-    pub(crate) fn advance_on_grid(&mut self, now: SimTime, interval: SimDuration) {
+    fn advance_on_grid(&mut self, now: SimTime, interval: SimDuration) {
         if interval.is_zero() {
             self.next_due = Some(now);
             return;
@@ -93,8 +97,9 @@ pub struct ScrapeManager {
     config: ScrapeConfig,
     store: TimeSeriesStore,
     /// Interned exporter series; rebuilt only when the cluster's node table
-    /// changes.
-    layout: Option<ExporterLayout>,
+    /// changes. Behind an `Arc` so the pipelined ingest can evaluate through
+    /// it on other threads while this manager sits behind its lock.
+    layout: Option<Arc<ExporterLayout>>,
     cadence: ScrapeCadence,
     scrape_count: u64,
     /// Epoch publisher (see [`crate::publish`]), activated lazily by
@@ -163,7 +168,7 @@ impl ScrapeManager {
 
     /// The interned exporter layout, once the first scrape has built it.
     pub fn layout(&self) -> Option<&ExporterLayout> {
-        self.layout.as_ref()
+        self.layout.as_deref()
     }
 
     /// When the next scrape is due (immediately if never scraped).
@@ -176,22 +181,36 @@ impl ScrapeManager {
         self.scrape_count
     }
 
-    /// Run the exporters through the interned layout (building or rebuilding
-    /// it if the cluster changed), append into the store and publish.
-    fn scrape_inner(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        let rebuild = match &self.layout {
-            Some(layout) => !layout.matches(cluster),
-            None => true,
-        };
-        if rebuild {
-            self.layout = Some(ExporterLayout::build(cluster, &mut self.store));
+    /// The interned layout for `cluster`, built (or rebuilt) when the
+    /// cluster's node table changed.
+    pub(crate) fn ensure_layout(&mut self, cluster: &ClusterState) -> Arc<ExporterLayout> {
+        if !self.layout.as_ref().is_some_and(|l| l.matches(cluster)) {
+            self.layout = Some(Arc::new(ExporterLayout::build(cluster, &mut self.store)));
         }
-        self.layout
-            .as_ref()
-            .expect("layout built above")
-            .scrape_into(cluster, network, now, &mut self.store);
+        Arc::clone(self.layout.as_ref().expect("layout built above"))
+    }
+
+    /// One scrape round: run the exporters through the interned layout
+    /// straight into the store, then publish.
+    fn scrape_inner(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
+        let layout = self.ensure_layout(cluster);
+        let store = &mut self.store;
+        layout.scrape_into(cluster, network, now, |id, value| {
+            store.append_value(id, value, now)
+        });
         self.scrape_count += 1;
         self.publish(now);
+    }
+
+    /// Commit a chunk of `rounds` whole scrape rounds evaluated elsewhere
+    /// (`chunk`, in schedule order, the last round at `at`): what `rounds`
+    /// explicit [`ScrapeManager::scrape`]s leave behind, with one retention
+    /// prune and one published epoch for the whole chunk.
+    pub(crate) fn commit_chunk(&mut self, chunk: &[Append], rounds: usize, at: SimTime) {
+        self.store.append_chunk(chunk);
+        self.scrape_count += rounds as u64;
+        self.publish(at);
+        self.cadence.reanchor(at, self.config.interval);
     }
 
     /// Perform one explicit scrape of all exporters at time `now`,
@@ -228,19 +247,6 @@ impl ScrapeManager {
             Some(layout) => layout.snapshot_into(&self.store, at, rate_window, snap),
             None => snap.assemble_from_store(&self.store, at, rate_window),
         }
-    }
-
-    /// Reference scrape path used by tests: append exporter-built samples
-    /// without the interned layout (produces identical store contents).
-    #[doc(hidden)]
-    pub fn scrape_via_samples(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        self.store
-            .append_all(node_exporter_samples(cluster, network, now));
-        self.store
-            .append_all(ping_mesh_samples(cluster, network, now));
-        self.scrape_count += 1;
-        self.publish(now);
-        self.cadence.reanchor(now, self.config.interval);
     }
 }
 
@@ -396,28 +402,5 @@ mod tests {
         let generic = ClusterSnapshot::from_store(mgr.store(), at, window);
         assert_eq!(snap, generic);
         assert_eq!(snap.node_names(), vec!["node-1", "node-2"]);
-    }
-
-    #[test]
-    fn sample_building_reference_path_matches_interned_scrapes() {
-        let (cluster, network) = setup();
-        let mut interned = ScrapeManager::new(ScrapeConfig::default());
-        let mut reference = ScrapeManager::new(ScrapeConfig::default());
-        for i in 0..4u64 {
-            let t = SimTime::from_secs(i * 5);
-            interned.scrape(&cluster, &network, t);
-            reference.scrape_via_samples(&cluster, &network, t);
-        }
-        assert_eq!(interned.scrape_count(), reference.scrape_count());
-        assert_eq!(
-            interned.store().point_count(),
-            reference.store().point_count()
-        );
-        let at = SimTime::from_secs(20);
-        let w = SimDuration::from_secs(30);
-        assert_eq!(
-            ClusterSnapshot::from_store(interned.store(), at, w),
-            ClusterSnapshot::from_store(reference.store(), at, w)
-        );
     }
 }

@@ -8,7 +8,7 @@
 //! cumulative byte counters over the configured rate window.
 //!
 //! Decisions do not run that query themselves. The scrape managers run it
-//! once per committed round, with their own `ScrapeConfig::rate_window`, and
+//! once per commit, with their own `ScrapeConfig::rate_window`, and
 //! *publish* the result ([`crate::publish`]); the serving path adopts the
 //! published epoch. [`SnapshotSource`] is the **history query** — any
 //! instant, any window — kept for retrospective reads and as the reference
@@ -654,17 +654,6 @@ impl ClusterSnapshot {
         self.rtt.get(src, dst)
     }
 
-    /// All RTTs observed *from* `source` to its peers, in target-name order.
-    pub fn rtts_from(&self, source: &str) -> Vec<f64> {
-        let Some(src) = self.node_id(source) else {
-            return Vec::new();
-        };
-        self.sorted
-            .iter()
-            .filter_map(|&t| self.rtt.get(src, NodeId(t)))
-            .collect()
-    }
-
     /// Summary statistics (mean, max, std-dev) of the RTTs from `source` —
     /// exactly the three RTT features in Table 1 of the paper. On dense
     /// meshes accumulation runs in target-name order so results are
@@ -880,8 +869,9 @@ impl PartialEq for ClusterSnapshot {
 /// The **history query** over a metrics store: assemble the cluster state as
 /// of any instant `at`, deriving throughput rates over any `rate_window`.
 /// Implemented by the store owners — the synchronous
-/// [`crate::ScrapeManager`], the sharded [`crate::ConcurrentScrapeManager`]
-/// and its cross-thread [`crate::TelemetryReader`] handle.
+/// [`crate::ScrapeManager`], the lock-sharing
+/// [`crate::ConcurrentScrapeManager`] and its cross-thread
+/// [`crate::TelemetryReader`] handle.
 ///
 /// This is not the serving seam: a scheduling decision reads the epoch the
 /// manager *published* ([`crate::PublishedSnapshot`]) and never calls this.
@@ -1177,8 +1167,8 @@ mod tests {
         ));
         let snap =
             ClusterSnapshot::from_store(&store, SimTime::from_secs(35), SimDuration::from_secs(60));
-        let rtts = snap.rtts_from("node-1");
-        assert_eq!(rtts.len(), 2);
+        let source = snap.node_id("node-1").unwrap();
+        assert_eq!(snap.rtt().row(source).count(), 2);
         let (mean, max, std) = snap.rtt_stats_from("node-1");
         assert!((mean - 0.038).abs() < 1e-9);
         assert_eq!(max, 0.066);
@@ -1475,7 +1465,6 @@ mod tests {
             ClusterSnapshot::from_store(&store, SimTime::from_secs(1), SimDuration::from_secs(30));
         assert!(snap.is_empty());
         assert!(snap.node_names().is_empty());
-        assert!(snap.rtts_from("node-1").is_empty());
         assert!(snap.rtt().is_empty());
     }
 }

@@ -14,8 +14,7 @@
 //!   and `avg_over` slice the time-ordered point vector with two
 //!   `partition_point` binary searches and operate on the borrowed window —
 //!   no `Vec` is built per query. [`TimeSeriesStore::range`] returns the
-//!   borrowed slice directly; [`TimeSeriesStore::range_vec`] is the owning
-//!   shim for serde-ish consumers that need a `Vec`.
+//!   borrowed slice directly.
 
 use crate::metrics::{MetricKind, Sample, SeriesKey};
 use serde::{Deserialize, Serialize};
@@ -49,6 +48,9 @@ impl fmt::Display for SeriesId {
         write!(f, "s#{}", self.0)
     }
 }
+
+/// One evaluated sample of a chunk batch: series, value, timestamp.
+pub(crate) type Append = (SeriesId, f64, SimTime);
 
 /// One stored series: its kind and time-ordered points.
 ///
@@ -104,10 +106,10 @@ pub struct TimeSeriesStore {
     /// Metric name → ids of all series with that name, in intern order.
     name_index: BTreeMap<String, Vec<SeriesId>>,
     retention: Option<SimDuration>,
-    /// Newest timestamp ever accepted (or observed via
-    /// [`TimeSeriesStore::observe_time`]). The retention cutoff is derived
-    /// from this watermark, not from each incoming sample, so a late
-    /// out-of-order append can never move the cutoff backwards.
+    /// Newest timestamp ever accepted (or restored from an archive's
+    /// watermark). The retention cutoff is derived from this watermark, not
+    /// from each incoming sample, so a late out-of-order append can never
+    /// move the cutoff backwards.
     max_ts: SimTime,
 }
 
@@ -201,21 +203,16 @@ impl TimeSeriesStore {
         }
     }
 
-    /// Append without pruning the series afterwards — the bulk-ingest path:
-    /// a writer applying a whole committed chunk appends every sample first
-    /// and prunes each shard once per chunk
-    /// ([`TimeSeriesStore::prune_all_to_watermark`]). Because the cutoff is
-    /// monotone in the watermark, pruning once against the final watermark
-    /// yields exactly the same live window as pruning after every append —
-    /// and nothing can observe the intermediate states, which only exist
-    /// inside an uncommitted chunk.
-    pub(crate) fn append_value_deferred_prune(&mut self, id: SeriesId, value: f64, ts: SimTime) {
-        self.push_point(id, value, ts);
-    }
-
-    /// Prune every series against the current watermark cutoff (the batch
-    /// companion of [`TimeSeriesStore::append_value_deferred_prune`]).
-    pub(crate) fn prune_all_to_watermark(&mut self) {
+    /// Append a whole chunk of `(series, value, timestamp)` samples, then
+    /// prune every series once — the bulk-ingest path of
+    /// [`crate::ScrapeManager::commit_chunk`]. Because the cutoff is monotone
+    /// in the watermark, pruning once against the final watermark yields
+    /// exactly the same live window as pruning after every append — and
+    /// `&mut self` keeps the intermediate states unobservable.
+    pub(crate) fn append_chunk(&mut self, chunk: &[Append]) {
+        for &(id, value, timestamp) in chunk {
+            self.push_point(id, value, timestamp);
+        }
         if let Some(cutoff) = self.retention_cutoff() {
             for series in &mut self.series {
                 series.prune(cutoff);
@@ -259,19 +256,17 @@ impl TimeSeriesStore {
         true
     }
 
-    /// Advance the retention watermark without appending a sample.
-    ///
-    /// Sharded deployments call this so every shard prunes against the
-    /// *global* newest timestamp (a shard only ingesting slow-moving metrics
-    /// would otherwise retain more history than the flat store it replaces).
-    pub fn observe_time(&mut self, timestamp: SimTime) {
+    /// Advance the retention watermark without appending a sample: how
+    /// deserialization restores an archived watermark that ran ahead of
+    /// every stored sample.
+    fn observe_time(&mut self, timestamp: SimTime) {
         if timestamp > self.max_ts {
             self.max_ts = timestamp;
         }
     }
 
-    /// The newest timestamp ever accepted or observed (`SimTime::ZERO` for an
-    /// empty store): the watermark retention prunes against.
+    /// The newest timestamp ever accepted (`SimTime::ZERO` for an empty
+    /// store): the watermark retention prunes against.
     pub fn max_timestamp(&self) -> SimTime {
         self.max_ts
     }
@@ -354,13 +349,6 @@ impl TimeSeriesStore {
         &points[lo..hi]
     }
 
-    /// Owning variant of [`TimeSeriesStore::range`] for consumers that need a
-    /// `Vec` (serde payloads, archival exports). Hot paths use the borrowed
-    /// slice.
-    pub fn range_vec(&self, key: &SeriesKey, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-        self.range(key, from, to).to_vec()
-    }
-
     /// Prometheus-style `rate()`: the per-second increase of a counter over
     /// the window `[at - window, at]`. Returns `None` when fewer than two
     /// points fall in the window or the series is not a counter.
@@ -429,9 +417,8 @@ type SeriesEntry = (SeriesKey, MetricKind, Vec<(SimTime, f64)>);
 /// every point through the ingestion rules, so an archive can never smuggle
 /// in an inconsistent index layout: every internal invariant is
 /// re-established by construction. The watermark is carried explicitly
-/// because it can run ahead of every stored sample
-/// ([`TimeSeriesStore::observe_time`]) and the retention cutoff depends on
-/// it.
+/// because an archive's watermark can run ahead of every sample it stores
+/// and the retention cutoff depends on it.
 impl Serialize for TimeSeriesStore {
     fn serialize_value(&self) -> serde::Value {
         let series: Vec<SeriesEntry> = self
@@ -487,8 +474,7 @@ impl Deserialize for TimeSeriesStore {
         for (t, id, value) in replay {
             store.append_value(id, value, t);
         }
-        // Restore a watermark that ran ahead of every stored sample (e.g. a
-        // sharded deployment observing the global newest timestamp); replayed
+        // Restore a watermark that ran ahead of every stored sample; replayed
         // samples already advanced it at least to their own maximum.
         store.observe_time(watermark);
         Ok(store)
@@ -578,11 +564,6 @@ mod tests {
         assert!(store
             .range(&key("x", "y"), SimTime::ZERO, SimTime::MAX)
             .is_empty());
-        // The owning shim returns the same window.
-        assert_eq!(
-            store.range_vec(&k, SimTime::from_secs(25), SimTime::from_secs(55)),
-            pts.to_vec()
-        );
     }
 
     #[test]

@@ -885,9 +885,7 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     let mut manager = ConcurrentScrapeManager::with_ingest(
         config,
         IngestConfig {
-            shard_count: 4,
             eval_workers: 3,
-            writer_workers: 2,
             queue_depth: 2,
             chunk_rounds: 1,
             sync_work_threshold: 0,

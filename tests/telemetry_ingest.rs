@@ -1,16 +1,18 @@
-//! Differential and stress tests for the sharded, concurrent telemetry
-//! ingest pipeline.
+//! Differential and stress tests for the concurrent telemetry ingest
+//! pipeline.
 //!
 //! * **Equivalence.** For a fixed scrape schedule, the concurrent pipeline
-//!   ([`ConcurrentScrapeManager::ingest`]: parallel exporter evaluation,
-//!   per-shard writer workers behind bounded queues, in-order epoch commits)
-//!   must produce **byte-identical snapshots** to the synchronous
-//!   [`ScrapeManager`] driving the same exporters round by round —
-//!   parallelism changes wall-clock, never results.
+//!   ([`ConcurrentScrapeManager::ingest`]: exporter evaluation outside the
+//!   store's lock, one writer lane behind a bounded queue committing chunks
+//!   in schedule order) must produce **byte-identical snapshots** to the
+//!   synchronous [`ScrapeManager`] driving the same exporters round by
+//!   round — parallelism changes wall-clock, never results — including over
+//!   a schedule with duplicate, late and beyond-retention rounds.
 //! * **Whole-round visibility.** Readers snapshotting *while* ingest runs on
 //!   another thread must only ever observe fully-committed scrape rounds:
 //!   every observed snapshot equals the state after some prefix of the
-//!   schedule, and successive observations advance monotonically.
+//!   schedule (a whole number of chunks), and successive observations
+//!   advance monotonically.
 //! * **Whole-epoch publishing.** [`PublishedSnapshot`] readers polling while
 //!   ingest runs must only ever observe whole committed epochs: per-handle
 //!   epoch numbers are monotone, and every published snapshot is
@@ -72,17 +74,13 @@ fn concurrent_ingest_is_byte_identical_to_sequential_scrapes() {
     for ingest_config in [
         IngestConfig::default(),
         IngestConfig {
-            shard_count: 1,
             eval_workers: 1,
-            writer_workers: 1,
             queue_depth: 1,
             chunk_rounds: 1,
             sync_work_threshold: 0,
         },
         IngestConfig {
-            shard_count: 5,
             eval_workers: 6,
-            writer_workers: 3,
             queue_depth: 2,
             chunk_rounds: 3,
             sync_work_threshold: 0,
@@ -95,17 +93,17 @@ fn concurrent_ingest_is_byte_identical_to_sequential_scrapes() {
         assert_eq!(concurrent.series_count(), sequential.store().series_count());
 
         let window = SimDuration::from_secs(30);
-        let mut sharded_snap = ClusterSnapshot::default();
+        let mut concurrent_snap = ClusterSnapshot::default();
         let mut flat_snap = ClusterSnapshot::default();
         // Fetch times probe fresh state, mid-history and pre-retention.
         for &at_secs in &[595u64, 400, 123, 10, 0] {
             let at = SimTime::from_secs(at_secs);
-            SnapshotSource::snapshot_into(&concurrent, at, window, &mut sharded_snap);
+            SnapshotSource::snapshot_into(&concurrent, at, window, &mut concurrent_snap);
             sequential.snapshot_into(at, window, &mut flat_snap);
-            let sharded_bytes = serde_json::to_string(&sharded_snap).unwrap();
+            let concurrent_bytes = serde_json::to_string(&concurrent_snap).unwrap();
             let flat_bytes = serde_json::to_string(&flat_snap).unwrap();
             assert_eq!(
-                sharded_bytes, flat_bytes,
+                concurrent_bytes, flat_bytes,
                 "snapshot at t = {at_secs}s must be byte-identical ({ingest_config:?})"
             );
         }
@@ -131,49 +129,123 @@ fn readers_only_observe_whole_scrape_rounds_during_ingest() {
         expected.push(snap);
     }
 
-    let mut manager = ConcurrentScrapeManager::with_ingest(
-        config,
+    // One round per commit, then three: a reader sees chunk boundaries only.
+    for chunk_rounds in [1usize, 3] {
+        let mut manager = ConcurrentScrapeManager::with_ingest(
+            config.clone(),
+            IngestConfig {
+                eval_workers: 3,
+                queue_depth: 2,
+                chunk_rounds,
+                sync_work_threshold: 0,
+            },
+        );
+        let reader = manager.reader();
+
+        let observed_indices = std::thread::scope(|scope| {
+            let ingest = scope.spawn(|| {
+                manager.ingest(&cluster, &network, &times);
+                manager
+            });
+            let mut scratch = ClusterSnapshot::default();
+            let mut observed = Vec::new();
+            loop {
+                let finished = ingest.is_finished();
+                reader.snapshot_into(at, window, &mut scratch);
+                let index = expected
+                    .iter()
+                    .position(|e| e == &scratch)
+                    .unwrap_or_else(|| panic!("reader observed a torn (non-round) snapshot"));
+                observed.push(index);
+                if finished {
+                    break;
+                }
+            }
+            ingest.join().expect("ingest thread");
+            observed
+        });
+
+        // Chunks commit whole and in schedule order, so observations sit on
+        // chunk boundaries, advance monotonically and end on the
+        // fully-ingested state.
+        assert!(
+            observed_indices
+                .iter()
+                .all(|&i| i % chunk_rounds == 0 || i == times.len()),
+            "observed a state inside a chunk of {chunk_rounds}: {observed_indices:?}"
+        );
+        assert!(
+            observed_indices.windows(2).all(|w| w[0] <= w[1]),
+            "observed round indices must be monotone: {observed_indices:?}"
+        );
+        assert_eq!(*observed_indices.last().unwrap(), times.len());
+    }
+}
+
+#[test]
+fn pipelined_ingest_drops_and_prunes_exactly_like_sequential_scrapes() {
+    // A schedule the store's ingestion rules have to work on: a repeated
+    // timestamp inside a chunk (10) and across a chunk boundary (80), rounds
+    // older than the store's tail (12, and 3 leading a chunk), all running
+    // 140 s past a 60 s retention. The chunk apply defers pruning to one
+    // pass per chunk; it must still end where per-append pruning does.
+    let (cluster, network) = setup(4);
+    let mut secs: Vec<u64> = vec![
+        0, 5, 10, 10, 15, 20, 25, 12, 30, 35, 40, 45, 3, 50, 55, 60, 65, 70, 75, 80, 80,
+    ];
+    secs.extend((17..=40).map(|i| i * 5));
+    let times: Vec<SimTime> = secs.into_iter().map(SimTime::from_secs).collect();
+    let config = ScrapeConfig {
+        interval: SimDuration::from_secs(5),
+        rate_window: SimDuration::from_secs(30),
+        retention: Some(SimDuration::from_secs(60)),
+    };
+
+    let mut sequential = ScrapeManager::new(config.clone());
+    let sequential_epochs = sequential.published_handle();
+    for &t in &times {
+        sequential.scrape(&cluster, &network, t);
+    }
+
+    let mut pipelined = ConcurrentScrapeManager::with_ingest(
+        config.clone(),
         IngestConfig {
-            shard_count: 4,
-            eval_workers: 3,
-            writer_workers: 2,
-            queue_depth: 2,
-            chunk_rounds: 1,
+            eval_workers: 2,
+            queue_depth: 1,
+            chunk_rounds: 4,
             sync_work_threshold: 0,
         },
     );
-    let reader = manager.reader();
+    let pipelined_epochs = pipelined.published_handle();
+    pipelined.ingest(&cluster, &network, &times);
 
-    let observed_indices = std::thread::scope(|scope| {
-        let ingest = scope.spawn(|| {
-            manager.ingest(&cluster, &network, &times);
-            manager
-        });
-        let mut scratch = ClusterSnapshot::default();
-        let mut observed = Vec::new();
-        loop {
-            let finished = ingest.is_finished();
-            reader.snapshot_into(at, window, &mut scratch);
-            let index = expected
-                .iter()
-                .position(|e| e == &scratch)
-                .unwrap_or_else(|| panic!("reader observed a torn (non-round) snapshot"));
-            observed.push(index);
-            if finished {
-                break;
-            }
-        }
-        ingest.join().expect("ingest thread");
-        observed
-    });
-
-    // Rounds commit in schedule order, so observations advance monotonically
-    // and the final observation is the fully-ingested state.
-    assert!(
-        observed_indices.windows(2).all(|w| w[0] <= w[1]),
-        "observed round indices must be monotone: {observed_indices:?}"
+    assert_eq!(pipelined.scrape_count(), sequential.scrape_count());
+    assert_eq!(pipelined.next_scrape_due(), sequential.next_scrape_due());
+    assert_eq!(pipelined.point_count(), sequential.store().point_count());
+    // Fresh state, mid-window, and an instant retention already pruned.
+    for at_secs in [200u64, 150, 100] {
+        let at = SimTime::from_secs(at_secs);
+        let mut expected = ClusterSnapshot::default();
+        sequential.snapshot_into(at, config.rate_window, &mut expected);
+        assert_eq!(expected.is_empty(), at_secs == 100);
+        assert_eq!(
+            SnapshotSource::snapshot(&pipelined, at, config.rate_window),
+            expected,
+            "snapshot at t = {at_secs}s"
+        );
+    }
+    let (last, expected) = (
+        pipelined_epochs.latest().expect("the last chunk published"),
+        sequential_epochs
+            .latest()
+            .expect("the last round published"),
     );
-    assert_eq!(*observed_indices.last().unwrap(), times.len());
+    assert_eq!(last.epoch, times.len().div_ceil(4) as u64);
+    assert_eq!(last.snapshot.time, SimTime::from_secs(200));
+    assert_eq!(
+        serde_json::to_string(&*last.snapshot).unwrap(),
+        serde_json::to_string(&*expected.snapshot).unwrap()
+    );
 }
 
 #[test]
@@ -199,9 +271,7 @@ fn published_readers_only_observe_whole_committed_epochs() {
     let mut manager = ConcurrentScrapeManager::with_ingest(
         config,
         IngestConfig {
-            shard_count: 4,
             eval_workers: 3,
-            writer_workers: 2,
             queue_depth: 2,
             chunk_rounds: 1,
             sync_work_threshold: 0,

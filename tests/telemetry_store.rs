@@ -188,7 +188,6 @@ proptest! {
             prop_assert_eq!(fast.avg_over(key, at, window), naive.avg_over(key, at, window));
             let from = SimTime::from_secs(at.as_secs_f64() as u64 / 2);
             prop_assert_eq!(fast.range(key, from, at), &naive.range(key, from, at)[..]);
-            prop_assert_eq!(fast.range_vec(key, from, at), naive.range(key, from, at));
         }
 
         // Per-name bucket queries agree with the naive full scan (same
