@@ -1,31 +1,39 @@
-//! Resource-sorted feasibility index over the cluster's node table.
+//! Dense feasibility index over the cluster's node table.
 //!
-//! At paper scale (6–64 nodes) scanning every node per decision is free; at
-//! 10k nodes the linear scan in front of the expensive ranking model starts to
-//! dominate decision latency. [`FeasibilityIndex`] keeps, per
-//! [`ClusterState::generation`], which nodes are *eligible* for driver pods
-//! (schedulable and free of untolerated `NoSchedule` taints — the
-//! request-independent part of [`crate::DefaultScheduler::filter`]) together with two
-//! resource-sorted arrays over the eligible set. A query binary-searches the
-//! sorted arrays to find the nodes with enough free CPU / memory, then walks
-//! only the *smaller* of the two suffixes applying the exact
-//! [`Resources::fits_within`] check — so the result is byte-identical to the
-//! naive full scan, in ascending [`NodeId`] order, while the work is
-//! proportional to the matching suffix rather than the node table.
+//! The ranker scores every node that passes the default scheduler's filter,
+//! so the filter in front of the model has to be close to free, at 6 nodes
+//! and at 10k. [`FeasibilityIndex`] keeps, per [`ClusterState::generation`],
+//! two arrays dense by [`NodeId`]: each node's free resources, and whether it
+//! is *eligible* for driver pods (schedulable and free of untolerated
+//! `NoSchedule` taints — the request-independent part of
+//! [`crate::DefaultScheduler::filter`]). A query is one forward pass over
+//! them applying the exact [`Resources::fits_within`] check, so the result is
+//! byte-identical to the naive full scan and already in ascending [`NodeId`]
+//! order, without touching a [`crate::Node`] (names, labels, taints, pod
+//! sets) per decision.
 //!
-//! # Incremental maintenance
+//! # Why dense, not sorted
 //!
-//! A serving loop binds a pod between any two decisions, and every bind bumps
-//! the generation. [`FeasibilityIndex::sync`] therefore does not re-sort: on a
-//! generation change it compares every node's free resources and eligibility
-//! with what it indexed (one linear pass, no sorting) and *patches* the few
-//! nodes that differ — a binary-search remove + reinsert of one
-//! `(value, node)` pair per sorted array. A full rebuild (one pass plus two
-//! sorts) happens only for the first build, a node table that grew, or more
-//! changed nodes than `MAX_PATCHED_NODES`; only those count in
-//! [`FeasibilityIndex::rebuilds`] and make `sync` return `true`. A patched
-//! index is indistinguishable from a rebuilt one: the arrays hold the same
-//! pairs in the same (total) order.
+//! An earlier version kept the eligible nodes sorted by free CPU and by free
+//! memory, binary-searched both and walked the shorter matching suffix. That
+//! makes a query proportional to the *feasible* set — in resource order, one
+//! random access per entry, plus a sort back into id order — and the traffic
+//! this repository serves keeps almost every node feasible: 94.7 % of the
+//! cluster on both 10k benchmark workloads (9 473 of 10 000). Measured at
+//! 10 000 nodes the sorted walk cost ≈ 0.7 µs at 1 % feasible, 10 µs at 10 %,
+//! 57 µs at 50 % and 115 µs at 95 %; the scan below costs ≈ 12 µs at every
+//! feasible fraction. The crossover sits near 10 % feasible — a regime no
+//! workload, sweep cell or test world here is in, and where the scan still
+//! costs less than one 32-row inference — so there is one structure and no
+//! threshold choosing between two.
+//!
+//! # Maintenance
+//!
+//! Every bind between two decisions bumps the generation.
+//! [`FeasibilityIndex::sync`] is a single compare while it is unchanged and
+//! otherwise overwrites both arrays in place in one pass over
+//! [`ClusterState::nodes`] (≈ 37 µs at 10k nodes): nothing is sorted, so there
+//! is nothing to patch — a refreshed index *is* a fresh one.
 //!
 //! Driver pods carry no node selector, no affinity and no tolerations (see
 //! [`crate::job::JobSpec::driver_pod`]), so eligibility plus the resource fit
@@ -38,53 +46,21 @@ use crate::node::Node;
 use crate::resources::Resources;
 use crate::state::{ClusterState, NodeId};
 
-/// Changed nodes one [`FeasibilityIndex::sync`] patches in place before it
-/// gives up and rebuilds: a patch shifts part of each sorted array per node,
-/// a rebuild sorts both arrays once. A burst's worth of binds and releases
-/// stays under it; a cluster-wide `nodes_mut` sweep does not.
-const MAX_PATCHED_NODES: usize = 64;
-
-/// Sorted per-resource feasibility index, cached against a cluster
-/// [generation](ClusterState::generation).
+/// Per-node free resources and driver-pod eligibility, dense by [`NodeId`]
+/// and cached against a cluster [generation](ClusterState::generation).
 ///
 /// Bring up to date with [`FeasibilityIndex::sync`], query with
-/// [`FeasibilityIndex::query_into`]. `sync` is a single integer compare while
-/// the cluster generation is unchanged and a diff-and-patch when it moved
-/// (see the module docs), which is what makes the index shareable across
-/// decisions that each bind a pod.
+/// [`FeasibilityIndex::query_into`]; see the module docs for the costs.
 #[derive(Debug, Clone, Default)]
 pub struct FeasibilityIndex {
     /// Generation of the cluster this index reflects.
     generation: Option<u64>,
-    /// How many times the index was fully rebuilt (not patched or reused).
+    /// See [`rebuilds`](Self::rebuilds).
     rebuilds: u64,
-    /// Free resources per node, dense by [`NodeId`] index. Only entries for
-    /// eligible nodes are consulted by queries.
+    /// Free resources per node.
     available: Vec<Resources>,
-    /// Eligibility per node, dense by [`NodeId`] index: whether the node has
-    /// an entry in the sorted arrays.
+    /// [`eligible`](Self::eligible) per node.
     eligible: Vec<bool>,
-    /// `(available cpu_millis, node index)` over eligible nodes, ascending.
-    by_cpu: Vec<(u64, u32)>,
-    /// `(available memory_bytes, node index)` over eligible nodes, ascending.
-    by_memory: Vec<(u64, u32)>,
-}
-
-/// Remove `(value, node)` from an ascending array; `false` when absent.
-fn remove_pair(sorted: &mut Vec<(u64, u32)>, node: u32, value: u64) -> bool {
-    match sorted.binary_search(&(value, node)) {
-        Ok(at) => {
-            sorted.remove(at);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Insert `(value, node)` into an ascending array.
-fn insert_pair(sorted: &mut Vec<(u64, u32)>, node: u32, value: u64) {
-    let at = sorted.partition_point(|&pair| pair < (value, node));
-    sorted.insert(at, (value, node));
 }
 
 impl FeasibilityIndex {
@@ -104,90 +80,34 @@ impl FeasibilityIndex {
     }
 
     /// Bring the index up to date with `cluster`. A matching generation is a
-    /// single compare. Otherwise one pass finds the nodes whose free
-    /// resources or eligibility differ from what is indexed and patches them
-    /// in place; the index is rebuilt from scratch — the only case that
-    /// returns `true` and counts in [`rebuilds`](Self::rebuilds) — on the
-    /// first sync, when the node table changed size, or when more than
-    /// `MAX_PATCHED_NODES` nodes changed. Allocation-free at steady cluster
-    /// size either way.
+    /// single compare; otherwise every node's entry is overwritten in place.
+    /// Returns `true` — a *rebuild*, counted in [`rebuilds`](Self::rebuilds)
+    /// — exactly on the first build and when the node table changed size,
+    /// the only cases that (re)size the arrays; every other sync is
+    /// allocation-free by construction.
     pub fn sync(&mut self, cluster: &ClusterState) -> bool {
         if self.generation == Some(cluster.generation()) {
             return false;
         }
-        let rebuilt = !self.patch(cluster.nodes());
+        let nodes = cluster.nodes();
+        let rebuilt = self.generation.is_none() || nodes.len() != self.available.len();
         if rebuilt {
-            self.rebuild(cluster.nodes());
+            self.available.resize(nodes.len(), Resources::ZERO);
+            self.eligible.resize(nodes.len(), false);
+            self.rebuilds += 1;
+        }
+        let entries = self.available.iter_mut().zip(&mut self.eligible);
+        for ((free, eligible), node) in entries.zip(nodes) {
+            *free = node.available();
+            *eligible = Self::eligible(node);
         }
         self.generation = Some(cluster.generation());
         rebuilt
     }
 
-    /// Patch the index to `nodes` in place; `false` when a rebuild is needed
-    /// instead (see [`sync`](Self::sync)), in which case the index may be
-    /// partially patched.
-    fn patch(&mut self, nodes: &[Node]) -> bool {
-        if self.generation.is_none() || nodes.len() != self.available.len() {
-            return false;
-        }
-        let mut patched = 0;
-        for (index, node) in nodes.iter().enumerate() {
-            let (was, now) = (self.available[index], node.available());
-            let (was_eligible, eligible) = (self.eligible[index], Self::eligible(node));
-            if was == now && was_eligible == eligible {
-                continue;
-            }
-            patched += 1;
-            if patched > MAX_PATCHED_NODES {
-                return false;
-            }
-            let id = index as u32;
-            // A pair that is not where the order says it must be means the
-            // index is corrupt: rebuild rather than trust it.
-            if was_eligible
-                && !(remove_pair(&mut self.by_cpu, id, was.cpu_millis)
-                    && remove_pair(&mut self.by_memory, id, was.memory_bytes))
-            {
-                return false;
-            }
-            if eligible {
-                insert_pair(&mut self.by_cpu, id, now.cpu_millis);
-                insert_pair(&mut self.by_memory, id, now.memory_bytes);
-            }
-            self.available[index] = now;
-            self.eligible[index] = eligible;
-        }
-        true
-    }
-
-    /// Rebuild from scratch: one pass over the node table plus two sorts.
-    fn rebuild(&mut self, nodes: &[Node]) {
-        self.available.clear();
-        self.eligible.clear();
-        self.by_cpu.clear();
-        self.by_memory.clear();
-        for (index, node) in nodes.iter().enumerate() {
-            let free = node.available();
-            let eligible = Self::eligible(node);
-            self.available.push(free);
-            self.eligible.push(eligible);
-            if eligible {
-                self.by_cpu.push((free.cpu_millis, index as u32));
-                self.by_memory.push((free.memory_bytes, index as u32));
-            }
-        }
-        self.by_cpu.sort_unstable();
-        self.by_memory.sort_unstable();
-        self.rebuilds += 1;
-    }
-
-    /// Number of eligible nodes in the index.
-    pub fn eligible_count(&self) -> usize {
-        self.by_cpu.len()
-    }
-
-    /// How many times [`sync`](Self::sync) rebuilt the index from scratch
-    /// (patched and no-op syncs do not count).
+    /// How many [`sync`](Self::sync)s were rebuilds: the first build plus one
+    /// per node-table size change. A serving loop over a fixed cluster reads
+    /// 1 however many pods it binds, releases, cordons or taints.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -201,37 +121,20 @@ impl FeasibilityIndex {
     /// ascending [`NodeId`] order, into `out` (cleared first). Byte-identical
     /// to filtering every node with [`crate::DefaultScheduler::filter`] for a
     /// selector-free, toleration-free pod with the same requests.
+    /// Allocation-free once `out` has held one node-table's worth of ids.
     pub fn query_into(&self, requests: &Resources, out: &mut Vec<NodeId>) {
         out.clear();
-        // Nodes with at least `requests.cpu_millis` free CPU form a suffix of
-        // `by_cpu`; likewise for memory. Scan whichever suffix is shorter and
-        // apply the exact two-sided fit check.
-        let cpu_start = self
-            .by_cpu
-            .partition_point(|&(c, _)| c < requests.cpu_millis);
-        let mem_start = self
-            .by_memory
-            .partition_point(|&(m, _)| m < requests.memory_bytes);
-        let cpu_suffix = &self.by_cpu[cpu_start..];
-        let mem_suffix = &self.by_memory[mem_start..];
-        let scan = if cpu_suffix.len() <= mem_suffix.len() {
-            cpu_suffix
-        } else {
-            mem_suffix
-        };
-        for &(_, index) in scan {
-            if requests.fits_within(&self.available[index as usize]) {
-                out.push(NodeId(index));
-            }
+        out.resize(self.available.len(), NodeId(0));
+        // Branch-free append: every id is written at the cursor and the
+        // cursor advances only past a fit, so the cost does not depend on
+        // how predictable the fits are (a branchy `push` is ≈ 3× slower
+        // near 50 % feasible).
+        let mut kept = 0;
+        for (index, (free, &eligible)) in self.available.iter().zip(&self.eligible).enumerate() {
+            out[kept] = NodeId::from_index(index);
+            kept += usize::from(eligible & requests.fits_within(free));
         }
-        out.sort_unstable();
-    }
-
-    /// Convenience wrapper around [`query_into`](Self::query_into).
-    pub fn query(&self, requests: &Resources) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.query_into(requests, &mut out);
-        out
+        out.truncate(kept);
     }
 }
 
@@ -326,16 +229,26 @@ mod tests {
         assert!(eligible > 0 && ineligible > 0, "both outcomes exercised");
     }
 
+    /// [`FeasibilityIndex::query_into`] through a fresh buffer.
+    fn query(index: &FeasibilityIndex, requests: &Resources) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        index.query_into(requests, &mut out);
+        out
+    }
+
     #[test]
     fn query_matches_naive_filter_on_varied_worlds() {
+        let mut out = Vec::new();
         for seed in 0..8 {
             let cluster = varied_world(40, seed);
             let mut index = FeasibilityIndex::new();
             assert!(index.sync(&cluster));
             for (cpu, gib) in [(0, 0), (1, 1), (2, 4), (4, 2), (6, 8), (9, 1), (1, 16)] {
                 let req = Resources::from_cores_and_gib(cpu, gib);
+                // One reused buffer: a longer previous answer must not leak.
+                index.query_into(&req, &mut out);
                 assert_eq!(
-                    index.query(&req),
+                    out,
                     naive(&cluster, &req),
                     "seed {seed}, request {cpu}c/{gib}GiB"
                 );
@@ -343,25 +256,103 @@ mod tests {
         }
     }
 
+    /// Bind one pod per node so that only the first `feasible` eligible nodes
+    /// keep room for `typical`; every other node is filled to the brim.
+    fn fill_all_but(cluster: &mut ClusterState, feasible: usize) {
+        let mut kept = 0;
+        for i in 0..cluster.node_count() {
+            let node = cluster.node_by_id_mut(NodeId::from_index(i)).unwrap();
+            // The fixture binds at most one pod per node.
+            let bound = node.bound_pods().next();
+            if let Some(pod) = bound {
+                node.release(pod, node.allocated());
+            }
+            if FeasibilityIndex::eligible(node) && kept < feasible {
+                kept += 1;
+            } else {
+                node.bind(PodId(i as u64), node.available());
+            }
+        }
+    }
+
     #[test]
-    fn sync_is_generation_keyed_and_patches_in_place() {
+    fn query_matches_naive_filter_at_every_feasible_fraction() {
+        const NODES: usize = 2_000;
+        let zero_typical_oversized = [
+            Resources::ZERO,
+            Resources::from_cores_and_gib(1, 1),
+            Resources::from_cores_and_gib(64, 512),
+        ];
+        let mut cluster = varied_world(NODES, 11);
+        let eligible = cluster
+            .nodes()
+            .iter()
+            .filter(|node| FeasibilityIndex::eligible(node))
+            .count();
+        let mut index = FeasibilityIndex::new();
+        let mut out = Vec::new();
+        for feasible in [0, 1, NODES / 20, NODES / 2, eligible] {
+            fill_all_but(&mut cluster, feasible);
+            index.sync(&cluster);
+            // A zero request fits every eligible node, the typical one
+            // exactly the nodes left free, the oversized one none.
+            for (req, fitting) in zero_typical_oversized.iter().zip([eligible, feasible, 0]) {
+                index.query_into(req, &mut out);
+                assert_eq!(out, naive(&cluster, req), "{feasible} feasible, {req:?}");
+                assert!(out.windows(2).all(|pair| pair[0] < pair[1]), "ascending");
+                assert_eq!(out.len(), fitting, "{feasible} feasible, {req:?}");
+            }
+        }
+        assert_eq!(index.rebuilds(), 1);
+    }
+
+    #[test]
+    fn sync_rebuilds_exactly_on_first_build_and_table_growth() {
         let mut cluster = varied_world(10, 3);
         let mut index = FeasibilityIndex::new();
-        assert!(index.sync(&cluster));
+        let exact = |index: &FeasibilityIndex, cluster: &ClusterState| {
+            for req in [Resources::ZERO, Resources::from_cores_and_gib(2, 2)] {
+                assert_eq!(query(index, &req), naive(cluster, &req));
+            }
+        };
+        assert_eq!(index.rebuilds(), 0);
+        assert!(index.sync(&cluster), "first build");
         assert_eq!(index.rebuilds(), 1);
         assert_eq!(index.generation(), Some(cluster.generation()));
+        exact(&index, &cluster);
         // Unchanged cluster: a single compare.
         assert!(!index.sync(&cluster));
         assert!(!index.sync(&cluster));
-        assert_eq!(index.rebuilds(), 1);
-        // A node mutation is patched in place: the index follows the cluster
-        // without a rebuild.
-        cluster.node_by_id_mut(NodeId(0)).unwrap().schedulable = false;
-        assert!(!index.sync(&cluster));
-        assert_eq!(index.rebuilds(), 1);
-        assert_eq!(index.generation(), Some(cluster.generation()));
-        let req = Resources::ZERO;
-        assert_eq!(index.query(&req), naive(&cluster, &req));
+        // Binds, releases, cordons and taint edits refresh in place.
+        let free = NodeId::from_index(
+            (0..10)
+                .find(|&i| {
+                    let node = &cluster.nodes()[i];
+                    FeasibilityIndex::eligible(node) && node.pod_count() == 0
+                })
+                .expect("the fixture leaves an eligible node unloaded"),
+        );
+        let share = Resources::from_cores_and_gib(1, 1);
+        let edits: [&dyn Fn(&mut Node); 5] = [
+            &|node| assert!(node.bind(PodId(77), share)),
+            &|node| assert!(node.release(PodId(77), share)),
+            &|node| node.schedulable = false,
+            &|node| {
+                node.taints.push(Taint {
+                    key: "dedicated".into(),
+                    value: "infra".into(),
+                    effect: TaintEffect::NoSchedule,
+                })
+            },
+            &|node| node.taints.clear(),
+        ];
+        for (step, edit) in edits.iter().enumerate() {
+            edit(cluster.node_by_id_mut(free).unwrap());
+            assert!(!index.sync(&cluster), "edit {step} is not a rebuild");
+            assert_eq!(index.rebuilds(), 1);
+            assert_eq!(index.generation(), Some(cluster.generation()));
+            exact(&index, &cluster);
+        }
         // A grown node table is rebuilt.
         cluster.add_node(Node::new(
             "late",
@@ -369,20 +360,16 @@ mod tests {
             Resources::from_cores_and_gib(4, 4),
             "SITE",
         ));
-        assert!(index.sync(&cluster));
+        assert!(index.sync(&cluster), "the node table grew");
         assert_eq!(index.rebuilds(), 2);
-        assert_eq!(index.query(&req), naive(&cluster, &req));
+        exact(&index, &cluster);
+        assert!(!index.sync(&cluster));
     }
 
-    /// The index's whole state, for comparing a patched index with a rebuilt
+    /// The index's whole state, for comparing a refreshed index with a fresh
     /// one.
     fn state(index: &FeasibilityIndex) -> impl PartialEq + std::fmt::Debug + '_ {
-        (
-            &index.available,
-            &index.eligible,
-            &index.by_cpu,
-            &index.by_memory,
-        )
+        (&index.available, &index.eligible)
     }
 
     #[test]
@@ -434,9 +421,9 @@ mod tests {
                     }
                 }
                 // Sync after every mutation or after a few, so single and
-                // multi-node patches both run.
+                // multi-node refreshes both run.
                 if step % 3 != 1 {
-                    assert!(!index.sync(&cluster), "seed {seed} step {step}: patched");
+                    assert!(!index.sync(&cluster), "seed {seed} step {step}: in place");
                     let mut fresh = FeasibilityIndex::new();
                     fresh.sync(&cluster);
                     assert_eq!(state(&index), state(&fresh), "seed {seed} step {step}");
@@ -447,24 +434,24 @@ mod tests {
     }
 
     #[test]
-    fn a_cluster_wide_change_rebuilds_instead_of_patching() {
-        let mut cluster = varied_world(3 * MAX_PATCHED_NODES, 1);
+    fn a_cluster_wide_sweep_is_exact_and_is_not_a_rebuild() {
+        let mut cluster = varied_world(192, 1);
         let mut index = FeasibilityIndex::new();
         index.sync(&cluster);
-        // Exactly the patch budget: still patched.
-        for node in cluster.nodes_mut().iter_mut().take(MAX_PATCHED_NODES) {
+        // Far more changed nodes than any bind burst touches, every third one
+        // cordoned on top: still an in-place refresh.
+        for (i, node) in cluster.nodes_mut().iter_mut().enumerate().take(130) {
             node.allocatable.cpu_millis += 1000;
+            node.schedulable &= i % 3 != 0;
         }
         assert!(!index.sync(&cluster));
-        // One more than the budget: rebuilt.
-        for node in cluster.nodes_mut().iter_mut().take(MAX_PATCHED_NODES + 1) {
-            node.allocatable.cpu_millis += 1000;
-        }
-        assert!(index.sync(&cluster));
-        assert_eq!(index.rebuilds(), 2);
+        assert_eq!(index.rebuilds(), 1);
         let mut fresh = FeasibilityIndex::new();
         fresh.sync(&cluster);
         assert_eq!(state(&index), state(&fresh));
+        for req in [Resources::ZERO, Resources::from_cores_and_gib(3, 2)] {
+            assert_eq!(query(&index, &req), naive(&cluster, &req));
+        }
     }
 
     #[test]
@@ -478,13 +465,11 @@ mod tests {
         ));
         let mut index = FeasibilityIndex::new();
         index.sync(&cluster);
-        assert_eq!(index.eligible_count(), 1);
         cluster.node_mut("only").unwrap().schedulable = false;
         // Until synced, the index still answers from the old generation.
-        assert_eq!(index.query(&Resources::ZERO).len(), 1);
-        assert!(!index.sync(&cluster), "one cordon is patched, not rebuilt");
-        assert!(index.query(&Resources::ZERO).is_empty());
-        assert_eq!(index.eligible_count(), 0);
+        assert_eq!(query(&index, &Resources::ZERO), [NodeId(0)]);
+        assert!(!index.sync(&cluster), "a cordon is not a rebuild");
+        assert!(query(&index, &Resources::ZERO).is_empty());
     }
 
     #[test]
@@ -492,7 +477,6 @@ mod tests {
         let cluster = ClusterState::new();
         let mut index = FeasibilityIndex::new();
         assert!(index.sync(&cluster));
-        assert!(index.query(&Resources::ZERO).is_empty());
-        assert_eq!(index.eligible_count(), 0);
+        assert!(query(&index, &Resources::ZERO).is_empty());
     }
 }

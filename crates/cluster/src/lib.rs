@@ -22,9 +22,10 @@
 //!   baseline the paper quantifies.
 //! * [`state`] — the cluster state: bind/evict pods, track allocations,
 //!   record events.
-//! * [`feasibility`] — a resource-sorted feasibility index over the node
-//!   table so 10k-node worlds find the feasible set without scanning every
-//!   node, cached against [`state::ClusterState::generation`].
+//! * [`feasibility`] — per-node free resources and driver-pod eligibility in
+//!   two dense arrays, so 10k-node worlds find the feasible set in one
+//!   branch-free pass instead of filtering every [`node::Node`], cached
+//!   against [`state::ClusterState::generation`].
 //! * [`job`] — a Spark-application-shaped job object (driver + executors) and
 //!   its lifecycle.
 //! * [`manifest`] — declarative YAML rendering of pods/jobs, including the

@@ -78,9 +78,11 @@ impl Resources {
         self.memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
-    /// True when both components of `self` fit inside `capacity`.
+    /// True when both components of `self` fit inside `capacity`. Both
+    /// compares are always evaluated (`&`, not `&&`) so that scans over many
+    /// nodes stay branch-free.
     pub fn fits_within(&self, capacity: &Resources) -> bool {
-        self.cpu_millis <= capacity.cpu_millis && self.memory_bytes <= capacity.memory_bytes
+        (self.cpu_millis <= capacity.cpu_millis) & (self.memory_bytes <= capacity.memory_bytes)
     }
 
     /// Saturating subtraction per component.

@@ -111,12 +111,12 @@ pub struct SchedulerService {
     /// publisher's epoch equals it, a burst reuses `held` after one atomic
     /// load.
     held_epoch: u64,
-    /// The keyed decision view (indexed telemetry, incremental feasibility
-    /// index, stage-one scoreboards) and per-decision buffers, carried from
-    /// call to call: each call takes them, decides, and puts them back. A
-    /// held epoch re-keys with one compare, a bind between two decisions
-    /// patches one node of the feasibility index, and a new epoch refreshes
-    /// only the scoreboard rows whose telemetry changed.
+    /// The keyed decision view (indexed telemetry, dense feasibility index,
+    /// stage-one scoreboards) and per-decision buffers, carried from call to
+    /// call: each call takes them, decides, and puts them back. A held epoch
+    /// re-keys with one compare, a bind between two decisions refreshes the
+    /// feasibility index in place (one pass over the node table), and a new
+    /// epoch refreshes only the scoreboard rows whose telemetry changed.
     ctx_scratch: ContextScratch,
 }
 
@@ -170,10 +170,10 @@ impl SchedulerService {
         self.scheduler.is_some()
     }
 
-    /// How many times the persistent feasibility index was rebuilt from
-    /// scratch (as opposed to reused after a generation match, or patched in
-    /// place after binds and releases). In a serving loop over a fixed node
-    /// table this stays at 1.
+    /// How many times the persistent feasibility index was rebuilt — its
+    /// first build plus one per node-table size change (as opposed to reused
+    /// after a generation match, or refreshed in place after binds and
+    /// releases). In a serving loop over a fixed node table this stays at 1.
     pub fn feasibility_rebuilds(&self) -> u64 {
         self.ctx_scratch.feasibility_rebuilds()
     }
@@ -667,9 +667,9 @@ mod tests {
         service.schedule(&request(5), &published, &cluster, now);
         assert_eq!(service.feasibility_rebuilds(), 1);
 
-        // …and a cluster mutation (bind bumps the generation) is patched
-        // into the index in place: the next decision sees the bind, still
-        // without a rebuild.
+        // …and a cluster mutation (bind bumps the generation) refreshes the
+        // index in place: the next decision sees the bind, still without a
+        // rebuild.
         let pod = cluster.create_pod(
             cluster::PodSpec::new("hog", Resources::from_cores_and_gib(6, 8)),
             SimTime::ZERO,

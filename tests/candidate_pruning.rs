@@ -3,7 +3,7 @@
 //! live concurrent telemetry ingest.
 //!
 //! * **Feasibility differential.** On randomized worlds (mixed capacities,
-//!   cordons, taints, partial and full loads) the resource-sorted
+//!   cordons, taints, partial and full loads) the dense
 //!   [`FeasibilityIndex`] and the [`SchedulingContext`] — fresh or reusing a
 //!   previous burst's scratch — must agree *exactly* with the naive full
 //!   scan through [`DefaultScheduler::filter`].
@@ -15,8 +15,8 @@
 //!   and the supervised top-1 under K can only move toward the full-rank
 //!   top-1 as K grows.
 //! * **Incremental feasibility.** After random sequences of bind / complete /
-//!   delete / cordon / taint / `nodes_mut` / `add_node`, the incrementally
-//!   patched index equals a freshly built one and the naive scan.
+//!   delete / cordon / taint / `nodes_mut` / `add_node`, the index refreshed
+//!   in place equals a freshly built one and the naive scan.
 //! * **Keyed decision view.** One long-lived `ContextScratch`, driven through
 //!   random interleavings of new epochs (sealed or not, aligned or not, nodes
 //!   going missing), binds, releases, model swaps at the same address,
@@ -335,7 +335,9 @@ proptest! {
         let mut index = FeasibilityIndex::new();
         index.sync(&cluster);
         let driver = request.to_job_spec().driver_pod(None);
-        prop_assert_eq!(index.query(&driver.requests), expected.clone());
+        let mut answer = Vec::new();
+        index.query_into(&driver.requests, &mut answer);
+        prop_assert_eq!(&answer, &expected);
 
         let mut standalone = SchedulingContext::new(&snapshot, &cluster);
         prop_assert_eq!(standalone.feasible_candidates(&request), &expected[..]);
@@ -495,9 +497,9 @@ proptest! {
         }
     }
 
-    /// After any sequence of cluster mutations the incrementally patched
-    /// index is indistinguishable from one built from scratch, and both equal
-    /// the naive scan through the scheduler's filter.
+    /// An index refreshed through a random bind/release/cordon/taint/resize
+    /// history is indistinguishable from a fresh one, and both equal the
+    /// naive scan through the scheduler's filter.
     #[test]
     fn incremental_feasibility_equals_rebuild_and_naive_scan(
         seed in 0u64..1_000_000,
@@ -509,6 +511,7 @@ proptest! {
         let mut index = FeasibilityIndex::new();
         index.sync(&cluster);
         let mut pods = Vec::new();
+        let mut answer = Vec::new();
         for step in 0..steps {
             let name = format!("node-{}", 1 + rng.gen_range_usize(0, cluster.node_count()));
             match rng.gen_range_usize(0, 8) {
@@ -573,20 +576,22 @@ proptest! {
                     ));
                 }
             }
-            // Sync after most steps, skipping some so multi-node patches run.
+            // Sync after most steps, skipping some so one refresh spans
+            // several mutations.
             if rng.gen_range_usize(0, 4) == 0 {
                 continue;
             }
             index.sync(&cluster);
             let mut fresh = FeasibilityIndex::new();
             fresh.sync(&cluster);
-            prop_assert_eq!(index.eligible_count(), fresh.eligible_count());
             for (cpu_millis, mem_gib) in [(0, 0), (500, 1), (2_500, 4), (9_000, 1)] {
                 let request = driver_request(0, cpu_millis, mem_gib);
                 let requests = request.driver_resources();
                 let expected = naive_feasible(&cluster, &request);
-                prop_assert!(index.query(&requests) == expected, "patched, step {}", step);
-                prop_assert!(fresh.query(&requests) == expected, "rebuilt, step {}", step);
+                index.query_into(&requests, &mut answer);
+                prop_assert!(answer == expected, "refreshed, step {}", step);
+                fresh.query_into(&requests, &mut answer);
+                prop_assert!(answer == expected, "fresh, step {}", step);
             }
         }
     }
@@ -833,7 +838,7 @@ fn a_model_at_the_same_address_and_a_recycled_buffer_serve_nothing_stale() {
 }
 
 /// Pruned decision bursts against a published-epoch reader while ingest runs
-/// on another thread, with binds and releases between bursts patching the
+/// on another thread, with binds and releases between bursts refreshing the
 /// feasibility index mid-stream. Every decision must use a whole committed
 /// epoch and see every bind made before it, epochs must advance
 /// monotonically, and the index must be built exactly once — neither an
@@ -896,7 +901,7 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     let published = manager.published_handle();
 
     // The scheduler works on its own view of the cluster so bursts can bind
-    // pods (patching the index) while ingest holds the scraped one.
+    // pods (refreshing the index) while ingest holds the scraped one.
     let mut sched_cluster = cluster.clone();
     let mut service = SchedulerService::new(
         SchedulerConfig {
@@ -981,8 +986,8 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
             trailing = finished;
         }
         ingest.join().expect("ingest thread");
-        // One initial build; every bind, release and epoch since was patched
-        // in or left the index alone.
+        // One initial build; every bind, release and epoch since refreshed the
+        // index in place or left it alone.
         assert_eq!(service.feasibility_rebuilds(), 1);
         observed
     });

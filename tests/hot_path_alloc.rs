@@ -9,7 +9,7 @@
 //! deallocate or reallocate at all — not in telemetry indexing, feasibility
 //! filtering, feature construction, batch inference, ranking, or job/manifest
 //! building. The same holds for a serving loop: with a bind between bursts
-//! (the feasibility index is patched in place) and across a new epoch over an
+//! (the feasibility index is refreshed in place) and across a new epoch over an
 //! unchanged node set (telemetry is re-indexed and diffed into warm buffers,
 //! scoreboards refresh only their dirty rows).
 
@@ -212,6 +212,49 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
 }
 
 #[test]
+fn bursts_alternating_two_driver_sizings_are_allocation_free() {
+    // The feasible set is cached under one (driver sizing, generation) key,
+    // so a burst whose requests alternate two sizings re-queries the
+    // feasibility index for every decision — into the same warm buffer.
+    let (mut cluster, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let mut service = trained_service(&cluster, &published);
+    // One node keeps a single free core: the small driver fits everywhere,
+    // the large one on three nodes, so consecutive answers differ.
+    let hog = cluster.create_pod(
+        PodSpec::new("hog", Resources::from_cores_and_gib(5, 1)),
+        SimTime::ZERO,
+    );
+    cluster.bind_pod(hog, "node-2", SimTime::ZERO).unwrap();
+    const GIB: u64 = 1 << 30;
+    let requests: Vec<JobRequest> = (0..8)
+        .map(|i| request(i).with_driver_resources(if i % 2 == 0 { 500 } else { 2_000 }, GIB))
+        .collect();
+    let now = SimTime::from_secs(3);
+    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+    for _ in 0..3 {
+        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+    }
+
+    arm();
+    for _ in 0..10 {
+        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+    }
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "bursts that re-query the feasible set per decision must be allocation-free \
+         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+    );
+    for (i, decision) in decisions.iter().enumerate() {
+        assert!(decision.used_model);
+        assert_eq!(decision.ranking.len(), if i % 2 == 0 { 4 } else { 3 });
+    }
+    assert_eq!(service.feasibility_rebuilds(), 1);
+}
+
+#[test]
 fn steady_state_pruned_bursts_are_allocation_free() {
     // Two-stage decision path with a candidate budget: the supervised burst
     // prunes through the model-aligned coarse scoreboard (board pool, bounded
@@ -320,7 +363,7 @@ fn steady_state_fallback_burst_is_allocation_free() {
 fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
     // schedule_batch_into → bind → schedule_batch_into, on a held epoch and
     // across a new one, with pruning on: every burst re-keys the decision
-    // view (one feasibility patch per bind; per new epoch one re-index, one
+    // view (one feasibility refresh per bind; per new epoch one re-index, one
     // diff and a dirty-row scoreboard refresh) without touching the heap.
     let (mut cluster, network, mut scrape) = test_world();
     let published = scrape.published_handle();
