@@ -7,14 +7,18 @@
 //!
 //! - method-call candidates must take a `self` receiver and have a body,
 //!   and their `impl` owner type (or the trait the impl implements, for
-//!   dyn dispatch) must be *named* somewhere in the caller's file — an
-//!   import, field, or signature makes every real receiver type visible;
+//!   dyn dispatch) must be *named* somewhere in the non-test code of the
+//!   caller's file — an import, field, or signature makes every real
+//!   receiver type visible;
 //! - `Qualifier::fn` path calls must match the qualifier against the
 //!   candidate's `impl`/trait owner, module file stem, or crate — an
 //!   unmatched qualifier means the call targets external code (no edge);
 //! - `self.method()` narrows to the caller's own `impl` when it matches;
 //! - an edge may not cross from a crate to one it does not depend on, and
 //!   binary-target fns are only callable from their own file.
+//!
+//! A call is a name followed by `(`, or by a balanced turbofish and then
+//! `(` (`walk::<4>(..)`, `.collect::<Vec<_>>()`).
 //!
 //! The same body walk records the panic and blocking call sites the
 //! reachability lints consume.
@@ -153,11 +157,12 @@ fn resolve_file(
     let kind_at = |c: usize| tokens[code[c]].kind;
     let punct_eq = |c: usize, p: &str| kind_at(c) == TokenKind::Punct && text_at(c) == p;
     let ident_eq = |c: usize, name: &str| kind_at(c) == TokenKind::Ident && text_at(c) == name;
-    // Every identifier the file names: the receiver-type visibility set for
-    // the method-call mention filter.
+    // Every identifier the file's non-test code names: the receiver-type
+    // visibility set for the method-call mention filter (callers are never
+    // test fns, so a type only a test names is no receiver of theirs).
     let mentions: std::collections::BTreeSet<&str> = code
         .iter()
-        .filter(|&&i| tokens[i].kind == TokenKind::Ident)
+        .filter(|&&i| tokens[i].kind == TokenKind::Ident && !file.scopes.in_test[i])
         .map(|&i| tokens[i].text(src))
         .collect();
     let mentioned = |f: &FnItem| {
@@ -165,6 +170,32 @@ fn resolve_file(
             || f.trait_name
                 .as_deref()
                 .is_some_and(|t| mentions.contains(t))
+    };
+    // Where the callee name at `c` ends: past a balanced turbofish
+    // (`walk::<4>(`, `.collect::<Vec<_>>(`) when one follows, so explicit
+    // generic arguments do not hide a call. An arrow's `>` closes nothing.
+    let name_end = |c: usize| {
+        let turbofish = c + 3 < code.len()
+            && punct_eq(c + 1, ":")
+            && punct_eq(c + 2, ":")
+            && punct_eq(c + 3, "<");
+        if !turbofish {
+            return c;
+        }
+        let mut depth = 0usize;
+        for d in c + 3..code.len() {
+            if punct_eq(d, "<") {
+                depth += 1;
+            } else if punct_eq(d, ">") && !punct_eq(d - 1, "-") {
+                depth -= 1;
+                if depth == 0 {
+                    return d;
+                }
+            } else if punct_eq(d, ";") {
+                break;
+            }
+        }
+        c
     };
 
     for c in 0..code.len() {
@@ -185,7 +216,8 @@ fn resolve_file(
         let text = tokens[idx].text(src);
         let line = tokens[idx].line;
         let prev_is_dot = c > 0 && punct_eq(c - 1, ".");
-        let next_is_paren = c + 1 < code.len() && punct_eq(c + 1, "(");
+        let end = name_end(c);
+        let next_is_paren = end + 1 < code.len() && punct_eq(end + 1, "(");
         let next_is_bang = c + 1 < code.len() && punct_eq(c + 1, "!");
 
         // --- site collection ----------------------------------------------
@@ -498,6 +530,26 @@ mod tests {
             "fn top() { println!(\"{}\", compute()); assert_eq!(compute(), 1); } fn compute() -> u32 { 1 }",
         )]);
         assert_eq!(edge_specs(&index, &graph, "top"), vec!["src/a.rs::compute"]);
+    }
+
+    #[test]
+    fn types_only_tests_name_are_no_receivers() {
+        let (_, index, graph) = workspace(&[
+            (
+                "src/a.rs",
+                "fn top(v: &mut Vec<u32>) { v.push(1); }\n\
+                 #[cfg(test)] mod tests { fn t() { Data::default(); } }",
+            ),
+            (
+                "src/data.rs",
+                "impl Data { fn push(&mut self, x: u32) {} }\n\
+                 impl Other { fn push(&mut self, x: u32) {} }",
+            ),
+        ]);
+        // `push` is shared, so a candidate's owner must be named; `Data` is
+        // named only inside the test module, so `v.push` has no edge.
+        let top = index.find_spec("top")[0];
+        assert!(graph.edges(top).is_empty());
     }
 
     #[test]

@@ -103,6 +103,23 @@ fn resolves_the_exact_expected_edges() {
     );
 }
 
+#[test]
+fn turbofish_calls_are_edges() {
+    let ws = workspace();
+    // A balanced `::<…>` between the name and `(` is skipped for path,
+    // method and bare calls alike — const generics, nested `>>` and an
+    // arrow's `>` included.
+    assert_eq!(
+        edges_of(&ws, "graph/turbofish.rs::run"),
+        vec![
+            ("Kernel::walk".to_string(), false),
+            ("Kernel::fold".to_string(), false),
+            ("spread".to_string(), false),
+            ("apply".to_string(), false),
+        ]
+    );
+}
+
 fn run_check() -> Vec<Finding> {
     engine::check(&fixtures_root(), &graph_config(), &BTreeSet::new())
         .expect("fixture scan succeeds")

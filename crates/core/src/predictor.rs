@@ -179,7 +179,8 @@ impl CompletionTimePredictor {
     }
 
     /// Predict the completion time (seconds) of `job` if its driver were
-    /// placed on `candidate_node`. Predictions are clamped to be non-negative.
+    /// placed on `candidate_node`. Negative predictions are clamped to 0; a
+    /// NaN stays NaN, so the ranking puts that node last.
     pub fn predict(
         &self,
         snapshot: &ClusterSnapshot,
@@ -192,17 +193,17 @@ impl CompletionTimePredictor {
 
     /// Predict directly from an already constructed feature vector.
     pub fn predict_from_features(&self, features: &FeatureVector) -> f64 {
-        self.model.predict_row(features).max(0.0)
+        clamp_non_negative(self.model.predict_row(features))
     }
 
     /// Batch inference: predict one completion time per row of `features`
-    /// into a reused output buffer (cleared and refilled), clamped
-    /// non-negative. One call walks the whole candidate batch through the
-    /// model's flat trees-outer kernels.
+    /// into a reused output buffer (cleared and refilled), negatives clamped
+    /// to 0 and NaN kept. One call walks the whole candidate batch through the
+    /// model's flat-tree kernels.
     pub fn predict_batch_into(&self, features: &FeatureMatrix, out: &mut Vec<f64>) {
         self.model.predict_into(features, out);
         for v in out.iter_mut() {
-            *v = v.max(0.0);
+            *v = clamp_non_negative(*v);
         }
     }
 
@@ -246,6 +247,18 @@ impl CompletionTimePredictor {
     /// cannot smuggle in a mismatched pair.
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+}
+
+/// A completion time can't be negative, so negative predictions become 0. A
+/// NaN prediction (a model fed a NaN telemetry value) stays NaN: `f64::max`
+/// would turn it into 0 s, the best score in the cluster, while NaN ranks
+/// after every number in `DecisionModule::rank_into`.
+fn clamp_non_negative(v: f64) -> f64 {
+    if v.is_nan() {
+        v
+    } else {
+        v.max(0.0)
     }
 }
 

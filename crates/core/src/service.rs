@@ -517,6 +517,44 @@ mod tests {
     }
 
     #[test]
+    fn a_node_whose_prediction_is_nan_is_never_the_best() {
+        let (cluster, _network, _scrape, published) = test_world();
+        let predictor = trained_predictor(&cluster, &published);
+        // Republish the scraped round with node-3's load unreadable: the
+        // linear model predicts NaN there, which must rank last, not as 0 s.
+        let scraped = published.latest().unwrap().snapshot;
+        let mut publisher = telemetry::SnapshotPublisher::new();
+        publisher.publish_with(|snap| {
+            snap.clone_from(&scraped);
+            snap.node_mut("node-3").unwrap().cpu_load = f64::NAN;
+        });
+        let poisoned = publisher.handle();
+        let mut service =
+            SchedulerService::with_predictor(SchedulerConfig::default(), predictor, 7);
+        let now = SimTime::from_secs(2);
+        let single = service.schedule(&request(0), &poisoned, &cluster, now);
+        let mut batch = Vec::new();
+        service.schedule_batch_into(
+            &[request(1), request(2)],
+            &poisoned,
+            &cluster,
+            now,
+            &mut batch,
+        );
+        for decision in batch.iter().chain([&single]) {
+            assert!(decision.used_model);
+            assert_eq!(decision.ranking.len(), 4);
+            assert_ne!(decision.ranking.best_name(&cluster), Some("node-3"));
+            let last = decision.ranking.ranked.last().unwrap();
+            assert_eq!(cluster.node_name(last.node), "node-3");
+            assert!(last.predicted_seconds.is_nan());
+            assert!(decision.ranking.ranked[..3]
+                .iter()
+                .all(|r| r.predicted_seconds.is_finite()));
+        }
+    }
+
+    #[test]
     fn schedule_batch_matches_sequential_decisions() {
         let (cluster, _network, _scrape, published) = test_world();
         let requests: Vec<JobRequest> = (0..5).map(request).collect();

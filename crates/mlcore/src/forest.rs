@@ -146,12 +146,11 @@ impl RandomForest {
     ///
     /// Batch accumulation with interleaved row walks: a decision-sized batch
     /// (≤ [`FlatTree::BLOCK`] rows — the scheduler's candidate set) fetches
-    /// its row slices once and streams every tree through them, so the
-    /// ensemble's node arrays are read exactly once per decision with up to
-    /// a block's worth of dependent-load chains in flight; larger matrices
-    /// run trees-outer over interleaved blocks. Additions happen in the same
-    /// tree order as [`RandomForest::predict_row`], so results are
-    /// bit-identical.
+    /// its row slices once and walks the trees through them four at a time,
+    /// so each tree's nodes are read once per decision with four trees × the
+    /// batch's rows of dependent-load chains in flight; larger matrices run
+    /// trees-outer over interleaved blocks. Additions happen in the same tree
+    /// order as [`RandomForest::predict_row`], so results are bit-identical.
     pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.n_rows(), 0.0);

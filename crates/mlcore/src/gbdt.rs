@@ -207,8 +207,8 @@ impl GradientBoosting {
     /// Batch accumulation in the same round order as
     /// [`GradientBoosting::predict_row`], so results are bit-identical:
     /// decision-sized batches (≤ [`FlatTree::BLOCK`] rows) fetch their row
-    /// slices once and stream every round's tree through them with
-    /// interleaved walks; larger matrices run trees-outer over blocks.
+    /// slices once and walk the rounds' trees through them four at a time;
+    /// larger matrices run trees-outer over interleaved blocks.
     pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.n_rows(), self.base_prediction);

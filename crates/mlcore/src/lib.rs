@@ -14,7 +14,7 @@
 //!   equations with Gaussian elimination and optional standardization.
 //! * [`tree`] — CART regression trees (variance-reduction splits, depth and
 //!   leaf-size controls, optional per-split feature subsampling), stored as
-//!   flat struct-of-arrays [`tree::FlatTree`]s with batch-prediction kernels.
+//!   flat level-order [`tree::FlatTree`]s with batch-prediction kernels.
 //! * [`forest`] — random forests: bootstrap aggregation of CART trees with
 //!   feature subsampling, trained in parallel with deterministic per-tree
 //!   seeds, plus impurity-based feature importance.

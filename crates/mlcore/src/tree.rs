@@ -1,4 +1,4 @@
-//! CART regression trees over flat, struct-of-arrays storage.
+//! CART regression trees over flat, level-order storage.
 //!
 //! Splits minimize the weighted variance of the two children (equivalently,
 //! maximize variance reduction). Candidate thresholds are midpoints between
@@ -6,16 +6,25 @@
 //! support depth / leaf-size limits and per-split feature subsampling (used by
 //! the random forest).
 //!
-//! A fitted tree is stored as a [`FlatTree`]: index-parallel `feature` /
-//! `threshold` / child-index arrays with leaves encoded by the index tag of
-//! their child pair (a self-loop) instead of an enum discriminant.
-//! Prediction walks flat arrays with no pointer-chasing or per-node branch
-//! on a discriminant; the batch kernels ([`FlatTree::accumulate_block`] /
-//! [`FlatTree::accumulate_ensemble`]) run a branchless fixed-depth walk over
-//! interleaved row blocks so a whole candidate batch streams through each
-//! tree's nodes while they are hot in cache (the trees-outer loop the forest
-//! and GBDT use). Serialization keeps the canonical nested node form
-//! ([`TreeNode`], validated on load) and re-flattens on deserialize.
+//! A fitted tree is stored as a [`FlatTree`]: one array of 16-byte nodes
+//! (`threshold`, `feature`, `left`) laid out breadth-first from the root at
+//! index 0, a split's two children side by side at `left` and `left + 1`, so
+//! one walk step is one node load and `left + !(row[feature] <= threshold)`.
+//! A leaf stores `threshold = NaN` and `left = i − 1`: the comparison fails
+//! for every row, NaN features included, and the step lands back on the leaf,
+//! so the walk self-loops there instead of branching on a discriminant.
+//!
+//! One kernel walks `G` trees × up to [`FlatTree::BLOCK`] rows for a fixed
+//! `depth` passes. [`FlatTree::accumulate_block`] is `G = 1`, the
+//! trees-outer loop large matrices take; [`FlatTree::accumulate_ensemble`]
+//! walks a decision-sized batch four trees at a time, because one tree over
+//! the scheduler's six candidate rows leaves only six dependent-load chains
+//! in flight (4, 6 and 8 trees measured the same). Both add leaf values in
+//! tree order, so batch predictions are bit-identical to `predict_row`.
+//!
+//! Serialization keeps the canonical preorder node form ([`TreeNode`],
+//! validated on load). Fitting builds that same form, and both flatten it
+//! through [`FlatTree::from_nodes`]' breadth-first pass.
 
 use crate::data::{Dataset, FeatureMatrix};
 use serde::{Deserialize, Serialize};
@@ -72,25 +81,45 @@ pub enum TreeNode {
     },
 }
 
-/// A fitted regression tree in struct-of-arrays form.
+/// One node of a [`FlatTree`]: 16 bytes, so four share a cache line. A split
+/// sends a row to `left` when `row[feature] <= threshold` and to `left + 1`
+/// otherwise. A leaf at index `i` holds `threshold = NaN`, `feature = 0` and
+/// `left = i − 1` (wrapping, so a root leaf stores `u32::MAX`): the same
+/// step lands back on `i`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    threshold: f64,
+    feature: u32,
+    left: u32,
+}
+
+/// Threshold bits, not `==`: every leaf holds a NaN threshold, and a tree
+/// must equal itself.
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        self.threshold.to_bits() == other.threshold.to_bits()
+            && self.feature == other.feature
+            && self.left == other.left
+    }
+}
+
+/// A fitted regression tree: one level-order array of 16-byte nodes.
 ///
-/// All nodes live in index-parallel arrays: node `i` tests
-/// `row[feature[i]] <= threshold[i]` and continues at `children[i][0]`
-/// (`<=`) or `children[i][1]` (`>`). Leaves are encoded by the index tag of
-/// their child pair — a node whose children point back to itself — instead
-/// of an enum discriminant, so the batch walk needs no per-step "is this a
-/// leaf?" branch: a cursor that reaches a leaf simply self-loops (the leaf
-/// carries `feature = 0`, `threshold = +∞`, so the comparison stays
-/// in-bounds and always picks the self edge) while the other rows of its
-/// block finish, and the walk runs a fixed `depth` passes.
+/// The root is node 0 and nodes follow breadth-first, so the levels every row
+/// walks first share the front of the array, and a split's two children sit
+/// side by side at `left` and `left + 1`. One walk step is one node load:
+/// `left + !(row[feature] <= threshold)`. A leaf's step lands back on the leaf
+/// (`threshold = NaN` fails every comparison, NaN feature values included, and
+/// `left = i − 1`), so the batch walk needs no per-step "is this a leaf?"
+/// branch: a cursor that reaches a leaf self-loops while the other cursors of
+/// its block finish, and the walk runs a fixed `depth` passes. `value`,
+/// `samples` and `leaf` are index-parallel to `nodes` and off the walk: the
+/// batch walk reads `value` once per (tree, row) at the end, and the scalar
+/// walk and the canonical form read `leaf`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlatTree {
-    /// Index of the root node.
-    root: u32,
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    /// Child index pair per node: `[<=, >]`; leaves self-loop.
-    children: Vec<[u32; 2]>,
+    /// The walk storage, breadth-first from the root at index 0.
+    nodes: Vec<Node>,
     /// Leaf prediction per node (0 for splits).
     value: Vec<f64>,
     /// Training samples that reached each node (canonical-form round-trip).
@@ -107,14 +136,20 @@ impl FlatTree {
     /// pass count cannot degenerate to the sample count.
     const MAX_FIXED_PASSES: u32 = 64;
 
+    /// Trees walked together by the decision-sized branch of
+    /// `accumulate_ensemble`. One tree over the scheduler's six candidate rows
+    /// is six dependent-load chains, too few to hide a cache miss per level;
+    /// four trees make 24. Groups of 4, 6 and 8 measured the same.
+    const GROUP: usize = 4;
+
     /// True when the tree holds no nodes at all (never fitted).
     pub fn is_empty(&self) -> bool {
-        self.feature.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Number of nodes (splits + leaves).
     pub fn node_count(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
     /// Number of leaves.
@@ -122,62 +157,18 @@ impl FlatTree {
         self.leaf.iter().filter(|&&l| l).count()
     }
 
-    /// Append a leaf (self-looping children), returning its index.
-    fn push_leaf(&mut self, prediction: f64, samples: usize) -> u32 {
-        let idx = self.feature.len() as u32;
-        self.feature.push(0);
-        self.threshold.push(f64::INFINITY);
-        self.children.push([idx, idx]);
-        self.value.push(prediction);
-        self.samples.push(samples as u32);
-        self.leaf.push(true);
-        idx
-    }
-
-    /// Reserve a split slot (feature/threshold/children patched later),
-    /// returning its index.
-    fn push_split_slot(&mut self, samples: usize) -> u32 {
-        let idx = self.feature.len() as u32;
-        self.feature.push(0);
-        self.threshold.push(0.0);
-        self.children.push([0, 0]);
-        self.value.push(0.0);
-        self.samples.push(samples as u32);
-        self.leaf.push(false);
-        idx
-    }
-
-    /// Recompute the cached max depth after the structure is in place
-    /// (iterative, so pathologically deep chains cannot overflow the stack).
-    fn finalize_depth(&mut self) {
-        if self.is_empty() {
-            self.depth = 0;
-            return;
-        }
-        let mut max = 0u32;
-        let mut stack: Vec<(u32, u32)> = vec![(self.root, 0)];
-        while let Some((cursor, depth)) = stack.pop() {
-            let i = cursor as usize;
-            if self.leaf[i] {
-                max = max.max(depth);
-                continue;
-            }
-            let [l, r] = self.children[i];
-            stack.push((l, depth + 1));
-            stack.push((r, depth + 1));
-        }
-        self.depth = max;
-    }
-
-    /// One walk step's child index: 0 for `value <= threshold`, 1 otherwise.
-    /// The negated `<=` (rather than `>`) is load-bearing: a NaN feature
-    /// value fails `<=` and must go right, exactly as the historical enum
-    /// walk's `if v <= t { left } else { right }` did.
+    /// One walk step from node `i`: `left` for `value <= threshold`, `left + 1`
+    /// otherwise. The negated `<=` (rather than `>`) is load-bearing: a NaN
+    /// feature value fails `<=` and must go right, exactly as the historical
+    /// enum walk's `if v <= t { left } else { right }` did; a leaf's NaN
+    /// threshold fails it for every row. Wrapping, because a root leaf's
+    /// `left` is `u32::MAX`.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     #[inline(always)]
-    fn step(&self, i: usize, row: &[f64]) -> u32 {
-        let dir = usize::from(!(row[self.feature[i] as usize] <= self.threshold[i]));
-        self.children[i][dir]
+    fn step(&self, i: u32, row: &[f64]) -> u32 {
+        let node = &self.nodes[i as usize];
+        let right = !(row[node.feature as usize] <= node.threshold);
+        node.left.wrapping_add(u32::from(right))
     }
 
     /// Predict the target for one full-width row.
@@ -190,11 +181,11 @@ impl FlatTree {
         if self.is_empty() {
             return 0.0;
         }
-        let mut i = self.root as usize;
-        while !self.leaf[i] {
-            i = self.step(i, row) as usize;
+        let mut i = 0;
+        while !self.leaf[i as usize] {
+            i = self.step(i, row);
         }
-        self.value[i]
+        self.value[i as usize]
     }
 
     /// Rows walked simultaneously by the batch kernels. A scalar tree walk
@@ -204,14 +195,49 @@ impl FlatTree {
     /// memory requests — in flight at once.
     pub const BLOCK: usize = 16;
 
+    /// The one walk kernel: up to [`Self::BLOCK`] rows through `G` trees at
+    /// once, returning the leaf each (tree, row) pair ends on. Every pass
+    /// advances every cursor of every tree by one level, so a pass holds
+    /// `G × rows` independent dependent-load chains and its inner loop has no
+    /// data-dependent branch; the walk runs the group's deepest tree's `depth`
+    /// passes (shallower trees' cursors self-loop on their leaves). A group
+    /// holding a chain deeper than `MAX_FIXED_PASSES` walks each tree with an
+    /// early exit instead. Trees must be non-empty.
+    fn walk<const G: usize>(trees: [&FlatTree; G], rows: &[&[f64]]) -> [[u32; Self::BLOCK]; G] {
+        let mut cursors = [[0u32; Self::BLOCK]; G];
+        let passes = trees.iter().map(|tree| tree.depth).fold(0, u32::max);
+        if passes <= Self::MAX_FIXED_PASSES {
+            for _ in 0..passes {
+                for (tree, cursors) in trees.iter().zip(&mut cursors) {
+                    for (cursor, row) in cursors.iter_mut().zip(rows) {
+                        *cursor = tree.step(*cursor, row);
+                    }
+                }
+            }
+        } else {
+            for (tree, cursors) in trees.iter().zip(&mut cursors) {
+                loop {
+                    let mut pending = false;
+                    for (cursor, row) in cursors.iter_mut().zip(rows) {
+                        if !tree.leaf[*cursor as usize] {
+                            *cursor = tree.step(*cursor, row);
+                            pending = true;
+                        }
+                    }
+                    if !pending {
+                        break;
+                    }
+                }
+            }
+        }
+        cursors
+    }
+
     /// Walk one block of up to [`Self::BLOCK`] rows through the tree,
     /// accumulating `scale * prediction` into `out[k]` for row `rows[k]`.
     /// The rows' walk cursors advance level-by-level in an interleaved loop,
     /// so the per-row dependent-load chains overlap. Per-row results are
     /// bit-identical to `out[k] += scale * self.predict_row(rows[k])`.
-    ///
-    /// Callers that predict a whole ensemble over one decision batch fetch
-    /// the row slices once and reuse them across every tree.
     ///
     /// # Panics
     /// Panics when `rows.len() > BLOCK` or `out.len() != rows.len()`.
@@ -221,44 +247,18 @@ impl FlatTree {
         if self.is_empty() {
             return;
         }
-        let len = rows.len();
-        let mut cursors = [self.root; Self::BLOCK];
-        if self.depth <= Self::MAX_FIXED_PASSES {
-            // Branchless fixed-pass walk: every pass advances every cursor
-            // (leaves self-loop), so the inner loop has no data-dependent
-            // branch at all — just interleaved loads and selects.
-            for _ in 0..self.depth {
-                for k in 0..len {
-                    cursors[k] = self.step(cursors[k] as usize, rows[k]);
-                }
-            }
-        } else {
-            // Pathologically deep chain: early-exit walk.
-            loop {
-                let mut pending = false;
-                for k in 0..len {
-                    let i = cursors[k] as usize;
-                    if !self.leaf[i] {
-                        cursors[k] = self.step(i, rows[k]);
-                        pending = true;
-                    }
-                }
-                if !pending {
-                    break;
-                }
-            }
-        }
-        for (slot, &c) in out.iter_mut().zip(&cursors) {
-            *slot += scale * self.value[c as usize];
+        let [leaves] = Self::walk([self], rows);
+        for (slot, &leaf) in out.iter_mut().zip(&leaves) {
+            *slot += scale * self.value[leaf as usize];
         }
     }
 
     /// Walk every row of `x` through the tree, accumulating `scale *
     /// prediction` into `out` (one slot per row). This is the trees-outer
     /// batch kernel for large matrices: the caller loops over trees, so each
-    /// tree's node arrays stay hot in cache while the whole matrix streams
-    /// through them, block by interleaved block. Per-row results are
-    /// bit-identical to `out[i] += scale * self.predict_row(x.row(i))`.
+    /// tree's nodes stay hot in cache while the whole matrix streams through
+    /// them, block by interleaved block. Per-row results are bit-identical to
+    /// `out[i] += scale * self.predict_row(x.row(i))`.
     ///
     /// # Panics
     /// Panics when `out.len() != x.n_rows()`.
@@ -284,10 +284,11 @@ impl FlatTree {
     /// Accumulate a whole ensemble of `(tree, scale)` pairs over `x` into
     /// `out`, allocation-free. A decision-sized batch (≤ [`Self::BLOCK`]
     /// rows — the scheduler's candidate set) fetches its row slices into a
-    /// stack array once and streams every tree through them; larger matrices
-    /// run trees-outer over interleaved blocks. Per-row results are
-    /// bit-identical to accumulating `scale * tree.predict_row(row)` in the
-    /// same tree order.
+    /// stack array once and walks the trees four at a time through them
+    /// (a 1–3-tree tail one at a time), adding each group's leaf values row by
+    /// row in tree order; larger matrices run trees-outer over interleaved
+    /// blocks. Either way per-row results are bit-identical to accumulating
+    /// `scale * tree.predict_row(row)` in the same tree order.
     ///
     /// # Panics
     /// Panics when `out.len() != x.n_rows()`.
@@ -298,53 +299,66 @@ impl FlatTree {
     ) {
         assert_eq!(out.len(), x.n_rows(), "one accumulator slot per row");
         let n = x.n_rows();
-        if n <= Self::BLOCK {
-            let empty: &[f64] = &[];
-            let mut rows: [&[f64]; Self::BLOCK] = [empty; Self::BLOCK];
-            for (k, slot) in rows.iter_mut().enumerate().take(n) {
-                *slot = x.row(k);
-            }
-            for (tree, scale) in trees {
-                tree.accumulate_block(&rows[..n], scale, out);
-            }
-        } else {
+        if n > Self::BLOCK {
             for (tree, scale) in trees {
                 tree.accumulate_into(x, scale, out);
+            }
+            return;
+        }
+        let empty: &[f64] = &[];
+        let mut rows: [&[f64]; Self::BLOCK] = [empty; Self::BLOCK];
+        for (k, slot) in rows.iter_mut().enumerate().take(n) {
+            *slot = x.row(k);
+        }
+        let rows = &rows[..n];
+        // An empty tree adds nothing (as in `accumulate_block`) and has no
+        // node 0 to walk.
+        let mut trees = trees.filter(|(tree, _)| !tree.is_empty());
+        while let Some(first) = trees.next() {
+            let mut group = [first; Self::GROUP];
+            let mut len = 1;
+            while len < Self::GROUP {
+                let Some(next) = trees.next() else { break };
+                group[len] = next;
+                len += 1;
+            }
+            if len < Self::GROUP {
+                for &(tree, scale) in &group[..len] {
+                    tree.accumulate_block(rows, scale, out);
+                }
+                break;
+            }
+            let leaves = Self::walk(group.map(|(tree, _)| tree), rows);
+            for (k, slot) in out.iter_mut().enumerate() {
+                for (&(tree, scale), leaves) in group.iter().zip(&leaves) {
+                    *slot += scale * tree.value[leaves[k] as usize];
+                }
             }
         }
     }
 
     /// Render the canonical nested node list (preorder: parent, left subtree,
-    /// right subtree — the order the recursive builder historically
-    /// produced). Iterative (explicit stacks), so an arbitrarily deep chain
-    /// serializes without recursing once per level.
+    /// right subtree — the order the recursive builder emits). Iterative, so
+    /// an arbitrarily deep chain serializes without recursing once per level.
     pub fn to_nodes(&self) -> Vec<TreeNode> {
         if self.is_empty() {
             return Vec::new();
         }
-        // Pass 1: subtree sizes, iterative post-order.
+        // Subtree sizes in one reverse pass: level order puts every child
+        // after its parent.
         let n = self.node_count();
-        let mut size = vec![0usize; n];
-        let mut stack: Vec<(usize, bool)> = vec![(self.root as usize, false)];
-        while let Some((i, expanded)) = stack.pop() {
-            if self.leaf[i] {
-                size[i] = 1;
-                continue;
-            }
-            let [l, r] = self.children[i];
-            if expanded {
-                size[i] = 1 + size[l as usize] + size[r as usize];
-            } else {
-                stack.push((i, true));
-                stack.push((l as usize, false));
-                stack.push((r as usize, false));
+        let mut size = vec![1usize; n];
+        for i in (0..n).rev() {
+            if !self.leaf[i] {
+                let left = self.nodes[i].left as usize;
+                size[i] = 1 + size[left] + size[left + 1];
             }
         }
-        // Pass 2: preorder emit; a split's left child is the next emitted
-        // node, its right child follows the whole left subtree.
+        // Preorder emit; a split's left child is the next emitted node, its
+        // right child follows the whole left subtree.
         let mut out = Vec::with_capacity(n);
-        let mut walk: Vec<usize> = vec![self.root as usize];
-        while let Some(i) = walk.pop() {
+        let mut stack: Vec<usize> = vec![0];
+        while let Some(i) = stack.pop() {
             if self.leaf[i] {
                 out.push(TreeNode::Leaf {
                     prediction: self.value[i],
@@ -352,45 +366,78 @@ impl FlatTree {
                 });
                 continue;
             }
-            let [l, r] = self.children[i];
+            let node = self.nodes[i];
+            let left = node.left as usize;
             let idx = out.len();
             out.push(TreeNode::Split {
-                feature: self.feature[i] as usize,
-                threshold: self.threshold[i],
+                feature: node.feature as usize,
+                threshold: node.threshold,
                 left: idx + 1,
-                right: idx + 1 + size[l as usize],
+                right: idx + 1 + size[left],
                 samples: self.samples[i] as usize,
             });
-            walk.push(r as usize);
-            walk.push(l as usize);
+            stack.push(left + 1);
+            stack.push(left);
         }
         out
     }
 
-    /// Rebuild a flat tree from the canonical nested node list. Iterative
-    /// (explicit stack), so a hostile or pathologically deep archive returns
-    /// an error or a tree — never a stack overflow. Out-of-bounds child
-    /// indices and cycles are rejected.
+    /// Rebuild a flat tree from the canonical nested node list. Every child
+    /// index must be in bounds and claimed by at most one parent, and none
+    /// may point at the root: then what hangs off the root is a tree (no
+    /// cycle, no shared subtree), and a hostile or pathologically deep
+    /// archive returns an error or a tree — never a stack overflow or a walk
+    /// that does not end.
     pub fn from_nodes(nodes: &[TreeNode]) -> Result<FlatTree, String> {
+        let mut claimed = vec![false; nodes.len()];
+        if let Some(root) = claimed.first_mut() {
+            *root = true;
+        }
+        for node in nodes {
+            if let TreeNode::Split { left, right, .. } = *node {
+                for child in [left, right] {
+                    let slot = claimed
+                        .get_mut(child)
+                        .ok_or_else(|| format!("node index {child} out of bounds"))?;
+                    if std::mem::replace(slot, true) {
+                        return Err(format!(
+                            "node index {child} is claimed twice (cycle or shared subtree)"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(Self::level_order(nodes))
+    }
+
+    /// The breadth-first pass behind [`Self::from_nodes`] and
+    /// [`DecisionTree::fit`]: flat node `i` is the `i`-th canonical node
+    /// dequeued, and a split's children are enqueued as a pair, so they land
+    /// side by side. `nodes` must form a tree from index 0 (the builder's own
+    /// output, or a list `from_nodes` validated).
+    fn level_order(nodes: &[TreeNode]) -> FlatTree {
         let mut tree = FlatTree::default();
         if nodes.is_empty() {
-            return Ok(tree);
+            return tree;
         }
-        let mut visited = vec![false; nodes.len()];
-        // (canonical index, link to patch: (parent slot, child position)).
-        let mut stack: Vec<(usize, Option<(u32, usize)>)> = vec![(0, None)];
-        while let Some((idx, link)) = stack.pop() {
-            let node = nodes
-                .get(idx)
-                .ok_or_else(|| format!("node index {idx} out of bounds"))?;
-            if std::mem::replace(&mut visited[idx], true) {
-                return Err(format!("node index {idx} visited twice (cycle)"));
-            }
-            let slot = match *node {
+        // (canonical index, depth) of each flat node, in flat order.
+        let mut order: Vec<(usize, u32)> = Vec::with_capacity(nodes.len());
+        order.push((0, 0));
+        let mut i = 0;
+        while let Some(&(idx, depth)) = order.get(i) {
+            let (node, value, samples, is_leaf) = match nodes[idx] {
                 TreeNode::Leaf {
                     prediction,
                     samples,
-                } => tree.push_leaf(prediction, samples),
+                } => {
+                    tree.depth = tree.depth.max(depth);
+                    let leaf = Node {
+                        threshold: f64::NAN,
+                        feature: 0,
+                        left: (i as u32).wrapping_sub(1),
+                    };
+                    (leaf, prediction, samples, true)
+                }
                 TreeNode::Split {
                     feature,
                     threshold,
@@ -398,35 +445,39 @@ impl FlatTree {
                     right,
                     samples,
                 } => {
-                    let slot = tree.push_split_slot(samples);
-                    tree.feature[slot as usize] = feature as u32;
-                    tree.threshold[slot as usize] = threshold;
-                    // LIFO: push right first so the left subtree flattens
-                    // first — the builder's historical preorder.
-                    stack.push((right, Some((slot, 1))));
-                    stack.push((left, Some((slot, 0))));
-                    slot
+                    let split = Node {
+                        threshold,
+                        feature: feature as u32,
+                        left: order.len() as u32,
+                    };
+                    order.push((left, depth + 1));
+                    order.push((right, depth + 1));
+                    (split, 0.0, samples, false)
                 }
             };
-            match link {
-                None => tree.root = slot,
-                Some((parent, pos)) => tree.children[parent as usize][pos] = slot,
-            }
+            tree.nodes.push(node);
+            tree.value.push(value);
+            tree.samples.push(samples as u32);
+            tree.leaf.push(is_leaf);
+            i += 1;
         }
-        tree.finalize_depth();
-        Ok(tree)
+        tree
+    }
+
+    /// The split (non-leaf) nodes, in level order.
+    fn split_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
+        self.nodes
+            .iter()
+            .zip(&self.leaf)
+            .filter(|&(_, &is_leaf)| !is_leaf)
+            .map(|(node, _)| node)
     }
 
     /// The largest feature index any split tests, or `None` for a tree with
     /// no splits. Deserialization checks this against the declared feature
     /// count so a loaded archive cannot panic the prediction walk.
     pub fn max_split_feature(&self) -> Option<u32> {
-        self.feature
-            .iter()
-            .zip(&self.leaf)
-            .filter(|&(_, &is_leaf)| !is_leaf)
-            .map(|(&f, _)| f)
-            .max()
+        self.split_nodes().map(|node| node.feature).max()
     }
 
     /// Depth of the tree (0 for a single leaf or an empty tree).
@@ -434,13 +485,12 @@ impl FlatTree {
         self.depth as usize
     }
 
-    /// Iterate `(feature, threshold)` over the split (non-leaf) nodes. Two
-    /// rows on the same side of every split's threshold walk identical paths
-    /// and receive identical predictions.
+    /// Iterate `(feature, threshold)` over the split (non-leaf) nodes, in
+    /// level order. Two rows on the same side of every split's threshold walk
+    /// identical paths and receive identical predictions.
     pub fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        (0..self.feature.len())
-            .filter(|&i| !self.leaf[i])
-            .map(|i| (self.feature[i] as usize, self.threshold[i]))
+        self.split_nodes()
+            .map(|node| (node.feature as usize, node.threshold))
     }
 }
 
@@ -563,7 +613,7 @@ impl DecisionTree {
         self.n_features
     }
 
-    /// The flat struct-of-arrays representation.
+    /// The flat, level-order representation.
     pub fn flat(&self) -> &FlatTree {
         &self.tree
     }
@@ -606,37 +656,43 @@ impl DecisionTree {
         rng: &mut Rng,
     ) {
         self.n_features = x.n_features();
-        self.tree = FlatTree::default();
         self.feature_importance = vec![0.0; self.n_features];
+        // The builder emits the canonical preorder form; the flat tree is its
+        // level-order flattening, exactly as a deserialized archive's.
+        let mut nodes = Vec::new();
         if indices.is_empty() || x.is_empty() {
             let mean = if targets.is_empty() {
                 0.0
             } else {
                 targets.iter().sum::<f64>() / targets.len() as f64
             };
-            self.tree.root = self.tree.push_leaf(mean, 0);
-            self.fitted = true;
-            return;
+            nodes.push(TreeNode::Leaf {
+                prediction: mean,
+                samples: 0,
+            });
+        } else {
+            let ctx = BuildCtx {
+                x,
+                targets,
+                config: self.config,
+            };
+            let mut idx = indices.to_vec();
+            self.build_node(&ctx, &mut idx, 0, rng, &mut nodes);
         }
-        let ctx = BuildCtx {
-            x,
-            targets,
-            config: self.config,
-        };
-        let mut idx = indices.to_vec();
-        self.tree.root = self.build_node(&ctx, &mut idx, 0, rng);
-        self.tree.finalize_depth();
+        self.tree = FlatTree::level_order(&nodes);
         self.fitted = true;
     }
 
-    /// Recursively build a node over `indices`, returning its flat cursor.
+    /// Recursively build the subtree over `indices`, appending it to `nodes`
+    /// in preorder (parent, left subtree, right subtree).
     fn build_node(
         &mut self,
         ctx: &BuildCtx<'_>,
         indices: &mut [usize],
         depth: usize,
         rng: &mut Rng,
-    ) -> u32 {
+        nodes: &mut Vec<TreeNode>,
+    ) {
         let n = indices.len();
         let (sum, sum_sq) = indices.iter().fold((0.0, 0.0), |(s, ss), &i| {
             let y = ctx.targets[i];
@@ -645,8 +701,13 @@ impl DecisionTree {
         let mean = sum / n as f64;
         let variance = (sum_sq / n as f64 - mean * mean).max(0.0);
 
+        let leaf = TreeNode::Leaf {
+            prediction: mean,
+            samples: n,
+        };
         if depth >= ctx.config.max_depth || n < ctx.config.min_samples_split || variance < 1e-12 {
-            return self.tree.push_leaf(mean, n);
+            nodes.push(leaf);
+            return;
         }
 
         // Candidate features for this split.
@@ -699,7 +760,8 @@ impl DecisionTree {
         }
 
         let Some((feature, threshold, reduction)) = best else {
-            return self.tree.push_leaf(mean, n);
+            nodes.push(leaf);
+            return;
         };
         self.feature_importance[feature] += reduction;
 
@@ -714,16 +776,23 @@ impl DecisionTree {
             .iter()
             .position(|&i| ctx.x.get(i, feature) > threshold)
             .unwrap_or(indices.len());
-        // Reserve this node's slot before building children so the canonical
-        // emit order (parent, left subtree, right subtree) is preserved.
-        let slot = self.tree.push_split_slot(n);
-        self.tree.feature[slot as usize] = feature as u32;
-        self.tree.threshold[slot as usize] = threshold;
+        // The split precedes its subtrees; its right child's index is known
+        // once the left subtree is in place.
+        let slot = nodes.len();
+        nodes.push(TreeNode::Split {
+            feature,
+            threshold,
+            left: slot + 1,
+            right: 0,
+            samples: n,
+        });
         let (left_idx_slice, right_idx_slice) = indices.split_at_mut(split_at);
-        let left = self.build_node(ctx, left_idx_slice, depth + 1, rng);
-        let right = self.build_node(ctx, right_idx_slice, depth + 1, rng);
-        self.tree.children[slot as usize] = [left, right];
-        slot
+        self.build_node(ctx, left_idx_slice, depth + 1, rng, nodes);
+        let right_child = nodes.len();
+        if let TreeNode::Split { right, .. } = &mut nodes[slot] {
+            *right = right_child;
+        }
+        self.build_node(ctx, right_idx_slice, depth + 1, rng, nodes);
     }
 
     /// Predict the target for one full-width row.
@@ -957,6 +1026,21 @@ mod tests {
             samples: 2,
         }];
         assert!(FlatTree::from_nodes(&cycle).is_err());
+        // Two parents for one subtree: a DAG, not a tree.
+        let shared = vec![
+            TreeNode::Split {
+                feature: 0,
+                threshold: 1.0,
+                left: 1,
+                right: 1,
+                samples: 2,
+            },
+            TreeNode::Leaf {
+                prediction: 1.0,
+                samples: 2,
+            },
+        ];
+        assert!(FlatTree::from_nodes(&shared).is_err());
         let oob = vec![TreeNode::Split {
             feature: 0,
             threshold: 1.0,
@@ -965,6 +1049,50 @@ mod tests {
             samples: 2,
         }];
         assert!(FlatTree::from_nodes(&oob).is_err());
+    }
+
+    #[test]
+    fn nodes_are_level_order_with_adjacent_siblings_and_self_looping_leaves() {
+        // Preorder: root splits into a split (leaves a, b) and leaf c.
+        let leaf = |prediction| TreeNode::Leaf {
+            prediction,
+            samples: 1,
+        };
+        let canonical = vec![
+            TreeNode::Split {
+                feature: 0,
+                threshold: 5.0,
+                left: 1,
+                right: 4,
+                samples: 3,
+            },
+            TreeNode::Split {
+                feature: 1,
+                threshold: 2.0,
+                left: 2,
+                right: 3,
+                samples: 2,
+            },
+            leaf(10.0),
+            leaf(20.0),
+            leaf(30.0),
+        ];
+        let tree = FlatTree::from_nodes(&canonical).unwrap();
+        // Level order: root, (inner split, c), (a, b).
+        let lefts: Vec<u32> = tree.nodes.iter().map(|n| n.left).collect();
+        assert_eq!(lefts, vec![1, 3, 1, 2, 3]);
+        assert_eq!(tree.value, vec![0.0, 0.0, 30.0, 10.0, 20.0]);
+        assert_eq!(tree.depth(), 2);
+        for i in 2..5u32 {
+            assert!(tree.nodes[i as usize].threshold.is_nan());
+            assert_eq!(tree.step(i, &[f64::NAN, 0.0]), i, "leaf {i} self-loops");
+        }
+        assert_eq!(tree.predict_row(&[1.0, 3.0]), 20.0);
+        assert_eq!(tree.to_nodes(), canonical);
+        // A root leaf wraps: `left = u32::MAX`, and its step lands on 0.
+        let single = FlatTree::from_nodes(&canonical[4..]).unwrap();
+        assert_eq!(single.nodes[0].left, u32::MAX);
+        assert_eq!(single.step(0, &[1.0]), 0);
     }
 
     #[test]

@@ -129,18 +129,21 @@ fn request(i: usize) -> JobRequest {
     JobRequest::named(format!("sort-{i}"), WorkloadKind::Sort, 100_000, 2)
 }
 
-/// Train a service through its own bootstrap path (fallback decisions →
-/// logged outcomes → retrain), so the steady-state burst runs the supervised
-/// scheduler, not the fallback.
+/// Train a `model_kind` service through its own bootstrap path (fallback
+/// decisions → logged outcomes → retrain), so the steady-state burst runs the
+/// supervised scheduler, not the fallback. Logged jobs vary in size and their
+/// completion times with it, so tree ensembles split instead of fitting one
+/// leaf.
 fn trained_service_with(
     cluster: &ClusterState,
     published: &PublishedSnapshot,
+    model_kind: ModelKind,
     config: SchedulerConfig,
 ) -> SchedulerService {
     let mut service = SchedulerService::new(
         SchedulerConfig {
             min_training_samples: 20,
-            model_kind: ModelKind::Linear,
+            model_kind,
             ..config
         },
         7,
@@ -150,7 +153,9 @@ fn trained_service_with(
         let d = service.schedule(&request(i), published, cluster, SimTime::from_secs(2));
         let node = d.job.target_node.clone().unwrap();
         let load = d.snapshot.node(&node).map(|t| t.cpu_load).unwrap_or(0.0);
-        service.record_outcome(&d.snapshot, &request(i), &node, 20.0 + 5.0 * load);
+        let size = 1 + i as u64 % 4;
+        let logged = JobRequest::named(format!("sort-{i}"), WorkloadKind::Sort, 50_000 * size, 2);
+        service.record_outcome(&d.snapshot, &logged, &node, 10.0 * size as f64 + 5.0 * load);
     }
     assert!(service.retrain(&mut rng));
     assert!(service.is_model_active());
@@ -158,57 +163,75 @@ fn trained_service_with(
 }
 
 fn trained_service(cluster: &ClusterState, published: &PublishedSnapshot) -> SchedulerService {
-    trained_service_with(cluster, published, SchedulerConfig::default())
+    trained_service_with(
+        cluster,
+        published,
+        ModelKind::Linear,
+        SchedulerConfig::default(),
+    )
 }
 
 #[test]
 fn steady_state_schedule_batch_burst_is_allocation_free() {
-    let (cluster, _network, mut scrape) = test_world();
-    let published = scrape.published_handle();
-    let mut service = trained_service(&cluster, &published);
+    // One leg per model family. The four candidates make a decision-sized
+    // batch, so the tree ensembles run the grouped walk (four trees at a
+    // time, then a 1–3-tree tail) on stack arrays only.
+    for kind in ModelKind::ALL {
+        let (cluster, _network, mut scrape) = test_world();
+        let published = scrape.published_handle();
+        let mut service =
+            trained_service_with(&cluster, &published, kind, SchedulerConfig::default());
+        let predictor = service.predictor().unwrap();
+        let splits = predictor.model().split_grid(predictor.schema().len());
+        assert_eq!(
+            splits.iter().any(|column| !column.is_empty()),
+            kind != ModelKind::Linear,
+            "{kind}: tree ensembles must split, so the walk takes real steps"
+        );
 
-    let requests: Vec<JobRequest> = (0..8).map(request).collect();
-    let now = SimTime::from_secs(3);
-    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+        let requests: Vec<JobRequest> = (0..8).map(request).collect();
+        let now = SimTime::from_secs(3);
+        let mut decisions: Vec<SchedulingDecision> = Vec::new();
 
-    // Warm-up bursts: adopt the published epoch, size every reused buffer
-    // (context scratch, rankings, pod specs, manifest strings) to its
-    // steady-state capacity.
-    for _ in 0..3 {
-        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+        // Warm-up bursts: adopt the published epoch, size every reused buffer
+        // (context scratch, rankings, pod specs, manifest strings) to its
+        // steady-state capacity.
+        for _ in 0..3 {
+            service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+        }
+        let warm: Vec<Option<String>> = decisions
+            .iter()
+            .map(|d| d.job.target_node.clone())
+            .collect();
+
+        // Steady state: with no new epoch published and stable request
+        // shapes, whole bursts must not touch the heap at all.
+        arm();
+        for _ in 0..10 {
+            service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+        }
+        let (allocs, deallocs, reallocs) = disarm();
+        assert_eq!(
+            (allocs, deallocs, reallocs),
+            (0, 0, 0),
+            "{kind}: steady-state schedule_batch bursts must be allocation-free \
+             (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+        );
+
+        // The allocation-free path still produces real decisions.
+        assert_eq!(decisions.len(), requests.len());
+        for decision in &decisions {
+            assert!(decision.used_model);
+            assert_eq!(decision.ranking.len(), 4);
+            assert!(decision.job.target_node.is_some());
+            assert!(decision.job.manifest_yaml.contains("SparkApplication"));
+        }
+        let after: Vec<Option<String>> = decisions
+            .iter()
+            .map(|d| d.job.target_node.clone())
+            .collect();
+        assert_eq!(warm, after, "{kind}: steady-state bursts are deterministic");
     }
-    let warm: Vec<Option<String>> = decisions
-        .iter()
-        .map(|d| d.job.target_node.clone())
-        .collect();
-
-    // Steady state: with no new epoch published and stable request shapes,
-    // whole bursts must not touch the heap at all.
-    arm();
-    for _ in 0..10 {
-        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
-    }
-    let (allocs, deallocs, reallocs) = disarm();
-    assert_eq!(
-        (allocs, deallocs, reallocs),
-        (0, 0, 0),
-        "steady-state schedule_batch bursts must be allocation-free \
-         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
-    );
-
-    // The allocation-free path still produces real decisions.
-    assert_eq!(decisions.len(), requests.len());
-    for decision in &decisions {
-        assert!(decision.used_model);
-        assert_eq!(decision.ranking.len(), 4);
-        assert!(decision.job.target_node.is_some());
-        assert!(decision.job.manifest_yaml.contains("SparkApplication"));
-    }
-    let after: Vec<Option<String>> = decisions
-        .iter()
-        .map(|d| d.job.target_node.clone())
-        .collect();
-    assert_eq!(warm, after, "steady-state bursts are deterministic");
 }
 
 #[test]
@@ -266,6 +289,7 @@ fn steady_state_pruned_bursts_are_allocation_free() {
     let mut service = trained_service_with(
         &cluster,
         &published,
+        ModelKind::Linear,
         SchedulerConfig {
             prune_top_k: Some(2),
             ..Default::default()
@@ -370,6 +394,7 @@ fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
     let mut service = trained_service_with(
         &cluster,
         &published,
+        ModelKind::Linear,
         SchedulerConfig {
             prune_top_k: Some(2),
             ..Default::default()
