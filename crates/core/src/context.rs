@@ -33,17 +33,18 @@
 //!   model's split-threshold partition)`. Boards outlive bursts and epochs: a
 //!   board that lags the telemetry version re-predicts only the rows stamped
 //!   since it last synced. Row predictions are batch-independent, so a
-//!   patched board is bit-identical to a rebuilt one, and its top-K provably
-//!   preserves the unpruned top-1 (equal cells take identical tree paths). A
-//!   retrained or reloaded model carries a new version and never matches an
-//!   old board.
+//!   patched board is bit-identical to a rebuilt one. A retrained or reloaded
+//!   model carries a new version and never matches an old board.
 //!
-//! Stage one — the cheap model-blind prefilter ([`PruningPolicy`]) or a
-//! scoreboard — goes through one bounded-heap selection, cached under one
-//! key: `(driver sizing, generation, budget, score source and its freshness
-//! stamp)`. The context also owns the per-decision feature / prediction
-//! scratch every policy reuses, so steady-state decisions allocate only their
-//! output ranking.
+//! Stage one has one scorer, the model's scoreboard, and one selection: a
+//! bounded heap under the exact rank's total order
+//! (`decision::rank_order`), cached under `(driver sizing, generation)` plus
+//! `(budget, board slot, board stamp)`. The pruned ranking is therefore the
+//! unpruned ranking's first K entries, scores included. A budget prunes only
+//! the supervised rank: every model-blind policy, and the service's
+//! bootstrap fallback, ranks the whole feasible set. The context also owns
+//! the per-decision feature / prediction scratch, so steady-state decisions
+//! allocate only their output ranking.
 //!
 //! All [`crate::schedulers::JobScheduler`] policies take `&mut
 //! SchedulingContext` in [`crate::schedulers::JobScheduler::select`] and
@@ -51,7 +52,7 @@
 //! ranking is byte-identical to the historical full-scan path; with
 //! `top_k = K ≥ |feasible|` it still is, by construction.
 
-use crate::decision::{DecisionModule, NodeRanking};
+use crate::decision::{rank_order, DecisionModule, NodeRanking};
 use crate::predictor::{CompletionTimePredictor, ModelVersion};
 use crate::request::JobRequest;
 use cluster::{ClusterState, FeasibilityIndex, NodeId};
@@ -59,28 +60,19 @@ use mlcore::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 use telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry};
 
-/// Which stage-1 scorer the two-stage decision path prunes with when a
-/// [`top-K budget`](SchedulingContext::set_top_k) is set.
-///
-/// The model-blind scorers trade accuracy for independence from the trained
-/// model; the `scenario_scale` sweep publishes the measured Top-1 agreement
-/// and winner-survival rate of each so the trade is a number, not a guess.
+/// The stage-one scorer a [`top-K budget`](SchedulingContext::set_top_k)
+/// prunes with. There is one: the model's own scoreboard. The enum, like
+/// [`SchedulingContext::set_pruning_policy`] and
+/// [`crate::service::SchedulerConfig::pruning_policy`], changes nothing and
+/// remains only because the serving-loop benchmark in `benchmark/` still
+/// names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PruningPolicy {
     /// Supervised ranks prune by a coarse scoreboard of the decision model's
-    /// *own* per-node scores (exact: the pruned top-1 equals the unpruned
-    /// top-1 at every `K ≥ 1`); non-supervised paths fall back to the linear
-    /// blend. The default.
+    /// *own* per-node scores: the pruned ranking is the unpruned ranking's
+    /// first K entries.
     #[default]
     ModelAligned,
-    /// A linear blend over the same telemetry columns the feature schema
-    /// reads: current CPU load + mean peer RTT − a free-memory credit.
-    /// Model-blind, so supervised ranks pay a measurable accuracy cost.
-    LinearBlend,
-    /// A kube-style least-allocated score: the mean of the node's free CPU
-    /// and free memory fractions (most headroom survives). Telemetry-blind
-    /// as well as model-blind.
-    LeastAllocated,
 }
 
 /// One stage-1 scoreboard: a model's score for every node at a fixed
@@ -105,25 +97,14 @@ struct CoarseBoard {
     stamp: u64,
 }
 
-/// Where stage one reads a node's score from, with the stamp that says how
-/// fresh those scores are.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ScoreSource {
-    /// [`SchedulingContext::prefilter_score`] under a policy, over the
-    /// telemetry of one view version.
-    Prefilter(PruningPolicy, u64),
-    /// A scoreboard, by pool slot and [`CoarseBoard::stamp`].
-    Board(usize, u64),
-}
-
 /// What the cached feasible set and stage-one selection were derived from.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct SelectionKey {
     /// Driver sizing and cluster generation behind `candidates`.
     feasible: Option<(u64, u64, u64)>,
-    /// Budget and score source behind `selected`; `None` until a selection
-    /// ran over the current `candidates`.
-    stage_one: Option<(Option<usize>, ScoreSource)>,
+    /// Budget, board slot and [`CoarseBoard::stamp`] behind `selected`;
+    /// `None` until a selection ran over the current `candidates`.
+    stage_one: Option<(usize, usize, u64)>,
 }
 
 /// Everything the ranker derives from (snapshot, cluster, model), kept across
@@ -146,8 +127,8 @@ struct DecisionView {
     index: FeasibilityIndex,
     /// The full feasible set (pre-pruning) for `key.feasible`.
     candidates: Vec<NodeId>,
-    /// The set the rankers run over for `key.stage_one`: `candidates`, or its
-    /// top-K by the keyed score source.
+    /// The top-K of `candidates` by the scoreboard keyed in
+    /// `key.stage_one`, in ascending id order.
     selected: Vec<NodeId>,
     key: SelectionKey,
     /// Scoreboard pool, one per (model, job cell) seen, bounded by
@@ -223,13 +204,15 @@ impl ContextScratch {
 }
 
 /// Offer `entry` to a bounded max-heap of the `k` smallest `(score, id)`
-/// pairs under `(total_cmp, id)` order: while under budget the entry is
-/// pushed and sifted up; at budget it replaces the root (the worst survivor)
-/// only when strictly better, then sifts down (`k = 0` keeps nothing). The
-/// total order makes membership deterministic for equal scores.
+/// pairs under [`rank_order`], the order the exact rank sorts by: while
+/// under budget the entry is pushed and sifted up; at budget it replaces the
+/// root (the worst survivor) only when strictly better, then sifts down
+/// (`k = 0` keeps nothing). Because the order is total and shared, the heap
+/// keeps exactly the nodes the unpruned rank puts first, whatever the
+/// scores — NaN of either sign, signed zeros and infinities included.
 fn bounded_heap_offer(heap: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, NodeId)) {
     fn worse(a: &(f64, NodeId), b: &(f64, NodeId)) -> bool {
-        a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)).is_gt()
+        rank_order(*a, *b).is_gt()
     }
     if heap.len() < k {
         heap.push(entry);
@@ -272,11 +255,9 @@ pub struct SchedulingContext<'a> {
     snapshot: &'a ClusterSnapshot,
     cluster: &'a ClusterState,
     scratch: ContextScratch,
-    /// Candidate-pruning budget: rank at most this many prefiltered
-    /// candidates. `None` disables pruning.
+    /// Candidate-pruning budget of the supervised rank. `None` disables
+    /// pruning.
     top_k: Option<usize>,
-    /// Which stage-1 scorer a budget prunes with.
-    policy: PruningPolicy,
 }
 
 impl<'a> SchedulingContext<'a> {
@@ -289,8 +270,7 @@ impl<'a> SchedulingContext<'a> {
     /// Build a context on the state carried over from a previous one. The
     /// decision view is re-keyed, not invalidated: a snapshot revision it
     /// already indexed costs one compare, and every leg stays valid as long
-    /// as its own key holds (see the module docs). Budget and policy start at
-    /// their defaults.
+    /// as its own key holds (see the module docs). The budget starts unset.
     pub fn with_scratch(
         snapshot: &'a ClusterSnapshot,
         cluster: &'a ClusterState,
@@ -302,7 +282,6 @@ impl<'a> SchedulingContext<'a> {
             cluster,
             scratch,
             top_k: None,
-            policy: PruningPolicy::default(),
         }
     }
 
@@ -311,27 +290,18 @@ impl<'a> SchedulingContext<'a> {
         self.scratch
     }
 
-    /// Set the candidate-pruning budget: rankers score at most `k`
-    /// prefiltered candidates per decision. `None` (the default) ranks the
-    /// full feasible set; any `k ≥ |feasible|` is equivalent to `None`.
+    /// Set the candidate-pruning budget: the supervised rank scores at most
+    /// `k` candidates per decision, the `k` best by the model's scoreboard.
+    /// `None` (the default) ranks the full feasible set; any
+    /// `k ≥ |feasible|` is equivalent to `None`. Model-blind rankers ignore
+    /// the budget.
     pub fn set_top_k(&mut self, k: Option<usize>) {
         self.top_k = k;
     }
 
-    /// The current candidate-pruning budget.
-    pub fn top_k(&self) -> Option<usize> {
-        self.top_k
-    }
-
-    /// Select the stage-1 scorer a top-K budget prunes with.
-    pub fn set_pruning_policy(&mut self, policy: PruningPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current stage-1 pruning policy.
-    pub fn pruning_policy(&self) -> PruningPolicy {
-        self.policy
-    }
+    /// Does nothing: the model's scoreboard is the only stage-one scorer
+    /// (see [`PruningPolicy`]).
+    pub fn set_pruning_policy(&mut self, _policy: PruningPolicy) {}
 
     /// The telemetry snapshot this context decides against.
     pub fn snapshot(&self) -> &'a ClusterSnapshot {
@@ -393,103 +363,46 @@ impl<'a> SchedulingContext<'a> {
         &view.candidates
     }
 
-    /// The cheap stage-1 prefilter score for one node under the current
-    /// [`PruningPolicy`]. Lower is better.
-    ///
-    /// [`PruningPolicy::LinearBlend`] (and the non-supervised fallback of
-    /// [`PruningPolicy::ModelAligned`]) blends the same telemetry columns the
-    /// feature schema reads — current CPU load, mean peer RTT (the
-    /// network-awareness term) and a free-memory credit; unscraped nodes
-    /// score as if idle and unprobed, mirroring the defaults the model rank
-    /// uses for them. [`PruningPolicy::LeastAllocated`] is the kube-style
-    /// negated mean of the node's free CPU/memory fractions.
-    pub fn prefilter_score(&self, id: NodeId) -> f64 {
-        const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-        match self.policy {
-            PruningPolicy::ModelAligned | PruningPolicy::LinearBlend => {
-                let node = self.node_telemetry(id).copied().unwrap_or_default();
-                let (rtt_mean, _, _) = self.rtt_stats(id);
-                node.cpu_load + 1000.0 * rtt_mean - node.memory_available_bytes / (64.0 * GIB)
-            }
-            PruningPolicy::LeastAllocated => {
-                let node = &self.cluster.nodes()[id.index()];
-                let free = node.available();
-                let cpu_frac = free.cpu_millis as f64 / node.allocatable.cpu_millis.max(1) as f64;
-                let mem_frac =
-                    free.memory_bytes as f64 / node.allocatable.memory_bytes.max(1) as f64;
-                -(cpu_frac + mem_frac) / 2.0
-            }
+    /// Stage one: the `k` best of the cached feasible set by scoreboard
+    /// `slot` (whose scores carry `stamp`), through the scratch's bounded
+    /// heap, into `selected` in ascending [`NodeId`] order. Cached under the
+    /// view's one [`SelectionKey`].
+    fn select_top_k(&mut self, k: usize, slot: usize, stamp: u64) {
+        let stage_one = Some((k, slot, stamp));
+        let view = &mut self.scratch.view;
+        if view.key.stage_one == stage_one {
+            return;
         }
-    }
-
-    /// The candidate set the score-closure rankers and non-supervised
-    /// policies run over: the full feasible set when pruning is off (or
-    /// `K ≥ |feasible|`), otherwise the top-K nodes by
-    /// [`SchedulingContext::prefilter_score`] (ties broken by ascending id).
-    /// Always in ascending [`NodeId`] order, so downstream ranking and
-    /// RNG-consuming policies behave identically to the unpruned path at
-    /// `K = ∞`.
-    pub fn pruned_candidates(&mut self, request: &JobRequest) -> &[NodeId] {
-        let source = ScoreSource::Prefilter(self.policy, self.scratch.view.telemetry_version);
-        self.select(request, source)
-    }
-
-    /// Stage one, the only selection path: the feasible set itself when the
-    /// budget does not bind, else its K best nodes by `source`'s score (ties
-    /// by ascending id — the total order the exact rank uses) through the
-    /// scratch's bounded heap, in ascending [`NodeId`] order. Cached under
-    /// the view's one [`SelectionKey`].
-    fn select(&mut self, request: &JobRequest, source: ScoreSource) -> &[NodeId] {
-        self.feasible_candidates(request);
-        let stage_one = Some((self.top_k, source));
-        if self.scratch.view.key.stage_one != stage_one {
-            let mut selected = std::mem::take(&mut self.scratch.view.selected);
-            selected.clear();
-            let candidates = &self.scratch.view.candidates;
-            match self.top_k {
-                Some(k) if k < candidates.len() => {
-                    let mut heap = std::mem::take(&mut self.scratch.heap);
-                    heap.clear();
-                    for &id in candidates {
-                        let score = match source {
-                            ScoreSource::Prefilter(..) => self.prefilter_score(id),
-                            ScoreSource::Board(slot, _) => {
-                                self.scratch.view.boards[slot].scores[id.index()]
-                            }
-                        };
-                        bounded_heap_offer(&mut heap, k, (score, id));
-                    }
-                    selected.extend(heap.iter().map(|&(_, id)| id));
-                    selected.sort_unstable();
-                    self.scratch.heap = heap;
-                }
-                _ => selected.extend_from_slice(candidates),
-            }
-            self.scratch.view.selected = selected;
-            self.scratch.view.key.stage_one = stage_one;
+        let heap = &mut self.scratch.heap;
+        heap.clear();
+        let scores = &view.boards[slot].scores;
+        for &id in &view.candidates {
+            bounded_heap_offer(heap, k, (scores[id.index()], id));
         }
-        &self.scratch.view.selected
+        view.selected.clear();
+        view.selected.extend(heap.iter().map(|&(_, id)| id));
+        view.selected.sort_unstable();
+        view.key.stage_one = stage_one;
     }
 
-    /// Rank the (pruned) feasible candidates for `request` by a per-node
-    /// score (lower is better, ties break by [`NodeId`]). This is the shared
-    /// scoring scaffold for score-based policies: it owns the
-    /// candidates/predictions alignment invariant that
-    /// [`DecisionModule::rank`] asserts on, so policies only supply the
-    /// score itself.
+    /// Rank the feasible candidates for `request` by a per-node score (lower
+    /// is better, ties break by [`NodeId`]). This is the shared scoring
+    /// scaffold for score-based policies: it owns the candidates/predictions
+    /// alignment invariant that [`DecisionModule::rank`] asserts on, so
+    /// policies only supply the score itself. The budget does not apply.
     pub fn rank_feasible(
         &mut self,
         request: &JobRequest,
         mut score: impl FnMut(&mut Self, NodeId) -> f64,
     ) -> NodeRanking {
-        let count = self.pruned_candidates(request).len();
+        let count = self.feasible_candidates(request).len();
         self.scratch.predictions.clear();
         for i in 0..count {
-            let id = self.scratch.view.selected[i];
+            let id = self.scratch.view.candidates[i];
             let value = score(self, id);
             self.scratch.predictions.push(value);
         }
-        DecisionModule.rank(&self.scratch.view.selected, &self.scratch.predictions)
+        DecisionModule.rank(&self.scratch.view.candidates, &self.scratch.predictions)
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
@@ -515,22 +428,16 @@ impl<'a> SchedulingContext<'a> {
     /// decision touches no heap.
     ///
     /// With pruning enabled (`top_k = Some(K) < |feasible|`) this is a true
-    /// two-stage path. Under [`PruningPolicy::ModelAligned`] (the default)
-    /// stage one reads the view's coarse scoreboard of the predictor's *own*
-    /// scores for the job's signature **cell**
+    /// two-stage path. Stage one reads the view's coarse scoreboard of the
+    /// predictor's *own* scores for the job's signature **cell**
     /// ([`CompletionTimePredictor::signature_cells`]): jobs in the same cell
     /// take identical paths through every tree, so they share *identical*
     /// per-node scores (linear models shift every node by the same constant)
-    /// and the board's node-ordering is exactly the full rank's. Its top-K is
-    /// therefore the first K nodes of the unpruned ranking — the top-1
-    /// decision is byte-identical to the full scan at every `K ≥ 1` — while
-    /// the per-decision cost drops from a full-cluster inference to an `O(n)`
-    /// top-K selection plus a K-row exact re-rank.
-    ///
-    /// Under the model-blind policies stage one is the same prefilter the
-    /// other rankers use, and the survivors get the exact model re-rank —
-    /// cheaper stage one, measurable accuracy cost (the `scenario_scale`
-    /// sweep publishes both).
+    /// and the board's node-ordering is exactly the full rank's. Selected
+    /// under the rank's own total order, its top-K is therefore the first K
+    /// entries of the unpruned ranking, while the per-decision cost drops
+    /// from a full-cluster inference to an `O(n)` top-K selection plus a
+    /// K-row exact re-rank.
     pub fn rank_feasible_batch_into(
         &mut self,
         request: &JobRequest,
@@ -538,23 +445,29 @@ impl<'a> SchedulingContext<'a> {
         out: &mut NodeRanking,
     ) {
         let feasible_len = self.feasible_candidates(request).len();
-        match self.top_k {
-            Some(k) if k < feasible_len && self.policy == PruningPolicy::ModelAligned => {
-                let board = self.sync_coarse_scores(request, predictor);
-                self.select(request, board);
+        let pruned = match self.top_k {
+            Some(k) if k < feasible_len => {
+                let (slot, stamp) = self.sync_coarse_scores(request, predictor);
+                self.select_top_k(k, slot, stamp);
+                true
             }
-            _ => _ = self.pruned_candidates(request),
-        }
+            _ => false,
+        };
         let schema = predictor.schema();
         let view = &self.scratch.view;
+        let ranked = if pruned {
+            &view.selected
+        } else {
+            &view.candidates
+        };
         self.scratch.features.reset(schema.len());
-        for &id in &view.selected {
+        for &id in ranked {
             let node = view.telemetry.node(id).copied().unwrap_or_default();
             let rtt_stats = view.telemetry.rtt_stats(id);
             schema.construct_into_matrix(&mut self.scratch.features, &node, rtt_stats, request);
         }
         predictor.predict_batch_into(&self.scratch.features, &mut self.scratch.predictions);
-        DecisionModule.rank_into(&view.selected, &self.scratch.predictions, out);
+        DecisionModule.rank_into(ranked, &self.scratch.predictions, out);
     }
 
     /// How many coarse scoreboards the pool keeps before evicting the
@@ -564,7 +477,8 @@ impl<'a> SchedulingContext<'a> {
     const MAX_COARSE_BOARDS: usize = 64;
 
     /// Bring the scoreboard for this (model version, job-signature cell) pair
-    /// up to date with the view's telemetry and return it as a score source.
+    /// up to date with the view's telemetry and return its pool slot and
+    /// [`CoarseBoard::stamp`].
     /// The cell is the job's feature row over a default node, collapsed onto
     /// the model's partition, so the key space is bounded by the model's split
     /// granularity, not the stream's diversity. A miss claims a slot (growing
@@ -576,7 +490,7 @@ impl<'a> SchedulingContext<'a> {
         &mut self,
         request: &JobRequest,
         predictor: &CompletionTimePredictor,
-    ) -> ScoreSource {
+    ) -> (usize, u64) {
         let schema = predictor.schema();
         let nodes = self.cluster.node_count();
         let ContextScratch {
@@ -640,7 +554,7 @@ impl<'a> SchedulingContext<'a> {
             view.next_stamp += 1;
             board.stamp = view.next_stamp;
         }
-        ScoreSource::Board(slot, board.stamp)
+        (slot, board.stamp)
     }
 }
 
@@ -734,131 +648,14 @@ mod tests {
         assert_eq!(ctx.feasible_candidates(&request("c")).to_vec(), small_a);
     }
 
-    #[test]
-    fn pruning_off_or_oversized_k_returns_the_full_feasible_set() {
-        let c = cluster(5);
-        let snap = snapshot(5);
-        let mut ctx = SchedulingContext::new(&snap, &c);
-        let full = ctx.feasible_candidates(&request("a")).to_vec();
-        assert_eq!(full.len(), 5);
-
-        // Default (no pruning).
-        assert_eq!(ctx.pruned_candidates(&request("a")), full.as_slice());
-        // K equal to and beyond the feasible count, under every policy.
-        for policy in [
-            PruningPolicy::ModelAligned,
-            PruningPolicy::LinearBlend,
-            PruningPolicy::LeastAllocated,
-        ] {
-            ctx.set_pruning_policy(policy);
-            for k in [5, 6, 1000] {
-                ctx.set_top_k(Some(k));
-                assert_eq!(
-                    ctx.pruned_candidates(&request("a")),
-                    full.as_slice(),
-                    "{policy:?} K = {k}"
-                );
-            }
-        }
-        // K = 0 is a degenerate but well-defined budget: nothing to rank.
-        ctx.set_top_k(Some(0));
-        assert!(ctx.pruned_candidates(&request("a")).is_empty());
-    }
-
-    #[test]
-    fn pruning_keeps_the_best_prefilter_scores_in_ascending_id_order() {
-        let c = cluster(6);
-        // The snapshot fixture gives node i cpu_load = i and rtt mean
-        // 0.01 * (i + 1): the prefilter score strictly increases with the
-        // node index, so top-K must keep the K lowest-indexed nodes.
-        let snap = snapshot(6);
-        let mut ctx = SchedulingContext::new(&snap, &c);
-        let full = ctx.feasible_candidates(&request("a")).to_vec();
-        let mut scored: Vec<(f64, NodeId)> = full
-            .iter()
-            .map(|&id| (ctx.prefilter_score(id), id))
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-
-        for k in 1..=6usize {
-            ctx.set_top_k(Some(k));
-            let pruned = ctx.pruned_candidates(&request("a")).to_vec();
-            let mut expected: Vec<NodeId> = scored[..k].iter().map(|&(_, id)| id).collect();
-            expected.sort_unstable();
-            assert_eq!(pruned, expected, "K = {k}");
-            // Ascending id order is part of the contract.
-            assert!(pruned.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn least_allocated_policy_prunes_by_headroom() {
-        let mut c = cluster(4);
-        // Load node-1 and node-2 (most to least), leaving 3 and 4 idle:
-        // least-allocated must keep the idle nodes first.
-        for (name, cores) in [("node-1", 5), ("node-2", 3)] {
-            let id = c.create_pod(
-                PodSpec::new(
-                    format!("hog-{name}"),
-                    Resources::from_cores_and_gib(cores, 1),
-                ),
-                SimTime::ZERO,
-            );
-            c.bind_pod(id, name, SimTime::ZERO).unwrap();
-        }
-        let snap = snapshot(4);
-        let mut ctx = SchedulingContext::new(&snap, &c);
-        ctx.set_pruning_policy(PruningPolicy::LeastAllocated);
-        ctx.set_top_k(Some(2));
-        let pruned = ctx.pruned_candidates(&request("a")).to_vec();
-        assert_eq!(
-            pruned,
-            vec![c.node_id("node-3").unwrap(), c.node_id("node-4").unwrap()]
-        );
-        // The telemetry blend would have kept node-1 (lowest cpu_load in the
-        // snapshot fixture) — the policy dimension really changes the set.
-        ctx.set_pruning_policy(PruningPolicy::LinearBlend);
-        let blended = ctx.pruned_candidates(&request("a")).to_vec();
-        assert_eq!(
-            blended,
-            vec![c.node_id("node-1").unwrap(), c.node_id("node-2").unwrap()]
-        );
-    }
-
-    #[test]
-    fn pruned_cache_tracks_driver_sizing_budget_and_policy() {
-        let mut c = cluster(4);
-        let id = c.create_pod(
-            PodSpec::new("hog", Resources::from_cores_and_gib(6, 8)),
-            SimTime::ZERO,
-        );
-        c.bind_pod(id, "node-4", SimTime::ZERO).unwrap();
-        let snap = snapshot(4);
-        let mut ctx = SchedulingContext::new(&snap, &c);
-
-        ctx.set_top_k(Some(2));
-        let pruned = ctx.pruned_candidates(&request("a")).to_vec();
-        assert_eq!(pruned.len(), 2);
-        // Budget change must invalidate the cached pruned set…
-        ctx.set_top_k(Some(1));
-        assert_eq!(ctx.pruned_candidates(&request("a")).len(), 1);
-        // …and so must a sizing change (the oversized driver fits nowhere).
-        let huge = request("huge").with_driver_resources(64_000, 64 * 1024 * 1024 * 1024);
-        assert!(ctx.pruned_candidates(&huge).is_empty());
-        ctx.set_top_k(Some(2));
-        assert_eq!(ctx.pruned_candidates(&request("b")).to_vec(), pruned);
-    }
-
-    #[test]
-    fn budgeted_batch_rank_preserves_the_unpruned_decision_prefix() {
+    /// A linear predictor trained to prefer *high*-load nodes, so a stage one
+    /// that ranked by load or headroom instead of the model's own scores
+    /// would keep the wrong nodes.
+    fn prefers_loaded_nodes() -> CompletionTimePredictor {
         use crate::features::FeatureSchema;
         use mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
         use simcore::rng::Rng;
 
-        // Trained to prefer *high*-load nodes — the opposite of the linear
-        // prefilter's ordering — so this test fails if the supervised path
-        // ever prunes by the heuristic instead of the model-aligned coarse
-        // scoreboard.
         let schema = FeatureSchema::standard();
         let mut data = Dataset::new(schema.names().to_vec());
         let job = request("train");
@@ -871,21 +668,77 @@ mod tests {
         let mut rng = Rng::seed_from_u64(5);
         let model =
             TrainedModel::train(ModelKind::Linear, &ModelConfig::default(), &data, &mut rng);
-        let predictor = CompletionTimePredictor::new(schema, model).unwrap();
+        CompletionTimePredictor::new(schema, model).unwrap()
+    }
 
+    /// `(node, score bits)` per entry: NaN scores compare unequal under
+    /// `PartialEq`, their bits do not.
+    fn bits(ranking: &NodeRanking) -> Vec<(NodeId, u64)> {
+        ranking
+            .ranked
+            .iter()
+            .map(|r| (r.node, r.predicted_seconds.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn heap_selection_is_the_exact_ranks_prefix_for_every_score() {
+        let scores = [
+            1.5,
+            f64::NAN,
+            -0.0,
+            -f64::NAN,
+            f64::INFINITY,
+            0.0,
+            f64::NEG_INFINITY,
+            -2.0,
+            -0.0,
+            -f64::NAN,
+            1.5,
+            0.0,
+        ];
+        let ids: Vec<NodeId> = (0..scores.len()).map(NodeId::from_index).collect();
+        let full = bits(&DecisionModule.rank(&ids, &scores));
+        let mut heap = Vec::new();
+        for reversed in [false, true] {
+            for k in 0..=scores.len() + 1 {
+                heap.clear();
+                let mut offered: Vec<(f64, NodeId)> =
+                    scores.iter().copied().zip(ids.iter().copied()).collect();
+                if reversed {
+                    offered.reverse();
+                }
+                for entry in offered {
+                    bounded_heap_offer(&mut heap, k, entry);
+                }
+                let mut kept: Vec<NodeId> = heap.iter().map(|&(_, id)| id).collect();
+                kept.sort_unstable();
+                let kept_scores: Vec<f64> = kept.iter().map(|id| scores[id.index()]).collect();
+                let pruned = bits(&DecisionModule.rank(&kept, &kept_scores));
+                assert_eq!(
+                    pruned,
+                    full[..k.min(scores.len())],
+                    "K = {k}, reversed = {reversed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_batch_rank_preserves_the_unpruned_decision_prefix() {
+        let predictor = prefers_loaded_nodes();
         let c = cluster(8);
         let snap = snapshot(8);
         let mut ctx = SchedulingContext::new(&snap, &c);
         let full = ctx.rank_feasible_batch(&request("a"), &predictor);
         assert_eq!(full.len(), 8);
-        // The model's winner is the highest-load node — the *worst* by
-        // prefilter score.
+        // The model's winner is the highest-load node.
         assert_eq!(full.best().unwrap().node, c.node_id("node-8").unwrap());
 
         // At every budget the pruned ranking is exactly the first K entries
         // of the unpruned one (scores included): stage one kept the K best
-        // nodes by the model's own ordering.
-        for k in 1..=8usize {
+        // nodes by the model's own ordering. K = 0 ranks nothing.
+        for k in 0..=8usize {
             ctx.set_top_k(Some(k));
             let pruned = ctx.rank_feasible_batch(&request("a"), &predictor);
             assert_eq!(pruned.ranked.as_slice(), &full.ranked[..k], "K = {k}");
@@ -901,19 +754,35 @@ mod tests {
         ctx.set_top_k(Some(2));
         let pruned_other = ctx.rank_feasible_batch(&other, &predictor);
         assert_eq!(pruned_other.ranked.as_slice(), &full_other.ranked[..2]);
+    }
 
-        // The model-blind policies keep the heuristic stage even for the
-        // supervised rank: at K = 1 the survivor is the *lowest*-scoring
-        // node by the linear prefilter (node-1), which the model then ranks
-        // — a measurably different decision from the model-aligned one.
-        ctx.set_pruning_policy(PruningPolicy::LinearBlend);
-        ctx.set_top_k(Some(1));
-        let blend = ctx.rank_feasible_batch(&request("a"), &predictor);
-        assert_eq!(blend.best().unwrap().node, c.node_id("node-1").unwrap());
-        assert_eq!(
-            ctx.pruned_candidates(&request("a")),
-            &[c.node_id("node-1").unwrap()]
+    #[test]
+    fn stage_one_cache_tracks_driver_sizing_and_budget() {
+        let mut c = cluster(4);
+        let id = c.create_pod(
+            PodSpec::new("hog", Resources::from_cores_and_gib(6, 8)),
+            SimTime::ZERO,
         );
+        c.bind_pod(id, "node-4", SimTime::ZERO).unwrap();
+        let snap = snapshot(4);
+        let predictor = prefers_loaded_nodes();
+        let mut ctx = SchedulingContext::new(&snap, &c);
+
+        ctx.set_top_k(Some(2));
+        let two = ctx.rank_feasible_batch(&request("a"), &predictor);
+        assert_eq!(two.top_k(2), vec![NodeId(2), NodeId(1)]);
+        // A budget change must invalidate the cached selection…
+        ctx.set_top_k(Some(1));
+        let one = ctx.rank_feasible_batch(&request("a"), &predictor);
+        assert_eq!(one.ranked.as_slice(), &two.ranked[..1]);
+        // …and so must a sizing change (the oversized driver fits nowhere).
+        let huge = request("huge").with_driver_resources(64_000, 64 * 1024 * 1024 * 1024);
+        assert!(ctx.rank_feasible_batch(&huge, &predictor).is_empty());
+        ctx.set_top_k(Some(2));
+        assert_eq!(ctx.rank_feasible_batch(&request("b"), &predictor), two);
+        // Model-blind rankers ignore the budget: all three feasible nodes.
+        let blind = ctx.rank_feasible(&request("a"), |_, id| id.index() as f64);
+        assert_eq!(blind.top_k(3), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -83,12 +83,7 @@ impl DecisionModule {
     }
 
     /// In-place variant of [`DecisionModule::rank`]: build the ranking into
-    /// `out`, reusing its buffer. NaN predictions rank after every number
-    /// (among themselves by [`NodeId`]); numbers compare by value, `-0.0`
-    /// and `+0.0` tying. With the [`NodeId`] tie-break that is a total order
-    /// over distinct candidates, which the unstable sort requires — it may
-    /// panic on an inconsistent comparator — and which makes it
-    /// result-identical to a stable sort.
+    /// `out`, reusing its buffer, sorted by `rank_order`.
     pub fn rank_into(&self, candidates: &[NodeId], predictions: &[f64], out: &mut NodeRanking) {
         assert_eq!(
             candidates.len(),
@@ -106,13 +101,23 @@ impl DecisionModule {
                 }),
         );
         out.ranked.sort_unstable_by(|a, b| {
-            let (x, y) = (a.predicted_seconds, b.predicted_seconds);
-            x.is_nan()
-                .cmp(&y.is_nan())
-                .then_with(|| x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.node.cmp(&b.node))
+            rank_order((a.predicted_seconds, a.node), (b.predicted_seconds, b.node))
         });
     }
+}
+
+/// The one order every ranking uses, the exact rank's sort and stage one's
+/// top-K heap alike: NaN scores after every number (among themselves by
+/// [`NodeId`], whatever their sign); numbers by value, `-0.0` and `+0.0`
+/// tying; ties by ascending [`NodeId`]. That is a total order over distinct
+/// candidates, which the unstable sort requires — it may panic on an
+/// inconsistent comparator — and which makes it result-identical to a
+/// stable sort.
+pub(crate) fn rank_order(a: (f64, NodeId), b: (f64, NodeId)) -> std::cmp::Ordering {
+    // Numbers take the one-compare path; only a NaN falls back to `is_nan`.
+    a.0.partial_cmp(&b.0)
+        .unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan()))
+        .then_with(|| a.1.cmp(&b.1))
 }
 
 #[cfg(test)]

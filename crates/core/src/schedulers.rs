@@ -13,6 +13,11 @@
 //! [`JobScheduler::select_batch`] ranks a whole burst of requests against one
 //! context, amortizing feasibility filtering and telemetry indexing across
 //! the burst.
+//!
+//! A top-K budget ([`SchedulingContext::set_top_k`]) prunes only the
+//! supervised rank, by the model's own scoreboard. The baselines always rank
+//! the whole feasible set: a model-blind preselection followed by an equally
+//! cheap model-blind score would buy them nothing.
 
 use crate::context::SchedulingContext;
 use crate::decision::{NodeRanking, RankedNode};
@@ -130,23 +135,7 @@ impl JobScheduler for KubeDefaultScheduler {
         let driver = request.to_job_spec().driver_pod(None);
         let cluster = ctx.cluster();
         use cluster::scheduler::Scheduler as _;
-        // With pruning off this is the historical full-table scan; with a
-        // top-K budget the kube filter/score/tie-break runs over the pruned
-        // candidate refs through the same code path (`schedule` delegates to
-        // `schedule_refs`), so `K ≥ |feasible|` stays byte-identical.
-        let outcome = match ctx.top_k() {
-            None => self.inner.schedule(&driver, cluster.nodes()),
-            Some(_) => {
-                let nodes = cluster.nodes();
-                let refs: Vec<&cluster::Node> = ctx
-                    .pruned_candidates(request)
-                    .iter()
-                    .map(|id| &nodes[id.index()])
-                    .collect();
-                self.inner.schedule_refs(&driver, &refs)
-            }
-        };
-        match outcome {
+        match self.inner.schedule(&driver, cluster.nodes()) {
             cluster::ScheduleOutcome::Unschedulable { .. } => NodeRanking::default(),
             cluster::ScheduleOutcome::Scheduled { node, ranking } => {
                 // Within equal-score groups kube-scheduler has no preference;
@@ -213,7 +202,7 @@ impl JobScheduler for RandomScheduler {
     }
 
     fn select(&mut self, request: &JobRequest, ctx: &mut SchedulingContext<'_>) -> NodeRanking {
-        let mut candidates: Vec<NodeId> = ctx.pruned_candidates(request).to_vec();
+        let mut candidates: Vec<NodeId> = ctx.feasible_candidates(request).to_vec();
         self.rng.shuffle(&mut candidates);
         NodeRanking {
             ranked: candidates

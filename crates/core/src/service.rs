@@ -44,16 +44,16 @@ pub struct SchedulerConfig {
     /// Minimum number of logged executions before the service switches from
     /// fallback placement to supervised placement.
     pub min_training_samples: usize,
-    /// Candidate-pruning budget: rank at most this many prefiltered
-    /// candidates per decision (the two-stage decision path for large
-    /// worlds). `None` (the default) ranks the full feasible set; any value
-    /// `≥ |feasible|` is byte-identical to `None`.
+    /// Candidate-pruning budget of the supervised rank: score at most this
+    /// many candidates per decision, the best by the model's own scoreboard
+    /// (the two-stage decision path for large worlds). A budgeted ranking is
+    /// the unbudgeted ranking's first K entries. `None` (the default) ranks
+    /// the full feasible set; any value `≥ |feasible|` is byte-identical to
+    /// `None`. The bootstrap fallback ignores it and stays uniform over the
+    /// feasible set.
     pub prune_top_k: Option<usize>,
-    /// Which stage-1 scorer a `prune_top_k` budget prunes with. The default,
-    /// [`PruningPolicy::ModelAligned`], keeps supervised decisions
-    /// byte-identical to the unpruned rank at every K; the model-blind
-    /// policies are cheaper but approximate (the `scenario_scale` sweep
-    /// publishes their measured accuracy).
+    /// Read by nothing: the model's scoreboard is the only stage-one scorer
+    /// (see [`PruningPolicy`]).
     pub pruning_policy: PruningPolicy,
 }
 
@@ -191,32 +191,28 @@ impl SchedulerService {
     /// paper bootstraps its training data with varied `target_node`
     /// assignments).
     ///
-    /// `_now` is the decision time. A published snapshot carries its own
-    /// scrape time, so `_now` stamps nothing; it stays in the signature as
-    /// the instant a snapshot-age limit compares with `snapshot.time`
-    /// (ROADMAP item 3).
+    /// `now` is the decision time. A published snapshot carries its own
+    /// scrape time, so `now` stamps nothing; it stays in the signature as
+    /// the instant a snapshot-age limit would compare with `snapshot.time`.
+    ///
+    /// This is [`SchedulerService::schedule_batch_into`] over one request
+    /// and a fresh one-slot `out`.
     pub fn schedule(
         &mut self,
         request: &JobRequest,
         metrics_server: &PublishedSnapshot,
         cluster: &ClusterState,
-        _now: SimTime,
+        now: SimTime,
     ) -> SchedulingDecision {
-        let snapshot = self.fetch_shared(metrics_server);
-        let scratch = std::mem::take(&mut self.ctx_scratch);
-        let mut ctx = SchedulingContext::with_scratch(&snapshot, cluster, scratch);
-        ctx.set_top_k(self.config.prune_top_k);
-        ctx.set_pruning_policy(self.config.pruning_policy);
-        let mut ranking = NodeRanking::default();
-        let used_model = self.decide_into(request, &mut ctx, &mut ranking);
-        self.ctx_scratch = ctx.into_scratch();
-        let job = self.builder.build(request, ranking.best_name(cluster));
-        SchedulingDecision {
-            job,
-            ranking,
-            snapshot,
-            used_model,
-        }
+        let mut out = Vec::with_capacity(1);
+        self.schedule_batch_into(
+            std::slice::from_ref(request),
+            metrics_server,
+            cluster,
+            now,
+            &mut out,
+        );
+        out.swap_remove(0)
     }
 
     /// Make placement decisions for a whole burst of requests against one
@@ -253,7 +249,6 @@ impl SchedulerService {
         let scratch = std::mem::take(&mut self.ctx_scratch);
         let mut ctx = SchedulingContext::with_scratch(&snapshot, cluster, scratch);
         ctx.set_top_k(self.config.prune_top_k);
-        ctx.set_pruning_policy(self.config.pruning_policy);
         out.truncate(requests.len());
         while out.len() < requests.len() {
             out.push(SchedulingDecision {
@@ -305,19 +300,16 @@ impl SchedulerService {
                 true
             }
             None => {
+                // Uniform over the whole feasible set, whatever the budget.
                 // Shuffling the ranked slice draws the RNG exactly like the
                 // historical shuffle over a `Vec<NodeId>` of the same length,
-                // so fallback decision streams are unchanged with pruning off
-                // (the pruned set *is* the feasible set at `top_k = None`).
+                // so fallback decision streams are unchanged.
+                let feasible = ctx.feasible_candidates(request);
                 out.ranked.clear();
-                out.ranked.extend(
-                    ctx.pruned_candidates(request)
-                        .iter()
-                        .map(|&node| RankedNode {
-                            node,
-                            predicted_seconds: 0.0,
-                        }),
-                );
+                out.ranked.extend(feasible.iter().map(|&node| RankedNode {
+                    node,
+                    predicted_seconds: 0.0,
+                }));
                 self.fallback_rng.shuffle(&mut out.ranked);
                 for (i, ranked) in out.ranked.iter_mut().enumerate() {
                     ranked.predicted_seconds = i as f64;
@@ -520,38 +512,95 @@ mod tests {
     fn a_node_whose_prediction_is_nan_is_never_the_best() {
         let (cluster, _network, _scrape, published) = test_world();
         let predictor = trained_predictor(&cluster, &published);
-        // Republish the scraped round with node-3's load unreadable: the
-        // linear model predicts NaN there, which must rank last, not as 0 s.
         let scraped = published.latest().unwrap().snapshot;
-        let mut publisher = telemetry::SnapshotPublisher::new();
-        publisher.publish_with(|snap| {
-            snap.clone_from(&scraped);
-            snap.node_mut("node-3").unwrap().cpu_load = f64::NAN;
-        });
-        let poisoned = publisher.handle();
-        let mut service =
-            SchedulerService::with_predictor(SchedulerConfig::default(), predictor, 7);
         let now = SimTime::from_secs(2);
-        let single = service.schedule(&request(0), &poisoned, &cluster, now);
-        let mut batch = Vec::new();
-        service.schedule_batch_into(
-            &[request(1), request(2)],
-            &poisoned,
-            &cluster,
-            now,
-            &mut batch,
-        );
-        for decision in batch.iter().chain([&single]) {
-            assert!(decision.used_model);
-            assert_eq!(decision.ranking.len(), 4);
-            assert_ne!(decision.ranking.best_name(&cluster), Some("node-3"));
-            let last = decision.ranking.ranked.last().unwrap();
-            assert_eq!(cluster.node_name(last.node), "node-3");
-            assert!(last.predicted_seconds.is_nan());
-            assert!(decision.ranking.ranked[..3]
+        // `(node, score bits)`: NaN scores compare unequal, their bits do not.
+        let bits = |ranking: &NodeRanking| -> Vec<(cluster::NodeId, u64)> {
+            ranking
+                .ranked
                 .iter()
-                .all(|r| r.predicted_seconds.is_finite()));
+                .map(|r| (r.node, r.predicted_seconds.to_bits()))
+                .collect()
+        };
+        // Republish the scraped round with node-3's load unreadable, as a NaN
+        // of either sign: the linear model predicts NaN there, which must
+        // rank last — not as 0 s, and not first in stage one's heap.
+        for load in [f64::NAN, -f64::NAN] {
+            let mut publisher = telemetry::SnapshotPublisher::new();
+            publisher.publish_with(|snap| {
+                snap.clone_from(&scraped);
+                snap.node_mut("node-3").unwrap().cpu_load = load;
+            });
+            let poisoned = publisher.handle();
+            let mut unbudgeted: Vec<NodeRanking> = Vec::new();
+            for top_k in [None, Some(1), Some(2), Some(3), Some(4)] {
+                let config = SchedulerConfig {
+                    prune_top_k: top_k,
+                    ..Default::default()
+                };
+                let mut service = SchedulerService::with_predictor(config, predictor.clone(), 7);
+                let single = service.schedule(&request(0), &poisoned, &cluster, now);
+                let mut batch = Vec::new();
+                service.schedule_batch_into(
+                    &[request(1), request(2)],
+                    &poisoned,
+                    &cluster,
+                    now,
+                    &mut batch,
+                );
+                let rankings: Vec<NodeRanking> = [single]
+                    .into_iter()
+                    .chain(batch)
+                    .map(|decision| {
+                        assert!(decision.used_model);
+                        decision.ranking
+                    })
+                    .collect();
+                for ranking in &rankings {
+                    assert_ne!(ranking.best_name(&cluster), Some("node-3"), "{top_k:?}");
+                }
+                let Some(k) = top_k else {
+                    for ranking in &rankings {
+                        assert_eq!(ranking.len(), 4);
+                        let last = ranking.ranked.last().unwrap();
+                        assert_eq!(cluster.node_name(last.node), "node-3");
+                        assert!(last.predicted_seconds.is_nan());
+                        assert!(ranking.ranked[..3]
+                            .iter()
+                            .all(|r| r.predicted_seconds.is_finite()));
+                    }
+                    unbudgeted = rankings;
+                    continue;
+                };
+                for (budgeted, full) in rankings.iter().zip(&unbudgeted) {
+                    assert_eq!(bits(budgeted), bits(full)[..k], "K = {k}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn the_bootstrap_fallback_is_uniform_over_the_feasible_set_under_a_budget() {
+        let (cluster, _network, _scrape, published) = test_world();
+        let mut service = SchedulerService::new(
+            SchedulerConfig {
+                prune_top_k: Some(2),
+                ..Default::default()
+            },
+            7,
+        );
+        let mut firsts = std::collections::BTreeSet::new();
+        for i in 0..40 {
+            let d = service.schedule(&request(i), &published, &cluster, SimTime::from_secs(2));
+            assert!(!d.used_model);
+            assert_eq!(d.ranking.len(), 4, "a budget prunes only the model's rank");
+            firsts.insert(d.job.target_node.unwrap());
+        }
+        assert_eq!(
+            firsts.len(),
+            4,
+            "first choices cover every node: {firsts:?}"
+        );
     }
 
     #[test]
@@ -761,16 +810,19 @@ mod tests {
         assert_eq!(u.ranking, p.ranking);
         assert_eq!(u.job.target_node, p.job.target_node);
 
-        // A genuinely binding budget ranks exactly K candidates.
-        let mut tight = SchedulerService::new(
+        // A genuinely binding budget ranks exactly K candidates: the first K
+        // of the unbudgeted ranking.
+        let mut tight = SchedulerService::with_predictor(
             SchedulerConfig {
                 prune_top_k: Some(2),
                 ..Default::default()
             },
+            unpruned.predictor().unwrap().clone(),
             7,
         );
-        let d = tight.schedule(&request(0), &published, &cluster, now);
-        assert_eq!(d.ranking.len(), 2);
+        let d = tight.schedule(&request(50), &published, &cluster, now);
+        assert!(d.used_model);
+        assert_eq!(d.ranking.ranked.as_slice(), &u.ranking.ranked[..2]);
     }
 
     #[test]

@@ -10,24 +10,16 @@
 //! cross-pod) exactly like a production ping exporter that cannot afford n²
 //! probes either.
 //!
-//! What is measured at this scale is the **accuracy cost of candidate
-//! pruning**: for each decision the supervised model ranks the full feasible
-//! set (the reference), then [`run_scale_cell`] replays the decision at every
-//! (pruning policy × budget K) cell and records (a) how often the two-stage
-//! top-1 equals the unpruned top-1 and (b) how often the unpruned winner
-//! survives stage one at all. Under [`PruningPolicy::ModelAligned`] both are
-//! exact by construction — pinned here as a measurement so a regression in
-//! the scoreboard path shows up as a number, not just a failing test — while
-//! the model-blind policies pay a measurable accuracy cost. Everything
-//! derives from `(spec, seed)`, so reports are byte-stable — decision
-//! *latency* at these node counts is measured by the `decision_scale` bench,
-//! not here.
+//! A world, its request stream ([`ScaleWorld::requests`]) and the model that
+//! ranks them ([`train_scale_predictor`]) all derive from `(spec, seed)`.
+//! The serving-loop benchmark (`benchmark/`) builds its 10k-node workloads
+//! from them and measures decision latency there; the integration tests pin
+//! on a 240-node world that a budgeted ranking is the unbudgeted ranking's
+//! prefix.
 
 use cluster::{ClusterState, Node, PodSpec, Resources};
-use netsched_core::context::{PruningPolicy, SchedulingContext};
 use netsched_core::predictor::CompletionTimePredictor;
 use netsched_core::request::JobRequest;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use simcore::SimTime;
 use simnet::{TieredClosSpec, TopologySpec};
@@ -35,7 +27,7 @@ use sparksim::WorkloadKind;
 use telemetry::{ClusterSnapshot, NodeTelemetry};
 
 /// Declarative description of one scale world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleWorldSpec {
     /// Total node count (rounded up to whole 40-node racks).
     pub nodes: usize,
@@ -57,11 +49,6 @@ impl ScaleWorldSpec {
             rtt_probes_per_node: 6,
             busy_fraction: 0.6,
         }
-    }
-
-    /// World name used in reports, e.g. `scale-clos-10000`.
-    pub fn name(&self) -> String {
-        format!("scale-clos-{}", self.nodes)
     }
 }
 
@@ -136,8 +123,8 @@ impl ScaleWorld {
             );
         }
         // Sampled RTT mesh: every node probes its rack neighbor, one same-pod
-        // rack and a few cross-pod nodes — the structure a network-aware
-        // prefilter needs, at out-degree `rtt_probes_per_node` instead of n.
+        // rack and a few cross-pod nodes — the structure the RTT features
+        // read, at out-degree `rtt_probes_per_node` instead of n.
         let nodes_per_pod = nodes_per_rack * racks_per_pod;
         for i in 0..n {
             let mut peers = Vec::with_capacity(spec.rtt_probes_per_node);
@@ -197,170 +184,10 @@ impl ScaleWorld {
     }
 }
 
-/// Pruning accuracy at one (policy, budget `K`) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PruneAccuracy {
-    /// The stage-one pruning policy this cell ran with.
-    pub policy: PruningPolicy,
-    /// The candidate budget.
-    pub k: usize,
-    /// Decisions evaluated.
-    pub decisions: usize,
-    /// Decisions where the two-stage top-1 (stage-one prune under `policy`
-    /// plus exact model re-rank of the K survivors) equals the unpruned
-    /// top-1. Under [`PruningPolicy::ModelAligned`] this is exact by
-    /// construction — the scoreboard is keyed by the job's cell in the
-    /// model's split-threshold partition, and equal cells walk identical
-    /// tree paths — but recorded as a measurement so a regression in the
-    /// scoreboard path shows up as a number, not just a failing test.
-    pub top1_hits: usize,
-    /// Decisions where the unpruned winner survived stage one at all (it
-    /// appears somewhere in the two-stage ranking): the ceiling on any
-    /// re-rank's accuracy, and the curve that shows what a model-blind
-    /// candidate budget costs at scale.
-    pub winner_in_pruned: usize,
-}
-
-impl PruneAccuracy {
-    /// Top-1 agreement rate between the two-stage decision and the unpruned
-    /// rank.
-    pub fn top1_hit_rate(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.top1_hits as f64 / self.decisions as f64
-        }
-    }
-
-    /// How often the unpruned winner survives stage one.
-    pub fn winner_survival_rate(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.winner_in_pruned as f64 / self.decisions as f64
-        }
-    }
-}
-
-/// Everything measured on one scale world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleCellReport {
-    /// World name (`scale-clos-<nodes>`).
-    pub world: String,
-    /// Total node count.
-    pub nodes: usize,
-    /// Mean feasible-set size across the evaluated decisions.
-    pub mean_feasible: f64,
-    /// Accuracy at each swept (policy, budget) cell, policy-major with
-    /// ascending K inside each policy.
-    pub ks: Vec<PruneAccuracy>,
-}
-
-/// The machine-readable scale sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleSweepReport {
-    /// One report per world, in ascending node count.
-    pub cells: Vec<ScaleCellReport>,
-}
-
-impl ScaleSweepReport {
-    /// Serialize to JSON (the `results/scenario_scale.json` artifact).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("scale report serialization cannot fail")
-    }
-
-    /// Restore a report saved with [`ScaleSweepReport::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-
-    /// Render a markdown summary: one row per (world, policy, K).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| World | Nodes | Mean feasible | Policy | K | Two-stage top-1 vs unpruned | Winner survives stage one |\n|---|---|---|---|---|---|---|\n",
-        );
-        for cell in &self.cells {
-            for acc in &cell.ks {
-                out.push_str(&format!(
-                    "| {} | {} | {:.0} | {:?} | {} | {:.3} | {:.3} |\n",
-                    cell.world,
-                    cell.nodes,
-                    cell.mean_feasible,
-                    acc.policy,
-                    acc.k,
-                    acc.top1_hit_rate(),
-                    acc.winner_survival_rate(),
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Measure pruning accuracy on one world: rank every request unpruned (the
-/// reference decision), then at each (policy, budget) cell, and count
-/// agreements. Both measurements come from the real two-stage path
-/// ([`SchedulingContext::rank_feasible_batch`] with a budget and policy set):
-/// `top1_hits` compares winners, `winner_in_pruned` checks the reference
-/// winner's membership among the stage-one survivors the re-rank saw.
-pub fn run_scale_cell(
-    world: &ScaleWorld,
-    predictor: &CompletionTimePredictor,
-    policies: &[PruningPolicy],
-    ks: &[usize],
-    jobs: usize,
-) -> ScaleCellReport {
-    let requests = world.requests(jobs);
-    let mut ctx = SchedulingContext::new(&world.snapshot, &world.cluster);
-    let mut accs: Vec<PruneAccuracy> = policies
-        .iter()
-        .flat_map(|&policy| {
-            ks.iter().map(move |&k| PruneAccuracy {
-                policy,
-                k,
-                decisions: 0,
-                top1_hits: 0,
-                winner_in_pruned: 0,
-            })
-        })
-        .collect();
-    let mut feasible_total = 0usize;
-    for request in &requests {
-        ctx.set_top_k(None);
-        feasible_total += ctx.feasible_candidates(request).len();
-        let full = ctx.rank_feasible_batch(request, predictor);
-        let Some(winner) = full.ranked.first().map(|r| r.node) else {
-            continue;
-        };
-        for acc in accs.iter_mut() {
-            ctx.set_top_k(Some(acc.k));
-            ctx.set_pruning_policy(acc.policy);
-            let pruned = ctx.rank_feasible_batch(request, predictor);
-            acc.decisions += 1;
-            if pruned.ranked.iter().any(|r| r.node == winner) {
-                acc.winner_in_pruned += 1;
-            }
-            if pruned.ranked.first().map(|r| r.node) == Some(winner) {
-                acc.top1_hits += 1;
-            }
-        }
-    }
-    ScaleCellReport {
-        world: world.spec.name(),
-        nodes: world.cluster.node_count(),
-        mean_feasible: if requests.is_empty() {
-            0.0
-        } else {
-            feasible_total as f64 / requests.len() as f64
-        },
-        ks: accs,
-    }
-}
-
-/// Train the supervised predictor the scale sweep ranks with: a random
-/// forest fitted on a quick FABRIC-slice dataset (the scale worlds share the
-/// feature schema, so the model transfers; what is measured here is pruning
-/// agreement against the *same* model, not absolute accuracy).
+/// Train the supervised predictor scale worlds are ranked with: a 40-tree
+/// random forest fitted on a quick FABRIC-slice dataset (the scale worlds
+/// share the feature schema, so the model transfers; what runs at this scale
+/// is the decision path, not an accuracy study).
 pub fn train_scale_predictor(seed: u64) -> CompletionTimePredictor {
     use crate::workflow::{ExperimentConfig, Workflow};
     let dataset = Workflow::new(ExperimentConfig::quick(3, 2, seed)).run();
@@ -378,44 +205,6 @@ pub fn train_scale_predictor(seed: u64) -> CompletionTimePredictor {
         mlcore::TrainedModel::train(mlcore::ModelKind::RandomForest, &config, &data, &mut rng);
     CompletionTimePredictor::new(dataset.schema.clone(), model)
         .expect("experiment datasets are built from their own schema")
-}
-
-/// Run the full scale sweep: one cell per node count, shared predictor.
-pub fn run_scale_sweep(
-    node_counts: &[usize],
-    policies: &[PruningPolicy],
-    ks: &[usize],
-    jobs: usize,
-    seed: u64,
-) -> ScaleSweepReport {
-    let predictor = train_scale_predictor(seed);
-    let cells = node_counts
-        .iter()
-        .map(|&nodes| {
-            let world = ScaleWorld::build(ScaleWorldSpec::with_nodes(nodes, seed ^ nodes as u64));
-            run_scale_cell(&world, &predictor, policies, ks, jobs)
-        })
-        .collect();
-    ScaleSweepReport { cells }
-}
-
-/// The standard scale-cell family: 1k, 4k and 10k nodes.
-pub fn standard_node_counts() -> Vec<usize> {
-    vec![1000, 4000, 10_000]
-}
-
-/// The standard budget sweep.
-pub fn standard_ks() -> Vec<usize> {
-    vec![8, 16, 32, 64, 128]
-}
-
-/// Every stage-one pruning policy, model-aligned default first.
-pub fn standard_policies() -> Vec<PruningPolicy> {
-    vec![
-        PruningPolicy::ModelAligned,
-        PruningPolicy::LinearBlend,
-        PruningPolicy::LeastAllocated,
-    ]
 }
 
 #[cfg(test)]

@@ -7,20 +7,20 @@
 //!   [`FeasibilityIndex`] and the [`SchedulingContext`] — fresh or reusing a
 //!   previous burst's scratch — must agree *exactly* with the naive full
 //!   scan through [`DefaultScheduler::filter`].
-//! * **K = ∞ byte-identity.** With an unbounded (or merely oversized) budget,
-//!   every one of the five policies must produce rankings byte-identical to
-//!   the unpruned path under every pruning policy, RNG streams included.
-//! * **Monotonicity.** The pruned candidate set is exactly the K best
-//!   prefilter scores under the active policy, budgets nest (`S_K ⊆ S_K'`),
-//!   and the supervised top-1 under K can only move toward the full-rank
-//!   top-1 as K grows.
+//! * **Budget byte-identity.** A budget prunes only the supervised rank: the
+//!   four baselines rank byte-identically at every K, RNG streams included,
+//!   and the supervised rank does at every oversized K.
+//! * **Exactness.** For linear, forest and boosted models, the budgeted
+//!   supervised ranking is the unbudgeted ranking's first `min(K,
+//!   |feasible|)` entries, scores included — on random worlds and on a
+//!   240-node clos `ScaleWorld` ranked by the scale predictor.
 //! * **Incremental feasibility.** After random sequences of bind / complete /
 //!   delete / cordon / taint / `nodes_mut` / `add_node`, the index refreshed
 //!   in place equals a freshly built one and the naive scan.
 //! * **Keyed decision view.** One long-lived `ContextScratch`, driven through
 //!   random interleavings of new epochs (sealed or not, aligned or not, nodes
 //!   going missing), binds, releases, model swaps at the same address,
-//!   requests from different cells and budget/policy changes, ranks
+//!   requests from different cells and budget changes, ranks
 //!   byte-identically to a cold context at every step — for linear, forest
 //!   and boosted models. A regression test pins the two staleness traps the
 //!   retired address fingerprints hid.
@@ -42,7 +42,7 @@ use netsched::core::schedulers::{
     SupervisedScheduler,
 };
 use netsched::core::service::{SchedulerConfig, SchedulerService};
-use netsched::core::PruningPolicy;
+use netsched::experiments::scale::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
 use netsched::mlcore::{
     Dataset, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
 };
@@ -51,13 +51,6 @@ use netsched::simcore::SimTime;
 use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
-
-/// Every stage-one pruning policy.
-const POLICIES: [PruningPolicy; 3] = [
-    PruningPolicy::ModelAligned,
-    PruningPolicy::LinearBlend,
-    PruningPolicy::LeastAllocated,
-];
 
 /// A randomized world: nodes with mixed capacities, a slice cordoned or
 /// tainted, loads ranging from idle to completely full, and telemetry for
@@ -112,8 +105,8 @@ fn varied_world(nodes: usize, seed: u64) -> (ClusterState, ClusterSnapshot) {
 
     let mut snapshot = ClusterSnapshot::at(SimTime::from_secs(30));
     for i in 0..nodes {
-        // A slice of nodes was never scraped: prefilter and heuristics must
-        // cope with missing telemetry.
+        // A slice of nodes was never scraped: the model and the heuristics
+        // must cope with missing telemetry.
         if rng.gen_range_usize(0, 8) == 0 {
             continue;
         }
@@ -362,10 +355,10 @@ proptest! {
         }
     }
 
-    /// With the budget off or merely oversized, every policy's rankings are
-    /// byte-identical to the unpruned path under every pruning policy —
-    /// including the stateful (seeded) schedulers, whose RNG streams must
-    /// advance the same way through the pruned code path.
+    /// A budget prunes only the supervised rank. The four baselines rank
+    /// byte-identically at every budget, 1 included — the stateful (seeded)
+    /// ones with their RNG streams advancing exactly as without one — and the
+    /// supervised rank does at every oversized budget.
     #[test]
     fn unbounded_budget_is_byte_identical_for_every_policy(
         seed in 0u64..1_000_000,
@@ -379,11 +372,7 @@ proptest! {
             .collect();
 
         type PolicyFactory = Box<dyn Fn() -> Box<dyn JobScheduler>>;
-        let schedulers: Vec<(&str, PolicyFactory)> = vec![
-            (
-                "supervised",
-                Box::new(|| Box::new(SupervisedScheduler::new(predictor())) as Box<dyn JobScheduler>),
-            ),
+        let baselines: Vec<(&str, PolicyFactory)> = vec![
             (
                 "kube-default",
                 Box::new(move || Box::new(KubeDefaultScheduler::new(seed)) as Box<dyn JobScheduler>),
@@ -401,98 +390,55 @@ proptest! {
                 Box::new(|| Box::new(LowestRttScheduler) as Box<dyn JobScheduler>),
             ),
         ];
-        for (name, make) in &schedulers {
-            let mut unpruned_ctx = SchedulingContext::new(&snapshot, &cluster);
-            let unpruned = make().select_batch(&requests, &mut unpruned_ctx);
-            for policy in POLICIES {
-                let mut pruned_ctx = SchedulingContext::new(&snapshot, &cluster);
-                pruned_ctx.set_top_k(Some(oversized));
-                pruned_ctx.set_pruning_policy(policy);
-                let pruned = make().select_batch(&requests, &mut pruned_ctx);
-                prop_assert!(
-                    unpruned == pruned,
-                    "{} diverged at K={} under {:?}",
-                    name,
-                    oversized,
-                    policy
-                );
+        let supervised: PolicyFactory =
+            Box::new(|| Box::new(SupervisedScheduler::new(predictor())) as Box<dyn JobScheduler>);
+        let checks = baselines
+            .iter()
+            .map(|(name, make)| (*name, make, vec![1, 2, 5, oversized]))
+            .chain([("supervised", &supervised, vec![oversized])]);
+        for (name, make, budgets) in checks {
+            let mut unbudgeted_ctx = SchedulingContext::new(&snapshot, &cluster);
+            let unbudgeted = make().select_batch(&requests, &mut unbudgeted_ctx);
+            for k in budgets {
+                let mut budgeted_ctx = SchedulingContext::new(&snapshot, &cluster);
+                budgeted_ctx.set_top_k(Some(k));
+                let budgeted = make().select_batch(&requests, &mut budgeted_ctx);
+                prop_assert!(unbudgeted == budgeted, "{} diverged at K={}", name, k);
             }
         }
     }
 
-    /// The pruned candidate set is exactly the K best prefilter scores under
-    /// the active policy, budgets nest, and the supervised top-1 under K
-    /// climbs monotonically toward (and at K ≥ n reaches) the full-rank
-    /// top-1.
+    /// For every model family the budgeted supervised ranking is exactly the
+    /// first `min(K, |feasible|)` entries of the unbudgeted one, scores
+    /// included — which also makes budgets nest and the top-1 exact at every
+    /// K ≥ 1.
     #[test]
     fn pruning_is_exact_nested_and_monotone(
         seed in 0u64..1_000_000,
         nodes in 2usize..40,
     ) {
         let (cluster, snapshot) = varied_world(nodes, seed);
-        let predictor = predictor();
-        let request = driver_request(1, 500, 1);
+        let request = driver_request(seed as usize, 500, 1);
+        let mut budgets = vec![1usize, 2, 3, 5, 8, 13, nodes, nodes + 7];
+        budgets.sort_unstable();
+        budgets.dedup();
 
-        for policy in POLICIES {
+        for [predictor, _] in cell_models() {
             let mut ctx = SchedulingContext::new(&snapshot, &cluster);
-            ctx.set_pruning_policy(policy);
-            ctx.set_top_k(None);
-            let feasible: Vec<ClusterNodeId> = ctx.feasible_candidates(&request).to_vec();
-            let full = ctx.rank_feasible_batch(&request, &predictor);
-            prop_assert_eq!(full.len(), feasible.len());
-            let position_of = |id: ClusterNodeId| -> usize {
-                full.ranked
-                    .iter()
-                    .position(|r| r.node == id)
-                    .expect("pruned winner always comes from the feasible set")
-            };
-
-            // Independently recompute what the top-K prefilter must keep: the
-            // K smallest (score, id) pairs, reported in ascending-id order.
-            let mut scored: Vec<(f64, ClusterNodeId)> = feasible
-                .iter()
-                .map(|&id| (ctx.prefilter_score(id), id))
-                .collect();
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-            let mut budgets = vec![1usize, 2, 3, 5, 8, 13, nodes, nodes + 7];
-            budgets.sort_unstable();
-            budgets.dedup();
-            let mut previous: Option<(Vec<ClusterNodeId>, usize)> = None;
+            let feasible = ctx.feasible_candidates(&request).len();
+            let full = ctx.rank_feasible_batch(&request, predictor);
+            prop_assert_eq!(full.len(), feasible);
             for &k in &budgets {
                 ctx.set_top_k(Some(k));
-                let pruned: Vec<ClusterNodeId> = ctx.pruned_candidates(&request).to_vec();
-                prop_assert_eq!(pruned.len(), k.min(feasible.len()));
-                let mut expected: Vec<ClusterNodeId> =
-                    scored.iter().take(k).map(|&(_, id)| id).collect();
-                expected.sort_unstable();
-                prop_assert_eq!(&pruned, &expected);
-
-                let ranking = ctx.rank_feasible_batch(&request, &predictor);
-                prop_assert_eq!(ranking.len(), pruned.len());
-                let top1_position = ranking.ranked.first().map(|r| position_of(r.node));
-                if let Some((smaller, smaller_position)) = &previous {
-                    // S_K ⊆ S_K' ...
-                    prop_assert!(
-                        smaller.iter().all(|id| pruned.contains(id)),
-                        "budgets must nest: K={} lost a smaller budget's candidate",
-                        k
-                    );
-                    // ... so the winner over the larger set can only rank
-                    // better.
-                    if let Some(position) = top1_position {
-                        prop_assert!(
-                            position <= *smaller_position,
-                            "top-1 moved away from the full-rank top-1 as K grew to {}",
-                            k
-                        );
-                    }
-                }
-                if k >= feasible.len() && !feasible.is_empty() {
-                    prop_assert_eq!(&ranking, &full);
-                    prop_assert_eq!(top1_position, Some(0));
-                }
-                previous = top1_position.map(|p| (pruned, p));
+                let budgeted = ctx.rank_feasible_batch(&request, predictor);
+                prop_assert!(
+                    budgeted.ranked[..] == full.ranked[..k.min(feasible)],
+                    "{} K={}: {:?} is not the prefix of {:?}",
+                    predictor.model_kind(),
+                    k,
+                    budgeted,
+                    full
+                );
             }
         }
     }
@@ -673,22 +619,16 @@ proptest! {
                 )
                 .with_driver_resources(250 * rng.gen_range_usize(0, 5) as u64, 1 << 30);
                 let top_k = [None, Some(1), Some(3), Some(8), Some(1_000)][rng.gen_range_usize(0, 5)];
-                let policy = POLICIES[rng.gen_range_usize(0, 4) % 3];
 
                 let mut warm = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
                 let mut cold = SchedulingContext::new(&snapshot, &cluster);
                 for ctx in [&mut warm, &mut cold] {
                     ctx.set_top_k(top_k);
-                    ctx.set_pruning_policy(policy);
                 }
-                prop_assert!(
-                    warm.pruned_candidates(&request) == cold.pruned_candidates(&request),
-                    "prefilter, step {} {:?} {:?}", step, top_k, policy
-                );
                 prop_assert!(
                     warm.rank_feasible_batch(&request, scheduler.predictor())
                         == cold.rank_feasible_batch(&request, scheduler.predictor()),
-                    "{} step {} {:?} {:?}", scheduler.name(), step, top_k, policy
+                    "{} step {} {:?}", scheduler.name(), step, top_k
                 );
                 scratch = warm.into_scratch();
             }
@@ -837,6 +777,35 @@ fn a_model_at_the_same_address_and_a_recycled_buffer_serve_nothing_stale() {
     assert_ne!(top2(&after), top2(&before), "the loads were reversed");
 }
 
+/// At scale, on a 240-node clos `ScaleWorld` (sampled RTT mesh, background
+/// load) ranked by the 40-tree scale predictor: every request's budgeted
+/// ranking is the unbudgeted ranking's first K entries.
+#[test]
+fn clos_world_budgets_rank_the_unbudgeted_prefix() {
+    let predictor = train_scale_predictor(11);
+    let world = ScaleWorld::build(ScaleWorldSpec::with_nodes(240, 11 ^ 240));
+    let mut ctx = SchedulingContext::new(&world.snapshot, &world.cluster);
+    for request in world.requests(8) {
+        ctx.set_top_k(None);
+        let full = ctx.rank_feasible_batch(&request, &predictor);
+        assert!(
+            full.len() > 64,
+            "every budget binds: {} feasible",
+            full.len()
+        );
+        for k in [4, 16, 64] {
+            ctx.set_top_k(Some(k));
+            let budgeted = ctx.rank_feasible_batch(&request, &predictor);
+            assert_eq!(
+                budgeted.ranked.as_slice(),
+                &full.ranked[..k],
+                "{} K = {k}",
+                request.name
+            );
+        }
+    }
+}
+
 /// Pruned decision bursts against a published-epoch reader while ingest runs
 /// on another thread, with binds and releases between bursts refreshing the
 /// feasibility index mid-stream. Every decision must use a whole committed
@@ -903,11 +872,13 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     // The scheduler works on its own view of the cluster so bursts can bind
     // pods (refreshing the index) while ingest holds the scraped one.
     let mut sched_cluster = cluster.clone();
-    let mut service = SchedulerService::new(
+    let predictor = predictor();
+    let mut service = SchedulerService::with_predictor(
         SchedulerConfig {
             prune_top_k: Some(3),
             ..Default::default()
         },
+        predictor.clone(),
         7,
     );
 
@@ -946,16 +917,18 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                     observed.push(decision.snapshot.time);
                 }
                 // The budget binds (3 of the ≥ 7 feasible nodes get ranked),
-                // and the ranked set is what a context built from nothing
-                // over the cluster as it is *now* would keep: the decision
-                // saw every bind and release made before it.
-                let mut ranked: Vec<ClusterNodeId> =
-                    decision.ranking.ranked.iter().map(|r| r.node).collect();
-                ranked.sort_unstable();
+                // and the ranking is what a context built from nothing over
+                // the cluster as it is *now* would produce: the decision saw
+                // every bind and release made before it.
+                assert!(decision.used_model);
+                assert_eq!(decision.ranking.len(), 3);
                 let mut cold = SchedulingContext::new(&decision.snapshot, &sched_cluster);
                 cold.set_top_k(Some(3));
-                assert_eq!(ranked, cold.pruned_candidates(request), "burst {burst}");
-                assert_eq!(ranked.len(), 3);
+                assert_eq!(
+                    decision.ranking,
+                    cold.rank_feasible_batch(request, &predictor),
+                    "burst {burst}"
+                );
             }
             burst += 1;
             if trailing {
