@@ -28,23 +28,25 @@
 //!   that refreshes itself in place when the generation moved, and cached
 //!   per `(driver sizing, generation)`.
 //! * **Model** — under a top-K budget ([`SchedulingContext::set_top_k`]) the
-//!   supervised rank prunes by a pool of coarse scoreboards of the model's
-//!   *own* per-node scores, keyed by `(ModelVersion, the job's cell in the
-//!   model's split-threshold partition)`. Boards outlive bursts and epochs: a
-//!   board that lags the telemetry version re-predicts only the rows stamped
-//!   since it last synced. Row predictions are batch-independent, so a
-//!   patched board is bit-identical to a rebuilt one. A retrained or reloaded
-//!   model carries a new version and never matches an old board.
+//!   supervised rank reads a pool of scoreboards of the model's per-node
+//!   scores, keyed by `(ModelVersion, the job's signature cell)`: every job
+//!   of a cell gets the same prediction on every node, for every model
+//!   family ([`CompletionTimePredictor::signature_cells`]). Boards outlive
+//!   bursts and epochs: a board that lags the telemetry version re-predicts
+//!   only the rows stamped since it last synced, bit-identical to a rebuild
+//!   (row predictions are batch-independent). A retrained or reloaded model
+//!   carries a new version and never matches an old board.
 //!
-//! Stage one has one scorer, the model's scoreboard, and one selection: a
-//! bounded heap under the exact rank's total order
-//! (`decision::rank_order`), cached under `(driver sizing, generation)` plus
-//! `(budget, board slot, board stamp)`. The pruned ranking is therefore the
-//! unpruned ranking's first K entries, scores included. A budget prunes only
-//! the supervised rank: every model-blind policy, and the service's
-//! bootstrap fallback, ranks the whole feasible set. The context also owns
-//! the per-decision feature / prediction scratch, so steady-state decisions
-//! allocate only their output ranking.
+//! A budgeted rank is the board's top K: one selection, a bounded heap under
+//! the rank's own total order (`decision::rank_order`), cached under
+//! `(driver sizing, generation)` plus `(budget, board slot, board stamp)`,
+//! then sorted. No feature row is rebuilt and no model runs after the board
+//! is synced, so the budgeted ranking is the unbudgeted ranking's first K
+//! entries, bit for bit. A budget prunes only the supervised rank: every
+//! model-blind policy, and the service's bootstrap fallback, ranks the whole
+//! feasible set. The context also owns the per-decision feature /
+//! prediction scratch, so steady-state decisions allocate only their output
+//! ranking.
 //!
 //! All [`crate::schedulers::JobScheduler`] policies take `&mut
 //! SchedulingContext` in [`crate::schedulers::JobScheduler::select`] and
@@ -52,7 +54,7 @@
 //! ranking is byte-identical to the historical full-scan path; with
 //! `top_k = K ≥ |feasible|` it still is, by construction.
 
-use crate::decision::{rank_order, DecisionModule, NodeRanking};
+use crate::decision::{rank_order, DecisionModule, NodeRanking, RankedNode};
 use crate::predictor::{CompletionTimePredictor, ModelVersion};
 use crate::request::JobRequest;
 use cluster::{ClusterState, FeasibilityIndex, NodeId};
@@ -68,28 +70,27 @@ use telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry};
 /// names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PruningPolicy {
-    /// Supervised ranks prune by a coarse scoreboard of the decision model's
-    /// *own* per-node scores: the pruned ranking is the unpruned ranking's
-    /// first K entries.
+    /// Supervised ranks read the decision model's own scoreboard: the pruned
+    /// ranking is the unpruned ranking's first K entries.
     #[default]
     ModelAligned,
 }
 
-/// One stage-1 scoreboard: a model's score for every node at a fixed
-/// job-feature signature cell (one workload class × input-size band).
+/// How many scoreboards the pool keeps before evicting the oldest. Streams
+/// touching up to this many (model, job cell) pairs pay the full-cluster
+/// inference once per pair; at 10k nodes a board is ~80 KB, so even a full
+/// pool stays a few MB of scratch.
+const MAX_BOARDS: usize = 64;
+
+/// One scoreboard: a model's exact score for every node, shared by every job
+/// in one signature cell.
 #[derive(Debug, Clone)]
-struct CoarseBoard {
+struct ScoreBoard {
     /// The model the scores came from.
     version: ModelVersion,
-    /// The job-feature signature cell the scores belong to.
+    /// The job's signature cell the scores belong to.
     sig: Vec<f64>,
-    /// The (nameless) job the scores were computed with. Dirty rows are
-    /// refreshed with *these* job columns, never the current request's: a
-    /// linear model puts every request in cell 0 and its job columns shift
-    /// all nodes by a per-request constant, so mixing requests inside one
-    /// board would break its ordering.
-    job: JobRequest,
-    /// One coarse score per node (index = `NodeId::index`).
+    /// One score per node (index = `NodeId::index`).
     scores: Vec<f64>,
     /// The telemetry version the scores reflect.
     synced_at: u64,
@@ -102,8 +103,9 @@ struct CoarseBoard {
 struct SelectionKey {
     /// Driver sizing and cluster generation behind `candidates`.
     feasible: Option<(u64, u64, u64)>,
-    /// Budget, board slot and [`CoarseBoard::stamp`] behind `selected`;
-    /// `None` until a selection ran over the current `candidates`.
+    /// Budget, board slot and [`ScoreBoard::stamp`] behind the selection in
+    /// [`ContextScratch::heap`]; `None` until a selection ran over the
+    /// current `candidates`.
     stage_one: Option<(usize, usize, u64)>,
 }
 
@@ -127,16 +129,13 @@ struct DecisionView {
     index: FeasibilityIndex,
     /// The full feasible set (pre-pruning) for `key.feasible`.
     candidates: Vec<NodeId>,
-    /// The top-K of `candidates` by the scoreboard keyed in
-    /// `key.stage_one`, in ascending id order.
-    selected: Vec<NodeId>,
     key: SelectionKey,
     /// Scoreboard pool, one per (model, job cell) seen, bounded by
-    /// [`SchedulingContext::MAX_COARSE_BOARDS`].
-    boards: Vec<CoarseBoard>,
+    /// [`MAX_BOARDS`].
+    boards: Vec<ScoreBoard>,
     /// The slot the next board evicts once the pool is full (oldest first).
     next_evicted: usize,
-    /// Source of [`CoarseBoard::stamp`]s.
+    /// Source of [`ScoreBoard::stamp`]s.
     next_stamp: u64,
 }
 
@@ -165,6 +164,25 @@ impl DecisionView {
             self.telemetry_version = version;
         }
     }
+
+    /// A pool slot for a board the pool does not hold: a new one while the
+    /// pool is under [`MAX_BOARDS`], else the oldest (FIFO). Only growing
+    /// the pool allocates; the caller re-initialises the slot in place.
+    fn claim_board_slot(&mut self, version: ModelVersion) -> usize {
+        if self.boards.len() < MAX_BOARDS {
+            self.boards.push(ScoreBoard {
+                version,
+                sig: Vec::new(),
+                scores: Vec::new(),
+                synced_at: 0,
+                stamp: 0,
+            });
+            return self.boards.len() - 1;
+        }
+        let oldest = self.next_evicted;
+        self.next_evicted = (oldest + 1) % MAX_BOARDS;
+        oldest
+    }
 }
 
 /// The reusable state behind a [`SchedulingContext`], detached from any
@@ -179,15 +197,17 @@ impl DecisionView {
 #[derive(Debug, Clone, Default)]
 pub struct ContextScratch {
     view: DecisionView,
-    /// `(score, id)` bounded max-heap scratch for top-K selection: the worst
-    /// survivor sits at the root and is evicted when a better candidate
-    /// arrives, so selection is `O(n log K)` with no allocation past warmup.
-    heap: Vec<(f64, NodeId)>,
+    /// Bounded max-heap for top-K selection: the worst survivor sits at the
+    /// root and is evicted when a better candidate arrives, so selection is
+    /// `O(n log K)` with no allocation past warmup. Between decisions it
+    /// holds the entries of the selection `view.key.stage_one` names, which
+    /// a budgeted ranking is sorted from.
+    heap: Vec<RankedNode>,
     /// Scratch for building the signature row without allocating.
     sig_scratch: Vec<f64>,
     /// Scratch: the rows a lagging scoreboard re-predicts.
     dirty: Vec<NodeId>,
-    /// One prediction per candidate.
+    /// One prediction per candidate (or per dirty scoreboard row).
     predictions: Vec<f64>,
     /// The candidate × feature matrix one batch inference runs over (one
     /// contiguous buffer, reused across decisions).
@@ -203,17 +223,15 @@ impl ContextScratch {
     }
 }
 
-/// Offer `entry` to a bounded max-heap of the `k` smallest `(score, id)`
-/// pairs under [`rank_order`], the order the exact rank sorts by: while
+/// Offer `entry` to a bounded max-heap of the `k` smallest entries under
+/// [`rank_order`], the order every ranking is sorted by: while
 /// under budget the entry is pushed and sifted up; at budget it replaces the
 /// root (the worst survivor) only when strictly better, then sifts down
 /// (`k = 0` keeps nothing). Because the order is total and shared, the heap
 /// keeps exactly the nodes the unpruned rank puts first, whatever the
 /// scores — NaN of either sign, signed zeros and infinities included.
-fn bounded_heap_offer(heap: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, NodeId)) {
-    fn worse(a: &(f64, NodeId), b: &(f64, NodeId)) -> bool {
-        rank_order(*a, *b).is_gt()
-    }
+fn bounded_heap_offer(heap: &mut Vec<RankedNode>, k: usize, entry: RankedNode) {
+    let worse = |a: &RankedNode, b: &RankedNode| rank_order(a, b).is_gt();
     if heap.len() < k {
         heap.push(entry);
         let mut at = heap.len() - 1;
@@ -363,10 +381,9 @@ impl<'a> SchedulingContext<'a> {
         &view.candidates
     }
 
-    /// Stage one: the `k` best of the cached feasible set by scoreboard
-    /// `slot` (whose scores carry `stamp`), through the scratch's bounded
-    /// heap, into `selected` in ascending [`NodeId`] order. Cached under the
-    /// view's one [`SelectionKey`].
+    /// Stage one: the `k` best entries of the cached feasible set by
+    /// scoreboard `slot` (whose scores carry `stamp`), left in the scratch's
+    /// bounded heap. Cached under the view's one [`SelectionKey`].
     fn select_top_k(&mut self, k: usize, slot: usize, stamp: u64) {
         let stage_one = Some((k, slot, stamp));
         let view = &mut self.scratch.view;
@@ -376,12 +393,17 @@ impl<'a> SchedulingContext<'a> {
         let heap = &mut self.scratch.heap;
         heap.clear();
         let scores = &view.boards[slot].scores;
-        for &id in &view.candidates {
-            bounded_heap_offer(heap, k, (scores[id.index()], id));
+        for &node in &view.candidates {
+            let predicted_seconds = scores[node.index()];
+            bounded_heap_offer(
+                heap,
+                k,
+                RankedNode {
+                    node,
+                    predicted_seconds,
+                },
+            );
         }
-        view.selected.clear();
-        view.selected.extend(heap.iter().map(|&(_, id)| id));
-        view.selected.sort_unstable();
         view.key.stage_one = stage_one;
     }
 
@@ -406,8 +428,7 @@ impl<'a> SchedulingContext<'a> {
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
-    /// predictions via **one batch inference call** (see
-    /// [`SchedulingContext::rank_feasible_batch_into`]).
+    /// predictions (see [`SchedulingContext::rank_feasible_batch_into`]).
     pub fn rank_feasible_batch(
         &mut self,
         request: &JobRequest,
@@ -419,25 +440,20 @@ impl<'a> SchedulingContext<'a> {
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
-    /// predictions via **one batch inference call**: the candidate × feature
-    /// matrix is constructed row by row into the context's contiguous
-    /// scratch, then the whole batch streams through the model's flat-tree
-    /// kernels at once (trees-outer), instead of re-walking every tree per
-    /// candidate. The ranking is built into `out`, reusing its buffer, and
-    /// every intermediate lives in the context's scratch — a steady-state
-    /// decision touches no heap.
+    /// predictions into `out`, reusing its buffer; every intermediate lives
+    /// in the context's scratch, so a steady-state decision touches no heap.
     ///
-    /// With pruning enabled (`top_k = Some(K) < |feasible|`) this is a true
-    /// two-stage path. Stage one reads the view's coarse scoreboard of the
-    /// predictor's *own* scores for the job's signature **cell**
-    /// ([`CompletionTimePredictor::signature_cells`]): jobs in the same cell
-    /// take identical paths through every tree, so they share *identical*
-    /// per-node scores (linear models shift every node by the same constant)
-    /// and the board's node-ordering is exactly the full rank's. Selected
-    /// under the rank's own total order, its top-K is therefore the first K
-    /// entries of the unpruned ranking, while the per-decision cost drops
-    /// from a full-cluster inference to an `O(n)` top-K selection plus a
-    /// K-row exact re-rank.
+    /// Unbudgeted (`top_k = None`, or `K ≥ |feasible|`), the candidate ×
+    /// feature matrix is built row by row into one contiguous scratch buffer
+    /// and streams through the model in **one batch inference call**.
+    ///
+    /// Under a binding budget (`top_k = Some(K) < |feasible|`) no feature row
+    /// is built and no model runs after the view's scoreboard for the job's
+    /// signature cell is synced: the board holds every node's exact score,
+    /// for every model family ([`CompletionTimePredictor::signature_cells`]),
+    /// so its K best entries, selected under the rank's own total order and
+    /// sorted by it, are the unbudgeted ranking's first K entries, bit for
+    /// bit, at the cost of an `O(n)` top-K selection.
     pub fn rank_feasible_batch_into(
         &mut self,
         request: &JobRequest,
@@ -445,48 +461,35 @@ impl<'a> SchedulingContext<'a> {
         out: &mut NodeRanking,
     ) {
         let feasible_len = self.feasible_candidates(request).len();
-        let pruned = match self.top_k {
-            Some(k) if k < feasible_len => {
-                let (slot, stamp) = self.sync_coarse_scores(request, predictor);
-                self.select_top_k(k, slot, stamp);
-                true
-            }
-            _ => false,
-        };
+        if let Some(k) = self.top_k.filter(|&k| k < feasible_len) {
+            let (slot, stamp) = self.sync_board(request, predictor);
+            self.select_top_k(k, slot, stamp);
+            out.ranked.clear();
+            out.ranked.extend_from_slice(&self.scratch.heap);
+            out.ranked.sort_unstable_by(rank_order);
+            return;
+        }
         let schema = predictor.schema();
         let view = &self.scratch.view;
-        let ranked = if pruned {
-            &view.selected
-        } else {
-            &view.candidates
-        };
         self.scratch.features.reset(schema.len());
-        for &id in ranked {
+        for &id in &view.candidates {
             let node = view.telemetry.node(id).copied().unwrap_or_default();
             let rtt_stats = view.telemetry.rtt_stats(id);
             schema.construct_into_matrix(&mut self.scratch.features, &node, rtt_stats, request);
         }
         predictor.predict_batch_into(&self.scratch.features, &mut self.scratch.predictions);
-        DecisionModule.rank_into(ranked, &self.scratch.predictions, out);
+        DecisionModule.rank_into(&view.candidates, &self.scratch.predictions, out);
     }
-
-    /// How many coarse scoreboards the pool keeps before evicting the
-    /// oldest. Streams touching up to this many (model, job cell) pairs pay
-    /// the full-cluster inference once per pair; at 10k nodes a board is
-    /// ~80 KB, so even a full pool stays a few MB of scratch.
-    const MAX_COARSE_BOARDS: usize = 64;
 
     /// Bring the scoreboard for this (model version, job-signature cell) pair
     /// up to date with the view's telemetry and return its pool slot and
-    /// [`CoarseBoard::stamp`].
-    /// The cell is the job's feature row over a default node, collapsed onto
-    /// the model's partition, so the key space is bounded by the model's split
-    /// granularity, not the stream's diversity. A miss claims a slot (growing
-    /// the pool, then evicting oldest first) and scores the whole cluster in
+    /// [`ScoreBoard::stamp`]. A miss claims a slot (growing the pool, then
+    /// refilling the oldest board's buffers) and scores the whole cluster in
     /// one batch inference; a hit that lags the telemetry version re-predicts
-    /// only the rows stamped since, with the board's own job columns; a
-    /// current hit is a pool lookup.
-    fn sync_coarse_scores(
+    /// only the rows stamped since; a current hit is a pool lookup. Rows use
+    /// the request's own job columns: every job of a cell scores every node
+    /// identically.
+    fn sync_board(
         &mut self,
         request: &JobRequest,
         predictor: &CompletionTimePredictor,
@@ -509,22 +512,12 @@ impl<'a> SchedulingContext<'a> {
             .iter()
             .position(|board| board.version == version && board.sig == *sig);
         let slot = hit.unwrap_or_else(|| {
-            let board = CoarseBoard {
-                version,
-                sig: sig.clone(),
-                job: JobRequest::new(String::new(), request.workload.clone()),
-                scores: Vec::new(),
-                synced_at: 0,
-                stamp: 0,
-            };
-            if view.boards.len() < Self::MAX_COARSE_BOARDS {
-                view.boards.push(board);
-                return view.boards.len() - 1;
-            }
-            let oldest = view.next_evicted;
-            view.next_evicted = (oldest + 1) % Self::MAX_COARSE_BOARDS;
-            view.boards[oldest] = board;
-            oldest
+            let slot = view.claim_board_slot(version);
+            let board = &mut view.boards[slot];
+            board.version = version;
+            board.sig.clone_from(sig);
+            board.scores.clear();
+            slot
         });
         let board = &mut view.boards[slot];
         dirty.clear();
@@ -545,7 +538,7 @@ impl<'a> SchedulingContext<'a> {
             for &id in dirty.iter() {
                 let node = view.telemetry.node(id).copied().unwrap_or_default();
                 let rtt_stats = view.telemetry.rtt_stats(id);
-                schema.construct_into_matrix(features, &node, rtt_stats, &board.job);
+                schema.construct_into_matrix(features, &node, rtt_stats, request);
             }
             predictor.predict_batch_into(features, predictions);
             for (&id, &score) in dirty.iter().zip(predictions.iter()) {
@@ -703,15 +696,21 @@ mod tests {
         for reversed in [false, true] {
             for k in 0..=scores.len() + 1 {
                 heap.clear();
-                let mut offered: Vec<(f64, NodeId)> =
-                    scores.iter().copied().zip(ids.iter().copied()).collect();
+                let mut offered: Vec<RankedNode> = scores
+                    .iter()
+                    .zip(&ids)
+                    .map(|(&predicted_seconds, &node)| RankedNode {
+                        node,
+                        predicted_seconds,
+                    })
+                    .collect();
                 if reversed {
                     offered.reverse();
                 }
                 for entry in offered {
                     bounded_heap_offer(&mut heap, k, entry);
                 }
-                let mut kept: Vec<NodeId> = heap.iter().map(|&(_, id)| id).collect();
+                let mut kept: Vec<NodeId> = heap.iter().map(|r| r.node).collect();
                 kept.sort_unstable();
                 let kept_scores: Vec<f64> = kept.iter().map(|id| scores[id.index()]).collect();
                 let pruned = bits(&DecisionModule.rank(&kept, &kept_scores));

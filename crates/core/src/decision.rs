@@ -100,24 +100,23 @@ impl DecisionModule {
                     predicted_seconds: p,
                 }),
         );
-        out.ranked.sort_unstable_by(|a, b| {
-            rank_order((a.predicted_seconds, a.node), (b.predicted_seconds, b.node))
-        });
+        out.ranked.sort_unstable_by(rank_order);
     }
 }
 
-/// The one order every ranking uses, the exact rank's sort and stage one's
+/// The one order every ranking uses, the full rank's sort and stage one's
 /// top-K heap alike: NaN scores after every number (among themselves by
 /// [`NodeId`], whatever their sign); numbers by value, `-0.0` and `+0.0`
 /// tying; ties by ascending [`NodeId`]. That is a total order over distinct
 /// candidates, which the unstable sort requires — it may panic on an
 /// inconsistent comparator — and which makes it result-identical to a
 /// stable sort.
-pub(crate) fn rank_order(a: (f64, NodeId), b: (f64, NodeId)) -> std::cmp::Ordering {
+pub(crate) fn rank_order(a: &RankedNode, b: &RankedNode) -> std::cmp::Ordering {
+    let (x, y) = (a.predicted_seconds, b.predicted_seconds);
     // Numbers take the one-compare path; only a NaN falls back to `is_nan`.
-    a.0.partial_cmp(&b.0)
-        .unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan()))
-        .then_with(|| a.1.cmp(&b.1))
+    x.partial_cmp(&y)
+        .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        .then_with(|| a.node.cmp(&b.node))
 }
 
 #[cfg(test)]

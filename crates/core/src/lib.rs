@@ -25,7 +25,7 @@
 //!
 //! Decisions run against a borrowed [`context::SchedulingContext`] over a
 //! carried [`context::ContextScratch`]: telemetry indexed by interned
-//! [`cluster::NodeId`], the feasible set and the stage-one scoreboards live in
+//! [`cluster::NodeId`], the feasible set and the model's scoreboards live in
 //! one decision view keyed by (snapshot revision, cluster generation, model
 //! version), so a decision re-derives only what changed since the previous
 //! one, allocates nothing but its output, and batches amortize all shared

@@ -73,9 +73,10 @@ impl std::error::Error for PredictorError {}
 pub struct CompletionTimePredictor {
     schema: FeatureSchema,
     model: TrainedModel,
-    /// The model's split thresholds per schema column (sorted, deduplicated),
-    /// cached at construction for [`CompletionTimePredictor::signature_cells`].
-    /// Derived state — not serialized, rebuilt on load.
+    /// The model's split thresholds per schema column (sorted, deduplicated;
+    /// no columns for a linear model), cached at construction for
+    /// [`CompletionTimePredictor::signature_cells`]. Derived state — not
+    /// serialized, rebuilt on load.
     signature_grid: Vec<Vec<f64>>,
     /// Stamped at construction, kept by `Clone`, never serialized.
     version: ModelVersion,
@@ -131,7 +132,12 @@ impl CompletionTimePredictor {
                 });
             }
         }
-        let signature_grid = model.split_grid(schema.len());
+        // A linear prediction moves with every column's value, so its cells
+        // are the values themselves: an empty grid leaves the row unchanged.
+        let signature_grid = match model.kind() {
+            ModelKind::Linear => Vec::new(),
+            _ => model.split_grid(schema.len()),
+        };
         Ok(CompletionTimePredictor {
             schema,
             model,
@@ -146,20 +152,20 @@ impl CompletionTimePredictor {
     }
 
     /// Collapse a feature row to the model's partition-cell coordinates in
-    /// place: each value becomes the index of the inter-threshold cell it
-    /// falls in on that column (`0` everywhere for a linear model). Rows with
-    /// identical cell coordinates take identical paths through every tree and
-    /// receive **identical predictions** from tree ensembles — and
-    /// ordering-identical scores from linear models, whose job columns only
-    /// shift every candidate by the same constant — which is what makes equal
-    /// cells safe to share a coarse scoreboard in the two-stage decision
-    /// path.
+    /// place. For a tree ensemble each value becomes the index of the
+    /// inter-threshold cell it falls in on that column, NaN the last one
+    /// (a NaN goes right at every split, like a value above every
+    /// threshold); a linear model's row is left unchanged, so its cell is the
+    /// exact feature values. Either way, rows with identical cell coordinates
+    /// receive **identical predictions**, bit for bit, from every model
+    /// family — which is what lets every job of one cell share one
+    /// scoreboard, and a budgeted decision read its ranking off it.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn signature_cells(&self, row: &mut [f64]) {
         for (value, thresholds) in row.iter_mut().zip(&self.signature_grid) {
-            // `x <= t` sends a row left: two values agree on every split of
-            // this column iff the same prefix of the sorted thresholds lies
-            // strictly below them.
-            *value = thresholds.partition_point(|t| *t < *value) as f64;
+            // A value's cell counts the sorted thresholds the walk's own test,
+            // `!(x <= t)`, sends it right at — every one of them for NaN.
+            *value = thresholds.partition_point(|t| !(*value <= *t)) as f64;
         }
     }
 
@@ -407,6 +413,52 @@ mod tests {
             predictor.predict_from_features(&features)
         );
         assert!(predictor.model().predict_row(&features).is_finite());
+    }
+
+    /// A NaN goes right at every split, like a value above every threshold
+    /// and unlike one below them all: it must share a cell with the first
+    /// and not the second, because equal cells promise equal predictions.
+    #[test]
+    fn a_nan_feature_shares_a_cell_only_with_rows_that_predict_like_it() {
+        let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
+        for kind in [ModelKind::RandomForest, ModelKind::GradientBoosting] {
+            let predictor = trained_predictor(kind);
+            let column = predictor.schema().index_of("cpu_load").unwrap();
+            let thresholds = &predictor.signature_grid[column];
+            assert!(!thresholds.is_empty(), "{kind}: the load column must split");
+            let base = predictor
+                .schema()
+                .construct(&snapshot_with(1.0, 0.0), "node-1", &job);
+            let with_load = |load: f64| {
+                let mut row = base.clone();
+                row[column] = load;
+                row
+            };
+            let nan = with_load(f64::NAN);
+            let below = with_load(thresholds[0] - 1.0);
+            let above = with_load(thresholds[thresholds.len() - 1] + 1.0);
+            let predict = |row: &FeatureVector| predictor.predict_from_features(row).to_bits();
+            assert_ne!(predict(&nan), predict(&below), "{kind}: NaN goes right");
+            for other in [below, above] {
+                let (mut nan_cells, mut other_cells) = (nan.clone(), other.clone());
+                predictor.signature_cells(&mut nan_cells);
+                predictor.signature_cells(&mut other_cells);
+                assert_eq!(
+                    nan_cells == other_cells,
+                    predict(&nan) == predict(&other),
+                    "{kind}: NaN vs load {}",
+                    other[column]
+                );
+            }
+        }
+        // A linear model's cell is the row itself.
+        let linear = trained_predictor(ModelKind::Linear);
+        let row = linear
+            .schema()
+            .construct(&snapshot_with(1.0, 0.0), "node-1", &job);
+        let mut cells = row.clone();
+        linear.signature_cells(&mut cells);
+        assert_eq!(cells, row);
     }
 
     #[test]

@@ -44,13 +44,13 @@ pub struct SchedulerConfig {
     /// Minimum number of logged executions before the service switches from
     /// fallback placement to supervised placement.
     pub min_training_samples: usize,
-    /// Candidate-pruning budget of the supervised rank: score at most this
-    /// many candidates per decision, the best by the model's own scoreboard
-    /// (the two-stage decision path for large worlds). A budgeted ranking is
-    /// the unbudgeted ranking's first K entries. `None` (the default) ranks
-    /// the full feasible set; any value `≥ |feasible|` is byte-identical to
-    /// `None`. The bootstrap fallback ignores it and stays uniform over the
-    /// feasible set.
+    /// Candidate-pruning budget of the supervised rank: rank at most this
+    /// many candidates per decision, read off the model's own scoreboard,
+    /// which holds its exact scores for every model family, so no model runs
+    /// on them. A budgeted ranking is the unbudgeted ranking's first K
+    /// entries, bit for bit. `None` (the default) ranks the full feasible set;
+    /// any value `≥ |feasible|` is byte-identical to `None`. The bootstrap
+    /// fallback ignores it and stays uniform over the feasible set.
     pub prune_top_k: Option<usize>,
     /// Read by nothing: the model's scoreboard is the only stage-one scorer
     /// (see [`PruningPolicy`]).

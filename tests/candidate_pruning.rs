@@ -14,6 +14,10 @@
 //!   supervised ranking is the unbudgeted ranking's first `min(K,
 //!   |feasible|)` entries, scores included — on random worlds and on a
 //!   240-node clos `ScaleWorld` ranked by the scale predictor.
+//! * **The board is the ranking.** A budgeted ranking read off a long-lived
+//!   scoreboard equals the re-predicted unbudgeted prefix bit for bit
+//!   through random serving histories (binds, releases, NaN loads, held and
+//!   skipped epochs, model swaps, revisited cells), for all three families.
 //! * **Incremental feasibility.** After random sequences of bind / complete /
 //!   delete / cordon / taint / `nodes_mut` / `add_node`, the index refreshed
 //!   in place equals a freshly built one and the naive scan.
@@ -631,6 +635,113 @@ proptest! {
                     "{} step {} {:?}", scheduler.name(), step, top_k
                 );
                 scratch = warm.into_scratch();
+            }
+        }
+    }
+
+    /// The board is the ranking. A budgeted decision reads its K scores off
+    /// a long-lived scoreboard; a cold unbudgeted one builds every feature
+    /// row and runs the model on them. After every decision of a random
+    /// serving history — binds and releases, telemetry changing on random
+    /// rows (NaN loads included), epochs held or published several at a time
+    /// and skipped, models swapped in place as `SchedulerService::retrain`
+    /// does, and a small pool of jobs whose cells are revisited after their
+    /// boards fell behind — the first is the second's first
+    /// `min(K, |feasible|)` entries, scores compared by their bits.
+    #[test]
+    fn board_read_rankings_equal_re_predicted_rankings_bit_for_bit(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..24,
+        steps in 8usize..32,
+    ) {
+        let (mut cluster, _) = varied_world(nodes, seed);
+        let mut rng = Rng::seed_from_u64(seed ^ 0xB0A2D);
+        let kinds = netsched::sparksim::WorkloadKind::ALL;
+        let jobs: Vec<JobRequest> = (0..4)
+            .map(|i| {
+                JobRequest::named(
+                    format!("job-{i}"),
+                    kinds[rng.gen_range_usize(0, kinds.len())],
+                    20_000 << rng.gen_range_usize(0, 6),
+                    2,
+                )
+                .with_driver_resources(250 * rng.gen_range_usize(0, 4) as u64, 1 << 30)
+            })
+            .collect();
+        let budgets = [1, 2, 5, nodes - 1, nodes + 3];
+        let bits = |ranked: &[netsched::core::decision::RankedNode]| -> Vec<(ClusterNodeId, u64)> {
+            ranked.iter().map(|r| (r.node, r.predicted_seconds.to_bits())).collect()
+        };
+        for family in cell_models() {
+            let mut telemetry = Telemetry::random(nodes, &mut rng);
+            let mut scheduler = SupervisedScheduler::new(family[0].clone());
+            let mut publisher = SnapshotPublisher::new();
+            publisher.publish_with(|epoch| *epoch = telemetry.snapshot(true));
+            let mut snapshot = publisher.latest().unwrap().snapshot;
+            let mut scratch = ContextScratch::default();
+            let mut pods = Vec::new();
+            for step in 0..steps {
+                match rng.gen_range_usize(0, 8) {
+                    0 | 1 => {
+                        // One to three epochs; decisions see only the last.
+                        for _ in 0..1 + rng.gen_range_usize(0, 3) {
+                            telemetry.perturb(1 + rng.gen_range_usize(0, 3), &mut rng);
+                            if rng.gen_range_usize(0, 3) == 0 {
+                                let at = rng.gen_range_usize(0, nodes);
+                                if let Some(node) = telemetry.nodes[at].as_mut() {
+                                    node.cpu_load = f64::NAN;
+                                }
+                            }
+                            let built = telemetry.snapshot(rng.gen_range_usize(0, 3) != 0);
+                            publisher.publish_with(|epoch| *epoch = built);
+                        }
+                        snapshot = publisher.latest().unwrap().snapshot;
+                    }
+                    2 => {
+                        let name = format!("node-{}", 1 + rng.gen_range_usize(0, nodes));
+                        let free = cluster.node(&name).unwrap().available();
+                        let spec = PodSpec::new(
+                            format!("pod-{step}"),
+                            Resources {
+                                cpu_millis: free.cpu_millis / 2,
+                                memory_bytes: free.memory_bytes / 2,
+                            },
+                        );
+                        let pod = cluster.create_pod(spec, SimTime::ZERO);
+                        if cluster.bind_pod(pod, &name, SimTime::ZERO).is_ok() {
+                            pods.push(pod);
+                        }
+                    }
+                    3 if !pods.is_empty() => {
+                        let pod = pods.swap_remove(rng.gen_range_usize(0, pods.len()));
+                        cluster.complete_pod(pod, true, SimTime::ZERO).unwrap();
+                    }
+                    4 => {
+                        let next = &family[rng.gen_range_usize(0, 2)];
+                        scheduler.set_predictor(if rng.gen_range_usize(0, 2) == 0 {
+                            next.clone()
+                        } else {
+                            CompletionTimePredictor::from_json(&next.to_json()).unwrap()
+                        });
+                    }
+                    _ => {}
+                }
+                for _ in 0..2 {
+                    let request = &jobs[rng.gen_range_usize(0, jobs.len())];
+                    let k = budgets[rng.gen_range_usize(0, budgets.len())];
+                    let mut warm = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
+                    warm.set_top_k(Some(k));
+                    let budgeted = warm.rank_feasible_batch(request, scheduler.predictor());
+                    scratch = warm.into_scratch();
+                    let full = SchedulingContext::new(&snapshot, &cluster)
+                        .rank_feasible_batch(request, scheduler.predictor());
+                    let prefix = &full.ranked[..k.min(full.len())];
+                    prop_assert!(
+                        bits(&budgeted.ranked) == bits(prefix),
+                        "{} step {} K={}: {:?} is not the prefix of {:?}",
+                        scheduler.name(), step, k, budgeted, full
+                    );
+                }
             }
         }
     }

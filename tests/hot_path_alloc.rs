@@ -11,7 +11,9 @@
 //! building. The same holds for a serving loop: with a bind between bursts
 //! (the feasibility index is refreshed in place) and across a new epoch over an
 //! unchanged node set (telemetry is re-indexed and diffed into warm buffers,
-//! scoreboards refresh only their dirty rows).
+//! scoreboards refresh only their dirty rows), and for a stream of more job
+//! cells than the scoreboard pool holds (evicted boards are refilled in
+//! place).
 
 use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
 use netsched::core::request::JobRequest;
@@ -279,8 +281,8 @@ fn bursts_alternating_two_driver_sizings_are_allocation_free() {
 #[test]
 fn steady_state_pruned_bursts_are_allocation_free() {
     // Two-stage decision path with a candidate budget: the supervised burst
-    // prunes through the model-aligned coarse scoreboard (board pool, bounded
-    // heap, signature cells — all scratch-carried and epoch-recycled); the
+    // ranks off the model's scoreboard (board pool, bounded heap, signature
+    // cells — all scratch-carried and epoch-recycled); the
     // fallback burst ignores the budget and shuffles the whole feasible set.
     // Both must run heap-free once warm.
     let (cluster, _network, mut scrape) = test_world();
@@ -349,6 +351,51 @@ fn steady_state_pruned_bursts_are_allocation_free() {
     assert!(decisions
         .iter()
         .all(|d| !d.used_model && d.ranking.len() == 4));
+}
+
+#[test]
+fn a_stream_of_more_cells_than_the_board_pool_is_allocation_free_once_warm() {
+    // A linear model's signature cell is the job's exact feature values, so
+    // 70 input sizes are 70 cells: more than the 64 boards the pool keeps.
+    // Cycling through them, every decision of the second cycle evicts the
+    // oldest board and must refill its buffers in place.
+    let (cluster, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let mut service = trained_service_with(
+        &cluster,
+        &published,
+        ModelKind::Linear,
+        SchedulerConfig {
+            prune_top_k: Some(2),
+            ..Default::default()
+        },
+    );
+    let requests: Vec<JobRequest> = (0..70)
+        .map(|i| {
+            JobRequest::named(
+                format!("sort-{i}"),
+                WorkloadKind::Sort,
+                100_000 + 1_000 * i as u64,
+                2,
+            )
+        })
+        .collect();
+    let now = SimTime::from_secs(3);
+    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+    service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+
+    arm();
+    service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "a warm cycle through more cells than the pool holds must be allocation-free \
+         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+    );
+    assert!(decisions
+        .iter()
+        .all(|d| d.used_model && d.ranking.len() == 2));
 }
 
 #[test]
