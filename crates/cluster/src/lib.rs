@@ -53,7 +53,7 @@ pub use job::{Job, JobId, JobPhase, JobSpec};
 pub use node::{Node, NodeName};
 pub use pod::{Pod, PodId, PodPhase, PodSpec};
 pub use resources::Resources;
-pub use scheduler::{DefaultScheduler, FilterResult, ScheduleOutcome, Scheduler, ScoredNode};
+pub use scheduler::{DefaultScheduler, FilterResult, ScheduleOutcome, ScoredNode};
 pub use state::{ClusterError, ClusterEvent, ClusterState, NodeId};
 
 /// Alias for [`state::NodeId`] that cannot be confused with `simnet::NodeId`

@@ -77,43 +77,18 @@ impl ScheduleOutcome {
     }
 }
 
-/// Anything that can pick a node for a pod.
-pub trait Scheduler {
-    /// Choose a node for `pod` among `nodes`.
-    fn schedule(&mut self, pod: &PodSpec, nodes: &[Node]) -> ScheduleOutcome;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &str;
-}
-
-/// Configuration weights for the default scheduler's scoring plugins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DefaultSchedulerConfig {
-    /// Weight of the least-requested priority.
-    pub least_requested_weight: f64,
-    /// Weight of the balanced-allocation priority.
-    pub balanced_allocation_weight: f64,
-    /// Weight of the preferred node-affinity priority.
-    pub affinity_weight: f64,
-    /// Score subtracted per untolerated `PreferNoSchedule` taint.
-    pub soft_taint_penalty: f64,
-}
-
-impl Default for DefaultSchedulerConfig {
-    fn default() -> Self {
-        DefaultSchedulerConfig {
-            least_requested_weight: 1.0,
-            balanced_allocation_weight: 1.0,
-            affinity_weight: 1.0,
-            soft_taint_penalty: 10.0,
-        }
-    }
-}
+/// Weight of the least-requested priority.
+const LEAST_REQUESTED_WEIGHT: f64 = 1.0;
+/// Weight of the balanced-allocation priority.
+const BALANCED_ALLOCATION_WEIGHT: f64 = 1.0;
+/// Weight of the preferred node-affinity priority.
+const AFFINITY_WEIGHT: f64 = 1.0;
+/// Score subtracted per untolerated `PreferNoSchedule` taint.
+const SOFT_TAINT_PENALTY: f64 = 10.0;
 
 /// The default (network-blind) scheduler.
 #[derive(Debug, Clone)]
 pub struct DefaultScheduler {
-    config: DefaultSchedulerConfig,
     rng: Rng,
 }
 
@@ -123,15 +98,6 @@ impl DefaultScheduler {
     /// nodes share the top score one is picked at random).
     pub fn new(seed: u64) -> Self {
         DefaultScheduler {
-            config: DefaultSchedulerConfig::default(),
-            rng: Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// Create with explicit plugin weights.
-    pub fn with_config(seed: u64, config: DefaultSchedulerConfig) -> Self {
-        DefaultScheduler {
-            config,
             rng: Rng::seed_from_u64(seed),
         }
     }
@@ -181,20 +147,16 @@ impl DefaultScheduler {
             pod.affinity.preferred_score(&node.labels) as f64 / total_pref as f64 * 100.0
         };
 
-        let taint_penalty = untolerated_soft_taints(&node.taints, &pod.tolerations) as f64
-            * self.config.soft_taint_penalty;
+        let taint_penalty =
+            untolerated_soft_taints(&node.taints, &pod.tolerations) as f64 * SOFT_TAINT_PENALTY;
 
-        let weight_sum = self.config.least_requested_weight
-            + self.config.balanced_allocation_weight
+        let weight_sum = LEAST_REQUESTED_WEIGHT
+            + BALANCED_ALLOCATION_WEIGHT
+            + if total_pref > 0 { AFFINITY_WEIGHT } else { 0.0 };
+        let weighted = LEAST_REQUESTED_WEIGHT * least_requested
+            + BALANCED_ALLOCATION_WEIGHT * balanced_allocation
             + if total_pref > 0 {
-                self.config.affinity_weight
-            } else {
-                0.0
-            };
-        let weighted = self.config.least_requested_weight * least_requested
-            + self.config.balanced_allocation_weight * balanced_allocation
-            + if total_pref > 0 {
-                self.config.affinity_weight * affinity_preference
+                AFFINITY_WEIGHT * affinity_preference
             } else {
                 0.0
             };
@@ -209,10 +171,14 @@ impl DefaultScheduler {
             taint_penalty,
         }
     }
-}
 
-impl DefaultScheduler {
-    /// [`Scheduler::schedule`] over a pre-selected candidate slice of node
+    /// Choose a node for `pod` among `nodes`.
+    pub fn schedule(&mut self, pod: &PodSpec, nodes: &[Node]) -> ScheduleOutcome {
+        let refs: Vec<&Node> = nodes.iter().collect();
+        self.schedule_refs(pod, &refs)
+    }
+
+    /// [`DefaultScheduler::schedule`] over a pre-selected candidate slice of node
     /// references (e.g. the output of a feasibility index or prefilter).
     /// Filtering, scoring, ranking and randomized tie-breaking behave exactly
     /// as they do over the full node table: passing references to every node
@@ -254,17 +220,6 @@ impl DefaultScheduler {
         };
         let node = ranking[pick].node.clone();
         ScheduleOutcome::Scheduled { node, ranking }
-    }
-}
-
-impl Scheduler for DefaultScheduler {
-    fn schedule(&mut self, pod: &PodSpec, nodes: &[Node]) -> ScheduleOutcome {
-        let refs: Vec<&Node> = nodes.iter().collect();
-        self.schedule_refs(pod, &refs)
-    }
-
-    fn name(&self) -> &str {
-        "kubernetes-default"
     }
 }
 
@@ -493,10 +448,5 @@ mod tests {
             sched.score(&p, &labelled).score
         );
         let _ = BTreeMap::<String, String>::new();
-    }
-
-    #[test]
-    fn scheduler_name() {
-        assert_eq!(DefaultScheduler::new(0).name(), "kubernetes-default");
     }
 }

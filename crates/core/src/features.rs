@@ -232,19 +232,6 @@ impl FeatureSchema {
         }
     }
 
-    /// Build a vector per candidate node, in the given order.
-    pub fn construct_all(
-        &self,
-        snapshot: &ClusterSnapshot,
-        candidates: &[String],
-        job: &JobRequest,
-    ) -> Vec<FeatureVector> {
-        candidates
-            .iter()
-            .map(|node| self.construct(snapshot, node, job))
-            .collect()
-    }
-
     /// Markdown rendering of the schema (used by the Table 1 harness binary).
     pub fn to_markdown_table(&self) -> String {
         let mut out = String::from("| Feature | Type |\n|---|---|\n");
@@ -395,10 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn construct_all_orders_by_candidates() {
+    fn construct_follows_candidate_order() {
         let schema = FeatureSchema::standard();
-        let candidates = vec!["node-2".to_string(), "node-1".to_string()];
-        let vecs = schema.construct_all(&snapshot(), &candidates, &job());
+        let candidates = ["node-2".to_string(), "node-1".to_string()];
+        let vecs: Vec<FeatureVector> = candidates
+            .iter()
+            .map(|node| schema.construct(&snapshot(), node, &job()))
+            .collect();
         assert_eq!(vecs.len(), 2);
         let cpu = schema.index_of("cpu_load").unwrap();
         assert_eq!(vecs[0][cpu], 0.5);

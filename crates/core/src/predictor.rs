@@ -229,20 +229,6 @@ impl CompletionTimePredictor {
         self.predict_batch_into(matrix, out);
     }
 
-    /// Predict for every candidate node, in order (owning convenience over
-    /// [`CompletionTimePredictor::predict_batch`]).
-    pub fn predict_all(
-        &self,
-        snapshot: &ClusterSnapshot,
-        candidates: &[String],
-        job: &JobRequest,
-    ) -> Vec<f64> {
-        let mut matrix = FeatureMatrix::new(self.schema.len());
-        let mut out = Vec::with_capacity(candidates.len());
-        self.predict_batch(snapshot, candidates, job, &mut matrix, &mut out);
-        out
-    }
-
     /// Serialize (schema + model) to JSON for persistence.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("predictor serialization cannot fail")
@@ -332,7 +318,9 @@ mod tests {
             let busy = predictor.predict(&snap, "node-1", &job);
             let idle = predictor.predict(&snap, "node-2", &job);
             assert!(busy > idle, "{kind}: busy {busy} should exceed idle {idle}");
-            let all = predictor.predict_all(&snap, &["node-1".into(), "node-2".into()], &job);
+            let (mut matrix, mut all) = (FeatureMatrix::new(0), Vec::new());
+            let candidates = ["node-1".to_string(), "node-2".to_string()];
+            predictor.predict_batch(&snap, &candidates, &job, &mut matrix, &mut all);
             assert_eq!(all, vec![busy, idle]);
         }
     }
@@ -377,7 +365,9 @@ mod tests {
         // An absurd snapshot far outside the training distribution.
         let snap = snapshot_with(-100.0, -100.0);
         assert!(predictor.predict(&snap, "node-1", &job) >= 0.0);
-        let batch = predictor.predict_all(&snap, &["node-1".into(), "node-2".into()], &job);
+        let (mut matrix, mut batch) = (FeatureMatrix::new(0), Vec::new());
+        let candidates = ["node-1".to_string(), "node-2".to_string()];
+        predictor.predict_batch(&snap, &candidates, &job, &mut matrix, &mut batch);
         assert!(batch.iter().all(|&p| p >= 0.0));
     }
 

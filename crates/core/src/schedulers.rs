@@ -134,7 +134,6 @@ impl JobScheduler for KubeDefaultScheduler {
     fn select(&mut self, request: &JobRequest, ctx: &mut SchedulingContext<'_>) -> NodeRanking {
         let driver = request.to_job_spec().driver_pod(None);
         let cluster = ctx.cluster();
-        use cluster::scheduler::Scheduler as _;
         match self.inner.schedule(&driver, cluster.nodes()) {
             cluster::ScheduleOutcome::Unschedulable { .. } => NodeRanking::default(),
             cluster::ScheduleOutcome::Scheduled { node, ranking } => {

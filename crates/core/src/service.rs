@@ -217,23 +217,10 @@ impl SchedulerService {
 
     /// Make placement decisions for a whole burst of requests against one
     /// published epoch and one [`SchedulingContext`], amortizing snapshot
-    /// indexing and feasibility filtering across the burst.
-    pub fn schedule_batch(
-        &mut self,
-        requests: &[JobRequest],
-        metrics_server: &PublishedSnapshot,
-        cluster: &ClusterState,
-        now: SimTime,
-    ) -> Vec<SchedulingDecision> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.schedule_batch_into(requests, metrics_server, cluster, now, &mut out);
-        out
-    }
-
-    /// In-place variant of [`SchedulerService::schedule_batch`]: decisions
-    /// are written into `out`, reusing the rankings, job specs, pod specs
-    /// and manifest strings of the decisions already there (slots are added
-    /// or dropped to match `requests`). Combined with the held epoch and the
+    /// indexing and feasibility filtering across the burst. Decisions are
+    /// written into `out`, reusing the rankings, job specs, pod specs and
+    /// manifest strings of the decisions already there (slots are added or
+    /// dropped to match `requests`). Combined with the held epoch and the
     /// carried context scratch, a steady-state burst performs **zero heap
     /// allocations** — the property the `hot_path_alloc` harness pins at
     /// runtime.
@@ -493,7 +480,14 @@ mod tests {
         ] {
             let now = SimTime::from_secs(2);
             let single = service.schedule(&request(0), &silent, &cluster, now);
-            let batch = service.schedule_batch(&[request(1), request(2)], &silent, &cluster, now);
+            let mut batch = Vec::new();
+            service.schedule_batch_into(
+                &[request(1), request(2)],
+                &silent,
+                &cluster,
+                now,
+                &mut batch,
+            );
             for decision in batch.iter().chain([&single]) {
                 assert_eq!(decision.used_model, service.is_model_active());
                 assert!(decision.snapshot.is_empty());
@@ -613,7 +607,8 @@ mod tests {
         // way through the batch as through sequential calls.
         let mut batch_service = SchedulerService::new(SchedulerConfig::default(), 7);
         let mut seq_service = SchedulerService::new(SchedulerConfig::default(), 7);
-        let batch = batch_service.schedule_batch(&requests, &published, &cluster, now);
+        let mut batch = Vec::new();
+        batch_service.schedule_batch_into(&requests, &published, &cluster, now, &mut batch);
         assert_eq!(batch.len(), requests.len());
         for (request, batched) in requests.iter().zip(&batch) {
             let sequential = seq_service.schedule(request, &published, &cluster, now);
@@ -741,11 +736,12 @@ mod tests {
         // the feasibility index too — a rebuild here would undo the fast
         // path's whole point on large worlds.
         service.schedule(&request(1), &published, &cluster, now);
-        service.schedule_batch(
+        service.schedule_batch_into(
             &(2..5).map(request).collect::<Vec<_>>(),
             &published,
             &cluster,
             now,
+            &mut Vec::new(),
         );
         assert_eq!(service.feasibility_rebuilds(), 1);
 

@@ -9,7 +9,6 @@
 //! fastest node" ground truth for Table 4 is obtained.
 
 use crate::fabric::FabricTestbed;
-use cluster::scheduler::Scheduler as _;
 use cluster::{ClusterState, DefaultScheduler, Node, PodId, Resources};
 use netsched_core::request::JobRequest;
 use simcore::rng::Rng;
@@ -222,12 +221,6 @@ impl SimWorld {
             rng,
             now: SimTime::ZERO,
         }
-    }
-
-    /// Override the execution-model constants (used by ablations).
-    pub fn with_exec_config(mut self, config: ExecutionConfig) -> Self {
-        self.exec_config = config;
-        self
     }
 
     /// Current simulated time.

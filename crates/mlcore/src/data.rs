@@ -330,7 +330,7 @@ impl Dataset {
     }
 }
 
-/// Train/test or fold index sets.
+/// Train/test index sets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SplitIndices {
     /// Row indices of the training partition.
@@ -350,30 +350,6 @@ impl SplitIndices {
             test: order[..test_len].to_vec(),
             train: order[test_len..].to_vec(),
         }
-    }
-
-    /// `k` cross-validation folds over `n` rows (each fold is a test set; its
-    /// complement is the training set).
-    pub fn k_folds(n: usize, k: usize, rng: &mut Rng) -> Vec<SplitIndices> {
-        let k = k.max(2).min(n.max(2));
-        let mut order: Vec<usize> = (0..n).collect();
-        rng.shuffle(&mut order);
-        let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, idx) in order.into_iter().enumerate() {
-            folds[i % k].push(idx);
-        }
-        (0..k)
-            .map(|fold| {
-                let test = folds[fold].clone();
-                let train = folds
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != fold)
-                    .flat_map(|(_, f)| f.iter().copied())
-                    .collect();
-                SplitIndices { train, test }
-            })
-            .collect()
     }
 }
 
@@ -417,30 +393,11 @@ impl Scaler {
         }
     }
 
-    /// Transform a copy of the row.
-    pub fn transformed(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = row.to_vec();
-        self.transform_row(&mut out);
-        out
-    }
-
     /// Transform a whole matrix into a standardized copy.
     pub fn transform_matrix(&self, x: &FeatureMatrix) -> FeatureMatrix {
         let mut out = x.clone();
         for i in 0..out.n_rows() {
             self.transform_row(out.row_mut(i));
-        }
-        out
-    }
-
-    /// Transform a whole dataset (features only; targets are untouched).
-    pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
-        let mut out = Dataset::new(data.feature_names().to_vec());
-        let mut scratch = vec![0.0; data.n_features()];
-        for (row, &y) in data.matrix().rows().zip(data.targets()) {
-            scratch.copy_from_slice(row);
-            self.transform_row(&mut scratch);
-            out.push_row(&scratch, y).expect("same width");
         }
         out
     }
@@ -608,47 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn k_folds_partition_rows() {
-        let mut rng = Rng::seed_from_u64(2);
-        let folds = SplitIndices::k_folds(25, 5, &mut rng);
-        assert_eq!(folds.len(), 5);
-        let mut all_test: Vec<usize> = folds.iter().flat_map(|f| f.test.iter().copied()).collect();
-        all_test.sort_unstable();
-        assert_eq!(
-            all_test,
-            (0..25).collect::<Vec<usize>>(),
-            "test folds partition the data"
-        );
-        for fold in &folds {
-            assert_eq!(fold.train.len() + fold.test.len(), 25);
-            // Train and test are disjoint.
-            for t in &fold.test {
-                assert!(!fold.train.contains(t));
-            }
-        }
-        // k below 2 clamps to 2.
-        let two = SplitIndices::k_folds(10, 1, &mut rng);
-        assert_eq!(two.len(), 2);
-    }
-
-    #[test]
     fn scaler_standardizes_columns() {
         let d = toy();
         let scaler = Scaler::fit(&d);
-        let scaled = scaler.transform_dataset(&d);
-        let means = scaled.feature_means();
-        assert!(means.iter().all(|m| m.abs() < 1e-9));
-        // Variance ~ 1 for each column.
+        let scaled = scaler.transform_matrix(d.matrix());
+        assert_eq!(scaled.n_rows(), 10);
         for col in 0..2 {
-            let var: f64 = scaled.matrix().rows().map(|r| r[col] * r[col]).sum::<f64>() / 10.0;
+            // Mean ~ 0 and variance ~ 1 for each column.
+            let mean: f64 = scaled.rows().map(|r| r[col]).sum::<f64>() / 10.0;
+            assert!(mean.abs() < 1e-9, "mean {mean}");
+            let var: f64 = scaled.rows().map(|r| r[col] * r[col]).sum::<f64>() / 10.0;
             assert!((var - 1.0).abs() < 1e-9, "var {var}");
         }
-        // Targets untouched.
-        assert_eq!(scaled.targets(), d.targets());
         assert_eq!(scaler.means().len(), 2);
         assert_eq!(scaler.stds().len(), 2);
-        // The matrix-level transform agrees with the dataset-level one.
-        assert_eq!(&scaler.transform_matrix(d.matrix()), scaled.matrix());
+        // The matrix-level transform agrees with the row-level one.
+        let mut row = d.row(3).to_vec();
+        scaler.transform_row(&mut row);
+        assert_eq!(scaled.row(3), row.as_slice());
     }
 
     #[test]
@@ -658,8 +592,9 @@ mod tests {
             d.push(vec![7.0], 1.0).unwrap();
         }
         let scaler = Scaler::fit(&d);
-        let row = scaler.transformed(&[7.0]);
-        assert_eq!(row, vec![0.0]);
+        let mut row = [7.0];
+        scaler.transform_row(&mut row);
+        assert_eq!(row, [0.0]);
         // Constant column gets unit std to avoid division by zero.
         assert_eq!(scaler.stds(), &[1.0]);
     }

@@ -7,8 +7,8 @@
 //! around them) with no external ML dependency:
 //!
 //! * [`data`] — the [`data::Dataset`] container over a contiguous row-major
-//!   [`data::FeatureMatrix`], train/test splitting, k-fold indices and
-//!   feature standardization.
+//!   [`data::FeatureMatrix`], train/test splitting and feature
+//!   standardization.
 //! * [`metrics`] — MAE, RMSE, R², MAPE and ranking helpers.
 //! * [`linear`] — ordinary least squares / ridge regression solved by normal
 //!   equations with Gaussian elimination and optional standardization.
@@ -23,8 +23,7 @@
 //! * [`model`] — the [`model::Regressor`] trait, a serializable
 //!   [`model::TrainedModel`] wrapper and a [`model::ModelKind`] factory so the
 //!   scheduler can swap model families via configuration.
-//! * [`validate`] — train/test evaluation and k-fold cross-validation.
-//! * [`importance`] — permutation feature importance (model-agnostic).
+//! * [`validate`] — evaluation of a fitted model on held-out data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +31,6 @@
 pub mod data;
 pub mod forest;
 pub mod gbdt;
-pub mod importance;
 pub mod linear;
 pub mod metrics;
 pub mod model;
@@ -42,9 +40,8 @@ pub mod validate;
 pub use data::{Dataset, FeatureMatrix, Scaler, SplitIndices};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{GradientBoosting, GradientBoostingConfig};
-pub use importance::permutation_importance;
 pub use linear::{LinearRegression, LinearRegressionConfig};
 pub use metrics::RegressionMetrics;
 pub use model::{ModelConfig, ModelKind, Regressor, TrainedModel};
 pub use tree::{DecisionTree, DecisionTreeConfig, FlatTree, TreeNode};
-pub use validate::{cross_validate, evaluate_on, CrossValidationReport};
+pub use validate::evaluate_on;

@@ -640,11 +640,6 @@ impl DecisionTree {
         self.fit_on_matrix(data.matrix(), data.targets(), &indices, rng);
     }
 
-    /// Fit on a subset of row indices of a dataset (bootstrap aggregation).
-    pub fn fit_on_indices(&mut self, data: &Dataset, indices: &[usize], rng: &mut Rng) {
-        self.fit_on_matrix(data.matrix(), data.targets(), indices, rng);
-    }
-
     /// Fit on a subset of row indices of a raw `(matrix, targets)` pair —
     /// the allocation-free entry point boosting uses to refit residual
     /// targets each round without rebuilding a feature container.

@@ -1,75 +1,12 @@
-//! Model validation: held-out evaluation and k-fold cross-validation.
+//! Model validation: held-out evaluation.
 
-use crate::data::{Dataset, SplitIndices};
+use crate::data::Dataset;
 use crate::metrics::RegressionMetrics;
-use crate::model::{ModelConfig, ModelKind, Regressor, TrainedModel};
-use serde::{Deserialize, Serialize};
-use simcore::rng::Rng;
+use crate::model::Regressor;
 
 /// Evaluate an already fitted model on a dataset.
 pub fn evaluate_on<R: Regressor + ?Sized>(model: &R, data: &Dataset) -> RegressionMetrics {
     RegressionMetrics::compute(&model.predict(data), data.targets())
-}
-
-/// Result of a k-fold cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossValidationReport {
-    /// Which model family was evaluated.
-    pub kind: ModelKind,
-    /// Per-fold metrics (on each fold's held-out portion).
-    pub fold_metrics: Vec<RegressionMetrics>,
-}
-
-impl CrossValidationReport {
-    /// Mean MAE across folds.
-    pub fn mean_mae(&self) -> f64 {
-        mean(self.fold_metrics.iter().map(|m| m.mae))
-    }
-
-    /// Mean RMSE across folds.
-    pub fn mean_rmse(&self) -> f64 {
-        mean(self.fold_metrics.iter().map(|m| m.rmse))
-    }
-
-    /// Mean R² across folds.
-    pub fn mean_r2(&self) -> f64 {
-        mean(self.fold_metrics.iter().map(|m| m.r2))
-    }
-
-    /// Mean MAPE across folds.
-    pub fn mean_mape(&self) -> f64 {
-        mean(self.fold_metrics.iter().map(|m| m.mape))
-    }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
-/// Run k-fold cross-validation of one model family.
-pub fn cross_validate(
-    kind: ModelKind,
-    config: &ModelConfig,
-    data: &Dataset,
-    k: usize,
-    rng: &mut Rng,
-) -> CrossValidationReport {
-    let folds = SplitIndices::k_folds(data.len(), k, rng);
-    let fold_metrics = folds
-        .iter()
-        .map(|fold| {
-            let train = data.subset(&fold.train);
-            let test = data.subset(&fold.test);
-            let model = TrainedModel::train(kind, config, &train, rng);
-            evaluate_on(&model, &test)
-        })
-        .collect();
-    CrossValidationReport { kind, fold_metrics }
 }
 
 #[cfg(test)]
@@ -77,6 +14,8 @@ mod tests {
     use super::*;
     use crate::forest::RandomForestConfig;
     use crate::gbdt::GradientBoostingConfig;
+    use crate::model::{ModelConfig, ModelKind, TrainedModel};
+    use simcore::rng::Rng;
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
@@ -106,30 +45,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_validation_produces_k_folds_of_metrics() {
-        let data = dataset(300, 1);
-        let mut rng = Rng::seed_from_u64(2);
-        let report = cross_validate(ModelKind::Linear, &fast_config(), &data, 5, &mut rng);
-        assert_eq!(report.kind, ModelKind::Linear);
-        assert_eq!(report.fold_metrics.len(), 5);
-        assert!(report.mean_r2() > 0.95, "r2 {}", report.mean_r2());
-        assert!(report.mean_rmse() < 0.5);
-        assert!(report.mean_mae() <= report.mean_rmse());
-        assert!(report.mean_mape() >= 0.0);
-    }
-
-    #[test]
-    fn all_model_kinds_cross_validate() {
-        let data = dataset(200, 3);
-        let mut rng = Rng::seed_from_u64(4);
-        for kind in ModelKind::ALL {
-            let report = cross_validate(kind, &fast_config(), &data, 3, &mut rng);
-            assert_eq!(report.fold_metrics.len(), 3);
-            assert!(report.mean_r2() > 0.7, "{kind} r2 {}", report.mean_r2());
-        }
-    }
-
-    #[test]
     fn evaluate_on_matches_direct_computation() {
         let data = dataset(150, 5);
         let mut rng = Rng::seed_from_u64(6);
@@ -137,16 +52,5 @@ mod tests {
         let via_helper = evaluate_on(&model, &data);
         let direct = RegressionMetrics::compute(&model.predict(&data), data.targets());
         assert_eq!(via_helper, direct);
-    }
-
-    #[test]
-    fn empty_report_means_are_zero() {
-        let report = CrossValidationReport {
-            kind: ModelKind::Linear,
-            fold_metrics: vec![],
-        };
-        assert_eq!(report.mean_mae(), 0.0);
-        assert_eq!(report.mean_rmse(), 0.0);
-        assert_eq!(report.mean_r2(), 0.0);
     }
 }

@@ -155,11 +155,6 @@ impl Rng {
         self.inner.next_u64()
     }
 
-    /// Next raw 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -229,18 +224,6 @@ impl Rng {
         mean + std_dev.max(0.0) * self.standard_normal()
     }
 
-    /// Normal draw truncated below at `lo` (simple resampling, falls back to
-    /// `lo` after a bounded number of attempts to guarantee termination).
-    pub fn normal_at_least(&mut self, mean: f64, std_dev: f64, lo: f64) -> f64 {
-        for _ in 0..64 {
-            let x = self.normal(mean, std_dev);
-            if x >= lo {
-                return x;
-            }
-        }
-        lo
-    }
-
     /// Exponential draw with the given rate parameter (events per unit time).
     pub fn exponential(&mut self, rate: f64) -> f64 {
         if rate <= 0.0 {
@@ -253,23 +236,6 @@ impl Rng {
             }
         };
         -u.ln() / rate
-    }
-
-    /// Log-normal draw parameterized by the mean/std of the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma.max(0.0) * self.standard_normal()).exp()
-    }
-
-    /// Pareto draw with scale `x_m > 0` and shape `alpha > 0` (heavy tails for
-    /// flow sizes and stragglers).
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        x_m / u.powf(1.0 / alpha.max(1e-9))
     }
 
     /// Sample an index from a slice of non-negative weights. Returns `None`
@@ -411,14 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale() {
-        let mut rng = Rng::seed_from_u64(9);
-        for _ in 0..1_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn weighted_index_prefers_heavier_weights() {
         let mut rng = Rng::seed_from_u64(13);
         let weights = [0.0, 1.0, 9.0];
@@ -485,14 +443,6 @@ mod tests {
         let mut s1b = rng.stream(1);
         let v1b: Vec<u64> = (0..16).map(|_| s1b.next_u64()).collect();
         assert_eq!(v1, v1b);
-    }
-
-    #[test]
-    fn normal_at_least_respects_floor() {
-        let mut rng = Rng::seed_from_u64(31);
-        for _ in 0..1000 {
-            assert!(rng.normal_at_least(1.0, 5.0, 0.25) >= 0.25);
-        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Online statistics, summaries and histograms.
+//! Online statistics.
 //!
-//! These utilities back the telemetry substrate (gauges aggregated over
-//! scrape windows), the experiment harness (per-node latency / bandwidth
-//! figures) and the ML metrics (error summaries over cross-validation folds).
+//! [`OnlineStats`] backs the telemetry snapshot's per-node RTT summaries and
+//! the experiment harness's per-node latency / bandwidth figures.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,25 +42,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of (finite) observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -82,15 +62,6 @@ impl OnlineStats {
             0.0
         } else {
             self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (n − 1 denominator), or 0.0 when fewer than two.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -116,215 +87,6 @@ impl OnlineStats {
             self.max
         }
     }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-}
-
-/// A five-number-style summary of a batch of observations, including selected
-/// percentiles. Produced by [`Summary::from_values`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of finite observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Compute a summary from a batch of values. Non-finite entries are
-    /// dropped; an empty (or all non-finite) batch yields an all-zero summary.
-    pub fn from_values(values: &[f64]) -> Summary {
-        let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-        if v.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                p25: 0.0,
-                p50: 0.0,
-                p75: 0.0,
-                p95: 0.0,
-                p99: 0.0,
-                max: 0.0,
-            };
-        }
-        v.sort_by(|a, b| a.total_cmp(b));
-        let mut stats = OnlineStats::new();
-        for &x in &v {
-            stats.push(x);
-        }
-        Summary {
-            count: v.len(),
-            mean: stats.mean(),
-            std_dev: stats.std_dev(),
-            min: v[0],
-            p25: percentile_sorted(&v, 0.25),
-            p50: percentile_sorted(&v, 0.50),
-            p75: percentile_sorted(&v, 0.75),
-            p95: percentile_sorted(&v, 0.95),
-            p99: percentile_sorted(&v, 0.99),
-            max: v[v.len() - 1],
-        }
-    }
-}
-
-/// Linear-interpolated percentile of an already sorted slice (`q` in `[0,1]`).
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// Exponentially weighted moving average, used for smoothed rate gauges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create an EWMA with smoothing factor `alpha` in `(0, 1]`; larger alpha
-    /// weights recent observations more heavily.
-    pub fn new(alpha: f64) -> Self {
-        Ewma {
-            alpha: alpha.clamp(1e-6, 1.0),
-            value: None,
-        }
-    }
-
-    /// Feed one observation and return the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current value (`None` until the first observation).
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-/// A fixed-bucket linear histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `buckets` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `buckets == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total recorded observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts (excludes under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile from bucket midpoints (`q` in `[0,1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut cumulative = self.underflow;
-        if cumulative >= target {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +106,6 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -364,122 +125,5 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let values: Vec<f64> = (0..1000)
-            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0)
-            .collect();
-        let mut whole = OnlineStats::new();
-        for &v in &values {
-            whole.push(v);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &values[..400] {
-            left.push(v);
-        }
-        for &v in &values[400..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(1.0);
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-        let empty = OnlineStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn summary_percentiles() {
-        let values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = Summary::from_values(&values);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.p50 - 50.5).abs() < 1e-9);
-        assert!((s.p95 - 95.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_of_empty_is_zero() {
-        let s = Summary::from_values(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        let s2 = Summary::from_values(&[f64::NAN]);
-        assert_eq!(s2.count, 0);
-    }
-
-    #[test]
-    fn percentile_sorted_interpolates() {
-        let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile_sorted(&v, 0.0), 10.0);
-        assert_eq!(percentile_sorted(&v, 1.0), 40.0);
-        assert!((percentile_sorted(&v, 0.5) - 25.0).abs() < 1e-12);
-        assert_eq!(percentile_sorted(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn ewma_converges_toward_constant_input() {
-        let mut e = Ewma::new(0.2);
-        assert_eq!(e.value(), None);
-        for _ in 0..200 {
-            e.update(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_value_is_input() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.update(4.0), 4.0);
-        assert!((e.update(8.0) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_counts_and_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 100);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        let median = h.quantile(0.5);
-        assert!((40.0..=60.0).contains(&median), "median {median}");
-        h.record(-5.0);
-        h.record(1000.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn histogram_ignores_nan() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(f64::NAN);
-        assert_eq!(h.count(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Simulated time.
 //!
 //! Time is represented as an integer number of nanoseconds since the start of
-//! the simulation. Using integers (rather than `f64` seconds) keeps the event
-//! queue ordering exact and makes simulations bit-for-bit reproducible across
+//! the simulation. Using integers (rather than `f64` seconds) keeps time
+//! comparisons exact and makes simulations bit-for-bit reproducible across
 //! platforms and optimization levels.
 
 use serde::{Deserialize, Serialize};

@@ -74,12 +74,6 @@ impl Network {
         }
     }
 
-    /// Replace the RTT model.
-    pub fn with_rtt_model(mut self, model: RttModel) -> Self {
-        self.rtt_model = model;
-        self
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topology

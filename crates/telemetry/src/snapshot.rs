@@ -722,7 +722,7 @@ impl ClusterSnapshot {
     /// paper-scale pins depend on); sparse meshes walk the source row in
     /// target-id order so the work is proportional to the row's entries
     /// rather than the node table. Both [`ClusterSnapshot::rtt_stats_from`]
-    /// and [`ClusterSnapshot::index_for`] go through here, so the two can
+    /// and [`ClusterSnapshot::index_into`] go through here, so the two can
     /// never disagree on accumulation order.
     fn accumulate_rtts_from(&self, src: NodeId, stats: &mut simcore::OnlineStats) {
         if self.rtt.is_dense() {
@@ -745,32 +745,25 @@ impl ClusterSnapshot {
 
     /// True when the snapshot's node table is exactly `cluster`'s node table
     /// in the same id order — the case for snapshots produced by the interned
-    /// scrape path, which lets [`ClusterSnapshot::index_for`] skip name
+    /// scrape path, which lets [`ClusterSnapshot::index_into`] skip name
     /// resolution entirely.
     pub fn is_aligned_with(&self, cluster: &cluster::ClusterState) -> bool {
         cluster.names_match(&self.names)
     }
 
     /// Resolve this snapshot against a cluster's node intern table into a
-    /// dense, [`NodeId`]-indexed view.
+    /// dense, [`NodeId`]-indexed view, written into `out` (its tables are
+    /// reused).
     ///
     /// This is the scheduler's burst-time amortization point: per-node
     /// telemetry lookups become array indexing and the RTT mesh is scanned
     /// exactly once (instead of once per candidate per decision) to
     /// precompute the Table-1 RTT statistics for every node. When the
     /// snapshot is id-aligned with the cluster (the interned scrape path)
-    /// no name is touched at all.
-    pub fn index_for(&self, cluster: &cluster::ClusterState) -> IndexedTelemetry {
-        let mut out = IndexedTelemetry::default();
-        self.index_into(cluster, &mut out);
-        out
-    }
-
-    /// In-place variant of [`ClusterSnapshot::index_for`]: resolve this
-    /// snapshot into `out`, reusing its tables. Sealed RTT rows are copied;
-    /// only rows dirtied (or never sealed) since are accumulated, through the
-    /// routine that sealed the others. Steady-state bursts over a fixed
-    /// cluster size re-index without touching the heap.
+    /// no name is touched at all. Sealed RTT rows are copied; only rows
+    /// dirtied (or never sealed) since are accumulated, through the routine
+    /// that sealed the others. Steady-state bursts over a fixed cluster size
+    /// re-index without touching the heap.
     pub fn index_into(&self, cluster: &cluster::ClusterState, out: &mut IndexedTelemetry) {
         out.nodes.clear();
         out.rtt_stats.clear();
@@ -893,7 +886,7 @@ pub trait SnapshotSource {
 
 /// A dense, [`NodeId`]-indexed resolution of a [`ClusterSnapshot`] against
 /// one cluster's node table. Built once per scheduling burst by
-/// [`ClusterSnapshot::index_for`].
+/// [`ClusterSnapshot::index_into`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexedTelemetry {
     /// Host telemetry per node id; `None` when the node was not scraped.
@@ -1197,7 +1190,8 @@ mod tests {
             ));
         }
         assert!(!snap.is_aligned_with(&c));
-        let indexed = snap.index_for(&c);
+        let mut indexed = IndexedTelemetry::default();
+        snap.index_into(&c, &mut indexed);
         assert_eq!(indexed.len(), 3);
         assert!(!indexed.is_empty());
         for name in ["node-1", "node-2"] {
@@ -1232,7 +1226,8 @@ mod tests {
             ));
         }
         assert!(snap.is_aligned_with(&c));
-        let indexed = snap.index_for(&c);
+        let mut indexed = IndexedTelemetry::default();
+        snap.index_into(&c, &mut indexed);
         for name in ["node-1", "node-2"] {
             let id = c.node_id(name).unwrap();
             assert_eq!(indexed.node(id), snap.node(name));
@@ -1366,7 +1361,8 @@ mod tests {
         assert_eq!(snap.rtt().len(), 3 * n);
         assert!(snap.is_aligned_with(&c));
 
-        let indexed = snap.index_for(&c);
+        let mut indexed = IndexedTelemetry::default();
+        snap.index_into(&c, &mut indexed);
         for i in [0usize, 17, n - 1] {
             let name = format!("node-{i:05}");
             let id = c.node_id(&name).unwrap();

@@ -19,7 +19,7 @@
 //! | Module | Crate | What it provides |
 //! |---|---|---|
 //! | [`core`] | `netsched-core` | the scheduler: feature constructor, predictor, decision module, job builder, logger, baselines |
-//! | [`simcore`] | `simcore` | discrete-event engine, deterministic RNG, statistics, parallel helpers |
+//! | [`simcore`] | `simcore` | simulated clock, deterministic RNG, online statistics, parallel map |
 //! | [`simnet`] | `simnet` | sites/links/flows, max-min fair sharing, RTT model, background load |
 //! | [`cluster`] | `cluster` | pods, nodes, resources, the default kube-scheduler, manifests |
 //! | [`sparksim`] | `sparksim` | stage DAGs, Sort/PageRank/Join workloads, the execution engine |

@@ -1009,8 +1009,14 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
             let requests: Vec<JobRequest> = (0..3)
                 .map(|i| driver_request(burst * 3 + i, 500, 1))
                 .collect();
-            let decisions =
-                service.schedule_batch(&requests, &published, &sched_cluster, SimTime::ZERO);
+            let mut decisions = Vec::new();
+            service.schedule_batch_into(
+                &requests,
+                &published,
+                &sched_cluster,
+                SimTime::ZERO,
+                &mut decisions,
+            );
             for (request, decision) in requests.iter().zip(&decisions) {
                 // Whole-epoch consistency: the adopted snapshot is
                 // byte-identical to the sequential state after some committed

@@ -163,11 +163,18 @@ fn supervised_choice_is_never_worse_on_average_than_random_choice() {
     let mut model_total = 0.0;
     let mut random_total = 0.0;
     let mut oracle_total = 0.0;
+    let (mut matrix, mut predictions) = (netsched::mlcore::FeatureMatrix::new(0), Vec::new());
     for &idx in &test_idx {
         let scenario = &dataset.scenarios[idx];
         let request = scenario.request();
         let candidates = scenario.candidate_nodes();
-        let predictions = predictor.predict_all(&scenario.snapshot, &candidates, &request);
+        predictor.predict_batch(
+            &scenario.snapshot,
+            &candidates,
+            &request,
+            &mut matrix,
+            &mut predictions,
+        );
         let choice_idx = predictions
             .iter()
             .enumerate()

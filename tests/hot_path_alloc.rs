@@ -1,5 +1,5 @@
 //! Runtime counterpart of the `hot-path-alloc` lint: a counting global
-//! allocator proves that steady-state `schedule_batch` bursts perform **zero
+//! allocator proves that steady-state `schedule_batch_into` bursts perform **zero
 //! heap allocations**.
 //!
 //! The static lint (`cargo run -p analysis -- check`) bans allocating tokens
@@ -215,7 +215,7 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
         assert_eq!(
             (allocs, deallocs, reallocs),
             (0, 0, 0),
-            "{kind}: steady-state schedule_batch bursts must be allocation-free \
+            "{kind}: steady-state schedule_batch_into bursts must be allocation-free \
              (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
         );
 

@@ -17,7 +17,7 @@ use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::flow::FlowKind;
 use netsched::simnet::Network;
 use netsched::sparksim::WorkloadKind;
-use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
+use netsched::telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
 
@@ -320,7 +320,9 @@ proptest! {
             }
             prop_assert!(plain == sealed);
             for cluster in [&aligned, &resolved] {
-                let (reference, indexed) = (plain.index_for(cluster), sealed.index_for(cluster));
+                let (mut reference, mut indexed) = (IndexedTelemetry::default(), IndexedTelemetry::default());
+                plain.index_into(cluster, &mut reference);
+                sealed.index_into(cluster, &mut indexed);
                 let mut differing = Vec::new();
                 indexed.changed_rows(&reference, |id| differing.push(id));
                 prop_assert!(differing.is_empty(), "step {} op {}: rows {:?}", step, op, differing);
