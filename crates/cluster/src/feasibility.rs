@@ -4,13 +4,12 @@
 //! so the filter in front of the model has to be close to free, at 6 nodes
 //! and at 10k. [`FeasibilityIndex`] keeps, per [`ClusterState::generation`],
 //! two arrays dense by [`NodeId`]: each node's free resources, and whether it
-//! is *eligible* for driver pods (schedulable and free of untolerated
-//! `NoSchedule` taints — the request-independent part of
-//! [`crate::DefaultScheduler::filter`]). A query is one forward pass over
-//! them applying the exact [`Resources::fits_within`] check, so the result is
-//! byte-identical to the naive full scan and already in ascending [`NodeId`]
-//! order, without touching a [`crate::Node`] (names, labels, taints, pod
-//! sets) per decision.
+//! is *eligible* for driver pods (not cordoned — the request-independent
+//! part of [`crate::DefaultScheduler::filter`] for an unpinned pod). A query
+//! is one forward pass over them applying the exact
+//! [`Resources::fits_within`] check, so the result is byte-identical to the
+//! naive full scan and already in ascending [`NodeId`] order, without
+//! touching a [`crate::Node`] (names, labels, pod sets) per decision.
 //!
 //! # Why dense, not sorted
 //!
@@ -35,13 +34,12 @@
 //! [`ClusterState::nodes`] (≈ 37 µs at 10k nodes): nothing is sorted, so there
 //! is nothing to patch — a refreshed index *is* a fresh one.
 //!
-//! Driver pods carry no node selector, no affinity and no tolerations (see
-//! [`crate::job::JobSpec::driver_pod`]), so eligibility plus the resource fit
-//! is the complete filter for them. The index is *not* valid for pods with
-//! selectors/affinity/tolerations; callers with such pods must use
+//! A driver pod is unpinned until the scheduler under evaluation picks its
+//! node (see [`crate::job::JobSpec::driver_pod`]), so eligibility plus the
+//! resource fit is the complete filter for it. The index is *not* valid for
+//! pinned pods; callers with such pods must use
 //! [`crate::DefaultScheduler::filter`] directly.
 
-use crate::affinity::tolerates_all_no_schedule;
 use crate::node::Node;
 use crate::resources::Resources;
 use crate::state::{ClusterState, NodeId};
@@ -69,14 +67,11 @@ impl FeasibilityIndex {
         Self::default()
     }
 
-    /// True when `node` can host *some* driver pod: it is schedulable and has
-    /// no untolerated `NoSchedule` taint. This is what
-    /// [`crate::DefaultScheduler::filter`] reduces to for a zero-request,
-    /// selector-free, toleration-free pod (and goes through the filter's own
-    /// taint check), spelled out because every sync evaluates it for every
-    /// node; a unit test pins the two together.
+    /// True when `node` can host *some* driver pod: it is schedulable. This
+    /// is what [`crate::DefaultScheduler::filter`] reduces to for a
+    /// zero-request, unpinned pod; a unit test pins the two together.
     pub fn eligible(node: &Node) -> bool {
-        node.schedulable && tolerates_all_no_schedule(&node.taints, &[])
+        node.schedulable
     }
 
     /// Bring the index up to date with `cluster`. A matching generation is a
@@ -107,7 +102,7 @@ impl FeasibilityIndex {
 
     /// How many [`sync`](Self::sync)s were rebuilds: the first build plus one
     /// per node-table size change. A serving loop over a fixed cluster reads
-    /// 1 however many pods it binds, releases, cordons or taints.
+    /// 1 however many pods it binds, releases, cordons or uncordons.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -119,8 +114,8 @@ impl FeasibilityIndex {
 
     /// Collect every eligible node whose free resources fit `requests`, in
     /// ascending [`NodeId`] order, into `out` (cleared first). Byte-identical
-    /// to filtering every node with [`crate::DefaultScheduler::filter`] for a
-    /// selector-free, toleration-free pod with the same requests.
+    /// to filtering every node with [`crate::DefaultScheduler::filter`] for an
+    /// unpinned pod with the same requests.
     /// Allocation-free once `out` has held one node-table's worth of ids.
     pub fn query_into(&self, requests: &Resources, out: &mut Vec<NodeId>) {
         out.clear();
@@ -141,7 +136,6 @@ impl FeasibilityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::{Taint, TaintEffect};
     use crate::pod::{PodId, PodSpec};
     use crate::scheduler::{DefaultScheduler, FilterResult};
     use simcore::rng::Rng;
@@ -160,8 +154,8 @@ mod tests {
             .collect()
     }
 
-    /// A varied world: mixed capacities, some cordoned, some tainted, some
-    /// partially or fully loaded.
+    /// A varied world: mixed capacities, some cordoned, some partially or
+    /// fully loaded.
     fn varied_world(nodes: usize, seed: u64) -> ClusterState {
         let mut rng = Rng::seed_from_u64(seed);
         let mut cluster = ClusterState::new();
@@ -174,19 +168,8 @@ mod tests {
                 Resources::from_cores_and_gib(cores, gib),
                 "SITE",
             );
-            match rng.gen_range_usize(0, 10) {
-                0 => node.schedulable = false,
-                1 => node.taints.push(Taint {
-                    key: "dedicated".into(),
-                    value: "infra".into(),
-                    effect: TaintEffect::NoSchedule,
-                }),
-                2 => node.taints.push(Taint {
-                    key: "flaky".into(),
-                    value: "true".into(),
-                    effect: TaintEffect::PreferNoSchedule,
-                }),
-                _ => {}
+            if rng.gen_range_usize(0, 10) < 2 {
+                node.schedulable = false;
             }
             cluster.add_node(node);
         }
@@ -323,7 +306,7 @@ mod tests {
         // Unchanged cluster: a single compare.
         assert!(!index.sync(&cluster));
         assert!(!index.sync(&cluster));
-        // Binds, releases, cordons and taint edits refresh in place.
+        // Binds, releases, cordons and uncordons refresh in place.
         let free = NodeId::from_index(
             (0..10)
                 .find(|&i| {
@@ -333,18 +316,11 @@ mod tests {
                 .expect("the fixture leaves an eligible node unloaded"),
         );
         let share = Resources::from_cores_and_gib(1, 1);
-        let edits: [&dyn Fn(&mut Node); 5] = [
+        let edits: [&dyn Fn(&mut Node); 4] = [
             &|node| assert!(node.bind(PodId(77), share)),
             &|node| assert!(node.release(PodId(77), share)),
             &|node| node.schedulable = false,
-            &|node| {
-                node.taints.push(Taint {
-                    key: "dedicated".into(),
-                    value: "infra".into(),
-                    effect: TaintEffect::NoSchedule,
-                })
-            },
-            &|node| node.taints.clear(),
+            &|node| node.schedulable = true,
         ];
         for (step, edit) in edits.iter().enumerate() {
             edit(cluster.node_by_id_mut(free).unwrap());
@@ -384,18 +360,7 @@ mod tests {
                 let pod = PodId(10_000 + step);
                 let node = cluster.node_by_id_mut(id).unwrap();
                 match rng.gen_range_usize(0, 5) {
-                    0 => node.schedulable = !node.schedulable,
-                    1 => {
-                        if node.taints.is_empty() {
-                            node.taints.push(Taint {
-                                key: "dedicated".into(),
-                                value: "infra".into(),
-                                effect: TaintEffect::NoSchedule,
-                            });
-                        } else {
-                            node.taints.clear();
-                        }
-                    }
+                    0 | 1 => node.schedulable = !node.schedulable,
                     2 => {
                         // Release everything bound to the node.
                         let bound: Vec<PodId> = node.bound_pods().collect();

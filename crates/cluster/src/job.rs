@@ -6,18 +6,12 @@
 //! models that job object and its lifecycle; the actual execution semantics
 //! (stages, shuffles, completion time) live in the `sparksim` crate.
 
-use crate::pod::{PodId, PodRole, PodSpec};
+use crate::pod::{set_target, PodId, PodSpec};
 use crate::resources::Resources;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// Overwrite a string slot in place, keeping its allocation.
-fn set_str(slot: &mut String, value: &str) {
-    slot.clear();
-    slot.push_str(value);
-}
 
 /// Identifier of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -111,25 +105,12 @@ impl JobSpec {
     }
 
     /// In-place variant of [`JobSpec::driver_pod`]: rebuild `out` as this
-    /// job's driver pod, reusing its name, label and affinity allocations.
+    /// job's driver pod, reusing its name and pin allocations.
     pub fn driver_pod_into(&self, pinned_node: Option<&str>, out: &mut PodSpec) {
         out.name.clear();
         let _ = write!(out.name, "{}-driver", self.name);
-        set_str(&mut out.namespace, "default");
-        out.labels
-            .retain(|k, _| k == "app" || k == "spark-role" || k == "job");
-        out.set_label("app", &self.app_type);
-        out.set_label("spark-role", "driver");
-        out.set_label("job", &self.name);
         out.requests = self.driver_requests;
-        out.limits = self.driver_requests;
-        out.node_selector.clear();
-        out.tolerations.clear();
-        out.role = PodRole::Driver;
-        match pinned_node {
-            Some(node) => out.affinity.set_required_hostname(node),
-            None => out.affinity.clear(),
-        }
+        set_target(&mut out.pinned_node, pinned_node);
     }
 
     /// The executor pod specs (placed by the default scheduler in the paper).
@@ -148,18 +129,8 @@ impl JobSpec {
         for (i, pod) in out.iter_mut().enumerate() {
             pod.name.clear();
             let _ = write!(pod.name, "{}-exec-{}", self.name, i + 1);
-            set_str(&mut pod.namespace, "default");
-            pod.labels
-                .retain(|k, _| k == "app" || k == "spark-role" || k == "job");
-            pod.set_label("app", &self.app_type);
-            pod.set_label("spark-role", "executor");
-            pod.set_label("job", &self.name);
             pod.requests = self.executor_requests;
-            pod.limits = self.executor_requests;
-            pod.node_selector.clear();
-            pod.affinity.clear();
-            pod.tolerations.clear();
-            pod.role = PodRole::Executor;
+            pod.pinned_node = None;
         }
     }
 
@@ -243,14 +214,16 @@ mod tests {
     fn driver_pod_is_pinned_when_requested() {
         let spec = JobSpec::new("sort-1", "sort", 100_000);
         let unpinned = spec.driver_pod(None);
-        assert!(unpinned.affinity.is_empty());
-        assert_eq!(unpinned.role, PodRole::Driver);
-        assert_eq!(unpinned.labels.get("spark-role").unwrap(), "driver");
-        let pinned = spec.driver_pod(Some("node-4"));
-        assert!(!pinned.affinity.is_empty());
-        let mut labels = std::collections::BTreeMap::new();
-        labels.insert("kubernetes.io/hostname".to_string(), "node-4".to_string());
-        assert!(pinned.affinity.required_matches(&labels));
+        assert_eq!(unpinned.name, "sort-1-driver");
+        assert_eq!(unpinned.requests, spec.driver_requests);
+        assert_eq!(unpinned.pinned_node, None);
+        let mut pinned = spec.driver_pod(Some("node-4"));
+        assert_eq!(pinned.pinned_node.as_deref(), Some("node-4"));
+        // Rebuilding in place moves or drops the pin.
+        spec.driver_pod_into(Some("node-2"), &mut pinned);
+        assert_eq!(pinned.pinned_node.as_deref(), Some("node-2"));
+        spec.driver_pod_into(None, &mut pinned);
+        assert_eq!(pinned, unpinned);
     }
 
     #[test]
@@ -260,10 +233,9 @@ mod tests {
         assert_eq!(execs.len(), 4);
         assert_eq!(execs[0].name, "join-2-exec-1");
         assert_eq!(execs[3].name, "join-2-exec-4");
-        assert!(execs.iter().all(|e| e.role == PodRole::Executor));
         assert!(execs
             .iter()
-            .all(|e| e.labels.get("job").unwrap() == "join-2"));
+            .all(|e| e.pinned_node.is_none() && e.requests == spec.executor_requests));
     }
 
     #[test]

@@ -6,20 +6,16 @@
 //! Kubernetes the experiment touches:
 //!
 //! * [`resources`] — CPU (millicores) and memory (bytes) quantities with the
-//!   usual request/limit semantics and `500m` / `2Gi` style parsing.
-//! * [`pod`] — pod specifications (labels, resource requests, node selectors,
-//!   affinity, tolerations) and pod lifecycle phases.
-//! * [`node`] — cluster nodes with allocatable capacity, labels, taints and a
-//!   live view of allocated resources / running pods.
-//! * [`affinity`] — node selector terms, required/preferred node affinity and
-//!   taint/toleration matching, mirroring the upstream semantics closely
-//!   enough for scheduling decisions.
+//!   usual request semantics and `500m` / `2Gi` style parsing.
+//! * [`pod`] — pod specifications (name, resource requests and an optional
+//!   hostname pin) and pod lifecycle phases.
+//! * [`node`] — cluster nodes with allocatable capacity, labels, a cordon
+//!   flag and a live view of allocated resources / running pods.
 //! * [`scheduler`] — the default scheduler's two phases: **filtering**
-//!   (resource fit, node selector/affinity, taints) and **scoring**
-//!   (least-requested, balanced-allocation, preferred-affinity weights), with
-//!   randomized tie-breaking among top-scoring nodes exactly because the
-//!   default scheduler is blind to network state — that blindness is the
-//!   baseline the paper quantifies.
+//!   (cordon, resource fit, hostname pin) and **scoring** (least-requested
+//!   plus balanced-allocation), with randomized tie-breaking among
+//!   top-scoring nodes exactly because the default scheduler is blind to
+//!   network state — that blindness is the baseline the paper quantifies.
 //! * [`state`] — the cluster state: bind/evict pods, track allocations,
 //!   record events.
 //! * [`feasibility`] — per-node free resources and driver-pod eligibility in
@@ -28,13 +24,12 @@
 //!   against [`state::ClusterState::generation`].
 //! * [`job`] — a Spark-application-shaped job object (driver + executors) and
 //!   its lifecycle.
-//! * [`manifest`] — declarative YAML rendering of pods/jobs, including the
-//!   `nodeAffinity` injection the paper's Job Builder performs.
+//! * [`manifest`] — declarative YAML rendering of a job's SparkApplication,
+//!   including the `nodeAffinity` injection the paper's Job Builder performs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod feasibility;
 pub mod job;
 pub mod manifest;
@@ -44,10 +39,6 @@ pub mod resources;
 pub mod scheduler;
 pub mod state;
 
-pub use affinity::{
-    NodeAffinity, NodeSelectorOp, NodeSelectorRequirement, NodeSelectorTerm, Taint, TaintEffect,
-    Toleration,
-};
 pub use feasibility::FeasibilityIndex;
 pub use job::{Job, JobId, JobPhase, JobSpec};
 pub use node::{Node, NodeName};

@@ -4,22 +4,11 @@
 //! understood by Kubernetes for job launch. Node placement is enforced by
 //! injecting nodeAffinity rules into the generated specification."* This
 //! module reproduces that rendering step with a small, dependency-free YAML
-//! emitter: given a [`PodSpec`] or a [`JobSpec`] plus a target node, it emits
-//! the manifest text a real deployment would apply with `kubectl`.
+//! emitter: given a [`JobSpec`] plus a target node, it emits the
+//! SparkApplication text a real deployment would apply with `kubectl`.
 
-use crate::affinity::{NodeAffinity, NodeSelectorOp};
 use crate::job::JobSpec;
-use crate::pod::PodSpec;
 use std::fmt::Write as _;
-
-/// Append a quantity of CPU millicores in Kubernetes notation.
-fn write_cpu(out: &mut String, millis: u64) {
-    if millis.is_multiple_of(1000) {
-        let _ = write!(out, "{}", millis / 1000);
-    } else {
-        let _ = write!(out, "{millis}m");
-    }
-}
 
 /// Append a memory quantity in Kubernetes notation (Mi granularity).
 fn write_memory(out: &mut String, bytes: u64) {
@@ -46,30 +35,7 @@ fn write_yaml_escaped(out: &mut String, s: &str) {
     }
 }
 
-/// Render a quantity of CPU millicores in Kubernetes notation.
-fn cpu_str(millis: u64) -> String {
-    let mut out = String::new();
-    write_cpu(&mut out, millis);
-    out
-}
-
-/// Render a memory quantity in Kubernetes notation (Mi granularity).
-fn memory_str(bytes: u64) -> String {
-    let mut out = String::new();
-    write_memory(&mut out, bytes);
-    out
-}
-
-fn yaml_escape(s: &str) -> String {
-    let mut out = String::new();
-    write_yaml_escaped(&mut out, s);
-    out
-}
-
-/// Append the nodeAffinity block for a single required-hostname pin —
-/// byte-identical to `render_affinity` over
-/// [`NodeAffinity::require_hostname`], but without materializing the
-/// affinity value (the job-manifest hot path stays allocation-free).
+/// Append the nodeAffinity block for a single required-hostname pin.
 fn write_required_hostname_affinity(out: &mut String, node: &str, indent: &str) {
     let _ = writeln!(out, "{indent}affinity:");
     let _ = writeln!(out, "{indent}  nodeAffinity:");
@@ -87,141 +53,11 @@ fn write_required_hostname_affinity(out: &mut String, node: &str, indent: &str) 
     out.push('\n');
 }
 
-fn render_affinity(out: &mut String, affinity: &NodeAffinity, indent: &str) {
-    if affinity.is_empty() {
-        return;
-    }
-    let _ = writeln!(out, "{indent}affinity:");
-    let _ = writeln!(out, "{indent}  nodeAffinity:");
-    if !affinity.required_terms.is_empty() {
-        let _ = writeln!(
-            out,
-            "{indent}    requiredDuringSchedulingIgnoredDuringExecution:"
-        );
-        let _ = writeln!(out, "{indent}      nodeSelectorTerms:");
-        for term in &affinity.required_terms {
-            let _ = writeln!(out, "{indent}      - matchExpressions:");
-            for req in &term.requirements {
-                let op = match req.op {
-                    NodeSelectorOp::In => "In",
-                    NodeSelectorOp::NotIn => "NotIn",
-                    NodeSelectorOp::Exists => "Exists",
-                    NodeSelectorOp::DoesNotExist => "DoesNotExist",
-                };
-                let _ = writeln!(out, "{indent}        - key: {}", yaml_escape(&req.key));
-                let _ = writeln!(out, "{indent}          operator: {op}");
-                if !req.values.is_empty() {
-                    let _ = writeln!(out, "{indent}          values:");
-                    for v in &req.values {
-                        let _ = writeln!(out, "{indent}          - {}", yaml_escape(v));
-                    }
-                }
-            }
-        }
-    }
-    if !affinity.preferred_terms.is_empty() {
-        let _ = writeln!(
-            out,
-            "{indent}    preferredDuringSchedulingIgnoredDuringExecution:"
-        );
-        for pref in &affinity.preferred_terms {
-            let _ = writeln!(out, "{indent}    - weight: {}", pref.weight);
-            let _ = writeln!(out, "{indent}      preference:");
-            let _ = writeln!(out, "{indent}        matchExpressions:");
-            for req in &pref.term.requirements {
-                let op = match req.op {
-                    NodeSelectorOp::In => "In",
-                    NodeSelectorOp::NotIn => "NotIn",
-                    NodeSelectorOp::Exists => "Exists",
-                    NodeSelectorOp::DoesNotExist => "DoesNotExist",
-                };
-                let _ = writeln!(out, "{indent}        - key: {}", yaml_escape(&req.key));
-                let _ = writeln!(out, "{indent}          operator: {op}");
-                if !req.values.is_empty() {
-                    let _ = writeln!(out, "{indent}          values:");
-                    for v in &req.values {
-                        let _ = writeln!(out, "{indent}          - {}", yaml_escape(v));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Render a single pod manifest.
-pub fn render_pod_manifest(spec: &PodSpec) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(out, "apiVersion: v1");
-    let _ = writeln!(out, "kind: Pod");
-    let _ = writeln!(out, "metadata:");
-    let _ = writeln!(out, "  name: {}", yaml_escape(&spec.name));
-    let _ = writeln!(out, "  namespace: {}", yaml_escape(&spec.namespace));
-    if !spec.labels.is_empty() {
-        let _ = writeln!(out, "  labels:");
-        for (k, v) in &spec.labels {
-            let _ = writeln!(out, "    {}: {}", yaml_escape(k), yaml_escape(v));
-        }
-    }
-    let _ = writeln!(out, "spec:");
-    if !spec.node_selector.is_empty() {
-        let _ = writeln!(out, "  nodeSelector:");
-        for (k, v) in &spec.node_selector {
-            let _ = writeln!(out, "    {}: {}", yaml_escape(k), yaml_escape(v));
-        }
-    }
-    render_affinity(&mut out, &spec.affinity, "  ");
-    if !spec.tolerations.is_empty() {
-        let _ = writeln!(out, "  tolerations:");
-        for tol in &spec.tolerations {
-            match (&tol.key, &tol.value) {
-                (None, _) => {
-                    let _ = writeln!(out, "  - operator: Exists");
-                }
-                (Some(k), None) => {
-                    let _ = writeln!(out, "  - key: {}", yaml_escape(k));
-                    let _ = writeln!(out, "    operator: Exists");
-                }
-                (Some(k), Some(v)) => {
-                    let _ = writeln!(out, "  - key: {}", yaml_escape(k));
-                    let _ = writeln!(out, "    operator: Equal");
-                    let _ = writeln!(out, "    value: {}", yaml_escape(v));
-                }
-            }
-        }
-    }
-    let _ = writeln!(out, "  containers:");
-    let _ = writeln!(out, "  - name: main");
-    let _ = writeln!(out, "    image: spark:3.5");
-    let _ = writeln!(out, "    resources:");
-    let _ = writeln!(out, "      requests:");
-    let _ = writeln!(out, "        cpu: {}", cpu_str(spec.requests.cpu_millis));
-    let _ = writeln!(
-        out,
-        "        memory: {}",
-        memory_str(spec.requests.memory_bytes)
-    );
-    let _ = writeln!(out, "      limits:");
-    let _ = writeln!(out, "        cpu: {}", cpu_str(spec.limits.cpu_millis));
-    let _ = writeln!(
-        out,
-        "        memory: {}",
-        memory_str(spec.limits.memory_bytes)
-    );
-    out
-}
-
-/// Render a SparkApplication-style manifest for a job, pinning the driver to
-/// `target_node` when given (the Job Builder's nodeAffinity injection).
-pub fn render_job_manifest(spec: &JobSpec, target_node: Option<&str>) -> String {
-    let mut out = String::with_capacity(2048);
-    render_job_manifest_into(&mut out, spec, target_node);
-    out
-}
-
-/// In-place variant of [`render_job_manifest`]: clear `out` and render the
-/// manifest into it, reusing the string's allocation. The body goes through
-/// non-allocating write helpers only, so steady-state re-rendering of
-/// same-shaped jobs touches no heap.
+/// Render a SparkApplication-style manifest for a job into `out` (cleared
+/// first), pinning the driver to `target_node` when given (the Job Builder's
+/// nodeAffinity injection). The body goes through non-allocating write
+/// helpers only, so steady-state re-rendering of same-shaped jobs reuses the
+/// string's allocation and touches no heap.
 pub fn render_job_manifest_into(out: &mut String, spec: &JobSpec, target_node: Option<&str>) {
     out.clear();
     let _ = writeln!(out, "apiVersion: sparkoperator.k8s.io/v1beta2");
@@ -274,87 +110,84 @@ pub fn render_job_manifest_into(out: &mut String, spec: &JobSpec, target_node: O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::Toleration;
     use crate::resources::Resources;
 
+    fn memory(bytes: u64) -> String {
+        let mut out = String::new();
+        write_memory(&mut out, bytes);
+        out
+    }
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        write_yaml_escaped(&mut out, s);
+        out
+    }
+
     #[test]
-    fn cpu_and_memory_notation() {
-        assert_eq!(cpu_str(2000), "2");
-        assert_eq!(cpu_str(500), "500m");
-        assert_eq!(memory_str(512 * 1024 * 1024), "512Mi");
-        assert_eq!(memory_str(2 * 1024 * 1024 * 1024), "2048Mi");
+    fn memory_notation() {
+        assert_eq!(memory(512 * 1024 * 1024), "512Mi");
+        assert_eq!(memory(2 * 1024 * 1024 * 1024), "2048Mi");
+        assert_eq!(memory(1024 * 1024 + 1), "1Mi");
     }
 
     #[test]
     fn escaping_quotes_odd_strings() {
-        assert_eq!(yaml_escape("node-1"), "node-1");
-        assert_eq!(
-            yaml_escape("kubernetes.io/hostname"),
-            "kubernetes.io/hostname"
-        );
-        assert_eq!(yaml_escape("has space"), "\"has space\"");
-        assert_eq!(yaml_escape("quote\"inside"), "\"quote\\\"inside\"");
-        assert_eq!(yaml_escape(""), "\"\"");
+        assert_eq!(escaped("node-1"), "node-1");
+        assert_eq!(escaped("kubernetes.io/hostname"), "kubernetes.io/hostname");
+        assert_eq!(escaped("has space"), "\"has space\"");
+        assert_eq!(escaped("quote\"inside"), "\"quote\\\"inside\"");
+        assert_eq!(escaped("back\\slash"), "\"back\\\\slash\"");
+        assert_eq!(escaped(""), "\"\"");
     }
 
+    /// The exact bytes of a pinned and an unpinned manifest, for a job whose
+    /// name needs quoting. `render_job_manifest_into` is the only renderer,
+    /// so these goldens are what pins its output.
     #[test]
-    fn pod_manifest_contains_affinity_injection() {
-        let spec = PodSpec::new("sort-driver", Resources::from_cores_and_gib(1, 2))
-            .with_label("app", "sort")
-            .pinned_to("node-3")
-            .with_toleration(Toleration::for_key("dedicated"));
-        let yaml = render_pod_manifest(&spec);
-        assert!(yaml.contains("kind: Pod"));
-        assert!(yaml.contains("name: sort-driver"));
-        assert!(yaml.contains("requiredDuringSchedulingIgnoredDuringExecution"));
-        assert!(yaml.contains("key: kubernetes.io/hostname"));
-        assert!(yaml.contains("- node-3"));
-        assert!(yaml.contains("cpu: 1"));
-        assert!(yaml.contains("memory: 2048Mi"));
-        assert!(yaml.contains("tolerations:"));
-        assert!(yaml.contains("app: sort"));
-    }
-
-    #[test]
-    fn pod_manifest_without_affinity_has_no_affinity_block() {
-        let spec = PodSpec::new("plain", Resources::from_cores_and_gib(1, 1));
-        let yaml = render_pod_manifest(&spec);
-        assert!(!yaml.contains("affinity:"));
-        assert!(!yaml.contains("tolerations:"));
-        assert!(!yaml.contains("nodeSelector:"));
-    }
-
-    #[test]
-    fn pod_manifest_renders_node_selector_and_preferred_affinity() {
-        use crate::affinity::{NodeSelectorRequirement, NodeSelectorTerm, PreferredSchedulingTerm};
-        let mut spec = PodSpec::new("p", Resources::from_cores_and_gib(1, 1))
-            .with_node_selector("zone", "ucsd");
-        spec.affinity.preferred_terms.push(PreferredSchedulingTerm {
-            weight: 30,
-            term: NodeSelectorTerm {
-                requirements: vec![NodeSelectorRequirement::key_in("ssd", vec!["true".into()])],
-            },
-        });
-        let yaml = render_pod_manifest(&spec);
-        assert!(yaml.contains("nodeSelector:"));
-        assert!(yaml.contains("zone: ucsd"));
-        assert!(yaml.contains("preferredDuringSchedulingIgnoredDuringExecution"));
-        assert!(yaml.contains("weight: 30"));
-    }
-
-    #[test]
-    fn job_manifest_pins_driver_only_when_target_given() {
-        let spec = JobSpec::new("sort-100k", "sort", 100_000)
+    fn job_manifest_bytes_are_pinned() {
+        let spec = JobSpec::new("sort 100k", "sort", 100_000)
             .with_executors(3)
             .with_driver_requests(Resources::from_cores_and_gib(1, 2))
-            .with_executor_requests(Resources::from_cores_and_gib(1, 1));
-        let pinned = render_job_manifest(&spec, Some("node-5"));
-        assert!(pinned.contains("kind: SparkApplication"));
-        assert!(pinned.contains("instances: 3"));
-        assert!(pinned.contains("- node-5"));
-        assert!(pinned.contains("requiredDuringSchedulingIgnoredDuringExecution"));
-        let unpinned = render_job_manifest(&spec, None);
-        assert!(!unpinned.contains("requiredDuringScheduling"));
-        assert!(unpinned.contains("- \"100000\""));
+            .with_executor_requests(Resources::from_cores_and_mib(2, 1536));
+        let head = "apiVersion: sparkoperator.k8s.io/v1beta2
+kind: SparkApplication
+metadata:
+  name: \"sort 100k\"
+  namespace: default
+spec:
+  type: Scala
+  mode: cluster
+  mainApplicationFile: local:///opt/spark/examples/sort.jar
+  arguments:
+  - \"100000\"
+  - \"8\"
+  driver:
+    cores: 1
+    memory: 2048Mi
+    labels:
+      app: sort
+      job: \"sort 100k\"
+";
+        let pin = "    affinity:
+      nodeAffinity:
+        requiredDuringSchedulingIgnoredDuringExecution:
+          nodeSelectorTerms:
+          - matchExpressions:
+            - key: kubernetes.io/hostname
+              operator: In
+              values:
+              - node-5
+";
+        let tail = "  executor:
+    instances: 3
+    cores: 2
+    memory: 1536Mi
+";
+        let mut out = String::from("stale text the render must clear");
+        render_job_manifest_into(&mut out, &spec, Some("node-5"));
+        assert_eq!(out, format!("{head}{pin}{tail}"));
+        render_job_manifest_into(&mut out, &spec, None);
+        assert_eq!(out, format!("{head}{tail}"));
     }
 }

@@ -1,12 +1,11 @@
 //! Cluster nodes.
 //!
 //! A node couples the orchestration view (allocatable resources, labels,
-//! taints, running pods) with a handle into the network substrate (its
+//! cordon flag, running pods) with a handle into the network substrate (its
 //! [`simnet::NodeId`]) and a simple host-load model: a base CPU load plus the
 //! contributions of whatever runs on it, which is what node-exporter style
 //! telemetry reports as the 1-minute load average and available memory.
 
-use crate::affinity::Taint;
 use crate::pod::PodId;
 use crate::resources::Resources;
 use serde::{Deserialize, Serialize};
@@ -15,6 +14,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A node's name (`node-1` ... `node-6` in the paper's cluster).
 pub type NodeName = String;
+
+/// The label a pinned pod is matched against; every node carries it.
+pub(crate) const HOSTNAME_LABEL: &str = "kubernetes.io/hostname";
 
 /// A cluster node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -27,8 +29,6 @@ pub struct Node {
     pub allocatable: Resources,
     /// Labels (hostname and site are always present).
     pub labels: BTreeMap<String, String>,
-    /// Taints.
-    pub taints: Vec<Taint>,
     /// Whether the node accepts new pods.
     pub schedulable: bool,
     /// Resources currently requested by bound pods.
@@ -55,14 +55,13 @@ impl Node {
     ) -> Self {
         let name = name.into();
         let mut labels = BTreeMap::new();
-        labels.insert("kubernetes.io/hostname".to_string(), name.clone());
+        labels.insert(HOSTNAME_LABEL.to_string(), name.clone());
         labels.insert("topology.kubernetes.io/zone".to_string(), site.into());
         Node {
             name,
             net_id,
             allocatable,
             labels,
-            taints: Vec::new(),
             schedulable: true,
             allocated: Resources::ZERO,
             bound_pods: BTreeSet::new(),
@@ -76,12 +75,6 @@ impl Node {
     /// Builder-style: add a label.
     pub fn with_label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.labels.insert(key.into(), value.into());
-        self
-    }
-
-    /// Builder-style: add a taint.
-    pub fn with_taint(mut self, taint: Taint) -> Self {
-        self.taints.push(taint);
         self
     }
 
@@ -168,7 +161,6 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::TaintEffect;
 
     fn node() -> Node {
         Node::new(
@@ -252,15 +244,5 @@ mod tests {
         n.base_memory_used = 1e12;
         assert_eq!(n.memory_available(), 0.0);
         assert_eq!(n.memory_utilization(), 1.0);
-    }
-
-    #[test]
-    fn taints_builder() {
-        let n = node().with_taint(Taint {
-            key: "dedicated".into(),
-            value: "infra".into(),
-            effect: TaintEffect::NoSchedule,
-        });
-        assert_eq!(n.taints.len(), 1);
     }
 }

@@ -1,10 +1,9 @@
 //! Pods: the unit of placement.
 
-use crate::affinity::{NodeAffinity, Toleration};
+use crate::node::{Node, HOSTNAME_LABEL};
 use crate::resources::Resources;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a pod within a cluster.
@@ -17,113 +16,55 @@ impl fmt::Display for PodId {
     }
 }
 
-/// The role a pod plays in a Spark-style application (used by the workload
-/// model and for manifest rendering; plain pods use [`PodRole::Standalone`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PodRole {
-    /// Application driver.
-    Driver,
-    /// Application executor.
-    Executor,
-    /// Background or standalone pod.
-    Standalone,
-}
-
-/// Desired state of a pod.
+/// Desired state of a pod: what the default scheduler and a bind look at.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PodSpec {
     /// Pod name (unique within the cluster in this model).
     pub name: String,
-    /// Namespace (cosmetic; defaults to `default`).
-    pub namespace: String,
-    /// Labels attached to the pod.
-    pub labels: BTreeMap<String, String>,
     /// Requested resources (used by scheduling).
     pub requests: Resources,
-    /// Resource limits (not enforced by the simulator but carried in manifests).
-    pub limits: Resources,
-    /// Simple node selector (`key == value` for every entry).
-    pub node_selector: BTreeMap<String, String>,
-    /// Node affinity (required + preferred terms).
-    pub affinity: NodeAffinity,
-    /// Tolerations for node taints.
-    pub tolerations: Vec<Toleration>,
-    /// Role within an application.
-    pub role: PodRole,
+    /// The node this pod must run on, matched against the node's
+    /// `kubernetes.io/hostname` label: the required nodeAffinity the paper's
+    /// Job Builder injects. `None` lets the pod go anywhere it fits.
+    pub pinned_node: Option<String>,
 }
 
 impl PodSpec {
-    /// Create a minimal pod spec with the given name and requests.
+    /// Create an unpinned pod spec with the given name and requests.
     pub fn new(name: impl Into<String>, requests: Resources) -> Self {
         PodSpec {
             name: name.into(),
-            namespace: "default".to_string(),
-            labels: BTreeMap::new(),
             requests,
-            limits: requests,
-            node_selector: BTreeMap::new(),
-            affinity: NodeAffinity::none(),
-            tolerations: Vec::new(),
-            role: PodRole::Standalone,
+            pinned_node: None,
         }
     }
 
-    /// Builder-style: set a label.
-    pub fn with_label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.labels.insert(key.into(), value.into());
-        self
-    }
-
-    /// Builder-style: set the role.
-    pub fn with_role(mut self, role: PodRole) -> Self {
-        self.role = role;
-        self
-    }
-
-    /// Builder-style: set resource limits.
-    pub fn with_limits(mut self, limits: Resources) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Builder-style: require placement on a specific hostname via affinity
-    /// (this is the paper's Job Builder injection).
+    /// Builder-style: require placement on a specific hostname (this is the
+    /// paper's Job Builder injection).
     pub fn pinned_to(mut self, hostname: impl Into<String>) -> Self {
-        self.affinity = NodeAffinity::require_hostname(hostname);
+        self.pinned_node = Some(hostname.into());
         self
     }
 
-    /// Builder-style: add a node selector entry.
-    pub fn with_node_selector(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.node_selector.insert(key.into(), value.into());
-        self
+    /// True when the pod may run on `node`: it is unpinned, or its pin equals
+    /// the node's `kubernetes.io/hostname` label.
+    pub fn pin_matches(&self, node: &Node) -> bool {
+        self.pinned_node
+            .as_deref()
+            .is_none_or(|pin| node.labels.get(HOSTNAME_LABEL).map(String::as_str) == Some(pin))
     }
+}
 
-    /// Builder-style: add a toleration.
-    pub fn with_toleration(mut self, toleration: Toleration) -> Self {
-        self.tolerations.push(toleration);
-        self
-    }
-
-    /// Set a label in place, reusing the existing value's allocation when
-    /// the key is already present (the in-place builders' steady state).
-    pub fn set_label(&mut self, key: &str, value: &str) {
-        match self.labels.get_mut(key) {
-            Some(slot) => {
-                slot.clear();
-                slot.push_str(value);
-            }
-            None => {
-                self.labels.insert(key.to_string(), value.to_string());
-            }
+/// Overwrite an optional-string slot in place, keeping its allocation when
+/// it already holds a value.
+pub fn set_target(slot: &mut Option<String>, target: Option<&str>) {
+    match (slot.as_mut(), target) {
+        (Some(held), Some(node)) => {
+            held.clear();
+            held.push_str(node);
         }
-    }
-
-    /// Does the simple node selector match a node's labels?
-    pub fn node_selector_matches(&self, labels: &BTreeMap<String, String>) -> bool {
-        self.node_selector
-            .iter()
-            .all(|(k, v)| labels.get(k) == Some(v))
+        (None, Some(node)) => *slot = Some(node.to_string()),
+        (_, None) => *slot = None,
     }
 }
 
@@ -190,36 +131,30 @@ impl Pod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::NodeId;
 
     #[test]
     fn builder_chain_sets_fields() {
-        let spec = PodSpec::new("driver-1", Resources::from_cores_and_gib(1, 2))
-            .with_label("app", "spark")
-            .with_role(PodRole::Driver)
-            .with_limits(Resources::from_cores_and_gib(2, 4))
-            .pinned_to("node-5")
-            .with_node_selector("tier", "worker")
-            .with_toleration(Toleration::any());
+        let spec =
+            PodSpec::new("driver-1", Resources::from_cores_and_gib(1, 2)).pinned_to("node-5");
         assert_eq!(spec.name, "driver-1");
-        assert_eq!(spec.labels.get("app").unwrap(), "spark");
-        assert_eq!(spec.role, PodRole::Driver);
-        assert_eq!(spec.limits.memory_gib(), 4.0);
-        assert!(!spec.affinity.is_empty());
-        assert_eq!(spec.tolerations.len(), 1);
-        assert_eq!(spec.namespace, "default");
+        assert_eq!(spec.requests, Resources::from_cores_and_gib(1, 2));
+        assert_eq!(spec.pinned_node.as_deref(), Some("node-5"));
+        assert_eq!(PodSpec::new("p", Resources::ZERO).pinned_node, None);
     }
 
     #[test]
-    fn node_selector_matching() {
-        let spec = PodSpec::new("p", Resources::ZERO).with_node_selector("zone", "ucsd");
-        let mut labels = BTreeMap::new();
-        assert!(!spec.node_selector_matches(&labels));
-        labels.insert("zone".to_string(), "ucsd".to_string());
-        assert!(spec.node_selector_matches(&labels));
-        labels.insert("zone".to_string(), "fiu".to_string());
-        assert!(!spec.node_selector_matches(&labels));
-        // Empty selector matches anything.
-        assert!(PodSpec::new("q", Resources::ZERO).node_selector_matches(&labels));
+    fn pin_matching() {
+        let node = |name: &str| Node::new(name, NodeId(0), Resources::ZERO, "UCSD");
+        let pinned = PodSpec::new("p", Resources::ZERO).pinned_to("node-3");
+        assert!(pinned.pin_matches(&node("node-3")));
+        assert!(!pinned.pin_matches(&node("node-4")));
+        // The pin reads the hostname label, not the node name.
+        let mut relabelled = node("node-3");
+        relabelled.labels.remove(HOSTNAME_LABEL);
+        assert!(!pinned.pin_matches(&relabelled));
+        // An unpinned pod matches anything.
+        assert!(PodSpec::new("q", Resources::ZERO).pin_matches(&relabelled));
     }
 
     #[test]

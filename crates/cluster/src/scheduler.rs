@@ -10,7 +10,6 @@
 //! requests and allocatable capacity, never telemetry. That blindness is what
 //! the supervised scheduler in `netsched-core` improves upon.
 
-use crate::affinity::{tolerates_all_no_schedule, untolerated_soft_taints};
 use crate::node::Node;
 use crate::pod::PodSpec;
 use serde::{Deserialize, Serialize};
@@ -25,12 +24,8 @@ pub enum FilterResult {
     Unschedulable,
     /// Requested CPU or memory does not fit the node's free allocatable.
     InsufficientResources,
-    /// The pod's `nodeSelector` does not match the node labels.
-    NodeSelectorMismatch,
-    /// The pod's required node affinity does not match.
+    /// The pod is pinned to another hostname.
     AffinityMismatch,
-    /// The node has an untolerated `NoSchedule` taint.
-    UntoleratedTaint,
 }
 
 /// A node together with its score (0..=100 per Kubernetes convention).
@@ -44,10 +39,6 @@ pub struct ScoredNode {
     pub least_requested: f64,
     /// Breakdown: balanced-allocation component.
     pub balanced_allocation: f64,
-    /// Breakdown: preferred-affinity component.
-    pub affinity_preference: f64,
-    /// Breakdown: soft-taint penalty subtracted from the score.
-    pub taint_penalty: f64,
 }
 
 /// Result of asking a scheduler for a placement.
@@ -81,10 +72,6 @@ impl ScheduleOutcome {
 const LEAST_REQUESTED_WEIGHT: f64 = 1.0;
 /// Weight of the balanced-allocation priority.
 const BALANCED_ALLOCATION_WEIGHT: f64 = 1.0;
-/// Weight of the preferred node-affinity priority.
-const AFFINITY_WEIGHT: f64 = 1.0;
-/// Score subtracted per untolerated `PreferNoSchedule` taint.
-const SOFT_TAINT_PENALTY: f64 = 10.0;
 
 /// The default (network-blind) scheduler.
 #[derive(Debug, Clone)]
@@ -102,7 +89,7 @@ impl DefaultScheduler {
         }
     }
 
-    /// Filtering phase for one node.
+    /// Filtering phase for one node: cordon, then resource fit, then pin.
     pub fn filter(pod: &PodSpec, node: &Node) -> FilterResult {
         if !node.schedulable {
             return FilterResult::Unschedulable;
@@ -110,14 +97,8 @@ impl DefaultScheduler {
         if !pod.requests.fits_within(&node.available()) {
             return FilterResult::InsufficientResources;
         }
-        if !pod.node_selector_matches(&node.labels) {
-            return FilterResult::NodeSelectorMismatch;
-        }
-        if !pod.affinity.required_matches(&node.labels) {
+        if !pod.pin_matches(node) {
             return FilterResult::AffinityMismatch;
-        }
-        if !tolerates_all_no_schedule(&node.taints, &pod.tolerations) {
-            return FilterResult::UntoleratedTaint;
         }
         FilterResult::Feasible
     }
@@ -134,41 +115,16 @@ impl DefaultScheduler {
         // BalancedResourceAllocation: 100 minus the cpu/mem utilization skew.
         let balanced_allocation = (1.0 - (cpu_frac - mem_frac).abs()) * 100.0;
 
-        // Preferred affinity: normalized sum of matching weights.
-        let total_pref: u32 = pod
-            .affinity
-            .preferred_terms
-            .iter()
-            .map(|t| t.weight.min(100))
-            .sum();
-        let affinity_preference = if total_pref == 0 {
-            0.0
-        } else {
-            pod.affinity.preferred_score(&node.labels) as f64 / total_pref as f64 * 100.0
-        };
-
-        let taint_penalty =
-            untolerated_soft_taints(&node.taints, &pod.tolerations) as f64 * SOFT_TAINT_PENALTY;
-
-        let weight_sum = LEAST_REQUESTED_WEIGHT
-            + BALANCED_ALLOCATION_WEIGHT
-            + if total_pref > 0 { AFFINITY_WEIGHT } else { 0.0 };
-        let weighted = LEAST_REQUESTED_WEIGHT * least_requested
-            + BALANCED_ALLOCATION_WEIGHT * balanced_allocation
-            + if total_pref > 0 {
-                AFFINITY_WEIGHT * affinity_preference
-            } else {
-                0.0
-            };
-        let score = (weighted / weight_sum.max(1e-9) - taint_penalty).max(0.0);
+        let score = ((LEAST_REQUESTED_WEIGHT * least_requested
+            + BALANCED_ALLOCATION_WEIGHT * balanced_allocation)
+            / (LEAST_REQUESTED_WEIGHT + BALANCED_ALLOCATION_WEIGHT))
+            .max(0.0);
 
         ScoredNode {
             node: node.name.clone(),
             score,
             least_requested,
             balanced_allocation,
-            affinity_preference,
-            taint_penalty,
         }
     }
 
@@ -226,9 +182,6 @@ impl DefaultScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::{
-        NodeAffinity, NodeSelectorTerm, PreferredSchedulingTerm, Taint, TaintEffect, Toleration,
-    };
     use crate::resources::Resources;
     use simnet::NodeId;
     use std::collections::BTreeMap;
@@ -274,15 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn filters_selector_affinity_and_taints() {
-        let mut nodes = mk_nodes(2);
-        nodes[0].labels.insert("disk".into(), "hdd".into());
-        let selector_pod = pod(1, 1).with_node_selector("disk", "ssd");
-        assert_eq!(
-            DefaultScheduler::filter(&selector_pod, &nodes[0]),
-            FilterResult::NodeSelectorMismatch
-        );
-
+    fn filters_cordon_and_pin() {
+        let nodes = mk_nodes(2);
         let pinned = pod(1, 1).pinned_to("node-2");
         assert_eq!(
             DefaultScheduler::filter(&pinned, &nodes[0]),
@@ -290,22 +236,6 @@ mod tests {
         );
         assert_eq!(
             DefaultScheduler::filter(&pinned, &nodes[1]),
-            FilterResult::Feasible
-        );
-
-        let tainted = Node::new("t", NodeId(5), Resources::from_cores_and_gib(6, 8), "X")
-            .with_taint(Taint {
-                key: "dedicated".into(),
-                value: "infra".into(),
-                effect: TaintEffect::NoSchedule,
-            });
-        assert_eq!(
-            DefaultScheduler::filter(&pod(1, 1), &tainted),
-            FilterResult::UntoleratedTaint
-        );
-        let tolerant = pod(1, 1).with_toleration(Toleration::for_key("dedicated"));
-        assert_eq!(
-            DefaultScheduler::filter(&tolerant, &tainted),
             FilterResult::Feasible
         );
 
@@ -385,43 +315,6 @@ mod tests {
             distinct.len() >= 3,
             "tie-breaking should spread across nodes, got {distinct:?}"
         );
-    }
-
-    #[test]
-    fn preferred_affinity_breaks_symmetry() {
-        let nodes = mk_nodes(6);
-        let mut spec = pod(1, 1);
-        spec.affinity = NodeAffinity {
-            required_terms: vec![],
-            preferred_terms: vec![PreferredSchedulingTerm {
-                weight: 50,
-                term: NodeSelectorTerm {
-                    requirements: vec![crate::affinity::NodeSelectorRequirement::key_in(
-                        "topology.kubernetes.io/zone",
-                        vec!["SRI".into()],
-                    )],
-                },
-            }],
-        };
-        let mut sched = DefaultScheduler::new(3);
-        for _ in 0..10 {
-            let node = sched.schedule(&spec, &nodes).node().unwrap().to_string();
-            assert!(node == "node-5" || node == "node-6", "picked {node}");
-        }
-    }
-
-    #[test]
-    fn soft_taint_penalty_reduces_score() {
-        let mut nodes = mk_nodes(2);
-        nodes[0].taints.push(Taint {
-            key: "flaky".into(),
-            value: "true".into(),
-            effect: TaintEffect::PreferNoSchedule,
-        });
-        let mut sched = DefaultScheduler::new(9);
-        for _ in 0..10 {
-            assert_eq!(sched.schedule(&pod(1, 1), &nodes).node().unwrap(), "node-2");
-        }
     }
 
     #[test]

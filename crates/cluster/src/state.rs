@@ -242,37 +242,47 @@ impl ClusterState {
             .collect()
     }
 
-    /// Bind a pending pod to a node, reserving resources.
+    /// Bind a pending pod to a node, reserving resources. A pod pinned to
+    /// another hostname is refused like one that does not fit, and leaves
+    /// the cluster untouched.
     pub fn bind_pod(
         &mut self,
         id: PodId,
         node_name: &str,
         now: SimTime,
     ) -> Result<(), ClusterError> {
-        let pod = self.pods.get(&id.0).ok_or(ClusterError::NoSuchPod(id.0))?;
+        let node_id = self.node_id(node_name);
+        let pod = self
+            .pods
+            .get_mut(&id.0)
+            .ok_or(ClusterError::NoSuchPod(id.0))?;
         if pod.phase != PodPhase::Pending {
             return Err(ClusterError::InvalidPhase(format!(
                 "pod {} is {:?}, expected Pending",
                 pod.spec.name, pod.phase
             )));
         }
-        let requests = pod.spec.requests;
-        let pod_name = pod.spec.name.clone();
-        let node = self
-            .node_mut(node_name)
-            .ok_or_else(|| ClusterError::NoSuchNode(node_name.to_string()))?;
-        if !node.bind(id, requests) {
+        let node_id = node_id.ok_or_else(|| ClusterError::NoSuchNode(node_name.to_string()))?;
+        let node = &mut self.nodes[node_id.index()];
+        if !pod.spec.pin_matches(node) {
             return Err(ClusterError::BindFailed(format!(
-                "pod {pod_name} does not fit on {node_name}"
+                "pod {} is pinned to another node than {node_name}",
+                pod.spec.name
             )));
         }
-        let pod = self.pods.get_mut(&id.0).expect("checked above");
+        // Mutable node access, as through `node_by_id_mut`.
+        self.generation += 1;
+        if !node.bind(id, pod.spec.requests) {
+            return Err(ClusterError::BindFailed(format!(
+                "pod {} does not fit on {node_name}",
+                pod.spec.name
+            )));
+        }
         pod.node = Some(node_name.to_string());
         pod.phase = PodPhase::Running;
         pod.started_at = Some(now);
-        let msg = format!("bound to {node_name}");
         let name = pod.spec.name.clone();
-        self.record(now, name, "Scheduled", msg);
+        self.record(now, name, "Scheduled", format!("bound to {node_name}"));
         Ok(())
     }
 
@@ -448,6 +458,32 @@ mod tests {
             c.bind_pod(PodId(999), "node-1", t),
             Err(ClusterError::NoSuchPod(999))
         ));
+    }
+
+    #[test]
+    fn bind_refuses_a_node_the_pod_is_not_pinned_to() {
+        let mut c = cluster();
+        let t = SimTime::ZERO;
+        let id = c.create_pod(
+            PodSpec::new("pinned", Resources::from_cores_and_gib(1, 1)).pinned_to("node-2"),
+            t,
+        );
+        let (generation, events) = (c.generation(), c.events().len());
+        assert!(matches!(
+            c.bind_pod(id, "node-1", t),
+            Err(ClusterError::BindFailed(_))
+        ));
+        assert_eq!(c.pod(id).unwrap().phase, PodPhase::Pending);
+        assert_eq!(c.pod(id).unwrap().node, None);
+        assert_eq!(c.total_allocated(), Resources::ZERO);
+        assert_eq!(c.node("node-1").unwrap().pod_count(), 0);
+        assert_eq!((c.generation(), c.events().len()), (generation, events));
+        c.bind_pod(id, "node-2", t).unwrap();
+        assert_eq!(c.pod(id).unwrap().node.as_deref(), Some("node-2"));
+        assert_eq!(
+            c.node("node-2").unwrap().allocated(),
+            Resources::from_cores_and_gib(1, 1)
+        );
     }
 
     #[test]

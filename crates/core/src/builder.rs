@@ -6,8 +6,8 @@
 //! specification."*
 
 use crate::request::JobRequest;
-use cluster::manifest::{render_job_manifest_into, render_pod_manifest};
-use cluster::pod::PodSpec;
+use cluster::manifest::render_job_manifest_into;
+use cluster::pod::{set_target, PodSpec};
 use cluster::{JobSpec, Resources};
 use serde::{Deserialize, Serialize};
 
@@ -39,19 +39,6 @@ impl BuiltJob {
     }
 }
 
-/// Overwrite an optional-string slot in place, keeping its allocation when
-/// it already holds a value.
-fn set_target(slot: &mut Option<String>, target: Option<&str>) {
-    match (slot.as_mut(), target) {
-        (Some(held), Some(node)) => {
-            held.clear();
-            held.push_str(node);
-        }
-        (None, Some(node)) => *slot = Some(node.to_string()),
-        (_, None) => *slot = None,
-    }
-}
-
 /// Builds Kubernetes-style job objects from a request and a placement decision.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobBuilder;
@@ -76,19 +63,12 @@ impl JobBuilder {
         render_job_manifest_into(&mut out.manifest_yaml, &out.spec, target_node);
         set_target(&mut out.target_node, target_node);
     }
-
-    /// Render just the driver pod manifest (useful for debugging/logging).
-    pub fn driver_manifest(&self, request: &JobRequest, target_node: Option<&str>) -> String {
-        let spec = request.to_job_spec();
-        render_pod_manifest(&spec.driver_pod(target_node))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparksim::WorkloadKind;
-    use std::collections::BTreeMap;
 
     fn request() -> JobRequest {
         JobRequest::named("sort-42", WorkloadKind::Sort, 100_000, 3)
@@ -98,12 +78,10 @@ mod tests {
     fn pinned_build_injects_affinity_everywhere() {
         let built = JobBuilder.build(&request(), Some("node-5"));
         assert_eq!(built.target_node.as_deref(), Some("node-5"));
-        // Driver pod has the required-hostname affinity.
-        let mut labels = BTreeMap::new();
-        labels.insert("kubernetes.io/hostname".to_string(), "node-5".to_string());
-        assert!(built.driver_pod.affinity.required_matches(&labels));
+        // The driver pod is pinned to the target.
+        assert_eq!(built.driver_pod.pinned_node.as_deref(), Some("node-5"));
         // Executors are not pinned.
-        assert!(built.executor_pods.iter().all(|e| e.affinity.is_empty()));
+        assert!(built.executor_pods.iter().all(|e| e.pinned_node.is_none()));
         assert_eq!(built.executor_pods.len(), 3);
         // Manifest carries the injection.
         assert!(built
@@ -117,16 +95,8 @@ mod tests {
     fn unpinned_build_has_no_affinity() {
         let built = JobBuilder.build(&request(), None);
         assert_eq!(built.target_node, None);
-        assert!(built.driver_pod.affinity.is_empty());
+        assert_eq!(built.driver_pod.pinned_node, None);
         assert!(!built.manifest_yaml.contains("requiredDuringScheduling"));
-    }
-
-    #[test]
-    fn driver_manifest_is_pod_yaml() {
-        let yaml = JobBuilder.driver_manifest(&request(), Some("node-2"));
-        assert!(yaml.contains("kind: Pod"));
-        assert!(yaml.contains("sort-42-driver"));
-        assert!(yaml.contains("- node-2"));
     }
 
     #[test]

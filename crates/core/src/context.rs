@@ -347,7 +347,7 @@ impl<'a> SchedulingContext<'a> {
     }
 
     /// Ids of the nodes on which the job's driver pod passes the default
-    /// scheduler's filtering phase (resource fit, affinity, taints). All
+    /// scheduler's filtering phase (cordon, resource fit, hostname pin). All
     /// policies rank within this same candidate set so comparisons are
     /// apples-to-apples.
     ///
@@ -356,8 +356,7 @@ impl<'a> SchedulingContext<'a> {
     /// nodes), instead of running the filter on every [`cluster::Node`] —
     /// and is byte-identical (membership and ascending-id order) to
     /// filtering every node with [`cluster::DefaultScheduler::filter`], which
-    /// driver pods reduce to exactly (they carry no selector, affinity or
-    /// tolerations).
+    /// driver pods reduce to exactly (they are unpinned while being ranked).
     ///
     /// Cached per `(driver sizing, cluster generation)` — an unpinned driver
     /// pod's feasibility depends on nothing else — across contexts too; a

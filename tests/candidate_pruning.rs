@@ -3,7 +3,7 @@
 //! live concurrent telemetry ingest.
 //!
 //! * **Feasibility differential.** On randomized worlds (mixed capacities,
-//!   cordons, taints, partial and full loads) the dense
+//!   cordons, partial and full loads) the dense
 //!   [`FeasibilityIndex`] and the [`SchedulingContext`] — fresh or reusing a
 //!   previous burst's scratch — must agree *exactly* with the naive full
 //!   scan through [`DefaultScheduler::filter`].
@@ -19,7 +19,7 @@
 //!   through random serving histories (binds, releases, NaN loads, held and
 //!   skipped epochs, model swaps, revisited cells), for all three families.
 //! * **Incremental feasibility.** After random sequences of bind / complete /
-//!   delete / cordon / taint / `nodes_mut` / `add_node`, the index refreshed
+//!   delete / cordon / uncordon / `nodes_mut` / `add_node`, the index refreshed
 //!   in place equals a freshly built one and the naive scan.
 //! * **Keyed decision view.** One long-lived `ContextScratch`, driven through
 //!   random interleavings of new epochs (sealed or not, aligned or not, nodes
@@ -34,8 +34,7 @@
 //!   feasibility index is built exactly once.
 
 use netsched::cluster::{
-    ClusterState, DefaultScheduler, FeasibilityIndex, FilterResult, Node, PodId, PodSpec,
-    Resources, Taint, TaintEffect,
+    ClusterState, DefaultScheduler, FeasibilityIndex, FilterResult, Node, PodId, PodSpec, Resources,
 };
 use netsched::core::context::{ContextScratch, SchedulingContext};
 use netsched::core::features::FeatureSchema;
@@ -56,8 +55,8 @@ use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
 
-/// A randomized world: nodes with mixed capacities, a slice cordoned or
-/// tainted, loads ranging from idle to completely full, and telemetry for
+/// A randomized world: nodes with mixed capacities, a slice cordoned, loads
+/// ranging from idle to completely full, and telemetry for
 /// most (not all) nodes plus a sparse RTT ring.
 fn varied_world(nodes: usize, seed: u64) -> (ClusterState, ClusterSnapshot) {
     let mut rng = Rng::seed_from_u64(seed);
@@ -71,19 +70,8 @@ fn varied_world(nodes: usize, seed: u64) -> (ClusterState, ClusterSnapshot) {
             Resources::from_cores_and_gib(cores, gib),
             if i % 2 == 0 { "EAST" } else { "WEST" },
         );
-        match rng.gen_range_usize(0, 10) {
-            0 => node.schedulable = false,
-            1 => node.taints.push(Taint {
-                key: "dedicated".into(),
-                value: "infra".into(),
-                effect: TaintEffect::NoSchedule,
-            }),
-            2 => node.taints.push(Taint {
-                key: "flaky".into(),
-                value: "true".into(),
-                effect: TaintEffect::PreferNoSchedule,
-            }),
-            _ => {}
+        if rng.gen_range_usize(0, 10) < 2 {
+            node.schedulable = false;
         }
         cluster.add_node(node);
     }
@@ -447,7 +435,7 @@ proptest! {
         }
     }
 
-    /// An index refreshed through a random bind/release/cordon/taint/resize
+    /// An index refreshed through a random bind/release/cordon/uncordon/resize
     /// history is indistinguishable from a fresh one, and both equal the
     /// naive scan through the scheduler's filter.
     #[test]
@@ -476,7 +464,7 @@ proptest! {
                         },
                     );
                     let pod = cluster.create_pod(spec, SimTime::ZERO);
-                    // Cordoned or tainted nodes still take an explicit bind.
+                    // A cordoned node refuses the bind; the pod stays pending.
                     if cluster.bind_pod(pod, &name, SimTime::ZERO).is_ok() {
                         pods.push(pod);
                     }
@@ -493,22 +481,7 @@ proptest! {
                     let node = cluster.node_mut(&name).unwrap();
                     node.schedulable = !node.schedulable;
                 }
-                5 => {
-                    let node = cluster.node_mut(&name).unwrap();
-                    if node.taints.is_empty() {
-                        node.taints.push(Taint {
-                            key: "dedicated".into(),
-                            value: "infra".into(),
-                            effect: if rng.gen_range_usize(0, 2) == 0 {
-                                TaintEffect::NoSchedule
-                            } else {
-                                TaintEffect::PreferNoSchedule
-                            },
-                        });
-                    } else {
-                        node.taints.clear();
-                    }
-                }
+                5 => cluster.node_mut(&name).unwrap().schedulable = true,
                 6 => {
                     // A sweep over the whole table (how background load is
                     // injected), here resizing every third node.
