@@ -42,17 +42,16 @@
 //! `(driver sizing, generation)` plus `(budget, board slot, board stamp)`,
 //! then sorted. No feature row is rebuilt and no model runs after the board
 //! is synced, so the budgeted ranking is the unbudgeted ranking's first K
-//! entries, bit for bit. A budget prunes only the supervised rank: every
-//! model-blind policy, and the service's bootstrap fallback, ranks the whole
-//! feasible set. The context also owns the per-decision feature /
-//! prediction scratch, so steady-state decisions allocate only their output
-//! ranking.
+//! entries, bit for bit. A budget prunes only the supervised rank: the
+//! service's bootstrap fallback ranks the whole feasible set. The context
+//! also owns the per-decision feature / prediction scratch, so steady-state
+//! decisions allocate only their output ranking.
 //!
-//! All [`crate::schedulers::JobScheduler`] policies take `&mut
-//! SchedulingContext` in [`crate::schedulers::JobScheduler::select`] and
-//! `select_batch`. With pruning disabled (`top_k = None`, the default) every
-//! ranking is byte-identical to the historical full-scan path; with
-//! `top_k = K ≥ |feasible|` it still is, by construction.
+//! Every supervised ranking — the service's, Table 4's, the sweep's and the
+//! ablation's — is [`SchedulingContext::rank_feasible_batch_into`]. With
+//! pruning disabled (`top_k = None`, the default) it ranks the whole
+//! feasible set; with `top_k = K ≥ |feasible|` it is byte-identical to
+//! that, by construction.
 
 use crate::decision::{rank_order, DecisionModule, NodeRanking, RankedNode};
 use crate::predictor::{CompletionTimePredictor, ModelVersion};
@@ -311,8 +310,8 @@ impl<'a> SchedulingContext<'a> {
     /// Set the candidate-pruning budget: the supervised rank scores at most
     /// `k` candidates per decision, the `k` best by the model's scoreboard.
     /// `None` (the default) ranks the full feasible set; any
-    /// `k ≥ |feasible|` is equivalent to `None`. Model-blind rankers ignore
-    /// the budget.
+    /// `k ≥ |feasible|` is equivalent to `None`. The service's bootstrap
+    /// fallback ignores the budget.
     pub fn set_top_k(&mut self, k: Option<usize>) {
         self.top_k = k;
     }
@@ -331,11 +330,6 @@ impl<'a> SchedulingContext<'a> {
         self.cluster
     }
 
-    /// The dense node-indexed telemetry view.
-    pub fn telemetry(&self) -> &IndexedTelemetry {
-        &self.scratch.view.telemetry
-    }
-
     /// Host telemetry for one node (`None` when it was not scraped).
     pub fn node_telemetry(&self, id: NodeId) -> Option<&NodeTelemetry> {
         self.scratch.view.telemetry.node(id)
@@ -347,9 +341,10 @@ impl<'a> SchedulingContext<'a> {
     }
 
     /// Ids of the nodes on which the job's driver pod passes the default
-    /// scheduler's filtering phase (cordon, resource fit, hostname pin). All
-    /// policies rank within this same candidate set so comparisons are
-    /// apples-to-apples.
+    /// scheduler's filtering phase (cordon, resource fit, hostname pin). The
+    /// supervised rank, the bootstrap fallback and
+    /// [`crate::KubeDefaultScheduler::rank`] all rank this same candidate set,
+    /// so comparisons are apples-to-apples.
     ///
     /// The set is answered by the view's [`FeasibilityIndex`] — one
     /// branch-free pass over two dense per-node arrays (≈ 12 µs at 10k
@@ -404,26 +399,6 @@ impl<'a> SchedulingContext<'a> {
             );
         }
         view.key.stage_one = stage_one;
-    }
-
-    /// Rank the feasible candidates for `request` by a per-node score (lower
-    /// is better, ties break by [`NodeId`]). This is the shared scoring
-    /// scaffold for score-based policies: it owns the candidates/predictions
-    /// alignment invariant that [`DecisionModule::rank`] asserts on, so
-    /// policies only supply the score itself. The budget does not apply.
-    pub fn rank_feasible(
-        &mut self,
-        request: &JobRequest,
-        mut score: impl FnMut(&mut Self, NodeId) -> f64,
-    ) -> NodeRanking {
-        let count = self.feasible_candidates(request).len();
-        self.scratch.predictions.clear();
-        for i in 0..count {
-            let id = self.scratch.view.candidates[i];
-            let value = score(self, id);
-            self.scratch.predictions.push(value);
-        }
-        DecisionModule.rank(&self.scratch.view.candidates, &self.scratch.predictions)
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
@@ -604,7 +579,6 @@ mod tests {
         let ctx = SchedulingContext::new(&snap, &c);
         assert_eq!(ctx.cluster().node_count(), 3);
         assert_eq!(ctx.snapshot().time, SimTime::from_secs(10));
-        assert_eq!(ctx.telemetry().len(), 3);
         let id = c.node_id("node-2").unwrap();
         assert_eq!(ctx.node_telemetry(id).unwrap().cpu_load, 1.0);
         let (mean, _, _) = ctx.rtt_stats(id);
@@ -778,9 +752,6 @@ mod tests {
         assert!(ctx.rank_feasible_batch(&huge, &predictor).is_empty());
         ctx.set_top_k(Some(2));
         assert_eq!(ctx.rank_feasible_batch(&request("b"), &predictor), two);
-        // Model-blind rankers ignore the budget: all three feasible nodes.
-        let blind = ctx.rank_feasible(&request("a"), |_, id| id.index() as f64);
-        assert_eq!(blind.top_k(3), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

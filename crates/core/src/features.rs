@@ -215,23 +215,6 @@ impl FeatureSchema {
         }
     }
 
-    /// Build the full candidate × feature matrix for one decision, in
-    /// candidate order. `matrix` is reset to this schema's stride and
-    /// refilled; reuse it across decisions to avoid allocation.
-    pub fn construct_batch_into(
-        &self,
-        matrix: &mut FeatureMatrix,
-        snapshot: &ClusterSnapshot,
-        candidates: &[String],
-        job: &JobRequest,
-    ) {
-        matrix.reset(self.len());
-        for candidate in candidates {
-            let node = snapshot.node(candidate).copied().unwrap_or_default();
-            self.construct_into_matrix(matrix, &node, snapshot.rtt_stats_from(candidate), job);
-        }
-    }
-
     /// Markdown rendering of the schema (used by the Table 1 harness binary).
     pub fn to_markdown_table(&self) -> String {
         let mut out = String::from("| Feature | Type |\n|---|---|\n");
@@ -360,13 +343,12 @@ mod tests {
         let schema = FeatureSchema::standard();
         let snap = snapshot();
         let job = job();
-        let candidates = vec![
-            "node-2".to_string(),
-            "node-1".to_string(),
-            "node-99".to_string(),
-        ];
-        let mut matrix = FeatureMatrix::new(0);
-        schema.construct_batch_into(&mut matrix, &snap, &candidates, &job);
+        let candidates = ["node-2", "node-1", "node-99"];
+        let mut matrix = FeatureMatrix::new(schema.len());
+        for candidate in candidates {
+            let node = snap.node(candidate).copied().unwrap_or_default();
+            schema.construct_into_matrix(&mut matrix, &node, snap.rtt_stats_from(candidate), &job);
+        }
         assert_eq!(matrix.n_rows(), 3);
         assert_eq!(matrix.n_features(), schema.len());
         for (i, candidate) in candidates.iter().enumerate() {
@@ -376,9 +358,6 @@ mod tests {
                 "{candidate}"
             );
         }
-        // Refilling reuses the buffer and replaces the rows.
-        schema.construct_batch_into(&mut matrix, &snap, &candidates[..1], &job);
-        assert_eq!(matrix.n_rows(), 1);
     }
 
     #[test]

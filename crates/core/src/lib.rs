@@ -18,18 +18,19 @@
 //! | Logger (training data collection) | [`logger`] |
 //! | Model Training | [`training`] |
 //!
-//! [`schedulers`] additionally provides the baselines the evaluation compares
-//! against (the Kubernetes default scheduler adapter, a uniform-random picker
-//! and two telemetry heuristics), all behind one [`schedulers::JobScheduler`]
-//! trait, and [`service::SchedulerService`] wires the whole pipeline together.
+//! Supervised placement is one ranker,
+//! [`context::SchedulingContext::rank_feasible_batch_into`], called by
+//! [`service::SchedulerService`] (which wires the whole pipeline together)
+//! and by every accuracy experiment alike; [`schedulers`] holds the one
+//! baseline the paper compares against, the Kubernetes default scheduler.
 //!
 //! Decisions run against a borrowed [`context::SchedulingContext`] over a
 //! carried [`context::ContextScratch`]: telemetry indexed by interned
 //! [`cluster::NodeId`], the feasible set and the model's scoreboards live in
 //! one decision view keyed by (snapshot revision, cluster generation, model
 //! version), so a decision re-derives only what changed since the previous
-//! one, allocates nothing but its output, and batches amortize all shared
-//! work ([`schedulers::JobScheduler::select_batch`]).
+//! one, allocates nothing but its output, and a burst through one context
+//! amortizes all shared work.
 //!
 //! Telemetry reaches decisions one way: the service reads the metrics
 //! server's [`telemetry::PublishedSnapshot`] handle, adopts the published
@@ -59,9 +60,6 @@ pub use features::{FeatureGroup, FeatureSchema, FeatureVector};
 pub use logger::{ExecutionLogger, TrainingRecord};
 pub use predictor::{CompletionTimePredictor, ModelVersion};
 pub use request::JobRequest;
-pub use schedulers::{
-    JobScheduler, KubeDefaultScheduler, LeastLoadedScheduler, LowestRttScheduler, RandomScheduler,
-    SupervisedScheduler,
-};
+pub use schedulers::KubeDefaultScheduler;
 pub use service::{SchedulerConfig, SchedulerService};
 pub use training::{train_all_models, TrainingOutcome, TrainingPipeline};

@@ -25,8 +25,8 @@ use telemetry::ClusterSnapshot;
 /// training, retraining and loading from an archive — gets a version no other
 /// predictor in the process has; `Clone` keeps it, because a clone *is* the
 /// same model. It is never serialised. Unlike an address it survives moves and
-/// cannot be reused: `SupervisedScheduler::set_predictor` overwrites the old
-/// model in place, at the same address.
+/// cannot be reused: `SchedulerService::retrain` overwrites the old model in
+/// place, at the same address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelVersion(u64);
 
@@ -213,22 +213,6 @@ impl CompletionTimePredictor {
         }
     }
 
-    /// Predict for every candidate node via one batch inference call,
-    /// constructing the candidate × feature matrix into `matrix` (reused
-    /// across decisions).
-    pub fn predict_batch(
-        &self,
-        snapshot: &ClusterSnapshot,
-        candidates: &[String],
-        job: &JobRequest,
-        matrix: &mut FeatureMatrix,
-        out: &mut Vec<f64>,
-    ) {
-        self.schema
-            .construct_batch_into(matrix, snapshot, candidates, job);
-        self.predict_batch_into(matrix, out);
-    }
-
     /// Serialize (schema + model) to JSON for persistence.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("predictor serialization cannot fail")
@@ -282,6 +266,26 @@ mod tests {
         snap
     }
 
+    /// Batch-predict `candidates` through one matrix built row by row with
+    /// [`FeatureSchema::construct_into_matrix`], as the scheduling context
+    /// does.
+    fn predict_rows(
+        predictor: &CompletionTimePredictor,
+        snap: &ClusterSnapshot,
+        candidates: &[&str],
+        job: &JobRequest,
+    ) -> Vec<f64> {
+        let schema = predictor.schema();
+        let mut matrix = FeatureMatrix::new(schema.len());
+        for &candidate in candidates {
+            let node = snap.node(candidate).copied().unwrap_or_default();
+            schema.construct_into_matrix(&mut matrix, &node, snap.rtt_stats_from(candidate), job);
+        }
+        let mut out = Vec::new();
+        predictor.predict_batch_into(&matrix, &mut out);
+        out
+    }
+
     /// Train a predictor on synthetic data where completion time grows with
     /// the candidate's CPU load — so the fitted model should prefer idle nodes.
     fn trained_predictor(kind: ModelKind) -> CompletionTimePredictor {
@@ -318,9 +322,7 @@ mod tests {
             let busy = predictor.predict(&snap, "node-1", &job);
             let idle = predictor.predict(&snap, "node-2", &job);
             assert!(busy > idle, "{kind}: busy {busy} should exceed idle {idle}");
-            let (mut matrix, mut all) = (FeatureMatrix::new(0), Vec::new());
-            let candidates = ["node-1".to_string(), "node-2".to_string()];
-            predictor.predict_batch(&snap, &candidates, &job, &mut matrix, &mut all);
+            let all = predict_rows(&predictor, &snap, &["node-1", "node-2"], &job);
             assert_eq!(all, vec![busy, idle]);
         }
     }
@@ -365,9 +367,7 @@ mod tests {
         // An absurd snapshot far outside the training distribution.
         let snap = snapshot_with(-100.0, -100.0);
         assert!(predictor.predict(&snap, "node-1", &job) >= 0.0);
-        let (mut matrix, mut batch) = (FeatureMatrix::new(0), Vec::new());
-        let candidates = ["node-1".to_string(), "node-2".to_string()];
-        predictor.predict_batch(&snap, &candidates, &job, &mut matrix, &mut batch);
+        let batch = predict_rows(&predictor, &snap, &["node-1", "node-2"], &job);
         assert!(batch.iter().all(|&p| p >= 0.0));
     }
 
@@ -457,17 +457,14 @@ mod tests {
             let predictor = trained_predictor(kind);
             let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
             let snap = snapshot_with(4.0, 0.5);
-            let candidates: Vec<String> = vec!["node-1".into(), "node-2".into(), "node-99".into()];
-            let mut matrix = FeatureMatrix::new(predictor.schema().len());
-            let mut batch = Vec::new();
-            predictor.predict_batch(&snap, &candidates, &job, &mut matrix, &mut batch);
+            let candidates = ["node-1", "node-2", "node-99"];
+            let batch = predict_rows(&predictor, &snap, &candidates, &job);
             assert_eq!(batch.len(), 3);
             for (candidate, &b) in candidates.iter().zip(&batch) {
                 assert_eq!(b, predictor.predict(&snap, candidate, &job), "{candidate}");
             }
             // Empty candidate set produces an empty batch.
-            predictor.predict_batch(&snap, &[], &job, &mut matrix, &mut batch);
-            assert!(batch.is_empty());
+            assert!(predict_rows(&predictor, &snap, &[], &job).is_empty());
         }
     }
 }

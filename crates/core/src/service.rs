@@ -22,7 +22,6 @@ use crate::decision::{NodeRanking, RankedNode};
 use crate::logger::ExecutionLogger;
 use crate::predictor::CompletionTimePredictor;
 use crate::request::JobRequest;
-use crate::schedulers::{JobScheduler, SupervisedScheduler};
 use crate::training::TrainingPipeline;
 use cluster::ClusterState;
 use mlcore::ModelKind;
@@ -86,9 +85,8 @@ pub struct SchedulingDecision {
 
 /// The user-space scheduling service.
 ///
-/// The supervised scheduler is built once when a model becomes available and
-/// cached on the service; it is invalidated only by [`SchedulerService::retrain`].
-/// Decisions never clone the predictor.
+/// The predictor is held once a model becomes available and replaced only by
+/// [`SchedulerService::retrain`]. Decisions never clone it.
 ///
 /// **One service follows one publisher.** The held epoch is a number, not a
 /// handle identity: handing the same service handles of two different
@@ -101,7 +99,7 @@ pub struct SchedulerService {
     builder: JobBuilder,
     logger: ExecutionLogger,
     pipeline: TrainingPipeline,
-    scheduler: Option<SupervisedScheduler>,
+    predictor: Option<CompletionTimePredictor>,
     fallback_rng: Rng,
     /// The snapshot decisions are currently made against: the adopted
     /// `Arc` of published epoch `held_epoch`, or an empty snapshot while
@@ -128,7 +126,7 @@ impl SchedulerService {
             builder: JobBuilder,
             logger: ExecutionLogger::new(pipeline.schema.clone()),
             pipeline,
-            scheduler: None,
+            predictor: None,
             config,
             fallback_rng: Rng::seed_from_u64(seed),
             held: Arc::new(ClusterSnapshot::default()),
@@ -146,13 +144,13 @@ impl SchedulerService {
         let mut service = Self::new(config, seed);
         service.logger = ExecutionLogger::new(predictor.schema().clone());
         service.pipeline = TrainingPipeline::with_schema(predictor.schema().clone());
-        service.scheduler = Some(SupervisedScheduler::new(predictor));
+        service.predictor = Some(predictor);
         service
     }
 
     /// The active predictor, if trained.
     pub fn predictor(&self) -> Option<&CompletionTimePredictor> {
-        self.scheduler.as_ref().map(SupervisedScheduler::predictor)
+        self.predictor.as_ref()
     }
 
     /// The execution log collected so far.
@@ -167,7 +165,7 @@ impl SchedulerService {
 
     /// Whether the service currently schedules with the supervised model.
     pub fn is_model_active(&self) -> bool {
-        self.scheduler.is_some()
+        self.predictor.is_some()
     }
 
     /// How many times the persistent feasibility index was rebuilt — its
@@ -271,8 +269,8 @@ impl SchedulerService {
         Arc::clone(&self.held)
     }
 
-    /// The core decision: supervised when a model is cached, random-feasible
-    /// fallback otherwise. Uses the cached scheduler — no predictor clone.
+    /// The core decision: supervised when a model is held, random-feasible
+    /// fallback otherwise. Borrows the held predictor — no clone.
     /// The ranking is built into `out` (buffer reused); returns whether the
     /// supervised model decided.
     fn decide_into(
@@ -281,9 +279,9 @@ impl SchedulerService {
         ctx: &mut SchedulingContext<'_>,
         out: &mut NodeRanking,
     ) -> bool {
-        match &mut self.scheduler {
-            Some(scheduler) => {
-                scheduler.select_into(request, ctx, out);
+        match &self.predictor {
+            Some(predictor) => {
+                ctx.rank_feasible_batch_into(request, predictor, out);
                 true
             }
             None => {
@@ -321,17 +319,14 @@ impl SchedulerService {
     /// Retrain the configured model family from the accumulated log. Returns
     /// `false` (and leaves any existing model untouched) when fewer than
     /// `min_training_samples` executions have been recorded. This is the only
-    /// point that invalidates the cached supervised scheduler.
+    /// point that replaces the held predictor.
     pub fn retrain(&mut self, rng: &mut Rng) -> bool {
         if self.logger.len() < self.config.min_training_samples {
             return false;
         }
         let data = self.logger.to_dataset();
         let outcome = self.pipeline.train_one(self.config.model_kind, &data, rng);
-        match &mut self.scheduler {
-            Some(scheduler) => scheduler.set_predictor(outcome.predictor),
-            None => self.scheduler = Some(SupervisedScheduler::new(outcome.predictor)),
-        }
+        self.predictor = Some(outcome.predictor);
         true
     }
 }

@@ -1,4 +1,4 @@
-//! Ablation studies over the design choices called out in DESIGN.md.
+//! Ablation studies over the scheduler's design choices.
 //!
 //! 1. **Feature groups** — drop the Network / Node / Job feature groups from
 //!    Table 1 and measure how Top-1/Top-2 accuracy degrades (this is the
@@ -7,11 +7,16 @@
 //! 3. **Background-load intensity** — vary the number of contention pods,
 //!    regenerate the dataset and re-evaluate, probing how much learnable
 //!    signal the contention process creates.
+//!
+//! Every variant ranks its held-out scenarios through
+//! [`supervised_ranking`], the scheduler service's own ranker, and is scored
+//! like Table 4.
 
-use crate::evaluation::ranking_hits;
-use crate::workflow::{ExperimentConfig, ExperimentDataset, Workflow};
+use crate::evaluation::{accuracy_from, supervised_ranking, MethodRankings};
+use crate::workflow::{ExperimentConfig, ExperimentDataset, ScenarioRecord, Workflow};
 use mlcore::{ModelConfig, ModelKind, RandomForestConfig, TrainedModel};
 use netsched_core::features::{FeatureGroup, FeatureSchema};
+use netsched_core::predictor::CompletionTimePredictor;
 use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
@@ -67,36 +72,24 @@ fn evaluate_with_schema(
         }
     }
     let model = TrainedModel::train(kind, model_config, &train, &mut rng);
+    let predictor = CompletionTimePredictor::new(schema.clone(), model)
+        .expect("the model was trained on this schema");
 
-    let mut top1 = 0usize;
-    let mut top2 = 0usize;
-    let mut evaluated = 0usize;
-    for &idx in &test_idx {
-        let scenario = &dataset.scenarios[idx];
-        if scenario.outcomes.is_empty() {
-            continue;
-        }
-        let request = scenario.request();
-        let predictions: Vec<f64> = scenario
-            .outcomes
+    let cluster = dataset.testbed.build().cluster;
+    let scenarios: Vec<&ScenarioRecord> = test_idx.iter().map(|&i| &dataset.scenarios[i]).collect();
+    let rankings = MethodRankings {
+        method: String::new(),
+        rankings: scenarios
             .iter()
-            .map(|o| {
-                let features = schema.construct(&scenario.snapshot, &o.node, &request);
-                mlcore::Regressor::predict_row(&model, &features).max(0.0)
-            })
-            .collect();
-        let actuals = scenario.completions();
-        let (hit1, hit2) = ranking_hits(&predictions, &actuals);
-        evaluated += 1;
-        top1 += usize::from(hit1);
-        top2 += usize::from(hit2);
-    }
-    let denom = evaluated.max(1) as f64;
+            .map(|scenario| supervised_ranking(&predictor, scenario, &cluster))
+            .collect(),
+    };
+    let accuracy = accuracy_from(&rankings, &scenarios);
     AblationRow {
         variant: String::new(),
-        top1: top1 as f64 / denom,
-        top2: top2 as f64 / denom,
-        evaluated,
+        top1: accuracy.top1,
+        top2: accuracy.top2,
+        evaluated: accuracy.evaluated,
     }
 }
 

@@ -1,5 +1,5 @@
 //! Ablation harness: feature groups, random-forest size and background-load
-//! intensity (the design choices called out in DESIGN.md §5).
+//! intensity, each ranked through the scheduler service's own ranker.
 //!
 //! ```text
 //! cargo run --release -p experiments --bin ablation_features [quick|full]

@@ -1,9 +1,12 @@
 //! Table 4: Top-1 / Top-2 node-selection accuracy (plus per-cell speedups).
 //!
 //! For every held-out scenario, each scheduling method ranks the candidate
-//! nodes. The method scores a Top-1 hit when its first choice is the node that
-//! actually ran the job fastest, and a Top-2 hit when the fastest node appears
-//! among its first two choices. The paper reports (Table 4):
+//! nodes: the supervised models through [`supervised_ranking`] — the
+//! scheduler service's own ranker — and the Kubernetes default through
+//! [`KubeDefaultScheduler::rank`]. The method scores a Top-1 hit when its
+//! first choice is the node that actually ran the job fastest, and a Top-2
+//! hit when the fastest node appears among its first two choices. The paper
+//! reports (Table 4):
 //!
 //! | Method | Top-1 | Top-2 |
 //! |---|---|---|
@@ -23,11 +26,12 @@
 //! sweep runs this whole pipeline once per cell.
 
 use crate::workflow::{ExperimentDataset, ScenarioRecord};
-use mlcore::metrics::top_k_contains_best;
+use cluster::ClusterState;
 use mlcore::{evaluate_on, ModelConfig, ModelKind, RegressionMetrics, TrainedModel};
 use netsched_core::context::SchedulingContext;
+use netsched_core::decision::NodeRanking;
 use netsched_core::predictor::CompletionTimePredictor;
-use netsched_core::schedulers::{JobScheduler, KubeDefaultScheduler};
+use netsched_core::schedulers::KubeDefaultScheduler;
 use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
@@ -117,19 +121,46 @@ pub struct CellEvaluation {
 
 /// One method's node rankings over the held-out scenarios (first = predicted
 /// fastest), aligned with the test-scenario list.
-struct MethodRankings {
-    method: String,
-    rankings: Vec<Vec<String>>,
+pub(crate) struct MethodRankings {
+    pub(crate) method: String,
+    pub(crate) rankings: Vec<Vec<String>>,
+}
+
+/// The supervised ranking of one scenario, decided as the scheduler service
+/// decides: [`SchedulingContext::rank_feasible_batch_into`] over the
+/// scenario's snapshot and `cluster`, then only the nodes with a recorded
+/// outcome, in rank order. The rank is a total order on (score, node id) and
+/// each score depends only on its own node's row, so this is exactly the
+/// ranking of the scenario's candidate list on its own.
+pub fn supervised_ranking(
+    predictor: &CompletionTimePredictor,
+    scenario: &ScenarioRecord,
+    cluster: &ClusterState,
+) -> Vec<String> {
+    let mut ranking = NodeRanking::default();
+    SchedulingContext::new(&scenario.snapshot, cluster).rank_feasible_batch_into(
+        &scenario.request(),
+        predictor,
+        &mut ranking,
+    );
+    ranking
+        .names(cluster)
+        .into_iter()
+        .filter(|name| scenario.outcomes.iter().any(|o| o.node == *name))
+        .map(str::to_string)
+        .collect()
 }
 
 /// Count Top-1/Top-2 hits of precomputed rankings over scenarios.
 ///
-/// Tie-aware, consistent with [`mlcore::metrics::top_k_contains_best`]: a
-/// ranked node scores a hit when its *recorded completion time* equals the
-/// scenario minimum, so when two nodes are actually equally fastest a method
-/// that picks either one is credited — not only the one that happens to
-/// appear first in the outcome list.
-fn accuracy_from(method: &MethodRankings, scenarios: &[&ScenarioRecord]) -> SchedulerAccuracy {
+/// Tie-aware: a ranked node scores a hit when its *recorded completion time*
+/// equals the scenario minimum, so when two nodes are actually equally
+/// fastest a method that picks either one is credited — not only the one
+/// that happens to appear first in the outcome list.
+pub(crate) fn accuracy_from(
+    method: &MethodRankings,
+    scenarios: &[&ScenarioRecord],
+) -> SchedulerAccuracy {
     let mut top1 = 0usize;
     let mut top2 = 0usize;
     let mut evaluated = 0usize;
@@ -248,9 +279,7 @@ pub fn evaluate_cell(
         rankings: test_scenarios
             .iter()
             .map(|scenario| {
-                let mut ctx = SchedulingContext::new(&scenario.snapshot, &baseline_cluster);
-                let ranking = kube.select(&scenario.request(), &mut ctx);
-                ranking
+                kube.rank(&scenario.request(), &baseline_cluster)
                     .names(&baseline_cluster)
                     .into_iter()
                     .map(str::to_string)
@@ -260,11 +289,6 @@ pub fn evaluate_cell(
     });
 
     // --- Supervised models. ---
-    // Per-scenario inference runs through the batch path: one candidate ×
-    // feature matrix (reused across scenarios) and one model walk per
-    // decision instead of one per candidate.
-    let mut matrix = mlcore::FeatureMatrix::new(dataset.schema.len());
-    let mut predictions: Vec<f64> = Vec::new();
     for kind in ModelKind::ALL {
         let model = TrainedModel::train(kind, model_config, &train_data, &mut rng);
         let fit = if test_data.is_empty() {
@@ -279,32 +303,7 @@ pub fn evaluate_cell(
             method: kind.display_name().to_string(),
             rankings: test_scenarios
                 .iter()
-                .map(|scenario| {
-                    // Rank over the scenario's own candidate set (the nodes
-                    // that actually ran the job) using its snapshot.
-                    let candidates = scenario.candidate_nodes();
-                    predictor.predict_batch(
-                        &scenario.snapshot,
-                        &candidates,
-                        &scenario.request(),
-                        &mut matrix,
-                        &mut predictions,
-                    );
-                    let mut ids: Vec<cluster::ClusterNodeId> = Vec::with_capacity(candidates.len());
-                    let mut aligned: Vec<f64> = Vec::with_capacity(candidates.len());
-                    for (name, &p) in candidates.iter().zip(&predictions) {
-                        if let Some(id) = baseline_cluster.node_id(name) {
-                            ids.push(id);
-                            aligned.push(p);
-                        }
-                    }
-                    let ranking = netsched_core::decision::DecisionModule.rank(&ids, &aligned);
-                    ranking
-                        .names(&baseline_cluster)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect()
-                })
+                .map(|scenario| supervised_ranking(&predictor, scenario, &baseline_cluster))
                 .collect(),
         });
     }
@@ -337,15 +336,6 @@ pub fn evaluate_table4(
     seed: u64,
 ) -> Table4Report {
     evaluate_cell(dataset, test_fraction, model_config, seed).table4
-}
-
-/// Convenience: per-scenario predicted-vs-actual top-k hit for an arbitrary
-/// prediction vector (used by ablations).
-pub fn ranking_hits(predictions: &[f64], actuals: &[f64]) -> (bool, bool) {
-    (
-        top_k_contains_best(predictions, actuals, 1),
-        top_k_contains_best(predictions, actuals, 2),
-    )
 }
 
 #[cfg(test)]
@@ -467,20 +457,14 @@ mod tests {
         assert!(best_r2 > 0.3, "best r2 {best_r2}");
     }
 
-    #[test]
-    fn accuracy_counts_any_tied_fastest_node_as_a_hit() {
+    /// A hand-built scenario over `snapshot` with one recorded completion
+    /// time per node.
+    fn scenario(snapshot: telemetry::ClusterSnapshot, outcomes: &[(&str, f64)]) -> ScenarioRecord {
         use crate::config::JobConfig;
         use crate::workflow::NodeOutcome;
         use sparksim::WorkloadKind;
 
-        let outcome = |node: &str, completion_seconds: f64| NodeOutcome {
-            node: node.to_string(),
-            completion_seconds,
-            executor_nodes: vec![],
-            spill_count: 0,
-        };
-        // node-a and node-b are actually equally fastest; node-c is slower.
-        let scenario = ScenarioRecord {
+        ScenarioRecord {
             scenario_id: 0,
             config: JobConfig {
                 id: 0,
@@ -493,13 +477,26 @@ mod tests {
             },
             repeat: 0,
             background_hosts: vec![],
-            snapshot: telemetry::ClusterSnapshot::default(),
-            outcomes: vec![
-                outcome("node-a", 10.0),
-                outcome("node-b", 10.0),
-                outcome("node-c", 20.0),
-            ],
-        };
+            snapshot,
+            outcomes: outcomes
+                .iter()
+                .map(|&(node, completion_seconds)| NodeOutcome {
+                    node: node.to_string(),
+                    completion_seconds,
+                    executor_nodes: vec![],
+                    spill_count: 0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn accuracy_counts_any_tied_fastest_node_as_a_hit() {
+        // node-a and node-b are actually equally fastest; node-c is slower.
+        let scenario = scenario(
+            telemetry::ClusterSnapshot::default(),
+            &[("node-a", 10.0), ("node-b", 10.0), ("node-c", 20.0)],
+        );
         let scenarios = vec![&scenario];
         let rank = |names: &[&str]| MethodRankings {
             method: "M".into(),
@@ -507,8 +504,7 @@ mod tests {
         };
 
         // fastest_node() returns the first minimum (node-a), but a method
-        // picking the tied node-b first must score a Top-1 hit too —
-        // consistent with mlcore::metrics::top_k_contains_best.
+        // picking the tied node-b first must score a Top-1 hit too.
         assert_eq!(scenario.fastest_node(), "node-a");
         let picks_b = accuracy_from(&rank(&["node-b", "node-c", "node-a"]), &scenarios);
         assert_eq!((picks_b.top1, picks_b.top2), (1.0, 1.0));
@@ -520,21 +516,62 @@ mod tests {
         // Missing both tied nodes in the top 2 is a miss.
         let miss = accuracy_from(&rank(&["node-c", "node-c"]), &scenarios);
         assert_eq!((miss.top1, miss.top2), (0.0, 0.0));
-        // The ranking-vs-outcome agreement matches the Top-k primitive: rank
-        // predictions aligned with (a, b, c) actuals.
-        assert_eq!(
-            ranking_hits(&[2.0, 1.0, 3.0], &[10.0, 10.0, 20.0]),
-            (true, true)
-        );
     }
 
+    /// A NaN telemetry value makes a NaN prediction, and a NaN prediction
+    /// ranks after every number: clamping it with `f64::max(0.0)` would have
+    /// made it 0 s, the best score in the cluster.
     #[test]
-    fn ranking_hits_helper() {
-        assert_eq!(
-            ranking_hits(&[1.0, 2.0, 3.0], &[5.0, 1.0, 9.0]),
-            (false, true)
+    fn a_nan_prediction_ranks_its_node_last() {
+        use cluster::{Node, Resources};
+        use mlcore::Dataset;
+        use netsched_core::features::FeatureSchema;
+        use telemetry::{ClusterSnapshot, NodeTelemetry};
+
+        let names = ["node-a", "node-b", "node-c"];
+        let mut cluster = ClusterState::new();
+        for (i, name) in names.into_iter().enumerate() {
+            let capacity = Resources::from_cores_and_gib(6, 8);
+            cluster.add_node(Node::new(name, simnet::NodeId(i), capacity, "SITE"));
+        }
+        let with_loads = |loads: [f64; 3]| {
+            let mut snapshot = ClusterSnapshot::default();
+            for (name, cpu_load) in names.into_iter().zip(loads) {
+                let node = NodeTelemetry {
+                    cpu_load,
+                    memory_available_bytes: 6e9,
+                    tx_rate: 0.0,
+                    rx_rate: 0.0,
+                };
+                snapshot.insert_node(name, node);
+            }
+            snapshot
+        };
+        // node-a has the NaN load; node-b is less loaded than node-c.
+        let record = scenario(
+            with_loads([f64::NAN, 1.0, 2.0]),
+            &[("node-a", 10.0), ("node-b", 12.0), ("node-c", 14.0)],
         );
-        assert_eq!(ranking_hits(&[2.0, 1.0], &[9.0, 1.0]), (true, true));
+
+        // A linear model whose completion time grows with CPU load.
+        let schema = FeatureSchema::standard();
+        let mut data = Dataset::new(schema.names().to_vec());
+        for step in 0..30 {
+            let load = step as f64 / 5.0;
+            let snapshot = with_loads([load, 0.0, 0.0]);
+            let features = schema.construct(&snapshot, "node-a", &record.request());
+            data.push(features, 10.0 + 4.0 * load).unwrap();
+        }
+        let mut rng = Rng::seed_from_u64(3);
+        let model =
+            TrainedModel::train(ModelKind::Linear, &ModelConfig::default(), &data, &mut rng);
+        let predictor = CompletionTimePredictor::new(schema, model).unwrap();
+        assert!(predictor
+            .predict(&record.snapshot, "node-a", &record.request())
+            .is_nan());
+
+        let ranking = supervised_ranking(&predictor, &record, &cluster);
+        assert_eq!(ranking, ["node-b", "node-c", "node-a"]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! FABNetv4 is far lower (Figure 3 tops out around 5 MB/s per node during
 //! Sort); the substitution here gives the WAN paths sub-gigabit capacities so
 //! that the 10 MB background downloads and shuffle traffic actually contend,
-//! which is the effect the scheduler must learn. See DESIGN.md.
+//! which is the effect the scheduler must learn.
 
 use crate::world::Testbed;
 use cluster::ClusterState;

@@ -9,7 +9,7 @@
 //! * [`data`] — the [`data::Dataset`] container over a contiguous row-major
 //!   [`data::FeatureMatrix`], train/test splitting and feature
 //!   standardization.
-//! * [`metrics`] — MAE, RMSE, R², MAPE and ranking helpers.
+//! * [`metrics`] — MAE, RMSE, R² and MAPE.
 //! * [`linear`] — ordinary least squares / ridge regression solved by normal
 //!   equations with Gaussian elimination and optional standardization.
 //! * [`tree`] — CART regression trees (variance-reduction splits, depth and

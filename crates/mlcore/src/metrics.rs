@@ -1,4 +1,4 @@
-//! Regression and ranking metrics.
+//! Regression metrics.
 
 use serde::{Deserialize, Serialize};
 
@@ -74,39 +74,6 @@ impl RegressionMetrics {
     }
 }
 
-/// Indices of `values` sorted ascending (rank 0 = smallest value). Ties keep
-/// their original relative order, so ranking is deterministic.
-pub fn ascending_rank(values: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx
-}
-
-/// Top-k hit: do the k smallest entries of `predicted` include an index whose
-/// `actual` value attains the minimum? This is the paper's Top-1/Top-2
-/// accuracy primitive (does the scheduler's choice set contain an actually
-/// fastest node).
-///
-/// Ties in `actual` all count as "best": when two nodes are actually equally
-/// fastest, a scheduler that picks either one is scored as a hit, rather
-/// than only the one that happens to appear first.
-pub fn top_k_contains_best(predicted: &[f64], actual: &[f64], k: usize) -> bool {
-    assert_eq!(predicted.len(), actual.len());
-    if predicted.is_empty() || k == 0 {
-        return false;
-    }
-    let best_actual = actual.iter().copied().fold(f64::INFINITY, f64::min);
-    ascending_rank(predicted)
-        .into_iter()
-        .take(k)
-        .any(|i| actual[i] == best_actual)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,48 +126,5 @@ mod tests {
     #[should_panic(expected = "must align")]
     fn mismatched_lengths_panic() {
         RegressionMetrics::compute(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn ranks_are_stable_and_ascending() {
-        let values = [3.0, 1.0, 2.0, 1.0];
-        assert_eq!(ascending_rank(&values), vec![1, 3, 2, 0]);
-        assert_eq!(ascending_rank(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn top_k_semantics() {
-        // actual fastest is index 2; prediction ranks it second.
-        let actual = [10.0, 12.0, 5.0, 9.0];
-        let predicted = [7.0, 11.0, 8.0, 12.0];
-        assert!(!top_k_contains_best(&predicted, &actual, 1));
-        assert!(top_k_contains_best(&predicted, &actual, 2));
-        assert!(top_k_contains_best(&predicted, &actual, 4));
-        assert!(!top_k_contains_best(&predicted, &actual, 0));
-        assert!(!top_k_contains_best(&[], &[], 1));
-        // Perfect prediction always hits at k=1.
-        assert!(top_k_contains_best(&actual, &actual, 1));
-    }
-
-    #[test]
-    fn top_k_counts_any_tied_best_as_a_hit() {
-        // Indices 0 and 2 tie for actually-fastest. A prediction that puts
-        // index 2 first must score a Top-1 hit even though index 0 is the
-        // first index attaining the minimum.
-        let actual = [5.0, 9.0, 5.0, 7.0];
-        let predicted = [3.0, 2.0, 1.0, 4.0];
-        assert!(top_k_contains_best(&predicted, &actual, 1));
-        // Picking the other tied node first hits too.
-        let predicted_other = [1.0, 2.0, 3.0, 4.0];
-        assert!(top_k_contains_best(&predicted_other, &actual, 1));
-        // A prediction preferring a genuinely slower node still misses.
-        let predicted_miss = [3.0, 1.0, 4.0, 2.0];
-        assert!(!top_k_contains_best(&predicted_miss, &actual, 1));
-        // ...but k=2 reaches a tied-best node (ranks: idx 1 then idx 3; idx 3
-        // is not best; widen to k=3 which includes idx 0).
-        assert!(!top_k_contains_best(&predicted_miss, &actual, 2));
-        assert!(top_k_contains_best(&predicted_miss, &actual, 3));
-        // All-equal actuals: every pick is a hit.
-        assert!(top_k_contains_best(&[9.0, 1.0], &[4.0, 4.0], 1));
     }
 }

@@ -15,7 +15,7 @@
 use netsched::core::context::SchedulingContext;
 use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
-use netsched::core::schedulers::{JobScheduler, KubeDefaultScheduler, SupervisedScheduler};
+use netsched::core::schedulers::KubeDefaultScheduler;
 use netsched::experiments::workflow::{ExperimentConfig, Workflow};
 use netsched::experiments::FabricTestbed;
 use netsched::mlcore::{evaluate_on, ModelConfig, ModelKind, TrainedModel};
@@ -65,7 +65,6 @@ fn main() {
     // --- 3. Use the trained model for a new placement decision. ---
     let predictor = CompletionTimePredictor::new(dataset.schema.clone(), best_model)
         .expect("dataset schema matches its own training data");
-    let mut supervised = SupervisedScheduler::new(predictor);
     let mut kube_default = KubeDefaultScheduler::new(3);
 
     // Take a held-out scenario's frozen system state as "now".
@@ -73,13 +72,13 @@ fn main() {
     let request = JobRequest::named("sort-new", WorkloadKind::Sort, 500_000, 3);
     let cluster = FabricTestbed::paper().cluster;
 
-    // One context serves the whole burst of decisions against this snapshot.
+    // The service's ranker: one batch inference over the feasible set.
     let mut ctx = SchedulingContext::new(&scenario.snapshot, &cluster);
-    let supervised_ranking = supervised.select(&request, &mut ctx);
-    let default_ranking = kube_default.select(&request, &mut ctx);
+    let supervised_ranking = ctx.rank_feasible_batch(&request, &predictor);
+    let default_ranking = kube_default.rank(&request, &cluster);
 
     println!("\nscheduling a new job ({}):", request.name);
-    println!("  supervised ({}) ranking:", supervised.name());
+    println!("  supervised ({best_kind}) ranking:");
     for ranked in &supervised_ranking.ranked {
         println!(
             "    {:<8} predicted {:.1}s",

@@ -7,9 +7,8 @@
 //!   [`FeasibilityIndex`] and the [`SchedulingContext`] — fresh or reusing a
 //!   previous burst's scratch — must agree *exactly* with the naive full
 //!   scan through [`DefaultScheduler::filter`].
-//! * **Budget byte-identity.** A budget prunes only the supervised rank: the
-//!   four baselines rank byte-identically at every K, RNG streams included,
-//!   and the supervised rank does at every oversized K.
+//! * **Budget byte-identity.** The supervised rank is byte-identical at
+//!   every oversized K.
 //! * **Exactness.** For linear, forest and boosted models, the budgeted
 //!   supervised ranking is the unbudgeted ranking's first `min(K,
 //!   |feasible|)` entries, scores included — on random worlds and on a
@@ -40,10 +39,6 @@ use netsched::core::context::{ContextScratch, SchedulingContext};
 use netsched::core::features::FeatureSchema;
 use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
-use netsched::core::schedulers::{
-    JobScheduler, KubeDefaultScheduler, LeastLoadedScheduler, LowestRttScheduler, RandomScheduler,
-    SupervisedScheduler,
-};
 use netsched::core::service::{SchedulerConfig, SchedulerService};
 use netsched::experiments::scale::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
 use netsched::mlcore::{
@@ -97,8 +92,8 @@ fn varied_world(nodes: usize, seed: u64) -> (ClusterState, ClusterSnapshot) {
 
     let mut snapshot = ClusterSnapshot::at(SimTime::from_secs(30));
     for i in 0..nodes {
-        // A slice of nodes was never scraped: the model and the heuristics
-        // must cope with missing telemetry.
+        // A slice of nodes was never scraped: the model must cope with
+        // missing telemetry.
         if rng.gen_range_usize(0, 8) == 0 {
             continue;
         }
@@ -347,10 +342,8 @@ proptest! {
         }
     }
 
-    /// A budget prunes only the supervised rank. The four baselines rank
-    /// byte-identically at every budget, 1 included — the stateful (seeded)
-    /// ones with their RNG streams advancing exactly as without one — and the
-    /// supervised rank does at every oversized budget.
+    /// At every oversized budget the supervised rank is byte-identical to
+    /// the unbudgeted one, over a burst through one context.
     #[test]
     fn unbounded_budget_is_byte_identical_for_every_policy(
         seed in 0u64..1_000_000,
@@ -362,42 +355,16 @@ proptest! {
         let requests: Vec<JobRequest> = (0..4)
             .map(|i| driver_request(i, 250 + 250 * i as u64, 1 + i as u64 % 3))
             .collect();
-
-        type PolicyFactory = Box<dyn Fn() -> Box<dyn JobScheduler>>;
-        let baselines: Vec<(&str, PolicyFactory)> = vec![
-            (
-                "kube-default",
-                Box::new(move || Box::new(KubeDefaultScheduler::new(seed)) as Box<dyn JobScheduler>),
-            ),
-            (
-                "random",
-                Box::new(move || Box::new(RandomScheduler::new(seed)) as Box<dyn JobScheduler>),
-            ),
-            (
-                "least-loaded",
-                Box::new(|| Box::new(LeastLoadedScheduler) as Box<dyn JobScheduler>),
-            ),
-            (
-                "lowest-rtt",
-                Box::new(|| Box::new(LowestRttScheduler) as Box<dyn JobScheduler>),
-            ),
-        ];
-        let supervised: PolicyFactory =
-            Box::new(|| Box::new(SupervisedScheduler::new(predictor())) as Box<dyn JobScheduler>);
-        let checks = baselines
-            .iter()
-            .map(|(name, make)| (*name, make, vec![1, 2, 5, oversized]))
-            .chain([("supervised", &supervised, vec![oversized])]);
-        for (name, make, budgets) in checks {
-            let mut unbudgeted_ctx = SchedulingContext::new(&snapshot, &cluster);
-            let unbudgeted = make().select_batch(&requests, &mut unbudgeted_ctx);
-            for k in budgets {
-                let mut budgeted_ctx = SchedulingContext::new(&snapshot, &cluster);
-                budgeted_ctx.set_top_k(Some(k));
-                let budgeted = make().select_batch(&requests, &mut budgeted_ctx);
-                prop_assert!(unbudgeted == budgeted, "{} diverged at K={}", name, k);
-            }
-        }
+        let predictor = predictor();
+        let burst = |top_k| {
+            let mut ctx = SchedulingContext::new(&snapshot, &cluster);
+            ctx.set_top_k(top_k);
+            requests
+                .iter()
+                .map(|request| ctx.rank_feasible_batch(request, &predictor))
+                .collect::<Vec<_>>()
+        };
+        prop_assert!(burst(None) == burst(Some(oversized)), "diverged at K={}", oversized);
     }
 
     /// For every model family the budgeted supervised ranking is exactly the
@@ -533,9 +500,9 @@ proptest! {
         let mut telemetry = Telemetry::random(nodes, &mut rng);
         let kinds = netsched::sparksim::WorkloadKind::ALL;
         for family in cell_models() {
-            // The model lives in one scheduler for the whole run, so a swap
+            // The model lives in one binding for the whole run, so a swap
             // overwrites it at the same address.
-            let mut scheduler = SupervisedScheduler::new(family[0].clone());
+            let mut predictor = family[0].clone();
             let mut publisher = SnapshotPublisher::new();
             let mut snapshot = std::sync::Arc::new(telemetry.snapshot(true));
             let mut scratch = ContextScratch::default();
@@ -580,11 +547,11 @@ proptest! {
                         // its archive) or an earlier one (a clone keeps its
                         // version, and its boards may still be pooled).
                         let next = &family[rng.gen_range_usize(0, 2)];
-                        scheduler.set_predictor(if rng.gen_range_usize(0, 2) == 0 {
+                        predictor = if rng.gen_range_usize(0, 2) == 0 {
                             next.clone()
                         } else {
                             CompletionTimePredictor::from_json(&next.to_json()).unwrap()
-                        });
+                        };
                     }
                     _ => {}
                 }
@@ -603,9 +570,9 @@ proptest! {
                     ctx.set_top_k(top_k);
                 }
                 prop_assert!(
-                    warm.rank_feasible_batch(&request, scheduler.predictor())
-                        == cold.rank_feasible_batch(&request, scheduler.predictor()),
-                    "{} step {} {:?}", scheduler.name(), step, top_k
+                    warm.rank_feasible_batch(&request, &predictor)
+                        == cold.rank_feasible_batch(&request, &predictor),
+                    "{} step {} {:?}", predictor.model_kind(), step, top_k
                 );
                 scratch = warm.into_scratch();
             }
@@ -647,7 +614,7 @@ proptest! {
         };
         for family in cell_models() {
             let mut telemetry = Telemetry::random(nodes, &mut rng);
-            let mut scheduler = SupervisedScheduler::new(family[0].clone());
+            let mut predictor = family[0].clone();
             let mut publisher = SnapshotPublisher::new();
             publisher.publish_with(|epoch| *epoch = telemetry.snapshot(true));
             let mut snapshot = publisher.latest().unwrap().snapshot;
@@ -691,11 +658,11 @@ proptest! {
                     }
                     4 => {
                         let next = &family[rng.gen_range_usize(0, 2)];
-                        scheduler.set_predictor(if rng.gen_range_usize(0, 2) == 0 {
+                        predictor = if rng.gen_range_usize(0, 2) == 0 {
                             next.clone()
                         } else {
                             CompletionTimePredictor::from_json(&next.to_json()).unwrap()
-                        });
+                        };
                     }
                     _ => {}
                 }
@@ -704,15 +671,15 @@ proptest! {
                     let k = budgets[rng.gen_range_usize(0, budgets.len())];
                     let mut warm = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
                     warm.set_top_k(Some(k));
-                    let budgeted = warm.rank_feasible_batch(request, scheduler.predictor());
+                    let budgeted = warm.rank_feasible_batch(request, &predictor);
                     scratch = warm.into_scratch();
                     let full = SchedulingContext::new(&snapshot, &cluster)
-                        .rank_feasible_batch(request, scheduler.predictor());
+                        .rank_feasible_batch(request, &predictor);
                     let prefix = &full.ranked[..k.min(full.len())];
                     prop_assert!(
                         bits(&budgeted.ranked) == bits(prefix),
                         "{} step {} K={}: {:?} is not the prefix of {:?}",
-                        scheduler.name(), step, k, budgeted, full
+                        predictor.model_kind(), step, k, budgeted, full
                     );
                 }
             }

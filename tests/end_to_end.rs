@@ -8,16 +8,20 @@
 //! * the scheduler service can be bootstrapped, retrained and used online,
 //! * decisions produce valid Kubernetes-style manifests pinned to the chosen node.
 
+use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
 use netsched::core::service::{SchedulerConfig, SchedulerService};
-use netsched::experiments::evaluation::evaluate_table4;
+use netsched::experiments::evaluation::{evaluate_table4, supervised_ranking};
 use netsched::experiments::workflow::{ExperimentConfig, Workflow};
 use netsched::experiments::{FabricTestbed, SimWorld};
-use netsched::mlcore::{GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig};
+use netsched::mlcore::{
+    GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
+};
 use netsched::simcore::rng::Rng;
 use netsched::simcore::SimDuration;
 use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
+use netsched::telemetry::SnapshotPublisher;
 
 fn fast_models() -> ModelConfig {
     ModelConfig {
@@ -150,37 +154,22 @@ fn supervised_choice_is_never_worse_on_average_than_random_choice() {
     let mut rng = Rng::seed_from_u64(8);
     let (train_idx, test_idx) = dataset.split_scenarios(0.3, &mut rng);
     let train = dataset.logger_for(&train_idx).to_dataset();
-    let model = netsched::mlcore::TrainedModel::train(
-        ModelKind::RandomForest,
-        &fast_models(),
-        &train,
-        &mut rng,
-    );
-    let predictor =
-        netsched::core::predictor::CompletionTimePredictor::new(dataset.schema.clone(), model)
-            .expect("dataset schema matches its own training data");
+    let model = TrainedModel::train(ModelKind::RandomForest, &fast_models(), &train, &mut rng);
+    let predictor = CompletionTimePredictor::new(dataset.schema.clone(), model)
+        .expect("dataset schema matches its own training data");
 
     let mut model_total = 0.0;
     let mut random_total = 0.0;
     let mut oracle_total = 0.0;
-    let (mut matrix, mut predictions) = (netsched::mlcore::FeatureMatrix::new(0), Vec::new());
+    let cluster = dataset.testbed.build().cluster;
     for &idx in &test_idx {
         let scenario = &dataset.scenarios[idx];
-        let request = scenario.request();
-        let candidates = scenario.candidate_nodes();
-        predictor.predict_batch(
-            &scenario.snapshot,
-            &candidates,
-            &request,
-            &mut matrix,
-            &mut predictions,
-        );
-        let choice_idx = predictions
+        let choice = supervised_ranking(&predictor, scenario, &cluster);
+        let choice_idx = scenario
+            .outcomes
             .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
+            .position(|o| o.node == choice[0])
+            .expect("the ranking keeps only nodes with an outcome");
         let completions = scenario.completions();
         model_total += completions[choice_idx];
         random_total += completions.iter().sum::<f64>() / completions.len() as f64;
@@ -191,4 +180,72 @@ fn supervised_choice_is_never_worse_on_average_than_random_choice() {
         "model {model_total:.1}s vs random {random_total:.1}s"
     );
     assert!(oracle_total <= model_total + 1e-9);
+}
+
+#[test]
+fn table4_ranks_held_out_scenarios_exactly_as_the_service_decides() {
+    // Table 4's supervised rows rank through `supervised_ranking`; here each
+    // held-out scenario is also decided by the scheduler service, on the
+    // same baseline cluster, after its snapshot was published like a live
+    // epoch. The service's ranking, kept to the nodes with an outcome, must
+    // be the evaluation's ranking, and its scores the per-row predictions
+    // bit for bit; a top-2 budget must keep its prefix.
+    let config = ExperimentConfig {
+        workers: simcore::parallel::default_workers(),
+        ..ExperimentConfig::quick(2, 2, 5150)
+    };
+    let dataset = Workflow::new(config).run();
+    let mut rng = Rng::seed_from_u64(21);
+    let (train_idx, test_idx) = dataset.split_scenarios(0.5, &mut rng);
+    let train = dataset.logger_for(&train_idx).to_dataset();
+    let cluster = dataset.testbed.build().cluster;
+
+    for kind in ModelKind::ALL {
+        let model = TrainedModel::train(kind, &fast_models(), &train, &mut rng);
+        let predictor = CompletionTimePredictor::new(dataset.schema.clone(), model)
+            .expect("dataset schema matches its own training data");
+        let service = |prune_top_k| {
+            let config = SchedulerConfig {
+                model_kind: kind,
+                prune_top_k,
+                ..Default::default()
+            };
+            SchedulerService::with_predictor(config, predictor.clone(), 1)
+        };
+        let (mut full, mut budgeted) = (service(None), service(Some(2)));
+        let mut publisher = SnapshotPublisher::new();
+        for &idx in &test_idx {
+            let scenario = &dataset.scenarios[idx];
+            let request = scenario.request();
+            publisher.publish_with(|epoch| *epoch = scenario.snapshot.clone());
+            let handle = publisher.handle();
+            let now = scenario.snapshot.time;
+            let served = full.schedule(&request, &handle, &cluster, now).ranking;
+            assert!(served.len() >= scenario.outcomes.len(), "{kind}");
+
+            let kept: Vec<(String, u64)> = served
+                .ranked
+                .iter()
+                .map(|r| {
+                    (
+                        cluster.node_name(r.node).to_string(),
+                        r.predicted_seconds.to_bits(),
+                    )
+                })
+                .filter(|(name, _)| scenario.outcomes.iter().any(|o| o.node == *name))
+                .collect();
+            let evaluated: Vec<(String, u64)> = supervised_ranking(&predictor, scenario, &cluster)
+                .into_iter()
+                .map(|name| {
+                    let seconds = predictor.predict(&scenario.snapshot, &name, &request);
+                    (name, seconds.to_bits())
+                })
+                .collect();
+            assert_eq!(kept, evaluated, "{kind} scenario {idx}");
+
+            let pruned = budgeted.schedule(&request, &handle, &cluster, now).ranking;
+            assert_eq!(pruned.len(), 2.min(served.len()), "{kind}");
+            assert_eq!(pruned.ranked, served.ranked[..pruned.len()], "{kind}");
+        }
+    }
 }

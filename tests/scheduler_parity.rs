@@ -1,24 +1,21 @@
-//! Scheduler parity, determinism and batch-equivalence guards.
+//! Ranker parity and determinism guards.
 //!
-//! These tests pin the contracts the hot-path refactor relies on:
+//! These tests pin the contracts the hot-path refactor relies on, for the
+//! two rankers Table 4 compares — the supervised rank
+//! (`SchedulingContext::rank_feasible_batch`) and the Kubernetes default
+//! baseline (`KubeDefaultScheduler::rank`):
 //!
-//! * every policy ranks over the *identical* feasible candidate set (the
-//!   default scheduler's filter), so Table-4-style comparisons are
-//!   apples-to-apples;
+//! * both rank over the *identical* feasible candidate set (the default
+//!   scheduler's filter), so Table-4-style comparisons are apples-to-apples;
 //! * a fixed seed yields byte-identical rankings across two independent
-//!   runs (determinism guard — serialized and compared as bytes);
-//! * `select_batch` over N requests equals N sequential `select` calls for
-//!   every policy.
+//!   runs (determinism guard — serialized and compared as bytes).
 
 use netsched::cluster::{ClusterState, NodeId};
 use netsched::core::context::SchedulingContext;
 use netsched::core::features::FeatureSchema;
 use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
-use netsched::core::schedulers::{
-    JobScheduler, KubeDefaultScheduler, LeastLoadedScheduler, LowestRttScheduler, RandomScheduler,
-    SupervisedScheduler,
-};
+use netsched::core::schedulers::KubeDefaultScheduler;
 use netsched::core::NodeRanking;
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
@@ -69,15 +66,27 @@ fn predictor(snapshot: &ClusterSnapshot) -> CompletionTimePredictor {
     CompletionTimePredictor::new(schema, model).expect("schema matches training data")
 }
 
-/// Fresh instances of all five policies, seeded identically.
-fn policies(snapshot: &ClusterSnapshot, seed: u64) -> Vec<Box<dyn JobScheduler>> {
-    vec![
-        Box::new(SupervisedScheduler::new(predictor(snapshot))),
-        Box::new(KubeDefaultScheduler::new(seed)),
-        Box::new(RandomScheduler::new(seed)),
-        Box::new(LeastLoadedScheduler),
-        Box::new(LowestRttScheduler),
-    ]
+/// Both rankers' rankings of `batch`, in order: the supervised rank through
+/// one context, then a fresh `seed`ed Kubernetes default baseline.
+fn rankings(
+    snapshot: &ClusterSnapshot,
+    cluster: &ClusterState,
+    batch: &[JobRequest],
+    seed: u64,
+) -> Vec<(&'static str, NodeRanking)> {
+    let predictor = predictor(snapshot);
+    let mut ctx = SchedulingContext::new(snapshot, cluster);
+    let mut kube = KubeDefaultScheduler::new(seed);
+    let mut out: Vec<_> = batch
+        .iter()
+        .map(|request| ("supervised", ctx.rank_feasible_batch(request, &predictor)))
+        .collect();
+    out.extend(
+        batch
+            .iter()
+            .map(|request| ("kubernetes-default", kube.rank(request, cluster))),
+    );
+    out
 }
 
 fn requests(n: usize) -> Vec<JobRequest> {
@@ -112,17 +121,14 @@ fn all_policies_rank_over_the_identical_feasible_set() {
             .collect::<Vec<_>>()
     );
 
-    for mut policy in policies(&snapshot, 77) {
-        let ranking = policy.select(&request, &mut ctx);
+    for (name, ranking) in rankings(&snapshot, &cluster, std::slice::from_ref(&request), 77) {
         let ranked_set: std::collections::BTreeSet<NodeId> =
             ranking.ranked.iter().map(|r| r.node).collect();
         assert_eq!(
-            ranked_set,
-            expected_set,
-            "{} must rank exactly the feasible candidates",
-            policy.name()
+            ranked_set, expected_set,
+            "{name} must rank exactly the feasible candidates"
         );
-        assert_eq!(ranking.len(), expected_ids.len(), "{}", policy.name());
+        assert_eq!(ranking.len(), expected_ids.len(), "{name}");
     }
 }
 
@@ -133,43 +139,15 @@ fn fixed_seed_yields_byte_identical_rankings_across_runs() {
 
     let run = || -> Vec<u8> {
         let mut bytes = Vec::new();
-        let mut ctx = SchedulingContext::new(&snapshot, &cluster);
-        for mut policy in policies(&snapshot, 4242) {
-            for request in &batch {
-                let ranking = policy.select(request, &mut ctx);
-                bytes.extend_from_slice(
-                    serde_json::to_string(&ranking)
-                        .expect("ranking serializes")
-                        .as_bytes(),
-                );
-            }
+        for (_, ranking) in rankings(&snapshot, &cluster, &batch, 4242) {
+            bytes.extend_from_slice(
+                serde_json::to_string(&ranking)
+                    .expect("ranking serializes")
+                    .as_bytes(),
+            );
         }
         bytes
     };
 
     assert_eq!(run(), run(), "same seeds, same inputs, same bytes");
-}
-
-#[test]
-fn select_batch_equals_sequential_selects_for_all_five_policies() {
-    let (cluster, snapshot) = frozen_world();
-    let batch = requests(5);
-
-    let mut batch_policies = policies(&snapshot, 31);
-    let mut seq_policies = policies(&snapshot, 31);
-    for (batch_policy, seq_policy) in batch_policies.iter_mut().zip(seq_policies.iter_mut()) {
-        let mut ctx_batch = SchedulingContext::new(&snapshot, &cluster);
-        let mut ctx_seq = SchedulingContext::new(&snapshot, &cluster);
-        let batched = batch_policy.select_batch(&batch, &mut ctx_batch);
-        let sequential: Vec<NodeRanking> = batch
-            .iter()
-            .map(|request| seq_policy.select(request, &mut ctx_seq))
-            .collect();
-        assert_eq!(
-            batched,
-            sequential,
-            "{}: batch must equal sequential",
-            batch_policy.name()
-        );
-    }
 }
