@@ -1,4 +1,4 @@
-//! Fixture: hot-path-alloc violations inside a manifest fn.
+//! Fixture: hot-path-alloc violations inside a hot-path root fn.
 //! Expected findings: lines 6, 7, 8, 9, 10, 11 (one per allocating token).
 pub fn schedule_batch_into(n: usize) -> usize {
     let mut total = 0;

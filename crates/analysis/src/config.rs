@@ -7,8 +7,8 @@
 //! outside that subset is a hard error — config typos should fail loudly,
 //! not silently relax an invariant.
 
-/// One allowlist entry: a specific banned token in a specific file is
-/// accepted, with a mandatory human-readable reason.
+/// One allowlist entry: a specific blocking token in a specific file is
+/// accepted on the read path, with a mandatory human-readable reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     pub file: String,
@@ -31,7 +31,7 @@ pub struct StopEntry {
 }
 
 /// Typed analyzer configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Config {
     /// Workspace-relative directories (or files) to scan.
     pub include: Vec<String>,
@@ -40,38 +40,28 @@ pub struct Config {
     /// Files implementing cross-thread handoff protocols: Acquire loads
     /// must be paired with Release (or AcqRel) stores within the file.
     pub protocol_files: Vec<String>,
-    /// Function names whose bodies must not contain allocating tokens.
-    pub hot_path_functions: Vec<String>,
     /// Roots the hot-path closure is derived from (`path::fn_name` specs).
+    /// Every fn in the closure must be free of allocating tokens.
     pub hot_path_roots: Vec<String>,
-    /// Manifest entries enforced allocation-free although not derivable
-    /// from the roots. Must be a subset of `hot_path_functions`.
-    pub hot_path_pins: Vec<String>,
     /// Cold branches excluded from the derived hot-path closure.
     pub hot_path_stops: Vec<StopEntry>,
-    /// Line of the `[hot_path]` table header, for manifest-level findings.
-    pub hot_path_line: u32,
     /// Roots of the published-snapshot read path that must stay free of
     /// blocking calls.
     pub read_path_roots: Vec<String>,
-    /// Branches excluded from the read-path closure (e.g. the store-backed
-    /// fallback that published sources never take).
-    pub read_path_stops: Vec<StopEntry>,
     /// Per-site blocking-call exemptions on the read path.
     pub read_path_allow: Vec<AllowEntry>,
-    /// Path prefixes of modules that must stay deterministic (no wall-clock
-    /// reads, no hash-randomized containers).
-    pub determinism_modules: Vec<String>,
-    /// Path prefixes exempt from the panic-surface lint (e.g. CLI binaries,
-    /// where a panic is an acceptable abort-with-message).
-    pub panic_skip: Vec<String>,
-    /// Per-site panic-surface exemptions.
-    pub panic_allow: Vec<AllowEntry>,
-    /// Per-site determinism exemptions.
-    pub determinism_allow: Vec<AllowEntry>,
 }
 
 impl Config {
+    /// The `[[hot_path.stop]]` fn specs: the cut the derived closure is
+    /// computed with.
+    pub fn hot_path_stop_specs(&self) -> Vec<String> {
+        self.hot_path_stops
+            .iter()
+            .map(|s| s.function.clone())
+            .collect()
+    }
+
     /// Parse a `lint.toml` document.
     pub fn parse(text: &str) -> Result<Config, String> {
         let doc = parse_toml(text)?;
@@ -83,20 +73,10 @@ impl Config {
                     config.exclude = table.get_list("exclude")?;
                 }
                 "atomics" => config.protocol_files = table.get_list("protocol_files")?,
-                "hot_path" => {
-                    config.hot_path_functions = table.get_list("functions")?;
-                    config.hot_path_roots = table.get_list("roots")?;
-                    config.hot_path_pins = table.get_list("pins")?;
-                    config.hot_path_line = table.line;
-                }
+                "hot_path" => config.hot_path_roots = table.get_list("roots")?,
                 "hot_path.stop" => config.hot_path_stops.push(table.to_stop_entry(name)?),
                 "read_path" => config.read_path_roots = table.get_list("roots")?,
-                "read_path.stop" => config.read_path_stops.push(table.to_stop_entry(name)?),
                 "read_path.allow" => config.read_path_allow.push(table.to_allow_entry(name)?),
-                "determinism" => config.determinism_modules = table.get_list("modules")?,
-                "panic" => config.panic_skip = table.get_list("skip")?,
-                "panic.allow" => config.panic_allow.push(table.to_allow_entry(name)?),
-                "determinism.allow" => config.determinism_allow.push(table.to_allow_entry(name)?),
                 other => return Err(format!("lint.toml: unknown table [{other}]")),
             }
         }
@@ -353,24 +333,13 @@ exclude = [
 [atomics]
 protocol_files = ["crates/telemetry/src/publish.rs"]
 
-[hot_path]
-functions = ["schedule_batch_into", "rank_into"]
+[read_path]
+roots = ["schedule_batch_into"]
 
-[determinism]
-modules = ["crates/experiments/src"]
-
-[panic]
-skip = ["crates/experiments/src/bin"]
-
-[[panic.allow]]
-file = "crates/core/src/service.rs"
-token = "expect"
-reason = "lock poisoning is unrecoverable here"
-
-[[determinism.allow]]
-file = "crates/experiments/src/lib.rs"
-token = "Instant"
-reason = "stderr timing only"
+[[read_path.allow]]
+file = "crates/telemetry/src/publish.rs"
+token = "lock"
+reason = "bounded slot mutex"
 "#;
         let config = Config::parse(text).unwrap();
         assert_eq!(config.include, vec!["crates", "src"]);
@@ -379,19 +348,13 @@ reason = "stderr timing only"
             config.protocol_files,
             vec!["crates/telemetry/src/publish.rs"]
         );
-        assert_eq!(
-            config.hot_path_functions,
-            vec!["schedule_batch_into", "rank_into"]
-        );
-        assert_eq!(config.determinism_modules, vec!["crates/experiments/src"]);
-        assert_eq!(config.panic_skip, vec!["crates/experiments/src/bin"]);
-        assert_eq!(config.panic_allow.len(), 1);
-        let allow = &config.panic_allow[0];
-        assert_eq!(allow.file, "crates/core/src/service.rs");
-        assert_eq!(allow.token, "expect");
-        assert_eq!(allow.reason, "lock poisoning is unrecoverable here");
+        assert_eq!(config.read_path_roots, vec!["schedule_batch_into"]);
+        assert_eq!(config.read_path_allow.len(), 1);
+        let allow = &config.read_path_allow[0];
+        assert_eq!(allow.file, "crates/telemetry/src/publish.rs");
+        assert_eq!(allow.token, "lock");
+        assert_eq!(allow.reason, "bounded slot mutex");
         assert!(allow.line > 0, "allow entries record their header line");
-        assert_eq!(config.determinism_allow.len(), 1);
     }
 
     #[test]
@@ -402,8 +365,6 @@ include = ["crates"]
 
 [hot_path]
 roots = ["crates/core/src/service.rs::schedule_batch_into"]
-functions = ["schedule_batch_into", "snapshot_into"]
-pins = ["snapshot_into"]
 
 [[hot_path.stop]]
 function = "crates/core/src/context.rs::rebuild"
@@ -411,10 +372,6 @@ reason = "cold: only runs on topology changes"
 
 [read_path]
 roots = ["crates/core/src/service.rs::schedule_batch_into"]
-
-[[read_path.stop]]
-function = "fetch_into"
-reason = "store-backed fallback"
 
 [[read_path.allow]]
 file = "crates/telemetry/src/publish.rs"
@@ -426,34 +383,20 @@ reason = "bounded slot mutex"
             config.hot_path_roots,
             vec!["crates/core/src/service.rs::schedule_batch_into"]
         );
-        assert_eq!(config.hot_path_pins, vec!["snapshot_into"]);
-        assert!(config.hot_path_line > 0);
         assert_eq!(config.hot_path_stops.len(), 1);
         assert_eq!(
             config.hot_path_stops[0].function,
             "crates/core/src/context.rs::rebuild"
         );
         assert_eq!(config.read_path_roots.len(), 1);
-        assert_eq!(config.read_path_stops[0].function, "fetch_into");
         assert_eq!(config.read_path_allow[0].token, "lock");
-    }
-
-    #[test]
-    fn pins_stand_alone_from_functions() {
-        // Pins are standalone enforcement entries: the engine appends them
-        // to the enforced set alongside the derived closure, so they need
-        // not be repeated under `functions`.
-        let text =
-            "[paths]\ninclude = [\"crates\"]\n\n[hot_path]\nfunctions = [\"a\"]\npins = [\"b\"]\n";
-        let config = Config::parse(text).unwrap();
-        assert_eq!(config.hot_path_pins, vec!["b"]);
     }
 
     #[test]
     fn rejects_unknown_tables_and_missing_keys() {
         assert!(Config::parse("[nonsense]\n").is_err());
         let missing_reason =
-            "[paths]\ninclude = [\"x\"]\n[[panic.allow]]\nfile = \"a\"\ntoken = \"unwrap\"\n";
+            "[paths]\ninclude = [\"x\"]\n[[read_path.allow]]\nfile = \"a\"\ntoken = \"lock\"\n";
         let err = Config::parse(missing_reason).unwrap_err();
         assert!(err.contains("reason"), "{err}");
     }

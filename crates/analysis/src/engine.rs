@@ -1,24 +1,21 @@
 //! The analysis driver: walk the workspace, lex + scope every Rust file,
 //! build the item index and call graph, run the token-level and graph-level
-//! lints, subtract the baseline, and report.
+//! lints, and report.
 
 use crate::config::Config;
 use crate::graph::CallGraph;
-use crate::items::{CrateMap, ItemIndex, SourceFile};
+use crate::items::{CrateMap, FnSpec, ItemIndex, SourceFile};
 use crate::lexer;
-use crate::lints::{self, Finding, SiteLog};
+use crate::lints::{self, Finding};
 use crate::reach;
 use crate::scope;
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The outcome of a full `check` run.
 pub struct Report {
-    /// Findings not suppressed by the baseline, sorted for stable output.
+    /// Every finding, sorted for stable output.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by baseline entries.
-    pub suppressed: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -30,22 +27,6 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     pub index: ItemIndex,
     pub graph: CallGraph,
-}
-
-/// Load the baseline file: one line-agnostic finding key per line, `#`
-/// comments and blank lines ignored. A missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> Result<BTreeSet<String>, String> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
-        Err(e) => return Err(format!("cannot read baseline {}: {e}", path.display())),
-    };
-    Ok(text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect())
 }
 
 /// Walk, read, lex, and scope every included file, then build the item
@@ -99,26 +80,17 @@ pub fn parse_workspace(root: &Path, config: &Config) -> Result<Workspace, String
 }
 
 /// Run the analyzer over the workspace rooted at `root`.
-pub fn check(root: &Path, config: &Config, baseline: &BTreeSet<String>) -> Result<Report, String> {
+pub fn check(root: &Path, config: &Config) -> Result<Report, String> {
     let ws = parse_workspace(root, config)?;
 
     // Derivation is enforcement: the allocation-free set checked by the
     // hot-path-alloc token lint is the call-graph closure from the
-    // configured roots, plus pins (entries enforced beyond derivability)
-    // and any residual explicit `functions` entries. A refactor that adds
-    // a callee to the hot path extends enforcement automatically.
-    let mut hot_config = config.clone();
-    hot_config
-        .hot_path_functions
-        .extend(reach::derived_hot_specs(&ws.index, &ws.graph, config));
-    hot_config
-        .hot_path_functions
-        .extend(config.hot_path_pins.iter().cloned());
-    hot_config.hot_path_functions.sort();
-    hot_config.hot_path_functions.dedup();
+    // configured roots, so a refactor that adds a callee to the hot path
+    // extends enforcement automatically.
+    let hot_specs = reach::derived_hot_specs(&ws.index, &ws.graph, config);
+    let hot_path: Vec<FnSpec<'_>> = hot_specs.iter().map(|raw| FnSpec::parse(raw)).collect();
 
     let mut findings = Vec::new();
-    let mut log = SiteLog::default();
     for file in &ws.files {
         let input = lints::FileInput {
             path: &file.rel,
@@ -127,21 +99,11 @@ pub fn check(root: &Path, config: &Config, baseline: &BTreeSet<String>) -> Resul
             scopes: &file.scopes,
             is_crate_root: is_crate_root(&file.rel),
         };
-        lints::run_all(&input, &hot_config, &mut findings, &mut log);
+        lints::run_all(&input, config, &hot_path, &mut findings);
     }
-    lints::stale_allow_findings(config, &log, &mut findings);
     reach::run_graph_lints(&ws.index, &ws.graph, config, &mut findings);
 
-    let mut kept = Vec::new();
-    let mut suppressed = 0usize;
-    for finding in findings {
-        if baseline.contains(&finding.baseline_key()) {
-            suppressed += 1;
-        } else {
-            kept.push(finding);
-        }
-    }
-    kept.sort_by(|a, b| {
+    findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint, a.message.as_str()).cmp(&(
             b.file.as_str(),
             b.line,
@@ -150,14 +112,14 @@ pub fn check(root: &Path, config: &Config, baseline: &BTreeSet<String>) -> Resul
         ))
     });
     Ok(Report {
-        findings: kept,
-        suppressed,
+        findings,
         files_scanned: ws.files.len(),
     })
 }
 
 /// A crate root is any `src/lib.rs` — of the workspace package or of a
-/// member crate. These must carry `#![forbid(unsafe_code)]`.
+/// member crate. These must carry `#![forbid(unsafe_code)]` and the
+/// panic-surface deny line.
 fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs" || rel.ends_with("/src/lib.rs")
 }

@@ -51,8 +51,7 @@ impl FnItem {
         format!("{}::{}", self.file, self.name)
     }
 
-    /// Display name for call chains: `Owner::name` or bare `name`. Stable
-    /// across line shifts, so safe inside baseline-keyed messages.
+    /// Display name for call chains: `Owner::name` or bare `name`.
     pub fn display(&self) -> String {
         match &self.owner {
             Some(owner) => format!("{owner}::{}", self.name),

@@ -1,31 +1,27 @@
 //! Workspace invariant analyzer.
 //!
-//! A custom, dependency-free lint engine that machine-checks the invariants
-//! this workspace's performance and reproducibility story rests on:
+//! A custom, dependency-free lint engine for the invariants the toolchain
+//! cannot check. The panic surface and determinism are clippy's
+//! (`clippy.toml` plus each crate root's `#![deny(clippy::…)]` line), and
+//! stale excuses are rustc's `#[expect]`. What stays here needs the
+//! workspace call graph or a project-specific rule:
 //!
 //! - **atomics-discipline** — every `Ordering::Relaxed`/`SeqCst` use carries
 //!   an `// ordering:` justification comment, and the telemetry handoff
 //!   protocol files pair Acquire loads with Release stores.
 //! - **hot-path-alloc** — the steady-state scheduling chain contains no
 //!   allocating tokens. The enforced set is *derived*: the call-graph
-//!   closure from `[hot_path] roots` (minus stopped cold branches), plus
-//!   pins. Its dynamic counterpart is `tests/hot_path_alloc.rs`, which
-//!   proves the same property at runtime with a counting global allocator.
-//! - **hot-path-closure** — `lint.toml` stays coherent with the derivation:
-//!   `functions` entries must be derivable, pins must not be, and every
-//!   root/stop/pin spec must resolve.
-//! - **panic-reachability** — every panic site reachable from the decision
-//!   roots is reported with its call chain; allow entries covering
-//!   reachable sites need a `hot-path:` justification tier.
+//!   closure from `[hot_path] roots`, minus stopped cold branches. Its
+//!   dynamic counterpart is `tests/hot_path_alloc.rs`, which proves the same
+//!   property at runtime with a counting global allocator.
+//! - **hot-path-closure** — every root and stop spec resolves to a fn.
+//! - **panic-reachability** — no panic site is reachable from the decision
+//!   roots; any that is gets reported with its call chain.
 //! - **blocking-on-read-path** — no locks, channel receives, or condvar
 //!   waits reachable from the published-snapshot read path.
-//! - **panic-surface** — `.unwrap()`/`.expect()`/`panic!`/`todo!` are banned
-//!   in non-test library code unless allowlisted per-site with a reason.
-//! - **stale-allowlist** — allow entries that no longer match any
-//!   would-fire site are findings.
-//! - **determinism** — modules feeding pinned fixed-seed artifacts must not
-//!   read wall clocks or use hash-randomized containers.
-//! - **unsafe-forbid** — every crate root carries `#![forbid(unsafe_code)]`.
+//! - **unsafe-forbid** — every crate root carries `#![forbid(unsafe_code)]`
+//!   and denies the clippy panic-surface lints ([`lints::PANIC_GATE`]), so
+//!   the toolchain gates are on in every crate.
 //!
 //! The call-graph layer ([`items`] → [`graph`] → [`reach`]) indexes every
 //! fn with its crate/file/`impl`-trait owner, resolves call edges by name
@@ -35,8 +31,15 @@
 //!
 //! Run the lints with `cargo run -p analysis --release -- check`.
 //! Diagnostics are `file:line: [lint-name] message`; the exit code is
-//! nonzero when any finding survives the checked-in baseline (ships empty).
+//! nonzero on any finding.
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod config;
 pub mod engine;

@@ -5,7 +5,7 @@
 //! module, or directory) is exempt everywhere: the invariants protect the
 //! shipped library surface, not the harnesses that validate it.
 
-use crate::config::{AllowEntry, Config};
+use crate::config::Config;
 use crate::items::{path_matches, FnSpec};
 use crate::lexer::{Token, TokenKind};
 use crate::scope::Scopes;
@@ -13,10 +13,7 @@ use std::collections::BTreeSet;
 
 pub const ATOMICS: &str = "atomics-discipline";
 pub const HOT_PATH: &str = "hot-path-alloc";
-pub const PANIC: &str = "panic-surface";
-pub const DETERMINISM: &str = "determinism";
 pub const UNSAFE_FORBID: &str = "unsafe-forbid";
-pub const STALE_ALLOW: &str = "stale-allowlist";
 
 /// One diagnostic, rendered as `file:line: [lint] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +25,6 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// The line-agnostic identity used for baseline suppression, so a
-    /// baselined finding does not resurface every time the file shifts.
-    pub fn baseline_key(&self) -> String {
-        format!("{}: [{}] {}", self.file, self.lint, self.message)
-    }
-
     pub fn render(&self) -> String {
         format!(
             "{}:{}: [{}] {}",
@@ -50,7 +41,7 @@ pub struct FileInput<'a> {
     pub tokens: &'a [Token],
     pub scopes: &'a Scopes,
     /// Is this file a crate root (`src/lib.rs`) that must carry
-    /// `#![forbid(unsafe_code)]`?
+    /// `#![forbid(unsafe_code)]` and deny the [`PANIC_GATE`] lints?
     pub is_crate_root: bool,
 }
 
@@ -103,67 +94,13 @@ impl CommentLines {
     }
 }
 
-fn path_has_prefix(path: &str, prefix: &str) -> bool {
-    path == prefix || path.starts_with(&format!("{prefix}/")) || {
-        // A file prefix (e.g. `crates/core/src/serde_impls.rs`) matches
-        // exactly that file.
-        prefix.ends_with(".rs") && path == prefix
-    }
-}
-
-fn allowed(allow: &[AllowEntry], path: &str, token: &str) -> bool {
-    allow
-        .iter()
-        .any(|e| e.token == token && path_matches(path, &e.file))
-}
-
-/// Sites the allowlists could match, collected across every scanned file —
-/// whether or not an entry suppressed them. [`stale_allow_findings`] diffs
-/// the allowlists against this log so entries cannot outlive their sites.
-#[derive(Debug, Default)]
-pub struct SiteLog {
-    /// (file, token) of every panic-surface site that would fire absent an
-    /// allowlist entry.
-    panic: BTreeSet<(String, String)>,
-    /// Likewise for determinism sites in scoped modules.
-    determinism: BTreeSet<(String, String)>,
-}
-
-/// After all files ran, flag allowlist entries matching no logged site.
-pub fn stale_allow_findings(config: &Config, log: &SiteLog, findings: &mut Vec<Finding>) {
-    let mut check = |entries: &[AllowEntry], sites: &BTreeSet<(String, String)>, table: &str| {
-        for entry in entries {
-            let live = sites
-                .iter()
-                .any(|(file, token)| *token == entry.token && path_matches(file, &entry.file));
-            if !live {
-                findings.push(Finding {
-                    file: "lint.toml".to_string(),
-                    line: entry.line,
-                    lint: STALE_ALLOW,
-                    message: format!(
-                        "[[{table}]] entry for `{}` in `{}` matches no site in the \
-                         workspace; remove it",
-                        entry.token, entry.file
-                    ),
-                });
-            }
-        }
-    };
-    check(&config.panic_allow, &log.panic, "panic.allow");
-    check(
-        &config.determinism_allow,
-        &log.determinism,
-        "determinism.allow",
-    );
-}
-
-/// Run every lint over one file.
+/// Run every token lint over one file. `hot_path` is the allocation-free
+/// set: the call-graph closure the engine derives from `[hot_path] roots`.
 pub fn run_all(
     input: &FileInput<'_>,
     config: &Config,
+    hot_path: &[FnSpec<'_>],
     findings: &mut Vec<Finding>,
-    log: &mut SiteLog,
 ) {
     // Indices of code tokens (comments and shebang dropped), so adjacency
     // checks (`.` before a method name, `!` after a macro name) see through
@@ -181,23 +118,10 @@ pub fn run_all(
         .map(|(i, _)| i)
         .collect();
     let comments = CommentLines::build(input.src, input.tokens);
-    let hot_entries: Vec<FnSpec<'_>> = config
-        .hot_path_functions
-        .iter()
-        .map(|raw| FnSpec::parse(raw))
-        .collect();
     let is_protocol_file = config
         .protocol_files
         .iter()
         .any(|f| path_matches(input.path, f));
-    let determinism_scoped = config
-        .determinism_modules
-        .iter()
-        .any(|m| path_has_prefix(input.path, m));
-    let panic_skipped = config
-        .panic_skip
-        .iter()
-        .any(|m| path_has_prefix(input.path, m));
 
     let text_at = |c: usize| input.tokens[code[c]].text(input.src);
     let kind_at = |c: usize| input.tokens[code[c]].kind;
@@ -268,7 +192,7 @@ pub fn run_all(
         // --- hot-path-alloc -----------------------------------------------
         if !in_test {
             if let Some(fn_name) = input.scopes.fn_name(idx) {
-                if hot_entries.iter().any(|e| e.matches(input.path, fn_name)) {
+                if hot_path.iter().any(|e| e.matches(input.path, fn_name)) {
                     let next_is_bang = c + 1 < code.len() && punct_eq(c + 1, "!");
                     let prev_is_dot = c > 0 && punct_eq(c - 1, ".");
                     let next_is_path_new = c + 3 < code.len()
@@ -291,68 +215,6 @@ pub fn run_all(
                             format!("allocating token {what} in hot-path fn `{fn_name}`"),
                         );
                     }
-                }
-            }
-        }
-
-        // --- panic-surface ------------------------------------------------
-        if !in_test && !panic_skipped {
-            let next_is_bang = c + 1 < code.len() && punct_eq(c + 1, "!");
-            let prev_is_dot = c > 0 && punct_eq(c - 1, ".");
-            let hit = match text {
-                "unwrap" | "expect" if prev_is_dot => true,
-                "panic" | "todo" | "unimplemented" if next_is_bang => true,
-                _ => false,
-            };
-            if hit {
-                log.panic.insert((input.path.to_string(), text.to_string()));
-                if !allowed(&config.panic_allow, input.path, text) {
-                    let what = if prev_is_dot {
-                        format!("`.{text}()`")
-                    } else {
-                        format!("`{text}!`")
-                    };
-                    push(
-                        findings,
-                        tok.line,
-                        PANIC,
-                        format!(
-                            "{what} on the non-test library panic surface \
-                             (return an error, or allowlist in lint.toml with a reason)"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // --- determinism --------------------------------------------------
-        if determinism_scoped && !in_test {
-            let next_is_now = c + 3 < code.len()
-                && punct_eq(c + 1, ":")
-                && punct_eq(c + 2, ":")
-                && ident_eq(c + 3, "now");
-            let hit = match text {
-                "SystemTime" | "Instant" if next_is_now => {
-                    Some(format!("`{text}::now` reads the wall clock"))
-                }
-                "HashMap" | "HashSet" => {
-                    Some(format!("`{text}` has nondeterministic iteration order"))
-                }
-                _ => None,
-            };
-            if let Some(why) = hit {
-                log.determinism
-                    .insert((input.path.to_string(), text.to_string()));
-                if !allowed(&config.determinism_allow, input.path, text) {
-                    push(
-                        findings,
-                        tok.line,
-                        DETERMINISM,
-                        format!(
-                            "{why}; this module feeds pinned fixed-seed artifacts \
-                             (use BTreeMap/BTreeSet or sim time, or allowlist with a reason)"
-                        ),
-                    );
                 }
             }
         }
@@ -385,53 +247,76 @@ pub fn run_all(
     }
 
     // --- unsafe-forbid ----------------------------------------------------
-    if input.is_crate_root && !has_forbid_unsafe(input.src, input.tokens, &code) {
-        push(
-            findings,
-            1,
-            UNSAFE_FORBID,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        );
+    if input.is_crate_root {
+        let forbidden = inner_attr_idents(input.src, input.tokens, &code, "forbid");
+        if !forbidden.contains("unsafe_code") {
+            push(
+                findings,
+                1,
+                UNSAFE_FORBID,
+                "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+            );
+        }
+        let denied = inner_attr_idents(input.src, input.tokens, &code, "deny");
+        let missing: Vec<String> = PANIC_GATE
+            .iter()
+            .filter(|lint| !denied.contains(*lint))
+            .map(|lint| format!("clippy::{lint}"))
+            .collect();
+        if !missing.is_empty() {
+            push(
+                findings,
+                1,
+                UNSAFE_FORBID,
+                format!(
+                    "crate root does not deny {}; clippy only gates the panic surface \
+                     where the root says `#![deny(...)]`",
+                    missing.join(", ")
+                ),
+            );
+        }
     }
 }
 
-/// Does the token stream contain an inner `#![forbid(..., unsafe_code, ...)]`
-/// attribute?
-fn has_forbid_unsafe(src: &str, tokens: &[Token], code: &[usize]) -> bool {
-    for c in 0..code.len() {
-        let at = |k: usize| &tokens[code[k]];
-        if !(at(c).kind == TokenKind::Punct && at(c).text(src) == "#") {
+/// The clippy lints every crate root must deny: together they are the
+/// library panic surface (`unwrap`, `expect`, `panic!`, `todo!`,
+/// `unimplemented!`). Excused sites carry `#[expect(..., reason = "...")]`.
+pub const PANIC_GATE: [&str; 5] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+];
+
+/// Every identifier inside the file's inner `#![level(...)]` attributes.
+fn inner_attr_idents<'s>(
+    src: &'s str,
+    tokens: &[Token],
+    code: &[usize],
+    level: &str,
+) -> BTreeSet<&'s str> {
+    let at = |k: usize| &tokens[code[k]];
+    let is = |k: usize, kind: TokenKind, text: &str| at(k).kind == kind && at(k).text(src) == text;
+    let mut idents = BTreeSet::new();
+    for c in 0..code.len().saturating_sub(3) {
+        let opens = is(c, TokenKind::Punct, "#")
+            && is(c + 1, TokenKind::Punct, "!")
+            && is(c + 2, TokenKind::Punct, "[")
+            && is(c + 3, TokenKind::Ident, level);
+        if !opens {
             continue;
         }
-        if c + 2 >= code.len()
-            || !(at(c + 1).kind == TokenKind::Punct && at(c + 1).text(src) == "!")
-            || !(at(c + 2).kind == TokenKind::Punct && at(c + 2).text(src) == "[")
-        {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut saw_forbid = false;
-        let mut saw_unsafe_code = false;
-        for k in (c + 2)..code.len() {
-            let t = at(k);
-            match (t.kind, t.text(src)) {
-                (TokenKind::Punct, "[") => depth += 1,
-                (TokenKind::Punct, "]") => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                (TokenKind::Ident, "forbid") => saw_forbid = true,
-                (TokenKind::Ident, "unsafe_code") => saw_unsafe_code = true,
-                _ => {}
+        for k in (c + 4)..code.len() {
+            if is(k, TokenKind::Punct, "]") {
+                break;
+            }
+            if at(k).kind == TokenKind::Ident {
+                idents.insert(at(k).text(src));
             }
         }
-        if saw_forbid && saw_unsafe_code {
-            return true;
-        }
     }
-    false
+    idents
 }
 
 #[cfg(test)]
@@ -439,6 +324,8 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::scope;
+
+    const HOT_PATH_FNS: [&str; 2] = ["schedule_batch_into", "a/special.rs::snapshot_into"];
 
     fn run(path: &str, src: &str, config: &Config) -> Vec<Finding> {
         let tokens = lex(src);
@@ -450,20 +337,15 @@ mod tests {
             scopes: &scopes,
             is_crate_root: path.ends_with("src/lib.rs"),
         };
+        let hot_path: Vec<FnSpec<'_>> = HOT_PATH_FNS.iter().map(|raw| FnSpec::parse(raw)).collect();
         let mut findings = Vec::new();
-        let mut log = SiteLog::default();
-        run_all(&input, config, &mut findings, &mut log);
+        run_all(&input, config, &hot_path, &mut findings);
         findings
     }
 
     fn config() -> Config {
         Config {
             include: vec!["crates".into()],
-            hot_path_functions: vec![
-                "schedule_batch_into".into(),
-                "a/special.rs::snapshot_into".into(),
-            ],
-            determinism_modules: vec!["crates/experiments/src".into()],
             protocol_files: vec!["crates/telemetry/src/publish.rs".into()],
             ..Default::default()
         }
@@ -533,108 +415,65 @@ fn cold_path() {
     }
 
     #[test]
-    fn panic_surface_bans_and_allowlists() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        let findings = run("crates/x/src/lib.rs", src, &config());
-        assert!(findings.iter().any(|f| f.lint == PANIC));
-
-        let mut allowing = config();
-        allowing.panic_allow.push(AllowEntry {
-            file: "crates/x/src/lib.rs".into(),
-            token: "unwrap".into(),
-            reason: "test allow".into(),
-            line: 1,
-        });
-        let findings = run("crates/x/src/lib.rs", src, &allowing);
-        assert!(!findings.iter().any(|f| f.lint == PANIC));
-    }
-
-    #[test]
-    fn panic_surface_skips_test_code() {
-        let src = "#[cfg(test)] mod tests { fn h() { None::<u32>.unwrap(); panic!(\"x\"); } }";
-        let findings = run("crates/x/src/lib.rs", src, &config());
-        assert!(!findings.iter().any(|f| f.lint == PANIC));
-        let in_tests_dir = run(
-            "tests/integration.rs",
-            "fn f() { None::<u32>.unwrap(); }",
+    fn unsafe_forbid_on_crate_roots_only() {
+        const GATED: &str = "#![forbid(unsafe_code)]\n\
+            #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+            clippy::todo, clippy::unimplemented)]\n";
+        let gated = run(
+            "crates/x/src/lib.rs",
+            &format!("{GATED}pub fn f() {{}}"),
             &config(),
         );
-        assert!(!in_tests_dir.iter().any(|f| f.lint == PANIC));
-    }
+        assert!(!gated.iter().any(|f| f.lint == UNSAFE_FORBID), "{gated:?}");
 
-    #[test]
-    fn determinism_scoped_to_modules() {
-        let src =
-            "fn f() { let t = Instant::now(); let m: HashMap<u32, u32> = HashMap::default(); }";
-        let scoped = run("crates/experiments/src/lib.rs", src, &config());
-        assert!(scoped
-            .iter()
-            .any(|f| f.lint == DETERMINISM && f.message.contains("Instant")));
-        assert!(scoped
-            .iter()
-            .any(|f| f.lint == DETERMINISM && f.message.contains("HashMap")));
-        let unscoped = run("crates/core/src/lib.rs", src, &config());
-        assert!(!unscoped.iter().any(|f| f.lint == DETERMINISM));
-    }
+        // A bare root misses both gates: one finding each.
+        let bare = run("crates/x/src/lib.rs", "pub fn f() {}", &config());
+        assert_eq!(
+            bare.iter().filter(|f| f.lint == UNSAFE_FORBID).count(),
+            2,
+            "{bare:?}"
+        );
 
-    #[test]
-    fn stale_allow_entries_are_findings() {
-        let mut config = config();
-        config.panic_allow.push(AllowEntry {
-            file: "crates/x/src/lib.rs".into(),
-            token: "unwrap".into(),
-            reason: "live entry".into(),
-            line: 10,
-        });
-        config.panic_allow.push(AllowEntry {
-            file: "crates/x/src/lib.rs".into(),
-            token: "expect".into(),
-            reason: "nothing matches this".into(),
-            line: 20,
-        });
-        config.determinism_allow.push(AllowEntry {
-            file: "crates/experiments/src/lib.rs".into(),
-            token: "Instant".into(),
-            reason: "no Instant in scope".into(),
-            line: 30,
-        });
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        let tokens = lex(src);
-        let scopes = scope::analyze(src, &tokens, false);
-        let input = FileInput {
-            path: "crates/x/src/lib.rs",
-            src,
-            tokens: &tokens,
-            scopes: &scopes,
-            is_crate_root: false,
-        };
-        let mut findings = Vec::new();
-        let mut log = SiteLog::default();
-        run_all(&input, &config, &mut findings, &mut log);
-        stale_allow_findings(&config, &log, &mut findings);
-        let stale: Vec<&Finding> = findings.iter().filter(|f| f.lint == STALE_ALLOW).collect();
-        assert_eq!(stale.len(), 2, "{stale:?}");
-        assert!(stale
-            .iter()
-            .any(|f| f.line == 20 && f.message.contains("panic.allow")));
-        assert!(stale
-            .iter()
-            .any(|f| f.line == 30 && f.message.contains("determinism.allow")));
-        // The live unwrap entry is not flagged even though it suppressed
-        // its finding.
-        assert!(!findings.iter().any(|f| f.lint == PANIC));
-    }
-
-    #[test]
-    fn unsafe_forbid_on_crate_roots_only() {
-        let missing = run("crates/x/src/lib.rs", "pub fn f() {}", &config());
-        assert!(missing.iter().any(|f| f.lint == UNSAFE_FORBID));
-        let present = run(
+        // The forbid line alone leaves the panic surface ungated.
+        let no_deny = run(
             "crates/x/src/lib.rs",
             "#![forbid(unsafe_code)]\npub fn f() {}",
             &config(),
         );
-        assert!(!present.iter().any(|f| f.lint == UNSAFE_FORBID));
+        let found: Vec<&Finding> = no_deny.iter().filter(|f| f.lint == UNSAFE_FORBID).collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].message.contains("clippy::unwrap_used"),
+            "{}",
+            found[0].message
+        );
+
+        // A deny line that drops one lint names exactly that lint; split
+        // deny lines count as one gate.
+        let partial = run(
+            "crates/x/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]\n",
+            &config(),
+        );
+        let found: Vec<&Finding> = partial.iter().filter(|f| f.lint == UNSAFE_FORBID).collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0]
+                .message
+                .contains("does not deny clippy::unimplemented;"),
+            "{}",
+            found[0].message
+        );
+        let split = run(
+            "crates/x/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             #![deny(clippy::unwrap_used, clippy::expect_used)]\n\
+             #![deny(clippy::panic, clippy::todo, clippy::unimplemented)]\n",
+            &config(),
+        );
+        assert!(!split.iter().any(|f| f.lint == UNSAFE_FORBID), "{split:?}");
+
         let non_root = run("crates/x/src/util.rs", "pub fn f() {}", &config());
         assert!(!non_root.iter().any(|f| f.lint == UNSAFE_FORBID));
     }

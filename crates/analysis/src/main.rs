@@ -1,11 +1,17 @@
 //! CLI for the workspace invariant analyzer.
 //!
 //! Usage:
-//!   `cargo run -p analysis --release -- check [--root DIR] [--config FILE]
-//!    [--baseline FILE]`
+//!   `cargo run -p analysis --release -- check [--root DIR] [--config FILE]`
 //!   `cargo run -p analysis --release -- graph [--root DIR] [--config FILE]
 //!    [--why SPEC] [--roots SPEC,...]`
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use analysis::{config::Config, engine, reach};
 use std::path::PathBuf;
@@ -13,13 +19,13 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: analysis check [--root DIR] [--config FILE] [--baseline FILE]\n\
+        "usage: analysis check [--root DIR] [--config FILE]\n\
          \x20      analysis graph [--root DIR] [--config FILE] [--why SPEC] [--roots SPEC,...]\n\
          \n\
          check  Lints the workspace: atomics discipline, hot-path allocations,\n\
-         \x20      panic surface, determinism, #![forbid(unsafe_code)] coverage,\n\
-         \x20      and the call-graph lints (hot-path-closure, panic-reachability,\n\
-         \x20      blocking-on-read-path, stale-allowlist).\n\
+         \x20      the crate-root gates (#![forbid(unsafe_code)] and the clippy\n\
+         \x20      panic-surface deny line), and the call-graph lints\n\
+         \x20      (hot-path-closure, panic-reachability, blocking-on-read-path).\n\
          graph  Dumps the derived hot-path closure, or explains why one fn\n\
          \x20      (`--why path::fn_name` or a bare name) is reachable via its\n\
          \x20      call chain. `--roots` overrides the configured roots.\n\
@@ -34,7 +40,6 @@ struct Cli {
     command: &'static str,
     root: PathBuf,
     config: Config,
-    baseline_file: PathBuf,
     why: Option<String>,
     roots_override: Option<Vec<String>>,
 }
@@ -44,7 +49,6 @@ fn parse_cli() -> Result<Cli, ExitCode> {
     let mut command = None;
     let mut root = None;
     let mut config_path = None;
-    let mut baseline_path = None;
     let mut why = None;
     let mut roots_override = None;
     let mut it = args.iter();
@@ -54,7 +58,6 @@ fn parse_cli() -> Result<Cli, ExitCode> {
             "graph" if command.is_none() => command = Some("graph"),
             "--root" => root = it.next().cloned(),
             "--config" => config_path = it.next().cloned(),
-            "--baseline" => baseline_path = it.next().cloned(),
             "--why" => why = it.next().cloned(),
             "--roots" => {
                 roots_override = it
@@ -78,9 +81,6 @@ fn parse_cli() -> Result<Cli, ExitCode> {
     let config_file = config_path
         .map(PathBuf::from)
         .unwrap_or_else(|| root.join("lint.toml"));
-    let baseline_file = baseline_path
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("lint.baseline"));
 
     let config_text = match std::fs::read_to_string(&config_file) {
         Ok(text) => text,
@@ -100,37 +100,25 @@ fn parse_cli() -> Result<Cli, ExitCode> {
         command,
         root,
         config,
-        baseline_file,
         why,
         roots_override,
     })
 }
 
 fn run_check(cli: &Cli) -> ExitCode {
-    let baseline = match engine::load_baseline(&cli.baseline_file) {
-        Ok(baseline) => baseline,
-        Err(e) => {
-            eprintln!("analysis: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match engine::check(&cli.root, &cli.config, &baseline) {
+    match engine::check(&cli.root, &cli.config) {
         Ok(report) => {
             for finding in &report.findings {
                 println!("{}", finding.render());
             }
             if report.findings.is_empty() {
-                println!(
-                    "analysis: clean — {} files scanned, {} baseline-suppressed",
-                    report.files_scanned, report.suppressed
-                );
+                println!("analysis: clean — {} files scanned", report.files_scanned);
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "analysis: {} finding(s) across {} files scanned ({} baseline-suppressed)",
+                    "analysis: {} finding(s) across {} files scanned",
                     report.findings.len(),
-                    report.files_scanned,
-                    report.suppressed
+                    report.files_scanned
                 );
                 ExitCode::from(1)
             }
@@ -157,11 +145,7 @@ fn run_graph(cli: &Cli) -> ExitCode {
         Some(roots) => (roots.clone(), Vec::new()),
         None => (
             cli.config.hot_path_roots.clone(),
-            cli.config
-                .hot_path_stops
-                .iter()
-                .map(|s| s.function.clone())
-                .collect(),
+            cli.config.hot_path_stop_specs(),
         ),
     };
     if roots.is_empty() {

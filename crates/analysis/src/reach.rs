@@ -5,20 +5,17 @@
 //! membership be *explained* as a call chain, which the lints print so a
 //! finding is an argument, not an assertion. Three lints consume closures:
 //!
-//! - **hot-path-closure** — the allocation-free set is derived from the
-//!   roots and diffed against the `[hot_path] functions` manifest in both
-//!   directions, turning the manifest from an assertion into a checked
-//!   projection (pins cover entries enforced beyond derivability).
-//! - **panic-reachability** — every panic site reachable from the decision
-//!   roots is reported with its chain; allowlist entries covering reachable
-//!   sites must carry a `hot-path:` justification tier.
+//! - **hot-path-closure** — every root and stop spec that the derived
+//!   allocation-free set is built from resolves to a fn.
+//! - **panic-reachability** — no panic site is reachable from the decision
+//!   roots; each one that is gets reported with its chain.
 //! - **blocking-on-read-path** — `Mutex::lock`/`RwLock`/channel `recv` must
 //!   be unreachable from the published-snapshot decision path, statically
 //!   proving the epoch-read guarantee.
 
-use crate::config::{Config, StopEntry};
+use crate::config::Config;
 use crate::graph::{CallGraph, SiteKind};
-use crate::items::{FnSpec, ItemIndex};
+use crate::items::ItemIndex;
 use crate::lints::Finding;
 use std::collections::BTreeSet;
 
@@ -58,8 +55,7 @@ impl Reach {
         chain
     }
 
-    /// The chain rendered as `a -> b -> c` display names. Line-agnostic, so
-    /// safe to embed in baseline-keyed finding messages.
+    /// The chain rendered as `a -> b -> c` display names.
     pub fn chain_text(&self, index: &ItemIndex, idx: u32) -> String {
         self.chain(idx)
             .iter()
@@ -115,7 +111,7 @@ pub fn run_graph_lints(
     findings: &mut Vec<Finding>,
 ) {
     if !config.hot_path_roots.is_empty() {
-        hot_path_closure(index, graph, config, findings);
+        hot_path_closure(index, config, findings);
         panic_reachability(index, graph, config, findings);
     }
     if !config.read_path_roots.is_empty() {
@@ -132,59 +128,32 @@ fn push(findings: &mut Vec<Finding>, file: &str, line: u32, lint: &'static str, 
     });
 }
 
-/// Every root/stop spec must resolve to at least one fn — a spec that
-/// matches nothing is rot, exactly what derivation exists to prevent.
-fn check_specs_resolve(
+/// Every root spec must resolve to at least one fn — a root that matches
+/// nothing proves nothing.
+fn check_roots_resolve(
     index: &ItemIndex,
     lint: &'static str,
-    what: &str,
-    specs: &[String],
+    roots: &[String],
     findings: &mut Vec<Finding>,
 ) {
-    for spec in specs {
-        if index.find_spec(spec).is_empty() {
+    for root in roots {
+        if index.find_spec(root).is_empty() {
             push(
                 findings,
                 "lint.toml",
                 1,
                 lint,
-                format!("{what} `{spec}` matches no fn in the workspace"),
+                format!("root `{root}` matches no fn in the workspace"),
             );
         }
     }
-}
-
-fn check_stops_resolve(
-    index: &ItemIndex,
-    lint: &'static str,
-    stops: &[StopEntry],
-    findings: &mut Vec<Finding>,
-) {
-    for stop in stops {
-        if index.find_spec(&stop.function).is_empty() {
-            push(
-                findings,
-                "lint.toml",
-                stop.line,
-                lint,
-                format!(
-                    "stop entry `{}` matches no fn in the workspace",
-                    stop.function
-                ),
-            );
-        }
-    }
-}
-
-fn stop_specs(stops: &[StopEntry]) -> Vec<String> {
-    stops.iter().map(|s| s.function.clone()).collect()
 }
 
 /// The derived allocation-free set: every fn in the stopped closure from
 /// the hot-path roots, as exact `file::name` specs. The engine feeds these
 /// into the hot-path-alloc token lint, so the enforcement set is *derived*
 /// from the call graph — a refactor that adds a callee extends enforcement
-/// automatically instead of silently rotting a hand-kept manifest.
+/// automatically instead of silently rotting a hand-kept list.
 pub fn derived_hot_specs(index: &ItemIndex, graph: &CallGraph, config: &Config) -> Vec<String> {
     if config.hot_path_roots.is_empty() {
         return Vec::new();
@@ -193,7 +162,7 @@ pub fn derived_hot_specs(index: &ItemIndex, graph: &CallGraph, config: &Config) 
         index,
         graph,
         &config.hot_path_roots,
-        &stop_specs(&config.hot_path_stops),
+        &config.hot_path_stop_specs(),
     );
     let mut specs: Vec<String> = reach
         .members
@@ -205,129 +174,57 @@ pub fn derived_hot_specs(index: &ItemIndex, graph: &CallGraph, config: &Config) 
     specs
 }
 
-/// Keep the manifest coherent with the derivation: `functions` entries must
-/// be derivable (derivation enforces them anyway — a non-derivable entry is
-/// rot or belongs under pins), pins must NOT be derivable (a derivable pin
-/// is redundant), and every root/stop/pin spec must resolve.
-fn hot_path_closure(
-    index: &ItemIndex,
-    graph: &CallGraph,
-    config: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    check_specs_resolve(index, HOT_CLOSURE, "root", &config.hot_path_roots, findings);
-    check_specs_resolve(index, HOT_CLOSURE, "pin", &config.hot_path_pins, findings);
-    check_stops_resolve(index, HOT_CLOSURE, &config.hot_path_stops, findings);
-    let reach = closure(
-        index,
-        graph,
-        &config.hot_path_roots,
-        &stop_specs(&config.hot_path_stops),
-    );
-    let derivable = |raw: &str| {
-        let spec = FnSpec::parse(raw);
-        reach
-            .members
-            .iter()
-            .any(|&i| spec.matches_item(&index.fns[i as usize]))
-    };
-    for raw in &config.hot_path_functions {
-        if !derivable(raw) {
+/// Every root and stop spec the derived hot-path closure is built from must
+/// resolve: a spec that matches nothing silently shrinks what is enforced.
+fn hot_path_closure(index: &ItemIndex, config: &Config, findings: &mut Vec<Finding>) {
+    check_roots_resolve(index, HOT_CLOSURE, &config.hot_path_roots, findings);
+    for stop in &config.hot_path_stops {
+        if index.find_spec(&stop.function).is_empty() {
             push(
                 findings,
                 "lint.toml",
-                config.hot_path_line,
+                stop.line,
                 HOT_CLOSURE,
                 format!(
-                    "stale [hot_path] entry `{raw}`: not reachable from the roots \
-                     (remove it, or move it to pins with a reason)"
+                    "stop entry `{}` matches no fn in the workspace",
+                    stop.function
                 ),
-            );
-        }
-    }
-    for pin in &config.hot_path_pins {
-        if derivable(pin) {
-            push(
-                findings,
-                "lint.toml",
-                config.hot_path_line,
-                HOT_CLOSURE,
-                format!("pin `{pin}` is derivable from the roots; drop the pin"),
             );
         }
     }
 }
 
-/// Report reachable panic sites with chains; reachable allowlist coverage
-/// must be justified at the `hot-path:` tier.
+/// Report every panic site reachable from the decision roots, with its
+/// chain. The closure ignores hot-path stops: a documented cold branch is
+/// still runtime-reachable, and a panic there still kills a decision.
 fn panic_reachability(
     index: &ItemIndex,
     graph: &CallGraph,
     config: &Config,
     findings: &mut Vec<Finding>,
 ) {
-    // The panic closure ignores hot-path stops: a documented cold branch is
-    // still runtime-reachable, and a panic there still kills a decision.
     let reach = closure(index, graph, &config.hot_path_roots, &[]);
-    // One finding per (file, token, fn): a fn with three `expect`s is one
+    // One finding per (token, fn): a fn with three `expect`s is one
     // decision, not three.
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
+    let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
     for &idx in &reach.members {
         let item = &index.fns[idx as usize];
-        if config
-            .panic_skip
-            .iter()
-            .any(|m| item.file.starts_with(&format!("{m}/")) || item.file == *m)
-        {
-            continue;
-        }
         for site in &graph.sites[idx as usize] {
-            if site.kind != SiteKind::Panic {
+            if site.kind != SiteKind::Panic || !seen.insert((site.token.clone(), idx)) {
                 continue;
             }
-            let entry = config
-                .panic_allow
-                .iter()
-                .find(|e| e.token == site.token && crate::items::path_matches(&item.file, &e.file));
-            let key = (item.file.clone(), site.token.clone(), item.name.clone());
-            match entry {
-                None => {
-                    if seen.insert(key) {
-                        push(
-                            findings,
-                            &item.file,
-                            site.line,
-                            PANIC_REACH,
-                            format!(
-                                "`{}` in `{}` is reachable from the decision root \
-                                 ({}); fix it or allowlist it with a `hot-path:` reason",
-                                site.token,
-                                item.name,
-                                reach.chain_text(index, idx)
-                            ),
-                        );
-                    }
-                }
-                Some(entry) if !entry.reason.starts_with("hot-path:") => {
-                    if seen.insert(key) {
-                        push(
-                            findings,
-                            &item.file,
-                            site.line,
-                            PANIC_REACH,
-                            format!(
-                                "allow entry for `{}` in `{}` covers a site reachable \
-                                 from the decision root ({}); its reason must start \
-                                 with `hot-path:`",
-                                site.token,
-                                entry.file,
-                                reach.chain_text(index, idx)
-                            ),
-                        );
-                    }
-                }
-                Some(_) => {}
-            }
+            push(
+                findings,
+                &item.file,
+                site.line,
+                PANIC_REACH,
+                format!(
+                    "`{}` in `{}` is reachable from the decision root ({})",
+                    site.token,
+                    item.name,
+                    reach.chain_text(index, idx)
+                ),
+            );
         }
     }
 }
@@ -339,20 +236,8 @@ fn blocking_on_read_path(
     config: &Config,
     findings: &mut Vec<Finding>,
 ) {
-    check_specs_resolve(
-        index,
-        BLOCKING_READ,
-        "root",
-        &config.read_path_roots,
-        findings,
-    );
-    check_stops_resolve(index, BLOCKING_READ, &config.read_path_stops, findings);
-    let reach = closure(
-        index,
-        graph,
-        &config.read_path_roots,
-        &stop_specs(&config.read_path_stops),
-    );
+    check_roots_resolve(index, BLOCKING_READ, &config.read_path_roots, findings);
+    let reach = closure(index, graph, &config.read_path_roots, &[]);
     let mut matched_allow: BTreeSet<usize> = BTreeSet::new();
     let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
     for &idx in &reach.members {
@@ -406,7 +291,7 @@ fn blocking_on_read_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AllowEntry;
+    use crate::config::{AllowEntry, StopEntry};
     use crate::graph::CallGraph;
     use crate::items::{CrateMap, SourceFile};
     use crate::{lexer, scope};
@@ -492,76 +377,43 @@ mod tests {
             specs,
             vec!["src/a.rs::leaf", "src/a.rs::mid", "src/a.rs::root"]
         );
-        // No roots configured → empty set, token lint keeps manifest-only
-        // behavior (fixtures rely on this).
+        // No roots configured → empty set: nothing is enforced
+        // allocation-free.
         config.hot_path_roots.clear();
         assert!(derived_hot_specs(&index, &graph, &config).is_empty());
     }
 
     #[test]
-    fn hot_closure_flags_manifest_rot() {
-        let (index, graph) = workspace(&[("src/a.rs", CHAIN_SRC)]);
-        let mut config = graph_config();
-        // `mid` is derivable (redundant but harmless — no finding);
-        // `unrelated` is not reachable, so the entry is rot.
-        config.hot_path_functions = vec!["mid".into(), "unrelated".into()];
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        let hot: Vec<&Finding> = findings.iter().filter(|f| f.lint == HOT_CLOSURE).collect();
-        assert_eq!(hot.len(), 1, "{hot:?}");
-        assert!(hot[0]
-            .message
-            .contains("stale [hot_path] entry `unrelated`"));
-        // Moved to pins, the entry is legitimate; a derivable pin is rot.
-        config.hot_path_functions.clear();
-        config.hot_path_pins = vec!["unrelated".into(), "mid".into()];
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        assert!(!findings
-            .iter()
-            .any(|f| f.message.contains("stale [hot_path] entry")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("pin `mid` is derivable")));
-    }
-
-    #[test]
-    fn panic_reachability_reports_chains_and_tiers() {
-        let src = "fn root() { mid(); }\n\
-                   fn mid(x: Option<u32>) { x.unwrap(); }\n\
+    fn panic_reachability_reports_chains() {
+        let src = "fn root() { mid(); cold(); }\n\
+                   fn mid(x: Option<u32>) { x.unwrap(); x.unwrap(); }\n\
+                   fn cold() { panic!(\"cold\"); }\n\
                    fn far(x: Option<u32>) { x.expect(\"m\"); }";
         let (index, graph) = workspace(&[("src/a.rs", src)]);
         let mut config = graph_config();
-        config.hot_path_functions = vec!["root".into(), "mid".into()];
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        let reach: Vec<&Finding> = findings.iter().filter(|f| f.lint == PANIC_REACH).collect();
-        // The unreachable `far` expect is not reported; the reachable
-        // unallowed unwrap is, with its chain.
-        assert_eq!(reach.len(), 1, "{reach:?}");
-        assert!(reach[0].message.contains("root -> mid"));
-
-        // A covering allow entry without the tier prefix is a finding; with
-        // the prefix the site is justified.
-        config.panic_allow.push(AllowEntry {
-            file: "src/a.rs".into(),
-            token: "unwrap".into(),
-            reason: "checked above".into(),
+        config.read_path_roots.clear();
+        // A stop cuts `cold` from the allocation-free set, not from the
+        // panic closure: a cold branch still panics at runtime.
+        config.hot_path_stops.push(StopEntry {
+            function: "cold".into(),
+            reason: "cold branch".into(),
             line: 1,
         });
         let mut findings = Vec::new();
         run_graph_lints(&index, &graph, &config, &mut findings);
-        assert!(findings
-            .iter()
-            .any(|f| f.lint == PANIC_REACH && f.message.contains("hot-path:")));
-        config.panic_allow[0].reason = "hot-path: checked above".into();
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        assert!(!findings.iter().any(|f| f.lint == PANIC_REACH));
+        let reach: Vec<&Finding> = findings.iter().filter(|f| f.lint == PANIC_REACH).collect();
+        // One finding per (token, fn) — the two unwraps in `mid` are one
+        // decision — plus the stopped `panic!`; the unreachable `far` expect
+        // is not reported.
+        assert_eq!(reach.len(), 2, "{reach:?}");
+        assert!(reach[0].message.contains("`unwrap` in `mid`"));
+        assert!(reach[0].message.contains("(root -> mid)"));
+        assert!(reach[1].message.contains("`panic` in `cold`"));
+        assert!(reach[1].message.contains("(root -> cold)"));
     }
 
     #[test]
-    fn blocking_read_path_with_stops_and_allows() {
+    fn blocking_read_path_with_allows() {
         let src = "fn root(m: &M) { fast(); fallback(); }\n\
                    fn fast(m: &M) { m.lock(); }\n\
                    fn fallback(m: &M) { m.recv(); }";
@@ -576,13 +428,8 @@ mod tests {
             .collect();
         assert_eq!(blocked.len(), 2, "{blocked:?}");
 
-        // Stopping the fallback and allowing the bounded lock proves clean;
-        // the allow entry is live, so no stale-allow finding either.
-        config.read_path_stops.push(StopEntry {
-            function: "fallback".into(),
-            reason: "store-backed fallback".into(),
-            line: 1,
-        });
+        // Allowing the bounded lock leaves only the receive; the allow
+        // entry is live, so no stale-allow finding either.
         config.read_path_allow.push(AllowEntry {
             file: "src/a.rs".into(),
             token: "lock".into(),
@@ -591,10 +438,12 @@ mod tests {
         });
         let mut findings = Vec::new();
         run_graph_lints(&index, &graph, &config, &mut findings);
-        assert!(
-            !findings.iter().any(|f| f.lint == BLOCKING_READ),
-            "{findings:?}"
-        );
+        let blocked: Vec<&Finding> = findings
+            .iter()
+            .filter(|f| f.lint == BLOCKING_READ)
+            .collect();
+        assert_eq!(blocked.len(), 1, "{blocked:?}");
+        assert!(blocked[0].message.contains("`recv` in `fallback`"));
 
         // Removing the lock site leaves the allow entry stale.
         config.read_path_allow[0].token = "wait".into();
@@ -611,10 +460,18 @@ mod tests {
         let mut config = graph_config();
         config.read_path_roots.clear();
         config.hot_path_roots = vec!["missing_fn".into()];
+        config.hot_path_stops.push(StopEntry {
+            function: "gone_fn".into(),
+            reason: "renamed away".into(),
+            line: 7,
+        });
         let mut findings = Vec::new();
         run_graph_lints(&index, &graph, &config, &mut findings);
         assert!(findings
             .iter()
             .any(|f| f.message.contains("root `missing_fn` matches no fn")));
+        assert!(findings.iter().any(|f| f.line == 7
+            && f.lint == HOT_CLOSURE
+            && f.message.contains("stop entry `gone_fn` matches no fn")));
     }
 }

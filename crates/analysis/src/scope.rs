@@ -1,7 +1,7 @@
 //! Scope tracking over the token stream.
 //!
 //! Lints need context the lexer alone cannot give them: the name of the
-//! enclosing `fn` item (for the hot-path manifest), whether a token sits in
+//! enclosing `fn` item (for the hot-path set), whether a token sits in
 //! test code (`#[test]` functions, `#[cfg(test)]` modules and impls, or files
 //! under `tests/` / `benches/` / `examples/`), and — for the call-graph
 //! passes — the full declaration facts of every `fn` item: its `impl`/trait

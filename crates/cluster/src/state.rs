@@ -287,6 +287,10 @@ impl ClusterState {
     }
 
     /// Mark a running pod as finished, releasing its resources.
+    #[expect(
+        clippy::expect_used,
+        reason = "a running pod is always bound, and the phase is checked just above"
+    )]
     pub fn complete_pod(
         &mut self,
         id: PodId,

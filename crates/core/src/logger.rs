@@ -104,6 +104,10 @@ impl ExecutionLogger {
     /// Convert the log into a training dataset: each record's feature slice
     /// is appended straight into the dataset's contiguous matrix, with no
     /// intermediate row-of-`Vec`s copy.
+    #[expect(
+        clippy::expect_used,
+        reason = "the guarding `if` compares the row width against the schema"
+    )]
     pub fn to_dataset(&self) -> Dataset {
         let mut data = Dataset::new(self.schema.names().to_vec());
         for record in &self.records {
@@ -140,6 +144,10 @@ impl ExecutionLogger {
     }
 
     /// Serialize to JSON (records + schema).
+    #[expect(
+        clippy::expect_used,
+        reason = "serde serialization of plain data structs cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("logger serialization cannot fail")
     }

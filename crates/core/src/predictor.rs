@@ -214,6 +214,10 @@ impl CompletionTimePredictor {
     }
 
     /// Serialize (schema + model) to JSON for persistence.
+    #[expect(
+        clippy::expect_used,
+        reason = "serde serialization of plain data structs cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("predictor serialization cannot fail")
     }

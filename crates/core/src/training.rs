@@ -61,6 +61,10 @@ impl TrainingPipeline {
     }
 
     /// Train one model family on a dataset.
+    #[expect(
+        clippy::expect_used,
+        reason = "the training pipeline builds dataset and schema from the same source"
+    )]
     pub fn train_one(&self, kind: ModelKind, data: &Dataset, rng: &mut Rng) -> TrainingOutcome {
         let (train, holdout) = data.train_test_split(self.holdout_fraction, rng);
         let model = TrainedModel::train(kind, &self.model_config, &train, rng);

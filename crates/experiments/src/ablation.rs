@@ -48,6 +48,10 @@ pub fn ablation_markdown(title: &str, rows: &[AblationRow]) -> String {
 
 /// Evaluate Top-1/Top-2 of one model trained with a specific schema over the
 /// dataset's scenarios (scenario-level train/test split).
+#[expect(
+    clippy::expect_used,
+    reason = "feature rows and the predictor share one schema by construction; a width mismatch is a bug worth aborting the experiment"
+)]
 fn evaluate_with_schema(
     dataset: &ExperimentDataset,
     schema: &FeatureSchema,

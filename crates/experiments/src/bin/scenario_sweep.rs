@@ -42,6 +42,10 @@ fn main() {
         matrix.seeds.len(),
         options.workers,
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing is printed to stderr only and never reaches the pinned artifact"
+    )]
     let start = std::time::Instant::now();
     let report = run_sweep(&matrix, &options);
     eprintln!(

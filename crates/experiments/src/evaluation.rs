@@ -207,6 +207,10 @@ fn picked_completion(scenario: &ScenarioRecord, ranking: &[String]) -> Option<f6
 }
 
 /// Per-method speedup over the default scheduler's picks.
+#[expect(
+    clippy::expect_used,
+    reason = "the default scheduler is unconditionally evaluated first"
+)]
 fn speedups_from(methods: &[MethodRankings], scenarios: &[&ScenarioRecord]) -> Vec<MethodSpeedup> {
     let default = methods
         .iter()
@@ -251,6 +255,10 @@ fn speedups_from(methods: &[MethodRankings], scenarios: &[&ScenarioRecord]) -> V
 /// Run the full per-cell evaluation pipeline: split scenarios, train the
 /// three supervised models, rank every held-out scenario with every method,
 /// and score Top-1/Top-2 accuracy plus speedup over the default scheduler.
+#[expect(
+    clippy::expect_used,
+    reason = "experiment datasets are built from their own schema, so widths agree by construction"
+)]
 pub fn evaluate_cell(
     dataset: &ExperimentDataset,
     test_fraction: f64,

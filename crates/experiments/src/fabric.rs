@@ -99,6 +99,10 @@ impl FabricTestbed {
         Self::build(FabricConfig::default())
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the hard-coded paper topology is connected; failing to build it is a programming error"
+    )]
     fn build_topology(config: &FabricConfig) -> Topology {
         let mut b = TopologyBuilder::new();
         let lan_delay = SimDuration::from_micros(150);

@@ -76,6 +76,10 @@ impl SortTelemetryFigures {
 
 /// Run `runs` Sort executions (with background contention) and aggregate the
 /// per-node telemetry of Figures 2 and 3.
+#[expect(
+    clippy::expect_used,
+    reason = "node names are drawn from the same world the figure iterates over"
+)]
 pub fn sort_telemetry_figures(runs: usize, input_records: u64, seed: u64) -> SortTelemetryFigures {
     let mut world = SimWorld::new(FabricTestbed::paper(), seed);
     world.place_background_load(2, &BackgroundLoadConfig::default());

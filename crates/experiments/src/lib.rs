@@ -31,6 +31,13 @@
 //!   binaries (one binary per table/figure, see `src/bin/`).
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod ablation;

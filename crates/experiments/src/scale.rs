@@ -67,6 +67,10 @@ pub struct ScaleWorld {
 
 impl ScaleWorld {
     /// Build the world. Deterministic in the spec.
+    #[expect(
+        clippy::expect_used,
+        reason = "clos topologies are connected by construction, and background pods are sized to fit an empty node"
+    )]
     pub fn build(spec: ScaleWorldSpec) -> Self {
         let clos = TieredClosSpec::with_total_nodes(spec.nodes);
         let nodes_per_rack = clos.nodes_per_rack;
@@ -188,6 +192,10 @@ impl ScaleWorld {
 /// random forest fitted on a quick FABRIC-slice dataset (the scale worlds
 /// share the feature schema, so the model transfers; what runs at this scale
 /// is the decision path, not an accuracy study).
+#[expect(
+    clippy::expect_used,
+    reason = "the scale predictor is trained on a dataset built from its own schema"
+)]
 pub fn train_scale_predictor(seed: u64) -> CompletionTimePredictor {
     use crate::workflow::{ExperimentConfig, Workflow};
     let dataset = Workflow::new(ExperimentConfig::quick(3, 2, seed)).run();

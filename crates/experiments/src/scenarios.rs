@@ -112,6 +112,10 @@ impl TestbedSpec {
     }
 
     /// Build the substrate.
+    #[expect(
+        clippy::expect_used,
+        reason = "generated topologies are connected by construction"
+    )]
     pub fn build(&self) -> Testbed {
         match self {
             TestbedSpec::Fabric(config) => {
@@ -504,6 +508,10 @@ impl SweepReport {
     }
 
     /// Serialize to JSON (the `results/scenario_sweep.json` artifact).
+    #[expect(
+        clippy::expect_used,
+        reason = "serde serialization of plain data structs cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("sweep report serialization cannot fail")
     }

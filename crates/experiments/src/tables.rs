@@ -130,6 +130,10 @@ pub struct TrainingSampleRow {
 
 /// Produce one representative training sample by running a Sort job on a
 /// lightly contended cluster (mirrors the example row in the paper's Table 3).
+#[expect(
+    clippy::expect_used,
+    reason = "the sample job is sized to fit the sample world; an infeasible run is a setup bug"
+)]
 pub fn table3_sample(seed: u64) -> TrainingSampleRow {
     let mut world = SimWorld::new(FabricTestbed::paper(), seed);
     world.place_background_load(1, &BackgroundLoadConfig::default());

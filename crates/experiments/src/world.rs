@@ -338,6 +338,10 @@ impl SimWorld {
     ///
     /// Returns `None` when the driver or an executor cannot be bound (no
     /// feasible capacity), which the workflow treats as an infeasible sample.
+    #[expect(
+        clippy::expect_used,
+        reason = "driver and executor nodes were bound by the same scheduling step that produced their names"
+    )]
     pub fn run_job(&mut self, request: &JobRequest, driver_node: &str) -> Option<WorldRunOutcome> {
         let pre_run_snapshot = self.snapshot();
         let spec = request.to_job_spec();

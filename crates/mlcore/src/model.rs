@@ -241,6 +241,10 @@ impl TrainedModel {
     }
 
     /// Serialize to a JSON string (for saving a trained scheduler model).
+    #[expect(
+        clippy::expect_used,
+        reason = "serde serialization of plain data structs cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serialization cannot fail")
     }

@@ -31,6 +31,10 @@ pub fn default_workers() -> usize {
 /// per index. Work is distributed dynamically via an atomic cursor, so uneven
 /// per-item cost (e.g. simulation replications of different lengths) balances
 /// automatically.
+#[expect(
+    clippy::expect_used,
+    reason = "the cursor hands out every index below n exactly once, and a worker panic re-raises at the scope before the slots are read"
+)]
 pub fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,

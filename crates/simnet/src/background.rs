@@ -128,6 +128,10 @@ impl BackgroundLoadGenerator {
 /// Randomly place `count` background pods on distinct hosts drawn from
 /// `candidates`, each downloading from a uniformly random *other* node.
 /// Mirrors the paper's "placed randomly on selected nodes" procedure.
+#[expect(
+    clippy::expect_used,
+    reason = "the node list is non-empty whenever background traffic is generated"
+)]
 pub fn place_random_background_load(
     candidates: &[NodeId],
     all_nodes: &[NodeId],

@@ -11,7 +11,7 @@
 //! bandwidth, and contention from background traffic.
 
 use crate::topology::Resource;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One flow's demand as seen by the allocator.
 #[derive(Debug, Clone)]
@@ -33,6 +33,10 @@ pub struct FlowDemand {
 /// Returns a vector of rates aligned with `demands` (by position, not by
 /// `index`). Flows with an empty resource list (loopback transfers) receive
 /// their rate cap, or a very large rate if uncapped.
+#[expect(
+    clippy::expect_used,
+    reason = "the crossing map is seeded with every resource before the water-filling loop"
+)]
 pub fn max_min_fair_rates<F>(demands: &[FlowDemand], capacity_of: F) -> Vec<f64>
 where
     F: Fn(Resource) -> f64,
@@ -45,7 +49,7 @@ where
     }
 
     // Collect the resources actually in use and their remaining capacity.
-    let mut remaining: HashMap<Resource, f64> = HashMap::new();
+    let mut remaining: BTreeMap<Resource, f64> = BTreeMap::new();
     for d in demands {
         for &r in &d.resources {
             remaining
@@ -55,7 +59,7 @@ where
     }
 
     // Number of unfrozen flows crossing each resource.
-    let mut crossing: HashMap<Resource, usize> = HashMap::new();
+    let mut crossing: BTreeMap<Resource, usize> = BTreeMap::new();
     for d in demands {
         for &r in &d.resources {
             *crossing.entry(r).or_insert(0) += 1;
@@ -291,7 +295,7 @@ mod tests {
             assert!(r <= d.rate_cap + 1e-6);
         }
         // No resource oversubscribed.
-        let mut usage: HashMap<Resource, f64> = HashMap::new();
+        let mut usage: BTreeMap<Resource, f64> = BTreeMap::new();
         for (d, &r) in demands.iter().zip(rates) {
             for &res in &d.resources {
                 *usage.entry(res).or_insert(0.0) += r;

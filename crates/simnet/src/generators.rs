@@ -440,7 +440,7 @@ mod tests {
     use crate::fairness::{max_min_fair_rates, FlowDemand};
     use crate::topology::{NodeId, Resource};
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// The four default family members.
     fn default_specs() -> Vec<TopologySpec> {
@@ -669,7 +669,7 @@ mod tests {
                 })
                 .collect();
             let rates = max_min_fair_rates(&demands, |r| topo.resource_capacity(r));
-            let mut usage: HashMap<Resource, f64> = HashMap::new();
+            let mut usage: BTreeMap<Resource, f64> = BTreeMap::new();
             for (d, &rate) in demands.iter().zip(&rates) {
                 prop_assert!(rate >= 0.0);
                 if !d.resources.is_empty() {

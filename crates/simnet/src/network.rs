@@ -6,6 +6,11 @@
 //! bytes) and exposes instantaneous per-node rates and per-resource
 //! utilization — exactly the signals the telemetry exporters scrape.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "flows and utilization are only looked up by key or updated entry by entry; no hash order reaches an output"
+)]
+
 use crate::fairness::{max_min_fair_rates, FlowDemand};
 use crate::flow::{Flow, FlowId, FlowKind, FlowState};
 use crate::rtt::RttModel;
@@ -182,6 +187,10 @@ impl Network {
     }
 
     /// Transfer bytes for `dt` seconds at current rates and update counters.
+    #[expect(
+        clippy::expect_used,
+        reason = "active_order only holds ids of flows in the map; both are mutated together"
+    )]
     fn transfer_bytes(&mut self, dt: f64) {
         for id in &self.active_order {
             let flow = self.flows.get_mut(id).expect("active flow exists");
@@ -200,6 +209,10 @@ impl Network {
     }
 
     /// Mark flows that have delivered all bytes as completed.
+    #[expect(
+        clippy::expect_used,
+        reason = "active_order only holds ids of flows in the map; both are mutated together"
+    )]
     fn collect_finished(&mut self) -> Vec<FlowId> {
         let mut finished = Vec::new();
         // Tolerance: a byte fraction left due to floating point is "done".
@@ -230,6 +243,10 @@ impl Network {
 
     /// Recompute max-min fair rates for all active flows and refresh the
     /// per-resource utilization cache.
+    #[expect(
+        clippy::expect_used,
+        reason = "active_order only holds ids of flows in the map; both are mutated together"
+    )]
     fn reallocate(&mut self) {
         let demands: Vec<FlowDemand> = self
             .active_order

@@ -135,6 +135,10 @@ impl ScrapeManager {
     /// resolved by readers with an atomic load plus an `Arc` clone — never
     /// touching the store. Publishing activates on the first call; state
     /// scraped before activation is published immediately.
+    #[expect(
+        clippy::expect_used,
+        reason = "the publisher is created in the guarded branch immediately above"
+    )]
     pub fn published_handle(&mut self) -> PublishedSnapshot {
         if self.publisher.is_none() {
             self.publisher = Some(SnapshotPublisher::new());
@@ -183,6 +187,10 @@ impl ScrapeManager {
 
     /// The interned layout for `cluster`, built (or rebuilt) when the
     /// cluster's node table changed.
+    #[expect(
+        clippy::expect_used,
+        reason = "the layout is built in the guarded branch immediately above"
+    )]
     pub(crate) fn ensure_layout(&mut self, cluster: &ClusterState) -> Arc<ExporterLayout> {
         if !self.layout.as_ref().is_some_and(|l| l.matches(cluster)) {
             self.layout = Some(Arc::new(ExporterLayout::build(cluster, &mut self.store)));

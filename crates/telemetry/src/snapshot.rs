@@ -438,16 +438,13 @@ impl ClusterSnapshot {
             }
         }
         for idx in 0..self.names.len() {
-            if self.nodes[idx].is_none() {
+            let Some(entry) = self.nodes[idx].as_mut() else {
                 continue;
-            }
+            };
             let tx_key = SeriesKey::per_node(METRIC_NODE_TX_BYTES, &self.names[idx]);
             let rx_key = SeriesKey::per_node(METRIC_NODE_RX_BYTES, &self.names[idx]);
-            let tx = store.rate(&tx_key, at, rate_window).unwrap_or(0.0);
-            let rx = store.rate(&rx_key, at, rate_window).unwrap_or(0.0);
-            let entry = self.nodes[idx].as_mut().expect("checked above");
-            entry.tx_rate = tx;
-            entry.rx_rate = rx;
+            entry.tx_rate = store.rate(&tx_key, at, rate_window).unwrap_or(0.0);
+            entry.rx_rate = store.rate(&rx_key, at, rate_window).unwrap_or(0.0);
         }
         for &id in store.ids_for_name(METRIC_PING_RTT) {
             if let Some(value) = store.instant_id(id, at) {
