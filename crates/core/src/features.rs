@@ -215,7 +215,7 @@ impl FeatureSchema {
         }
     }
 
-    /// Markdown rendering of the schema (used by the Table 1 harness binary).
+    /// Markdown rendering of the schema (Table 1 of the `reproduce` binary).
     pub fn to_markdown_table(&self) -> String {
         let mut out = String::from("| Feature | Type |\n|---|---|\n");
         for (name, group) in self.names.iter().zip(&self.groups) {

@@ -13,7 +13,7 @@
 
 use crate::features::{FeatureSchema, FeatureVector};
 use crate::request::JobRequest;
-use mlcore::{FeatureMatrix, ModelKind, Regressor, TrainedModel};
+use mlcore::{FeatureMatrix, ModelKind, TrainedModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -27,8 +27,9 @@
 //! * [`tables`] — Tables 1, 2 and 3 (feature schema, workload
 //!   characterization, representative training row).
 //! * [`ablation`] — feature-group, model and background-load ablations.
-//! * [`report`] — markdown/CSV rendering helpers shared by the harness
-//!   binaries (one binary per table/figure, see `src/bin/`).
+//! * [`report`] — markdown/CSV rendering and result-file helpers for the one
+//!   `reproduce` binary (`src/bin/reproduce.rs`), which writes every table
+//!   and figure at the seeds `results.md5` pins.
 
 #![forbid(unsafe_code)]
 #![deny(

@@ -1,7 +1,7 @@
-//! Report rendering and result-file helpers shared by the harness binaries.
+//! Report rendering and result-file helpers for the `reproduce` binary.
 
 use std::fs;
-use std::io::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Render a generic markdown table.
@@ -44,32 +44,23 @@ pub fn results_dir() -> PathBuf {
     workspace.join("results")
 }
 
-/// Write `content` to `results/<name>`, creating the directory if needed.
-/// Returns the written path. Errors are reported but not fatal (the harness
-/// binaries also print everything to stdout).
-pub fn write_result_file(name: &str, content: &str) -> Option<PathBuf> {
+/// Write `content` to `results/<name>`, creating the directory if needed,
+/// and return the written path. The error names the path that failed.
+pub fn write_result_file(name: &str, content: &str) -> io::Result<PathBuf> {
     let dir = results_dir();
-    if let Err(err) = fs::create_dir_all(&dir) {
-        eprintln!("warning: could not create {}: {err}", dir.display());
-        return None;
-    }
     let path = dir.join(name);
-    match fs::File::create(&path).and_then(|mut f| f.write_all(content.as_bytes())) {
-        Ok(()) => Some(path),
-        Err(err) => {
-            eprintln!("warning: could not write {}: {err}", path.display());
-            None
-        }
-    }
+    fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(&path, content))
+        .map_err(|err| io::Error::new(err.kind(), format!("{}: {err}", path.display())))?;
+    Ok(path)
 }
 
-/// Print a titled section to stdout and persist it under `results/`.
-pub fn emit(title: &str, file_name: &str, content: &str) {
-    println!("\n== {title} ==\n");
-    println!("{content}");
-    if let Some(path) = write_result_file(file_name, content) {
-        println!("(written to {})", path.display());
-    }
+/// Persist `content` as `results/<file_name>` and echo it to stdout under
+/// the written path.
+pub fn emit(file_name: &str, content: &str) -> io::Result<()> {
+    let path = write_result_file(file_name, content)?;
+    println!("\n== {} ==\n\n{content}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -108,6 +99,13 @@ mod tests {
         assert!(path.exists());
         let content = fs::read_to_string(&path).unwrap();
         assert_eq!(content, "hello");
+        // A results "directory" that is a regular file fails the write, and
+        // the error names the file that could not be written.
+        let blocker = tmp.join("unit_test.md");
+        std::env::set_var("NETSCHED_RESULTS_DIR", &blocker);
+        let err = write_result_file("nested.md", "hello").unwrap_err();
+        assert!(err.to_string().contains("nested.md"), "{err}");
+        assert!(emit("nested.md", "hello").is_err());
         std::env::remove_var("NETSCHED_RESULTS_DIR");
         let _ = fs::remove_dir_all(&tmp);
         // Without the override the directory ends with `results`.

@@ -20,9 +20,9 @@
 //!   seeds, plus impurity-based feature importance.
 //! * [`gbdt`] — gradient-boosted trees with squared loss, shrinkage, row
 //!   subsampling and early stopping — the role XGBoost plays in the paper.
-//! * [`model`] — the [`model::Regressor`] trait, a serializable
-//!   [`model::TrainedModel`] wrapper and a [`model::ModelKind`] factory so the
-//!   scheduler can swap model families via configuration.
+//! * [`model`] — a serializable [`model::TrainedModel`] wrapper and a
+//!   [`model::ModelKind`] factory so the scheduler can swap model families
+//!   via configuration.
 //! * [`validate`] — evaluation of a fitted model on held-out data.
 
 #![forbid(unsafe_code)]
@@ -49,6 +49,6 @@ pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{GradientBoosting, GradientBoostingConfig};
 pub use linear::{LinearRegression, LinearRegressionConfig};
 pub use metrics::RegressionMetrics;
-pub use model::{ModelConfig, ModelKind, Regressor, TrainedModel};
+pub use model::{ModelConfig, ModelKind, TrainedModel};
 pub use tree::{DecisionTree, DecisionTreeConfig, FlatTree, TreeNode};
 pub use validate::evaluate_on;

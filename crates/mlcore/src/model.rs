@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates three model families. [`ModelKind`] names them,
 //! [`TrainedModel`] wraps a fitted instance behind a single enum (so it can be
-//! serialized to disk and reloaded by a long-running scheduler process), and
-//! [`Regressor`] is the minimal object-safe interface the decision module
-//! needs: predict a completion time for one feature vector.
+//! serialized to disk and reloaded by a long-running scheduler process) and
+//! predicts a completion time per feature row, one row or a whole batch.
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::forest::{RandomForest, RandomForestConfig};
@@ -14,69 +13,6 @@ use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use std::fmt;
 use std::str::FromStr;
-
-/// A fitted regression model usable for prediction. Batch-first: the
-/// scheduler hands a whole candidate batch through
-/// [`Regressor::predict_into`] in one call; [`Regressor::predict_row`]
-/// remains for single-sample callers.
-pub trait Regressor {
-    /// Predict the target for one feature row.
-    fn predict_row(&self, row: &[f64]) -> f64;
-
-    /// Predict every row of a feature matrix into a reused output buffer
-    /// (cleared and refilled). The default walks rows one at a time; the
-    /// model families override it with their cache-friendly batch kernels.
-    fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(x.rows().map(|row| self.predict_row(row)));
-    }
-
-    /// Predict the targets for every row of a dataset.
-    fn predict(&self, data: &Dataset) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_into(data.matrix(), &mut out);
-        out
-    }
-
-    /// Short human-readable name.
-    fn name(&self) -> &'static str;
-}
-
-impl Regressor for LinearRegression {
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        LinearRegression::predict_row(self, row)
-    }
-    fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
-        LinearRegression::predict_into(self, x, out)
-    }
-    fn name(&self) -> &'static str {
-        "linear-regression"
-    }
-}
-
-impl Regressor for RandomForest {
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        RandomForest::predict_row(self, row)
-    }
-    fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
-        RandomForest::predict_into(self, x, out)
-    }
-    fn name(&self) -> &'static str {
-        "random-forest"
-    }
-}
-
-impl Regressor for GradientBoosting {
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        GradientBoosting::predict_row(self, row)
-    }
-    fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
-        GradientBoosting::predict_into(self, x, out)
-    }
-    fn name(&self) -> &'static str {
-        "gradient-boosting"
-    }
-}
 
 /// The model families evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -179,6 +115,33 @@ impl TrainedModel {
         }
     }
 
+    /// Predict the target for one feature row.
+    pub fn predict_row(&self, row: &[f64]) -> f64 {
+        match self {
+            TrainedModel::Linear(m) => m.predict_row(row),
+            TrainedModel::RandomForest(m) => m.predict_row(row),
+            TrainedModel::GradientBoosting(m) => m.predict_row(row),
+        }
+    }
+
+    /// Predict every row of a feature matrix into a reused output buffer
+    /// (cleared and refilled) through the family's batch kernel. The
+    /// scheduler hands a whole candidate batch through here in one call.
+    pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
+        match self {
+            TrainedModel::Linear(m) => m.predict_into(x, out),
+            TrainedModel::RandomForest(m) => m.predict_into(x, out),
+            TrainedModel::GradientBoosting(m) => m.predict_into(x, out),
+        }
+    }
+
+    /// Predict the targets for every row of a dataset.
+    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.predict_into(data.matrix(), &mut out);
+        out
+    }
+
     /// Which family this model belongs to.
     pub fn kind(&self) -> ModelKind {
         match self {
@@ -255,32 +218,6 @@ impl TrainedModel {
     }
 }
 
-impl Regressor for TrainedModel {
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        match self {
-            TrainedModel::Linear(m) => m.predict_row(row),
-            TrainedModel::RandomForest(m) => m.predict_row(row),
-            TrainedModel::GradientBoosting(m) => m.predict_row(row),
-        }
-    }
-
-    fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
-        match self {
-            TrainedModel::Linear(m) => m.predict_into(x, out),
-            TrainedModel::RandomForest(m) => m.predict_into(x, out),
-            TrainedModel::GradientBoosting(m) => m.predict_into(x, out),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            TrainedModel::Linear(_) => "linear-regression",
-            TrainedModel::RandomForest(_) => "random-forest",
-            TrainedModel::GradientBoosting(_) => "gradient-boosting",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +277,6 @@ mod tests {
             assert_eq!(model.kind(), kind);
             let m = RegressionMetrics::compute(&model.predict(&test), test.targets());
             assert!(m.r2 > 0.7, "{kind}: r2 {}", m.r2);
-            assert!(!model.name().is_empty());
         }
     }
 
@@ -393,15 +329,5 @@ mod tests {
             let model = TrainedModel::train(kind, &small_config(), &empty, &mut rng);
             assert_eq!(model.predict_row(&[1.0]), 0.0);
         }
-    }
-
-    #[test]
-    fn regressor_trait_object_usable() {
-        let data = dataset(100, 8);
-        let mut rng = Rng::seed_from_u64(9);
-        let model = TrainedModel::train(ModelKind::Linear, &small_config(), &data, &mut rng);
-        let boxed: Box<dyn Regressor> = Box::new(model);
-        assert!(boxed.predict_row(&[1.0, 1.0]).is_finite());
-        assert_eq!(boxed.predict(&data).len(), data.len());
     }
 }

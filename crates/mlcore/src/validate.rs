@@ -2,10 +2,10 @@
 
 use crate::data::Dataset;
 use crate::metrics::RegressionMetrics;
-use crate::model::Regressor;
+use crate::model::TrainedModel;
 
 /// Evaluate an already fitted model on a dataset.
-pub fn evaluate_on<R: Regressor + ?Sized>(model: &R, data: &Dataset) -> RegressionMetrics {
+pub fn evaluate_on(model: &TrainedModel, data: &Dataset) -> RegressionMetrics {
     RegressionMetrics::compute(&model.predict(data), data.targets())
 }
 
@@ -14,7 +14,7 @@ mod tests {
     use super::*;
     use crate::forest::RandomForestConfig;
     use crate::gbdt::GradientBoostingConfig;
-    use crate::model::{ModelConfig, ModelKind, TrainedModel};
+    use crate::model::{ModelConfig, ModelKind};
     use simcore::rng::Rng;
 
     fn dataset(n: usize, seed: u64) -> Dataset {

@@ -29,11 +29,6 @@ use crate::{
 use cluster::ClusterState;
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide generation source for [`ExporterLayout`] stamps. Starts at 1
-/// so 0 can mean "no layout" on the snapshot side.
-static LAYOUT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// Collect node-exporter samples for every node in the cluster.
 ///
@@ -114,14 +109,8 @@ pub(crate) fn pair_seed(a: u64, b: u64, now: SimTime) -> u64 {
 /// that, scraping ([`ExporterLayout::scrape_into`]) and snapshot assembly
 /// ([`ExporterLayout::snapshot_into`]) are pure id-indexed work: no
 /// `SeriesKey` construction, no label lookups, no `String` round-trips.
-///
-/// Every build stamps a process-unique **generation** so downstream
-/// consumers (snapshot scratch reuse) can detect "same layout as last time"
-/// with one integer compare instead of a name-table comparison.
 #[derive(Debug, Clone)]
 pub struct ExporterLayout {
-    /// Process-unique build stamp (never 0).
-    pub(crate) generation: u64,
     /// Node names in cluster [`cluster::NodeId`] order.
     pub(crate) node_names: Vec<String>,
     /// Network interface of each node, aligned with `node_names`.
@@ -146,9 +135,6 @@ impl ExporterLayout {
     pub fn build(cluster: &ClusterState, store: &mut TimeSeriesStore) -> Self {
         let nodes = cluster.nodes();
         let mut layout = ExporterLayout {
-            // ordering: Relaxed — the generation is only a uniqueness tag for
-            // cache invalidation; no memory is published through it.
-            generation: LAYOUT_GENERATION.fetch_add(1, Ordering::Relaxed),
             node_names: Vec::with_capacity(nodes.len()),
             net_ids: Vec::with_capacity(nodes.len()),
             load1: Vec::with_capacity(nodes.len()),
@@ -217,13 +203,6 @@ impl ExporterLayout {
         &self.node_names
     }
 
-    /// This build's process-unique generation stamp (never 0). Two layouts
-    /// share a generation only when they are clones of the same build, so an
-    /// unchanged generation proves an unchanged node table.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Evaluate every exporter series at `now` through the pre-interned ids,
     /// handing each `(series, value)` to `sink` — appended straight into the
     /// store by a single scrape round, pushed onto a chunk batch by the
@@ -255,8 +234,7 @@ impl ExporterLayout {
     /// Assemble the scheduler-facing snapshot at `at` straight through the
     /// interned ids, reusing `snap`'s storage. Produces exactly what
     /// [`ClusterSnapshot::from_store`] would, minus every name lookup. A
-    /// scratch snapshot last reset by this same layout build skips the
-    /// name-table comparison entirely (generation fast path).
+    /// scratch snapshot that already holds this layout's node table keeps it.
     pub fn snapshot_into(
         &self,
         store: &TimeSeriesStore,
@@ -264,7 +242,7 @@ impl ExporterLayout {
         rate_window: SimDuration,
         snap: &mut ClusterSnapshot,
     ) {
-        snap.reset_for_generation(at, self.generation, &self.node_names);
+        snap.reset_for(at, &self.node_names);
         for i in 0..self.node_names.len() {
             let load = store.instant_id(self.load1[i], at);
             let mem = store.instant_id(self.mem[i], at);
@@ -451,16 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn layout_generations_are_unique_and_gate_the_snapshot_fast_path() {
+    fn snapshot_into_keeps_a_matching_scratch_table_and_rebuilds_a_different_one() {
         let (cluster, network) = setup();
         let mut store = TimeSeriesStore::new();
         let layout = ExporterLayout::build(&cluster, &mut store);
-        let rebuilt = ExporterLayout::build(&cluster, &mut store);
-        // Every build gets a fresh stamp, even over an identical cluster; a
-        // clone shares its origin's stamp (same ids, same table).
-        assert_ne!(layout.generation(), rebuilt.generation());
-        assert_ne!(layout.generation(), 0);
-        assert_eq!(layout.clone().generation(), layout.generation());
 
         let t = SimTime::from_secs(5);
         layout.scrape_into(&cluster, &network, t, |id, v| store.append_value(id, v, t));
@@ -470,12 +442,12 @@ mod tests {
         layout.snapshot_into(&store, at, window, &mut snap);
         let fresh = ClusterSnapshot::from_store(&store, at, window);
         assert_eq!(snap, fresh);
-        // Generation fast path (same layout, reused scratch) converges.
+        // Same layout, reused scratch: the table is kept and it converges.
         layout.snapshot_into(&store, at, window, &mut snap);
         assert_eq!(snap, fresh);
 
-        // A mutated layout (smaller cluster) forces the slow path: the
-        // scratch's node table must shrink to the new layout's names.
+        // A smaller cluster's layout rebuilds the table: the scratch's node
+        // table must shrink to the new layout's names.
         let mut small = ClusterState::new();
         small.add_node(cluster.nodes()[0].clone());
         let mut small_store = TimeSeriesStore::new();

@@ -35,7 +35,7 @@
 //!
 //! * every mutating accessor clears the revision (0 = "unsealed or mutated
 //!   since"), and RTT mutators additionally dirty the source row they touch;
-//!   bulk resets (`clear`, `reset_for*`) drop the sealed rows wholesale;
+//!   bulk resets (`clear`, `reset_for`) drop the sealed rows wholesale;
 //! * `Clone`/`clone_from` copy the sealed rows and the revision — a clone has
 //!   the same contents, so it may share the stamp;
 //! * the public [`ClusterSnapshot::time`] field is *not* covered: the
@@ -376,11 +376,6 @@ pub struct ClusterSnapshot {
     nodes: Vec<Option<NodeTelemetry>>,
     /// Pairwise RTT measurements keyed by `(source, target)` node ids.
     rtt: RttMesh,
-    /// Generation of the [`crate::ExporterLayout`] that last installed this
-    /// snapshot's node table via [`ClusterSnapshot::reset_for_generation`]
-    /// (0 = none / table mutated since). Purely an internal fast-path stamp:
-    /// excluded from equality and serialization.
-    layout_generation: u64,
     /// Publish-time RTT statistics (see the module docs). Derived state:
     /// excluded from equality and serialization.
     sealed: SealedRtt,
@@ -467,7 +462,6 @@ impl ClusterSnapshot {
         self.sorted.clear();
         self.nodes.clear();
         self.rtt.reset();
-        self.layout_generation = 0;
         self.sealed.invalidate();
         self.revision = 0;
     }
@@ -477,29 +471,6 @@ impl ClusterSnapshot {
     /// without reallocating. This is the scratch-reuse entry point of the
     /// interned scrape path.
     pub fn reset_for(&mut self, time: SimTime, names: &[String]) {
-        self.layout_generation = 0;
-        self.reset_for_table(time, names);
-    }
-
-    /// [`ClusterSnapshot::reset_for`] with a layout-generation fast path:
-    /// when the snapshot was last reset by the same layout build (same
-    /// non-zero `generation`) the name-table comparison is skipped entirely —
-    /// one integer compare instead of O(nodes) string compares. Any mutation
-    /// of the node table (a different generation, [`ClusterSnapshot::clear`],
-    /// or interning a new name) invalidates the stamp, forcing the slow path.
-    pub fn reset_for_generation(&mut self, time: SimTime, generation: u64, names: &[String]) {
-        if generation != 0 && generation == self.layout_generation {
-            self.time = time;
-            self.clear_values();
-            return;
-        }
-        self.reset_for_table(time, names);
-        self.layout_generation = generation;
-    }
-
-    /// Shared body of the reset entry points: keep the node table when it
-    /// already matches `names`, rebuild it otherwise, and clear all values.
-    fn reset_for_table(&mut self, time: SimTime, names: &[String]) {
         self.time = time;
         if self.names != names {
             self.clear();
@@ -521,8 +492,7 @@ impl ClusterSnapshot {
     }
 
     /// Intern a node name, returning its snapshot-local id. The telemetry
-    /// entry starts absent (`None`). Growing the table invalidates any
-    /// layout-generation stamp (the table no longer matches the layout).
+    /// entry starts absent (`None`).
     fn intern(&mut self, name: &str) -> NodeId {
         match self.lookup(name) {
             Ok(pos) => NodeId(self.sorted[pos]),
@@ -531,7 +501,6 @@ impl ClusterSnapshot {
                 self.names.push(name.to_string());
                 self.nodes.push(None);
                 self.sorted.insert(pos, id);
-                self.layout_generation = 0;
                 self.revision = 0;
                 NodeId(id)
             }
@@ -1083,13 +1052,13 @@ mod tests {
     }
 
     #[test]
-    fn generation_stamp_skips_and_forces_the_name_table_path() {
+    fn reset_for_keeps_a_matching_table_and_rebuilds_a_different_one() {
         let names_ab: Vec<String> = vec!["node-a".into(), "node-b".into()];
         let names_ac: Vec<String> = vec!["node-a".into(), "node-c".into()];
         let mut snap = ClusterSnapshot::default();
 
-        // First reset installs the table and stamps the generation.
-        snap.reset_for_generation(SimTime::from_secs(1), 7, &names_ab);
+        // First reset installs the table.
+        snap.reset_for(SimTime::from_secs(1), &names_ab);
         snap.set_node_by_id(
             NodeId(0),
             NodeTelemetry {
@@ -1097,28 +1066,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        // Same generation: fast path keeps the table, clears the values.
-        snap.reset_for_generation(SimTime::from_secs(2), 7, &names_ab);
+        // Same names: the table is kept, the values are cleared.
+        snap.reset_for(SimTime::from_secs(2), &names_ab);
         assert!(snap.is_empty());
         assert_eq!(snap.node_id("node-b"), Some(NodeId(1)));
         assert_eq!(snap.time, SimTime::from_secs(2));
 
-        // A mutated layout (different generation, different names) forces the
-        // slow path: the stale table must be replaced, not trusted.
-        snap.reset_for_generation(SimTime::from_secs(3), 9, &names_ac);
+        // Different names: the stale table is replaced, not trusted.
+        snap.reset_for(SimTime::from_secs(3), &names_ac);
         assert_eq!(snap.node_id("node-c"), Some(NodeId(1)));
         assert_eq!(snap.node_id("node-b"), None);
 
-        // Hand-mutating the table (interning a new name) invalidates the
-        // stamp, so the next same-generation reset re-verifies the names.
+        // A hand-grown table (one more interned name) no longer matches, so
+        // the next reset drops the extra name.
         snap.insert_node("node-z", NodeTelemetry::default());
-        snap.reset_for_generation(SimTime::from_secs(4), 9, &names_ac);
+        snap.reset_for(SimTime::from_secs(4), &names_ac);
         assert_eq!(snap.node_id("node-z"), None, "stale name must be dropped");
-        assert_eq!(snap.node_id("node-c"), Some(NodeId(1)));
-
-        // Generation 0 (no layout) always takes the slow path.
-        snap.reset_for_generation(SimTime::from_secs(5), 0, &names_ab);
-        snap.reset_for_generation(SimTime::from_secs(6), 0, &names_ac);
         assert_eq!(snap.node_id("node-c"), Some(NodeId(1)));
     }
 

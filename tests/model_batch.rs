@@ -14,8 +14,8 @@
 
 use netsched::mlcore::{
     Dataset, DecisionTree, DecisionTreeConfig, FeatureMatrix, FlatTree, GradientBoosting,
-    GradientBoostingConfig, ModelConfig, ModelKind, RandomForest, RandomForestConfig, Regressor,
-    TrainedModel, TreeNode,
+    GradientBoostingConfig, ModelConfig, ModelKind, RandomForest, RandomForestConfig, TrainedModel,
+    TreeNode,
 };
 use netsched::simcore::rng::Rng;
 use proptest::prelude::*;

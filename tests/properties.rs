@@ -282,7 +282,7 @@ proptest! {
                     3 => snap.set_node_by_id(snap.node_id(&names[b]).unwrap(), node),
                     4 => {
                         // What a scrape does: clear every value, refill some.
-                        snap.reset_for_generation(SimTime::from_secs(2 + step as u64), 9, &names);
+                        snap.reset_for(SimTime::from_secs(2 + step as u64), &names);
                         for i in (0..nodes.min(40)).step_by(1 + a % 3) {
                             let id = snap.node_id(&names[i]).unwrap();
                             snap.set_node_by_id(id, node);

@@ -3,34 +3,25 @@
 //! sweeps, and the per-cell reports keep the paper's shape (supervised
 //! models ahead of the telemetry-blind default scheduler).
 //!
-//! The `fast-sweep` feature (used by the dedicated CI step) trims the matrix
-//! to 4 cells so the whole file stays well under two minutes; without it the
-//! 8-cell smoke matrix runs. The full ≥24-cell acceptance matrix lives in the
-//! `scenario_sweep` binary and the `#[ignore]`d test at the bottom.
+//! Both tests run the 8-cell smoke matrix. The full 24-cell acceptance
+//! matrix is what the `reproduce` binary sweeps into the pinned
+//! `scenario_sweep.{json,md}`, and what the `#[ignore]`d test at the bottom
+//! checks.
 
 use netsched::experiments::evaluation::KUBE_DEFAULT_METHOD;
 use netsched::experiments::scenarios::{run_sweep, ScenarioMatrix, SweepOptions, SweepReport};
-
-fn matrix() -> ScenarioMatrix {
-    let mut matrix = ScenarioMatrix::smoke();
-    if cfg!(feature = "fast-sweep") {
-        // 2 testbeds x 1 mix x 1 load x 2 seeds = 4 cells.
-        matrix.mixes.truncate(1);
-    }
-    matrix
-}
 
 fn sweep(workers: usize) -> SweepReport {
     let options = SweepOptions {
         workers,
         ..SweepOptions::quick()
     };
-    run_sweep(&matrix(), &options)
+    run_sweep(&ScenarioMatrix::smoke(), &options)
 }
 
 #[test]
 fn sweep_is_deterministic_and_parallel_invariant() {
-    let matrix = matrix();
+    let matrix = ScenarioMatrix::smoke();
     assert!(matrix.cell_count() <= 8, "integration matrix stays small");
 
     let sequential = sweep(1);
@@ -87,7 +78,6 @@ fn sweep_is_deterministic_and_parallel_invariant() {
     assert!(topologies.len() >= 2, "{topologies:?}");
 }
 
-#[cfg(not(feature = "fast-sweep"))]
 #[test]
 fn smoke_sweep_preserves_paper_shape() {
     let report = sweep(netsched::simcore::parallel::default_workers());
@@ -146,12 +136,12 @@ fn smoke_sweep_preserves_paper_shape() {
     );
 }
 
-/// The full ≥24-cell acceptance matrix (also produced by
-/// `cargo run --release -p experiments --bin scenario_sweep`). Ignored by
+/// The full ≥24-cell acceptance matrix (also swept by
+/// `cargo run --release -p experiments --bin reproduce`). Ignored by
 /// default because it takes minutes in debug builds:
 /// `cargo test --release --test scenario_matrix -- --ignored`.
 #[test]
-#[ignore = "minutes-long full matrix; run with --ignored or the scenario_sweep binary"]
+#[ignore = "minutes-long full matrix; run with --ignored or the reproduce binary"]
 fn full_paper_default_matrix_preserves_paper_shape() {
     let matrix = ScenarioMatrix::paper_default();
     assert!(matrix.cell_count() >= 24);
