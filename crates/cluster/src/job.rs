@@ -8,13 +8,12 @@
 
 use crate::pod::{set_target, PodId, PodSpec};
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Identifier of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -24,7 +23,7 @@ impl fmt::Display for JobId {
 }
 
 /// Lifecycle phase of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Submitted, driver not yet placed.
     Pending,
@@ -40,7 +39,7 @@ pub enum JobPhase {
 ///
 /// The fields mirror the job-configuration features of Table 1 in the paper
 /// (application type, input size, executor count, requested memory).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name (e.g. `sort-100k-3ex`).
     pub name: String,
@@ -145,7 +144,7 @@ impl JobSpec {
 }
 
 /// A job instance tracked by the control plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Job {
     /// Identifier.
     pub id: JobId,

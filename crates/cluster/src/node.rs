@@ -8,7 +8,6 @@
 
 use crate::pod::PodId;
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,7 +18,7 @@ pub type NodeName = String;
 pub(crate) const HOSTNAME_LABEL: &str = "kubernetes.io/hostname";
 
 /// A cluster node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Node name (also used as the `kubernetes.io/hostname` label).
     pub name: NodeName,

@@ -2,12 +2,11 @@
 
 use crate::node::{Node, HOSTNAME_LABEL};
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::fmt;
 
 /// Identifier of a pod within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PodId(pub u64);
 
 impl fmt::Display for PodId {
@@ -17,7 +16,7 @@ impl fmt::Display for PodId {
 }
 
 /// Desired state of a pod: what the default scheduler and a bind look at.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodSpec {
     /// Pod name (unique within the cluster in this model).
     pub name: String,
@@ -69,7 +68,7 @@ pub fn set_target(slot: &mut Option<String>, target: Option<&str>) {
 }
 
 /// Lifecycle phase of a pod.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PodPhase {
     /// Submitted but not yet bound to a node.
     Pending,
@@ -82,7 +81,7 @@ pub enum PodPhase {
 }
 
 /// A pod: spec plus observed status.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Pod {
     /// Identifier assigned by the cluster.
     pub id: PodId,

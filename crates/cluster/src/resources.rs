@@ -5,14 +5,11 @@
 //! scheduler's scoring functions operate on requested vs. allocatable amounts
 //! of these two resources, so that is what we model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A bundle of requested or allocatable compute resources.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Resources {
     /// CPU in millicores (1000 = one core).
     pub cpu_millis: u64,

@@ -12,11 +12,10 @@
 
 use crate::node::Node;
 use crate::pod::PodSpec;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// Why a node was filtered out for a pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterResult {
     /// The node can host the pod.
     Feasible,
@@ -29,7 +28,7 @@ pub enum FilterResult {
 }
 
 /// A node together with its score (0..=100 per Kubernetes convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredNode {
     /// Node name.
     pub node: String,
@@ -42,7 +41,7 @@ pub struct ScoredNode {
 }
 
 /// Result of asking a scheduler for a placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleOutcome {
     /// A node was selected; the full ranking is included for analysis.
     Scheduled {

@@ -8,7 +8,6 @@
 
 use crate::node::Node;
 use crate::pod::{Pod, PodId, PodPhase, PodSpec};
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,7 +20,7 @@ use std::fmt;
 /// carry node identities without touching the heap. Distinct from
 /// [`simnet::NodeId`], which identifies a NIC in the network substrate; the
 /// two are linked through [`Node::net_id`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -43,7 +42,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Errors returned by cluster operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
     /// The referenced node does not exist.
     NoSuchNode(String),
@@ -69,7 +68,7 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// A recorded cluster event (a simplified `corev1.Event`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEvent {
     /// When the event happened.
     pub time: SimTime,
@@ -82,7 +81,7 @@ pub struct ClusterEvent {
 }
 
 /// The cluster: nodes, pods and an event log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterState {
     nodes: Vec<Node>,
     /// Name → [`NodeId`] intern index (kept in sync with `nodes`).

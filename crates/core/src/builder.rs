@@ -9,10 +9,9 @@ use crate::request::JobRequest;
 use cluster::manifest::render_job_manifest_into;
 use cluster::pod::{set_target, PodSpec};
 use cluster::{JobSpec, Resources};
-use serde::{Deserialize, Serialize};
 
 /// A fully rendered job ready for submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuiltJob {
     /// The cluster-level job specification.
     pub spec: JobSpec,

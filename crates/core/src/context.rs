@@ -34,7 +34,7 @@
 //!   family ([`CompletionTimePredictor::signature_cells`]). Boards outlive
 //!   bursts and epochs: a board that lags the telemetry version re-predicts
 //!   only the rows stamped since it last synced, bit-identical to a rebuild
-//!   (row predictions are batch-independent). A retrained or reloaded model
+//!   (row predictions are batch-independent). A retrained or rewrapped model
 //!   carries a new version and never matches an old board.
 //!
 //! A budgeted rank is the board's top K: one selection, a bounded heap under
@@ -58,7 +58,6 @@ use crate::predictor::{CompletionTimePredictor, ModelVersion};
 use crate::request::JobRequest;
 use cluster::{ClusterState, FeasibilityIndex, NodeId};
 use mlcore::FeatureMatrix;
-use serde::{Deserialize, Serialize};
 use telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry};
 
 /// The stage-one scorer a [`top-K budget`](SchedulingContext::set_top_k)
@@ -67,7 +66,7 @@ use telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry};
 /// [`crate::service::SchedulerConfig::pruning_policy`], changes nothing and
 /// remains only because the serving-loop benchmark in `benchmark/` still
 /// names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningPolicy {
     /// Supervised ranks read the decision model's own scoreboard: the pruned
     /// ranking is the unpruned ranking's first K entries.

@@ -10,10 +10,9 @@
 //! [`NodeRanking::best_name`] / [`NodeRanking::names`].
 
 use cluster::{ClusterState, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One candidate node with its predicted completion time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedNode {
     /// Interned node identity (resolve via the cluster that issued it).
     pub node: NodeId,
@@ -22,7 +21,7 @@ pub struct RankedNode {
 }
 
 /// The full ranking produced for one scheduling decision.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeRanking {
     /// Candidates sorted by ascending predicted duration (best first).
     pub ranked: Vec<RankedNode>,

@@ -19,13 +19,12 @@
 
 use crate::request::JobRequest;
 use mlcore::FeatureMatrix;
-use serde::{Deserialize, Serialize};
 use sparksim::WorkloadKind;
 use telemetry::{ClusterSnapshot, NodeTelemetry};
 
 /// Which group a feature belongs to (Table 1's Type column). Used by the
 /// ablation experiments to drop whole groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureGroup {
     /// Network telemetry (RTT, throughput).
     Network,
@@ -36,7 +35,7 @@ pub enum FeatureGroup {
 }
 
 /// A named, grouped feature schema with a stable column order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSchema {
     names: Vec<String>,
     groups: Vec<FeatureGroup>,

@@ -13,12 +13,11 @@
 use crate::features::{FeatureSchema, FeatureVector};
 use crate::request::JobRequest;
 use mlcore::Dataset;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use telemetry::ClusterSnapshot;
 
 /// One training sample: pre-run features plus the measured duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingRecord {
     /// When the job was submitted.
     pub submitted_at: SimTime,
@@ -35,7 +34,7 @@ pub struct TrainingRecord {
 }
 
 /// Collects training records and converts them into an `mlcore` dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionLogger {
     schema: FeatureSchema,
     records: Vec<TrainingRecord>,
@@ -96,7 +95,7 @@ impl ExecutionLogger {
         });
     }
 
-    /// Append an already-constructed record (used when importing archives).
+    /// Append an already-constructed record.
     pub fn push_record(&mut self, record: TrainingRecord) {
         self.records.push(record);
     }
@@ -111,8 +110,8 @@ impl ExecutionLogger {
     pub fn to_dataset(&self) -> Dataset {
         let mut data = Dataset::new(self.schema.names().to_vec());
         for record in &self.records {
-            // Records imported from archives could have a stale width; skip
-            // anything that does not match the current schema.
+            // A record pushed by hand could have a stale width; skip anything
+            // that does not match the current schema.
             if record.features.len() == self.schema.len() {
                 data.push_row(&record.features, record.completion_seconds)
                     .expect("width checked above");
@@ -141,20 +140,6 @@ impl ExecutionLogger {
             out.push_str(&format!(",{}\n", r.completion_seconds));
         }
         out
-    }
-
-    /// Serialize to JSON (records + schema).
-    #[expect(
-        clippy::expect_used,
-        reason = "serde serialization of plain data structs cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("logger serialization cannot fail")
-    }
-
-    /// Restore a logger from JSON produced by [`ExecutionLogger::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
     }
 }
 
@@ -215,16 +200,6 @@ mod tests {
         assert!(lines[1].ends_with(",12"));
         // Column count is constant across header and data.
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut logger = ExecutionLogger::default();
-        logger.log_execution(&snapshot(), &request(), "node-1", 22.0);
-        let restored = ExecutionLogger::from_json(&logger.to_json()).unwrap();
-        assert_eq!(restored.len(), 1);
-        assert_eq!(restored.records()[0].completion_seconds, 22.0);
-        assert!(ExecutionLogger::from_json("nope").is_err());
     }
 
     #[test]

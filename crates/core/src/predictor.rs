@@ -14,7 +14,6 @@
 use crate::features::{FeatureSchema, FeatureVector};
 use crate::request::JobRequest;
 use mlcore::{FeatureMatrix, ModelKind, TrainedModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use telemetry::ClusterSnapshot;
@@ -22,11 +21,11 @@ use telemetry::ClusterSnapshot;
 /// The identity of one trained model, for consumers that cache anything
 /// derived from its predictions (the decision view's stage-one scoreboards).
 /// Every predictor built by [`CompletionTimePredictor::new`] — which covers
-/// training, retraining and loading from an archive — gets a version no other
-/// predictor in the process has; `Clone` keeps it, because a clone *is* the
-/// same model. It is never serialised. Unlike an address it survives moves and
-/// cannot be reused: `SchedulerService::retrain` overwrites the old model in
-/// place, at the same address.
+/// training and retraining — gets a version no other predictor in the process
+/// has; `Clone` keeps it, because a clone *is* the same model. Unlike an
+/// address it survives moves and cannot be reused:
+/// `SchedulerService::retrain` overwrites the old model in place, at the same
+/// address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelVersion(u64);
 
@@ -75,44 +74,10 @@ pub struct CompletionTimePredictor {
     model: TrainedModel,
     /// The model's split thresholds per schema column (sorted, deduplicated;
     /// no columns for a linear model), cached at construction for
-    /// [`CompletionTimePredictor::signature_cells`]. Derived state — not
-    /// serialized, rebuilt on load.
+    /// [`CompletionTimePredictor::signature_cells`].
     signature_grid: Vec<Vec<f64>>,
-    /// Stamped at construction, kept by `Clone`, never serialized.
+    /// Stamped at construction, kept by `Clone`.
     version: ModelVersion,
-}
-
-/// The serialized form: schema + model only — the signature grid is derived
-/// state, rebuilt by [`CompletionTimePredictor::new`] on load. Field names
-/// match the predictor's own, so archives saved before the grid existed load
-/// unchanged.
-#[derive(Serialize, Deserialize)]
-struct PredictorArchive {
-    schema: FeatureSchema,
-    model: TrainedModel,
-}
-
-impl Serialize for CompletionTimePredictor {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("schema".into()),
-                self.schema.serialize_value(),
-            ),
-            (
-                serde::Value::Str("model".into()),
-                self.model.serialize_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for CompletionTimePredictor {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let archive = PredictorArchive::deserialize_value(v)?;
-        CompletionTimePredictor::new(archive.schema, archive.model)
-            .map_err(|e| serde::Error::custom(e.to_string()))
-    }
 }
 
 impl CompletionTimePredictor {
@@ -211,22 +176,6 @@ impl CompletionTimePredictor {
         for v in out.iter_mut() {
             *v = clamp_non_negative(*v);
         }
-    }
-
-    /// Serialize (schema + model) to JSON for persistence.
-    #[expect(
-        clippy::expect_used,
-        reason = "serde serialization of plain data structs cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("predictor serialization cannot fail")
-    }
-
-    /// Load a predictor previously saved with [`CompletionTimePredictor::to_json`].
-    /// The schema/model width check is re-applied, so a tampered archive
-    /// cannot smuggle in a mismatched pair.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
     }
 }
 
@@ -345,23 +294,14 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("fitted on"));
-        // A tampered archive fails the same check on load.
-        let mut sabotaged = CompletionTimePredictor {
-            schema: narrow,
-            model: predictor.model().clone(),
-            signature_grid: Vec::new(),
-            version: ModelVersion::fresh(),
-        };
-        let json = sabotaged.to_json();
-        assert!(CompletionTimePredictor::from_json(&json).is_err());
         // An unfitted model has no fitted width and pairs with any schema.
-        sabotaged.model = TrainedModel::train(
+        let unfitted = TrainedModel::train(
             ModelKind::Linear,
             &ModelConfig::default(),
             &Dataset::new(vec!["x".into()]),
             &mut Rng::seed_from_u64(1),
         );
-        assert!(CompletionTimePredictor::new(sabotaged.schema, sabotaged.model).is_ok());
+        assert!(CompletionTimePredictor::new(narrow, unfitted).is_ok());
     }
 
     #[test]
@@ -376,24 +316,21 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_behaviour() {
+    fn rewrapping_a_model_stamps_a_new_version() {
         let predictor = trained_predictor(ModelKind::RandomForest);
-        let json = predictor.to_json();
-        let restored = CompletionTimePredictor::from_json(&json).unwrap();
-        assert_eq!(restored.model_kind(), ModelKind::RandomForest);
-        assert_eq!(restored.schema().len(), predictor.schema().len());
+        let rewrapped =
+            CompletionTimePredictor::new(predictor.schema().clone(), predictor.model().clone())
+                .unwrap();
         let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
         let snap = snapshot_with(3.0, 1.0);
         assert_eq!(
             predictor.predict(&snap, "node-1", &job),
-            restored.predict(&snap, "node-1", &job)
+            rewrapped.predict(&snap, "node-1", &job)
         );
-        assert!(CompletionTimePredictor::from_json("{").is_err());
-        // A loaded model is a new model as far as caches are concerned; a
+        // A rewrapped model is a new model as far as caches are concerned; a
         // clone is the same one.
-        assert_ne!(restored.version(), predictor.version());
+        assert_ne!(rewrapped.version(), predictor.version());
         assert_eq!(predictor.clone().version(), predictor.version());
-        assert!(!json.contains("version"));
     }
 
     #[test]

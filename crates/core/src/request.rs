@@ -1,7 +1,6 @@
 //! Job requests: what the client submits.
 
 use cluster::{JobSpec, Resources};
-use serde::{Deserialize, Serialize};
 use sparksim::{WorkloadKind, WorkloadRequest};
 
 /// A client job submission: the application to run plus its configuration.
@@ -10,7 +9,7 @@ use sparksim::{WorkloadKind, WorkloadRequest};
 /// request, which includes application-specific parameters such as job type
 /// (e.g., sort, join), input data size, and resource configuration (e.g.,
 /// executor count, memory)."*
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Unique job name.
     pub name: String,

@@ -25,7 +25,6 @@ use crate::request::JobRequest;
 use crate::training::TrainingPipeline;
 use cluster::ClusterState;
 use mlcore::ModelKind;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use simcore::SimTime;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ use telemetry::{ClusterSnapshot, PublishedSnapshot};
 /// There is no telemetry knob here: throughput rates are derived once, on
 /// the ingest side, with `telemetry::ScrapeConfig::rate_window`, and a
 /// decision reads them as published.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Which model family to use once trained.
     pub model_kind: ModelKind,
@@ -68,7 +67,7 @@ impl Default for SchedulerConfig {
 }
 
 /// The result of one scheduling decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulingDecision {
     /// The job as built (manifests, pinned driver pod).
     pub job: BuiltJob,

@@ -2,7 +2,7 @@
 //!
 //! *"The model is trained offline using historical data collected from real
 //! job executions."* The pipeline turns the [`crate::logger::ExecutionLogger`]
-//! archive into an `mlcore` dataset, fits one model per requested family and
+//! records into an `mlcore` dataset, fits one model per requested family and
 //! reports held-out accuracy, which is what the experiment harness uses to
 //! populate Table 4.
 
@@ -10,11 +10,10 @@ use crate::features::FeatureSchema;
 use crate::logger::ExecutionLogger;
 use crate::predictor::CompletionTimePredictor;
 use mlcore::{evaluate_on, Dataset, ModelKind, RegressionMetrics, TrainedModel};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// Result of training one model family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingOutcome {
     /// Which family was trained.
     pub kind: ModelKind,
@@ -87,7 +86,7 @@ impl TrainingPipeline {
         }
     }
 
-    /// Train every model family on the logger's archive.
+    /// Train every model family on the logger's records.
     pub fn train_from_logger(
         &self,
         logger: &ExecutionLogger,
@@ -101,7 +100,7 @@ impl TrainingPipeline {
     }
 }
 
-/// Convenience function: train all three paper models on a logger archive
+/// Convenience function: train all three paper models on a logger's records
 /// with the default pipeline.
 pub fn train_all_models(logger: &ExecutionLogger, rng: &mut Rng) -> Vec<TrainingOutcome> {
     TrainingPipeline::default().train_from_logger(logger, rng)

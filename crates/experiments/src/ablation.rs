@@ -17,11 +17,10 @@ use crate::workflow::{ExperimentConfig, ExperimentDataset, ScenarioRecord, Workf
 use mlcore::{ModelConfig, ModelKind, RandomForestConfig, TrainedModel};
 use netsched_core::features::{FeatureGroup, FeatureSchema};
 use netsched_core::predictor::CompletionTimePredictor;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// Accuracy of one ablation variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Variant label (e.g. `full`, `no-network`, `trees=10`).
     pub variant: String,

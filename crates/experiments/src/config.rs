@@ -7,11 +7,10 @@
 //! allocations = 60 configurations.
 
 use netsched_core::request::JobRequest;
-use serde::{Deserialize, Serialize};
 use sparksim::{WorkloadKind, WorkloadRequest};
 
 /// One job configuration from the experiment matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// Stable configuration id (0..59 for the paper matrix).
     pub id: usize,

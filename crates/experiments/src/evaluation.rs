@@ -32,14 +32,13 @@ use netsched_core::context::SchedulingContext;
 use netsched_core::decision::NodeRanking;
 use netsched_core::predictor::CompletionTimePredictor;
 use netsched_core::schedulers::KubeDefaultScheduler;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// The baseline method's display name (the paper's Table 4 first row).
 pub const KUBE_DEFAULT_METHOD: &str = "Kubernetes Default";
 
 /// Accuracy of one scheduling method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerAccuracy {
     /// Method name (matching the paper's Table 4 rows).
     pub method: String,
@@ -54,7 +53,7 @@ pub struct SchedulerAccuracy {
 /// Completion-time speedup of one method over the Kubernetes default: for
 /// every held-out scenario, the default's picked-node completion time divided
 /// by this method's picked-node completion time (> 1 means faster jobs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodSpeedup {
     /// Method name.
     pub method: String,
@@ -67,7 +66,7 @@ pub struct MethodSpeedup {
 }
 
 /// Regression quality of one trained model on held-out samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelFit {
     /// Model family.
     pub kind: ModelKind,
@@ -76,7 +75,7 @@ pub struct ModelFit {
 }
 
 /// The full Table 4 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Report {
     /// One row per method (default scheduler + the three supervised models).
     pub rows: Vec<SchedulerAccuracy>,
@@ -111,7 +110,7 @@ impl Table4Report {
 
 /// One cell's worth of evaluation: the Table 4 accuracy report plus each
 /// method's completion-time speedup over the default scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellEvaluation {
     /// Top-1/Top-2 accuracy and model fits.
     pub table4: Table4Report,

@@ -13,7 +13,6 @@
 
 use crate::world::Testbed;
 use cluster::ClusterState;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use simnet::{gbps, mbps, Network, SimNodeId, Topology, TopologyBuilder};
 
@@ -21,7 +20,7 @@ use simnet::{gbps, mbps, Network, SimNodeId, Topology, TopologyBuilder};
 pub const SITE_NAMES: [&str; 3] = ["UCSD", "FIU", "SRI"];
 
 /// Parameters of the reproduced testbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Nodes per site (paper: 2).
     pub nodes_per_site: usize,

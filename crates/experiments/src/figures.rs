@@ -13,13 +13,12 @@
 use crate::fabric::{FabricConfig, FabricTestbed};
 use crate::world::SimWorld;
 use netsched_core::request::JobRequest;
-use serde::{Deserialize, Serialize};
 use simcore::{OnlineStats, SimDuration};
 use simnet::BackgroundLoadConfig;
 use sparksim::WorkloadKind;
 
 /// Per-node series for Figures 2 and 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSeries {
     /// Node name (`node-1` ... `node-6`).
     pub node: String,
@@ -32,7 +31,7 @@ pub struct NodeSeries {
 }
 
 /// The data behind Figures 2 and 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortTelemetryFigures {
     /// One series entry per node.
     pub per_node: Vec<NodeSeries>,
@@ -144,7 +143,7 @@ pub fn sort_telemetry_figures(runs: usize, input_records: u64, seed: u64) -> Sor
 }
 
 /// One inter-site edge of Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteEdge {
     /// One site.
     pub a: String,
@@ -158,7 +157,7 @@ pub struct SiteEdge {
 }
 
 /// The data behind Figure 4: sites, node assignment and inter-site RTTs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure4Topology {
     /// `(site, nodes)` assignment.
     pub sites: Vec<(String, Vec<String>)>,

@@ -12,7 +12,6 @@ use crate::fabric::FabricTestbed;
 use crate::world::SimWorld;
 use netsched_core::features::FeatureSchema;
 use netsched_core::request::JobRequest;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use simnet::BackgroundLoadConfig;
 use sparksim::{WorkloadKind, WorkloadRequest};
@@ -23,7 +22,7 @@ pub fn table1_feature_schema() -> String {
 }
 
 /// Measured characteristics of one workload (Table 2 backing data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCharacteristics {
     /// Application name.
     pub application: String,
@@ -110,7 +109,7 @@ pub fn table2_markdown(rows: &[WorkloadCharacteristics]) -> String {
 
 /// Table 3: a representative training row (the paper shows RTT, Rx, Tx, CPU,
 /// memory, input size and the measured duration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSampleRow {
     /// Mean RTT to peers, seconds.
     pub rtt_s: f64,

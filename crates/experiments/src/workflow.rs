@@ -21,7 +21,6 @@ use crate::world::SimWorld;
 use netsched_core::features::FeatureSchema;
 use netsched_core::logger::ExecutionLogger;
 use netsched_core::request::JobRequest;
-use serde::{Deserialize, Serialize};
 use simcore::parallel::parallel_map;
 use simcore::rng::Rng;
 use simcore::SimDuration;
@@ -29,7 +28,7 @@ use simnet::BackgroundLoadConfig;
 use telemetry::ClusterSnapshot;
 
 /// Completion time of one candidate driver node within a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeOutcome {
     /// Candidate node name.
     pub node: String,
@@ -43,7 +42,7 @@ pub struct NodeOutcome {
 
 /// One evaluation scenario: a frozen system state plus the completion time of
 /// the job on every candidate driver node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
     /// Dense scenario index.
     pub scenario_id: usize,
@@ -86,7 +85,7 @@ impl ScenarioRecord {
 
 /// The full experiment dataset: every scenario plus the schema used to
 /// construct feature vectors from its snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentDataset {
     /// All scenarios, in generation order.
     pub scenarios: Vec<ScenarioRecord>,
@@ -138,24 +137,10 @@ impl ExperimentDataset {
         let split = mlcore::SplitIndices::train_test(self.scenarios.len(), test_fraction, rng);
         (split.train, split.test)
     }
-
-    /// Serialize the whole dataset to JSON.
-    #[expect(
-        clippy::expect_used,
-        reason = "serde serialization of plain data structs cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("dataset serialization cannot fail")
-    }
-
-    /// Restore a dataset saved with [`ExperimentDataset::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
 }
 
 /// Workflow parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Master seed; every scenario derives its own stream from it.
     pub seed: u64,
@@ -407,18 +392,6 @@ mod tests {
             assert_eq!(a.completions(), b.completions());
             assert_eq!(a.background_hosts, b.background_hosts);
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let dataset = ExperimentDataset {
-            scenarios: vec![],
-            schema: FeatureSchema::standard(),
-            testbed: TestbedSpec::fabric(),
-        };
-        let restored = ExperimentDataset::from_json(&dataset.to_json()).unwrap();
-        assert_eq!(restored.scenario_count(), 0);
-        assert!(ExperimentDataset::from_json("{bad").is_err());
     }
 
     #[test]

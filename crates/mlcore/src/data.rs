@@ -6,7 +6,6 @@
 //! one heap allocation per row. Row views are borrowed slices; nothing on the
 //! prediction path clones a row.
 
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use std::fmt;
 
@@ -135,52 +134,6 @@ pub struct Dataset {
     feature_names: Vec<String>,
     x: FeatureMatrix,
     targets: Vec<f64>,
-}
-
-/// Datasets serialize in the canonical nested form (`feature_names`, a
-/// row-per-sample `rows` list, `targets`) — the on-disk shape is independent
-/// of the flat in-memory layout, and deserialization re-flattens through
-/// [`Dataset::push_row`] so the stride invariant is re-established by
-/// construction.
-impl Serialize for Dataset {
-    fn serialize_value(&self) -> serde::Value {
-        let rows: Vec<Vec<f64>> = self.x.rows().map(|r| r.to_vec()).collect();
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("feature_names".to_string()),
-                self.feature_names.serialize_value(),
-            ),
-            (
-                serde::Value::Str("rows".to_string()),
-                rows.serialize_value(),
-            ),
-            (
-                serde::Value::Str("targets".to_string()),
-                self.targets.serialize_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Dataset {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for Dataset"))?;
-        let feature_names: Vec<String> =
-            Deserialize::deserialize_value(serde::get_field(map, "feature_names")?)?;
-        let rows: Vec<Vec<f64>> = Deserialize::deserialize_value(serde::get_field(map, "rows")?)?;
-        let targets: Vec<f64> = Deserialize::deserialize_value(serde::get_field(map, "targets")?)?;
-        if rows.len() != targets.len() {
-            return Err(serde::Error::custom("rows and targets must align"));
-        }
-        let mut data = Dataset::new(feature_names);
-        for (row, &y) in rows.iter().zip(&targets) {
-            data.push_row(row, y)
-                .map_err(|e| serde::Error::custom(e.to_string()))?;
-        }
-        Ok(data)
-    }
 }
 
 /// Errors raised by dataset operations.
@@ -331,7 +284,7 @@ impl Dataset {
 }
 
 /// Train/test index sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitIndices {
     /// Row indices of the training partition.
     pub train: Vec<usize>,
@@ -354,7 +307,7 @@ impl SplitIndices {
 }
 
 /// Per-feature standardization (z-score) fitted on a training set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -535,19 +488,6 @@ mod tests {
         let (train2, test2) = d.train_test_split(0.3, &mut rng2);
         assert_eq!(train.matrix(), train2.matrix());
         assert_eq!(test.targets(), test2.targets());
-    }
-
-    #[test]
-    fn dataset_serde_roundtrips_nested_rows() {
-        let d = toy();
-        let restored = Dataset::deserialize_value(&d.serialize_value()).unwrap();
-        assert_eq!(restored, d);
-        // The serialized form is the canonical nested one.
-        let v = d.serialize_value();
-        let map = v.as_map().unwrap();
-        let rows = serde::get_field(map, "rows").unwrap().as_seq().unwrap();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[0].as_seq().unwrap().len(), 2);
     }
 
     #[test]

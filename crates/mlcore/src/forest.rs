@@ -7,12 +7,11 @@
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::tree::{DecisionTree, DecisionTreeConfig, FlatTree};
-use serde::{Deserialize, Serialize};
 use simcore::parallel::parallel_map;
 use simcore::rng::Rng;
 
 /// Random forest hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -48,7 +47,7 @@ impl Default for RandomForestConfig {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     config: RandomForestConfig,
     trees: Vec<DecisionTree>,

@@ -8,11 +8,10 @@
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::tree::{DecisionTree, DecisionTreeConfig, FlatTree};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// Gradient boosting hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientBoostingConfig {
     /// Maximum number of boosting rounds.
     pub n_rounds: usize,
@@ -47,7 +46,7 @@ impl Default for GradientBoostingConfig {
 }
 
 /// A fitted gradient-boosted ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoosting {
     config: GradientBoostingConfig,
     base_prediction: f64,

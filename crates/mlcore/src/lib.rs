@@ -20,7 +20,7 @@
 //!   seeds, plus impurity-based feature importance.
 //! * [`gbdt`] — gradient-boosted trees with squared loss, shrinkage, row
 //!   subsampling and early stopping — the role XGBoost plays in the paper.
-//! * [`model`] — a serializable [`model::TrainedModel`] wrapper and a
+//! * [`model`] — the [`model::TrainedModel`] wrapper over every family and a
 //!   [`model::ModelKind`] factory so the scheduler can swap model families
 //!   via configuration.
 //! * [`validate`] — evaluation of a fitted model on held-out data.

@@ -7,11 +7,10 @@
 //! vs. load averages vs. seconds).
 
 use crate::data::{Dataset, FeatureMatrix, Scaler};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of the linear model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearRegressionConfig {
     /// L2 regularization strength (0 = ordinary least squares).
     pub l2: f64,
@@ -29,7 +28,7 @@ impl Default for LinearRegressionConfig {
 }
 
 /// A fitted (or not yet fitted) linear regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     config: LinearRegressionConfig,
     /// Weights over (possibly standardized) features.

@@ -1,9 +1,7 @@
 //! Regression metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Standard regression error metrics over a prediction batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegressionMetrics {
     /// Mean absolute error.
     pub mae: f64,

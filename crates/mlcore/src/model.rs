@@ -1,21 +1,19 @@
 //! The unified model interface the scheduler plugs into.
 //!
 //! The paper evaluates three model families. [`ModelKind`] names them,
-//! [`TrainedModel`] wraps a fitted instance behind a single enum (so it can be
-//! serialized to disk and reloaded by a long-running scheduler process) and
-//! predicts a completion time per feature row, one row or a whole batch.
+//! [`TrainedModel`] wraps a fitted instance behind a single enum and predicts
+//! a completion time per feature row, one row or a whole batch.
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::gbdt::{GradientBoosting, GradientBoostingConfig};
 use crate::linear::{LinearRegression, LinearRegressionConfig};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use std::fmt;
 use std::str::FromStr;
 
 /// The model families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Ordinary least squares / ridge linear regression.
     Linear,
@@ -65,7 +63,7 @@ impl FromStr for ModelKind {
 
 /// Hyperparameters for every model family (only the selected family's entry
 /// is used at fit time).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ModelConfig {
     /// Linear regression settings.
     pub linear: LinearRegressionConfig,
@@ -76,7 +74,7 @@ pub struct ModelConfig {
 }
 
 /// A fitted model of any family, with the feature schema it was trained on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum TrainedModel {
     /// A fitted linear regression.
     Linear(LinearRegression),
@@ -153,25 +151,12 @@ impl TrainedModel {
 
     /// Number of feature columns the model requires, or `None` when the
     /// model was never (successfully) fitted. Boundary code uses this to
-    /// reject feature schemas whose width does not match the model. For the
-    /// ensembles this is the max over the member trees' own widths (each
-    /// validated against its splits on deserialize), so a tampered archive
-    /// cannot under-declare the ensemble width and panic the walk later.
+    /// reject feature schemas whose width does not match the model.
     pub fn n_features(&self) -> Option<usize> {
         match self {
             TrainedModel::Linear(m) => m.is_fitted().then(|| m.weights().len()),
-            TrainedModel::RandomForest(m) => m.is_fitted().then(|| {
-                m.trees()
-                    .iter()
-                    .map(|t| t.n_features())
-                    .fold(m.n_features(), usize::max)
-            }),
-            TrainedModel::GradientBoosting(m) => m.is_fitted().then(|| {
-                m.trees()
-                    .iter()
-                    .map(|t| t.n_features())
-                    .fold(m.n_features(), usize::max)
-            }),
+            TrainedModel::RandomForest(m) => m.is_fitted().then(|| m.n_features()),
+            TrainedModel::GradientBoosting(m) => m.is_fitted().then(|| m.n_features()),
         }
     }
 
@@ -201,20 +186,6 @@ impl TrainedModel {
             column.dedup();
         }
         grid
-    }
-
-    /// Serialize to a JSON string (for saving a trained scheduler model).
-    #[expect(
-        clippy::expect_used,
-        reason = "serde serialization of plain data structs cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serialization cannot fail")
-    }
-
-    /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<TrainedModel, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
     }
 }
 
@@ -296,29 +267,6 @@ mod tests {
             fm.rmse,
             lm.rmse
         );
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_predictions() {
-        let data = dataset(200, 5);
-        let mut rng = Rng::seed_from_u64(6);
-        for kind in ModelKind::ALL {
-            let model = TrainedModel::train(kind, &small_config(), &data, &mut rng);
-            let json = model.to_json();
-            let restored = TrainedModel::from_json(&json).unwrap();
-            assert_eq!(restored.kind(), kind);
-            assert_eq!(restored.n_features(), Some(2));
-            for i in 0..20 {
-                let row = data.row(i);
-                assert!(
-                    (model.predict_row(row) - restored.predict_row(row)).abs() < 1e-12,
-                    "{kind} roundtrip mismatch"
-                );
-            }
-            // The re-flattened batch path agrees exactly with the original.
-            assert_eq!(restored.predict(&data), model.predict(&data));
-        }
-        assert!(TrainedModel::from_json("not json").is_err());
     }
 
     #[test]

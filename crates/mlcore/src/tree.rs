@@ -22,16 +22,16 @@
 //! in flight (4, 6 and 8 trees measured the same). Both add leaf values in
 //! tree order, so batch predictions are bit-identical to `predict_row`.
 //!
-//! Serialization keeps the canonical preorder node form ([`TreeNode`],
-//! validated on load). Fitting builds that same form, and both flatten it
-//! through [`FlatTree::from_nodes`]' breadth-first pass.
+//! Fitting builds the canonical preorder node form ([`TreeNode`]) and
+//! flattens it in one breadth-first pass; [`FlatTree::to_nodes`] and
+//! [`FlatTree::from_nodes`] convert between the two forms, so differential
+//! tests can walk the nested form as a reference.
 
 use crate::data::{Dataset, FeatureMatrix};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 
 /// Tree growth limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionTreeConfig {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -54,10 +54,10 @@ impl Default for DecisionTreeConfig {
     }
 }
 
-/// The canonical nested node form trees serialize as (and the reference
-/// representation differential tests walk): either an internal split or a
-/// leaf prediction, children addressed by index into the node list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The canonical nested node form (the reference representation differential
+/// tests walk): either an internal split or a leaf prediction, children
+/// addressed by index into the node list.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TreeNode {
     /// A terminal prediction.
     Leaf {
@@ -339,7 +339,7 @@ impl FlatTree {
 
     /// Render the canonical nested node list (preorder: parent, left subtree,
     /// right subtree — the order the recursive builder emits). Iterative, so
-    /// an arbitrarily deep chain serializes without recursing once per level.
+    /// an arbitrarily deep chain renders without recursing once per level.
     pub fn to_nodes(&self) -> Vec<TreeNode> {
         if self.is_empty() {
             return Vec::new();
@@ -385,8 +385,8 @@ impl FlatTree {
     /// Rebuild a flat tree from the canonical nested node list. Every child
     /// index must be in bounds and claimed by at most one parent, and none
     /// may point at the root: then what hangs off the root is a tree (no
-    /// cycle, no shared subtree), and a hostile or pathologically deep
-    /// archive returns an error or a tree — never a stack overflow or a walk
+    /// cycle, no shared subtree), and a malformed or pathologically deep
+    /// list returns an error or a tree — never a stack overflow or a walk
     /// that does not end.
     pub fn from_nodes(nodes: &[TreeNode]) -> Result<FlatTree, String> {
         let mut claimed = vec![false; nodes.len()];
@@ -464,22 +464,6 @@ impl FlatTree {
         tree
     }
 
-    /// The split (non-leaf) nodes, in level order.
-    fn split_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
-        self.nodes
-            .iter()
-            .zip(&self.leaf)
-            .filter(|&(_, &is_leaf)| !is_leaf)
-            .map(|(node, _)| node)
-    }
-
-    /// The largest feature index any split tests, or `None` for a tree with
-    /// no splits. Deserialization checks this against the declared feature
-    /// count so a loaded archive cannot panic the prediction walk.
-    pub fn max_split_feature(&self) -> Option<u32> {
-        self.split_nodes().map(|node| node.feature).max()
-    }
-
     /// Depth of the tree (0 for a single leaf or an empty tree).
     pub fn depth(&self) -> usize {
         self.depth as usize
@@ -489,8 +473,11 @@ impl FlatTree {
     /// level order. Two rows on the same side of every split's threshold walk
     /// identical paths and receive identical predictions.
     pub fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.split_nodes()
-            .map(|node| (node.feature as usize, node.threshold))
+        self.nodes
+            .iter()
+            .zip(&self.leaf)
+            .filter(|&(_, &is_leaf)| !is_leaf)
+            .map(|(node, _)| (node.feature as usize, node.threshold))
     }
 }
 
@@ -503,70 +490,6 @@ pub struct DecisionTree {
     /// Sum of variance reduction attributed to each feature (impurity importance).
     feature_importance: Vec<f64>,
     fitted: bool,
-}
-
-/// Trees serialize in the canonical nested form (a [`TreeNode`] list) and
-/// re-flatten on deserialize, so the on-disk shape is independent of the flat
-/// in-memory layout and archives cannot smuggle in inconsistent parallel
-/// arrays.
-impl Serialize for DecisionTree {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("config".to_string()),
-                self.config.serialize_value(),
-            ),
-            (
-                serde::Value::Str("nodes".to_string()),
-                self.tree.to_nodes().serialize_value(),
-            ),
-            (
-                serde::Value::Str("n_features".to_string()),
-                self.n_features.serialize_value(),
-            ),
-            (
-                serde::Value::Str("feature_importance".to_string()),
-                self.feature_importance.serialize_value(),
-            ),
-            (
-                serde::Value::Str("fitted".to_string()),
-                self.fitted.serialize_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for DecisionTree {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for DecisionTree"))?;
-        let config = DecisionTreeConfig::deserialize_value(serde::get_field(map, "config")?)?;
-        let nodes: Vec<TreeNode> = Deserialize::deserialize_value(serde::get_field(map, "nodes")?)?;
-        let tree = FlatTree::from_nodes(&nodes).map_err(serde::Error::custom)?;
-        let n_features: usize =
-            Deserialize::deserialize_value(serde::get_field(map, "n_features")?)?;
-        // The walk indexes rows by split feature directly (the zero-padding
-        // tolerance is gone), so an archive whose splits test columns beyond
-        // the declared width must be rejected here, not crash a decision.
-        if let Some(max_feature) = tree.max_split_feature() {
-            if max_feature as usize >= n_features {
-                return Err(serde::Error::custom(format!(
-                    "split feature index {max_feature} out of range for {n_features} features"
-                )));
-            }
-        }
-        Ok(DecisionTree {
-            config,
-            tree,
-            n_features,
-            feature_importance: Deserialize::deserialize_value(serde::get_field(
-                map,
-                "feature_importance",
-            )?)?,
-            fitted: Deserialize::deserialize_value(serde::get_field(map, "fitted")?)?,
-        })
-    }
 }
 
 impl Default for DecisionTree {
@@ -618,8 +541,8 @@ impl DecisionTree {
         &self.tree
     }
 
-    /// The canonical nested node list (the serialized form, and the reference
-    /// representation for differential tests).
+    /// The canonical nested node list (the reference representation for
+    /// differential tests).
     pub fn canonical_nodes(&self) -> Vec<TreeNode> {
         self.tree.to_nodes()
     }
@@ -653,7 +576,7 @@ impl DecisionTree {
         self.n_features = x.n_features();
         self.feature_importance = vec![0.0; self.n_features];
         // The builder emits the canonical preorder form; the flat tree is its
-        // level-order flattening, exactly as a deserialized archive's.
+        // level-order flattening.
         let mut nodes = Vec::new();
         if indices.is_empty() || x.is_empty() {
             let mean = if targets.is_empty() {
@@ -1091,52 +1014,11 @@ mod tests {
     }
 
     #[test]
-    fn deserialization_rejects_out_of_range_split_features() {
-        let data = step_dataset();
-        let mut rng = Rng::seed_from_u64(20);
-        let mut tree = DecisionTree::default();
-        tree.fit(&data, &mut rng);
-        // Round-trips cleanly as serialized.
-        let value = tree.serialize_value();
-        assert_eq!(DecisionTree::deserialize_value(&value).unwrap(), tree);
-        // Tamper: a split testing column 7 of a 1-feature model must be
-        // rejected at load time, not panic the first prediction.
-        let bad_nodes = vec![
-            TreeNode::Split {
-                feature: 7,
-                threshold: 0.5,
-                left: 1,
-                right: 2,
-                samples: 2,
-            },
-            TreeNode::Leaf {
-                prediction: 1.0,
-                samples: 1,
-            },
-            TreeNode::Leaf {
-                prediction: 2.0,
-                samples: 1,
-            },
-        ];
-        let serde::Value::Map(mut entries) = value else {
-            panic!("trees serialize as maps");
-        };
-        for (key, field) in &mut entries {
-            if key.as_str() == Some("nodes") {
-                *field = bad_nodes.serialize_value();
-            }
-        }
-        let err = DecisionTree::deserialize_value(&serde::Value::Map(entries))
-            .expect_err("out-of-range split feature must not load");
-        assert!(err.to_string().contains("out of range"));
-    }
-
-    #[test]
-    fn deep_chain_archives_do_not_overflow_the_stack() {
-        // A 50 000-level left-leaning chain is flat JSON (indices, not
-        // nesting): (de)serialization and depth bookkeeping must all be
-        // iterative, and the batch walk must take the early-exit path
-        // rather than 50 000 fixed passes.
+    fn deep_chains_do_not_overflow_the_stack() {
+        // A 50 000-level left-leaning chain is a flat node list (indices,
+        // not nesting): conversion in both directions and depth bookkeeping
+        // must all be iterative, and the batch walk must take the early-exit
+        // path rather than 50 000 fixed passes.
         let depth = 50_000usize;
         let mut nodes = Vec::with_capacity(2 * depth + 1);
         for i in 0..depth {
@@ -1172,10 +1054,10 @@ mod tests {
         let mut out = vec![0.0; 2];
         tree.accumulate_block(&[probes.row(0), probes.row(1)], 1.0, &mut out);
         assert_eq!(out, vec![0.0, -1.0]);
-        // Re-serialization of the deep tree is iterative too.
-        let reserialized = tree.to_nodes();
-        assert_eq!(reserialized.len(), nodes.len());
-        assert_eq!(&FlatTree::from_nodes(&reserialized).unwrap(), &tree);
+        // Rendering the deep tree back to nodes is iterative too.
+        let rendered = tree.to_nodes();
+        assert_eq!(rendered.len(), nodes.len());
+        assert_eq!(&FlatTree::from_nodes(&rendered).unwrap(), &tree);
     }
 
     #[test]

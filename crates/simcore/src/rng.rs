@@ -13,10 +13,8 @@
 //!   fast, high quality and trivially *splittable* via [`Rng::split`], which
 //!   hands child components statistically independent streams.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 generator. Mainly used to seed [`Xoshiro256StarStar`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -38,7 +36,7 @@ impl SplitMix64 {
 }
 
 /// Xoshiro256** — the main deterministic generator used across the workspace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }
@@ -46,7 +44,7 @@ pub struct Xoshiro256StarStar {
 /// The main RNG handle used throughout the workspace.
 ///
 /// `Rng` wraps [`Xoshiro256StarStar`] and adds distribution sampling helpers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rng {
     inner: Xoshiro256StarStar,
     /// Cached second output of the Box–Muller transform.

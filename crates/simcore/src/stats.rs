@@ -3,11 +3,9 @@
 //! [`OnlineStats`] backs the telemetry snapshot's per-node RTT summaries and
 //! the experiment harness's per-node latency / bandwidth figures.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable online mean/variance accumulator (Welford's algorithm)
 /// that also tracks min and max.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

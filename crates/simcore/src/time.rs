@@ -5,7 +5,6 @@
 //! comparisons exact and makes simulations bit-for-bit reproducible across
 //! platforms and optimization levels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -17,15 +16,11 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 pub const NANOS_PER_MICRO: u64 = 1_000;
 
 /// An instant on the simulated clock (nanoseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (nanoseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -13,12 +13,11 @@
 
 use crate::flow::FlowKind;
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use simcore::SimDuration;
 
 /// Configuration of one background-load pod.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackgroundLoadConfig {
     /// Bytes fetched per download (paper: 10 MB).
     pub transfer_bytes: f64,
@@ -49,7 +48,7 @@ impl Default for BackgroundLoadConfig {
 }
 
 /// One transfer request emitted by a generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundTransfer {
     /// Sending node.
     pub src: NodeId,
@@ -64,7 +63,7 @@ pub struct BackgroundTransfer {
 }
 
 /// A background-load pod pinned to a host, downloading from a peer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackgroundLoadGenerator {
     /// The node the pod runs on.
     pub host: NodeId,

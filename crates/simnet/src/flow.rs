@@ -6,12 +6,11 @@
 //! max-min fair rate.
 
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::fmt;
 
 /// Identifier of a flow (unique within one [`crate::network::Network`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
@@ -21,7 +20,7 @@ impl fmt::Display for FlowId {
 }
 
 /// Lifecycle state of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowState {
     /// Actively transferring bytes.
     Active,
@@ -32,7 +31,7 @@ pub enum FlowState {
 }
 
 /// Classification of the traffic, used for accounting and experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowKind {
     /// Spark shuffle data between executors.
     Shuffle,
@@ -47,7 +46,7 @@ pub enum FlowKind {
 }
 
 /// A single flow tracked by the network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
     pub id: FlowId,

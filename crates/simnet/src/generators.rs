@@ -25,12 +25,11 @@
 
 use crate::topology::{Topology, TopologyBuilder, TopologyError};
 use crate::{gbps, mbps};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use simcore::SimDuration;
 
 /// Single-site LAN ("star"): all nodes attached to one local fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StarLanSpec {
     /// Number of nodes behind the switch.
     pub nodes: usize,
@@ -55,7 +54,7 @@ impl Default for StarLanSpec {
 
 /// Two-tier leaf–spine fabric. Leaves are sites holding nodes; spines are
 /// transit-only sites. Every leaf connects to every spine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafSpineSpec {
     /// Number of leaf switches (sites with nodes).
     pub leaves: usize,
@@ -88,7 +87,7 @@ impl Default for LeafSpineSpec {
 /// sites (holding nodes) under one aggregation site, all aggregation sites
 /// under a single core. Tier capacities narrow toward the core, producing the
 /// classic oversubscription that makes cross-pod traffic contend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FatTreeLiteSpec {
     /// Number of pods.
     pub pods: usize,
@@ -129,7 +128,7 @@ impl Default for FatTreeLiteSpec {
 /// come from — per-tier oversubscription plus rack locality gives the
 /// network-aware scheduler real structure to exploit, while site count grows
 /// only as `racks + pods + 1`, so building a 10k-node topology stays cheap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredClosSpec {
     /// Number of racks (leaf sites holding nodes).
     pub racks: usize,
@@ -181,7 +180,7 @@ impl TieredClosSpec {
 /// delays/capacities and per-node NIC capacities drawn from configurable
 /// ranges. This is the FABRIC slice generalized to arbitrary scale and
 /// heterogeneity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WanMeshSpec {
     /// Number of geographic sites.
     pub sites: usize,
@@ -219,9 +218,9 @@ impl Default for WanMeshSpec {
 
 /// Declarative description of a generated topology family member.
 ///
-/// `build(seed)` is deterministic in `(self, seed)`; specs serialize, so a
-/// scenario report fully describes the substrate it was measured on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `build(seed)` is deterministic in `(self, seed)`, so a spec and a seed
+/// fully describe the substrate a scenario was measured on.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// Single-site LAN.
     StarLan(StarLanSpec),
@@ -470,14 +469,14 @@ mod tests {
     #[test]
     fn generation_is_deterministic_in_spec_and_seed() {
         for spec in default_specs() {
-            let a = serde_json::to_string(&spec.build(42).unwrap()).unwrap();
-            let b = serde_json::to_string(&spec.build(42).unwrap()).unwrap();
+            let a = format!("{:?}", spec.build(42).unwrap());
+            let b = format!("{:?}", spec.build(42).unwrap());
             assert_eq!(a, b, "{} must be reproducible", spec.name());
         }
         // Different seeds actually change the randomized family.
         let mesh = TopologySpec::WanMesh(WanMeshSpec::default());
-        let a = serde_json::to_string(&mesh.build(1).unwrap()).unwrap();
-        let b = serde_json::to_string(&mesh.build(2).unwrap()).unwrap();
+        let a = format!("{:?}", mesh.build(1).unwrap());
+        let b = format!("{:?}", mesh.build(2).unwrap());
         assert_ne!(a, b, "wan mesh must respond to the seed");
     }
 

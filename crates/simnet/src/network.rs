@@ -15,13 +15,12 @@ use crate::fairness::{max_min_fair_rates, FlowDemand};
 use crate::flow::{Flow, FlowId, FlowKind, FlowState};
 use crate::rtt::RttModel;
 use crate::topology::{NodeId, Resource, Topology};
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Cumulative interface counters for one node (what node-exporter reports as
 /// `node_network_transmit_bytes_total` / `node_network_receive_bytes_total`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct InterfaceCounters {
     /// Total bytes transmitted by the node since simulation start.
     pub tx_bytes: f64,
@@ -30,7 +29,7 @@ pub struct InterfaceCounters {
 }
 
 /// Instantaneous send/receive rates for one node in bytes/sec.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeRates {
     /// Current aggregate transmit rate.
     pub tx_rate: f64,
@@ -39,7 +38,7 @@ pub struct NodeRates {
 }
 
 /// A record of a completed flow, kept for workload accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompletedFlow {
     /// The flow as it looked at completion time.
     pub flow: Flow,

@@ -13,12 +13,11 @@
 //! * jitter is a small deterministic pseudo-random perturbation derived from
 //!   the caller-provided seed, so telemetry is reproducible run-to-run.
 
-use serde::{Deserialize, Serialize};
 use simcore::rng::SplitMix64;
 use simcore::SimDuration;
 
 /// Parameters of the RTT model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttModel {
     /// Maximum queuing delay added when a path is fully saturated, expressed
     /// as a multiple of the base RTT.

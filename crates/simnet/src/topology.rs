@@ -13,21 +13,20 @@
 //! Nodes own a NIC with separate egress/ingress capacity. Paths are expressed
 //! as lists of [`Resource`]s, the unit over which max-min fairness operates.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a node (dense index into the topology's node table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifier of a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub usize);
 
 /// Identifier of a WAN link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -43,7 +42,7 @@ impl fmt::Display for SiteId {
 }
 
 /// A geographic site hosting one or more nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Site {
     /// Site identifier.
     pub id: SiteId,
@@ -56,7 +55,7 @@ pub struct Site {
 }
 
 /// A compute node attached to a site through a NIC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetNode {
     /// Node identifier.
     pub id: NodeId,
@@ -72,7 +71,7 @@ pub struct NetNode {
 
 /// A WAN link connecting two sites (full duplex: each direction has the full
 /// capacity).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Link identifier.
     pub id: LinkId,
@@ -89,7 +88,7 @@ pub struct Link {
 }
 
 /// A capacitated resource a flow can consume. Fair sharing operates over these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// Egress side of a node's NIC.
     NodeEgress(NodeId),
@@ -104,7 +103,7 @@ pub enum Resource {
 
 /// A route between two nodes: the resources consumed and the one-way
 /// propagation delay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Resources traversed, in order.
     pub resources: Vec<Resource>,
@@ -120,7 +119,7 @@ pub struct Route {
 /// with `sites²` (a few hundred sites even at 10k nodes), while node-level
 /// [`Route`]s are assembled on demand from one of these plus the endpoints'
 /// NICs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SiteRoute {
     /// Directed WAN hops, in traversal order (empty for same-site pairs).
     link_dirs: Vec<(LinkId, bool)>,
@@ -131,7 +130,7 @@ struct SiteRoute {
 }
 
 /// An immutable network topology with precomputed site-pair routes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     sites: Vec<Site>,
     nodes: Vec<NetNode>,

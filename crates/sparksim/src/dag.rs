@@ -5,11 +5,10 @@
 //! parent stages, and produces output that either feeds later stages or is
 //! returned to the driver.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One stage of a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Stage index within the job (also its id).
     pub id: usize,
@@ -90,7 +89,7 @@ impl fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// A whole job: its stages in topological order plus driver-side work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobDag {
     /// Stages, listed in topological (execution) order: a stage's parents
     /// always have smaller ids.

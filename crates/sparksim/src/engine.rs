@@ -26,7 +26,6 @@
 use crate::dag::JobDag;
 use crate::placement::Placement;
 use crate::workload::WorkloadRequest;
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use simnet::flow::FlowKind;
 use simnet::{FlowId, Network, NodeId};
@@ -50,7 +49,7 @@ impl ContentionDriver for NoContention {
 }
 
 /// Tunable constants of the execution model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionConfig {
     /// Compute slowdown per unit of competing host load average.
     pub contention_alpha: f64,
@@ -80,7 +79,7 @@ impl Default for ExecutionConfig {
 }
 
 /// Timing breakdown of one executed stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageResult {
     /// Stage id.
     pub stage_id: usize,
@@ -104,7 +103,7 @@ impl StageResult {
 }
 
 /// Result of one job execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRunResult {
     /// Wall-clock duration from submission to completion.
     pub completion: SimDuration,

@@ -21,13 +21,12 @@
 //! sweep relies on for byte-identical reports.
 
 use crate::workload::{WorkloadKind, WorkloadRequest};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Rng;
 use simcore::SimDuration;
 use std::fmt;
 
 /// A workload-mix family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MixKind {
     /// Network-bound: most input bytes are shuffled.
     ShuffleHeavy,
@@ -67,7 +66,7 @@ impl fmt::Display for MixKind {
 
 /// One generated job: the request parameters plus its arrival offset within
 /// the mix (offsets are what distinguish bursty from steady arrival shapes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedJob {
     /// Dense index within the mix.
     pub index: usize,
@@ -108,7 +107,7 @@ impl GeneratedJob {
 
 /// Declarative description of a workload mix: which family, how many jobs,
 /// and a global input-size scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMixSpec {
     /// The mix family.
     pub kind: MixKind,

@@ -1,6 +1,5 @@
 //! Driver and executor placement.
 
-use serde::{Deserialize, Serialize};
 use simnet::NodeId;
 
 /// Where the application's pods run.
@@ -8,7 +7,7 @@ use simnet::NodeId;
 /// The driver node is the decision under evaluation; executor nodes are chosen
 /// by the default scheduler (the paper keeps executor placement fixed to the
 /// default behaviour to isolate the driver-placement effect).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The node hosting the driver pod.
     pub driver_node: NodeId,

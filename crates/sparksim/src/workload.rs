@@ -13,7 +13,6 @@
 //! workload characteristics"); they are not part of the Table 4 reproduction.
 
 use crate::dag::{JobDag, StageSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -22,7 +21,7 @@ use std::str::FromStr;
 pub const BYTES_PER_RECORD: f64 = 100.0;
 
 /// The supported application types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadKind {
     /// Distributed sort (TeraSort-style): full-data shuffle.
     Sort,
@@ -138,7 +137,7 @@ impl FromStr for WorkloadKind {
 }
 
 /// Qualitative resource profile of a workload (normalized 0..=1 intensities).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// How much of the input volume crosses the network in shuffles.
     pub network_intensity: f64,
@@ -153,7 +152,7 @@ pub struct WorkloadProfile {
 }
 
 /// A fully specified workload request: what the client submits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadRequest {
     /// Application type.
     pub kind: WorkloadKind,

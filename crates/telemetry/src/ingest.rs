@@ -323,6 +323,29 @@ mod tests {
     use cluster::{Node, Resources};
     use simnet::{gbps, mbps, NodeId, TopologyBuilder};
 
+    /// The time, each scraped node's name, id and telemetry bits, and every
+    /// RTT entry's bits: stricter than `PartialEq`, which ignores ids.
+    type SnapshotBits = (SimTime, Vec<(String, u32, [u64; 4])>, Vec<(u32, u32, u64)>);
+
+    fn snapshot_bits(snap: &ClusterSnapshot) -> SnapshotBits {
+        let nodes = snap
+            .iter_nodes()
+            .map(|(name, t)| {
+                let fields = [t.cpu_load, t.memory_available_bytes, t.tx_rate, t.rx_rate];
+                (
+                    name.to_string(),
+                    snap.node_id(name).unwrap().0,
+                    fields.map(f64::to_bits),
+                )
+            })
+            .collect();
+        let rtt = snap
+            .rtt()
+            .iter()
+            .map(|(a, b, rtt)| (a.0, b.0, rtt.to_bits()));
+        (snap.time, nodes, rtt.collect())
+    }
+
     fn setup(nodes: usize) -> (ClusterState, Network) {
         let mut b = TopologyBuilder::new();
         let s0 = b.add_site("A", SimDuration::from_micros(200), gbps(10.0));
@@ -474,12 +497,8 @@ mod tests {
         assert_eq!(sync_snap, pipe_snap);
         assert_eq!(sync_snap, seq_snap);
         assert!(!sync_snap.is_empty());
-        // The serialized bytes agree too (byte-identical, not just
-        // observationally equal).
-        assert_eq!(
-            serde_json::to_string(&sync_snap).unwrap(),
-            serde_json::to_string(&pipe_snap).unwrap()
-        );
+        // Bit-identical too, ids included, not just observationally equal.
+        assert_eq!(snapshot_bits(&sync_snap), snapshot_bits(&pipe_snap));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Metric samples and series identity.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -10,7 +9,7 @@ use std::fmt;
 pub type Labels = BTreeMap<String, String>;
 
 /// Whether a metric is a monotonically increasing counter or a point-in-time gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Monotonic counter (`*_total`); consumers use `rate()` over a window.
     Counter,
@@ -19,7 +18,7 @@ pub enum MetricKind {
 }
 
 /// Identity of a time series: metric name plus label set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesKey {
     /// Metric name (e.g. `node_load1`).
     pub name: String,
@@ -66,7 +65,7 @@ impl fmt::Display for SeriesKey {
 }
 
 /// One scraped sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Series identity.
     pub key: SeriesKey,

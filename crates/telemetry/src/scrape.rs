@@ -22,13 +22,12 @@ use crate::publish::{PublishedSnapshot, SnapshotPublisher};
 use crate::snapshot::{ClusterSnapshot, SnapshotSource};
 use crate::store::{Append, TimeSeriesStore};
 use cluster::ClusterState;
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
 use std::sync::Arc;
 
 /// Scrape configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScrapeConfig {
     /// Interval between scrapes (Prometheus default is 15 s; the paper scrapes
     /// frequently enough that decisions see fresh data).

@@ -57,7 +57,6 @@ use crate::{
     METRIC_PING_RTT,
 };
 use cluster::NodeId;
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,7 +109,7 @@ impl SealedRtt {
 }
 
 /// Host-level telemetry for one node at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeTelemetry {
     /// 1-minute load average (runnable processes).
     pub cpu_load: f64,
@@ -377,7 +376,7 @@ pub struct ClusterSnapshot {
     /// Pairwise RTT measurements keyed by `(source, target)` node ids.
     rtt: RttMesh,
     /// Publish-time RTT statistics (see the module docs). Derived state:
-    /// excluded from equality and serialization.
+    /// excluded from equality.
     sealed: SealedRtt,
     /// Process-unique stamp of the sealed contents; 0 = unsealed, or mutated
     /// since the last seal.
@@ -745,67 +744,6 @@ impl ClusterSnapshot {
                     .push(id.map_or(NO_RTT_STATS, |id| self.row_stats(id)));
             }
         }
-    }
-}
-
-/// Snapshots serialize in a canonical, name-resolved form — `time`, a
-/// `(name, telemetry)` list in id order and a `(source, target, rtt)` list —
-/// and deserialization rebuilds the intern tables from scratch, so archives
-/// can never smuggle in an inconsistent `sorted`/`names`/mesh layout (every
-/// internal invariant is re-established by construction) and the on-disk
-/// shape is independent of the in-memory one.
-impl Serialize for ClusterSnapshot {
-    fn serialize_value(&self) -> serde::Value {
-        let nodes: Vec<(String, Option<NodeTelemetry>)> = self
-            .names
-            .iter()
-            .cloned()
-            .zip(self.nodes.iter().copied())
-            .collect();
-        let rtt: Vec<(String, String, f64)> = self
-            .rtt
-            .iter()
-            .map(|(src, dst, value)| {
-                (
-                    self.names[src.index()].clone(),
-                    self.names[dst.index()].clone(),
-                    value,
-                )
-            })
-            .collect();
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("time".to_string()),
-                self.time.serialize_value(),
-            ),
-            (
-                serde::Value::Str("nodes".to_string()),
-                nodes.serialize_value(),
-            ),
-            (serde::Value::Str("rtt".to_string()), rtt.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for ClusterSnapshot {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ClusterSnapshot"))?;
-        let time = SimTime::deserialize_value(serde::get_field(map, "time")?)?;
-        let nodes: Vec<(String, Option<NodeTelemetry>)> =
-            Deserialize::deserialize_value(serde::get_field(map, "nodes")?)?;
-        let rtt: Vec<(String, String, f64)> =
-            Deserialize::deserialize_value(serde::get_field(map, "rtt")?)?;
-        let mut snap = ClusterSnapshot::at(time);
-        for (name, telemetry) in nodes {
-            let id = snap.intern(&name);
-            snap.nodes[id.index()] = telemetry;
-        }
-        for (source, target, value) in rtt {
-            snap.insert_rtt(&source, &target, value);
-        }
-        Ok(snap)
     }
 }
 
@@ -1196,28 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_roundtrip_preserves_contents_and_ids() {
-        let store = build_store();
-        let snap =
-            ClusterSnapshot::from_store(&store, SimTime::from_secs(35), SimDuration::from_secs(60));
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ClusterSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        // Id assignment survives the roundtrip (names serialize in id order,
-        // deserialization re-interns them in the same order).
-        assert_eq!(back.node_id("node-2"), snap.node_id("node-2"));
-        assert_eq!(back.rtt_between("node-1", "node-2"), Some(0.066));
-        // Malformed payloads are rejected rather than trusted.
-        assert!(serde_json::from_str::<ClusterSnapshot>("{\"time\":0}").is_err());
-        assert!(serde_json::from_str::<ClusterSnapshot>("[1,2]").is_err());
-        // Empty snapshots roundtrip too.
-        let empty = ClusterSnapshot::at(SimTime::from_secs(3));
-        let back: ClusterSnapshot =
-            serde_json::from_str(&serde_json::to_string(&empty).unwrap()).unwrap();
-        assert_eq!(back, empty);
-    }
-
-    #[test]
     fn sparse_mesh_matches_dense_semantics() {
         // Same probes recorded twice: once within the dense limit, once
         // shifted past it so the mesh goes sparse. Every accessor must agree.
@@ -1284,7 +1200,7 @@ mod tests {
     }
 
     #[test]
-    fn large_snapshot_stats_and_roundtrip_use_sparse_mesh() {
+    fn large_snapshot_stats_use_sparse_mesh() {
         use cluster::{Node, Resources};
 
         // A world past the dense limit with a sampled (non-full) RTT mesh.
@@ -1331,11 +1247,6 @@ mod tests {
             let (mean, max, _) = indexed.rtt_stats(id);
             assert!(mean > 0.0 && max >= mean);
         }
-
-        // Canonical serialization survives the sparse representation.
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ClusterSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 
     #[test]

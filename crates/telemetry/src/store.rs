@@ -17,7 +17,6 @@
 //!   borrowed slice directly.
 
 use crate::metrics::{MetricKind, Sample, SeriesKey};
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,7 +27,7 @@ use std::fmt;
 /// of the store (series are never removed). They are deliberately tiny and
 /// `Copy` so exporters and snapshot assembly can address series without
 /// touching `String`s — the same pattern as `cluster::NodeId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesId(pub u32);
 
 impl SeriesId {
@@ -106,10 +105,9 @@ pub struct TimeSeriesStore {
     /// Metric name → ids of all series with that name, in intern order.
     name_index: BTreeMap<String, Vec<SeriesId>>,
     retention: Option<SimDuration>,
-    /// Newest timestamp ever accepted (or restored from an archive's
-    /// watermark). The retention cutoff is derived from this watermark, not
-    /// from each incoming sample, so a late out-of-order append can never
-    /// move the cutoff backwards.
+    /// Newest timestamp ever accepted. The retention cutoff is derived from
+    /// this watermark, not from each incoming sample, so a late out-of-order
+    /// append can never move the cutoff backwards.
     max_ts: SimTime,
 }
 
@@ -256,15 +254,6 @@ impl TimeSeriesStore {
         true
     }
 
-    /// Advance the retention watermark without appending a sample: how
-    /// deserialization restores an archived watermark that ran ahead of
-    /// every stored sample.
-    fn observe_time(&mut self, timestamp: SimTime) {
-        if timestamp > self.max_ts {
-            self.max_ts = timestamp;
-        }
-    }
-
     /// The newest timestamp ever accepted (`SimTime::ZERO` for an empty
     /// store): the watermark retention prunes against.
     pub fn max_timestamp(&self) -> SimTime {
@@ -405,79 +394,6 @@ impl TimeSeriesStore {
     /// All series keys (sorted).
     pub fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
         self.key_index.keys()
-    }
-}
-
-/// One serialized series entry: key, kind and time-ordered points.
-type SeriesEntry = (SeriesKey, MetricKind, Vec<(SimTime, f64)>);
-
-/// The store serializes in a canonical form — retention, the watermark and a
-/// `(key, kind, points)` list in intern order — and deserialization rebuilds
-/// the intern tables (key table, key index, per-name buckets) and re-appends
-/// every point through the ingestion rules, so an archive can never smuggle
-/// in an inconsistent index layout: every internal invariant is
-/// re-established by construction. The watermark is carried explicitly
-/// because an archive's watermark can run ahead of every sample it stores
-/// and the retention cutoff depends on it.
-impl Serialize for TimeSeriesStore {
-    fn serialize_value(&self) -> serde::Value {
-        let series: Vec<SeriesEntry> = self
-            .keys
-            .iter()
-            .zip(&self.series)
-            .map(|(key, series)| (key.clone(), series.kind, series.live().to_vec()))
-            .collect();
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("retention".to_string()),
-                self.retention.serialize_value(),
-            ),
-            (
-                serde::Value::Str("watermark".to_string()),
-                self.max_ts.serialize_value(),
-            ),
-            (
-                serde::Value::Str("series".to_string()),
-                series.serialize_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for TimeSeriesStore {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for TimeSeriesStore"))?;
-        let retention: Option<SimDuration> =
-            Deserialize::deserialize_value(serde::get_field(map, "retention")?)?;
-        let watermark = SimTime::deserialize_value(serde::get_field(map, "watermark")?)?;
-        let series: Vec<SeriesEntry> =
-            Deserialize::deserialize_value(serde::get_field(map, "series")?)?;
-        let mut store = match retention {
-            Some(r) => TimeSeriesStore::with_retention(r),
-            None => TimeSeriesStore::new(),
-        };
-        // Re-ingest in global timestamp order (stable across series), not
-        // series-by-series: the retention cutoff is monotone in the newest
-        // timestamp seen, so replaying one fully-caught-up series before an
-        // older one would prune the older series' entire history. Points of
-        // one series are already time-ordered, and a stable sort keeps them
-        // that way, so this replays the archive exactly as a live store
-        // ingesting samples in time order would have seen them.
-        let mut replay: Vec<(SimTime, SeriesId, f64)> = Vec::new();
-        for (key, kind, points) in series {
-            let id = store.intern(&key, kind);
-            replay.extend(points.into_iter().map(|(t, value)| (t, id, value)));
-        }
-        replay.sort_by_key(|&(t, _, _)| t);
-        for (t, id, value) in replay {
-            store.append_value(id, value, t);
-        }
-        // Restore a watermark that ran ahead of every stored sample; replayed
-        // samples already advanced it at least to their own maximum.
-        store.observe_time(watermark);
-        Ok(store)
     }
 }
 
@@ -651,57 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_time_advances_the_retention_watermark() {
-        let mut store = TimeSeriesStore::with_retention(SimDuration::from_secs(30));
-        let k = key("node_load1", "node-1");
-        let id = store.intern(&k, MetricKind::Gauge);
-        store.observe_time(SimTime::from_secs(100));
-        assert_eq!(store.max_timestamp(), SimTime::from_secs(100));
-        // Observing an older time never moves the watermark backwards.
-        store.observe_time(SimTime::from_secs(10));
-        assert_eq!(store.max_timestamp(), SimTime::from_secs(100));
-        // Appends against the observed watermark prune as if the newest
-        // sample lived in this store.
-        store.append_value(id, 1.0, SimTime::from_secs(50));
-        assert_eq!(store.instant(&k, SimTime::MAX), None);
-        store.append_value(id, 2.0, SimTime::from_secs(80));
-        assert_eq!(store.instant(&k, SimTime::MAX), Some(2.0));
-        // A watermark that runs ahead of every stored sample survives a
-        // serialization roundtrip (it cannot be rebuilt from the points).
-        let back: TimeSeriesStore =
-            serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
-        assert_eq!(back.max_timestamp(), SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn roundtrip_replays_archive_in_timestamp_order() {
-        // Series a is fully caught up (t = 100); series b last saw t = 90.
-        // Serialization lists a before b; a timestamp-ordered replay must
-        // not let a's watermark wipe b's retained window.
-        let mut store = TimeSeriesStore::with_retention(SimDuration::from_secs(30));
-        let a = key("node_load1", "node-a");
-        let b = key("node_load1", "node-b");
-        for t in [40u64, 60, 80, 90] {
-            store.append(Sample::gauge(b.clone(), t as f64, SimTime::from_secs(t)));
-        }
-        for t in [50u64, 100] {
-            store.append(Sample::gauge(a.clone(), t as f64, SimTime::from_secs(t)));
-        }
-        let back: TimeSeriesStore =
-            serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
-        assert_eq!(back.point_count(), store.point_count());
-        assert_eq!(
-            back.range(&b, SimTime::ZERO, SimTime::MAX),
-            store.range(&b, SimTime::ZERO, SimTime::MAX)
-        );
-        assert_eq!(
-            back.range(&a, SimTime::ZERO, SimTime::MAX),
-            store.range(&a, SimTime::ZERO, SimTime::MAX)
-        );
-        assert_eq!(back.max_timestamp(), store.max_timestamp());
-    }
-
-    #[test]
     fn instant_by_name_collects_all_nodes() {
         let mut store = TimeSeriesStore::new();
         for node in ["node-1", "node-2", "node-3"] {
@@ -749,41 +614,6 @@ mod tests {
         store.append(Sample::gauge(key("a_metric", "node-1"), 1.0, SimTime::ZERO));
         let names: Vec<&str> = store.keys().map(|k| k.name.as_str()).collect();
         assert_eq!(names, vec!["a_metric", "b_metric"]);
-    }
-
-    #[test]
-    fn json_roundtrip_rebuilds_intern_tables() {
-        let mut store = TimeSeriesStore::with_retention(SimDuration::from_secs(300));
-        for node in ["node-1", "node-2"] {
-            for i in 0..5u64 {
-                store.append(Sample::counter(
-                    key("ctr", node),
-                    (i * 100) as f64,
-                    SimTime::from_secs(i * 10),
-                ));
-                store.append(Sample::gauge(
-                    key("g", node),
-                    i as f64,
-                    SimTime::from_secs(i * 10),
-                ));
-            }
-        }
-        let json = serde_json::to_string(&store).unwrap();
-        let back: TimeSeriesStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.series_count(), store.series_count());
-        assert_eq!(back.point_count(), store.point_count());
-        let k = key("ctr", "node-1");
-        let at = SimTime::from_secs(45);
-        assert_eq!(back.instant(&k, at), store.instant(&k, at));
-        assert_eq!(
-            back.rate(&k, at, SimDuration::from_secs(60)),
-            store.rate(&k, at, SimDuration::from_secs(60))
-        );
-        assert_eq!(back.kind(back.series_id(&k).unwrap()), MetricKind::Counter);
-        assert_eq!(back.ids_for_name("g").len(), 2);
-        // Malformed payloads are rejected rather than trusted.
-        assert!(serde_json::from_str::<TimeSeriesStore>("{\"retention\":null}").is_err());
-        assert!(serde_json::from_str::<TimeSeriesStore>("[]").is_err());
     }
 
     #[test]

@@ -50,6 +50,9 @@ use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
 
+mod common;
+use common::{snapshot_bits, SnapshotBits};
+
 /// A randomized world: nodes with mixed capacities, a slice cordoned, loads
 /// ranging from idle to completely full, and telemetry for
 /// most (not all) nodes plus a sparse RTT ring.
@@ -543,14 +546,15 @@ proptest! {
                         cluster.complete_pod(pod, true, SimTime::ZERO).unwrap();
                     }
                     4 => {
-                        // Retrain: a model with a new version (reloaded from
-                        // its archive) or an earlier one (a clone keeps its
-                        // version, and its boards may still be pooled).
+                        // Retrain: a model with a new version (the same
+                        // weights rewrapped) or an earlier one (a clone keeps
+                        // its version, and its boards may still be pooled).
                         let next = &family[rng.gen_range_usize(0, 2)];
                         predictor = if rng.gen_range_usize(0, 2) == 0 {
                             next.clone()
                         } else {
-                            CompletionTimePredictor::from_json(&next.to_json()).unwrap()
+                            CompletionTimePredictor::new(next.schema().clone(), next.model().clone())
+                                .unwrap()
                         };
                     }
                     _ => {}
@@ -661,7 +665,8 @@ proptest! {
                         predictor = if rng.gen_range_usize(0, 2) == 0 {
                             next.clone()
                         } else {
-                            CompletionTimePredictor::from_json(&next.to_json()).unwrap()
+                            CompletionTimePredictor::new(next.schema().clone(), next.model().clone())
+                                .unwrap()
                         };
                     }
                     _ => {}
@@ -898,13 +903,13 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
 
     // Reference: the sequential scraper's snapshot after every round, at that
     // round's own timestamp — the only states a whole-epoch reader may see.
-    let mut expected: Vec<String> = Vec::with_capacity(times.len());
+    let mut expected: Vec<SnapshotBits> = Vec::with_capacity(times.len());
     let mut reference = ScrapeManager::new(config.clone());
     for (i, &t) in times.iter().enumerate() {
         reference.scrape(&cluster, &network, t);
         let mut snap = ClusterSnapshot::default();
         reference.snapshot_into(times[i], config.rate_window, &mut snap);
-        expected.push(serde_json::to_string(&snap).unwrap());
+        expected.push(snapshot_bits(&snap));
     }
 
     let mut manager = ConcurrentScrapeManager::with_ingest(
@@ -966,7 +971,7 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                     .position(|&t| t == decision.snapshot.time)
                     .expect("decision snapshot stamped with a round time");
                 assert_eq!(
-                    serde_json::to_string(&*decision.snapshot).unwrap(),
+                    snapshot_bits(&decision.snapshot),
                     expected[round],
                     "burst {burst} used a torn (non-epoch) snapshot"
                 );

@@ -4,13 +4,12 @@
 //! trees-outer accumulation for large matrices, and a grouped walk (four
 //! trees at a time) for decision-sized batches of ≤ `FlatTree::BLOCK` rows.
 //! These tests pin both against the canonical nested-node reference: an enum
-//! walk over [`TreeNode`]s — the representation trees serialize as —
+//! walk over [`TreeNode`]s — the canonical preorder form fitting builds —
 //! re-implemented the obvious way. For random fitted trees, forests and GBDTs
 //! (including degenerate stumps, single-leaf trees, 1–3-tree group tails, NaN
 //! features and empty batches) the flat scalar walk, both batch paths and the
-//! reference must agree **exactly** (bit identity, not tolerance), and serde
-//! round-trips through the canonical form must re-flatten to the same
-//! predictions. Fixed-seed archives and split grids are pinned byte for byte.
+//! reference must agree **exactly** (bit identity, not tolerance). Fixed-seed
+//! models and split grids are pinned byte for byte.
 
 use netsched::mlcore::{
     Dataset, DecisionTree, DecisionTreeConfig, FeatureMatrix, FlatTree, GradientBoosting,
@@ -111,7 +110,7 @@ fn decision_batches(probes: &FeatureMatrix) -> Vec<FeatureMatrix> {
         .collect()
 }
 
-/// FNV-1a (64-bit): a stable fingerprint for pinning serialized bytes.
+/// FNV-1a (64-bit): a stable fingerprint for pinning rendered bytes.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -229,42 +228,6 @@ proptest! {
         prop_assert!(batch.is_empty());
         gbdt.predict_into(&FeatureMatrix::new(width), &mut batch);
         prop_assert!(batch.is_empty());
-    }
-
-    /// Serde round-trips go through the canonical nested node form;
-    /// re-flattening must preserve every prediction exactly, per family.
-    #[test]
-    fn serde_roundtrip_reflattens_to_identical_predictions(
-        values in prop::collection::vec(0.0f64..100.0, 60..200),
-        width in 1usize..4,
-        seed in 0u64..1_000_000,
-    ) {
-        let data = dataset_from(&values, width);
-        let probes = probe_matrix(&data);
-        let config = ModelConfig {
-            forest: RandomForestConfig {
-                n_trees: 4,
-                workers: 2,
-                tree: DecisionTreeConfig { max_depth: 5, ..Default::default() },
-                ..Default::default()
-            },
-            gbdt: GradientBoostingConfig { n_rounds: 6, ..Default::default() },
-            ..Default::default()
-        };
-        let mut rng = Rng::seed_from_u64(seed);
-        for kind in ModelKind::ALL {
-            let model = TrainedModel::train(kind, &config, &data, &mut rng);
-            let restored = TrainedModel::from_json(&model.to_json()).unwrap();
-            prop_assert_eq!(restored.kind(), kind);
-            let mut original = Vec::new();
-            let mut reloaded = Vec::new();
-            model.predict_into(&probes, &mut original);
-            restored.predict_into(&probes, &mut reloaded);
-            prop_assert_eq!(&original, &reloaded);
-            for (i, &expected) in original.iter().enumerate() {
-                prop_assert_eq!(restored.predict_row(probes.row(i)), expected);
-            }
-        }
     }
 }
 
@@ -439,11 +402,11 @@ fn flat_tree_equality_sees_through_nan_leaf_thresholds() {
     );
 }
 
-/// The archive is the canonical preorder form and the split grid is sorted,
-/// so the in-memory layout moves neither: fixed-seed RF and GBDT archives
-/// and grids are pinned to the bytes the pre-level-order tree produced.
+/// Fixed-seed RF and GBDT models are pinned on their whole content (the
+/// `Debug` form: flat node arrays, leaf values, config and importances), and
+/// their sorted split grids on the bytes the pre-level-order tree produced.
 #[test]
-fn fixed_seed_archives_and_split_grids_are_pinned() {
+fn fixed_seed_models_and_split_grids_are_pinned() {
     let values: Vec<f64> = (0..800).map(|i| ((i * 71) % 113) as f64 / 7.0).collect();
     let data = dataset_from(&values, 3);
     let config = ModelConfig {
@@ -462,20 +425,20 @@ fn fixed_seed_archives_and_split_grids_are_pinned() {
         },
         ..Default::default()
     };
-    for (kind, archive_pin, grid_pin) in [
+    for (kind, model_pin, grid_pin) in [
         (
             ModelKind::RandomForest,
-            12667719830605192121,
+            14639913683730068182,
             6799315214492856764,
         ),
         (
             ModelKind::GradientBoosting,
-            12492327925208026262,
+            6620302878492435340,
             10509275948793810071,
         ),
     ] {
         let model = TrainedModel::train(kind, &config, &data, &mut Rng::seed_from_u64(42));
-        let json = model.to_json();
+        let content = format!("{model:?}");
         let grid = model.split_grid(3);
         let grid_bytes = grid.iter().flat_map(|column| {
             (column.len() as u64)
@@ -484,10 +447,10 @@ fn fixed_seed_archives_and_split_grids_are_pinned() {
                 .chain(column.iter().flat_map(|t| t.to_bits().to_le_bytes()))
         });
         assert_eq!(
-            (fnv1a(json.bytes()), fnv1a(grid_bytes)),
-            (archive_pin, grid_pin),
-            "{kind}: archive of {} bytes",
-            json.len()
+            (fnv1a(content.bytes()), fnv1a(grid_bytes)),
+            (model_pin, grid_pin),
+            "{kind}: Debug form of {} bytes",
+            content.len()
         );
     }
 }

@@ -30,9 +30,8 @@ fn sweep_is_deterministic_and_parallel_invariant() {
 
     // Parallelism never changes results, and a fixed seed reproduces the
     // report byte-for-byte.
-    let sequential_json = sequential.to_json();
     assert_eq!(
-        sequential_json,
+        sequential.to_json(),
         parallel.to_json(),
         "parallel sweep must equal sequential sweep"
     );
@@ -41,10 +40,6 @@ fn sweep_is_deterministic_and_parallel_invariant() {
         parallel_again.to_json(),
         "fixed seed must reproduce the report byte-for-byte"
     );
-
-    // The report round-trips through its own JSON.
-    let restored = SweepReport::from_json(&sequential_json).expect("valid JSON");
-    assert_eq!(restored, sequential);
 
     // Structural sanity of every cell.
     assert_eq!(sequential.cells.len(), matrix.cell_count());

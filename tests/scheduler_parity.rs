@@ -8,7 +8,8 @@
 //! * both rank over the *identical* feasible candidate set (the default
 //!   scheduler's filter), so Table-4-style comparisons are apples-to-apples;
 //! * a fixed seed yields byte-identical rankings across two independent
-//!   runs (determinism guard — serialized and compared as bytes).
+//!   runs (determinism guard — each node id and predicted time compared as
+//!   raw bits).
 
 use netsched::cluster::{ClusterState, NodeId};
 use netsched::core::context::SchedulingContext;
@@ -140,11 +141,11 @@ fn fixed_seed_yields_byte_identical_rankings_across_runs() {
     let run = || -> Vec<u8> {
         let mut bytes = Vec::new();
         for (_, ranking) in rankings(&snapshot, &cluster, &batch, 4242) {
-            bytes.extend_from_slice(
-                serde_json::to_string(&ranking)
-                    .expect("ranking serializes")
-                    .as_bytes(),
-            );
+            bytes.extend_from_slice(&(ranking.len() as u64).to_le_bytes());
+            for r in &ranking.ranked {
+                bytes.extend_from_slice(&r.node.0.to_le_bytes());
+                bytes.extend_from_slice(&r.predicted_seconds.to_bits().to_le_bytes());
+            }
         }
         bytes
     };

@@ -27,6 +27,9 @@ use netsched::telemetry::{
 };
 use netsched::SimNodeId;
 
+mod common;
+use common::{snapshot_bits, SnapshotBits};
+
 /// A two-site world with `nodes` node exporters (plus the full ping mesh).
 fn setup(nodes: usize) -> (ClusterState, Network) {
     let mut b = TopologyBuilder::new();
@@ -100,10 +103,9 @@ fn concurrent_ingest_is_byte_identical_to_sequential_scrapes() {
             let at = SimTime::from_secs(at_secs);
             SnapshotSource::snapshot_into(&concurrent, at, window, &mut concurrent_snap);
             sequential.snapshot_into(at, window, &mut flat_snap);
-            let concurrent_bytes = serde_json::to_string(&concurrent_snap).unwrap();
-            let flat_bytes = serde_json::to_string(&flat_snap).unwrap();
             assert_eq!(
-                concurrent_bytes, flat_bytes,
+                snapshot_bits(&concurrent_snap),
+                snapshot_bits(&flat_snap),
                 "snapshot at t = {at_secs}s must be byte-identical ({ingest_config:?})"
             );
         }
@@ -243,8 +245,8 @@ fn pipelined_ingest_drops_and_prunes_exactly_like_sequential_scrapes() {
     assert_eq!(last.epoch, times.len().div_ceil(4) as u64);
     assert_eq!(last.snapshot.time, SimTime::from_secs(200));
     assert_eq!(
-        serde_json::to_string(&*last.snapshot).unwrap(),
-        serde_json::to_string(&*expected.snapshot).unwrap()
+        snapshot_bits(&last.snapshot),
+        snapshot_bits(&expected.snapshot)
     );
 }
 
@@ -259,13 +261,13 @@ fn published_readers_only_observe_whole_committed_epochs() {
     // prefix of rounds, snapshotted at that round's own timestamp. Compute
     // the reference for each prefix with the sequential scraper: published
     // epoch bytes must match exactly.
-    let mut expected: Vec<String> = Vec::with_capacity(times.len());
+    let mut expected: Vec<SnapshotBits> = Vec::with_capacity(times.len());
     let mut reference = ScrapeManager::new(config.clone());
     for (i, &t) in times.iter().enumerate() {
         reference.scrape(&cluster, &network, t);
         let mut snap = ClusterSnapshot::default();
         reference.snapshot_into(times[i], window, &mut snap);
-        expected.push(serde_json::to_string(&snap).unwrap());
+        expected.push(snapshot_bits(&snap));
     }
 
     let mut manager = ConcurrentScrapeManager::with_ingest(
@@ -314,9 +316,9 @@ fn published_readers_only_observe_whole_committed_epochs() {
                                     .iter()
                                     .position(|&t| t == observed.snapshot.time)
                                     .expect("published snapshot stamped with a round time");
-                                let bytes = serde_json::to_string(&*observed.snapshot).unwrap();
                                 assert_eq!(
-                                    bytes, expected[round],
+                                    snapshot_bits(&observed.snapshot),
+                                    expected[round],
                                     "epoch {} (round {round}) must be byte-identical \
                                      to the sequential snapshot of that round",
                                     observed.epoch
@@ -342,8 +344,5 @@ fn published_readers_only_observe_whole_committed_epochs() {
     let last = published.latest().expect("final epoch published");
     assert!(last.epoch >= final_epoch);
     assert_eq!(last.snapshot.time, SimTime::from_secs(79 * 5));
-    assert_eq!(
-        serde_json::to_string(&*last.snapshot).unwrap(),
-        *expected.last().unwrap()
-    );
+    assert_eq!(snapshot_bits(&last.snapshot), *expected.last().unwrap());
 }
