@@ -17,18 +17,6 @@ pub struct Resources {
     pub memory_bytes: u64,
 }
 
-/// Errors from parsing resource quantity strings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseResourceError(pub String);
-
-impl fmt::Display for ParseResourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid resource quantity: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseResourceError {}
-
 impl Resources {
     /// No resources.
     pub const ZERO: Resources = Resources {
@@ -117,66 +105,6 @@ impl Resources {
             frac(self.cpu_millis, capacity.cpu_millis),
             frac(self.memory_bytes, capacity.memory_bytes),
         )
-    }
-
-    /// Parse a CPU quantity: `"2"` (cores), `"500m"` (millicores), `"1.5"`.
-    pub fn parse_cpu(s: &str) -> Result<u64, ParseResourceError> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err(ParseResourceError(s.to_string()));
-        }
-        if let Some(milli) = s.strip_suffix('m') {
-            milli
-                .parse::<u64>()
-                .map_err(|_| ParseResourceError(s.to_string()))
-        } else {
-            let cores: f64 = s.parse().map_err(|_| ParseResourceError(s.to_string()))?;
-            if cores < 0.0 || !cores.is_finite() {
-                return Err(ParseResourceError(s.to_string()));
-            }
-            Ok((cores * 1000.0).round() as u64)
-        }
-    }
-
-    /// Parse a memory quantity: `"512Mi"`, `"8Gi"`, `"1024Ki"`, `"100M"`, raw bytes.
-    pub fn parse_memory(s: &str) -> Result<u64, ParseResourceError> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err(ParseResourceError(s.to_string()));
-        }
-        let (digits, multiplier): (&str, f64) = if let Some(d) = s.strip_suffix("Ki") {
-            (d, 1024.0)
-        } else if let Some(d) = s.strip_suffix("Mi") {
-            (d, 1024.0 * 1024.0)
-        } else if let Some(d) = s.strip_suffix("Gi") {
-            (d, 1024.0 * 1024.0 * 1024.0)
-        } else if let Some(d) = s.strip_suffix("Ti") {
-            (d, 1024.0f64.powi(4))
-        } else if let Some(d) = s.strip_suffix('K') {
-            (d, 1e3)
-        } else if let Some(d) = s.strip_suffix('M') {
-            (d, 1e6)
-        } else if let Some(d) = s.strip_suffix('G') {
-            (d, 1e9)
-        } else {
-            (s, 1.0)
-        };
-        let value: f64 = digits
-            .trim()
-            .parse()
-            .map_err(|_| ParseResourceError(s.to_string()))?;
-        if value < 0.0 || !value.is_finite() {
-            return Err(ParseResourceError(s.to_string()));
-        }
-        Ok((value * multiplier).round() as u64)
-    }
-
-    /// Parse a `(cpu, memory)` pair, e.g. `("500m", "2Gi")`.
-    pub fn parse(cpu: &str, memory: &str) -> Result<Resources, ParseResourceError> {
-        Ok(Resources {
-            cpu_millis: Self::parse_cpu(cpu)?,
-            memory_bytes: Self::parse_memory(memory)?,
-        })
     }
 }
 
@@ -277,48 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_cpu_quantities() {
-        assert_eq!(Resources::parse_cpu("2").unwrap(), 2000);
-        assert_eq!(Resources::parse_cpu("500m").unwrap(), 500);
-        assert_eq!(Resources::parse_cpu("1.5").unwrap(), 1500);
-        assert_eq!(Resources::parse_cpu(" 250m ").unwrap(), 250);
-        assert!(Resources::parse_cpu("").is_err());
-        assert!(Resources::parse_cpu("abc").is_err());
-        assert!(Resources::parse_cpu("-1").is_err());
-    }
-
-    #[test]
-    fn parse_memory_quantities() {
-        assert_eq!(Resources::parse_memory("1024").unwrap(), 1024);
-        assert_eq!(Resources::parse_memory("1Ki").unwrap(), 1024);
-        assert_eq!(Resources::parse_memory("512Mi").unwrap(), 512 * 1024 * 1024);
-        assert_eq!(
-            Resources::parse_memory("8Gi").unwrap(),
-            8 * 1024 * 1024 * 1024
-        );
-        assert_eq!(Resources::parse_memory("1Ti").unwrap(), 1024u64.pow(4));
-        assert_eq!(Resources::parse_memory("100M").unwrap(), 100_000_000);
-        assert_eq!(Resources::parse_memory("2G").unwrap(), 2_000_000_000);
-        assert_eq!(Resources::parse_memory("3K").unwrap(), 3_000);
-        assert!(Resources::parse_memory("").is_err());
-        assert!(Resources::parse_memory("12Q").is_err());
-        assert!(Resources::parse_memory("-5Mi").is_err());
-    }
-
-    #[test]
-    fn parse_pair() {
-        let r = Resources::parse("500m", "2Gi").unwrap();
-        assert_eq!(r.cpu_millis, 500);
-        assert_eq!(r.memory_gib(), 2.0);
-        assert!(Resources::parse("x", "2Gi").is_err());
-        assert!(Resources::parse("1", "y").is_err());
-    }
-
-    #[test]
     fn display_is_compact() {
         let r = Resources::from_cores_and_mib(2, 256);
         assert_eq!(format!("{r}"), "cpu=2000m, mem=256Mi");
-        let e = ParseResourceError("zzz".into());
-        assert!(format!("{e}").contains("zzz"));
     }
 }

@@ -10,6 +10,11 @@
 //! Sort); the substitution here gives the WAN paths sub-gigabit capacities so
 //! that the 10 MB background downloads and shuffle traffic actually contend,
 //! which is the effect the scheduler must learn.
+//!
+//! The slice is fixed: its numbers are constants, not settings, and
+//! [`FabricTestbed::paper`] is its only constructor. The node shape
+//! ([`NODE_CORES`], [`NODE_MEMORY_GIB`]) is shared by every generated
+//! substrate, and Figure 4 reads its configured RTTs from [`WAN_LINKS`].
 
 use crate::world::Testbed;
 use cluster::ClusterState;
@@ -19,58 +24,29 @@ use simnet::{gbps, mbps, Network, SimNodeId, Topology, TopologyBuilder};
 /// Site names in the order used throughout the experiments.
 pub const SITE_NAMES: [&str; 3] = ["UCSD", "FIU", "SRI"];
 
-/// Parameters of the reproduced testbed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricConfig {
-    /// Nodes per site (paper: 2).
-    pub nodes_per_site: usize,
-    /// CPU cores per node (paper: 6).
-    pub cores_per_node: u64,
-    /// Memory per node in GiB (paper: 8).
-    pub memory_gib_per_node: u64,
-    /// Round-trip UCSD–FIU in milliseconds (paper: 66).
-    pub rtt_ucsd_fiu_ms: f64,
-    /// Round-trip FIU–SRI in milliseconds (paper: 10).
-    pub rtt_fiu_sri_ms: f64,
-    /// Round-trip UCSD–SRI in milliseconds (paper: 72).
-    pub rtt_ucsd_sri_ms: f64,
-    /// WAN capacity UCSD–FIU (bytes/sec).
-    pub wan_ucsd_fiu_bps: f64,
-    /// WAN capacity FIU–SRI (bytes/sec).
-    pub wan_fiu_sri_bps: f64,
-    /// WAN capacity UCSD–SRI (bytes/sec).
-    pub wan_ucsd_sri_bps: f64,
-    /// Node NIC capacity (bytes/sec).
-    pub nic_bps: f64,
-    /// Intra-site fabric capacity (bytes/sec).
-    pub lan_bps: f64,
-}
+/// Nodes per site (Figure 4: two).
+pub const NODES_PER_SITE: usize = 2;
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            nodes_per_site: 2,
-            cores_per_node: 6,
-            memory_gib_per_node: 8,
-            rtt_ucsd_fiu_ms: 66.0,
-            rtt_fiu_sri_ms: 10.0,
-            rtt_ucsd_sri_ms: 72.0,
-            wan_ucsd_fiu_bps: mbps(600.0),
-            wan_fiu_sri_bps: mbps(900.0),
-            wan_ucsd_sri_bps: mbps(400.0),
-            nic_bps: gbps(1.0),
-            lan_bps: gbps(10.0),
-        }
-    }
-}
+/// CPU cores per node (Section 5.1).
+pub const NODE_CORES: u64 = 6;
+
+/// Memory per node in GiB (Section 5.1).
+pub const NODE_MEMORY_GIB: u64 = 8;
+
+/// The inter-site links of Figure 4 as `(site, site, RTT in ms, capacity in
+/// Mbps)`, sites indexing [`SITE_NAMES`]. The RTTs are the figure's; the
+/// capacities are this reproduction's sub-gigabit substitution.
+pub const WAN_LINKS: [(usize, usize, f64, f64); 3] = [
+    (0, 1, 66.0, 600.0),
+    (1, 2, 10.0, 900.0),
+    (0, 2, 72.0, 400.0),
+];
 
 /// The built testbed: topology, network and cluster, with aligned node names
 /// (`node-1` ... `node-6`, numbered across sites in round-robin order so each
 /// site holds a mix of low/high indices, like the paper's Figure 4 labels).
 #[derive(Debug, Clone)]
 pub struct FabricTestbed {
-    /// The experiment configuration used to build the testbed.
-    pub config: FabricConfig,
     /// The flow-level network.
     pub network: Network,
     /// The mini-Kubernetes cluster.
@@ -78,66 +54,43 @@ pub struct FabricTestbed {
 }
 
 impl FabricTestbed {
-    /// Build the testbed from a configuration.
-    pub fn build(config: FabricConfig) -> Self {
-        let topology = Self::build_topology(&config);
-        let testbed = Testbed::assemble(
-            Network::new(topology),
-            config.cores_per_node,
-            config.memory_gib_per_node,
-        );
+    /// Build the paper's testbed.
+    pub fn paper() -> Self {
+        let testbed = Testbed::assemble(Network::new(Self::build_topology()));
         FabricTestbed {
-            config,
             network: testbed.network,
             cluster: testbed.cluster,
         }
-    }
-
-    /// Build the default paper testbed.
-    pub fn paper() -> Self {
-        Self::build(FabricConfig::default())
     }
 
     #[expect(
         clippy::expect_used,
         reason = "the hard-coded paper topology is connected; failing to build it is a programming error"
     )]
-    fn build_topology(config: &FabricConfig) -> Topology {
+    fn build_topology() -> Topology {
         let mut b = TopologyBuilder::new();
         let lan_delay = SimDuration::from_micros(150);
-        let ucsd = b.add_site("UCSD", lan_delay, config.lan_bps);
-        let fiu = b.add_site("FIU", lan_delay, config.lan_bps);
-        let sri = b.add_site("SRI", lan_delay, config.lan_bps);
-        let sites = [ucsd, fiu, sri];
+        let lan_bps = gbps(10.0);
+        let nic_bps = gbps(1.0);
+        let sites = SITE_NAMES.map(|name| b.add_site(name, lan_delay, lan_bps));
         // node-1..node-6 assigned round-robin: UCSD {1,4}, FIU {2,5}, SRI {3,6}.
-        for i in 0..(config.nodes_per_site * 3) {
-            let site = sites[i % 3];
+        for i in 0..(NODES_PER_SITE * sites.len()) {
             b.add_node(
                 format!("node-{}", i + 1),
-                site,
-                config.nic_bps,
-                config.nic_bps,
+                sites[i % sites.len()],
+                nic_bps,
+                nic_bps,
             );
         }
-        // One-way delay = RTT / 2.
-        b.connect_sites(
-            ucsd,
-            fiu,
-            SimDuration::from_millis_f64(config.rtt_ucsd_fiu_ms / 2.0),
-            config.wan_ucsd_fiu_bps,
-        );
-        b.connect_sites(
-            fiu,
-            sri,
-            SimDuration::from_millis_f64(config.rtt_fiu_sri_ms / 2.0),
-            config.wan_fiu_sri_bps,
-        );
-        b.connect_sites(
-            ucsd,
-            sri,
-            SimDuration::from_millis_f64(config.rtt_ucsd_sri_ms / 2.0),
-            config.wan_ucsd_sri_bps,
-        );
+        for (a, z, rtt_ms, capacity_mbps) in WAN_LINKS {
+            // One-way delay = RTT / 2.
+            b.connect_sites(
+                sites[a],
+                sites[z],
+                SimDuration::from_millis_f64(rtt_ms / 2.0),
+                mbps(capacity_mbps),
+            );
+        }
         b.build().expect("the paper topology is valid")
     }
 
@@ -248,16 +201,5 @@ mod tests {
         assert!(matrix.iter().all(|(_, _, ms)| *ms > 0.0));
         let max = matrix.iter().map(|(_, _, ms)| *ms).fold(0.0, f64::max);
         assert!((max - 72.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn custom_config_scales_node_count() {
-        let tb = FabricTestbed::build(FabricConfig {
-            nodes_per_site: 3,
-            ..Default::default()
-        });
-        assert_eq!(tb.node_count(), 9);
-        assert!(tb.net_id("node-9").is_some());
-        assert!(tb.net_id("node-10").is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! node's interface-counter delta over the run divided by the run duration —
 //! the same quantities the paper derives from Prometheus.
 
-use crate::fabric::{FabricConfig, FabricTestbed};
+use crate::fabric::{FabricTestbed, SITE_NAMES, WAN_LINKS};
 use crate::world::SimWorld;
 use netsched_core::request::JobRequest;
 use simcore::{OnlineStats, SimDuration};
@@ -185,14 +185,12 @@ impl Figure4Topology {
 
 /// Build the Figure 4 description from the testbed and a quick ping-mesh probe.
 pub fn figure4_topology(seed: u64) -> Figure4Topology {
-    let config = FabricConfig::default();
-    let testbed = FabricTestbed::build(config.clone());
-    let mut world = SimWorld::new(testbed, seed);
+    let mut world = SimWorld::new(FabricTestbed::paper(), seed);
     world.advance_by(SimDuration::from_secs(6));
     let snapshot = world.snapshot();
 
     let mut sites: Vec<(String, Vec<String>)> = Vec::new();
-    for site in crate::fabric::SITE_NAMES {
+    for site in SITE_NAMES {
         let nodes: Vec<String> = world
             .cluster
             .nodes()
@@ -223,26 +221,15 @@ pub fn figure4_topology(seed: u64) -> Figure4Topology {
             .unwrap_or(0.0)
     };
 
-    let edges = vec![
-        SiteEdge {
-            a: "UCSD".into(),
-            b: "FIU".into(),
-            rtt_ms: config.rtt_ucsd_fiu_ms,
-            measured_rtt_ms: measured("UCSD", "FIU"),
-        },
-        SiteEdge {
-            a: "FIU".into(),
-            b: "SRI".into(),
-            rtt_ms: config.rtt_fiu_sri_ms,
-            measured_rtt_ms: measured("FIU", "SRI"),
-        },
-        SiteEdge {
-            a: "UCSD".into(),
-            b: "SRI".into(),
-            rtt_ms: config.rtt_ucsd_sri_ms,
-            measured_rtt_ms: measured("UCSD", "SRI"),
-        },
-    ];
+    let edges = WAN_LINKS
+        .iter()
+        .map(|&(a, b, rtt_ms, _)| SiteEdge {
+            a: SITE_NAMES[a].into(),
+            b: SITE_NAMES[b].into(),
+            rtt_ms,
+            measured_rtt_ms: measured(SITE_NAMES[a], SITE_NAMES[b]),
+        })
+        .collect();
 
     Figure4Topology { sites, edges }
 }

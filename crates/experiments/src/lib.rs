@@ -57,7 +57,7 @@ pub use config::{job_matrix, JobConfig};
 pub use evaluation::{
     evaluate_cell, evaluate_table4, CellEvaluation, MethodSpeedup, SchedulerAccuracy, Table4Report,
 };
-pub use fabric::{FabricConfig, FabricTestbed};
+pub use fabric::FabricTestbed;
 pub use scenarios::{
     run_sweep, CellReport, LoadLevel, ScenarioMatrix, ScenarioSpec, SweepOptions, SweepReport,
     TestbedSpec,

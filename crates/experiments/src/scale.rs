@@ -17,6 +17,7 @@
 //! on a 240-node world that a budgeted ranking is the unbudgeted ranking's
 //! prefix.
 
+use crate::fabric::{NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, Node, PodSpec, Resources};
 use netsched_core::predictor::CompletionTimePredictor;
 use netsched_core::request::JobRequest;
@@ -26,6 +27,13 @@ use simnet::{TieredClosSpec, TopologySpec};
 use sparksim::WorkloadKind;
 use telemetry::{ClusterSnapshot, NodeTelemetry};
 
+/// RTT probes per node (the sampled mesh's out-degree).
+const RTT_PROBES_PER_NODE: usize = 6;
+
+/// Fraction of nodes carrying a background pod (drives feasibility and load
+/// variation; a slice of these are filled completely).
+const BUSY_FRACTION: f64 = 0.6;
+
 /// Declarative description of one scale world.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleWorldSpec {
@@ -33,22 +41,12 @@ pub struct ScaleWorldSpec {
     pub nodes: usize,
     /// Seed for background load, telemetry noise and probe sampling.
     pub seed: u64,
-    /// RTT probes per node (the sampled mesh's out-degree).
-    pub rtt_probes_per_node: usize,
-    /// Fraction of nodes carrying a background pod (drives feasibility and
-    /// load variation; a slice of these are filled completely).
-    pub busy_fraction: f64,
 }
 
 impl ScaleWorldSpec {
     /// The standard world at `nodes` total nodes.
     pub fn with_nodes(nodes: usize, seed: u64) -> Self {
-        ScaleWorldSpec {
-            nodes,
-            seed,
-            rtt_probes_per_node: 6,
-            busy_fraction: 0.6,
-        }
+        ScaleWorldSpec { nodes, seed }
     }
 }
 
@@ -87,7 +85,7 @@ impl ScaleWorld {
             cluster.add_node(Node::new(
                 net.name.clone(),
                 net.id,
-                Resources::from_cores_and_gib(6, 8),
+                Resources::from_cores_and_gib(NODE_CORES, NODE_MEMORY_GIB),
                 site,
             ));
         }
@@ -95,12 +93,12 @@ impl ScaleWorld {
         // Background pods: most busy nodes keep headroom, a slice are filled
         // to the brim so the feasible set is a strict subset of the table.
         for i in 0..n {
-            if !rng.gen_bool(spec.busy_fraction) {
+            if !rng.gen_bool(BUSY_FRACTION) {
                 continue;
             }
             let full = rng.gen_bool(0.08);
             let (cpu, gib) = if full {
-                (6, 8)
+                (NODE_CORES, NODE_MEMORY_GIB)
             } else {
                 (1 + rng.gen_range(4), 1 + rng.gen_range(5))
             };
@@ -128,16 +126,16 @@ impl ScaleWorld {
         }
         // Sampled RTT mesh: every node probes its rack neighbor, one same-pod
         // rack and a few cross-pod nodes — the structure the RTT features
-        // read, at out-degree `rtt_probes_per_node` instead of n.
+        // read, at out-degree `RTT_PROBES_PER_NODE` instead of n.
         let nodes_per_pod = nodes_per_rack * racks_per_pod;
         for i in 0..n {
-            let mut peers = Vec::with_capacity(spec.rtt_probes_per_node);
+            let mut peers = Vec::with_capacity(RTT_PROBES_PER_NODE);
             peers.push((i / nodes_per_rack) * nodes_per_rack + (i + 1) % nodes_per_rack);
             if n > nodes_per_pod {
                 let pod_base = (i / nodes_per_pod) * nodes_per_pod;
                 peers.push(pod_base + (i + nodes_per_rack) % nodes_per_pod.min(n - pod_base));
             }
-            while peers.len() < spec.rtt_probes_per_node {
+            while peers.len() < RTT_PROBES_PER_NODE {
                 peers.push(rng.gen_range(n as u64) as usize);
             }
             for peer in peers {

@@ -3,11 +3,11 @@
 //!
 //! The paper's evaluation lives on a single 6-node FABRIC slice. This module
 //! turns that one world into a point in a matrix: a [`TestbedSpec`] names a
-//! substrate declaratively (the FABRIC slice is one named spec; the `simnet`
-//! topology generators provide star-LAN, leaf–spine, fat-tree-lite and WAN
-//! meshes), a `sparksim` [`WorkloadMixSpec`] names a workload family, a
-//! [`LoadLevel`] names a background-contention regime, and a seed pins the
-//! randomness. [`run_sweep`] fans the full cross-product over threads via
+//! substrate declaratively (the FABRIC slice, fixed at the paper's numbers, is
+//! one named spec; the `simnet` topology generators provide star-LAN,
+//! leaf–spine and WAN meshes), a `sparksim` [`WorkloadMixSpec`] names a
+//! workload family, a [`LoadLevel`] names a background-contention regime, and
+//! a seed pins the randomness. [`run_sweep`] fans the full cross-product over threads via
 //! `simcore::parallel`, re-runs the Table-3/Table-4 pipeline in every cell
 //! (dataset generation → model training → Top-1/Top-2 accuracy → speedup vs.
 //! the Kubernetes default scheduler) and emits one machine-readable
@@ -25,7 +25,7 @@
 //! (supporting evidence, not part of the majority check).
 
 use crate::evaluation::{evaluate_cell, MethodSpeedup, SchedulerAccuracy};
-use crate::fabric::FabricConfig;
+use crate::fabric::{FabricTestbed, NODES_PER_SITE, SITE_NAMES};
 use crate::workflow::{ExperimentConfig, Workflow};
 use crate::world::Testbed;
 use mlcore::{GradientBoostingConfig, ModelConfig, RandomForestConfig};
@@ -37,54 +37,27 @@ use simnet::{
 };
 use sparksim::{MixKind, WorkloadMixSpec};
 
-/// Per-node allocatable resources of a generated testbed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeResources {
-    /// CPU cores per node.
-    pub cores: u64,
-    /// Memory per node in GiB.
-    pub memory_gib: u64,
-}
-
-impl Default for NodeResources {
-    fn default() -> Self {
-        // The paper's node shape (6 CPUs, 8 GB).
-        NodeResources {
-            cores: 6,
-            memory_gib: 8,
-        }
-    }
-}
-
 /// Declarative description of a substrate. The FABRIC slice of Figure 4 is
 /// one named spec; every other member comes from the `simnet` topology
-/// generators.
+/// generators. Every node has the paper's shape (6 CPUs, 8 GiB).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TestbedSpec {
     /// The paper's FABRIC slice (UCSD/FIU/SRI).
-    Fabric(FabricConfig),
-    /// A generated topology with uniform node resources.
+    Fabric,
+    /// A generated topology.
     Generated {
         /// The topology family member to build.
         topology: TopologySpec,
-        /// Allocatable resources per node.
-        resources: NodeResources,
         /// Seed for the topology generator's randomness.
         topology_seed: u64,
     },
 }
 
 impl TestbedSpec {
-    /// The paper's default FABRIC slice.
-    pub fn fabric() -> Self {
-        TestbedSpec::Fabric(FabricConfig::default())
-    }
-
-    /// A generated substrate with the paper's node shape.
+    /// A generated substrate.
     pub fn generated(topology: TopologySpec, topology_seed: u64) -> Self {
         TestbedSpec::Generated {
             topology,
-            resources: NodeResources::default(),
             topology_seed,
         }
     }
@@ -94,11 +67,10 @@ impl TestbedSpec {
     /// the same randomized family remain distinguishable in reports.
     pub fn name(&self) -> String {
         match self {
-            TestbedSpec::Fabric(config) => format!("fabric-3x{}", config.nodes_per_site),
+            TestbedSpec::Fabric => format!("fabric-{}x{NODES_PER_SITE}", SITE_NAMES.len()),
             TestbedSpec::Generated {
                 topology,
                 topology_seed,
-                ..
             } => format!("{}-s{}", topology.name(), topology_seed),
         }
     }
@@ -106,7 +78,7 @@ impl TestbedSpec {
     /// Number of candidate nodes the built testbed will hold.
     pub fn node_count(&self) -> usize {
         match self {
-            TestbedSpec::Fabric(config) => config.nodes_per_site * 3,
+            TestbedSpec::Fabric => NODES_PER_SITE * SITE_NAMES.len(),
             TestbedSpec::Generated { topology, .. } => topology.node_count(),
         }
     }
@@ -118,18 +90,15 @@ impl TestbedSpec {
     )]
     pub fn build(&self) -> Testbed {
         match self {
-            TestbedSpec::Fabric(config) => {
-                crate::fabric::FabricTestbed::build(config.clone()).into()
-            }
+            TestbedSpec::Fabric => FabricTestbed::paper().into(),
             TestbedSpec::Generated {
                 topology,
-                resources,
                 topology_seed,
             } => {
                 let topo = topology
                     .build(*topology_seed)
                     .expect("generated topologies are connected by construction");
-                Testbed::assemble(Network::new(topo), resources.cores, resources.memory_gib)
+                Testbed::assemble(Network::new(topo))
             }
         }
     }
@@ -139,7 +108,7 @@ impl TestbedSpec {
 /// aggressively they download.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadLevel {
-    /// Regime name (`light`, `moderate`, `heavy`).
+    /// Regime name (`moderate`, `heavy`).
     pub name: String,
     /// Minimum and maximum number of background pods per scenario.
     pub pods: (usize, usize),
@@ -148,18 +117,6 @@ pub struct LoadLevel {
 }
 
 impl LoadLevel {
-    /// One lazy pod: mild contention.
-    pub fn light() -> Self {
-        LoadLevel {
-            name: "light".into(),
-            pods: (1, 1),
-            background: BackgroundLoadConfig {
-                mean_gap: simcore::SimDuration::from_millis(400),
-                ..Default::default()
-            },
-        }
-    }
-
     /// The paper's Section 5.2 regime: 1–3 pods on the default curl loop.
     pub fn moderate() -> Self {
         LoadLevel {
@@ -178,7 +135,6 @@ impl LoadLevel {
                 transfer_bytes: simnet::megabytes(15.0),
                 mean_gap: simcore::SimDuration::from_millis(100),
                 cpu_load: 2.5,
-                ..Default::default()
             },
         }
     }
@@ -295,7 +251,7 @@ impl ScenarioMatrix {
     pub fn paper_default() -> Self {
         ScenarioMatrix {
             testbeds: vec![
-                TestbedSpec::fabric(),
+                TestbedSpec::Fabric,
                 TestbedSpec::generated(TopologySpec::LeafSpine(LeafSpineSpec::default()), 1),
                 TestbedSpec::generated(TopologySpec::WanMesh(WanMeshSpec::default()), 2),
             ],
@@ -314,7 +270,7 @@ impl ScenarioMatrix {
     pub fn smoke() -> Self {
         ScenarioMatrix {
             testbeds: vec![
-                TestbedSpec::fabric(),
+                TestbedSpec::Fabric,
                 TestbedSpec::generated(
                     TopologySpec::StarLan(StarLanSpec {
                         nodes: 5,
@@ -334,25 +290,26 @@ impl ScenarioMatrix {
     }
 }
 
-/// Sweep-wide knobs: worker threads, held-out fraction and model sizes.
+/// Fraction of each cell's scenarios held out for evaluation.
+const TEST_FRACTION: f64 = 0.3;
+
+/// Evaluation seed (train/test split + default-scheduler tie-breaking);
+/// combined with each cell's seed so cells stay independent.
+const EVAL_SEED: u64 = 7;
+
+/// Sweep-wide knobs: worker threads and model sizes.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Worker threads the sweep fans cells across.
     pub workers: usize,
-    /// Fraction of each cell's scenarios held out for evaluation.
-    pub test_fraction: f64,
     /// Model configuration used in every cell.
     pub model: ModelConfig,
-    /// Evaluation seed (train/test split + default-scheduler tie-breaking);
-    /// combined with each cell's seed so cells stay independent.
-    pub eval_seed: u64,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             workers: simcore::parallel::default_workers(),
-            test_fraction: 0.3,
             // Lighter than the paper-scale Table 4 models: every cell trains
             // its own three models, so the sweep trades tree count for cells.
             model: ModelConfig {
@@ -367,7 +324,6 @@ impl Default for SweepOptions {
                 },
                 ..Default::default()
             },
-            eval_seed: 7,
         }
     }
 }
@@ -389,7 +345,6 @@ impl SweepOptions {
                 },
                 ..Default::default()
             },
-            ..Default::default()
         }
     }
 }
@@ -633,9 +588,9 @@ pub fn run_cell(spec: &ScenarioSpec, options: &SweepOptions) -> CellReport {
     let dataset = Workflow::new(spec.to_experiment_config()).run();
     let evaluation = evaluate_cell(
         &dataset,
-        options.test_fraction,
+        TEST_FRACTION,
         &options.model,
-        options.eval_seed ^ spec.seed.rotate_left(17),
+        EVAL_SEED ^ spec.seed.rotate_left(17),
     );
     CellReport {
         cell: CellKey {
@@ -693,7 +648,7 @@ mod tests {
     #[test]
     fn testbed_specs_build_aligned_clusters() {
         for spec in [
-            TestbedSpec::fabric(),
+            TestbedSpec::Fabric,
             TestbedSpec::generated(TopologySpec::LeafSpine(LeafSpineSpec::default()), 1),
             TestbedSpec::generated(TopologySpec::WanMesh(WanMeshSpec::default()), 2),
         ] {
@@ -741,7 +696,7 @@ mod tests {
     #[test]
     fn single_cell_runs_end_to_end() {
         let spec = ScenarioSpec {
-            testbed: TestbedSpec::fabric(),
+            testbed: TestbedSpec::Fabric,
             mix: WorkloadMixSpec::new(MixKind::ShuffleHeavy, 3),
             load: LoadLevel::moderate(),
             seed: 21,

@@ -172,7 +172,7 @@ impl Default for ExperimentConfig {
             background_pods: (1, 3),
             background: BackgroundLoadConfig::default(),
             warmup_seconds: (8.0, 20.0),
-            testbed: TestbedSpec::fabric(),
+            testbed: TestbedSpec::Fabric,
             schema: FeatureSchema::standard(),
             workers: simcore::parallel::default_workers(),
         }

@@ -8,15 +8,16 @@
 //! *same* conditions once per candidate driver node, which is how the "actual
 //! fastest node" ground truth for Table 4 is obtained.
 
-use crate::fabric::FabricTestbed;
+use crate::fabric::{FabricTestbed, NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, DefaultScheduler, Node, PodId, Resources};
 use netsched_core::request::JobRequest;
 use simcore::rng::Rng;
 use simcore::{SimDuration, SimTime};
 use simnet::{
-    place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator, Network, SimNodeId,
+    place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator, Network,
+    SimNodeId, BACKGROUND_POD_MEMORY_BYTES,
 };
-use sparksim::engine::{execute_job, ContentionDriver, ExecutionConfig};
+use sparksim::engine::{execute_job, ContentionDriver};
 use sparksim::{JobRunResult, Placement};
 use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager, SnapshotSource};
 
@@ -33,13 +34,13 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Assemble a cluster over every node of `network`'s topology: uniform
-    /// allocatable resources, the node's site as its zone label, and a
-    /// distinct idle footprint per host (daemons, page cache) so no two nodes
-    /// are byte-for-byte identical even when unloaded — real hosts never are,
-    /// and the telemetry-blind baseline should not be able to exploit
-    /// accidental symmetry.
-    pub fn assemble(network: Network, cores_per_node: u64, memory_gib_per_node: u64) -> Self {
+    /// Assemble a cluster over every node of `network`'s topology: the
+    /// paper's node shape ([`NODE_CORES`] CPUs, [`NODE_MEMORY_GIB`] GiB), the
+    /// node's site as its zone label, and a distinct idle footprint per host
+    /// (daemons, page cache) so no two nodes are byte-for-byte identical even
+    /// when unloaded — real hosts never are, and the telemetry-blind baseline
+    /// should not be able to exploit accidental symmetry.
+    pub fn assemble(network: Network) -> Self {
         let mut cluster = ClusterState::new();
         for node in network.topology().nodes() {
             let site = network.topology().site(node.site).name.clone();
@@ -47,7 +48,7 @@ impl Testbed {
                 Node::new(
                     node.name.clone(),
                     node.id,
-                    Resources::from_cores_and_gib(cores_per_node, memory_gib_per_node),
+                    Resources::from_cores_and_gib(NODE_CORES, NODE_MEMORY_GIB),
                     site,
                 )
                 .with_base_load(
@@ -173,7 +174,9 @@ pub struct WorldRunOutcome {
     pub pre_run_snapshot: ClusterSnapshot,
 }
 
-/// The simulated world.
+/// The simulated world. Jobs run through `sparksim`'s execution model at its
+/// fixed constants, and each background pod pins the fixed
+/// [`BACKGROUND_POD_MEMORY_BYTES`] on its host.
 #[derive(Debug, Clone)]
 pub struct SimWorld {
     /// The mini-Kubernetes cluster.
@@ -184,7 +187,6 @@ pub struct SimWorld {
     pub metrics: ScrapeManager,
     background: BackgroundDriver,
     executor_scheduler: DefaultScheduler,
-    exec_config: ExecutionConfig,
     rng: Rng,
     now: SimTime,
 }
@@ -214,10 +216,6 @@ impl SimWorld {
             }),
             background: BackgroundDriver::new(background_rng),
             executor_scheduler: DefaultScheduler::new(scheduler_seed),
-            exec_config: ExecutionConfig {
-                control_rtts_per_wave: 8.0,
-                ..Default::default()
-            },
             rng,
             now: SimTime::ZERO,
         }
@@ -290,7 +288,7 @@ impl SimWorld {
                 .find(|n| n.net_id == generator.host)
             {
                 node.background_cpu_load += generator.cpu_load();
-                node.background_memory_used += generator.memory_bytes();
+                node.background_memory_used += BACKGROUND_POD_MEMORY_BYTES;
             }
         }
         self.background.set_generators(generators, self.now);
@@ -404,7 +402,6 @@ impl SimWorld {
             &|node: SimNodeId| loads[node.0],
             &mut self.background,
             self.now,
-            &self.exec_config,
         );
         self.now = result.finished_at;
 

@@ -14,16 +14,11 @@ use std::fmt;
 pub struct LinearRegressionConfig {
     /// L2 regularization strength (0 = ordinary least squares).
     pub l2: f64,
-    /// Whether to standardize features before fitting.
-    pub standardize: bool,
 }
 
 impl Default for LinearRegressionConfig {
     fn default() -> Self {
-        LinearRegressionConfig {
-            l2: 1e-6,
-            standardize: true,
-        }
+        LinearRegressionConfig { l2: 1e-6 }
     }
 }
 
@@ -31,11 +26,11 @@ impl Default for LinearRegressionConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     config: LinearRegressionConfig,
-    /// Weights over (possibly standardized) features.
+    /// Weights over standardized features.
     weights: Vec<f64>,
     intercept: f64,
+    /// The fit-time scaler; `None` until `fit` succeeds.
     scaler: Option<Scaler>,
-    fitted: bool,
 }
 
 /// Errors raised by model fitting.
@@ -72,12 +67,10 @@ impl LinearRegression {
             weights: Vec::new(),
             intercept: 0.0,
             scaler: None,
-            fitted: false,
         }
     }
 
-    /// Fitted weights (in the standardized feature space when standardization
-    /// is enabled).
+    /// Fitted weights, in the standardized feature space.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -89,7 +82,7 @@ impl LinearRegression {
 
     /// Whether `fit` has been called successfully.
     pub fn is_fitted(&self) -> bool {
-        self.fitted
+        self.scaler.is_some()
     }
 
     /// Fit the model to a dataset.
@@ -97,12 +90,8 @@ impl LinearRegression {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
-        let (x, scaler): (FeatureMatrix, Option<Scaler>) = if self.config.standardize {
-            let scaler = Scaler::fit(data);
-            (scaler.transform_matrix(data.matrix()), Some(scaler))
-        } else {
-            (data.matrix().clone(), None)
-        };
+        let scaler = Scaler::fit(data);
+        let x = scaler.transform_matrix(data.matrix());
         let y = data.targets();
         let p = data.n_features() + 1; // + intercept column
 
@@ -128,26 +117,13 @@ impl LinearRegression {
         let solution = solve_linear_system(&mut a, &mut b).ok_or(FitError::SingularSystem)?;
         self.intercept = solution[0];
         self.weights = solution[1..].to_vec();
-        self.scaler = scaler;
-        self.fitted = true;
+        self.scaler = Some(scaler);
         Ok(())
-    }
-
-    /// The affine prediction over an already-standardized row.
-    #[inline]
-    fn dot(&self, row: &[f64]) -> f64 {
-        self.intercept
-            + self
-                .weights
-                .iter()
-                .zip(row)
-                .map(|(w, x)| w * x)
-                .sum::<f64>()
     }
 
     /// The affine prediction over a raw row, standardizing element-wise on
     /// the fly. Each term is `w * ((x - m) / s)` — the same operations in the
-    /// same order as transforming the row first and calling [`Self::dot`],
+    /// same order as transforming the row first and taking the dot product,
     /// so results are bit-identical, without a scratch buffer.
     #[inline]
     fn dot_standardized(&self, scaler: &Scaler, row: &[f64]) -> f64 {
@@ -164,12 +140,9 @@ impl LinearRegression {
 
     /// Predict the target for one feature row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        if !self.fitted {
-            return 0.0;
-        }
         match &self.scaler {
             Some(s) => self.dot_standardized(s, row),
-            None => self.dot(row),
+            None => 0.0,
         }
     }
 
@@ -178,14 +151,12 @@ impl LinearRegression {
     /// batches allocate nothing.
     pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
-        if !self.fitted {
-            out.resize(x.n_rows(), 0.0);
-            return;
-        }
-        out.reserve(x.n_rows());
         match &self.scaler {
-            Some(s) => out.extend(x.rows().map(|row| self.dot_standardized(s, row))),
-            None => out.extend(x.rows().map(|row| self.dot(row))),
+            Some(s) => {
+                out.reserve(x.n_rows());
+                out.extend(x.rows().map(|row| self.dot_standardized(s, row)));
+            }
+            None => out.resize(x.n_rows(), 0.0),
         }
     }
 
@@ -265,10 +236,7 @@ mod tests {
     #[test]
     fn recovers_exact_linear_relationship() {
         let data = linear_dataset(200, 0.0, 1);
-        let mut model = LinearRegression::new(LinearRegressionConfig {
-            l2: 0.0,
-            standardize: true,
-        });
+        let mut model = LinearRegression::new(LinearRegressionConfig { l2: 0.0 });
         assert!(!model.is_fitted());
         model.fit(&data).unwrap();
         assert!(model.is_fitted());
@@ -288,21 +256,6 @@ mod tests {
         let m = RegressionMetrics::compute(&model.predict(&test), test.targets());
         assert!(m.r2 > 0.9, "r2 {}", m.r2);
         assert!(m.rmse < 2.0, "rmse {}", m.rmse);
-    }
-
-    #[test]
-    fn unstandardized_fit_also_works() {
-        let data = linear_dataset(200, 0.0, 4);
-        let mut model = LinearRegression::new(LinearRegressionConfig {
-            l2: 0.0,
-            standardize: false,
-        });
-        model.fit(&data).unwrap();
-        // Without standardization the raw weights are interpretable.
-        assert!((model.weights()[0] - 2.0).abs() < 1e-6);
-        assert!((model.weights()[1] + 1.5).abs() < 1e-6);
-        assert!((model.weights()[2] - 0.5).abs() < 1e-6);
-        assert!((model.intercept() - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -329,10 +282,7 @@ mod tests {
             let x = rng.uniform(0.0, 1.0);
             d.push(vec![x, x], 5.0 * x + 1.0).unwrap();
         }
-        let mut model = LinearRegression::new(LinearRegressionConfig {
-            l2: 1e-3,
-            standardize: true,
-        });
+        let mut model = LinearRegression::new(LinearRegressionConfig { l2: 1e-3 });
         model.fit(&d).unwrap();
         let m = RegressionMetrics::compute(&model.predict(&d), d.targets());
         assert!(m.r2 > 0.99);

@@ -10,7 +10,6 @@ use crate::gbdt::{GradientBoosting, GradientBoostingConfig};
 use crate::linear::{LinearRegression, LinearRegressionConfig};
 use simcore::rng::Rng;
 use std::fmt;
-use std::str::FromStr;
 
 /// The model families evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,20 +43,6 @@ impl ModelKind {
 impl fmt::Display for ModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.display_name())
-    }
-}
-
-impl FromStr for ModelKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-            "linear" | "linearregression" | "lr" | "ols" | "ridge" => Ok(ModelKind::Linear),
-            "randomforest" | "rf" | "forest" => Ok(ModelKind::RandomForest),
-            "gradientboosting" | "gbdt" | "xgboost" | "xgb" | "boosting" => {
-                Ok(ModelKind::GradientBoosting)
-            }
-            other => Err(format!("unknown model kind: {other}")),
-        }
     }
 }
 
@@ -222,17 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_and_display() {
-        assert_eq!("rf".parse::<ModelKind>().unwrap(), ModelKind::RandomForest);
-        assert_eq!(
-            "XGBoost".parse::<ModelKind>().unwrap(),
-            ModelKind::GradientBoosting
-        );
-        assert_eq!(
-            "linear regression".parse::<ModelKind>().unwrap(),
-            ModelKind::Linear
-        );
-        assert!("svm".parse::<ModelKind>().is_err());
+    fn kind_display() {
         assert_eq!(format!("{}", ModelKind::RandomForest), "Random Forest");
         assert_eq!(ModelKind::GradientBoosting.display_name(), "XGBoost");
         assert_eq!(ModelKind::ALL.len(), 3);

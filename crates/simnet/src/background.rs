@@ -16,6 +16,10 @@ use crate::topology::NodeId;
 use simcore::rng::Rng;
 use simcore::SimDuration;
 
+/// Memory a background-load pod pins on its host, in bytes: the curl loop
+/// plus the buffer cache of the HTTP server it hammers.
+pub const BACKGROUND_POD_MEMORY_BYTES: f64 = 1536.0 * 1024.0 * 1024.0;
+
 /// Configuration of one background-load pod.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackgroundLoadConfig {
@@ -26,10 +30,6 @@ pub struct BackgroundLoadConfig {
     /// CPU load (in load-average units, i.e. runnable processes) the pod adds
     /// to its host while running.
     pub cpu_load: f64,
-    /// Memory the pod pins on its host, in bytes.
-    pub memory_bytes: f64,
-    /// Whether the pod downloads (traffic flows *to* the host) or uploads.
-    pub download: bool,
 }
 
 impl Default for BackgroundLoadConfig {
@@ -38,11 +38,9 @@ impl Default for BackgroundLoadConfig {
             transfer_bytes: crate::megabytes(10.0),
             mean_gap: SimDuration::from_millis(200),
             // The curl loop plus the HTTP server it hammers keep a couple of
-            // runnable processes on the host and pin a sizeable buffer cache —
-            // that is what makes the contention visible in node telemetry.
+            // runnable processes on the host — that, with the pinned buffer
+            // cache, is what makes the contention visible in node telemetry.
             cpu_load: 2.0,
-            memory_bytes: 1536.0 * 1024.0 * 1024.0,
-            download: true,
         }
     }
 }
@@ -90,11 +88,6 @@ impl BackgroundLoadGenerator {
         self.config.cpu_load
     }
 
-    /// Memory the pod pins on its host.
-    pub fn memory_bytes(&self) -> f64 {
-        self.config.memory_bytes
-    }
-
     /// Number of transfers generated so far.
     pub fn transfers_issued(&self) -> u64 {
         self.transfers_issued
@@ -103,20 +96,16 @@ impl BackgroundLoadGenerator {
     /// Produce the next transfer. The gap before the transfer is sampled from
     /// an exponential distribution with the configured mean (plus a floor so
     /// the generator cannot busy-loop), and the transfer size gets ±10%
-    /// uniform variation like a real HTTP fetch with headers/retries.
+    /// uniform variation like a real HTTP fetch with headers/retries. The
+    /// pod downloads: traffic flows from the peer to the host.
     pub fn next_transfer(&mut self, rng: &mut Rng) -> BackgroundTransfer {
         self.transfers_issued += 1;
         let mean_gap = self.config.mean_gap.as_secs_f64().max(1e-3);
         let gap = SimDuration::from_secs_f64(rng.exponential(1.0 / mean_gap).min(mean_gap * 10.0));
         let bytes = self.config.transfer_bytes * rng.uniform(0.9, 1.1);
-        let (src, dst) = if self.config.download {
-            (self.peer, self.host)
-        } else {
-            (self.host, self.peer)
-        };
         BackgroundTransfer {
-            src,
-            dst,
+            src: self.peer,
+            dst: self.host,
             bytes,
             gap,
             kind: FlowKind::Background,
@@ -171,7 +160,6 @@ mod tests {
     fn default_config_matches_paper() {
         let c = BackgroundLoadConfig::default();
         assert_eq!(c.transfer_bytes, 10_000_000.0);
-        assert!(c.download);
         assert!(c.cpu_load > 0.0);
     }
 
@@ -185,19 +173,6 @@ mod tests {
         assert_eq!(t.src, NodeId(5));
         assert_eq!(t.kind, FlowKind::Background);
         assert_eq!(g.transfers_issued(), 1);
-    }
-
-    #[test]
-    fn upload_direction_flips() {
-        let mut rng = Rng::seed_from_u64(1);
-        let cfg = BackgroundLoadConfig {
-            download: false,
-            ..Default::default()
-        };
-        let mut g = BackgroundLoadGenerator::new(NodeId(2), NodeId(5), cfg);
-        let t = g.next_transfer(&mut rng);
-        assert_eq!(t.src, NodeId(2));
-        assert_eq!(t.dst, NodeId(5));
     }
 
     #[test]

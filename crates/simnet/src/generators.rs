@@ -11,9 +11,8 @@
 //!   completion differences come from CPU/memory contention and NIC sharing.
 //! * [`LeafSpineSpec`] — a two-tier Clos fabric: leaf sites holding nodes,
 //!   spine sites providing the cross-leaf paths.
-//! * [`FatTreeLiteSpec`] — a reduced three-tier fat-tree: pods of edge sites
-//!   under aggregation sites under one core, with oversubscription between
-//!   tiers.
+//! * [`TieredClosSpec`] — a datacenter-scale three-tier Clos (racks under
+//!   pods under one spine), the substrate of the 1k–10k-node scale worlds.
 //! * [`WanMeshSpec`] — N geo-distributed sites on a randomized WAN mesh with
 //!   configurable delay/capacity ranges and heterogeneous NICs (the
 //!   generalization of the FABRIC slice).
@@ -78,45 +77,6 @@ impl Default for LeafSpineSpec {
             spines: 2,
             link_delay_us: 250,
             link_bps: mbps(800.0),
-            nic_bps: gbps(1.0),
-        }
-    }
-}
-
-/// Reduced three-tier fat-tree: `pods` pods, each with `edges_per_pod` edge
-/// sites (holding nodes) under one aggregation site, all aggregation sites
-/// under a single core. Tier capacities narrow toward the core, producing the
-/// classic oversubscription that makes cross-pod traffic contend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FatTreeLiteSpec {
-    /// Number of pods.
-    pub pods: usize,
-    /// Edge sites per pod.
-    pub edges_per_pod: usize,
-    /// Nodes per edge site.
-    pub nodes_per_edge: usize,
-    /// One-way edge↔aggregation delay, microseconds.
-    pub edge_agg_delay_us: u64,
-    /// One-way aggregation↔core delay, microseconds.
-    pub agg_core_delay_us: u64,
-    /// Edge↔aggregation link capacity, bytes/sec.
-    pub edge_agg_bps: f64,
-    /// Aggregation↔core link capacity, bytes/sec (the oversubscribed tier).
-    pub agg_core_bps: f64,
-    /// NIC capacity per node, bytes/sec.
-    pub nic_bps: f64,
-}
-
-impl Default for FatTreeLiteSpec {
-    fn default() -> Self {
-        FatTreeLiteSpec {
-            pods: 3,
-            edges_per_pod: 2,
-            nodes_per_edge: 1,
-            edge_agg_delay_us: 150,
-            agg_core_delay_us: 400,
-            edge_agg_bps: gbps(1.0),
-            agg_core_bps: mbps(600.0),
             nic_bps: gbps(1.0),
         }
     }
@@ -226,8 +186,6 @@ pub enum TopologySpec {
     StarLan(StarLanSpec),
     /// Two-tier leaf–spine fabric.
     LeafSpine(LeafSpineSpec),
-    /// Reduced three-tier fat-tree.
-    FatTreeLite(FatTreeLiteSpec),
     /// Datacenter-scale three-tier Clos (racks → pods → spine).
     TieredClos(TieredClosSpec),
     /// Randomized N-site WAN mesh.
@@ -242,10 +200,6 @@ impl TopologySpec {
             TopologySpec::LeafSpine(s) => {
                 format!("leaf-spine-{}x{}", s.leaves, s.nodes_per_leaf)
             }
-            TopologySpec::FatTreeLite(s) => format!(
-                "fat-tree-{}p{}e{}n",
-                s.pods, s.edges_per_pod, s.nodes_per_edge
-            ),
             TopologySpec::TieredClos(s) => {
                 format!("tiered-clos-{}x{}", s.racks, s.nodes_per_rack)
             }
@@ -258,7 +212,6 @@ impl TopologySpec {
         match self {
             TopologySpec::StarLan(s) => s.nodes,
             TopologySpec::LeafSpine(s) => s.leaves * s.nodes_per_leaf,
-            TopologySpec::FatTreeLite(s) => s.pods * s.edges_per_pod * s.nodes_per_edge,
             TopologySpec::TieredClos(s) => s.racks * s.nodes_per_rack,
             TopologySpec::WanMesh(s) => s.sites * s.nodes_per_site,
         }
@@ -270,7 +223,6 @@ impl TopologySpec {
         match self {
             TopologySpec::StarLan(s) => build_star_lan(s),
             TopologySpec::LeafSpine(s) => build_leaf_spine(s),
-            TopologySpec::FatTreeLite(s) => build_fat_tree_lite(s),
             TopologySpec::TieredClos(s) => build_tiered_clos(s),
             TopologySpec::WanMesh(s) => build_wan_mesh(s, seed),
         }
@@ -309,38 +261,6 @@ fn build_leaf_spine(spec: &LeafSpineSpec) -> Result<Topology, TopologyError> {
         for &spine in &spines {
             b.connect_sites(leaf, spine, delay, spec.link_bps);
         }
-    }
-    b.build()
-}
-
-fn build_fat_tree_lite(spec: &FatTreeLiteSpec) -> Result<Topology, TopologyError> {
-    let mut b = TopologyBuilder::new();
-    let lan_delay = SimDuration::from_micros(100);
-    let core = b.add_site("core", lan_delay, gbps(40.0));
-    let mut edge_sites = Vec::new();
-    for p in 0..spec.pods {
-        let agg = b.add_site(format!("agg-{}", p + 1), lan_delay, gbps(20.0));
-        b.connect_sites(
-            agg,
-            core,
-            SimDuration::from_micros(spec.agg_core_delay_us.max(1)),
-            spec.agg_core_bps,
-        );
-        for e in 0..spec.edges_per_pod {
-            let edge = b.add_site(format!("edge-{}-{}", p + 1, e + 1), lan_delay, gbps(10.0));
-            b.connect_sites(
-                edge,
-                agg,
-                SimDuration::from_micros(spec.edge_agg_delay_us.max(1)),
-                spec.edge_agg_bps,
-            );
-            edge_sites.push(edge);
-        }
-    }
-    // Nodes numbered round-robin across edge sites.
-    for i in 0..edge_sites.len() * spec.nodes_per_edge {
-        let edge = edge_sites[i % edge_sites.len()];
-        b.add_node(format!("node-{}", i + 1), edge, spec.nic_bps, spec.nic_bps);
     }
     b.build()
 }
@@ -446,7 +366,6 @@ mod tests {
         vec![
             TopologySpec::StarLan(StarLanSpec::default()),
             TopologySpec::LeafSpine(LeafSpineSpec::default()),
-            TopologySpec::FatTreeLite(FatTreeLiteSpec::default()),
             TopologySpec::TieredClos(TieredClosSpec::default()),
             TopologySpec::WanMesh(WanMeshSpec::default()),
         ]
@@ -478,33 +397,6 @@ mod tests {
         let a = format!("{:?}", mesh.build(1).unwrap());
         let b = format!("{:?}", mesh.build(2).unwrap());
         assert_ne!(a, b, "wan mesh must respond to the seed");
-    }
-
-    #[test]
-    fn fat_tree_cross_pod_paths_traverse_the_core() {
-        let spec = FatTreeLiteSpec::default();
-        let topo = TopologySpec::FatTreeLite(spec.clone()).build(0).unwrap();
-        // node-1 is in pod 1, node-2 in pod 1 (edge 2)... round robin over 6
-        // edges: node-1 -> edge-1-1, node-4 -> edge-2-1 etc. Find two nodes in
-        // different pods and check the route has 4 WAN hops (edge-agg-core-agg-edge).
-        let a = topo.nodes()[0].id;
-        let b_node = topo
-            .nodes()
-            .iter()
-            .find(|n| {
-                let sa = topo.site(topo.nodes()[0].site).name.clone();
-                let sb = topo.site(n.site).name.clone();
-                // different pod: edge-<p>-<e> prefix differs in <p>
-                sa.split('-').nth(1) != sb.split('-').nth(1)
-            })
-            .expect("a node in another pod");
-        let route = topo.route(a, b_node.id);
-        let wan_hops = route
-            .resources
-            .iter()
-            .filter(|r| matches!(r, Resource::LinkDir(..)))
-            .count();
-        assert_eq!(wan_hops, 4, "route {:?}", route.site_path);
     }
 
     #[test]
@@ -572,7 +464,7 @@ mod tests {
 
     fn arb_spec() -> impl Strategy<Value = (TopologySpec, u64)> {
         (
-            0usize..4,
+            0usize..3,
             2usize..6,
             1usize..4,
             1u64..1_000_000,
@@ -588,12 +480,6 @@ mod tests {
                         leaves: breadth,
                         nodes_per_leaf: depth,
                         spines: 1 + breadth / 2,
-                        ..Default::default()
-                    }),
-                    2 => TopologySpec::FatTreeLite(FatTreeLiteSpec {
-                        pods: breadth.min(4),
-                        edges_per_pod: depth.min(3),
-                        nodes_per_edge: 1 + depth % 2,
                         ..Default::default()
                     }),
                     _ => TopologySpec::WanMesh(WanMeshSpec {

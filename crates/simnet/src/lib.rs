@@ -46,12 +46,11 @@ pub mod rtt;
 pub mod topology;
 
 pub use background::{
-    place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator, BackgroundTransfer,
+    place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator,
+    BackgroundTransfer, BACKGROUND_POD_MEMORY_BYTES,
 };
 pub use flow::{Flow, FlowId, FlowState};
-pub use generators::{
-    FatTreeLiteSpec, LeafSpineSpec, StarLanSpec, TieredClosSpec, TopologySpec, WanMeshSpec,
-};
+pub use generators::{LeafSpineSpec, StarLanSpec, TieredClosSpec, TopologySpec, WanMeshSpec};
 pub use network::{InterfaceCounters, Network, NodeRates};
 pub use rtt::RttModel;
 pub use topology::{LinkId, NetNode, NodeId, Site, SiteId, Topology, TopologyBuilder};

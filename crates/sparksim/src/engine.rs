@@ -48,35 +48,22 @@ impl ContentionDriver for NoContention {
     }
 }
 
-/// Tunable constants of the execution model.
-#[derive(Debug, Clone)]
-pub struct ExecutionConfig {
-    /// Compute slowdown per unit of competing host load average.
-    pub contention_alpha: f64,
-    /// Driver↔executor round trips per task wave.
-    pub control_rtts_per_wave: f64,
-    /// Round trips paid per executor during startup/registration.
-    pub startup_rtts_per_executor: f64,
-    /// Multiplicative time penalty when a stage spills to disk.
-    pub spill_penalty: f64,
-    /// Fraction of a node's cores assumed available to Spark tasks.
-    pub usable_core_fraction: f64,
-    /// Hard cap on how long a single job may run (guards runaway scenarios).
-    pub max_job_duration: SimDuration,
-}
+// Constants of the execution model, fixed at the values every artifact runs.
 
-impl Default for ExecutionConfig {
-    fn default() -> Self {
-        ExecutionConfig {
-            contention_alpha: 0.12,
-            control_rtts_per_wave: 3.0,
-            startup_rtts_per_executor: 4.0,
-            spill_penalty: 0.5,
-            usable_core_fraction: 1.0,
-            max_job_duration: SimDuration::from_secs(24 * 3600),
-        }
-    }
-}
+/// Compute slowdown per unit of competing host load average.
+const CONTENTION_ALPHA: f64 = 0.12;
+
+/// Driver↔executor round trips per task wave.
+const CONTROL_RTTS_PER_WAVE: f64 = 8.0;
+
+/// Round trips paid per executor during startup/registration.
+const STARTUP_RTTS_PER_EXECUTOR: f64 = 4.0;
+
+/// Multiplicative time penalty when a stage spills to disk.
+const SPILL_PENALTY: f64 = 0.5;
+
+/// Hard cap on how long a single job may run (guards runaway scenarios).
+const MAX_JOB_DURATION: SimDuration = SimDuration::from_secs(24 * 3600);
 
 /// Timing breakdown of one executed stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +186,15 @@ fn wait_for_flows(
 }
 
 /// Compute-slowdown factor for a node with the given competing load average.
-fn slowdown(load: f64, alpha: f64) -> f64 {
-    1.0 + alpha * load.max(0.0)
+fn slowdown(load: f64) -> f64 {
+    1.0 + CONTENTION_ALPHA * load.max(0.0)
+}
+
+/// `now + seconds`, cut off at `deadline`. A phase long enough to saturate
+/// the duration (or the clock) lands on the deadline instead of overflowing.
+fn capped(now: SimTime, seconds: f64, deadline: SimTime) -> SimTime {
+    now.saturating_add(SimDuration::from_secs_f64(seconds))
+        .min(deadline)
 }
 
 /// Mean current RTT (seconds) between the driver node and the executor nodes.
@@ -228,7 +222,8 @@ fn mean_driver_rtt(network: &Network, driver: NodeId, executors: &[NodeId]) -> f
 ///   (baseline + background + co-located pods), used for compute slowdown.
 /// * `contention` — keeps background traffic flowing during the run.
 /// * `start` — submission time; the network is advanced from here.
-#[allow(clippy::too_many_arguments)]
+///
+/// A job still running 24 simulated hours after `start` is cut off there.
 pub fn execute_job(
     dag: &JobDag,
     request: &WorkloadRequest,
@@ -237,10 +232,9 @@ pub fn execute_job(
     node_cpu_load: &dyn Fn(NodeId) -> f64,
     contention: &mut dyn ContentionDriver,
     start: SimTime,
-    config: &ExecutionConfig,
 ) -> JobRunResult {
     debug_assert!(dag.validate().is_ok(), "DAG must be valid");
-    let deadline = start + config.max_job_duration;
+    let deadline = start.saturating_add(MAX_JOB_DURATION);
     // Make sure the network clock is at least at the start time.
     if network.now() < start {
         advance_with_contention(network, contention, start);
@@ -252,8 +246,7 @@ pub fn execute_job(
         placement.executor_nodes.clone()
     };
     let n_exec = executors.len();
-    let cores_per_executor =
-        (request.executor_cores as f64 * config.usable_core_fraction).max(0.25);
+    let cores_per_executor = (request.executor_cores as f64).max(0.25);
     let total_cores = cores_per_executor * n_exec as f64;
     let memory_per_slot =
         request.executor_memory_bytes as f64 / request.executor_cores.max(1) as f64;
@@ -261,16 +254,12 @@ pub fn execute_job(
     // --- Startup: container launch + executor registration round trips. ---
     let rtt = mean_driver_rtt(network, placement.driver_node, &executors);
     let startup_seconds = dag.startup_seconds
-        + config.startup_rtts_per_executor * rtt * n_exec as f64
-        + 0.2
-            * slowdown(
-                node_cpu_load(placement.driver_node),
-                config.contention_alpha,
-            );
+        + STARTUP_RTTS_PER_EXECUTOR * rtt * n_exec as f64
+        + 0.2 * slowdown(node_cpu_load(placement.driver_node));
     advance_with_contention(
         network,
         contention,
-        (network.now() + SimDuration::from_secs_f64(startup_seconds)).min(deadline),
+        capped(network.now(), startup_seconds, deadline),
     );
 
     let mut stage_results = Vec::with_capacity(dag.stages.len());
@@ -281,12 +270,11 @@ pub fn execute_job(
         // --- Control: task dispatch round trips per wave. ---
         let waves = (stage.tasks as f64 / total_cores).ceil().max(1.0);
         let rtt = mean_driver_rtt(network, placement.driver_node, &executors);
-        let control_seconds = waves * config.control_rtts_per_wave * rtt;
-        let t_control_start = network.now();
+        let control_seconds = waves * CONTROL_RTTS_PER_WAVE * rtt;
         advance_with_contention(
             network,
             contention,
-            (t_control_start + SimDuration::from_secs_f64(control_seconds)).min(deadline),
+            capped(network.now(), control_seconds, deadline),
         );
 
         // --- Spill check. ---
@@ -294,11 +282,7 @@ pub fn execute_job(
         if spilled {
             spill_count += 1;
         }
-        let spill_factor = if spilled {
-            1.0 + config.spill_penalty
-        } else {
-            1.0
-        };
+        let spill_factor = if spilled { 1.0 + SPILL_PENALTY } else { 1.0 };
 
         // --- Shuffle read: all-to-all between executor nodes. ---
         let t_shuffle_start = network.now();
@@ -340,15 +324,13 @@ pub fn execute_job(
                 (1.0 - straggler_share) / (n_exec as f64 - 1.0).max(1.0)
             };
             let work = total_work * share;
-            let time =
-                work / cores_per_executor * slowdown(node_cpu_load(node), config.contention_alpha);
+            let time = work / cores_per_executor * slowdown(node_cpu_load(node));
             compute_seconds = compute_seconds.max(time);
         }
-        let t_compute_start = network.now();
         advance_with_contention(
             network,
             contention,
-            (t_compute_start + SimDuration::from_secs_f64(compute_seconds)).min(deadline),
+            capped(network.now(), compute_seconds, deadline),
         );
 
         stage_results.push(StageResult {
@@ -382,15 +364,12 @@ pub fn execute_job(
     let result_collection_seconds = (network.now() - t_results_start).as_secs_f64();
 
     // --- Driver-side aggregation. ---
-    let driver_compute_seconds = dag.driver_cpu_seconds
-        * slowdown(
-            node_cpu_load(placement.driver_node),
-            config.contention_alpha,
-        );
+    let driver_compute_seconds =
+        dag.driver_cpu_seconds * slowdown(node_cpu_load(placement.driver_node));
     advance_with_contention(
         network,
         contention,
-        (network.now() + SimDuration::from_secs_f64(driver_compute_seconds)).min(deadline),
+        capped(network.now(), driver_compute_seconds, deadline),
     );
 
     let finished_at = network.now();
@@ -450,7 +429,6 @@ mod tests {
             &load,
             &mut NoContention,
             start,
-            &ExecutionConfig::default(),
         )
     }
 
@@ -591,7 +569,6 @@ mod tests {
             &|_| 0.2,
             &mut NoContention,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         assert!(spilled.spill_count > 0);
         assert!(spilled.stages.iter().any(|s| s.spilled));
@@ -608,7 +585,6 @@ mod tests {
             &|_| 0.2,
             &mut NoContention,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         assert!(spilled.completion_seconds() > roomy.completion_seconds());
         assert_eq!(roomy.spill_count, 0);
@@ -671,7 +647,6 @@ mod tests {
             &|_| 0.1,
             &mut NoContention,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         assert!(result.completion_seconds() > 0.0);
         assert_eq!(
@@ -689,7 +664,6 @@ mod tests {
             &|_| 0.1,
             &mut NoContention,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         assert!(r2.completion_seconds() > 0.0);
     }
@@ -726,7 +700,6 @@ mod tests {
             &|_| 0.1,
             &mut NoContention,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         let mut busy_net = network();
         let mut driver = OneShot { injected: false };
@@ -738,7 +711,6 @@ mod tests {
             &|_| 0.1,
             &mut driver,
             SimTime::ZERO,
-            &ExecutionConfig::default(),
         );
         assert!(driver.injected, "driver must have been polled past t=1s");
         assert!(
@@ -751,32 +723,28 @@ mod tests {
 
     #[test]
     fn deadline_caps_runaway_jobs() {
+        // A host load of 1e9 makes every compute phase saturate the duration
+        // type; the phase must land on the deadline, not overflow the clock.
         let mut net = network();
-        let request = WorkloadRequest::new(WorkloadKind::Sort, 50_000_000).with_executors(2);
-        let dag = request.build_dag();
-        let placement = Placement::new(NodeId(0), vec![NodeId(1), NodeId(3)]);
-        let config = ExecutionConfig {
-            max_job_duration: SimDuration::from_secs(10),
-            ..Default::default()
-        };
-        let result = execute_job(
-            &dag,
-            &request,
-            &placement,
+        let result = run(
+            WorkloadKind::Sort,
+            50_000_000,
+            0,
+            &[1, 3],
             &mut net,
-            &|_| 0.1,
-            &mut NoContention,
+            |_| 1e9,
             SimTime::ZERO,
-            &config,
         );
-        assert!(result.completion_seconds() <= 10.5);
+        let cap = MAX_JOB_DURATION.as_secs_f64();
+        assert!(result.completion_seconds() > 0.9 * cap);
+        assert!(result.completion_seconds() <= cap + 0.5);
     }
 
     #[test]
     fn slowdown_is_monotone_in_load() {
-        assert!(slowdown(0.0, 0.12) <= slowdown(1.0, 0.12));
-        assert!(slowdown(2.0, 0.12) < slowdown(6.0, 0.12));
-        assert_eq!(slowdown(-5.0, 0.12), 1.0);
+        assert!(slowdown(0.0) <= slowdown(1.0));
+        assert!(slowdown(2.0) < slowdown(6.0));
+        assert_eq!(slowdown(-5.0), 1.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod placement;
 pub mod workload;
 
 pub use dag::{JobDag, StageSpec};
-pub use engine::{ContentionDriver, ExecutionConfig, JobRunResult, NoContention, StageResult};
+pub use engine::{ContentionDriver, JobRunResult, NoContention, StageResult};
 pub use mix::{GeneratedJob, MixKind, WorkloadMixSpec};
 pub use placement::Placement;
 pub use workload::{WorkloadKind, WorkloadProfile, WorkloadRequest};

@@ -223,7 +223,6 @@ mod tests {
     use super::*;
     use crate::engine::{execute_job, NoContention};
     use crate::placement::Placement;
-    use crate::ExecutionConfig;
     use proptest::prelude::*;
     use simcore::SimTime;
     use simnet::{Network, NodeId, StarLanSpec, TopologySpec};
@@ -351,7 +350,6 @@ mod tests {
                         &|_| 0.0,
                         &mut NoContention,
                         SimTime::ZERO,
-                        &ExecutionConfig::default(),
                     )
                 };
                 let a = run(0, [1, 2]);

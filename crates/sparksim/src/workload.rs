@@ -14,7 +14,6 @@
 
 use crate::dag::{JobDag, StageSpec};
 use std::fmt;
-use std::str::FromStr;
 
 /// Average serialized record size in bytes (key + payload), used to convert
 /// the paper's "input size (number of records)" feature into data volume.
@@ -119,20 +118,6 @@ impl WorkloadKind {
 impl fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for WorkloadKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "sort" => Ok(WorkloadKind::Sort),
-            "pagerank" | "page-rank" => Ok(WorkloadKind::PageRank),
-            "join" => Ok(WorkloadKind::Join),
-            "groupby" | "group-by" => Ok(WorkloadKind::GroupBy),
-            "wordcount" | "word-count" => Ok(WorkloadKind::WordCount),
-            other => Err(format!("unknown workload: {other}")),
-        }
     }
 }
 
@@ -455,20 +440,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_parsing_roundtrips() {
-        for kind in WorkloadKind::ALL {
-            let parsed: WorkloadKind = kind.as_str().parse().unwrap();
-            assert_eq!(parsed, kind);
-        }
-        assert_eq!(
-            "PageRank".parse::<WorkloadKind>().unwrap(),
-            WorkloadKind::PageRank
-        );
-        assert_eq!(
-            "group-by".parse::<WorkloadKind>().unwrap(),
-            WorkloadKind::GroupBy
-        );
-        assert!("tensor".parse::<WorkloadKind>().is_err());
+    fn kind_display() {
         assert_eq!(format!("{}", WorkloadKind::Join), "join");
     }
 

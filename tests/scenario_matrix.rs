@@ -19,6 +19,13 @@ fn sweep(workers: usize) -> SweepReport {
     run_sweep(&ScenarioMatrix::smoke(), &options)
 }
 
+/// FNV-1a (64-bit): a stable fingerprint for pinning rendered bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn sweep_is_deterministic_and_parallel_invariant() {
     let matrix = ScenarioMatrix::smoke();
@@ -39,6 +46,16 @@ fn sweep_is_deterministic_and_parallel_invariant() {
         parallel.to_json(),
         parallel_again.to_json(),
         "fixed seed must reproduce the report byte-for-byte"
+    );
+
+    // The report's bytes are pinned: a drifted constant anywhere in the
+    // simulator, the workflow or the models moves this fingerprint.
+    let json = sequential.to_json();
+    assert_eq!(
+        fnv1a(json.bytes()),
+        14_701_033_765_474_940_315,
+        "smoke sweep report of {} bytes",
+        json.len()
     );
 
     // Structural sanity of every cell.
