@@ -357,8 +357,12 @@ fn build_wan_mesh(spec: &WanMeshSpec, seed: u64) -> Result<Topology, TopologyErr
 mod tests {
     use super::*;
     use crate::fairness::{max_min_fair_rates, FlowDemand};
-    use crate::topology::{NodeId, Resource};
+    use crate::flow::{FlowId, FlowKind};
+    use crate::network::Network;
+    use crate::rtt::RttModel;
+    use crate::topology::{NodeId, Resource, Topology};
     use proptest::prelude::*;
+    use simcore::SimDuration;
     use std::collections::BTreeMap;
 
     /// The four default family members.
@@ -493,12 +497,108 @@ mod tests {
             })
     }
 
+    /// Reference utilization: every active flow's rate summed per resource
+    /// of its [`Topology::route`] (in start order, as the network sums), over
+    /// the resource's capacity.
+    fn reference_utilization(
+        topo: &Topology,
+        net: &Network,
+        started: &[FlowId],
+    ) -> BTreeMap<Resource, f64> {
+        let mut used: BTreeMap<Resource, f64> = BTreeMap::new();
+        for flow in started.iter().filter_map(|&id| net.flow(id)) {
+            if flow.is_active() {
+                for &r in &topo.route(flow.src, flow.dst).resources {
+                    *used.entry(r).or_insert(0.0) += flow.rate;
+                }
+            }
+        }
+        for (&r, u) in used.iter_mut() {
+            let cap = topo.resource_capacity(r);
+            *u = if cap > 0.0 {
+                (*u / cap).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+        }
+        used
+    }
+
+    /// Every ordered pair, self-pairs included: `path_utilization` and
+    /// `current_rtt` equal the fold of `route(a, b).resources` over the
+    /// reference utilization, bit for bit.
+    fn probes_match_reference(net: &Network, started: &[FlowId]) -> Result<(), String> {
+        let topo = net.topology();
+        let util = reference_utilization(topo, net, started);
+        let path = |a: NodeId, b: NodeId| {
+            topo.route(a, b)
+                .resources
+                .iter()
+                .map(|r| util.get(r).copied().unwrap_or(0.0))
+                .fold(0.0, f64::max)
+        };
+        for a in topo.node_ids() {
+            for b in topo.node_ids() {
+                let expected = path(a, b);
+                let got = net.path_utilization(a, b);
+                prop_assert!(
+                    got.to_bits() == expected.to_bits(),
+                    "{a} -> {b}: utilization {got} != reference {expected}"
+                );
+                let seed = (a.0 as u64) << 32 | b.0 as u64;
+                let rtt =
+                    RttModel::default().rtt(topo.base_rtt(a, b), expected.max(path(b, a)), seed);
+                let got = net.current_rtt(a, b, seed);
+                prop_assert!(got == rtt, "{a} -> {b}: rtt {got} != reference {rtt}");
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
+        /// The dense utilization table and the allocation-free hop walk agree
+        /// with the route-based reference after every step of a random flow
+        /// history (start, advance, cancel), and read 0 on every pair once
+        /// the network is quiet: no entry outlives the flows that wrote it.
+        #[test]
+        fn rtt_probes_equal_the_route_reference(
+            spec_seed in arb_spec(),
+            steps in prop::collection::vec(
+                (0u8..4, 0usize..1000, 0usize..1000, 1.0e3f64..1.0e8),
+                1..16,
+            ),
+        ) {
+            let (spec, seed) = spec_seed;
+            let topo = spec.build(seed).map_err(|e| format!("{}: {e}", spec.name()))?;
+            let n = topo.node_count();
+            let mut net = Network::new(topo);
+            let mut started: Vec<FlowId> = Vec::new();
+            for &(op, x, y, bytes) in &steps {
+                match op {
+                    0 | 1 => started.push(net.start_flow(
+                        NodeId(x % n),
+                        NodeId(y % n),
+                        bytes,
+                        FlowKind::Background,
+                    )),
+                    2 => net.advance_to(net.now() + SimDuration::from_millis(x as u64 * 5)),
+                    _ if !started.is_empty() => net.cancel_flow(started[x % started.len()]),
+                    _ => {}
+                }
+                probes_match_reference(&net, &started)?;
+            }
+            net.run_to_quiescence(SimDuration::from_secs(1_000_000));
+            prop_assert_eq!(net.active_flow_count(), 0);
+            // No flow is active, so the reference reads 0.0 on every pair.
+            probes_match_reference(&net, &started)?;
+        }
+
         /// Every generated topology is connected: the builder succeeds (it
         /// errors on unreachable site pairs) and every ordered node pair has a
-        /// route whose endpoints' NICs bracket the resource list.
+        /// route whose endpoints' NICs bracket the resource list, and which
+        /// the allocation-free hop walk visits in the same order.
         #[test]
         fn generated_topologies_are_connected(spec_seed in arb_spec()) {
             let (spec, seed) = spec_seed;
@@ -507,6 +607,9 @@ mod tests {
             for a in topo.node_ids() {
                 for b in topo.node_ids() {
                     let route = topo.route(a, b);
+                    let mut hops = Vec::new();
+                    topo.for_each_hop(a, b, |r| hops.push(r));
+                    prop_assert_eq!(&hops, &route.resources);
                     if a == b {
                         prop_assert!(route.resources.is_empty());
                     } else {

@@ -5,16 +5,24 @@
 //! time. It also maintains per-node interface counters (cumulative tx/rx
 //! bytes) and exposes instantaneous per-node rates and per-resource
 //! utilization — exactly the signals the telemetry exporters scrape.
+//!
+//! Utilization is a dense table with one entry per [`Resource`], rewritten
+//! on every reallocation. A ping probe ([`Network::current_rtt`])
+//! is therefore pure arithmetic: it walks the pair's hops in route order and
+//! reads one table entry per hop, without assembling a
+//! [`Route`](crate::topology::Route) or allocating.
+//!
+//! [`Resource`]: crate::topology::Resource
 
 #![expect(
     clippy::disallowed_types,
-    reason = "flows and utilization are only looked up by key or updated entry by entry; no hash order reaches an output"
+    reason = "flows are only looked up by id or updated entry by entry; no hash order reaches an output"
 )]
 
 use crate::fairness::{max_min_fair_rates, FlowDemand};
 use crate::flow::{Flow, FlowId, FlowKind, FlowState};
 use crate::rtt::RttModel;
-use crate::topology::{NodeId, Resource, Topology};
+use crate::topology::{NodeId, Topology};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -57,14 +65,17 @@ pub struct Network {
     counters: Vec<InterfaceCounters>,
     now: SimTime,
     completed: Vec<CompletedFlow>,
-    /// Cached per-resource utilization (rate / capacity), refreshed on reallocation.
-    utilization: HashMap<Resource, f64>,
+    /// Per-resource utilization (rate / capacity) by
+    /// [`Topology::resource_index`], rewritten on every reallocation; a
+    /// resource no active flow crosses reads 0.
+    utilization: Vec<f64>,
 }
 
 impl Network {
     /// Create a network over `topology` with the default RTT model.
     pub fn new(topology: Topology) -> Self {
         let n = topology.node_count();
+        let resources = topology.resource_count();
         Network {
             topology,
             rtt_model: RttModel::default(),
@@ -74,7 +85,7 @@ impl Network {
             counters: vec![InterfaceCounters::default(); n],
             now: SimTime::ZERO,
             completed: Vec::new(),
-            utilization: HashMap::new(),
+            utilization: vec![0.0; resources],
         }
     }
 
@@ -247,38 +258,43 @@ impl Network {
         reason = "active_order only holds ids of flows in the map; both are mutated together"
     )]
     fn reallocate(&mut self) {
+        let topo = &self.topology;
         let demands: Vec<FlowDemand> = self
             .active_order
             .iter()
             .enumerate()
             .map(|(i, id)| {
                 let flow = &self.flows[id];
+                let mut resources = Vec::with_capacity(4);
+                topo.for_each_hop(flow.src, flow.dst, |r| resources.push(r));
                 FlowDemand {
                     index: i,
-                    resources: self.topology.route(flow.src, flow.dst).resources,
+                    resources,
                     rate_cap: f64::INFINITY,
                 }
             })
             .collect();
-        let topo = &self.topology;
         let rates = max_min_fair_rates(&demands, |r| topo.resource_capacity(r));
-        let mut utilization: HashMap<Resource, f64> = HashMap::new();
-        for (i, id) in self.active_order.iter().enumerate() {
-            let rate = rates[i];
-            for &r in &demands[i].resources {
-                *utilization.entry(r).or_insert(0.0) += rate;
+        let mut used = vec![0.0; self.utilization.len()];
+        for (demand, &rate) in demands.iter().zip(&rates) {
+            for &r in &demand.resources {
+                used[topo.resource_index(r)] += rate;
             }
-            self.flows.get_mut(id).expect("active flow exists").rate = rate;
         }
-        for (r, used) in utilization.iter_mut() {
-            let cap = self.topology.resource_capacity(*r);
-            *used = if cap > 0.0 {
-                (*used / cap).clamp(0.0, 1.0)
+        // Only the resources some flow crosses are written; the rest stay 0.
+        self.utilization.fill(0.0);
+        for &r in demands.iter().flat_map(|d| &d.resources) {
+            let i = topo.resource_index(r);
+            let cap = topo.resource_capacity(r);
+            self.utilization[i] = if cap > 0.0 {
+                (used[i] / cap).clamp(0.0, 1.0)
             } else {
                 1.0
             };
         }
-        self.utilization = utilization;
+        for (id, &rate) in self.active_order.iter().zip(&rates) {
+            self.flows.get_mut(id).expect("active flow exists").rate = rate;
+        }
     }
 
     /// Cumulative interface counters for `node`.
@@ -303,12 +319,12 @@ impl Network {
 
     /// Utilization (0..=1) of the most loaded resource along the `a -> b` path.
     pub fn path_utilization(&self, a: NodeId, b: NodeId) -> f64 {
-        self.topology
-            .route(a, b)
-            .resources
-            .iter()
-            .map(|r| self.utilization.get(r).copied().unwrap_or(0.0))
-            .fold(0.0, f64::max)
+        let topo = &self.topology;
+        let mut max = 0.0;
+        topo.for_each_hop(a, b, |r| {
+            max = f64::max(max, self.utilization[topo.resource_index(r)]);
+        });
+        max
     }
 
     /// Current round-trip time between two nodes, inflated by congestion along

@@ -11,7 +11,14 @@
 //!   directed link along it.
 //!
 //! Nodes own a NIC with separate egress/ingress capacity. Paths are expressed
-//! as lists of [`Resource`]s, the unit over which max-min fairness operates.
+//! as lists of [`Resource`]s, the unit over which max-min fairness operates:
+//! a node pair's route is its source's egress, then the site's fabric (same
+//! site) or the directed WAN hops between the two sites, then its
+//! destination's ingress. Routes are stored per **site pair**; the node-level
+//! [`Route`] of [`Topology::route`] is assembled on demand, and the network's
+//! hot paths walk the same hops without assembling anything. Every resource
+//! also has a dense index, ascending in [`Resource`]'s order, so
+//! per-resource state lives in a flat table instead of a map.
 
 use simcore::SimDuration;
 use std::collections::BTreeMap;
@@ -454,8 +461,10 @@ impl Topology {
     }
 
     /// The route from `src` to `dst`: assembled from the precomputed
-    /// site-pair table plus the endpoints' NICs (same path and delay the old
-    /// per-node-pair table held, without its `nodes²` memory footprint).
+    /// site-pair table plus the endpoints' NICs. It allocates (its resource
+    /// list and site path); the network's per-probe and per-reallocation
+    /// paths visit the same resources through an allocation-free walk
+    /// instead, and this stays the reference they are tested against.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Route {
         if src == dst {
             return Route {
@@ -481,6 +490,47 @@ impl Topology {
             resources,
             delay: site_route.delay,
             site_path: site_route.site_path.clone(),
+        }
+    }
+
+    /// Visit the resources of [`Topology::route`]`(src, dst)` in route order
+    /// (egress, then the site fabric or the directed WAN hops, then ingress;
+    /// nothing for a self-pair) without assembling the route.
+    #[inline]
+    pub(crate) fn for_each_hop(&self, src: NodeId, dst: NodeId, mut visit: impl FnMut(Resource)) {
+        if src == dst {
+            return;
+        }
+        let s_site = self.nodes[src.0].site;
+        let d_site = self.nodes[dst.0].site;
+        visit(Resource::NodeEgress(src));
+        if s_site == d_site {
+            visit(Resource::SiteFabric(s_site));
+        } else {
+            for &(link, forward) in &self.site_routes[s_site.0][d_site.0].link_dirs {
+                visit(Resource::LinkDir(link, forward));
+            }
+        }
+        visit(Resource::NodeIngress(dst));
+    }
+
+    /// Number of resources: two NIC sides per node, two directions per WAN
+    /// link and one fabric per site.
+    pub(crate) fn resource_count(&self) -> usize {
+        2 * (self.nodes.len() + self.links.len()) + self.sites.len()
+    }
+
+    /// Dense index of `r` in `0..resource_count()`, ascending in
+    /// [`Resource`]'s `Ord`: every egress, then every ingress, then link
+    /// `l`'s directions at `2l + forward`, then the site fabrics.
+    #[inline]
+    pub(crate) fn resource_index(&self, r: Resource) -> usize {
+        let nics = 2 * self.nodes.len();
+        match r {
+            Resource::NodeEgress(n) => n.0,
+            Resource::NodeIngress(n) => self.nodes.len() + n.0,
+            Resource::LinkDir(l, forward) => nics + 2 * l.0 + usize::from(forward),
+            Resource::SiteFabric(s) => nics + 2 * self.links.len() + s.0,
         }
     }
 
@@ -686,6 +736,24 @@ mod tests {
             t.resource_capacity(Resource::SiteFabric(SiteId(0))),
             gbps(10.0)
         );
+    }
+
+    #[test]
+    fn resource_index_is_dense_and_follows_resource_order() {
+        let t = small_topology();
+        let mut all: Vec<Resource> = Vec::new();
+        for n in t.node_ids() {
+            all.extend([Resource::NodeEgress(n), Resource::NodeIngress(n)]);
+        }
+        for l in 0..t.links().len() {
+            all.extend([false, true].map(|fwd| Resource::LinkDir(LinkId(l), fwd)));
+        }
+        all.extend((0..t.sites().len()).map(|s| Resource::SiteFabric(SiteId(s))));
+        all.sort();
+        assert_eq!(all.len(), t.resource_count());
+        for (i, &r) in all.iter().enumerate() {
+            assert_eq!(t.resource_index(r), i, "{r:?}");
+        }
     }
 
     #[test]

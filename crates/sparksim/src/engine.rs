@@ -147,7 +147,9 @@ fn advance_with_contention(
 }
 
 /// Advance the network until every flow in `flows` has completed (or the
-/// deadline passes), returning the completion instant.
+/// deadline passes), returning the completion instant. At the deadline the
+/// flows still active are cancelled, so a job that is cut off leaves no
+/// traffic behind in the caller's network.
 fn wait_for_flows(
     network: &mut Network,
     contention: &mut dyn ContentionDriver,
@@ -163,6 +165,9 @@ fn wait_for_flows(
         }
         let now = network.now();
         if now >= deadline {
+            for &id in flows {
+                network.cancel_flow(id);
+            }
             return now;
         }
         let next_bg = contention.poll(network, now);
@@ -177,9 +182,10 @@ fn wait_for_flows(
             }
         }
         if target <= now {
-            // No progress possible (should not happen); bail out at deadline.
+            // No progress possible (should not happen); bail out at deadline,
+            // where the next pass cancels what is left.
             network.advance_to(deadline);
-            return network.now();
+            continue;
         }
         network.advance_to(target);
     }
@@ -738,6 +744,8 @@ mod tests {
         let cap = MAX_JOB_DURATION.as_secs_f64();
         assert!(result.completion_seconds() > 0.9 * cap);
         assert!(result.completion_seconds() <= cap + 0.5);
+        // The cut-off job's shuffle and result flows do not outlive it.
+        assert_eq!(net.active_flow_count(), 0);
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //! `ping_rtt_seconds` alone is N(N−1) of the 4N + N(N−1) series of a round
 //! (94 % at 64 nodes, 99.6 % at 1 000), so per-name shards and per-shard
 //! writers are serial by construction. The lane itself earns its keep:
-//! committing chunks on the evaluating thread instead costs +28 % per
-//! published epoch on the 64-node ingest workload of `benchmark/` (ten
-//! alternating pairs on the 2-core reference box, 12 178 → 15 584 µs, the
-//! lane ahead in 10/10).
+//! committing chunks on the evaluating thread instead costs +21 % per
+//! published epoch on the 64-node ingest workload of `benchmark/` (twelve
+//! alternating pairs on a 2-core box, 5 868 → 7 079 µs median, the lane
+//! ahead in 12/12), measured once a ping probe had become allocation-free
+//! and evaluation no longer dwarfed the commit.
 //!
 //! Decisions read neither the lock nor the store: they take the manager's
 //! [`ConcurrentScrapeManager::published_handle`] (see [`crate::publish`]).
@@ -84,7 +85,8 @@ impl Default for IngestConfig {
             chunk_rounds: 32,
             // Between the 6-node paper world (54 series/round, loses to
             // sequential even on wide boxes) and the 64-node world
-            // (4288 series/round, where the pipeline wins ≥2× on 2 cores).
+            // (4288 series/round, where the pipeline ingests 2.3× faster
+            // than round by round on 2 cores).
             sync_work_threshold: 1024,
         }
     }
