@@ -1,6 +1,5 @@
-//! Same-named methods across two impls, a trait default method, and
-//! blocking sites on the read path. Line numbers are asserted in
-//! tests/graph_checks.rs — keep the layout stable.
+//! Same-named methods across two impls and a trait default method: the
+//! trait-dispatch edge cases asserted in tests/graph_checks.rs.
 
 pub trait Source {
     fn load(&self) -> u32;
@@ -15,7 +14,7 @@ pub struct Published;
 
 impl Source for Published {
     fn load(&self) -> u32 {
-        *self.slot.lock()
+        1
     }
 }
 
@@ -23,11 +22,10 @@ pub struct StoreBacked;
 
 impl Source for StoreBacked {
     fn load(&self) -> u32 {
-        self.feed.recv()
+        2
     }
 }
 
-/// Read-path root.
 pub fn serve(source: &Published) -> u32 {
     source.total()
 }

@@ -7,18 +7,6 @@
 //! outside that subset is a hard error — config typos should fail loudly,
 //! not silently relax an invariant.
 
-/// One allowlist entry: a specific blocking token in a specific file is
-/// accepted on the read path, with a mandatory human-readable reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    pub file: String,
-    pub token: String,
-    pub reason: String,
-    /// Line of the entry's `[[...]]` header in lint.toml, so stale-entry
-    /// findings point at the entry itself.
-    pub line: u32,
-}
-
 /// One reachability stop: a fn (as a `path::fn_name` or bare-name spec)
 /// whose subtree is excluded from a closure, with a mandatory reason
 /// documenting why the branch is cold.
@@ -26,7 +14,8 @@ pub struct AllowEntry {
 pub struct StopEntry {
     pub function: String,
     pub reason: String,
-    /// Line of the entry's `[[...]]` header in lint.toml.
+    /// Line of the entry's `[[...]]` header in lint.toml, so stale-entry
+    /// findings point at the entry itself.
     pub line: u32,
 }
 
@@ -37,19 +26,11 @@ pub struct Config {
     pub include: Vec<String>,
     /// Workspace-relative path prefixes to skip.
     pub exclude: Vec<String>,
-    /// Files implementing cross-thread handoff protocols: Acquire loads
-    /// must be paired with Release (or AcqRel) stores within the file.
-    pub protocol_files: Vec<String>,
     /// Roots the hot-path closure is derived from (`path::fn_name` specs).
     /// Every fn in the closure must be free of allocating tokens.
     pub hot_path_roots: Vec<String>,
     /// Cold branches excluded from the derived hot-path closure.
     pub hot_path_stops: Vec<StopEntry>,
-    /// Roots of the published-snapshot read path that must stay free of
-    /// blocking calls.
-    pub read_path_roots: Vec<String>,
-    /// Per-site blocking-call exemptions on the read path.
-    pub read_path_allow: Vec<AllowEntry>,
 }
 
 impl Config {
@@ -72,11 +53,8 @@ impl Config {
                     config.include = table.get_list("include")?;
                     config.exclude = table.get_list("exclude")?;
                 }
-                "atomics" => config.protocol_files = table.get_list("protocol_files")?,
                 "hot_path" => config.hot_path_roots = table.get_list("roots")?,
                 "hot_path.stop" => config.hot_path_stops.push(table.to_stop_entry(name)?),
-                "read_path" => config.read_path_roots = table.get_list("roots")?,
-                "read_path.allow" => config.read_path_allow.push(table.to_allow_entry(name)?),
                 other => return Err(format!("lint.toml: unknown table [{other}]")),
             }
         }
@@ -131,15 +109,6 @@ impl Table {
                 "lint.toml: [[{table}]] entry is missing key `{key}`"
             )),
         }
-    }
-
-    fn to_allow_entry(&self, table: &str) -> Result<AllowEntry, String> {
-        Ok(AllowEntry {
-            file: self.get_str(table, "file")?,
-            token: self.get_str(table, "token")?,
-            reason: self.get_str(table, "reason")?,
-            line: self.line,
-        })
     }
 
     fn to_stop_entry(&self, table: &str) -> Result<StopEntry, String> {
@@ -329,32 +298,10 @@ exclude = [
     "crates/analysis/fixtures", # fixtures carry deliberate violations
     "vendor",
 ]
-
-[atomics]
-protocol_files = ["crates/telemetry/src/publish.rs"]
-
-[read_path]
-roots = ["schedule_batch_into"]
-
-[[read_path.allow]]
-file = "crates/telemetry/src/publish.rs"
-token = "lock"
-reason = "bounded slot mutex"
 "#;
         let config = Config::parse(text).unwrap();
         assert_eq!(config.include, vec!["crates", "src"]);
         assert_eq!(config.exclude, vec!["crates/analysis/fixtures", "vendor"]);
-        assert_eq!(
-            config.protocol_files,
-            vec!["crates/telemetry/src/publish.rs"]
-        );
-        assert_eq!(config.read_path_roots, vec!["schedule_batch_into"]);
-        assert_eq!(config.read_path_allow.len(), 1);
-        let allow = &config.read_path_allow[0];
-        assert_eq!(allow.file, "crates/telemetry/src/publish.rs");
-        assert_eq!(allow.token, "lock");
-        assert_eq!(allow.reason, "bounded slot mutex");
-        assert!(allow.line > 0, "allow entries record their header line");
     }
 
     #[test]
@@ -369,14 +316,6 @@ roots = ["crates/core/src/service.rs::schedule_batch_into"]
 [[hot_path.stop]]
 function = "crates/core/src/context.rs::rebuild"
 reason = "cold: only runs on topology changes"
-
-[read_path]
-roots = ["crates/core/src/service.rs::schedule_batch_into"]
-
-[[read_path.allow]]
-file = "crates/telemetry/src/publish.rs"
-token = "lock"
-reason = "bounded slot mutex"
 "#;
         let config = Config::parse(text).unwrap();
         assert_eq!(
@@ -384,19 +323,17 @@ reason = "bounded slot mutex"
             vec!["crates/core/src/service.rs::schedule_batch_into"]
         );
         assert_eq!(config.hot_path_stops.len(), 1);
-        assert_eq!(
-            config.hot_path_stops[0].function,
-            "crates/core/src/context.rs::rebuild"
-        );
-        assert_eq!(config.read_path_roots.len(), 1);
-        assert_eq!(config.read_path_allow[0].token, "lock");
+        let stop = &config.hot_path_stops[0];
+        assert_eq!(stop.function, "crates/core/src/context.rs::rebuild");
+        assert_eq!(stop.reason, "cold: only runs on topology changes");
+        assert!(stop.line > 0, "stop entries record their header line");
     }
 
     #[test]
     fn rejects_unknown_tables_and_missing_keys() {
         assert!(Config::parse("[nonsense]\n").is_err());
-        let missing_reason =
-            "[paths]\ninclude = [\"x\"]\n[[read_path.allow]]\nfile = \"a\"\ntoken = \"lock\"\n";
+        assert!(Config::parse("[paths]\ninclude = [\"x\"]\n[read_path]\n").is_err());
+        let missing_reason = "[paths]\ninclude = [\"x\"]\n[[hot_path.stop]]\nfunction = \"f\"\n";
         let err = Config::parse(missing_reason).unwrap_err();
         assert!(err.contains("reason"), "{err}");
     }

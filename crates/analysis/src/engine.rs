@@ -97,9 +97,8 @@ pub fn check(root: &Path, config: &Config) -> Result<Report, String> {
             src: &file.src,
             tokens: &file.tokens,
             scopes: &file.scopes,
-            is_crate_root: is_crate_root(&file.rel),
         };
-        lints::run_all(&input, config, &hot_path, &mut findings);
+        lints::hot_path_alloc(&input, &hot_path, &mut findings);
     }
     reach::run_graph_lints(&ws.index, &ws.graph, config, &mut findings);
 
@@ -115,13 +114,6 @@ pub fn check(root: &Path, config: &Config) -> Result<Report, String> {
         findings,
         files_scanned: ws.files.len(),
     })
-}
-
-/// A crate root is any `src/lib.rs` — of the workspace package or of a
-/// member crate. These must carry `#![forbid(unsafe_code)]` and the
-/// panic-surface deny line.
-fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs" || rel.ends_with("/src/lib.rs")
 }
 
 fn is_excluded(rel: &str, exclude: &str) -> bool {

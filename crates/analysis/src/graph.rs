@@ -20,8 +20,8 @@
 //! A call is a name followed by `(`, or by a balanced turbofish and then
 //! `(` (`walk::<4>(..)`, `.collect::<Vec<_>>()`).
 //!
-//! The same body walk records the panic and blocking call sites the
-//! reachability lints consume.
+//! The same body walk records the panic sites the panic-reachability lint
+//! consumes.
 
 use crate::items::{CrateMap, FnItem, ItemIndex, SourceFile};
 use crate::lexer::TokenKind;
@@ -39,22 +39,11 @@ pub struct Edge {
     pub ambiguous: bool,
 }
 
-/// What kind of invariant-relevant token a site is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// `.unwrap()`, `.expect()`, `panic!`, `todo!`, `unimplemented!`.
-    Panic,
-    /// `.lock()`, `.recv()`, `.recv_timeout()`, `.wait()`,
-    /// `.wait_timeout()`, or any `RwLock` mention.
-    Blocking,
-}
-
-/// A panic or blocking site inside some fn body.
+/// A panic site inside some fn body: `.unwrap()`, `.expect()`, `panic!`,
+/// `todo!` or `unimplemented!`.
 #[derive(Debug, Clone)]
-pub struct Site {
-    pub kind: SiteKind,
-    /// The bare token name (`unwrap`, `lock`, ...), matching the allowlist
-    /// `token` field.
+pub struct PanicSite {
+    /// The bare token name (`unwrap`, `panic`, ...).
     pub token: String,
     pub line: u32,
 }
@@ -63,15 +52,15 @@ pub struct Site {
 pub struct CallGraph {
     /// Outgoing edges per fn, deduplicated, in call-site order.
     pub edges_from: Vec<Vec<Edge>>,
-    /// Panic/blocking sites per fn (non-test fns only).
-    pub sites: Vec<Vec<Site>>,
+    /// Panic sites per fn (non-test fns only).
+    pub panic_sites: Vec<Vec<PanicSite>>,
 }
 
 impl CallGraph {
     pub fn build(files: &[SourceFile], index: &ItemIndex, crates: &CrateMap) -> CallGraph {
         let mut graph = CallGraph {
             edges_from: vec![Vec::new(); index.fns.len()],
-            sites: vec![Vec::new(); index.fns.len()],
+            panic_sites: vec![Vec::new(); index.fns.len()],
         };
         for (file_idx, file) in files.iter().enumerate() {
             resolve_file(file, file_idx, index, crates, &mut graph);
@@ -220,21 +209,14 @@ fn resolve_file(
         let next_is_paren = end + 1 < code.len() && punct_eq(end + 1, "(");
         let next_is_bang = c + 1 < code.len() && punct_eq(c + 1, "!");
 
-        // --- site collection ----------------------------------------------
-        let site = match text {
-            "unwrap" | "expect" if prev_is_dot => Some(SiteKind::Panic),
-            "panic" | "todo" | "unimplemented" if next_is_bang => Some(SiteKind::Panic),
-            "lock" | "recv" | "recv_timeout" | "wait" | "wait_timeout"
-                if prev_is_dot && next_is_paren =>
-            {
-                Some(SiteKind::Blocking)
-            }
-            "RwLock" => Some(SiteKind::Blocking),
-            _ => None,
+        // --- panic-site collection ----------------------------------------
+        let panics = match text {
+            "unwrap" | "expect" => prev_is_dot,
+            "panic" | "todo" | "unimplemented" => next_is_bang,
+            _ => false,
         };
-        if let Some(kind) = site {
-            graph.sites[caller_idx as usize].push(Site {
-                kind,
+        if panics {
+            graph.panic_sites[caller_idx as usize].push(PanicSite {
                 token: text.to_string(),
                 line,
             });
@@ -611,17 +593,20 @@ mod tests {
     }
 
     #[test]
-    fn sites_are_collected_per_fn() {
+    fn panic_sites_are_collected_per_fn() {
         let (_, index, graph) = workspace(&[(
             "src/a.rs",
             "fn a(x: Option<u32>) { x.unwrap(); } fn b(m: &M) { m.lock(); panic!(\"x\") }",
         )]);
         let a = index.find_spec("a")[0] as usize;
         let b = index.find_spec("b")[0] as usize;
-        assert_eq!(graph.sites[a].len(), 1);
-        assert_eq!(graph.sites[a][0].kind, SiteKind::Panic);
-        assert_eq!(graph.sites[a][0].token, "unwrap");
-        let kinds: Vec<SiteKind> = graph.sites[b].iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, vec![SiteKind::Blocking, SiteKind::Panic]);
+        let tokens = |f: usize| -> Vec<&str> {
+            graph.panic_sites[f]
+                .iter()
+                .map(|s| s.token.as_str())
+                .collect()
+        };
+        assert_eq!(tokens(a), vec!["unwrap"]);
+        assert_eq!(tokens(b), vec!["panic"]);
     }
 }

@@ -92,7 +92,7 @@ impl<'c> FnSpec<'c> {
 }
 
 /// Does `path` match the config path `pattern` (exact or suffix)?
-pub fn path_matches(path: &str, pattern: &str) -> bool {
+fn path_matches(path: &str, pattern: &str) -> bool {
     path == pattern || path.ends_with(&format!("/{pattern}")) || path.ends_with(pattern)
 }
 

@@ -4,14 +4,6 @@
 //!   `cargo run -p analysis --release -- check [--root DIR] [--config FILE]`
 //!   `cargo run -p analysis --release -- graph [--root DIR] [--config FILE]
 //!    [--why SPEC] [--roots SPEC,...]`
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 
 use analysis::{config::Config, engine, reach};
 use std::path::PathBuf;
@@ -22,10 +14,9 @@ fn usage() -> ExitCode {
         "usage: analysis check [--root DIR] [--config FILE]\n\
          \x20      analysis graph [--root DIR] [--config FILE] [--why SPEC] [--roots SPEC,...]\n\
          \n\
-         check  Lints the workspace: atomics discipline, hot-path allocations,\n\
-         \x20      the crate-root gates (#![forbid(unsafe_code)] and the clippy\n\
-         \x20      panic-surface deny line), and the call-graph lints\n\
-         \x20      (hot-path-closure, panic-reachability, blocking-on-read-path).\n\
+         check  Runs the call-graph lints: hot-path-alloc (no allocating\n\
+         \x20      token in the derived hot-path closure), hot-path-closure\n\
+         \x20      and panic-reachability.\n\
          graph  Dumps the derived hot-path closure, or explains why one fn\n\
          \x20      (`--why path::fn_name` or a bare name) is reachable via its\n\
          \x20      call chain. `--roots` overrides the configured roots.\n\

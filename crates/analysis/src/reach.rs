@@ -3,25 +3,21 @@
 //! A closure is a deterministic BFS from configured root fns, optionally cut
 //! at stop fns (documented cold branches). Parent pointers let every
 //! membership be *explained* as a call chain, which the lints print so a
-//! finding is an argument, not an assertion. Three lints consume closures:
+//! finding is an argument, not an assertion. Two lints consume closures:
 //!
 //! - **hot-path-closure** — every root and stop spec that the derived
 //!   allocation-free set is built from resolves to a fn.
 //! - **panic-reachability** — no panic site is reachable from the decision
 //!   roots; each one that is gets reported with its chain.
-//! - **blocking-on-read-path** — `Mutex::lock`/`RwLock`/channel `recv` must
-//!   be unreachable from the published-snapshot decision path, statically
-//!   proving the epoch-read guarantee.
 
 use crate::config::Config;
-use crate::graph::{CallGraph, SiteKind};
+use crate::graph::CallGraph;
 use crate::items::ItemIndex;
 use crate::lints::Finding;
 use std::collections::BTreeSet;
 
 pub const HOT_CLOSURE: &str = "hot-path-closure";
 pub const PANIC_REACH: &str = "panic-reachability";
-pub const BLOCKING_READ: &str = "blocking-on-read-path";
 
 /// A computed closure with provenance.
 pub struct Reach {
@@ -102,8 +98,7 @@ pub fn closure(index: &ItemIndex, graph: &CallGraph, roots: &[String], stops: &[
     Reach { parent, members }
 }
 
-/// Run every graph lint. No-ops when the respective roots are unconfigured,
-/// so token-level-only configs (fixtures, minimal setups) are unaffected.
+/// Run every graph lint. A no-op when no hot-path roots are configured.
 pub fn run_graph_lints(
     index: &ItemIndex,
     graph: &CallGraph,
@@ -114,9 +109,6 @@ pub fn run_graph_lints(
         hot_path_closure(index, config, findings);
         panic_reachability(index, graph, config, findings);
     }
-    if !config.read_path_roots.is_empty() {
-        blocking_on_read_path(index, graph, config, findings);
-    }
 }
 
 fn push(findings: &mut Vec<Finding>, file: &str, line: u32, lint: &'static str, message: String) {
@@ -126,27 +118,6 @@ fn push(findings: &mut Vec<Finding>, file: &str, line: u32, lint: &'static str, 
         lint,
         message,
     });
-}
-
-/// Every root spec must resolve to at least one fn — a root that matches
-/// nothing proves nothing.
-fn check_roots_resolve(
-    index: &ItemIndex,
-    lint: &'static str,
-    roots: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    for root in roots {
-        if index.find_spec(root).is_empty() {
-            push(
-                findings,
-                "lint.toml",
-                1,
-                lint,
-                format!("root `{root}` matches no fn in the workspace"),
-            );
-        }
-    }
 }
 
 /// The derived allocation-free set: every fn in the stopped closure from
@@ -177,7 +148,17 @@ pub fn derived_hot_specs(index: &ItemIndex, graph: &CallGraph, config: &Config) 
 /// Every root and stop spec the derived hot-path closure is built from must
 /// resolve: a spec that matches nothing silently shrinks what is enforced.
 fn hot_path_closure(index: &ItemIndex, config: &Config, findings: &mut Vec<Finding>) {
-    check_roots_resolve(index, HOT_CLOSURE, &config.hot_path_roots, findings);
+    for root in &config.hot_path_roots {
+        if index.find_spec(root).is_empty() {
+            push(
+                findings,
+                "lint.toml",
+                1,
+                HOT_CLOSURE,
+                format!("root `{root}` matches no fn in the workspace"),
+            );
+        }
+    }
     for stop in &config.hot_path_stops {
         if index.find_spec(&stop.function).is_empty() {
             push(
@@ -209,8 +190,8 @@ fn panic_reachability(
     let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
     for &idx in &reach.members {
         let item = &index.fns[idx as usize];
-        for site in &graph.sites[idx as usize] {
-            if site.kind != SiteKind::Panic || !seen.insert((site.token.clone(), idx)) {
+        for site in &graph.panic_sites[idx as usize] {
+            if !seen.insert((site.token.clone(), idx)) {
                 continue;
             }
             push(
@@ -229,69 +210,10 @@ fn panic_reachability(
     }
 }
 
-/// Prove the published-snapshot read path takes no locks.
-fn blocking_on_read_path(
-    index: &ItemIndex,
-    graph: &CallGraph,
-    config: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    check_roots_resolve(index, BLOCKING_READ, &config.read_path_roots, findings);
-    let reach = closure(index, graph, &config.read_path_roots, &[]);
-    let mut matched_allow: BTreeSet<usize> = BTreeSet::new();
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    for &idx in &reach.members {
-        let item = &index.fns[idx as usize];
-        for site in &graph.sites[idx as usize] {
-            if site.kind != SiteKind::Blocking {
-                continue;
-            }
-            let allow = config.read_path_allow.iter().position(|e| {
-                e.token == site.token && crate::items::path_matches(&item.file, &e.file)
-            });
-            if let Some(at) = allow {
-                matched_allow.insert(at);
-                continue;
-            }
-            if seen.insert((item.file.clone(), site.token.clone(), item.name.clone())) {
-                push(
-                    findings,
-                    &item.file,
-                    site.line,
-                    BLOCKING_READ,
-                    format!(
-                        "blocking call `{}` in `{}` is reachable from the \
-                         published-read root ({})",
-                        site.token,
-                        item.name,
-                        reach.chain_text(index, idx)
-                    ),
-                );
-            }
-        }
-    }
-    // An allow entry no blocking site on the read path matches is rot.
-    for (at, entry) in config.read_path_allow.iter().enumerate() {
-        if !matched_allow.contains(&at) {
-            push(
-                findings,
-                "lint.toml",
-                entry.line,
-                BLOCKING_READ,
-                format!(
-                    "stale [[read_path.allow]] entry: no blocking `{}` site in \
-                     `{}` is reachable from the read-path roots",
-                    entry.token, entry.file
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AllowEntry, StopEntry};
+    use crate::config::StopEntry;
     use crate::graph::CallGraph;
     use crate::items::{CrateMap, SourceFile};
     use crate::{lexer, scope};
@@ -358,7 +280,6 @@ mod tests {
         Config {
             include: vec![".".into()],
             hot_path_roots: vec!["root".into()],
-            read_path_roots: vec!["root".into()],
             ..Default::default()
         }
     }
@@ -391,7 +312,6 @@ mod tests {
                    fn far(x: Option<u32>) { x.expect(\"m\"); }";
         let (index, graph) = workspace(&[("src/a.rs", src)]);
         let mut config = graph_config();
-        config.read_path_roots.clear();
         // A stop cuts `cold` from the allocation-free set, not from the
         // panic closure: a cold branch still panics at runtime.
         config.hot_path_stops.push(StopEntry {
@@ -413,52 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn blocking_read_path_with_allows() {
-        let src = "fn root(m: &M) { fast(); fallback(); }\n\
-                   fn fast(m: &M) { m.lock(); }\n\
-                   fn fallback(m: &M) { m.recv(); }";
-        let (index, graph) = workspace(&[("src/a.rs", src)]);
-        let mut config = graph_config();
-        config.hot_path_roots.clear(); // isolate the read-path lint
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        let blocked: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.lint == BLOCKING_READ)
-            .collect();
-        assert_eq!(blocked.len(), 2, "{blocked:?}");
-
-        // Allowing the bounded lock leaves only the receive; the allow
-        // entry is live, so no stale-allow finding either.
-        config.read_path_allow.push(AllowEntry {
-            file: "src/a.rs".into(),
-            token: "lock".into(),
-            reason: "bounded slot mutex".into(),
-            line: 1,
-        });
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        let blocked: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.lint == BLOCKING_READ)
-            .collect();
-        assert_eq!(blocked.len(), 1, "{blocked:?}");
-        assert!(blocked[0].message.contains("`recv` in `fallback`"));
-
-        // Removing the lock site leaves the allow entry stale.
-        config.read_path_allow[0].token = "wait".into();
-        let mut findings = Vec::new();
-        run_graph_lints(&index, &graph, &config, &mut findings);
-        assert!(findings
-            .iter()
-            .any(|f| f.lint == BLOCKING_READ && f.message.contains("stale [[read_path.allow]]")));
-    }
-
-    #[test]
     fn unresolvable_specs_are_findings() {
         let (index, graph) = workspace(&[("src/a.rs", "fn root() {}")]);
         let mut config = graph_config();
-        config.read_path_roots.clear();
         config.hot_path_roots = vec!["missing_fn".into()];
         config.hot_path_stops.push(StopEntry {
             function: "gone_fn".into(),

@@ -2,13 +2,13 @@
 //! `fixtures/graph` mini-workspace: exact expected edges for the
 //! resolution edge cases (same-named methods across impls, a trait
 //! default method, nested fns, calls inside macro invocations), and the
-//! graph lints — derived hot-path enforcement, panic-reachability with
-//! call chains, blocking-on-read-path.
+//! graph lints — derived hot-path enforcement and panic-reachability with
+//! call chains.
 
 use analysis::config::Config;
 use analysis::engine::{self, Workspace};
 use analysis::lints::{Finding, HOT_PATH};
-use analysis::reach::{BLOCKING_READ, PANIC_REACH};
+use analysis::reach::PANIC_REACH;
 use std::path::{Path, PathBuf};
 
 fn fixtures_root() -> PathBuf {
@@ -16,9 +16,9 @@ fn fixtures_root() -> PathBuf {
 }
 
 /// A config scoping the scan to the graph fixtures, with the fixture hot
-/// and read paths configured: allocation-freedom is enforced on whatever the
-/// closure from the hot root derives.
-fn graph_config() -> Config {
+/// path configured: allocation-freedom is enforced on whatever the closure
+/// from the hot root derives.
+fn graph_config() -> Result<Config, String> {
     Config::parse(
         r#"
 [paths]
@@ -30,21 +30,12 @@ roots = ["graph/hot.rs::drive"]
 [[hot_path.stop]]
 function = "graph/hot.rs::refresh"
 reason = "cold refresh branch"
-
-[read_path]
-roots = ["graph/readers.rs::serve"]
-
-[[read_path.allow]]
-file = "graph/readers.rs"
-token = "recv"
-reason = "bounded fixture channel"
 "#,
     )
-    .expect("graph fixture config parses")
 }
 
-fn workspace() -> Workspace {
-    engine::parse_workspace(&fixtures_root(), &graph_config()).expect("fixture scan succeeds")
+fn workspace() -> Result<Workspace, String> {
+    engine::parse_workspace(&fixtures_root(), &graph_config()?)
 }
 
 /// Outgoing edges of `from`, as `(display-name, ambiguous)` pairs in
@@ -60,8 +51,8 @@ fn edges_of(ws: &Workspace, from: &str) -> Vec<(String, bool)> {
 }
 
 #[test]
-fn resolves_the_exact_expected_edges() {
-    let ws = workspace();
+fn resolves_the_exact_expected_edges() -> Result<(), String> {
+    let ws = workspace()?;
 
     // `drive` calls its own impl's `step`, the free `refresh`, and —
     // through the `emit!(...)` macro invocation — its own `flush`.
@@ -95,11 +86,12 @@ fn resolves_the_exact_expected_edges() {
             ("StoreBacked::load".to_string(), true),
         ]
     );
+    Ok(())
 }
 
 #[test]
-fn turbofish_calls_are_edges() {
-    let ws = workspace();
+fn turbofish_calls_are_edges() -> Result<(), String> {
+    let ws = workspace()?;
     // A balanced `::<…>` between the name and `(` is skipped for path,
     // method and bare calls alike — const generics, nested `>>` and an
     // arrow's `>` included.
@@ -112,12 +104,11 @@ fn turbofish_calls_are_edges() {
             ("apply".to_string(), false),
         ]
     );
+    Ok(())
 }
 
-fn run_check() -> Vec<Finding> {
-    engine::check(&fixtures_root(), &graph_config())
-        .expect("fixture scan succeeds")
-        .findings
+fn run_check() -> Result<Vec<Finding>, String> {
+    Ok(engine::check(&fixtures_root(), &graph_config()?)?.findings)
 }
 
 fn of_lint<'r>(findings: &'r [Finding], lint: &str) -> Vec<&'r Finding> {
@@ -125,8 +116,8 @@ fn of_lint<'r>(findings: &'r [Finding], lint: &str) -> Vec<&'r Finding> {
 }
 
 #[test]
-fn derivation_enforces_allocation_freedom_past_the_stop() {
-    let findings = run_check();
+fn derivation_enforces_allocation_freedom_past_the_stop() -> Result<(), String> {
+    let findings = run_check()?;
     // `step` is listed nowhere; the `vec!` fires purely because `step` is
     // derivable from the root. The stopped `refresh` branch and
     // everything outside the closure stay unenforced.
@@ -135,11 +126,12 @@ fn derivation_enforces_allocation_freedom_past_the_stop() {
     assert_eq!((hot[0].file.as_str(), hot[0].line), ("graph/hot.rs", 18));
     assert!(hot[0].message.contains("`vec!`"), "{}", hot[0].message);
     assert!(hot[0].message.contains("`step`"), "{}", hot[0].message);
+    Ok(())
 }
 
 #[test]
-fn panic_reachability_reports_the_call_chain() {
-    let findings = run_check();
+fn panic_reachability_reports_the_call_chain() -> Result<(), String> {
+    let findings = run_check()?;
     // The `unwrap` in `step` is reachable: the finding explains how the
     // decision root reaches it.
     let reach = of_lint(&findings, PANIC_REACH);
@@ -153,25 +145,5 @@ fn panic_reachability_reports_the_call_chain() {
         "{}",
         reach[0].message
     );
-}
-
-#[test]
-fn blocking_on_read_path_fires_through_trait_dispatch() {
-    let findings = run_check();
-    // The `lock` in `Published::load` is unallowed: one finding with the
-    // dispatch chain. The `recv` in `StoreBacked::load` is covered by the
-    // allow entry, which is therefore live (no stale finding for it).
-    let blocked = of_lint(&findings, BLOCKING_READ);
-    assert_eq!(blocked.len(), 1, "{blocked:?}");
-    assert_eq!(
-        (blocked[0].file.as_str(), blocked[0].line),
-        ("graph/readers.rs", 18)
-    );
-    assert!(
-        blocked[0]
-            .message
-            .contains("serve -> Source::total -> Published::load"),
-        "{}",
-        blocked[0].message
-    );
+    Ok(())
 }

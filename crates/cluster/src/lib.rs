@@ -27,14 +27,6 @@
 //! * [`manifest`] — declarative YAML rendering of a job's SparkApplication,
 //!   including the `nodeAffinity` injection the paper's Job Builder performs.
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod feasibility;

@@ -39,14 +39,6 @@
 //! of service clones serve bursts concurrently with live ingest, without
 //! touching a store lock.
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -15,7 +15,6 @@ use crate::features::{FeatureSchema, FeatureVector};
 use crate::request::JobRequest;
 use mlcore::{FeatureMatrix, ModelKind, TrainedModel};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use telemetry::ClusterSnapshot;
 
 /// The identity of one trained model, for consumers that cache anything
@@ -30,10 +29,13 @@ use telemetry::ClusterSnapshot;
 pub struct ModelVersion(u64);
 
 impl ModelVersion {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ordering: Relaxed — the counter only hands out distinct stamps; no memory is published through it"
+    )]
     fn fresh() -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(1);
-        // ordering: Relaxed — the counter only hands out distinct stamps; no
-        // memory is published through it.
         ModelVersion(NEXT.fetch_add(1, Ordering::Relaxed))
     }
 }

@@ -12,12 +12,11 @@
 //! which is the effect the scheduler must learn.
 //!
 //! The slice is fixed: its numbers are constants, not settings, and
-//! [`FabricTestbed::paper`] is its only constructor. The node shape
+//! [`Testbed::paper`] is its only constructor. The node shape
 //! ([`NODE_CORES`], [`NODE_MEMORY_GIB`]) is shared by every generated
 //! substrate, and Figure 4 reads its configured RTTs from [`WAN_LINKS`].
 
 use crate::world::Testbed;
-use cluster::ClusterState;
 use simcore::SimDuration;
 use simnet::{gbps, mbps, Network, SimNodeId, Topology, TopologyBuilder};
 
@@ -42,25 +41,17 @@ pub const WAN_LINKS: [(usize, usize, f64, f64); 3] = [
     (0, 2, 72.0, 400.0),
 ];
 
-/// The built testbed: topology, network and cluster, with aligned node names
-/// (`node-1` ... `node-6`, numbered across sites in round-robin order so each
-/// site holds a mix of low/high indices, like the paper's Figure 4 labels).
-#[derive(Debug, Clone)]
-pub struct FabricTestbed {
-    /// The flow-level network.
-    pub network: Network,
-    /// The mini-Kubernetes cluster.
-    pub cluster: ClusterState,
-}
+/// The FABRIC slice is a [`Testbed`] like any generated substrate; the name
+/// says which one [`Testbed::paper`] built.
+pub type FabricTestbed = Testbed;
 
-impl FabricTestbed {
-    /// Build the paper's testbed.
+impl Testbed {
+    /// Build the paper's testbed: network and cluster with aligned node names
+    /// (`node-1` ... `node-6`, numbered across sites in round-robin order so
+    /// each site holds a mix of low/high indices, like the paper's Figure 4
+    /// labels).
     pub fn paper() -> Self {
-        let testbed = Testbed::assemble(Network::new(Self::build_topology()));
-        FabricTestbed {
-            network: testbed.network,
-            cluster: testbed.cluster,
-        }
+        Testbed::assemble(Network::new(Self::build_topology()))
     }
 
     #[expect(

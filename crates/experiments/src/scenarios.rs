@@ -25,7 +25,7 @@
 //! (supporting evidence, not part of the majority check).
 
 use crate::evaluation::{evaluate_cell, MethodSpeedup, SchedulerAccuracy};
-use crate::fabric::{FabricTestbed, NODES_PER_SITE, SITE_NAMES};
+use crate::fabric::{NODES_PER_SITE, SITE_NAMES};
 use crate::workflow::{ExperimentConfig, Workflow};
 use crate::world::Testbed;
 use mlcore::{GradientBoostingConfig, ModelConfig, RandomForestConfig};
@@ -90,7 +90,7 @@ impl TestbedSpec {
     )]
     pub fn build(&self) -> Testbed {
         match self {
-            TestbedSpec::Fabric => FabricTestbed::paper().into(),
+            TestbedSpec::Fabric => Testbed::paper(),
             TestbedSpec::Generated {
                 topology,
                 topology_seed,

@@ -8,7 +8,7 @@
 //! *same* conditions once per candidate driver node, which is how the "actual
 //! fastest node" ground truth for Table 4 is obtained.
 
-use crate::fabric::{FabricTestbed, NODE_CORES, NODE_MEMORY_GIB};
+use crate::fabric::{NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, DefaultScheduler, Node, PodId, Resources};
 use netsched_core::request::JobRequest;
 use simcore::rng::Rng;
@@ -23,7 +23,7 @@ use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager, SnapshotSource};
 
 /// A built substrate: the flow-level network plus the mini-Kubernetes view of
 /// its nodes. This is what [`SimWorld`] runs on; the FABRIC slice
-/// ([`FabricTestbed`]) is one way to produce it, the scenario-matrix
+/// ([`Testbed::paper`]) is one way to produce it, the scenario-matrix
 /// generators (`crate::scenarios::TestbedSpec`) are another.
 #[derive(Debug, Clone)]
 pub struct Testbed {
@@ -58,15 +58,6 @@ impl Testbed {
             );
         }
         Testbed { network, cluster }
-    }
-}
-
-impl From<FabricTestbed> for Testbed {
-    fn from(testbed: FabricTestbed) -> Self {
-        Testbed {
-            network: testbed.network,
-            cluster: testbed.cluster,
-        }
     }
 }
 
@@ -194,8 +185,7 @@ pub struct SimWorld {
 impl SimWorld {
     /// Create a world from any testbed (the FABRIC slice or a generated
     /// scenario substrate) and a master seed.
-    pub fn new(testbed: impl Into<Testbed>, seed: u64) -> Self {
-        let testbed = testbed.into();
+    pub fn new(testbed: Testbed, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let background_rng = rng.split();
         // The executor scheduler keeps a seed of its own, *independent of the

@@ -25,14 +25,6 @@
 //!   via configuration.
 //! * [`validate`] — evaluation of a fitted model on held-out data.
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod data;

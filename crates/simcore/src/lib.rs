@@ -14,14 +14,6 @@
 //!   independent simulation replications and to train tree ensembles in
 //!   parallel while keeping results deterministic (ordered reduction).
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod parallel;

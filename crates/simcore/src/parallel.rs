@@ -14,7 +14,6 @@
 //! determinism discipline the HPC guides call for).
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: the number of available CPUs, capped at 16 so that
 /// test machines with many cores don't oversubscribe tiny workloads.
@@ -35,11 +34,20 @@ pub fn default_workers() -> usize {
     clippy::expect_used,
     reason = "the cursor hands out every index below n exactly once, and a worker panic re-raises at the scope before the slots are read"
 )]
+#[expect(
+    clippy::disallowed_types,
+    reason = "ordering: Relaxed — the cursor only claims work indices; results flow through the per-slot mutexes and the scope join"
+)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocking: each slot is locked once, by the one worker that claimed its index, so no lock is ever contended; training and replications only, never a decision"
+)]
 pub fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     if n == 0 {
         return Vec::new();
     }
@@ -55,8 +63,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                // ordering: Relaxed — the counter only claims work indices;
-                // results flow through the per-slot mutexes and scope join.
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 if idx >= n {
                     break;
@@ -79,7 +85,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parallel_map_matches_sequential() {
@@ -100,7 +105,12 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ordering: Relaxed — a tally read only after parallel_map has joined its workers"
+    )]
     fn every_index_called_exactly_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let calls = AtomicU64::new(0);
         let n = 1000;
         let out = parallel_map(n, 8, |i| {

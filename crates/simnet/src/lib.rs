@@ -27,14 +27,6 @@
 //! [`network::Network::advance_to`] and asks for the next interesting time via
 //! [`network::Network::next_completion`].
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod background;

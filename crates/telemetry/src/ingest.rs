@@ -33,6 +33,10 @@
 //!
 //! Decisions read neither the lock nor the store: they take the manager's
 //! [`ConcurrentScrapeManager::published_handle`] (see [`crate::publish`]).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "blocking: the store lock is the ingest commit; only the writer lane, scrape calls and history readers (`TelemetryReader`) take it, and decisions read the published epoch instead"
+)]
 
 use crate::publish::PublishedSnapshot;
 use crate::scrape::{ScrapeConfig, ScrapeManager};
@@ -43,7 +47,6 @@ use parking_lot::Mutex;
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
@@ -207,7 +210,12 @@ impl ConcurrentScrapeManager {
     /// per time: parallelism changes wall-clock, never results. Readers
     /// holding a [`TelemetryReader`] observe only whole committed chunks
     /// throughout, and the last epoch is published before this returns.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ordering: Relaxed — the cursor only claims chunk indices; the channel send synchronizes the evaluated payload"
+    )]
     pub fn ingest(&mut self, cluster: &ClusterState, network: &Network, times: &[SimTime]) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         if times.is_empty() {
             return;
         }
@@ -269,9 +277,6 @@ impl ConcurrentScrapeManager {
             for _ in 0..eval_workers {
                 let (eval_tx, cursor, evaluate_chunk) = (eval_tx.clone(), &cursor, &evaluate_chunk);
                 scope.spawn(move || loop {
-                    // ordering: Relaxed — the counter only claims chunk
-                    // indices; the channel send below synchronizes the
-                    // evaluated payload.
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
                     if idx >= chunks.len()
                         || eval_tx.send((idx, evaluate_chunk(chunks[idx]))).is_err()

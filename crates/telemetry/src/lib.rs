@@ -37,14 +37,6 @@
 //!   (any instant, any rate window) — what the managers run once per commit
 //!   to fill the epoch they publish, and what tests compare epochs against.
 
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented
-)]
 #![warn(missing_docs)]
 
 pub mod exporters;

@@ -34,6 +34,14 @@
 //! A reader therefore always observes a **whole committed epoch** — the exact
 //! snapshot the sequential path would have assembled at that epoch's scrape
 //! time — and consecutive reads observe monotonically non-decreasing epochs.
+#![expect(
+    clippy::disallowed_types,
+    reason = "ordering: the epoch is stored Release in `publish_with` after its slot is filled and loaded Acquire in `PublishedSnapshot::epoch`, so a reader that observes epoch e finds epoch e (never an older one) in slot e % SLOT_COUNT"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "blocking: the slot mutexes are the one lock on the decision path (`PublishedSnapshot::latest`); each is held only for an Option store (writer) or an Arc clone (reader), never across assembly or I/O"
+)]
 
 use crate::snapshot::ClusterSnapshot;
 use parking_lot::Mutex;
@@ -154,8 +162,6 @@ impl SnapshotPublisher {
             epoch,
             snapshot: Arc::clone(buffer),
         });
-        // ordering: Release makes the slot contents written above visible to
-        // any reader whose Acquire load of `epoch` observes this value.
         self.shared.epoch.store(epoch, Ordering::Release);
         self.next_epoch += 1;
         epoch
@@ -192,8 +198,6 @@ pub struct PublishedSnapshot {
 impl PublishedSnapshot {
     /// The latest published epoch number (one atomic load; 0 = none yet).
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the Release store in `publish_with`,
-        // so the slot this epoch points at is fully written before we read it.
         self.shared.epoch.load(Ordering::Acquire)
     }
 

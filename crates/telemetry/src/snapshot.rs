@@ -58,11 +58,6 @@ use crate::{
 };
 use cluster::NodeId;
 use simcore::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of process-unique [`ClusterSnapshot::revision`] stamps (0 is
-/// reserved for "unsealed").
-static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
 
 /// `(mean, max, std-dev)` of a row without probes.
 const NO_RTT_STATS: (f64, f64, f64) = (0.0, 0.0, 0.0);
@@ -652,7 +647,15 @@ impl ClusterSnapshot {
     /// process-unique [`ClusterSnapshot::revision`]. A no-op on a snapshot
     /// that is still sealed. Cost is proportional to the dirty rows' entries
     /// — nothing at all for an epoch that rewrote only node telemetry.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ordering: Relaxed — the counter only hands out distinct stamps; the snapshot it stamps reaches readers through the publisher's own Release/Acquire epoch"
+    )]
     pub fn seal(&mut self) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Source of process-unique revision stamps (0 is reserved for
+        /// "unsealed").
+        static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
         if self.revision != 0 {
             return;
         }
@@ -669,9 +672,6 @@ impl ClusterSnapshot {
         }
         sealed.stale.resize(sealed.stats.len(), false);
         self.sealed = sealed;
-        // ordering: Relaxed — the counter only hands out distinct stamps; the
-        // snapshot it stamps is handed to readers by the publisher's own
-        // Release/Acquire epoch protocol.
         self.revision = NEXT_REVISION.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -13,7 +13,7 @@ use netsched::simcore::SimDuration;
 use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), &'static str> {
     // 1. The Figure-4 testbed: UCSD / FIU / SRI, two nodes each, 66/10/72 ms RTTs.
     let testbed = FabricTestbed::paper();
     println!("cluster nodes: {:?}", testbed.node_names());
@@ -52,7 +52,7 @@ fn main() {
     // 5. Execute it and report the completion breakdown.
     let outcome = world
         .run_job(&request, "node-2")
-        .expect("placement is feasible");
+        .ok_or("node-2 cannot host the job")?;
     println!(
         "driver ran on {}, executors on {:?}",
         outcome.driver_node, outcome.executor_nodes
@@ -70,4 +70,5 @@ fn main() {
             stage.name, stage.control_seconds, stage.shuffle_seconds, stage.compute_seconds
         );
     }
+    Ok(())
 }

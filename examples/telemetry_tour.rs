@@ -15,7 +15,7 @@ use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{SeriesKey, METRIC_NODE_TX_BYTES, METRIC_PING_RTT};
 
-fn main() {
+fn main() -> Result<(), &'static str> {
     let mut world = SimWorld::new(FabricTestbed::paper(), 7);
 
     // Put a heavy download loop on two nodes and let telemetry accumulate.
@@ -60,9 +60,14 @@ fn main() {
     );
     for node in world.cluster.node_names() {
         let features = schema.construct(&snapshot, &node, &request);
-        let cpu = features[schema.index_of("cpu_load").unwrap()];
-        let rtt = features[schema.index_of("rtt_mean_s").unwrap()];
-        let rx = features[schema.index_of("rx_rate_bps").unwrap()];
+        let column = |name| {
+            schema
+                .index_of(name)
+                .ok_or("the standard schema lacks a column")
+        };
+        let cpu = features[column("cpu_load")?];
+        let rtt = features[column("rtt_mean_s")?];
+        let rx = features[column("rx_rate_bps")?];
         println!(
             "  {node}: cpu_load={cpu:.2}, rtt_mean={:.1} ms, rx_rate={:.2} MB/s, full vector = {:?}",
             rtt * 1000.0,
@@ -86,4 +91,5 @@ fn main() {
             .filter(|(_, t)| t.rx_rate > 0.0)
             .count()
     );
+    Ok(())
 }

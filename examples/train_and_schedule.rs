@@ -22,7 +22,7 @@ use netsched::mlcore::{evaluate_on, ModelConfig, ModelKind, TrainedModel};
 use netsched::simcore::rng::Rng;
 use netsched::sparksim::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Collect a training dataset (scaled down from the paper's 3600 samples). ---
     let config = ExperimentConfig::quick(4, 3, 7); // 12 configs x 3 repeats x 6 nodes = 216 samples
     println!(
@@ -59,12 +59,11 @@ fn main() {
             best = Some((kind, model, metrics.r2));
         }
     }
-    let (best_kind, best_model, best_r2) = best.expect("at least one model trained");
+    let (best_kind, best_model, best_r2) = best.ok_or("no model trained")?;
     println!("best model: {best_kind} (R² = {best_r2:.3})");
 
     // --- 3. Use the trained model for a new placement decision. ---
-    let predictor = CompletionTimePredictor::new(dataset.schema.clone(), best_model)
-        .expect("dataset schema matches its own training data");
+    let predictor = CompletionTimePredictor::new(dataset.schema.clone(), best_model)?;
     let mut kube_default = KubeDefaultScheduler::new(3);
 
     // Take a held-out scenario's frozen system state as "now".
@@ -95,4 +94,5 @@ fn main() {
         "  (actually fastest node in this scenario for its own job was {})",
         scenario.fastest_node()
     );
+    Ok(())
 }

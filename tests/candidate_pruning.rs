@@ -56,6 +56,10 @@ use common::{snapshot_bits, SnapshotBits};
 /// A randomized world: nodes with mixed capacities, a slice cordoned, loads
 /// ranging from idle to completely full, and telemetry for
 /// most (not all) nodes plus a sparse RTT ring.
+#[expect(
+    clippy::expect_used,
+    reason = "test fixture: every id below `nodes` was added just above"
+)]
 fn varied_world(nodes: usize, seed: u64) -> (ClusterState, ClusterSnapshot) {
     let mut rng = Rng::seed_from_u64(seed);
     let mut cluster = ClusterState::new();
@@ -136,6 +140,11 @@ fn driver_request(i: usize, cpu_millis: u64, mem_gib: u64) -> JobRequest {
 }
 
 /// A deterministic Linear predictor (trained once, shared by every case).
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test fixture: every row and the model are built with the schema's own width"
+)]
 fn predictor() -> CompletionTimePredictor {
     static CACHE: std::sync::OnceLock<CompletionTimePredictor> = std::sync::OnceLock::new();
     CACHE
@@ -191,6 +200,11 @@ fn random_telemetry(rng: &mut Rng) -> NodeTelemetry {
 /// telemetry *and* on the job (so requests land in different signature cells)
 /// and stay far above the predictor's clamp at 0. `variant` changes the
 /// weights: different variants disagree on every loaded node.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test fixture: every row and the model are built with the schema's own width"
+)]
 fn cell_model(kind: ModelKind, variant: u64) -> CompletionTimePredictor {
     let schema = FeatureSchema::standard();
     let mut data = Dataset::new(schema.names().to_vec());

@@ -5,7 +5,11 @@ use netsched::telemetry::ClusterSnapshot;
 
 /// A snapshot's observable contents, bit for bit: the time, each scraped
 /// node's name, id and four telemetry fields, and every RTT entry.
-pub type SnapshotBits = (SimTime, Vec<(String, u32, [u64; 4])>, Vec<(u32, u32, u64)>);
+pub type SnapshotBits = (
+    SimTime,
+    Vec<(String, Option<u32>, [u64; 4])>,
+    Vec<(u32, u32, u64)>,
+);
 
 /// Everything [`SnapshotBits`] lists of `snap`. Stricter than `PartialEq`,
 /// which ignores id assignment, and than comparing rendered decimals, which
@@ -14,9 +18,9 @@ pub fn snapshot_bits(snap: &ClusterSnapshot) -> SnapshotBits {
     let nodes = snap
         .iter_nodes()
         .map(|(name, t)| {
-            let id = snap.node_id(name).expect("a scraped node has an id");
+            let id = snap.node_id(name).map(|id| id.0);
             let fields = [t.cpu_load, t.memory_available_bytes, t.tx_rate, t.rx_rate];
-            (name.to_string(), id.0, fields.map(f64::to_bits))
+            (name.to_string(), id, fields.map(f64::to_bits))
         })
         .collect();
     let rtt = snap

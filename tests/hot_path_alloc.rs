@@ -11,12 +11,15 @@
 //! building. The same holds for a serving loop: with a bind between bursts
 //! (the feasibility index is refreshed in place) and across a new epoch over an
 //! unchanged node set (telemetry is re-indexed and diffed into warm buffers,
-//! scoreboards refresh only their dirty rows), and for a stream of more job
+//! scoreboards refresh only their dirty rows), for a stream of more job
 //! cells than the scoreboard pool holds (evicted boards are refilled in
-//! place). On the ingest side, a warm exporter round over a 64-node mesh
+//! place), and for the same ranking over a snapshot that was never sealed
+//! (every RTT row summarised on the spot). On the ingest side, a warm exporter round over a 64-node mesh
 //! with live traffic evaluates every ping probe without touching the heap.
 
 use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
+use netsched::core::context::{ContextScratch, SchedulingContext};
+use netsched::core::decision::NodeRanking;
 use netsched::core::request::JobRequest;
 use netsched::core::service::{SchedulerConfig, SchedulerService, SchedulingDecision};
 use netsched::mlcore::ModelKind;
@@ -65,6 +68,10 @@ fn count(operation: usize) {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only added work is a thread-local
 // integer update that neither allocates nor unwinds.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait impl; this one only forwards to `System` and counts"
+)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(0);
@@ -104,6 +111,10 @@ fn disarm() -> (u64, u64, u64) {
 }
 
 /// A 4-node, 2-site world with a scraped telemetry round.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test fixture: two sites, two nodes on each, one link between"
+)]
 fn test_world() -> (ClusterState, Network, ScrapeManager) {
     let mut b = TopologyBuilder::new();
     let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
@@ -139,6 +150,10 @@ fn request(i: usize) -> JobRequest {
 /// supervised scheduler, not the fallback. Logged jobs vary in size and their
 /// completion times with it, so tree ensembles split instead of fitting one
 /// leaf.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test fixture: the fallback scheduler places every bootstrap job on the idle 4-node world"
+)]
 fn trained_service_with(
     cluster: &ClusterState,
     published: &PublishedSnapshot,
@@ -494,6 +509,63 @@ fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
         "warm serving-loop bursts must be allocation-free across binds and epochs"
     );
     assert_eq!(service.feasibility_rebuilds(), 1);
+}
+
+#[test]
+fn warm_ranking_over_an_unsealed_snapshot_is_allocation_free() {
+    // A published epoch is always sealed, so `schedule_batch_into` reads
+    // sealed RTT rows. A snapshot taken by value (the history query here, a
+    // scenario's frozen state in Table 4) is not: the ranking `schedule_batch_into`
+    // runs re-indexes it on every context and summarises each RTT row on the
+    // spot (`rtt_stats_from` → `accumulate_row_stats` → `OnlineStats`). With
+    // the scratch carried across contexts, that must not touch the heap.
+    let (cluster, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let service = trained_service(&cluster, &published);
+    let predictor = service.predictor().unwrap();
+    let mut snapshot = netsched::telemetry::ClusterSnapshot::default();
+    scrape.snapshot_into(
+        SimTime::from_secs(1),
+        ScrapeConfig::default().rate_window,
+        &mut snapshot,
+    );
+    assert_eq!(
+        snapshot.revision(),
+        0,
+        "a history-query snapshot is unsealed"
+    );
+    let (mean, _, _) = snapshot.rtt_stats_from("node-1");
+    assert!(mean > 0.0, "the scraped mesh has probes to summarise");
+
+    let requests: Vec<JobRequest> = (0..8).map(request).collect();
+    let mut rankings: Vec<NodeRanking> = requests.iter().map(|_| NodeRanking::default()).collect();
+    let burst = |scratch: ContextScratch, rankings: &mut [NodeRanking]| {
+        let mut ctx = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
+        for (request, ranking) in requests.iter().zip(rankings.iter_mut()) {
+            ctx.rank_feasible_batch_into(request, predictor, ranking);
+        }
+        ctx.into_scratch()
+    };
+    let mut scratch = ContextScratch::default();
+    for _ in 0..3 {
+        scratch = burst(scratch, &mut rankings);
+    }
+    let warm: Vec<NodeRanking> = rankings.clone();
+
+    arm();
+    for _ in 0..10 {
+        scratch = burst(scratch, &mut rankings);
+    }
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "warm rankings over an unsealed snapshot must be allocation-free \
+         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+    );
+    assert_eq!(snapshot.revision(), 0, "ranking never seals the snapshot");
+    assert!(rankings.iter().all(|r| r.len() == 4));
+    assert_eq!(warm, rankings, "warm rankings are deterministic");
 }
 
 #[test]

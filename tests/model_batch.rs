@@ -72,6 +72,10 @@ fn reference_gbdt(model: &GradientBoosting, row: &[f64]) -> f64 {
 
 /// Build a dataset from a flat value stream: `width` feature columns, the
 /// target derived from the same stream so it correlates with the features.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test fixture: every chunk holds exactly `width` features"
+)]
 fn dataset_from(values: &[f64], width: usize) -> Dataset {
     let names = (0..width).map(|i| format!("f{i}")).collect();
     let mut data = Dataset::new(names);

@@ -50,6 +50,11 @@ fn feasible_names(request: &JobRequest, cluster: &ClusterState) -> Vec<String> {
 }
 
 /// A small predictor trained on synthetic load-sensitive data.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test fixture: every row and the model are built with the schema's own width"
+)]
 fn predictor(snapshot: &ClusterSnapshot) -> CompletionTimePredictor {
     let schema = FeatureSchema::standard();
     let mut data = Dataset::new(schema.names().to_vec());

@@ -31,6 +31,10 @@ mod common;
 use common::{snapshot_bits, SnapshotBits};
 
 /// A two-site world with `nodes` node exporters (plus the full ping mesh).
+#[expect(
+    clippy::unwrap_used,
+    reason = "test fixture: two sites, each node on one of them, one link between"
+)]
 fn setup(nodes: usize) -> (ClusterState, Network) {
     let mut b = TopologyBuilder::new();
     let s0 = b.add_site("A", SimDuration::from_micros(200), gbps(10.0));
@@ -251,6 +255,10 @@ fn pipelined_ingest_drops_and_prunes_exactly_like_sequential_scrapes() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "ordering: `done` is stored Release after ingest has published its last epoch and loaded Acquire before a reader's final poll, so that poll observes the last epoch"
+)]
 fn published_readers_only_observe_whole_committed_epochs() {
     let (cluster, network) = setup(3);
     let times: Vec<SimTime> = (0..80u64).map(|i| SimTime::from_secs(i * 5)).collect();

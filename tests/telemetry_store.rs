@@ -42,13 +42,14 @@ impl NaiveStore {
     }
 
     fn append(&mut self, key: &SeriesKey, kind: MetricKind, value: f64, t: SimTime) {
-        let entry = match self.series.iter_mut().find(|(k, _, _)| k == key) {
-            Some(entry) => entry,
+        let at = match self.series.iter().position(|(k, _, _)| k == key) {
+            Some(at) => at,
             None => {
                 self.series.push((key.clone(), kind, Vec::new()));
-                self.series.last_mut().unwrap()
+                self.series.len() - 1
             }
         };
+        let entry = &mut self.series[at];
         if let Some(&(last_t, _)) = entry.2.last() {
             // Out-of-order and duplicate-timestamp samples are dropped.
             if t <= last_t {
