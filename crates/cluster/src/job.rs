@@ -114,23 +114,9 @@ impl JobSpec {
 
     /// The executor pod specs (placed by the default scheduler in the paper).
     pub fn executor_pods(&self) -> Vec<PodSpec> {
-        let mut out = Vec::with_capacity(self.executor_count as usize);
-        self.executor_pods_into(&mut out);
-        out
-    }
-
-    /// In-place variant of [`JobSpec::executor_pods`]: rebuild `out` as this
-    /// job's executor pod set, reusing the pod specs already in the vector.
-    pub fn executor_pods_into(&self, out: &mut Vec<PodSpec>) {
-        out.resize_with(self.executor_count as usize, || {
-            PodSpec::new(String::new(), Resources::ZERO)
-        });
-        for (i, pod) in out.iter_mut().enumerate() {
-            pod.name.clear();
-            let _ = write!(pod.name, "{}-exec-{}", self.name, i + 1);
-            pod.requests = self.executor_requests;
-            pod.pinned_node = None;
-        }
+        (1..=self.executor_count)
+            .map(|i| PodSpec::new(format!("{}-exec-{i}", self.name), self.executor_requests))
+            .collect()
     }
 
     /// Total resources the whole application will request.

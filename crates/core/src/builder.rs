@@ -17,8 +17,6 @@ pub struct BuiltJob {
     pub spec: JobSpec,
     /// The driver pod spec, pinned to the selected node.
     pub driver_pod: PodSpec,
-    /// Executor pod specs (left to the default scheduler).
-    pub executor_pods: Vec<PodSpec>,
     /// The node the driver is pinned to (None = no pinning, default behaviour).
     pub target_node: Option<String>,
     /// The rendered SparkApplication YAML manifest.
@@ -27,11 +25,12 @@ pub struct BuiltJob {
 
 impl BuiltJob {
     /// An empty shell for in-place building via [`JobBuilder::build_into`].
+    /// A serving burst allocates one only when it adds a decision slot; later
+    /// bursts rebuild the slot in place.
     pub fn empty() -> Self {
         BuiltJob {
             spec: JobSpec::new(String::new(), String::new(), 0),
             driver_pod: PodSpec::new(String::new(), Resources::ZERO),
-            executor_pods: Vec::new(),
             target_node: None,
             manifest_yaml: String::new(),
         }
@@ -58,7 +57,6 @@ impl JobBuilder {
     pub fn build_into(&self, request: &JobRequest, target_node: Option<&str>, out: &mut BuiltJob) {
         request.to_job_spec_into(&mut out.spec);
         out.spec.driver_pod_into(target_node, &mut out.driver_pod);
-        out.spec.executor_pods_into(&mut out.executor_pods);
         render_job_manifest_into(&mut out.manifest_yaml, &out.spec, target_node);
         set_target(&mut out.target_node, target_node);
     }
@@ -79,9 +77,6 @@ mod tests {
         assert_eq!(built.target_node.as_deref(), Some("node-5"));
         // The driver pod is pinned to the target.
         assert_eq!(built.driver_pod.pinned_node.as_deref(), Some("node-5"));
-        // Executors are not pinned.
-        assert!(built.executor_pods.iter().all(|e| e.pinned_node.is_none()));
-        assert_eq!(built.executor_pods.len(), 3);
         // Manifest carries the injection.
         assert!(built
             .manifest_yaml

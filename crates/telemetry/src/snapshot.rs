@@ -138,6 +138,8 @@ enum MeshRepr {
     Sparse(std::collections::BTreeMap<(u32, u32), f64>),
 }
 
+/// The empty dense form. `Vec::new` does not allocate, so resetting a mesh
+/// to it is heap-free.
 impl Default for MeshRepr {
     fn default() -> Self {
         MeshRepr::Dense(Vec::new())

@@ -1,35 +1,48 @@
-//! Runtime counterpart of the `hot-path-alloc` lint: a counting global
-//! allocator proves that steady-state `schedule_batch_into` bursts perform **zero
-//! heap allocations**.
+//! The allocation gate: a counting global allocator fails the run when a
+//! warm scheduling decision touches the heap.
 //!
-//! The static lint (`cargo run -p analysis -- check`) bans allocating tokens
-//! inside the hot-path function manifest; this harness pins the same claim
-//! dynamically, end to end: against an epoch-published snapshot with a
-//! trained model, a warm `schedule_batch_into` burst must not allocate,
-//! deallocate or reallocate at all — not in telemetry indexing, feasibility
-//! filtering, feature construction, batch inference, ranking, or job/manifest
-//! building. The same holds for a serving loop: with a bind between bursts
-//! (the feasibility index is refreshed in place) and across a new epoch over an
-//! unchanged node set (telemetry is re-indexed and diffed into warm buffers,
-//! scoreboards refresh only their dirty rows), for a stream of more job
-//! cells than the scoreboard pool holds (evicted boards are refilled in
-//! place), and for the same ranking over a snapshot that was never sealed
-//! (every RTT row summarised on the spot). On the ingest side, a warm exporter round over a 64-node mesh
-//! with live traffic evaluates every ping probe without touching the heap.
+//! `schedule_batch_into` runs a predict-and-rank step on every arriving job,
+//! so once its buffers are warm a burst must not allocate, deallocate or
+//! reallocate at all — not in telemetry indexing, feasibility filtering,
+//! feature construction, batch inference, ranking, or job/manifest building.
+//! Each scenario warms one kind of decision and then counts a window of
+//! them:
+//!
+//! - one burst per model family over a published epoch (the grouped tree
+//!   walk on stack arrays), plus a forest ranking more candidates than one
+//!   walk block (the block-by-block `FlatTree::accumulate_into` branch);
+//! - bursts whose requests alternate two driver sizings (one feasibility
+//!   query per decision) or whose reused slots alternate two executor counts;
+//! - pruned bursts off the scoreboard, and the untrained fallback with and
+//!   without a budget;
+//! - a stream of more job cells than the scoreboard pool holds (evicted
+//!   boards refilled in place);
+//! - a serving loop with a bind between bursts and a new epoch every other
+//!   round (feasibility refreshed, telemetry re-indexed and diffed, dirty
+//!   scoreboard rows refreshed);
+//! - rankings over snapshots that were never sealed: a scraped one (every RTT
+//!   row summarised on the spot) and a hand-built one past the dense-mesh
+//!   limit whose node table is not in the cluster's order (sparse RTT rows,
+//!   nodes resolved by name).
+//!
+//! On the ingest side, a warm exporter round over a 64-node mesh with live
+//! traffic evaluates every ping probe without touching the heap.
 
 use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
 use netsched::core::context::{ContextScratch, SchedulingContext};
 use netsched::core::decision::NodeRanking;
+use netsched::core::predictor::CompletionTimePredictor;
 use netsched::core::request::JobRequest;
 use netsched::core::service::{SchedulerConfig, SchedulerService, SchedulingDecision};
-use netsched::mlcore::ModelKind;
+use netsched::mlcore::{FlatTree, ModelKind};
 use netsched::simcore::rng::Rng;
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::flow::FlowKind;
 use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{
-    ExporterLayout, PublishedSnapshot, ScrapeConfig, ScrapeManager, SeriesId, TimeSeriesStore,
+    ClusterSnapshot, ExporterLayout, NodeTelemetry, PublishedSnapshot, ScrapeConfig, ScrapeManager,
+    SeriesId, TimeSeriesStore,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,35 +123,46 @@ fn disarm() -> (u64, u64, u64) {
     (allocs, deallocs, reallocs)
 }
 
-/// A 4-node, 2-site world with a scraped telemetry round.
-#[expect(
-    clippy::unwrap_used,
-    reason = "test fixture: two sites, two nodes on each, one link between"
-)]
-fn test_world() -> (ClusterState, Network, ScrapeManager) {
-    let mut b = TopologyBuilder::new();
-    let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
-    let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
-    for i in 0..2 {
-        b.add_node(format!("node-{}", i + 1), s0, gbps(1.0), gbps(1.0));
-    }
-    for i in 2..4 {
-        b.add_node(format!("node-{}", i + 1), s1, gbps(1.0), gbps(1.0));
-    }
-    b.connect_sites(s0, s1, SimDuration::from_millis(30), mbps(500.0));
-    let network = Network::new(b.build().unwrap());
+/// `nodes` nodes named `node-1…`, the first half in site UCSD and the rest
+/// in FIU.
+fn two_site_cluster(nodes: usize) -> ClusterState {
     let mut cluster = ClusterState::new();
-    for i in 0..4 {
+    for i in 0..nodes {
         cluster.add_node(Node::new(
             format!("node-{}", i + 1),
             NodeId(i),
             Resources::from_cores_and_gib(6, 8),
-            if i < 2 { "UCSD" } else { "FIU" },
+            if i < nodes / 2 { "UCSD" } else { "FIU" },
         ));
     }
+    cluster
+}
+
+/// A two-site world of `nodes` nodes (one link between the sites) with a
+/// scraped telemetry round.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test fixture: two sites, one link between"
+)]
+fn two_site_world(nodes: usize) -> (ClusterState, Network, ScrapeManager) {
+    let mut b = TopologyBuilder::new();
+    let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
+    let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
+    for i in 0..nodes {
+        let site = if i < nodes / 2 { s0 } else { s1 };
+        b.add_node(format!("node-{}", i + 1), site, gbps(1.0), gbps(1.0));
+    }
+    b.connect_sites(s0, s1, SimDuration::from_millis(30), mbps(500.0));
+    let network = Network::new(b.build().unwrap());
+    let cluster = two_site_cluster(nodes);
     let mut scrape = ScrapeManager::new(ScrapeConfig::default());
     scrape.scrape(&cluster, &network, SimTime::from_secs(1));
     (cluster, network, scrape)
+}
+
+/// The 4-node world most scenarios decide on.
+fn test_world() -> (ClusterState, Network, ScrapeManager) {
+    two_site_world(4)
 }
 
 fn request(i: usize) -> JobRequest {
@@ -195,9 +219,15 @@ fn trained_service(cluster: &ClusterState, published: &PublishedSnapshot) -> Sch
 fn steady_state_schedule_batch_burst_is_allocation_free() {
     // One leg per model family. The four candidates make a decision-sized
     // batch, so the tree ensembles run the grouped walk (four trees at a
-    // time, then a 1–3-tree tail) on stack arrays only.
-    for kind in ModelKind::ALL {
-        let (cluster, _network, mut scrape) = test_world();
+    // time, then a 1–3-tree tail) on stack arrays only. A last forest leg
+    // ranks eight more candidates than one walk block has rows, so it walks
+    // the trees outer, block by block (`FlatTree::accumulate_into`).
+    let legs = ModelKind::ALL
+        .map(|kind| (kind, 4))
+        .into_iter()
+        .chain([(ModelKind::RandomForest, FlatTree::BLOCK + 8)]);
+    for (kind, nodes) in legs {
+        let (cluster, _network, mut scrape) = two_site_world(nodes);
         let published = scrape.published_handle();
         let mut service =
             trained_service_with(&cluster, &published, kind, SchedulerConfig::default());
@@ -206,7 +236,7 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
         assert_eq!(
             splits.iter().any(|column| !column.is_empty()),
             kind != ModelKind::Linear,
-            "{kind}: tree ensembles must split, so the walk takes real steps"
+            "{kind} on {nodes} nodes: tree ensembles must split, so the walk takes real steps"
         );
 
         let requests: Vec<JobRequest> = (0..8).map(request).collect();
@@ -234,7 +264,7 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
         assert_eq!(
             (allocs, deallocs, reallocs),
             (0, 0, 0),
-            "{kind}: steady-state schedule_batch_into bursts must be allocation-free \
+            "{kind} on {nodes} nodes: steady-state schedule_batch_into bursts must be allocation-free \
              (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
         );
 
@@ -242,7 +272,7 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
         assert_eq!(decisions.len(), requests.len());
         for decision in &decisions {
             assert!(decision.used_model);
-            assert_eq!(decision.ranking.len(), 4);
+            assert_eq!(decision.ranking.len(), nodes);
             assert!(decision.job.target_node.is_some());
             assert!(decision.job.manifest_yaml.contains("SparkApplication"));
         }
@@ -250,7 +280,10 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
             .iter()
             .map(|d| d.job.target_node.clone())
             .collect();
-        assert_eq!(warm, after, "{kind}: steady-state bursts are deterministic");
+        assert_eq!(
+            warm, after,
+            "{kind} on {nodes} nodes: steady-state bursts are deterministic"
+        );
     }
 }
 
@@ -295,6 +328,48 @@ fn bursts_alternating_two_driver_sizings_are_allocation_free() {
         assert_eq!(decision.ranking.len(), if i % 2 == 0 { 4 } else { 3 });
     }
     assert_eq!(service.feasibility_rebuilds(), 1);
+}
+
+#[test]
+fn bursts_whose_slots_alternate_two_executor_counts_are_allocation_free() {
+    // The `sparksim::mix` shape: consecutive bursts reuse each decision slot
+    // for a job with a different executor count (2, then 4, then 2 …), so
+    // the job a slot rebuilds changes shape on every burst.
+    let (cluster, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let mut service = trained_service(&cluster, &published);
+    let bursts: [Vec<JobRequest>; 2] = [0, 1].map(|parity| {
+        (0..8)
+            .map(|i| {
+                let executors = if (i + parity) % 2 == 0 { 2 } else { 4 };
+                JobRequest::named(format!("sort-{i}"), WorkloadKind::Sort, 100_000, executors)
+            })
+            .collect()
+    });
+    let now = SimTime::from_secs(3);
+    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+    for requests in bursts.iter().cycle().take(4) {
+        service.schedule_batch_into(requests, &published, &cluster, now, &mut decisions);
+    }
+
+    arm();
+    for requests in bursts.iter().cycle().take(20) {
+        service.schedule_batch_into(requests, &published, &cluster, now, &mut decisions);
+    }
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "bursts whose slots change executor count must be allocation-free \
+         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+    );
+    for (decision, request) in decisions.iter().zip(&bursts[1]) {
+        assert!(decision.used_model);
+        assert_eq!(
+            decision.job.spec.executor_count,
+            request.workload.executor_count
+        );
+    }
 }
 
 #[test]
@@ -511,36 +586,20 @@ fn serving_loop_bursts_are_allocation_free_across_binds_and_epochs() {
     assert_eq!(service.feasibility_rebuilds(), 1);
 }
 
-#[test]
-fn warm_ranking_over_an_unsealed_snapshot_is_allocation_free() {
-    // A published epoch is always sealed, so `schedule_batch_into` reads
-    // sealed RTT rows. A snapshot taken by value (the history query here, a
-    // scenario's frozen state in Table 4) is not: the ranking `schedule_batch_into`
-    // runs re-indexes it on every context and summarises each RTT row on the
-    // spot (`rtt_stats_from` → `accumulate_row_stats` → `OnlineStats`). With
-    // the scratch carried across contexts, that must not touch the heap.
-    let (cluster, _network, mut scrape) = test_world();
-    let published = scrape.published_handle();
-    let service = trained_service(&cluster, &published);
-    let predictor = service.predictor().unwrap();
-    let mut snapshot = netsched::telemetry::ClusterSnapshot::default();
-    scrape.snapshot_into(
-        SimTime::from_secs(1),
-        ScrapeConfig::default().rate_window,
-        &mut snapshot,
-    );
-    assert_eq!(
-        snapshot.revision(),
-        0,
-        "a history-query snapshot is unsealed"
-    );
-    let (mean, _, _) = snapshot.rtt_stats_from("node-1");
-    assert!(mean > 0.0, "the scraped mesh has probes to summarise");
-
+/// Rank eight requests through contexts over `snapshot` that hand one
+/// scratch on, as consecutive `schedule_batch_into` bursts do: three warm-up
+/// bursts, then ten counted ones. Asserts the counted bursts touch no heap
+/// and rank exactly like the warm-up; returns the last rankings.
+fn assert_warm_rankings_are_allocation_free(
+    snapshot: &ClusterSnapshot,
+    cluster: &ClusterState,
+    predictor: &CompletionTimePredictor,
+) -> Vec<NodeRanking> {
+    assert_eq!(snapshot.revision(), 0, "the snapshot is unsealed");
     let requests: Vec<JobRequest> = (0..8).map(request).collect();
     let mut rankings: Vec<NodeRanking> = requests.iter().map(|_| NodeRanking::default()).collect();
     let burst = |scratch: ContextScratch, rankings: &mut [NodeRanking]| {
-        let mut ctx = SchedulingContext::with_scratch(&snapshot, &cluster, scratch);
+        let mut ctx = SchedulingContext::with_scratch(snapshot, cluster, scratch);
         for (request, ranking) in requests.iter().zip(rankings.iter_mut()) {
             ctx.rank_feasible_batch_into(request, predictor, ranking);
         }
@@ -564,8 +623,71 @@ fn warm_ranking_over_an_unsealed_snapshot_is_allocation_free() {
          (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
     );
     assert_eq!(snapshot.revision(), 0, "ranking never seals the snapshot");
-    assert!(rankings.iter().all(|r| r.len() == 4));
     assert_eq!(warm, rankings, "warm rankings are deterministic");
+    rankings
+}
+
+#[test]
+fn warm_ranking_over_an_unsealed_snapshot_is_allocation_free() {
+    // A published epoch is always sealed, so `schedule_batch_into` reads
+    // sealed RTT rows. A snapshot taken by value (the history query here, a
+    // scenario's frozen state in Table 4) is not: the ranking `schedule_batch_into`
+    // runs re-indexes it on every context and summarises each RTT row on the
+    // spot (`rtt_stats_from` → `accumulate_row_stats` → `OnlineStats`). With
+    // the scratch carried across contexts, that must not touch the heap.
+    let (cluster, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let service = trained_service(&cluster, &published);
+    let mut snapshot = ClusterSnapshot::default();
+    scrape.snapshot_into(
+        SimTime::from_secs(1),
+        ScrapeConfig::default().rate_window,
+        &mut snapshot,
+    );
+    let (mean, _, _) = snapshot.rtt_stats_from("node-1");
+    assert!(mean > 0.0, "the scraped mesh has probes to summarise");
+
+    let rankings =
+        assert_warm_rankings_are_allocation_free(&snapshot, &cluster, service.predictor().unwrap());
+    assert!(rankings.iter().all(|r| r.len() == 4));
+}
+
+#[test]
+fn warm_ranking_over_a_sparse_snapshot_in_foreign_node_order_is_allocation_free() {
+    // Past 512 nodes a snapshot stores its RTT mesh as a sparse map, whose
+    // rows are walked with `RttMesh::row`; and a snapshot whose node table is
+    // not the cluster's, in the cluster's order, is resolved node by node
+    // through its name index. A hand-built 600-node snapshot, interned in
+    // reverse and never sealed, takes both branches on every context.
+    const NODES: usize = 600;
+    let (small, _network, mut scrape) = test_world();
+    let published = scrape.published_handle();
+    let service = trained_service(&small, &published);
+
+    let cluster = two_site_cluster(NODES);
+    let name = |i: usize| format!("node-{}", i % NODES + 1);
+    let mut snapshot = ClusterSnapshot::at(SimTime::from_secs(1));
+    for i in (0..NODES).rev() {
+        let telemetry = NodeTelemetry {
+            cpu_load: 0.1 * (i % 7) as f64,
+            memory_available_bytes: 4e9,
+            tx_rate: 1e6,
+            rx_rate: 1e6,
+        };
+        snapshot.insert_node(&name(i), telemetry);
+    }
+    for i in 0..NODES {
+        for peer in [1, 7] {
+            let rtt = 0.001 * (1 + (i + peer) % 5) as f64;
+            snapshot.insert_rtt(&name(i), &name(i + peer), rtt);
+        }
+    }
+    assert!(!snapshot.rtt().is_dense());
+    assert!(!snapshot.is_aligned_with(&cluster));
+
+    let rankings =
+        assert_warm_rankings_are_allocation_free(&snapshot, &cluster, service.predictor().unwrap());
+    assert!(rankings.iter().all(|r| r.len() == NODES));
 }
 
 #[test]
