@@ -70,7 +70,7 @@ impl FeasibilityIndex {
     /// True when `node` can host *some* driver pod: it is schedulable. This
     /// is what [`crate::DefaultScheduler::filter`] reduces to for a
     /// zero-request, unpinned pod; a unit test pins the two together.
-    pub fn eligible(node: &Node) -> bool {
+    pub(crate) fn eligible(node: &Node) -> bool {
         node.schedulable
     }
 
@@ -108,7 +108,8 @@ impl FeasibilityIndex {
     }
 
     /// The cluster generation the index currently reflects, if any.
-    pub fn generation(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> Option<u64> {
         self.generation
     }
 
@@ -138,7 +139,7 @@ mod tests {
     use super::*;
     use crate::pod::{PodId, PodSpec};
     use crate::scheduler::{DefaultScheduler, FilterResult};
-    use simcore::rng::Rng;
+    use simcore::Rng;
     use simnet::NodeId as NetId;
 
     /// The reference implementation: filter every node with the real

@@ -146,10 +146,10 @@ mod tests {
     /// so these goldens are what pins its output.
     #[test]
     fn job_manifest_bytes_are_pinned() {
-        let spec = JobSpec::new("sort 100k", "sort", 100_000)
-            .with_executors(3)
-            .with_driver_requests(Resources::from_cores_and_gib(1, 2))
-            .with_executor_requests(Resources::from_cores_and_mib(2, 1536));
+        let mut spec = JobSpec::new("sort 100k", "sort", 100_000);
+        spec.executor_count = 3;
+        spec.driver_requests = Resources::from_cores_and_gib(1, 2);
+        spec.executor_requests = Resources::new(2000, 1536 << 20);
         let head = "apiVersion: sparkoperator.k8s.io/v1beta2
 kind: SparkApplication
 metadata:

@@ -12,7 +12,7 @@ use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A node's name (`node-1` ... `node-6` in the paper's cluster).
-pub type NodeName = String;
+pub(crate) type NodeName = String;
 
 /// The label a pinned pod is matched against; every node carries it.
 pub(crate) const HOSTNAME_LABEL: &str = "kubernetes.io/hostname";
@@ -35,9 +35,9 @@ pub struct Node {
     /// Pods currently bound to this node.
     bound_pods: BTreeSet<PodId>,
     /// Baseline CPU load (runnable processes) from system daemons.
-    pub base_cpu_load: f64,
+    pub(crate) base_cpu_load: f64,
     /// Baseline memory used by the OS and daemons, in bytes.
-    pub base_memory_used: f64,
+    pub(crate) base_memory_used: f64,
     /// Extra CPU load injected by background contention pods.
     pub background_cpu_load: f64,
     /// Extra memory pinned by background contention pods, in bytes.
@@ -71,12 +71,6 @@ impl Node {
         }
     }
 
-    /// Builder-style: add a label.
-    pub fn with_label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.labels.insert(key.into(), value.into());
-        self
-    }
-
     /// Builder-style: set the baseline host load.
     pub fn with_base_load(mut self, cpu_load: f64, memory_used: f64) -> Self {
         self.base_cpu_load = cpu_load;
@@ -85,7 +79,7 @@ impl Node {
     }
 
     /// Resources requested by currently bound pods.
-    pub fn allocated(&self) -> Resources {
+    pub(crate) fn allocated(&self) -> Resources {
         self.allocated
     }
 
@@ -94,18 +88,13 @@ impl Node {
         self.allocatable.saturating_sub(&self.allocated)
     }
 
-    /// Pods currently bound to this node.
-    pub fn bound_pods(&self) -> impl Iterator<Item = PodId> + '_ {
-        self.bound_pods.iter().copied()
-    }
-
     /// Number of bound pods.
     pub fn pod_count(&self) -> usize {
         self.bound_pods.len()
     }
 
     /// Would a pod with `requests` fit right now?
-    pub fn fits(&self, requests: &Resources) -> bool {
+    pub(crate) fn fits(&self, requests: &Resources) -> bool {
         self.schedulable && requests.fits_within(&self.available())
     }
 
@@ -121,7 +110,7 @@ impl Node {
     }
 
     /// Release a pod's resources. Returns `false` if the pod was not bound.
-    pub fn release(&mut self, pod: PodId, requests: Resources) -> bool {
+    pub(crate) fn release(&mut self, pod: PodId, requests: Resources) -> bool {
         if self.bound_pods.remove(&pod) {
             self.allocated -= requests;
             true
@@ -147,13 +136,10 @@ impl Node {
         (self.allocatable.memory_bytes as f64 - used).max(0.0)
     }
 
-    /// Fraction of memory in use, in `[0, 1]`.
-    pub fn memory_utilization(&self) -> f64 {
-        let cap = self.allocatable.memory_bytes as f64;
-        if cap <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - self.memory_available() / cap).clamp(0.0, 1.0)
+    /// Pods currently bound to this node (a test fixture's view).
+    #[cfg(test)]
+    pub(crate) fn bound_pods(&self) -> impl Iterator<Item = PodId> + '_ {
+        self.bound_pods.iter().copied()
     }
 }
 
@@ -175,8 +161,6 @@ mod tests {
         let n = node();
         assert_eq!(n.labels.get("kubernetes.io/hostname").unwrap(), "node-1");
         assert_eq!(n.labels.get("topology.kubernetes.io/zone").unwrap(), "UCSD");
-        let n2 = node().with_label("disk", "ssd");
-        assert_eq!(n2.labels.get("disk").unwrap(), "ssd");
     }
 
     #[test]
@@ -229,19 +213,12 @@ mod tests {
         n.background_cpu_load = 0.8;
         n.background_memory_used = 512.0 * 1024.0 * 1024.0;
         assert!((n.cpu_load() - (0.2 + 0.8 + 2.0)).abs() < 1e-9);
-        assert!(n.memory_utilization() > 0.0 && n.memory_utilization() <= 1.0);
     }
 
     #[test]
     fn memory_never_negative() {
-        let mut n = Node::new(
-            "tiny",
-            NodeId(1),
-            Resources::from_cores_and_mib(1, 256),
-            "X",
-        );
+        let mut n = Node::new("tiny", NodeId(1), Resources::new(1000, 256 << 20), "X");
         n.base_memory_used = 1e12;
         assert_eq!(n.memory_available(), 0.0);
-        assert_eq!(n.memory_utilization(), 1.0);
     }
 }

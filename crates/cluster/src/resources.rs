@@ -32,14 +32,6 @@ impl Resources {
         }
     }
 
-    /// Construct from whole cores and mebibytes.
-    pub const fn from_cores_and_mib(cores: u64, mib: u64) -> Self {
-        Resources {
-            cpu_millis: cores * 1000,
-            memory_bytes: mib * 1024 * 1024,
-        }
-    }
-
     /// Construct from whole cores and gibibytes.
     pub const fn from_cores_and_gib(cores: u64, gib: u64) -> Self {
         Resources {
@@ -54,7 +46,7 @@ impl Resources {
     }
 
     /// Memory expressed in mebibytes.
-    pub fn memory_mib(&self) -> f64 {
+    pub(crate) fn memory_mib(&self) -> f64 {
         self.memory_bytes as f64 / (1024.0 * 1024.0)
     }
 
@@ -66,30 +58,22 @@ impl Resources {
     /// True when both components of `self` fit inside `capacity`. Both
     /// compares are always evaluated (`&`, not `&&`) so that scans over many
     /// nodes stay branch-free.
-    pub fn fits_within(&self, capacity: &Resources) -> bool {
+    pub(crate) fn fits_within(&self, capacity: &Resources) -> bool {
         (self.cpu_millis <= capacity.cpu_millis) & (self.memory_bytes <= capacity.memory_bytes)
     }
 
     /// Saturating subtraction per component.
-    pub fn saturating_sub(&self, other: &Resources) -> Resources {
+    pub(crate) fn saturating_sub(&self, other: &Resources) -> Resources {
         Resources {
             cpu_millis: self.cpu_millis.saturating_sub(other.cpu_millis),
             memory_bytes: self.memory_bytes.saturating_sub(other.memory_bytes),
         }
     }
 
-    /// Checked addition per component.
-    pub fn checked_add(&self, other: &Resources) -> Option<Resources> {
-        Some(Resources {
-            cpu_millis: self.cpu_millis.checked_add(other.cpu_millis)?,
-            memory_bytes: self.memory_bytes.checked_add(other.memory_bytes)?,
-        })
-    }
-
     /// Fraction of `capacity` used by `self`, per component, in `[0, 1]`
     /// (component-wise; 1.0 when the capacity component is zero and the
     /// request is non-zero).
-    pub fn utilization_of(&self, capacity: &Resources) -> (f64, f64) {
+    pub(crate) fn utilization_of(&self, capacity: &Resources) -> (f64, f64) {
         let frac = |used: u64, cap: u64| -> f64 {
             if cap == 0 {
                 if used == 0 {
@@ -159,7 +143,7 @@ mod tests {
         assert_eq!(r.cpu_millis, 6000);
         assert_eq!(r.cpu_cores(), 6.0);
         assert_eq!(r.memory_gib(), 8.0);
-        assert_eq!(Resources::from_cores_and_mib(1, 512).memory_mib(), 512.0);
+        assert_eq!(Resources::new(1000, 512 << 20).memory_mib(), 512.0);
         assert_eq!(Resources::ZERO, Resources::default());
     }
 
@@ -183,11 +167,6 @@ mod tests {
         c += b;
         c -= Resources::new(10_000, 10_000);
         assert_eq!(c, Resources::ZERO);
-        assert_eq!(a.checked_add(&b), Some(Resources::new(1400, 250)));
-        assert_eq!(
-            Resources::new(u64::MAX, 0).checked_add(&Resources::new(1, 0)),
-            None
-        );
     }
 
     #[test]
@@ -206,7 +185,7 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let r = Resources::from_cores_and_mib(2, 256);
+        let r = Resources::new(2000, 256 << 20);
         assert_eq!(format!("{r}"), "cpu=2000m, mem=256Mi");
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::node::Node;
 use crate::pod::PodSpec;
-use simcore::rng::Rng;
+use simcore::Rng;
 
 /// Why a node was filtered out for a pod.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +35,9 @@ pub struct ScoredNode {
     /// Final normalized score.
     pub score: f64,
     /// Breakdown: least-requested component.
-    pub least_requested: f64,
+    pub(crate) least_requested: f64,
     /// Breakdown: balanced-allocation component.
-    pub balanced_allocation: f64,
+    pub(crate) balanced_allocation: f64,
 }
 
 /// Result of asking a scheduler for a placement.
@@ -103,7 +103,7 @@ impl DefaultScheduler {
     }
 
     /// Scoring phase for one feasible node.
-    pub fn score(&self, pod: &PodSpec, node: &Node) -> ScoredNode {
+    pub(crate) fn score(&self, pod: &PodSpec, node: &Node) -> ScoredNode {
         // Project the allocation as if the pod were bound.
         let projected = node.allocated() + pod.requests;
         let (cpu_frac, mem_frac) = projected.utilization_of(&node.allocatable);
@@ -228,7 +228,8 @@ mod tests {
     #[test]
     fn filters_cordon_and_pin() {
         let nodes = mk_nodes(2);
-        let pinned = pod(1, 1).pinned_to("node-2");
+        let mut pinned = pod(1, 1);
+        pinned.pinned_node = Some("node-2".into());
         assert_eq!(
             DefaultScheduler::filter(&pinned, &nodes[0]),
             FilterResult::AffinityMismatch

@@ -73,7 +73,7 @@ pub struct ClusterEvent {
     /// When the event happened.
     pub time: SimTime,
     /// Subject (pod or node name).
-    pub subject: String,
+    pub(crate) subject: String,
     /// Short reason code (`Scheduled`, `Started`, `Completed`, ...).
     pub reason: String,
     /// Free-form message.
@@ -150,11 +150,6 @@ impl ClusterState {
         self.nodes.len()
     }
 
-    /// Ids of all nodes in registration order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::from_index)
-    }
-
     /// Resolve a node name to its interned id.
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
         self.name_index.get(name).copied().map(NodeId)
@@ -166,11 +161,6 @@ impl ClusterState {
     /// Panics if `id` was not issued by this cluster.
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.nodes[id.index()].name
-    }
-
-    /// Look up a node by interned id.
-    pub fn node_by_id(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.index())
     }
 
     /// Look up a node by interned id (mutable).
@@ -218,27 +208,15 @@ impl ClusterState {
         let id = PodId(self.next_pod_id);
         self.next_pod_id += 1;
         let name = spec.name.clone();
-        self.pods.insert(id.0, Pod::new(id, spec, now));
+        self.pods.insert(id.0, Pod::new(spec));
         self.record(now, name, "Created", "pod created");
         id
     }
 
     /// Look up a pod.
-    pub fn pod(&self, id: PodId) -> Option<&Pod> {
+    #[cfg(test)]
+    pub(crate) fn pod(&self, id: PodId) -> Option<&Pod> {
         self.pods.get(&id.0)
-    }
-
-    /// All pods (any phase), in id order.
-    pub fn pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pods.values()
-    }
-
-    /// Pods currently bound to `node_name` and not yet terminal.
-    pub fn pods_on_node(&self, node_name: &str) -> Vec<&Pod> {
-        self.pods
-            .values()
-            .filter(|p| p.node.as_deref() == Some(node_name) && !p.is_terminal())
-            .collect()
     }
 
     /// Bind a pending pod to a node, reserving resources. A pod pinned to
@@ -345,7 +323,7 @@ impl ClusterState {
     }
 
     /// Record an event.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         time: SimTime,
         subject: impl Into<String>,
@@ -363,24 +341,6 @@ impl ClusterState {
     /// The event log.
     pub fn events(&self) -> &[ClusterEvent] {
         &self.events
-    }
-
-    /// Total allocatable resources across all nodes.
-    pub fn total_allocatable(&self) -> crate::resources::Resources {
-        self.nodes
-            .iter()
-            .fold(crate::resources::Resources::ZERO, |acc, n| {
-                acc + n.allocatable
-            })
-    }
-
-    /// Total requested resources across all nodes.
-    pub fn total_allocated(&self) -> crate::resources::Resources {
-        self.nodes
-            .iter()
-            .fold(crate::resources::Resources::ZERO, |acc, n| {
-                acc + n.allocated()
-            })
     }
 }
 
@@ -419,16 +379,13 @@ mod tests {
             c.node("node-2").unwrap().allocated(),
             Resources::from_cores_and_gib(2, 2)
         );
-        assert_eq!(c.pods_on_node("node-2").len(), 1);
-        assert_eq!(c.pods_on_node("node-1").len(), 0);
+        assert_eq!(c.node("node-2").unwrap().pod_count(), 1);
+        assert_eq!(c.node("node-1").unwrap().pod_count(), 0);
         c.complete_pod(id, true, SimTime::from_secs(30)).unwrap();
         assert_eq!(c.pod(id).unwrap().phase, PodPhase::Succeeded);
         assert_eq!(c.node("node-2").unwrap().allocated(), Resources::ZERO);
-        assert_eq!(c.pods_on_node("node-2").len(), 0);
-        assert_eq!(
-            c.pod(id).unwrap().run_duration().unwrap().as_secs_f64(),
-            28.0
-        );
+        assert_eq!(c.node("node-2").unwrap().pod_count(), 0);
+        assert_eq!(c.pod(id).unwrap().finished_at, Some(SimTime::from_secs(30)));
         // Events were recorded in order.
         let reasons: Vec<&str> = c.events().iter().map(|e| e.reason.as_str()).collect();
         assert_eq!(reasons, vec!["Created", "Scheduled", "Completed"]);
@@ -467,10 +424,9 @@ mod tests {
     fn bind_refuses_a_node_the_pod_is_not_pinned_to() {
         let mut c = cluster();
         let t = SimTime::ZERO;
-        let id = c.create_pod(
-            PodSpec::new("pinned", Resources::from_cores_and_gib(1, 1)).pinned_to("node-2"),
-            t,
-        );
+        let mut spec = PodSpec::new("pinned", Resources::from_cores_and_gib(1, 1));
+        spec.pinned_node = Some("node-2".into());
+        let id = c.create_pod(spec, t);
         let (generation, events) = (c.generation(), c.events().len());
         assert!(matches!(
             c.bind_pod(id, "node-1", t),
@@ -478,7 +434,7 @@ mod tests {
         ));
         assert_eq!(c.pod(id).unwrap().phase, PodPhase::Pending);
         assert_eq!(c.pod(id).unwrap().node, None);
-        assert_eq!(c.total_allocated(), Resources::ZERO);
+        assert!(c.nodes().iter().all(|n| n.allocated() == Resources::ZERO));
         assert_eq!(c.node("node-1").unwrap().pod_count(), 0);
         assert_eq!((c.generation(), c.events().len()), (generation, events));
         c.bind_pod(id, "node-2", t).unwrap();
@@ -531,16 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn totals_aggregate_over_nodes() {
-        let mut c = cluster();
-        assert_eq!(c.total_allocatable(), Resources::from_cores_and_gib(18, 24));
-        let t = SimTime::ZERO;
-        let id = c.create_pod(PodSpec::new("p", Resources::from_cores_and_gib(2, 2)), t);
-        c.bind_pod(id, "node-1", t).unwrap();
-        assert_eq!(c.total_allocated(), Resources::from_cores_and_gib(2, 2));
-    }
-
-    #[test]
     fn node_lookup_and_names() {
         let c = cluster();
         assert!(c.node("node-2").is_some());
@@ -569,9 +515,7 @@ mod tests {
         assert_eq!(c.node_id("node-2"), Some(super::NodeId(1)));
         assert_eq!(c.node_id("nope"), None);
         assert_eq!(c.node_name(super::NodeId(2)), "node-3");
-        assert_eq!(c.node_by_id(super::NodeId(0)).unwrap().name, "node-1");
-        assert!(c.node_by_id(super::NodeId(9)).is_none());
-        assert_eq!(c.node_ids().collect::<Vec<_>>(), ids);
+        assert_eq!(c.nodes()[0].name, "node-1");
         assert_eq!(format!("{}", super::NodeId(4)), "#4");
         assert_eq!(super::NodeId::from_index(7).index(), 7);
         // Mutable id lookup reaches the same node.
@@ -606,7 +550,6 @@ mod tests {
         // Read-only access does not bump.
         let _ = c.node("node-1");
         let _ = c.nodes();
-        let _ = c.node_by_id(super::NodeId(0));
         assert_eq!(c.generation(), after_add);
         // Mutable access bumps, even if the node is not actually changed.
         let _ = c.nodes_mut();

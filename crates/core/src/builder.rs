@@ -6,9 +6,7 @@
 //! specification."*
 
 use crate::request::JobRequest;
-use cluster::manifest::render_job_manifest_into;
-use cluster::pod::{set_target, PodSpec};
-use cluster::{JobSpec, Resources};
+use cluster::{render_job_manifest_into, set_target, JobSpec, PodSpec, Resources};
 
 /// A fully rendered job ready for submission.
 #[derive(Debug, Clone, PartialEq)]

@@ -216,7 +216,7 @@ impl ContextScratch {
     /// How many times the carried feasibility index was rebuilt: its first
     /// build plus one per node-table size change (as opposed to refreshed in
     /// place or answered from cache).
-    pub fn feasibility_rebuilds(&self) -> u64 {
+    pub(crate) fn feasibility_rebuilds(&self) -> u64 {
         self.view.index.rebuilds()
     }
 }
@@ -268,7 +268,6 @@ fn bounded_heap_offer(heap: &mut Vec<RankedNode>, k: usize, entry: RankedNode) {
 /// view plus the carried [`ContextScratch`].
 #[derive(Debug)]
 pub struct SchedulingContext<'a> {
-    snapshot: &'a ClusterSnapshot,
     cluster: &'a ClusterState,
     scratch: ContextScratch,
     /// Candidate-pruning budget of the supervised rank. `None` disables
@@ -294,7 +293,6 @@ impl<'a> SchedulingContext<'a> {
     ) -> Self {
         scratch.view.adopt(snapshot, cluster);
         SchedulingContext {
-            snapshot,
             cluster,
             scratch,
             top_k: None,
@@ -318,16 +316,6 @@ impl<'a> SchedulingContext<'a> {
     /// Does nothing: the model's scoreboard is the only stage-one scorer
     /// (see [`PruningPolicy`]).
     pub fn set_pruning_policy(&mut self, _policy: PruningPolicy) {}
-
-    /// The telemetry snapshot this context decides against.
-    pub fn snapshot(&self) -> &'a ClusterSnapshot {
-        self.snapshot
-    }
-
-    /// The cluster state this context decides against.
-    pub fn cluster(&self) -> &'a ClusterState {
-        self.cluster
-    }
 
     /// Host telemetry for one node (`None` when it was not scraped).
     pub fn node_telemetry(&self, id: NodeId) -> Option<&NodeTelemetry> {
@@ -576,8 +564,6 @@ mod tests {
         let c = cluster(3);
         let snap = snapshot(3);
         let ctx = SchedulingContext::new(&snap, &c);
-        assert_eq!(ctx.cluster().node_count(), 3);
-        assert_eq!(ctx.snapshot().time, SimTime::from_secs(10));
         let id = c.node_id("node-2").unwrap();
         assert_eq!(ctx.node_telemetry(id).unwrap().cpu_load, 1.0);
         let (mean, _, _) = ctx.rtt_stats(id);
@@ -619,7 +605,7 @@ mod tests {
     fn prefers_loaded_nodes() -> CompletionTimePredictor {
         use crate::features::FeatureSchema;
         use mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
-        use simcore::rng::Rng;
+        use simcore::Rng;
 
         let schema = FeatureSchema::standard();
         let mut data = Dataset::new(schema.names().to_vec());
@@ -741,7 +727,8 @@ mod tests {
 
         ctx.set_top_k(Some(2));
         let two = ctx.rank_feasible_batch(&request("a"), &predictor);
-        assert_eq!(two.top_k(2), vec![NodeId(2), NodeId(1)]);
+        let nodes: Vec<NodeId> = two.ranked.iter().map(|r| r.node).collect();
+        assert_eq!(nodes, vec![NodeId(2), NodeId(1)]);
         // A budget change must invalidate the cached selection…
         ctx.set_top_k(Some(1));
         let one = ctx.rank_feasible_batch(&request("a"), &predictor);
@@ -783,7 +770,7 @@ mod tests {
     fn boards_survive_contexts_and_refresh_only_what_changed() {
         use crate::features::FeatureSchema;
         use mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
-        use simcore::rng::Rng;
+        use simcore::Rng;
 
         // A forest whose prediction grows with the candidate's CPU load.
         let schema = FeatureSchema::standard();

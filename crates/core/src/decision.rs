@@ -38,22 +38,12 @@ impl NodeRanking {
         self.best().map(|r| cluster.node_name(r.node))
     }
 
-    /// Ids of the top `k` nodes.
-    pub fn top_k(&self, k: usize) -> Vec<NodeId> {
-        self.ranked.iter().take(k).map(|r| r.node).collect()
-    }
-
     /// All ranked node names in order, resolved against the issuing cluster.
     pub fn names<'a>(&self, cluster: &'a ClusterState) -> Vec<&'a str> {
         self.ranked
             .iter()
             .map(|r| cluster.node_name(r.node))
             .collect()
-    }
-
-    /// Position (0-based) of a node in the ranking.
-    pub fn position_of(&self, node: NodeId) -> Option<usize> {
-        self.ranked.iter().position(|r| r.node == node)
     }
 
     /// Number of candidates ranked.
@@ -126,14 +116,17 @@ mod tests {
         indices.iter().map(|&i| NodeId(i)).collect()
     }
 
+    /// The ranked node ids, best first.
+    fn order(ranking: &NodeRanking) -> Vec<NodeId> {
+        ranking.ranked.iter().map(|r| r.node).collect()
+    }
+
     #[test]
     fn ranks_ascending_by_prediction() {
         let ranking = DecisionModule.rank(&ids(&[0, 1, 2]), &[30.0, 10.0, 20.0]);
         assert_eq!(ranking.len(), 3);
         assert_eq!(ranking.best().unwrap().node, NodeId(1));
-        assert_eq!(ranking.top_k(2), ids(&[1, 2]));
-        assert_eq!(ranking.position_of(NodeId(0)), Some(2));
-        assert_eq!(ranking.position_of(NodeId(9)), None);
+        assert_eq!(order(&ranking), ids(&[1, 2, 0]));
         assert!(!ranking.is_empty());
     }
 
@@ -148,14 +141,6 @@ mod tests {
         let ranking = DecisionModule.rank(&[], &[]);
         assert!(ranking.is_empty());
         assert_eq!(ranking.best(), None);
-        assert!(ranking.top_k(3).is_empty());
-    }
-
-    #[test]
-    fn top_k_clamps_to_length() {
-        let ranking = DecisionModule.rank(&ids(&[0, 1]), &[1.0, 2.0]);
-        assert_eq!(ranking.top_k(10).len(), 2);
-        assert_eq!(ranking.top_k(0).len(), 0);
     }
 
     #[test]
@@ -167,7 +152,7 @@ mod tests {
     #[test]
     fn nan_predictions_rank_last() {
         let ranking = DecisionModule.rank(&ids(&[0, 1, 2]), &[f64::NAN, 1.0, 2.0]);
-        assert_eq!(ranking.top_k(3), ids(&[1, 2, 0]));
+        assert_eq!(order(&ranking), ids(&[1, 2, 0]));
     }
 
     #[test]

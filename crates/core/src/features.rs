@@ -42,7 +42,7 @@ pub struct FeatureSchema {
 }
 
 /// One constructed feature vector (aligned with a [`FeatureSchema`]).
-pub type FeatureVector = Vec<f64>;
+pub(crate) type FeatureVector = Vec<f64>;
 
 impl Default for FeatureSchema {
     fn default() -> Self {

@@ -11,17 +11,17 @@
 //! |---|---|
 //! | Client (job request) | [`request`] |
 //! | Telemetry Fetcher | [`service`] (adopts the latest [`telemetry::PublishedSnapshot`] epoch) |
-//! | Feature Constructor (Table 1) | [`features`] |
+//! | Feature Constructor (Table 1) | `features` |
 //! | Supervised Learning Model | [`predictor`] (backed by `mlcore`) |
 //! | Decision Module | [`decision`] |
 //! | Job Builder (nodeAffinity injection) | [`builder`] |
-//! | Logger (training data collection) | [`logger`] |
-//! | Model Training | [`training`] |
+//! | Logger (training data collection) | `logger` |
+//! | Model Training | `training` |
 //!
 //! Supervised placement is one ranker,
 //! [`context::SchedulingContext::rank_feasible_batch_into`], called by
 //! [`service::SchedulerService`] (which wires the whole pipeline together)
-//! and by every accuracy experiment alike; [`schedulers`] holds the one
+//! and by every accuracy experiment alike; `schedulers` holds the one
 //! baseline the paper compares against, the Kubernetes default scheduler.
 //!
 //! Decisions run against a borrowed [`context::SchedulingContext`] over a
@@ -41,24 +41,29 @@
 
 #![warn(missing_docs)]
 
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod builder;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod context;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod decision;
-pub mod features;
-pub mod logger;
+mod features;
+mod logger;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod predictor;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod request;
-pub mod schedulers;
+mod schedulers;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod service;
-pub mod training;
+mod training;
 
 pub use builder::JobBuilder;
 pub use context::{ContextScratch, PruningPolicy, SchedulingContext};
 pub use decision::{DecisionModule, NodeRanking, RankedNode};
-pub use features::{FeatureGroup, FeatureSchema, FeatureVector};
-pub use logger::{ExecutionLogger, TrainingRecord};
+pub use features::{FeatureGroup, FeatureSchema};
+pub use logger::ExecutionLogger;
 pub use predictor::{CompletionTimePredictor, ModelVersion};
 pub use request::JobRequest;
 pub use schedulers::KubeDefaultScheduler;
-pub use service::{SchedulerConfig, SchedulerService};
-pub use training::{train_all_models, TrainingOutcome, TrainingPipeline};
+pub use service::{SchedulerConfig, SchedulerService, SchedulingDecision};

@@ -18,11 +18,9 @@ use telemetry::ClusterSnapshot;
 
 /// One training sample: pre-run features plus the measured duration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrainingRecord {
+pub(crate) struct TrainingRecord {
     /// When the job was submitted.
     pub submitted_at: SimTime,
-    /// Job name.
-    pub job_name: String,
     /// Application type (e.g. `sort`).
     pub app_type: String,
     /// Node the driver was launched on.
@@ -55,11 +53,6 @@ impl ExecutionLogger {
         }
     }
 
-    /// The schema used to construct logged feature vectors.
-    pub fn schema(&self) -> &FeatureSchema {
-        &self.schema
-    }
-
     /// Number of records collected.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -68,11 +61,6 @@ impl ExecutionLogger {
     /// True when nothing has been logged.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// All records.
-    pub fn records(&self) -> &[TrainingRecord] {
-        &self.records
     }
 
     /// Log one completed execution: the snapshot taken *before* submission,
@@ -87,7 +75,6 @@ impl ExecutionLogger {
         let features = self.schema.construct(snapshot, target_node, request);
         self.records.push(TrainingRecord {
             submitted_at: snapshot.time,
-            job_name: request.name.clone(),
             app_type: request.app_type().to_string(),
             target_node: target_node.to_string(),
             features,
@@ -95,51 +82,20 @@ impl ExecutionLogger {
         });
     }
 
-    /// Append an already-constructed record.
-    pub fn push_record(&mut self, record: TrainingRecord) {
-        self.records.push(record);
-    }
-
     /// Convert the log into a training dataset: each record's feature slice
     /// is appended straight into the dataset's contiguous matrix, with no
     /// intermediate row-of-`Vec`s copy.
     #[expect(
         clippy::expect_used,
-        reason = "the guarding `if` compares the row width against the schema"
+        reason = "every record comes from `log_execution`, which builds its row with this logger's schema"
     )]
     pub fn to_dataset(&self) -> Dataset {
         let mut data = Dataset::new(self.schema.names().to_vec());
         for record in &self.records {
-            // A record pushed by hand could have a stale width; skip anything
-            // that does not match the current schema.
-            if record.features.len() == self.schema.len() {
-                data.push_row(&record.features, record.completion_seconds)
-                    .expect("width checked above");
-            }
+            data.push_row(&record.features, record.completion_seconds)
+                .expect("rows are built with the logger's own schema");
         }
         data
-    }
-
-    /// Serialize all records to a CSV string (header + one row per record).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("submitted_at_s,job_name,app_type,target_node,");
-        out.push_str(&self.schema.names().join(","));
-        out.push_str(",completion_seconds\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{:.3},{},{},{}",
-                r.submitted_at.as_secs_f64(),
-                r.job_name,
-                r.app_type,
-                r.target_node
-            ));
-            for v in &r.features {
-                out.push_str(&format!(",{v}"));
-            }
-            out.push_str(&format!(",{}\n", r.completion_seconds));
-        }
-        out
     }
 }
 
@@ -175,48 +131,15 @@ mod tests {
         logger.log_execution(&snapshot(), &request(), "node-1", 33.5);
         logger.log_execution(&snapshot(), &request(), "node-1", 40.0);
         assert_eq!(logger.len(), 2);
-        assert_eq!(logger.records()[0].target_node, "node-1");
-        assert_eq!(logger.records()[0].app_type, "sort");
-        assert_eq!(logger.records()[0].completion_seconds, 33.5);
+        assert_eq!(logger.records[0].target_node, "node-1");
+        assert_eq!(logger.records[0].app_type, "sort");
+        assert_eq!(logger.records[0].completion_seconds, 33.5);
         let data = logger.to_dataset();
         assert_eq!(data.len(), 2);
-        assert_eq!(data.n_features(), logger.schema().len());
+        assert_eq!(data.n_features(), logger.schema.len());
         assert_eq!(data.targets(), &[33.5, 40.0]);
         // Feature vector contains the snapshot's cpu load.
-        let cpu_idx = logger.schema().index_of("cpu_load").unwrap();
+        let cpu_idx = logger.schema.index_of("cpu_load").unwrap();
         assert_eq!(data.row(0)[cpu_idx], 1.0);
-    }
-
-    #[test]
-    fn csv_export_has_header_and_rows() {
-        let mut logger = ExecutionLogger::default();
-        logger.log_execution(&snapshot(), &request(), "node-1", 12.0);
-        let csv = logger.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("submitted_at_s,job_name,app_type,target_node,rtt_mean_s"));
-        assert!(lines[0].ends_with("completion_seconds"));
-        assert!(lines[1].contains("sort-a"));
-        assert!(lines[1].ends_with(",12"));
-        // Column count is constant across header and data.
-        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
-    }
-
-    #[test]
-    fn mismatched_imported_records_are_skipped_in_dataset() {
-        let mut logger = ExecutionLogger::default();
-        logger.push_record(TrainingRecord {
-            submitted_at: SimTime::ZERO,
-            job_name: "old".into(),
-            app_type: "sort".into(),
-            target_node: "node-1".into(),
-            features: vec![1.0, 2.0], // wrong width
-            completion_seconds: 10.0,
-        });
-        logger.log_execution(&snapshot(), &request(), "node-1", 20.0);
-        let data = logger.to_dataset();
-        assert_eq!(data.len(), 1);
-        assert_eq!(data.targets(), &[20.0]);
-        assert_eq!(logger.len(), 2, "raw records are kept");
     }
 }

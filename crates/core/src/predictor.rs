@@ -114,7 +114,7 @@ impl CompletionTimePredictor {
     }
 
     /// This model's process-unique identity (see [`ModelVersion`]).
-    pub fn version(&self) -> ModelVersion {
+    pub(crate) fn version(&self) -> ModelVersion {
         self.version
     }
 
@@ -198,8 +198,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureGroup;
     use mlcore::{Dataset, ModelConfig, RandomForestConfig};
-    use simcore::rng::Rng;
-    use simcore::SimTime;
+    use simcore::{Rng, SimTime};
     use sparksim::WorkloadKind;
     use telemetry::NodeTelemetry;
 

@@ -53,7 +53,7 @@ impl JobRequest {
     }
 
     /// The application type string (feature + manifest field).
-    pub fn app_type(&self) -> &'static str {
+    pub(crate) fn app_type(&self) -> &'static str {
         self.workload.kind.as_str()
     }
 
@@ -63,7 +63,7 @@ impl JobRequest {
     }
 
     /// Per-executor resource requests as a [`Resources`] bundle.
-    pub fn executor_resources(&self) -> Resources {
+    pub(crate) fn executor_resources(&self) -> Resources {
         Resources::new(
             self.workload.executor_cores as u64 * 1000,
             self.workload.executor_memory_bytes,
@@ -79,7 +79,7 @@ impl JobRequest {
 
     /// In-place variant of [`JobRequest::to_job_spec`]: overwrite every field
     /// of `spec`, reusing its string allocations.
-    pub fn to_job_spec_into(&self, spec: &mut JobSpec) {
+    pub(crate) fn to_job_spec_into(&self, spec: &mut JobSpec) {
         spec.name.clone_from(&self.name);
         spec.app_type.clear();
         spec.app_type.push_str(self.app_type());

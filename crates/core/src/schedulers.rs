@@ -11,7 +11,7 @@
 use crate::decision::{NodeRanking, RankedNode};
 use crate::request::JobRequest;
 use cluster::{ClusterState, DefaultScheduler};
-use simcore::rng::Rng;
+use simcore::Rng;
 
 /// The Kubernetes default scheduler baseline: resource-availability scoring,
 /// blind to telemetry, with random tie-breaking among equal scores.
@@ -142,8 +142,7 @@ mod tests {
             .nodes()
             .iter()
             .filter(|node| {
-                DefaultScheduler::filter(&driver, node)
-                    == cluster::scheduler::FilterResult::Feasible
+                DefaultScheduler::filter(&driver, node) == cluster::FilterResult::Feasible
             })
             .map(|node| node.name.clone())
             .collect()

@@ -25,8 +25,7 @@ use crate::request::JobRequest;
 use crate::training::TrainingPipeline;
 use cluster::ClusterState;
 use mlcore::ModelKind;
-use simcore::rng::Rng;
-use simcore::SimTime;
+use simcore::{Rng, SimTime};
 use std::sync::Arc;
 use telemetry::{ClusterSnapshot, PublishedSnapshot};
 
@@ -324,8 +323,7 @@ impl SchedulerService {
             return false;
         }
         let data = self.logger.to_dataset();
-        let outcome = self.pipeline.train_one(self.config.model_kind, &data, rng);
-        self.predictor = Some(outcome.predictor);
+        self.predictor = Some(self.pipeline.train_one(self.config.model_kind, &data, rng));
         true
     }
 }
@@ -335,8 +333,7 @@ mod tests {
     use super::*;
     use cluster::{Node, Resources};
     use simcore::SimDuration;
-    use simnet::flow::FlowKind;
-    use simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
+    use simnet::{gbps, mbps, FlowKind, Network, NodeId, TopologyBuilder};
     use sparksim::WorkloadKind;
     use telemetry::{ConcurrentScrapeManager, ScrapeConfig, ScrapeManager, SnapshotSource};
 
@@ -822,6 +819,6 @@ mod tests {
         let d = service.schedule(&request(0), &published, &cluster, SimTime::from_secs(2));
         service.record_outcome(&d.snapshot, &request(0), "node-1", 17.5);
         assert_eq!(service.logger().len(), 1);
-        assert!(service.logger().to_csv().contains("sort-0"));
+        assert_eq!(service.logger().to_dataset().targets(), &[17.5]);
     }
 }

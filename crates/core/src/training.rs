@@ -1,41 +1,22 @@
 //! Offline model training.
 //!
 //! *"The model is trained offline using historical data collected from real
-//! job executions."* The pipeline turns the [`crate::logger::ExecutionLogger`]
-//! records into an `mlcore` dataset, fits one model per requested family and
-//! reports held-out accuracy, which is what the experiment harness uses to
-//! populate Table 4.
+//! job executions."* The pipeline fits one model family on the
+//! [`crate::ExecutionLogger`]'s dataset, after holding out a fraction of
+//! its rows, and wraps it with its schema as a [`CompletionTimePredictor`].
 
 use crate::features::FeatureSchema;
-use crate::logger::ExecutionLogger;
 use crate::predictor::CompletionTimePredictor;
-use mlcore::{evaluate_on, Dataset, ModelKind, RegressionMetrics, TrainedModel};
-use simcore::rng::Rng;
-
-/// Result of training one model family.
-#[derive(Debug, Clone)]
-pub struct TrainingOutcome {
-    /// Which family was trained.
-    pub kind: ModelKind,
-    /// The trained predictor (schema + model).
-    pub predictor: CompletionTimePredictor,
-    /// Metrics on the held-out fraction.
-    pub holdout_metrics: RegressionMetrics,
-    /// Metrics on the training fraction (to expose over/under-fitting).
-    pub train_metrics: RegressionMetrics,
-    /// Number of training rows used.
-    pub train_rows: usize,
-    /// Number of held-out rows used.
-    pub holdout_rows: usize,
-}
+use mlcore::{Dataset, ModelKind, TrainedModel};
+use simcore::Rng;
 
 /// Configurable training pipeline.
 #[derive(Debug, Clone)]
-pub struct TrainingPipeline {
+pub(crate) struct TrainingPipeline {
     /// Feature schema the dataset was constructed with.
     pub schema: FeatureSchema,
     /// Hyperparameters for every model family.
-    pub model_config: mlcore::model::ModelConfig,
+    pub model_config: mlcore::ModelConfig,
     /// Fraction of rows held out for evaluation.
     pub holdout_fraction: f64,
 }
@@ -44,7 +25,7 @@ impl Default for TrainingPipeline {
     fn default() -> Self {
         TrainingPipeline {
             schema: FeatureSchema::standard(),
-            model_config: mlcore::model::ModelConfig::default(),
+            model_config: mlcore::ModelConfig::default(),
             holdout_fraction: 0.25,
         }
     }
@@ -52,65 +33,40 @@ impl Default for TrainingPipeline {
 
 impl TrainingPipeline {
     /// Create a pipeline for a specific schema (e.g. an ablated one).
-    pub fn with_schema(schema: FeatureSchema) -> Self {
+    pub(crate) fn with_schema(schema: FeatureSchema) -> Self {
         TrainingPipeline {
             schema,
             ..Default::default()
         }
     }
 
-    /// Train one model family on a dataset.
+    /// Train one model family on the rows of `data` left after holding out
+    /// `holdout_fraction` of them.
     #[expect(
         clippy::expect_used,
         reason = "the training pipeline builds dataset and schema from the same source"
     )]
-    pub fn train_one(&self, kind: ModelKind, data: &Dataset, rng: &mut Rng) -> TrainingOutcome {
-        let (train, holdout) = data.train_test_split(self.holdout_fraction, rng);
-        let model = TrainedModel::train(kind, &self.model_config, &train, rng);
-        let train_metrics = evaluate_on(&model, &train);
-        let holdout_metrics = if holdout.is_empty() {
-            train_metrics
-        } else {
-            evaluate_on(&model, &holdout)
-        };
-        TrainingOutcome {
-            kind,
-            // The dataset is built from this pipeline's own schema, so the
-            // widths agree by construction.
-            predictor: CompletionTimePredictor::new(self.schema.clone(), model)
-                .expect("training dataset width matches the pipeline schema"),
-            holdout_metrics,
-            train_metrics,
-            train_rows: train.len(),
-            holdout_rows: holdout.len(),
-        }
-    }
-
-    /// Train every model family on the logger's records.
-    pub fn train_from_logger(
+    pub(crate) fn train_one(
         &self,
-        logger: &ExecutionLogger,
+        kind: ModelKind,
+        data: &Dataset,
         rng: &mut Rng,
-    ) -> Vec<TrainingOutcome> {
-        let data = logger.to_dataset();
-        ModelKind::ALL
-            .iter()
-            .map(|&kind| self.train_one(kind, &data, rng))
-            .collect()
+    ) -> CompletionTimePredictor {
+        let (train, _holdout) = data.train_test_split(self.holdout_fraction, rng);
+        let model = TrainedModel::train(kind, &self.model_config, &train, rng);
+        // The dataset is built from this pipeline's own schema, so the widths
+        // agree by construction.
+        CompletionTimePredictor::new(self.schema.clone(), model)
+            .expect("training dataset width matches the pipeline schema")
     }
-}
-
-/// Convenience function: train all three paper models on a logger's records
-/// with the default pipeline.
-pub fn train_all_models(logger: &ExecutionLogger, rng: &mut Rng) -> Vec<TrainingOutcome> {
-    TrainingPipeline::default().train_from_logger(logger, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logger::ExecutionLogger;
     use crate::request::JobRequest;
-    use mlcore::{GradientBoostingConfig, RandomForestConfig};
+    use mlcore::{evaluate_on, GradientBoostingConfig, RandomForestConfig};
     use simcore::SimTime;
     use sparksim::WorkloadKind;
     use telemetry::{ClusterSnapshot, NodeTelemetry};
@@ -146,7 +102,7 @@ mod tests {
 
     fn fast_pipeline() -> TrainingPipeline {
         TrainingPipeline {
-            model_config: mlcore::model::ModelConfig {
+            model_config: mlcore::ModelConfig {
                 forest: RandomForestConfig {
                     n_trees: 25,
                     workers: 2,
@@ -164,47 +120,17 @@ mod tests {
 
     #[test]
     fn trains_all_three_families_with_good_holdout_fit() {
-        let logger = synthetic_logger(500, 1);
+        let data = synthetic_logger(500, 1).to_dataset();
+        let holdout = synthetic_logger(125, 7).to_dataset();
         let mut rng = Rng::seed_from_u64(2);
-        let outcomes = fast_pipeline().train_from_logger(&logger, &mut rng);
-        assert_eq!(outcomes.len(), 3);
-        for outcome in &outcomes {
-            assert!(outcome.train_rows > 0 && outcome.holdout_rows > 0);
-            assert!(
-                outcome.holdout_metrics.r2 > 0.75,
-                "{}: holdout r2 {}",
-                outcome.kind,
-                outcome.holdout_metrics.r2
-            );
-            assert!(outcome.train_metrics.r2 >= outcome.holdout_metrics.r2 - 0.2);
-            assert_eq!(outcome.predictor.model_kind(), outcome.kind);
+        for kind in ModelKind::ALL {
+            let predictor = fast_pipeline().train_one(kind, &data, &mut rng);
+            assert_eq!(predictor.model_kind(), kind);
+            let train_r2 = evaluate_on(predictor.model(), &data).r2;
+            let holdout_r2 = evaluate_on(predictor.model(), &holdout).r2;
+            assert!(holdout_r2 > 0.75, "{kind}: holdout r2 {holdout_r2}");
+            assert!(train_r2 >= holdout_r2 - 0.2);
         }
-        // The three families are distinct.
-        let kinds: std::collections::BTreeSet<String> =
-            outcomes.iter().map(|o| format!("{}", o.kind)).collect();
-        assert_eq!(kinds.len(), 3);
-    }
-
-    #[test]
-    fn train_all_models_helper_works() {
-        let logger = synthetic_logger(120, 3);
-        let mut rng = Rng::seed_from_u64(4);
-        let outcomes = train_all_models(&logger, &mut rng);
-        assert_eq!(outcomes.len(), 3);
-    }
-
-    #[test]
-    fn zero_holdout_fraction_evaluates_on_train() {
-        let logger = synthetic_logger(80, 5);
-        let mut rng = Rng::seed_from_u64(6);
-        let pipeline = TrainingPipeline {
-            holdout_fraction: 0.0,
-            ..fast_pipeline()
-        };
-        let data = logger.to_dataset();
-        let outcome = pipeline.train_one(ModelKind::Linear, &data, &mut rng);
-        assert_eq!(outcome.holdout_rows, 0);
-        assert_eq!(outcome.holdout_metrics, outcome.train_metrics);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 use crate::evaluation::{accuracy_from, supervised_ranking, MethodRankings};
 use crate::workflow::{ExperimentConfig, ExperimentDataset, ScenarioRecord, Workflow};
 use mlcore::{ModelConfig, ModelKind, RandomForestConfig, TrainedModel};
-use netsched_core::features::{FeatureGroup, FeatureSchema};
-use netsched_core::predictor::CompletionTimePredictor;
-use simcore::rng::Rng;
+use netsched_core::{CompletionTimePredictor, FeatureGroup, FeatureSchema};
+use simcore::Rng;
 
 /// Accuracy of one ablation variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +154,7 @@ pub fn forest_size_ablation(
             let config = ModelConfig {
                 forest: RandomForestConfig {
                     n_trees,
-                    workers: simcore::parallel::default_workers(),
+                    workers: simcore::default_workers(),
                     ..Default::default()
                 },
                 ..Default::default()
@@ -228,7 +227,7 @@ mod tests {
 
     fn dataset() -> ExperimentDataset {
         Workflow::new(ExperimentConfig {
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
             ..ExperimentConfig::quick(2, 3, 19)
         })
         .run()
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn background_intensity_ablation_regenerates_datasets() {
         let base = ExperimentConfig {
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
             ..ExperimentConfig::quick(1, 2, 23)
         };
         let rows = background_intensity_ablation(&base, &[0, 2], &fast_model_config(), 0.34, 7);

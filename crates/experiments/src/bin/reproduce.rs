@@ -13,18 +13,13 @@
 use std::io;
 use std::process::ExitCode;
 
-use experiments::ablation::{
-    ablation_markdown, background_intensity_ablation, feature_group_ablation, forest_size_ablation,
+use experiments::{
+    ablation_markdown, background_intensity_ablation, csv_table, emit, evaluate_table4,
+    feature_group_ablation, figure4_topology, forest_size_ablation, markdown_table, run_sweep,
+    sort_telemetry_figures, table1_feature_schema, table2_markdown,
+    table2_workload_characteristics, table3_markdown, table3_sample, write_result_file,
+    ExperimentConfig, ScenarioMatrix, SweepOptions, Workflow,
 };
-use experiments::evaluation::evaluate_table4;
-use experiments::figures::{figure4_topology, sort_telemetry_figures};
-use experiments::report::{csv_table, emit, markdown_table, write_result_file};
-use experiments::scenarios::{run_sweep, ScenarioMatrix, SweepOptions};
-use experiments::tables::{
-    table1_feature_schema, table2_markdown, table2_workload_characteristics, table3_markdown,
-    table3_sample,
-};
-use experiments::workflow::{ExperimentConfig, Workflow};
 use mlcore::ModelConfig;
 
 /// The seed of every simulated artifact.

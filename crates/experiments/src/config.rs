@@ -6,7 +6,7 @@
 //! space: 3 workloads × 5 input sizes × 2 executor counts × 2 memory
 //! allocations = 60 configurations.
 
-use netsched_core::request::JobRequest;
+use netsched_core::JobRequest;
 use sparksim::{WorkloadKind, WorkloadRequest};
 
 /// One job configuration from the experiment matrix.
@@ -29,12 +29,12 @@ pub struct JobConfig {
     /// before snapshotting, so jobs from a bursty mix observe the contention
     /// process at their actual arrival phase (the paper's fixed matrix
     /// submits everything at the epoch: 0.0).
-    pub arrival_offset_seconds: f64,
+    pub(crate) arrival_offset_seconds: f64,
 }
 
 impl JobConfig {
     /// A descriptive name, e.g. `sort-250k-3x-2g`.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!(
             "{}-{}k-{}x-{}g",
             self.kind.as_str(),
@@ -59,13 +59,13 @@ impl JobConfig {
 
 /// Input sizes (records) used by the matrix. At ~100 bytes/record these span
 /// 5 MB to 100 MB of input data.
-pub const INPUT_SIZES: [u64; 5] = [50_000, 100_000, 250_000, 500_000, 1_000_000];
+pub(crate) const INPUT_SIZES: [u64; 5] = [50_000, 100_000, 250_000, 500_000, 1_000_000];
 
 /// Executor counts used by the matrix.
-pub const EXECUTOR_COUNTS: [u32; 2] = [2, 3];
+pub(crate) const EXECUTOR_COUNTS: [u32; 2] = [2, 3];
 
 /// Executor memory allocations used by the matrix (bytes).
-pub const EXECUTOR_MEMORY: [u64; 2] = [1 << 30, 2 << 30];
+pub(crate) const EXECUTOR_MEMORY: [u64; 2] = [1 << 30, 2 << 30];
 
 /// Build the full 60-configuration matrix over the paper's three workloads.
 pub fn job_matrix() -> Vec<JobConfig> {
@@ -94,7 +94,7 @@ pub fn job_matrix() -> Vec<JobConfig> {
 
 /// A reduced matrix for quick runs and tests: `per_workload` configurations
 /// per workload, sampled evenly across the full matrix.
-pub fn small_job_matrix(per_workload: usize) -> Vec<JobConfig> {
+pub(crate) fn small_job_matrix(per_workload: usize) -> Vec<JobConfig> {
     let full = job_matrix();
     let per_workload = per_workload.max(1);
     let mut out = Vec::new();

@@ -19,7 +19,7 @@
 //! default scheduler by a wide margin, tree ensembles beat linear regression,
 //! and Top-2 dominates Top-1.
 //!
-//! [`evaluate_cell`] additionally reports each method's **completion-time
+//! `evaluate_cell` additionally reports each method's **completion-time
 //! speedup over the Kubernetes default**: for every held-out scenario it looks
 //! up the measured completion time of the node each method would have picked
 //! and divides the default's pick by the method's pick. The scenario-matrix
@@ -28,11 +28,10 @@
 use crate::workflow::{ExperimentDataset, ScenarioRecord};
 use cluster::ClusterState;
 use mlcore::{evaluate_on, ModelConfig, ModelKind, RegressionMetrics, TrainedModel};
-use netsched_core::context::SchedulingContext;
-use netsched_core::decision::NodeRanking;
-use netsched_core::predictor::CompletionTimePredictor;
-use netsched_core::schedulers::KubeDefaultScheduler;
-use simcore::rng::Rng;
+use netsched_core::{
+    CompletionTimePredictor, KubeDefaultScheduler, NodeRanking, SchedulingContext,
+};
+use simcore::Rng;
 
 /// The baseline method's display name (the paper's Table 4 first row).
 pub const KUBE_DEFAULT_METHOD: &str = "Kubernetes Default";
@@ -60,7 +59,7 @@ pub struct MethodSpeedup {
     /// Geometric mean of the per-scenario speedups.
     pub geomean_speedup: f64,
     /// Arithmetic mean of the per-scenario speedups.
-    pub mean_speedup: f64,
+    pub(crate) mean_speedup: f64,
     /// Number of scenarios the speedup was measured on.
     pub evaluated: usize,
 }
@@ -258,7 +257,7 @@ fn speedups_from(methods: &[MethodRankings], scenarios: &[&ScenarioRecord]) -> V
     clippy::expect_used,
     reason = "experiment datasets are built from their own schema, so widths agree by construction"
 )]
-pub fn evaluate_cell(
+pub(crate) fn evaluate_cell(
     dataset: &ExperimentDataset,
     test_fraction: f64,
     model_config: &ModelConfig,
@@ -335,7 +334,7 @@ pub fn evaluate_cell(
 
 /// Evaluate the default scheduler and the three supervised models on a
 /// dataset, holding out `test_fraction` of the scenarios (the Table 4 view of
-/// [`evaluate_cell`]).
+/// the per-cell evaluation the sweep runs).
 pub fn evaluate_table4(
     dataset: &ExperimentDataset,
     test_fraction: f64,
@@ -369,7 +368,7 @@ mod tests {
     /// A moderately sized dataset shared by the evaluation tests.
     fn dataset() -> ExperimentDataset {
         let config = ExperimentConfig {
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
             ..ExperimentConfig::quick(3, 4, 11)
         };
         Workflow::new(config).run()
@@ -532,7 +531,7 @@ mod tests {
     fn a_nan_prediction_ranks_its_node_last() {
         use cluster::{Node, Resources};
         use mlcore::Dataset;
-        use netsched_core::features::FeatureSchema;
+        use netsched_core::FeatureSchema;
         use telemetry::{ClusterSnapshot, NodeTelemetry};
 
         let names = ["node-a", "node-b", "node-c"];

@@ -13,29 +13,29 @@
 //!
 //! The slice is fixed: its numbers are constants, not settings, and
 //! [`Testbed::paper`] is its only constructor. The node shape
-//! ([`NODE_CORES`], [`NODE_MEMORY_GIB`]) is shared by every generated
-//! substrate, and Figure 4 reads its configured RTTs from [`WAN_LINKS`].
+//! (`NODE_CORES`, `NODE_MEMORY_GIB`) is shared by every generated
+//! substrate, and Figure 4 reads its configured RTTs from `WAN_LINKS`.
 
 use crate::world::Testbed;
 use simcore::SimDuration;
-use simnet::{gbps, mbps, Network, SimNodeId, Topology, TopologyBuilder};
+use simnet::{gbps, mbps, Network, Topology, TopologyBuilder};
 
 /// Site names in the order used throughout the experiments.
-pub const SITE_NAMES: [&str; 3] = ["UCSD", "FIU", "SRI"];
+pub(crate) const SITE_NAMES: [&str; 3] = ["UCSD", "FIU", "SRI"];
 
 /// Nodes per site (Figure 4: two).
-pub const NODES_PER_SITE: usize = 2;
+pub(crate) const NODES_PER_SITE: usize = 2;
 
 /// CPU cores per node (Section 5.1).
-pub const NODE_CORES: u64 = 6;
+pub(crate) const NODE_CORES: u64 = 6;
 
 /// Memory per node in GiB (Section 5.1).
-pub const NODE_MEMORY_GIB: u64 = 8;
+pub(crate) const NODE_MEMORY_GIB: u64 = 8;
 
 /// The inter-site links of Figure 4 as `(site, site, RTT in ms, capacity in
 /// Mbps)`, sites indexing [`SITE_NAMES`]. The RTTs are the figure's; the
 /// capacities are this reproduction's sub-gigabit substitution.
-pub const WAN_LINKS: [(usize, usize, f64, f64); 3] = [
+pub(crate) const WAN_LINKS: [(usize, usize, f64, f64); 3] = [
     (0, 1, 66.0, 600.0),
     (1, 2, 10.0, 900.0),
     (0, 2, 72.0, 400.0),
@@ -89,35 +89,6 @@ impl Testbed {
     pub fn node_names(&self) -> Vec<String> {
         self.cluster.node_names()
     }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.cluster.nodes().len()
-    }
-
-    /// The network-substrate id for a node name.
-    pub fn net_id(&self, name: &str) -> Option<SimNodeId> {
-        self.cluster.node(name).map(|n| n.net_id)
-    }
-
-    /// The base (uncongested) RTT matrix in milliseconds, keyed by node name
-    /// pairs — the data behind Figure 4.
-    pub fn base_rtt_matrix_ms(&self) -> Vec<(String, String, f64)> {
-        let topo = self.network.topology();
-        let mut out = Vec::new();
-        for a in topo.nodes() {
-            for b in topo.nodes() {
-                if a.id != b.id {
-                    out.push((
-                        a.name.clone(),
-                        b.name.clone(),
-                        topo.base_rtt(a.id, b.id).as_millis_f64(),
-                    ));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +98,7 @@ mod tests {
     #[test]
     fn paper_testbed_has_six_nodes_across_three_sites() {
         let tb = FabricTestbed::paper();
-        assert_eq!(tb.node_count(), 6);
+        assert_eq!(tb.cluster.nodes().len(), 6);
         assert_eq!(tb.network.topology().sites().len(), 3);
         assert_eq!(tb.network.topology().links().len(), 3);
         assert_eq!(
@@ -160,8 +131,8 @@ mod tests {
     fn inter_site_rtts_match_figure4() {
         let tb = FabricTestbed::paper();
         let rtt = |a: &str, b: &str| -> f64 {
-            let ia = tb.net_id(a).unwrap();
-            let ib = tb.net_id(b).unwrap();
+            let ia = tb.cluster.node(a).unwrap().net_id;
+            let ib = tb.cluster.node(b).unwrap().net_id;
             tb.network.topology().base_rtt(ia, ib).as_millis_f64()
         };
         // node-1 is UCSD, node-2 is FIU, node-3 is SRI (round-robin).
@@ -178,19 +149,9 @@ mod tests {
         // UCSD->SRI direct is 72 ms RTT; via FIU it would be 66 + 10 = 76 ms,
         // so the direct link must be used.
         let tb = FabricTestbed::paper();
-        let a = tb.net_id("node-1").unwrap();
-        let b = tb.net_id("node-3").unwrap();
+        let a = tb.cluster.node("node-1").unwrap().net_id;
+        let b = tb.cluster.node("node-3").unwrap().net_id;
         let route = tb.network.topology().route(a, b);
         assert_eq!(route.site_path.len(), 2, "single WAN hop");
-    }
-
-    #[test]
-    fn rtt_matrix_covers_all_ordered_pairs() {
-        let tb = FabricTestbed::paper();
-        let matrix = tb.base_rtt_matrix_ms();
-        assert_eq!(matrix.len(), 6 * 5);
-        assert!(matrix.iter().all(|(_, _, ms)| *ms > 0.0));
-        let max = matrix.iter().map(|(_, _, ms)| *ms).fold(0.0, f64::max);
-        assert!((max - 72.0).abs() < 1e-6);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::fabric::{FabricTestbed, SITE_NAMES, WAN_LINKS};
 use crate::world::SimWorld;
-use netsched_core::request::JobRequest;
+use netsched_core::JobRequest;
 use simcore::{OnlineStats, SimDuration};
 use simnet::BackgroundLoadConfig;
 use sparksim::WorkloadKind;
@@ -23,11 +23,11 @@ pub struct NodeSeries {
     /// Node name (`node-1` ... `node-6`).
     pub node: String,
     /// Mean latency to peers in milliseconds, averaged over runs (Figure 2).
-    pub avg_latency_ms: f64,
+    pub(crate) avg_latency_ms: f64,
     /// Mean transmit bandwidth in MB/s, averaged over runs (Figure 3).
-    pub avg_tx_bandwidth_mbps: f64,
+    pub(crate) avg_tx_bandwidth_mbps: f64,
     /// Mean receive bandwidth in MB/s (extra detail, not in the paper figure).
-    pub avg_rx_bandwidth_mbps: f64,
+    pub(crate) avg_rx_bandwidth_mbps: f64,
 }
 
 /// The data behind Figures 2 and 3.
@@ -38,7 +38,7 @@ pub struct SortTelemetryFigures {
     /// Number of Sort runs aggregated (paper: 5).
     pub runs: usize,
     /// Completion time of each run, seconds.
-    pub run_completions: Vec<f64>,
+    pub(crate) run_completions: Vec<f64>,
 }
 
 impl SortTelemetryFigures {
@@ -56,20 +56,6 @@ impl SortTelemetryFigures {
             .iter()
             .map(|n| (n.node.clone(), n.avg_tx_bandwidth_mbps))
             .collect()
-    }
-
-    /// Markdown rendering of both figures' data.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| Node | Avg latency (ms) | Avg Tx bandwidth (MB/s) | Avg Rx bandwidth (MB/s) |\n|---|---|---|---|\n",
-        );
-        for n in &self.per_node {
-            out.push_str(&format!(
-                "| {} | {:.2} | {:.2} | {:.2} |\n",
-                n.node, n.avg_latency_ms, n.avg_tx_bandwidth_mbps, n.avg_rx_bandwidth_mbps
-            ));
-        }
-        out
     }
 }
 
@@ -144,16 +130,16 @@ pub fn sort_telemetry_figures(runs: usize, input_records: u64, seed: u64) -> Sor
 
 /// One inter-site edge of Figure 4.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SiteEdge {
+pub(crate) struct SiteEdge {
     /// One site.
     pub a: String,
     /// The other site.
     pub b: String,
     /// Configured round-trip time in milliseconds.
-    pub rtt_ms: f64,
+    pub(crate) rtt_ms: f64,
     /// Measured (ping-mesh) round-trip time in milliseconds between
     /// representative nodes of the two sites.
-    pub measured_rtt_ms: f64,
+    pub(crate) measured_rtt_ms: f64,
 }
 
 /// The data behind Figure 4: sites, node assignment and inter-site RTTs.
@@ -162,7 +148,7 @@ pub struct Figure4Topology {
     /// `(site, nodes)` assignment.
     pub sites: Vec<(String, Vec<String>)>,
     /// Inter-site edges with configured and measured RTTs.
-    pub edges: Vec<SiteEdge>,
+    pub(crate) edges: Vec<SiteEdge>,
 }
 
 impl Figure4Topology {
@@ -264,11 +250,9 @@ mod tests {
             .per_node
             .iter()
             .any(|n| n.avg_tx_bandwidth_mbps > 0.1));
-        // Figure accessors and markdown.
+        // Figure accessors.
         assert_eq!(figures.figure2_latency().len(), 6);
         assert_eq!(figures.figure3_tx_bandwidth().len(), 6);
-        let md = figures.to_markdown();
-        assert!(md.contains("node-1") && md.contains("Avg latency"));
     }
 
     #[test]

@@ -22,37 +22,55 @@
 //!   `simnet` topology generators supply the rest) × workload mixes ×
 //!   background-load levels × seeds, swept in parallel with one
 //!   machine-readable JSON report (`results/scenario_sweep.json`).
-//! * [`figures`] — Figures 2 and 3 (per-node latency and transmit bandwidth
+//! * `figures` — Figures 2 and 3 (per-node latency and transmit bandwidth
 //!   across five Sort runs) and the Figure 4 RTT matrix.
-//! * [`tables`] — Tables 1, 2 and 3 (feature schema, workload
+//! * `tables` — Tables 1, 2 and 3 (feature schema, workload
 //!   characterization, representative training row).
-//! * [`ablation`] — feature-group, model and background-load ablations.
-//! * [`report`] — markdown/CSV rendering and result-file helpers for the one
+//! * `ablation` — feature-group, model and background-load ablations.
+//! * `report` — markdown/CSV rendering and result-file helpers for the one
 //!   `reproduce` binary (`src/bin/reproduce.rs`), which writes every table
 //!   and figure at the seeds `results.md5` pins.
 
 #![warn(missing_docs)]
 
-pub mod ablation;
+mod ablation;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod config;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod evaluation;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod fabric;
-pub mod figures;
-pub mod report;
+mod figures;
+mod report;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod scale;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod scenarios;
-pub mod tables;
+mod tables;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod workflow;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod world;
 
+pub use ablation::{
+    ablation_markdown, background_intensity_ablation, feature_group_ablation, forest_size_ablation,
+};
 pub use config::{job_matrix, JobConfig};
 pub use evaluation::{
-    evaluate_cell, evaluate_table4, CellEvaluation, MethodSpeedup, SchedulerAccuracy, Table4Report,
+    evaluate_table4, supervised_ranking, CellEvaluation, MethodSpeedup, SchedulerAccuracy,
+    Table4Report, KUBE_DEFAULT_METHOD,
 };
 pub use fabric::FabricTestbed;
+pub use figures::{figure4_topology, sort_telemetry_figures};
+pub use report::{csv_table, emit, markdown_table, write_result_file};
+pub use scale::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
 pub use scenarios::{
     run_sweep, CellReport, LoadLevel, ScenarioMatrix, ScenarioSpec, SweepOptions, SweepReport,
     TestbedSpec,
+};
+pub use tables::{
+    table1_feature_schema, table2_markdown, table2_workload_characteristics, table3_markdown,
+    table3_sample,
 };
 pub use workflow::{ExperimentConfig, ExperimentDataset, ScenarioRecord, Workflow};
 pub use world::{SimWorld, Testbed};

@@ -30,7 +30,7 @@ pub fn csv_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// The directory experiment outputs are written to (`results/` under the
 /// workspace root, overridable with the `NETSCHED_RESULTS_DIR` environment
 /// variable).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("NETSCHED_RESULTS_DIR") {
         return PathBuf::from(dir);
     }

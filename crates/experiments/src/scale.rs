@@ -19,10 +19,8 @@
 
 use crate::fabric::{NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, Node, PodSpec, Resources};
-use netsched_core::predictor::CompletionTimePredictor;
-use netsched_core::request::JobRequest;
-use simcore::rng::Rng;
-use simcore::SimTime;
+use netsched_core::{CompletionTimePredictor, JobRequest};
+use simcore::{Rng, SimTime};
 use simnet::{TieredClosSpec, TopologySpec};
 use sparksim::WorkloadKind;
 use telemetry::{ClusterSnapshot, NodeTelemetry};

@@ -29,9 +29,9 @@ use crate::fabric::{NODES_PER_SITE, SITE_NAMES};
 use crate::workflow::{ExperimentConfig, Workflow};
 use crate::world::Testbed;
 use mlcore::{GradientBoostingConfig, ModelConfig, RandomForestConfig};
-use netsched_core::features::FeatureSchema;
+use netsched_core::FeatureSchema;
 use serde::{Serialize, Value};
-use simcore::parallel::parallel_map;
+use simcore::parallel_map;
 use simnet::{
     BackgroundLoadConfig, LeafSpineSpec, Network, StarLanSpec, TopologySpec, WanMeshSpec,
 };
@@ -55,7 +55,7 @@ pub enum TestbedSpec {
 
 impl TestbedSpec {
     /// A generated substrate.
-    pub fn generated(topology: TopologySpec, topology_seed: u64) -> Self {
+    pub(crate) fn generated(topology: TopologySpec, topology_seed: u64) -> Self {
         TestbedSpec::Generated {
             topology,
             topology_seed,
@@ -65,7 +65,7 @@ impl TestbedSpec {
     /// Short name used in cell keys, e.g. `fabric-3x2` or `wan-mesh-4x2-s2`.
     /// Generated names carry the topology seed so two substrates drawn from
     /// the same randomized family remain distinguishable in reports.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             TestbedSpec::Fabric => format!("fabric-{}x{NODES_PER_SITE}", SITE_NAMES.len()),
             TestbedSpec::Generated {
@@ -76,7 +76,7 @@ impl TestbedSpec {
     }
 
     /// Number of candidate nodes the built testbed will hold.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         match self {
             TestbedSpec::Fabric => NODES_PER_SITE * SITE_NAMES.len(),
             TestbedSpec::Generated { topology, .. } => topology.node_count(),
@@ -118,7 +118,7 @@ pub struct LoadLevel {
 
 impl LoadLevel {
     /// The paper's Section 5.2 regime: 1–3 pods on the default curl loop.
-    pub fn moderate() -> Self {
+    pub(crate) fn moderate() -> Self {
         LoadLevel {
             name: "moderate".into(),
             pods: (1, 3),
@@ -127,7 +127,7 @@ impl LoadLevel {
     }
 
     /// 3–5 eager pods fetching larger files: sustained contention.
-    pub fn heavy() -> Self {
+    pub(crate) fn heavy() -> Self {
         LoadLevel {
             name: "heavy".into(),
             pods: (3, 5),
@@ -157,21 +157,10 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Cell name, e.g. `fabric-3x2/shuffle-heavy-5/moderate/seed-11`.
-    pub fn cell_name(&self) -> String {
-        format!(
-            "{}/{}/{}/seed-{}",
-            self.testbed.name(),
-            self.mix.name(),
-            self.load.name,
-            self.seed
-        )
-    }
-
     /// Expand the cell into a concrete batch-workflow configuration: the mix
     /// generates the job list, the load level sets the contention process and
     /// the testbed replaces the FABRIC-only construction.
-    pub fn to_experiment_config(&self) -> ExperimentConfig {
+    pub(crate) fn to_experiment_config(&self) -> ExperimentConfig {
         let configs = self
             .mix
             .generate(self.seed)
@@ -226,7 +215,7 @@ impl ScenarioMatrix {
 
     /// Expand the cross-product in deterministic order
     /// (testbed → mix → load → seed).
-    pub fn cells(&self) -> Vec<ScenarioSpec> {
+    pub(crate) fn cells(&self) -> Vec<ScenarioSpec> {
         let mut cells = Vec::with_capacity(self.cell_count());
         for testbed in &self.testbeds {
             for mix in &self.mixes {
@@ -309,7 +298,7 @@ pub struct SweepOptions {
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
             // Lighter than the paper-scale Table 4 models: every cell trains
             // its own three models, so the sweep trades tree count for cells.
             model: ModelConfig {
@@ -414,7 +403,7 @@ pub struct MethodMajority {
 
 impl MethodMajority {
     /// True when the method wins in a strict majority of cells.
-    pub fn is_majority(&self) -> bool {
+    pub(crate) fn is_majority(&self) -> bool {
         self.cells_beating_default_top1 * 2 > self.cells
     }
 }
@@ -483,7 +472,7 @@ serialize_fields!(MethodSpeedup {
 
 impl SweepReport {
     /// Assemble a report and its majority summary from per-cell results.
-    pub fn new(cells: Vec<CellReport>) -> Self {
+    pub(crate) fn new(cells: Vec<CellReport>) -> Self {
         let mut methods: Vec<String> = Vec::new();
         for cell in &cells {
             for row in &cell.accuracy {
@@ -584,7 +573,7 @@ impl SweepReport {
 
 /// Run one cell: generate its dataset with the batch workflow, then run the
 /// Table-4 pipeline (train models, rank, score accuracy and speedup).
-pub fn run_cell(spec: &ScenarioSpec, options: &SweepOptions) -> CellReport {
+pub(crate) fn run_cell(spec: &ScenarioSpec, options: &SweepOptions) -> CellReport {
     let dataset = Workflow::new(spec.to_experiment_config()).run();
     let evaluation = evaluate_cell(
         &dataset,
@@ -638,8 +627,10 @@ mod tests {
         assert_eq!(cells[0].seed, matrix.seeds[0]);
         assert_eq!(cells[1].seed, matrix.seeds[1]);
         assert_eq!(cells[0].testbed, cells[1].testbed);
-        let names: std::collections::BTreeSet<String> =
-            cells.iter().map(ScenarioSpec::cell_name).collect();
+        let names: std::collections::BTreeSet<_> = cells
+            .iter()
+            .map(|c| (c.testbed.name(), c.mix.name(), &c.load.name, c.seed))
+            .collect();
         assert_eq!(names.len(), cells.len(), "cell names must be unique");
         let smoke = ScenarioMatrix::smoke();
         assert!(smoke.cell_count() <= 8);
@@ -688,9 +679,6 @@ mod tests {
         assert_eq!(config.background_pods, (3, 5));
         assert_eq!(config.seed, 77);
         assert_eq!(config.workers, 1);
-        assert!(spec.cell_name().contains("star-lan-6"));
-        assert!(spec.cell_name().contains("shuffle-heavy-4"));
-        assert!(spec.cell_name().contains("heavy"));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use crate::fabric::FabricTestbed;
 use crate::world::SimWorld;
-use netsched_core::features::FeatureSchema;
-use netsched_core::request::JobRequest;
+use netsched_core::{FeatureSchema, JobRequest};
 use simcore::SimDuration;
 use simnet::BackgroundLoadConfig;
 use sparksim::{WorkloadKind, WorkloadRequest};
@@ -25,19 +24,19 @@ pub fn table1_feature_schema() -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCharacteristics {
     /// Application name.
-    pub application: String,
+    pub(crate) application: String,
     /// Bytes shuffled over the network per run.
-    pub shuffle_mb: f64,
+    pub(crate) shuffle_mb: f64,
     /// Total CPU work in core-seconds per run.
-    pub cpu_core_seconds: f64,
+    pub(crate) cpu_core_seconds: f64,
     /// Peak per-task memory in MB.
-    pub peak_task_memory_mb: f64,
+    pub(crate) peak_task_memory_mb: f64,
     /// Work-skew factor of the heaviest stage.
     pub skew: f64,
     /// Measured completion time on an idle cluster, seconds.
     pub completion_seconds: f64,
     /// The paper's qualitative rationale.
-    pub rationale: String,
+    pub(crate) rationale: String,
 }
 
 /// Table 2: characterize the paper's three workloads by actually running them
@@ -112,19 +111,19 @@ pub fn table2_markdown(rows: &[WorkloadCharacteristics]) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSampleRow {
     /// Mean RTT to peers, seconds.
-    pub rtt_s: f64,
+    pub(crate) rtt_s: f64,
     /// Receive rate, MB/s.
-    pub rx_mb_s: f64,
+    pub(crate) rx_mb_s: f64,
     /// Transmit rate, MB/s.
-    pub tx_mb_s: f64,
+    pub(crate) tx_mb_s: f64,
     /// CPU load average.
     pub cpu_load: f64,
     /// Memory utilization, percent.
-    pub mem_used_percent: f64,
+    pub(crate) mem_used_percent: f64,
     /// Input size, records.
     pub input_records: u64,
     /// Measured completion time, seconds.
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
 }
 
 /// Produce one representative training sample by running a Sort job on a

@@ -18,12 +18,8 @@
 use crate::config::{job_matrix, JobConfig};
 use crate::scenarios::TestbedSpec;
 use crate::world::SimWorld;
-use netsched_core::features::FeatureSchema;
-use netsched_core::logger::ExecutionLogger;
-use netsched_core::request::JobRequest;
-use simcore::parallel::parallel_map;
-use simcore::rng::Rng;
-use simcore::SimDuration;
+use netsched_core::{ExecutionLogger, FeatureSchema, JobRequest};
+use simcore::{parallel_map, Rng, SimDuration};
 use simnet::BackgroundLoadConfig;
 use telemetry::ClusterSnapshot;
 
@@ -45,7 +41,7 @@ pub struct NodeOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
     /// Dense scenario index.
-    pub scenario_id: usize,
+    pub(crate) scenario_id: usize,
     /// The job configuration.
     pub config: JobConfig,
     /// Repeat index within the configuration.
@@ -127,7 +123,7 @@ impl ExperimentDataset {
     }
 
     /// Build the execution log over every scenario.
-    pub fn full_logger(&self) -> ExecutionLogger {
+    pub(crate) fn full_logger(&self) -> ExecutionLogger {
         self.logger_for(&(0..self.scenarios.len()).collect::<Vec<usize>>())
     }
 
@@ -174,7 +170,7 @@ impl Default for ExperimentConfig {
             warmup_seconds: (8.0, 20.0),
             testbed: TestbedSpec::Fabric,
             schema: FeatureSchema::standard(),
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
         }
     }
 }
@@ -240,7 +236,7 @@ impl Workflow {
 
     /// Run a single scenario: freeze a contended system state and measure the
     /// job's completion time for every candidate driver node.
-    pub fn run_scenario(
+    pub(crate) fn run_scenario(
         &self,
         scenario_id: usize,
         config: &JobConfig,

@@ -10,15 +10,13 @@
 
 use crate::fabric::{NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, DefaultScheduler, Node, PodId, Resources};
-use netsched_core::request::JobRequest;
-use simcore::rng::Rng;
-use simcore::{SimDuration, SimTime};
+use netsched_core::JobRequest;
+use simcore::{Rng, SimDuration, SimTime};
 use simnet::{
     place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator, Network,
     SimNodeId, BACKGROUND_POD_MEMORY_BYTES,
 };
-use sparksim::engine::{execute_job, ContentionDriver};
-use sparksim::{JobRunResult, Placement};
+use sparksim::{execute_job, ContentionDriver, JobRunResult, Placement};
 use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager, SnapshotSource};
 
 /// A built substrate: the flow-level network plus the mini-Kubernetes view of
@@ -40,7 +38,7 @@ impl Testbed {
     /// (daemons, page cache) so no two nodes are byte-for-byte identical even
     /// when unloaded — real hosts never are, and the telemetry-blind baseline
     /// should not be able to exploit accidental symmetry.
-    pub fn assemble(network: Network) -> Self {
+    pub(crate) fn assemble(network: Network) -> Self {
         let mut cluster = ClusterState::new();
         for node in network.topology().nodes() {
             let site = network.topology().site(node.site).name.clone();
@@ -100,10 +98,6 @@ impl BackgroundDriver {
         self.generators.clear();
         self.in_flight.clear();
         self.next_start.clear();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.generators.is_empty()
     }
 }
 
@@ -218,13 +212,13 @@ impl SimWorld {
 
     /// Borrow the world's RNG (for experiment-level random choices that must
     /// share the world's deterministic stream).
-    pub fn rng_mut(&mut self) -> &mut Rng {
+    pub(crate) fn rng_mut(&mut self) -> &mut Rng {
         &mut self.rng
     }
 
     /// Advance the world to `target`, keeping background traffic flowing and
     /// scraping telemetry on the configured interval.
-    pub fn advance_to(&mut self, target: SimTime) {
+    pub(crate) fn advance_to(&mut self, target: SimTime) {
         // A scrape that is already due fires before time moves.
         self.metrics
             .scrape_if_due(&self.cluster, &self.network, self.now);
@@ -285,7 +279,7 @@ impl SimWorld {
     }
 
     /// Remove all background load (pods and their CPU/memory contribution).
-    pub fn clear_background_load(&mut self) {
+    pub(crate) fn clear_background_load(&mut self) {
         for node in self.cluster.nodes_mut() {
             node.background_cpu_load = 0.0;
             node.background_memory_used = 0.0;
@@ -306,11 +300,6 @@ impl SimWorld {
                     .map(|n| n.name.clone())
             })
             .collect()
-    }
-
-    /// Whether any background pod is active.
-    pub fn has_background_load(&self) -> bool {
-        !self.background.is_empty()
     }
 
     /// Take a fresh scrape right now and return the scheduler-facing snapshot.
@@ -439,14 +428,14 @@ mod tests {
         assert_eq!(w.now(), SimTime::from_secs(30));
         // 5 s interval -> scrape at 0,5,...,30.
         assert!(w.metrics.scrape_count() >= 6);
-        assert!(!w.has_background_load());
+        assert!(w.background_hosts().is_empty());
     }
 
     #[test]
     fn background_load_creates_traffic_and_cpu_pressure() {
         let mut w = world(2);
         w.place_background_load(2, &BackgroundLoadConfig::default());
-        assert!(w.has_background_load());
+        assert!(!w.background_hosts().is_empty());
         assert_eq!(w.background_hosts().len(), 2);
         let loaded: Vec<f64> = w
             .cluster
@@ -465,7 +454,7 @@ mod tests {
         let snap = w.snapshot();
         assert!(snap.iter_nodes().any(|(_, t)| t.rx_rate > 0.0));
         w.clear_background_load();
-        assert!(!w.has_background_load());
+        assert!(w.background_hosts().is_empty());
         assert!(w
             .cluster
             .nodes()

@@ -6,7 +6,7 @@
 //! one heap allocation per row. Row views are borrowed slices; nothing on the
 //! prediction path clones a row.
 
-use simcore::rng::Rng;
+use simcore::Rng;
 use std::fmt;
 
 /// A dense row-major matrix of feature values: `n_rows × n_features` in one
@@ -30,7 +30,7 @@ impl FeatureMatrix {
     }
 
     /// Create an empty matrix with capacity reserved for `rows` rows.
-    pub fn with_capacity(n_features: usize, rows: usize) -> Self {
+    pub(crate) fn with_capacity(n_features: usize, rows: usize) -> Self {
         FeatureMatrix {
             values: Vec::with_capacity(n_features * rows),
             n_features,
@@ -49,14 +49,8 @@ impl FeatureMatrix {
     }
 
     /// True when the matrix holds no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n_rows == 0
-    }
-
-    /// Drop all rows, keeping the allocation and stride.
-    pub fn clear(&mut self) {
-        self.values.clear();
-        self.n_rows = 0;
     }
 
     /// Drop all rows and switch to a new stride (scratch-buffer reuse across
@@ -98,7 +92,7 @@ impl FeatureMatrix {
     }
 
     /// Mutably borrow one row.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.n_rows, "row {i} out of {} rows", self.n_rows);
         let start = i * self.n_features;
         &mut self.values[start..start + self.n_features]
@@ -106,24 +100,13 @@ impl FeatureMatrix {
 
     /// One cell.
     #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn get(&self, row: usize, col: usize) -> f64 {
         self.values[row * self.n_features + col]
     }
 
-    /// Overwrite one cell.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        self.values[row * self.n_features + col] = value;
-    }
-
     /// Iterate over the rows as borrowed slices.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
         (0..self.n_rows).map(move |i| self.row(i))
-    }
-
-    /// The backing contiguous value buffer (row-major).
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 }
 
@@ -174,11 +157,6 @@ impl Dataset {
         }
     }
 
-    /// Feature names.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
-
     /// Number of feature columns.
     pub fn n_features(&self) -> usize {
         self.feature_names.len()
@@ -227,18 +205,8 @@ impl Dataset {
         self.x.row(i)
     }
 
-    /// One target.
-    pub fn target(&self, i: usize) -> f64 {
-        self.targets[i]
-    }
-
-    /// Index of a feature by name.
-    pub fn feature_index(&self, name: &str) -> Option<usize> {
-        self.feature_names.iter().position(|n| n == name)
-    }
-
     /// Build a new dataset containing only the given row indices.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset {
             feature_names: self.feature_names.clone(),
             x: FeatureMatrix::with_capacity(self.n_features(), indices.len()),
@@ -259,7 +227,7 @@ impl Dataset {
     }
 
     /// Mean of each feature column.
-    pub fn feature_means(&self) -> Vec<f64> {
+    pub(crate) fn feature_means(&self) -> Vec<f64> {
         let n = self.len().max(1) as f64;
         let mut means = vec![0.0; self.n_features()];
         for row in self.x.rows() {
@@ -274,7 +242,7 @@ impl Dataset {
     }
 
     /// Mean of the target column.
-    pub fn target_mean(&self) -> f64 {
+    pub(crate) fn target_mean(&self) -> f64 {
         if self.targets.is_empty() {
             0.0
         } else {
@@ -308,14 +276,14 @@ impl SplitIndices {
 
 /// Per-feature standardization (z-score) fitted on a training set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scaler {
+pub(crate) struct Scaler {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
 
 impl Scaler {
     /// Fit a scaler to a dataset's feature columns.
-    pub fn fit(data: &Dataset) -> Scaler {
+    pub(crate) fn fit(data: &Dataset) -> Scaler {
         let n = data.len().max(1) as f64;
         let means = data.feature_means();
         let mut vars = vec![0.0; data.n_features()];
@@ -340,14 +308,14 @@ impl Scaler {
     }
 
     /// Transform one row in place.
-    pub fn transform_row(&self, row: &mut [f64]) {
+    pub(crate) fn transform_row(&self, row: &mut [f64]) {
         for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
             *x = (*x - m) / s;
         }
     }
 
     /// Transform a whole matrix into a standardized copy.
-    pub fn transform_matrix(&self, x: &FeatureMatrix) -> FeatureMatrix {
+    pub(crate) fn transform_matrix(&self, x: &FeatureMatrix) -> FeatureMatrix {
         let mut out = x.clone();
         for i in 0..out.n_rows() {
             self.transform_row(out.row_mut(i));
@@ -356,12 +324,12 @@ impl Scaler {
     }
 
     /// Per-feature means captured at fit time.
-    pub fn means(&self) -> &[f64] {
+    pub(crate) fn means(&self) -> &[f64] {
         &self.means
     }
 
     /// Per-feature standard deviations captured at fit time.
-    pub fn stds(&self) -> &[f64] {
+    pub(crate) fn stds(&self) -> &[f64] {
         &self.stds
     }
 }
@@ -386,10 +354,7 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.row(3), &[3.0, 6.0]);
-        assert_eq!(d.target(3), 9.0);
-        assert_eq!(d.feature_index("b"), Some(1));
-        assert_eq!(d.feature_index("z"), None);
-        assert_eq!(d.feature_names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(d.targets()[3], 9.0);
     }
 
     #[test]
@@ -398,8 +363,8 @@ mod tests {
         let x = d.matrix();
         assert_eq!(x.n_rows(), 10);
         assert_eq!(x.n_features(), 2);
-        assert_eq!(x.values().len(), 20);
-        assert_eq!(&x.values()[6..8], d.row(3));
+        assert_eq!(x.values.len(), 20);
+        assert_eq!(&x.values[6..8], d.row(3));
         assert_eq!(x.get(3, 1), 6.0);
         assert_eq!(x.rows().len(), 10);
         let collected: Vec<&[f64]> = x.rows().collect();
@@ -418,12 +383,8 @@ mod tests {
         assert_eq!(x.n_rows(), 2);
         x.row_mut(1)[0] = 9.0;
         assert_eq!(x.get(1, 0), 9.0);
-        x.set(1, 0, 7.0);
-        assert_eq!(x.get(1, 0), 7.0);
-        x.clear();
-        assert_eq!(x.n_rows(), 0);
-        assert_eq!(x.n_features(), 3);
         x.reset(1);
+        assert_eq!(x.n_rows(), 0);
         assert_eq!(x.n_features(), 1);
     }
 
@@ -463,7 +424,7 @@ mod tests {
         let s = d.subset(&[0, 5, 9]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.row(1), &[5.0, 10.0]);
-        assert_eq!(s.target(2), 27.0);
+        assert_eq!(s.targets()[2], 27.0);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::tree::{DecisionTree, DecisionTreeConfig, FlatTree};
-use simcore::parallel::parallel_map;
-use simcore::rng::Rng;
+use simcore::{parallel_map, Rng};
 
 /// Random forest hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +40,7 @@ impl Default for RandomForestConfig {
             // between candidate nodes after the job-size variance is explained.
             feature_fraction: Some(0.7),
             sample_fraction: 1.0,
-            workers: simcore::parallel::default_workers(),
+            workers: simcore::default_workers(),
         }
     }
 }
@@ -73,7 +72,7 @@ impl RandomForest {
     }
 
     /// Whether `fit` has been called.
-    pub fn is_fitted(&self) -> bool {
+    pub(crate) fn is_fitted(&self) -> bool {
         self.fitted
     }
 
@@ -83,7 +82,7 @@ impl RandomForest {
     }
 
     /// Number of feature columns the forest was fitted on.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.n_features
     }
 
@@ -164,30 +163,11 @@ impl RandomForest {
     }
 
     /// Predict every row of a dataset.
-    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(data.matrix(), &mut out);
         out
-    }
-
-    /// Mean impurity-based feature importance across trees (normalized).
-    pub fn feature_importance(&self) -> Vec<f64> {
-        if self.trees.is_empty() {
-            return vec![0.0; self.n_features];
-        }
-        let mut total = vec![0.0; self.n_features];
-        for tree in &self.trees {
-            for (acc, v) in total.iter_mut().zip(tree.feature_importance()) {
-                *acc += v;
-            }
-        }
-        let sum: f64 = total.iter().sum();
-        if sum > 0.0 {
-            for v in &mut total {
-                *v /= sum;
-            }
-        }
-        total
     }
 }
 
@@ -295,33 +275,6 @@ mod tests {
         forest.fit(&empty, &mut rng);
         assert!(forest.is_fitted());
         assert_eq!(forest.predict_row(&[1.0]), 0.0);
-        assert_eq!(forest.feature_importance(), vec![0.0]);
-    }
-
-    #[test]
-    fn importance_highlights_informative_features() {
-        // Only x0 and x3 matter strongly in this response.
-        let mut rng = Rng::seed_from_u64(11);
-        let mut d = Dataset::new(vec![
-            "a".into(),
-            "noise1".into(),
-            "noise2".into(),
-            "b".into(),
-        ]);
-        for _ in 0..500 {
-            let a = rng.uniform(0.0, 1.0);
-            let n1 = rng.uniform(0.0, 1.0);
-            let n2 = rng.uniform(0.0, 1.0);
-            let b = rng.uniform(0.0, 1.0);
-            d.push(vec![a, n1, n2, b], 30.0 * a + 10.0 * b).unwrap();
-        }
-        let mut forest = RandomForest::new(small_config(40, 4));
-        forest.fit(&d, &mut rng);
-        let imp = forest.feature_importance();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] > imp[1] && imp[0] > imp[2], "{imp:?}");
-        assert!(imp[3] > imp[1] && imp[3] > imp[2], "{imp:?}");
-        assert!(imp[0] > imp[3], "the stronger signal dominates: {imp:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::tree::{DecisionTree, DecisionTreeConfig, FlatTree};
-use simcore::rng::Rng;
+use simcore::Rng;
 
 /// Gradient boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,17 +74,12 @@ impl GradientBoosting {
     }
 
     /// Whether `fit` has been called.
-    pub fn is_fitted(&self) -> bool {
+    pub(crate) fn is_fitted(&self) -> bool {
         self.fitted
     }
 
-    /// Number of boosting rounds actually used (after early stopping).
-    pub fn rounds_used(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Number of feature columns the ensemble was fitted on.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.n_features
     }
 
@@ -221,31 +216,11 @@ impl GradientBoosting {
     }
 
     /// Predict every row of a dataset.
-    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(data.matrix(), &mut out);
         out
-    }
-
-    /// Aggregate impurity-based feature importance across rounds (normalized).
-    pub fn feature_importance(&self) -> Vec<f64> {
-        let Some(first) = self.trees.first() else {
-            return Vec::new();
-        };
-        let width = first.feature_importance().len();
-        let mut total = vec![0.0; width];
-        for tree in &self.trees {
-            for (acc, v) in total.iter_mut().zip(tree.feature_importance()) {
-                *acc += v;
-            }
-        }
-        let sum: f64 = total.iter().sum();
-        if sum > 0.0 {
-            for v in &mut total {
-                *v /= sum;
-            }
-        }
-        total
     }
 }
 
@@ -285,7 +260,7 @@ mod tests {
         assert!(!model.is_fitted());
         model.fit(&train, &mut rng);
         assert!(model.is_fitted());
-        assert!(model.rounds_used() > 0);
+        assert!(!model.trees.is_empty());
         let m = RegressionMetrics::compute(&model.predict(&test), test.targets());
         assert!(m.r2 > 0.9, "r2 {}", m.r2);
     }
@@ -325,7 +300,7 @@ mod tests {
             ..Default::default()
         });
         model.fit(&d, &mut rng);
-        assert!(model.rounds_used() < 200, "rounds {}", model.rounds_used());
+        assert!(model.trees.len() < 200, "rounds {}", model.trees.len());
     }
 
     #[test]
@@ -338,7 +313,7 @@ mod tests {
             ..Default::default()
         });
         model.fit(&data, &mut rng);
-        assert_eq!(model.rounds_used(), 30);
+        assert_eq!(model.trees.len(), 30);
     }
 
     #[test]
@@ -365,8 +340,7 @@ mod tests {
         model.fit(&Dataset::new(vec!["x".into()]), &mut rng);
         assert!(model.is_fitted());
         assert_eq!(model.predict_row(&[1.0]), 0.0);
-        assert_eq!(model.rounds_used(), 0);
-        assert!(model.feature_importance().is_empty());
+        assert_eq!(model.trees.len(), 0);
     }
 
     #[test]
@@ -378,29 +352,9 @@ mod tests {
             ..Default::default()
         });
         model.fit(&data, &mut rng);
-        assert_eq!(
-            model.rounds_used(),
-            20,
-            "too few rows for a validation split"
-        );
+        assert_eq!(model.trees.len(), 20, "too few rows for a validation split");
         let m = RegressionMetrics::compute(&model.predict(&data), data.targets());
         assert!(m.r2 > 0.8);
-    }
-
-    #[test]
-    fn importance_sums_to_one_and_flags_signal() {
-        let mut rng = Rng::seed_from_u64(11);
-        let mut d = Dataset::new(vec!["signal".into(), "noise".into()]);
-        for _ in 0..400 {
-            let s = rng.uniform(0.0, 1.0);
-            let n = rng.uniform(0.0, 1.0);
-            d.push(vec![s, n], (s * 10.0).powi(2)).unwrap();
-        }
-        let mut model = GradientBoosting::new(fast_config());
-        model.fit(&d, &mut rng);
-        let imp = model.feature_importance();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] > 0.9, "{imp:?}");
     }
 
     #[test]

@@ -6,37 +6,37 @@
 //! (XGBoost)**. This crate implements all three (and the infrastructure
 //! around them) with no external ML dependency:
 //!
-//! * [`data`] — the [`data::Dataset`] container over a contiguous row-major
-//!   [`data::FeatureMatrix`], train/test splitting and feature
+//! * `data` — the [`Dataset`] container over a contiguous row-major
+//!   [`FeatureMatrix`], train/test splitting and feature
 //!   standardization.
-//! * [`metrics`] — MAE, RMSE, R² and MAPE.
-//! * [`linear`] — ordinary least squares / ridge regression solved by normal
+//! * `metrics` — MAE, RMSE, R² and MAPE.
+//! * `linear` — ordinary least squares / ridge regression solved by normal
 //!   equations with Gaussian elimination and optional standardization.
-//! * [`tree`] — CART regression trees (variance-reduction splits, depth and
+//! * `tree` — CART regression trees (variance-reduction splits, depth and
 //!   leaf-size controls, optional per-split feature subsampling), stored as
-//!   flat level-order [`tree::FlatTree`]s with batch-prediction kernels.
-//! * [`forest`] — random forests: bootstrap aggregation of CART trees with
+//!   flat level-order [`FlatTree`]s with batch-prediction kernels.
+//! * `forest` — random forests: bootstrap aggregation of CART trees with
 //!   feature subsampling, trained in parallel with deterministic per-tree
-//!   seeds, plus impurity-based feature importance.
-//! * [`gbdt`] — gradient-boosted trees with squared loss, shrinkage, row
+//!   seeds.
+//! * `gbdt` — gradient-boosted trees with squared loss, shrinkage, row
 //!   subsampling and early stopping — the role XGBoost plays in the paper.
-//! * [`model`] — the [`model::TrainedModel`] wrapper over every family and a
-//!   [`model::ModelKind`] factory so the scheduler can swap model families
+//! * `model` — the [`TrainedModel`] wrapper over every family and a
+//!   [`ModelKind`] factory so the scheduler can swap model families
 //!   via configuration.
-//! * [`validate`] — evaluation of a fitted model on held-out data.
+//! * `validate` — evaluation of a fitted model on held-out data.
 
 #![warn(missing_docs)]
 
-pub mod data;
-pub mod forest;
-pub mod gbdt;
-pub mod linear;
-pub mod metrics;
-pub mod model;
-pub mod tree;
-pub mod validate;
+mod data;
+mod forest;
+mod gbdt;
+mod linear;
+mod metrics;
+mod model;
+mod tree;
+mod validate;
 
-pub use data::{Dataset, FeatureMatrix, Scaler, SplitIndices};
+pub use data::{Dataset, FeatureMatrix, SplitIndices};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{GradientBoosting, GradientBoostingConfig};
 pub use linear::{LinearRegression, LinearRegressionConfig};

@@ -35,7 +35,7 @@ pub struct LinearRegression {
 
 /// Errors raised by model fitting.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FitError {
+pub(crate) enum FitError {
     /// The training set is empty.
     EmptyDataset,
     /// The normal-equation system is singular and could not be solved.
@@ -61,7 +61,7 @@ impl Default for LinearRegression {
 
 impl LinearRegression {
     /// Create an unfitted model.
-    pub fn new(config: LinearRegressionConfig) -> Self {
+    pub(crate) fn new(config: LinearRegressionConfig) -> Self {
         LinearRegression {
             config,
             weights: Vec::new(),
@@ -71,22 +71,17 @@ impl LinearRegression {
     }
 
     /// Fitted weights, in the standardized feature space.
-    pub fn weights(&self) -> &[f64] {
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 
-    /// Fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
     /// Whether `fit` has been called successfully.
-    pub fn is_fitted(&self) -> bool {
+    pub(crate) fn is_fitted(&self) -> bool {
         self.scaler.is_some()
     }
 
     /// Fit the model to a dataset.
-    pub fn fit(&mut self, data: &Dataset) -> Result<(), FitError> {
+    pub(crate) fn fit(&mut self, data: &Dataset) -> Result<(), FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -139,7 +134,7 @@ impl LinearRegression {
     }
 
     /// Predict the target for one feature row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         match &self.scaler {
             Some(s) => self.dot_standardized(s, row),
             None => 0.0,
@@ -149,7 +144,7 @@ impl LinearRegression {
     /// Predict every row of a feature matrix into a reused output buffer.
     /// Standardization is fused into the dot product, so steady-state
     /// batches allocate nothing.
-    pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
+    pub(crate) fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
         match &self.scaler {
             Some(s) => {
@@ -161,7 +156,8 @@ impl LinearRegression {
     }
 
     /// Predict the targets for every row of a dataset.
-    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(data.matrix(), &mut out);
         out
@@ -218,7 +214,7 @@ fn solve_linear_system(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::metrics::RegressionMetrics;
-    use simcore::rng::Rng;
+    use simcore::Rng;
 
     fn linear_dataset(n: usize, noise: f64, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);

@@ -10,7 +10,7 @@ pub struct RegressionMetrics {
     /// Coefficient of determination.
     pub r2: f64,
     /// Mean absolute percentage error (targets with |y| < 1e-9 are skipped).
-    pub mape: f64,
+    pub(crate) mape: f64,
     /// Number of evaluated samples.
     pub count: usize,
 }
@@ -20,7 +20,7 @@ impl RegressionMetrics {
     ///
     /// # Panics
     /// Panics if the two slices have different lengths.
-    pub fn compute(predictions: &[f64], targets: &[f64]) -> RegressionMetrics {
+    pub(crate) fn compute(predictions: &[f64], targets: &[f64]) -> RegressionMetrics {
         assert_eq!(
             predictions.len(),
             targets.len(),

@@ -8,7 +8,7 @@ use crate::data::{Dataset, FeatureMatrix};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::gbdt::{GradientBoosting, GradientBoostingConfig};
 use crate::linear::{LinearRegression, LinearRegressionConfig};
-use simcore::rng::Rng;
+use simcore::Rng;
 use std::fmt;
 
 /// The model families evaluated in the paper.
@@ -119,7 +119,7 @@ impl TrainedModel {
     }
 
     /// Predict the targets for every row of a dataset.
-    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(data.matrix(), &mut out);
         out

@@ -28,7 +28,7 @@
 //! tests can walk the nested form as a reference.
 
 use crate::data::{Dataset, FeatureMatrix};
-use simcore::rng::Rng;
+use simcore::Rng;
 
 /// Tree growth limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +143,7 @@ impl FlatTree {
     const GROUP: usize = 4;
 
     /// True when the tree holds no nodes at all (never fitted).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
@@ -177,7 +177,7 @@ impl FlatTree {
     /// a malformed input and panics (index out of bounds) instead of silently
     /// predicting from padded zeros.
     #[inline]
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
@@ -241,7 +241,7 @@ impl FlatTree {
     ///
     /// # Panics
     /// Panics when `rows.len() > BLOCK` or `out.len() != rows.len()`.
-    pub fn accumulate_block(&self, rows: &[&[f64]], scale: f64, out: &mut [f64]) {
+    pub(crate) fn accumulate_block(&self, rows: &[&[f64]], scale: f64, out: &mut [f64]) {
         assert!(rows.len() <= Self::BLOCK, "block larger than BLOCK");
         assert_eq!(out.len(), rows.len(), "one accumulator slot per row");
         if self.is_empty() {
@@ -262,7 +262,7 @@ impl FlatTree {
     ///
     /// # Panics
     /// Panics when `out.len() != x.n_rows()`.
-    pub fn accumulate_into(&self, x: &FeatureMatrix, scale: f64, out: &mut [f64]) {
+    pub(crate) fn accumulate_into(&self, x: &FeatureMatrix, scale: f64, out: &mut [f64]) {
         assert_eq!(out.len(), x.n_rows(), "one accumulator slot per row");
         if self.is_empty() {
             return;
@@ -472,7 +472,7 @@ impl FlatTree {
     /// Iterate `(feature, threshold)` over the split (non-leaf) nodes, in
     /// level order. Two rows on the same side of every split's threshold walk
     /// identical paths and receive identical predictions.
-    pub fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.nodes
             .iter()
             .zip(&self.leaf)
@@ -487,8 +487,6 @@ pub struct DecisionTree {
     config: DecisionTreeConfig,
     tree: FlatTree,
     n_features: usize,
-    /// Sum of variance reduction attributed to each feature (impurity importance).
-    feature_importance: Vec<f64>,
     fitted: bool,
 }
 
@@ -511,14 +509,8 @@ impl DecisionTree {
             config,
             tree: FlatTree::default(),
             n_features: 0,
-            feature_importance: Vec::new(),
             fitted: false,
         }
-    }
-
-    /// Whether `fit` has been called.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
     }
 
     /// Number of nodes in the fitted tree.
@@ -529,11 +521,6 @@ impl DecisionTree {
     /// Depth of the fitted tree (0 for a single leaf).
     pub fn depth(&self) -> usize {
         self.tree.depth()
-    }
-
-    /// Number of feature columns the tree was fitted on.
-    pub fn n_features(&self) -> usize {
-        self.n_features
     }
 
     /// The flat, level-order representation.
@@ -547,16 +534,6 @@ impl DecisionTree {
         self.tree.to_nodes()
     }
 
-    /// Impurity-based feature importance (normalized to sum to 1 when any
-    /// split exists).
-    pub fn feature_importance(&self) -> Vec<f64> {
-        let total: f64 = self.feature_importance.iter().sum();
-        if total <= 0.0 {
-            return self.feature_importance.clone();
-        }
-        self.feature_importance.iter().map(|v| v / total).collect()
-    }
-
     /// Fit on all rows of `data`.
     pub fn fit(&mut self, data: &Dataset, rng: &mut Rng) {
         let indices: Vec<usize> = (0..data.len()).collect();
@@ -566,7 +543,7 @@ impl DecisionTree {
     /// Fit on a subset of row indices of a raw `(matrix, targets)` pair —
     /// the allocation-free entry point boosting uses to refit residual
     /// targets each round without rebuilding a feature container.
-    pub fn fit_on_matrix(
+    pub(crate) fn fit_on_matrix(
         &mut self,
         x: &FeatureMatrix,
         targets: &[f64],
@@ -574,7 +551,6 @@ impl DecisionTree {
         rng: &mut Rng,
     ) {
         self.n_features = x.n_features();
-        self.feature_importance = vec![0.0; self.n_features];
         // The builder emits the canonical preorder form; the flat tree is its
         // level-order flattening.
         let mut nodes = Vec::new();
@@ -677,11 +653,10 @@ impl DecisionTree {
             }
         }
 
-        let Some((feature, threshold, reduction)) = best else {
+        let Some((feature, threshold, _)) = best else {
             nodes.push(leaf);
             return;
         };
-        self.feature_importance[feature] += reduction;
 
         // Partition indices in place around the chosen split.
         indices.sort_by(|&a, &b| {
@@ -733,7 +708,8 @@ impl DecisionTree {
     }
 
     /// Predict every row of a dataset.
-    pub fn predict(&self, data: &Dataset) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(data.matrix(), &mut out);
         out
@@ -772,16 +748,12 @@ mod tests {
     fn fits_step_function_exactly() {
         let data = step_dataset();
         let mut tree = DecisionTree::default();
-        assert!(!tree.is_fitted());
         let mut rng = Rng::seed_from_u64(1);
         tree.fit(&data, &mut rng);
-        assert!(tree.is_fitted());
         assert_eq!(tree.predict_row(&[2.0]), 10.0);
         assert_eq!(tree.predict_row(&[7.0]), 20.0);
         assert!(tree.node_count() >= 3);
         assert!(tree.depth() >= 1);
-        // Only one feature: it gets all importance.
-        assert_eq!(tree.feature_importance(), vec![1.0]);
     }
 
     #[test]
@@ -849,7 +821,6 @@ mod tests {
         let mut rng = Rng::seed_from_u64(9);
         let mut tree = DecisionTree::default();
         tree.fit(&d, &mut rng);
-        assert!(tree.is_fitted());
         assert_eq!(tree.predict_row(&[1.0]), 0.0);
         // Unfitted tree also predicts 0.
         let unfitted = DecisionTree::default();
@@ -872,23 +843,6 @@ mod tests {
             "even with per-split subsampling the tree learns, r2 {}",
             m.r2
         );
-    }
-
-    #[test]
-    fn importance_identifies_the_informative_feature() {
-        // y depends only on x1; x2 is noise.
-        let mut rng = Rng::seed_from_u64(12);
-        let mut d = Dataset::new(vec!["signal".into(), "noise".into()]);
-        for _ in 0..300 {
-            let x1 = rng.uniform(0.0, 10.0);
-            let x2 = rng.uniform(0.0, 10.0);
-            d.push(vec![x1, x2], x1 * 3.0).unwrap();
-        }
-        let mut tree = DecisionTree::default();
-        tree.fit(&d, &mut rng);
-        let imp = tree.feature_importance();
-        assert!(imp[0] > 0.95, "signal importance {imp:?}");
-        assert!(imp[1] < 0.05);
     }
 
     #[test]

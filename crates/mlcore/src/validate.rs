@@ -15,7 +15,7 @@ mod tests {
     use crate::forest::RandomForestConfig;
     use crate::gbdt::GradientBoostingConfig;
     use crate::model::{ModelConfig, ModelKind};
-    use simcore::rng::Rng;
+    use simcore::Rng;
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);

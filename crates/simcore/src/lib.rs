@@ -9,18 +9,20 @@
 //!   (SplitMix64 for seeding, Xoshiro256** for streams) with the usual
 //!   distributions (uniform, normal, exponential) so every experiment in the
 //!   workspace is reproducible from a single `u64` seed.
-//! * [`stats`] — an online mean/variance/min/max accumulator (Welford).
-//! * [`parallel`] — a small scoped-thread fork/join helper used to run
+//! * [`OnlineStats`] — an online mean/variance/max accumulator (Welford).
+//! * [`parallel_map`] — a small scoped-thread fork/join helper used to run
 //!   independent simulation replications and to train tree ensembles in
 //!   parallel while keeping results deterministic (ordered reduction).
 
 #![warn(missing_docs)]
 
-pub mod parallel;
+mod parallel;
+// Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod rng;
-pub mod stats;
-pub mod time;
+mod stats;
+mod time;
 
+pub use parallel::{default_workers, parallel_map};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

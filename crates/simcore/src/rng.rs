@@ -54,7 +54,7 @@ pub struct Rng {
 impl Xoshiro256StarStar {
     /// Seed the generator. The seed is expanded with SplitMix64 as recommended
     /// by the algorithm authors; a zero state is impossible by construction.
-    pub fn seed_from_u64(seed: u64) -> Self {
+    pub(crate) fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         Xoshiro256StarStar {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
@@ -62,7 +62,7 @@ impl Xoshiro256StarStar {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -76,7 +76,7 @@ impl Xoshiro256StarStar {
 
     /// Jump the state forward by 2^128 draws, producing a statistically
     /// independent stream (used by [`Rng::split`]).
-    pub fn jump(&mut self) {
+    pub(crate) fn jump(&mut self) {
         const JUMP: [u64; 4] = [
             0x180e_c6d3_3cfd_0aba,
             0xd5a6_1266_f0c9_392c,
@@ -154,7 +154,7 @@ impl Rng {
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -199,7 +199,7 @@ impl Rng {
     }
 
     /// Standard normal draw (Box–Muller with caching of the spare value).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }

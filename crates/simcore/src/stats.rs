@@ -4,13 +4,12 @@
 //! the experiment harness's per-node latency / bandwidth figures.
 
 /// Numerically stable online mean/variance accumulator (Welford's algorithm)
-/// that also tracks min and max.
+/// that also tracks the maximum.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
     max: f64,
 }
 
@@ -21,7 +20,6 @@ impl OnlineStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -36,7 +34,6 @@ impl OnlineStats {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
 
@@ -55,7 +52,7 @@ impl OnlineStats {
     }
 
     /// Population variance, or 0.0 when fewer than one observation.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -66,15 +63,6 @@ impl OnlineStats {
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Minimum observation, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
     }
 
     /// Maximum observation, or 0.0 when empty.
@@ -102,7 +90,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
 
@@ -121,7 +108,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
 }

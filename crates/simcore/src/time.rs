@@ -9,11 +9,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of nanoseconds per second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// Number of nanoseconds per millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+pub(crate) const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds per microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+pub(crate) const NANOS_PER_MICRO: u64 = 1_000;
 
 /// An instant on the simulated clock (nanoseconds since simulation start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -44,15 +44,6 @@ impl SimTime {
         SimTime(millis * NANOS_PER_MILLI)
     }
 
-    /// Construct from fractional seconds. Negative values clamp to zero.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimTime(0)
-        } else {
-            SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
-        }
-    }
-
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -61,21 +52,6 @@ impl SimTime {
     /// Seconds since simulation start as `f64`.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Milliseconds since simulation start as `f64`.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
-    /// Duration elapsed since `earlier`; saturates to zero if `earlier` is later.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Saturating addition of a duration.
@@ -142,11 +118,6 @@ impl SimDuration {
     /// True when the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiply by a non-negative floating point factor (saturating).
@@ -250,14 +221,13 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3 * NANOS_PER_SEC);
         assert_eq!(SimTime::from_millis(5).as_nanos(), 5 * NANOS_PER_MILLI);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7 * NANOS_PER_MICRO);
-        let t = SimTime::from_secs_f64(1.5);
-        assert_eq!(t.as_nanos(), 1_500_000_000);
-        assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
+        let d = SimDuration::from_secs_f64(1.5);
+        assert_eq!(d.as_nanos(), 1_500_000_000);
+        assert!((d.as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn negative_and_nonfinite_clamp_to_zero() {
-        assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.5), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(
@@ -308,24 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn checked_and_saturating_add() {
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
+    fn saturating_add_clamps_at_max() {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_nanos(1)),
             SimTime::MAX
         );
         let t = SimTime::from_secs(1);
         assert_eq!(
-            t.checked_add(SimDuration::from_secs(1)),
-            Some(SimTime::from_secs(2))
+            t.saturating_add(SimDuration::from_secs(1)),
+            SimTime::from_secs(2)
         );
-    }
-
-    #[test]
-    fn duration_since_saturates() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(4);
-        assert_eq!(late.duration_since(early).as_secs_f64(), 3.0);
-        assert_eq!(early.duration_since(late), SimDuration::ZERO);
     }
 }

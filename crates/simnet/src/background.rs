@@ -13,8 +13,7 @@
 
 use crate::flow::FlowKind;
 use crate::topology::NodeId;
-use simcore::rng::Rng;
-use simcore::SimDuration;
+use simcore::{Rng, SimDuration};
 
 /// Memory a background-load pod pins on its host, in bytes: the curl loop
 /// plus the buffer cache of the HTTP server it hammers.
@@ -69,28 +68,17 @@ pub struct BackgroundLoadGenerator {
     pub peer: NodeId,
     /// Pod configuration.
     pub config: BackgroundLoadConfig,
-    transfers_issued: u64,
 }
 
 impl BackgroundLoadGenerator {
     /// Create a generator on `host` downloading from `peer`.
-    pub fn new(host: NodeId, peer: NodeId, config: BackgroundLoadConfig) -> Self {
-        BackgroundLoadGenerator {
-            host,
-            peer,
-            config,
-            transfers_issued: 0,
-        }
+    pub(crate) fn new(host: NodeId, peer: NodeId, config: BackgroundLoadConfig) -> Self {
+        BackgroundLoadGenerator { host, peer, config }
     }
 
     /// CPU load the pod contributes to its host.
     pub fn cpu_load(&self) -> f64 {
         self.config.cpu_load
-    }
-
-    /// Number of transfers generated so far.
-    pub fn transfers_issued(&self) -> u64 {
-        self.transfers_issued
     }
 
     /// Produce the next transfer. The gap before the transfer is sampled from
@@ -99,7 +87,6 @@ impl BackgroundLoadGenerator {
     /// uniform variation like a real HTTP fetch with headers/retries. The
     /// pod downloads: traffic flows from the peer to the host.
     pub fn next_transfer(&mut self, rng: &mut Rng) -> BackgroundTransfer {
-        self.transfers_issued += 1;
         let mean_gap = self.config.mean_gap.as_secs_f64().max(1e-3);
         let gap = SimDuration::from_secs_f64(rng.exponential(1.0 / mean_gap).min(mean_gap * 10.0));
         let bytes = self.config.transfer_bytes * rng.uniform(0.9, 1.1);
@@ -172,7 +159,6 @@ mod tests {
         assert_eq!(t.dst, NodeId(2));
         assert_eq!(t.src, NodeId(5));
         assert_eq!(t.kind, FlowKind::Background);
-        assert_eq!(g.transfers_issued(), 1);
     }
 
     #[test]

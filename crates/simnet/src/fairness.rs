@@ -15,14 +15,12 @@ use std::collections::BTreeMap;
 
 /// One flow's demand as seen by the allocator.
 #[derive(Debug, Clone)]
-pub struct FlowDemand {
-    /// Opaque index used to report the allocation back to the caller.
-    pub index: usize,
+pub(crate) struct FlowDemand {
     /// Resources this flow traverses.
     pub resources: Vec<Resource>,
     /// Optional cap on the flow's rate (bytes/sec), e.g. an application-level
     /// throttle. `f64::INFINITY` means uncapped.
-    pub rate_cap: f64,
+    pub(crate) rate_cap: f64,
 }
 
 /// Compute max-min fair rates.
@@ -30,14 +28,13 @@ pub struct FlowDemand {
 /// * `demands` — one entry per active flow.
 /// * `capacity_of` — resource capacities in bytes/sec.
 ///
-/// Returns a vector of rates aligned with `demands` (by position, not by
-/// `index`). Flows with an empty resource list (loopback transfers) receive
+/// Returns a vector of rates aligned with `demands` by position. Flows with an empty resource list (loopback transfers) receive
 /// their rate cap, or a very large rate if uncapped.
 #[expect(
     clippy::expect_used,
     reason = "the crossing map is seeded with every resource before the water-filling loop"
 )]
-pub fn max_min_fair_rates<F>(demands: &[FlowDemand], capacity_of: F) -> Vec<f64>
+pub(crate) fn max_min_fair_rates<F>(demands: &[FlowDemand], capacity_of: F) -> Vec<f64>
 where
     F: Fn(Resource) -> f64,
 {
@@ -184,9 +181,8 @@ mod tests {
     use super::*;
     use crate::topology::{LinkId, NodeId};
 
-    fn demand(index: usize, resources: Vec<Resource>) -> FlowDemand {
+    fn demand(resources: Vec<Resource>) -> FlowDemand {
         FlowDemand {
-            index,
             resources,
             rate_cap: f64::INFINITY,
         }
@@ -197,17 +193,17 @@ mod tests {
 
     #[test]
     fn single_flow_gets_full_capacity() {
-        let rates = max_min_fair_rates(&[demand(0, vec![LINK])], |_| 100.0);
+        let rates = max_min_fair_rates(&[demand(vec![LINK])], |_| 100.0);
         assert_eq!(rates, vec![100.0]);
     }
 
     #[test]
     fn equal_flows_split_evenly() {
         let demands = vec![
-            demand(0, vec![LINK]),
-            demand(1, vec![LINK]),
-            demand(2, vec![LINK]),
-            demand(3, vec![LINK]),
+            demand(vec![LINK]),
+            demand(vec![LINK]),
+            demand(vec![LINK]),
+            demand(vec![LINK]),
         ];
         let rates = max_min_fair_rates(&demands, |_| 100.0);
         for r in rates {
@@ -221,9 +217,9 @@ mod tests {
         // Capacities: link1 = 10, link2 = 20.
         // Max-min: A and B share link1 -> 5 each; C gets 20 - 5 = 15 on link2.
         let demands = vec![
-            demand(0, vec![LINK, LINK2]),
-            demand(1, vec![LINK]),
-            demand(2, vec![LINK2]),
+            demand(vec![LINK, LINK2]),
+            demand(vec![LINK]),
+            demand(vec![LINK2]),
         ];
         let rates = max_min_fair_rates(&demands, |r| match r {
             Resource::LinkDir(LinkId(0), _) => 10.0,
@@ -240,11 +236,10 @@ mod tests {
         // Two flows share a 100-unit link, one capped at 10: the other gets 90.
         let demands = vec![
             FlowDemand {
-                index: 0,
                 resources: vec![LINK],
                 rate_cap: 10.0,
             },
-            demand(1, vec![LINK]),
+            demand(vec![LINK]),
         ];
         let rates = max_min_fair_rates(&demands, |_| 100.0);
         assert!((rates[0] - 10.0).abs() < 1e-9);
@@ -255,11 +250,10 @@ mod tests {
     fn zero_cap_flow_is_ignored_for_sharing() {
         let demands = vec![
             FlowDemand {
-                index: 0,
                 resources: vec![LINK],
                 rate_cap: 0.0,
             },
-            demand(1, vec![LINK]),
+            demand(vec![LINK]),
         ];
         let rates = max_min_fair_rates(&demands, |_| 80.0);
         assert_eq!(rates[0], 0.0);
@@ -268,7 +262,7 @@ mod tests {
 
     #[test]
     fn loopback_flows_get_huge_rate() {
-        let rates = max_min_fair_rates(&[demand(0, vec![])], |_| 100.0);
+        let rates = max_min_fair_rates(&[demand(vec![])], |_| 100.0);
         assert!(rates[0] >= 1e11);
     }
 
@@ -282,7 +276,7 @@ mod tests {
     fn different_nics_do_not_interfere() {
         let e0 = Resource::NodeEgress(NodeId(0));
         let e1 = Resource::NodeEgress(NodeId(1));
-        let demands = vec![demand(0, vec![e0]), demand(1, vec![e1])];
+        let demands = vec![demand(vec![e0]), demand(vec![e1])];
         let rates = max_min_fair_rates(&demands, |_| 100.0);
         assert_eq!(rates, vec![100.0, 100.0]);
     }
@@ -312,11 +306,10 @@ mod tests {
     #[test]
     fn invariants_on_mixed_topology() {
         let demands = vec![
-            demand(0, vec![LINK, Resource::NodeEgress(NodeId(0))]),
-            demand(1, vec![LINK, Resource::NodeEgress(NodeId(1))]),
-            demand(2, vec![LINK2, Resource::NodeEgress(NodeId(0))]),
+            demand(vec![LINK, Resource::NodeEgress(NodeId(0))]),
+            demand(vec![LINK, Resource::NodeEgress(NodeId(1))]),
+            demand(vec![LINK2, Resource::NodeEgress(NodeId(0))]),
             FlowDemand {
-                index: 3,
                 resources: vec![LINK2],
                 rate_cap: 7.0,
             },
@@ -357,8 +350,7 @@ mod tests {
             ) {
                 let demands: Vec<FlowDemand> = resource_sets
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, resources)| FlowDemand { index: i, resources, rate_cap: f64::INFINITY })
+                    .map(|resources| FlowDemand { resources, rate_cap: f64::INFINITY })
                     .collect();
                 let rates = max_min_fair_rates(&demands, |_| cap);
                 check_invariants(&demands, &rates, cap);
@@ -377,8 +369,7 @@ mod tests {
                 cap in 1.0f64..1000.0,
             ) {
                 let demands: Vec<FlowDemand> = (0..n)
-                    .map(|i| FlowDemand {
-                        index: i,
+                    .map(|_| FlowDemand {
                         resources: vec![Resource::LinkDir(LinkId(0), true)],
                         rate_cap: f64::INFINITY,
                     })

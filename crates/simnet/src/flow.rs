@@ -55,9 +55,9 @@ pub struct Flow {
     /// Receiving node.
     pub dst: NodeId,
     /// Total bytes to transfer.
-    pub total_bytes: f64,
+    pub(crate) total_bytes: f64,
     /// Bytes delivered so far.
-    pub transferred_bytes: f64,
+    pub(crate) transferred_bytes: f64,
     /// Current allocated rate in bytes/sec (updated on every reallocation).
     pub rate: f64,
     /// Lifecycle state.
@@ -67,12 +67,12 @@ pub struct Flow {
     /// When the flow was started.
     pub started_at: SimTime,
     /// When the flow completed (if it has).
-    pub completed_at: Option<SimTime>,
+    pub(crate) completed_at: Option<SimTime>,
 }
 
 impl Flow {
     /// Create a new active flow.
-    pub fn new(
+    pub(crate) fn new(
         id: FlowId,
         src: NodeId,
         dst: NodeId,
@@ -95,13 +95,8 @@ impl Flow {
     }
 
     /// Bytes still to transfer.
-    pub fn remaining_bytes(&self) -> f64 {
+    pub(crate) fn remaining_bytes(&self) -> f64 {
         (self.total_bytes - self.transferred_bytes).max(0.0)
-    }
-
-    /// True when the flow has delivered all bytes.
-    pub fn is_complete(&self) -> bool {
-        self.state == FlowState::Completed
     }
 
     /// True when the flow is still transferring.
@@ -110,32 +105,13 @@ impl Flow {
     }
 
     /// Time to completion at the current rate, or `None` if the rate is zero.
-    pub fn eta_seconds(&self) -> Option<f64> {
+    pub(crate) fn eta_seconds(&self) -> Option<f64> {
         if self.rate > 0.0 {
             Some(self.remaining_bytes() / self.rate)
         } else if self.remaining_bytes() == 0.0 {
             Some(0.0)
         } else {
             None
-        }
-    }
-
-    /// Fraction of bytes delivered in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        if self.total_bytes <= 0.0 {
-            1.0
-        } else {
-            (self.transferred_bytes / self.total_bytes).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Observed throughput since start (bytes/sec), or 0 before any time passes.
-    pub fn average_throughput(&self, now: SimTime) -> f64 {
-        let elapsed = (now - self.started_at).as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.transferred_bytes / elapsed
         }
     }
 }
@@ -156,12 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn new_flow_is_active_with_zero_progress() {
+    fn new_flow_is_active_with_nothing_sent() {
         let f = flow(1000.0);
         assert!(f.is_active());
-        assert!(!f.is_complete());
         assert_eq!(f.remaining_bytes(), 1000.0);
-        assert_eq!(f.progress(), 0.0);
         assert_eq!(f.eta_seconds(), None, "no rate allocated yet");
     }
 
@@ -169,7 +143,6 @@ mod tests {
     fn negative_sizes_clamp_to_zero() {
         let f = flow(-5.0);
         assert_eq!(f.total_bytes, 0.0);
-        assert_eq!(f.progress(), 1.0);
         assert_eq!(f.eta_seconds(), Some(0.0));
     }
 
@@ -183,19 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn progress_clamps() {
+    fn remaining_bytes_clamp_at_zero() {
         let mut f = flow(100.0);
         f.transferred_bytes = 150.0;
-        assert_eq!(f.progress(), 1.0);
         assert_eq!(f.remaining_bytes(), 0.0);
-    }
-
-    #[test]
-    fn average_throughput_over_elapsed_time() {
-        let mut f = flow(10_000.0);
-        f.transferred_bytes = 5_000.0;
-        assert_eq!(f.average_throughput(SimTime::from_secs(1)), 0.0);
-        assert_eq!(f.average_throughput(SimTime::from_secs(6)), 1_000.0);
     }
 
     #[test]

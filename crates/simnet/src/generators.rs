@@ -24,8 +24,7 @@
 
 use crate::topology::{Topology, TopologyBuilder, TopologyError};
 use crate::{gbps, mbps};
-use simcore::rng::Rng;
-use simcore::SimDuration;
+use simcore::{Rng, SimDuration};
 
 /// Single-site LAN ("star"): all nodes attached to one local fabric.
 #[derive(Debug, Clone, PartialEq)]
@@ -649,19 +648,17 @@ mod tests {
             let n = topo.node_count();
             let demands: Vec<FlowDemand> = pairs
                 .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| FlowDemand {
-                    index: i,
+                .map(|&(a, b)| FlowDemand {
                     resources: topo.route(NodeId(a % n), NodeId(b % n)).resources.clone(),
                     rate_cap: f64::INFINITY,
                 })
                 .collect();
             let rates = max_min_fair_rates(&demands, |r| topo.resource_capacity(r));
             let mut usage: BTreeMap<Resource, f64> = BTreeMap::new();
-            for (d, &rate) in demands.iter().zip(&rates) {
+            for (i, (d, &rate)) in demands.iter().zip(&rates).enumerate() {
                 prop_assert!(rate >= 0.0);
                 if !d.resources.is_empty() {
-                    prop_assert!(rate > 0.0, "flow {} starved", d.index);
+                    prop_assert!(rate > 0.0, "flow {i} starved");
                 }
                 for &res in &d.resources {
                     *usage.entry(res).or_insert(0.0) += rate;

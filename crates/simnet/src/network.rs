@@ -3,8 +3,8 @@
 //! [`Network`] tracks active flows, allocates max-min fair rates whenever the
 //! flow set changes, and transfers bytes when the owner advances simulated
 //! time. It also maintains per-node interface counters (cumulative tx/rx
-//! bytes) and exposes instantaneous per-node rates and per-resource
-//! utilization — exactly the signals the telemetry exporters scrape.
+//! bytes) and per-resource utilization — exactly the signals the telemetry
+//! exporters scrape.
 //!
 //! Utilization is a dense table with one entry per [`Resource`], rewritten
 //! on every reallocation. A ping probe ([`Network::current_rtt`])
@@ -36,24 +36,6 @@ pub struct InterfaceCounters {
     pub rx_bytes: f64,
 }
 
-/// Instantaneous send/receive rates for one node in bytes/sec.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeRates {
-    /// Current aggregate transmit rate.
-    pub tx_rate: f64,
-    /// Current aggregate receive rate.
-    pub rx_rate: f64,
-}
-
-/// A record of a completed flow, kept for workload accounting.
-#[derive(Debug, Clone)]
-pub struct CompletedFlow {
-    /// The flow as it looked at completion time.
-    pub flow: Flow,
-    /// Transfer duration.
-    pub duration: SimDuration,
-}
-
 /// The flow-level network simulator.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -64,7 +46,6 @@ pub struct Network {
     next_flow_id: u64,
     counters: Vec<InterfaceCounters>,
     now: SimTime,
-    completed: Vec<CompletedFlow>,
     /// Per-resource utilization (rate / capacity) by
     /// [`Topology::resource_index`], rewritten on every reallocation; a
     /// resource no active flow crosses reads 0.
@@ -84,7 +65,6 @@ impl Network {
             next_flow_id: 0,
             counters: vec![InterfaceCounters::default(); n],
             now: SimTime::ZERO,
-            completed: Vec::new(),
             utilization: vec![0.0; resources],
         }
     }
@@ -131,16 +111,6 @@ impl Network {
     /// Number of currently active flows.
     pub fn active_flow_count(&self) -> usize {
         self.active_order.len()
-    }
-
-    /// Completed flows recorded so far (drained by [`Network::drain_completed`]).
-    pub fn completed(&self) -> &[CompletedFlow] {
-        &self.completed
-    }
-
-    /// Remove and return all completion records accumulated so far.
-    pub fn drain_completed(&mut self) -> Vec<CompletedFlow> {
-        std::mem::take(&mut self.completed)
     }
 
     /// The earliest future time at which an active flow completes at current
@@ -243,11 +213,6 @@ impl Network {
                 true
             }
         });
-        for id in &finished {
-            let flow = self.flows[id].clone();
-            let duration = self.now - flow.started_at;
-            self.completed.push(CompletedFlow { flow, duration });
-        }
         finished
     }
 
@@ -262,13 +227,11 @@ impl Network {
         let demands: Vec<FlowDemand> = self
             .active_order
             .iter()
-            .enumerate()
-            .map(|(i, id)| {
+            .map(|id| {
                 let flow = &self.flows[id];
                 let mut resources = Vec::with_capacity(4);
                 topo.for_each_hop(flow.src, flow.dst, |r| resources.push(r));
                 FlowDemand {
-                    index: i,
                     resources,
                     rate_cap: f64::INFINITY,
                 }
@@ -302,21 +265,6 @@ impl Network {
         self.counters[node.0]
     }
 
-    /// Instantaneous tx/rx rates for `node` (sum of its active flows' rates).
-    pub fn node_rates(&self, node: NodeId) -> NodeRates {
-        let mut rates = NodeRates::default();
-        for id in &self.active_order {
-            let flow = &self.flows[id];
-            if flow.src == node {
-                rates.tx_rate += flow.rate;
-            }
-            if flow.dst == node {
-                rates.rx_rate += flow.rate;
-            }
-        }
-        rates
-    }
-
     /// Utilization (0..=1) of the most loaded resource along the `a -> b` path.
     pub fn path_utilization(&self, a: NodeId, b: NodeId) -> f64 {
         let topo = &self.topology;
@@ -333,14 +281,6 @@ impl Network {
         let base = self.topology.base_rtt(a, b);
         let util = self.path_utilization(a, b).max(self.path_utilization(b, a));
         self.rtt_model.rtt(base, util, jitter_seed)
-    }
-
-    /// Aggregate bytes currently in flight (remaining bytes of active flows).
-    pub fn bytes_in_flight(&self) -> f64 {
-        self.active_order
-            .iter()
-            .map(|id| self.flows[id].remaining_bytes())
-            .sum()
     }
 
     /// Run the network until every active flow completes (or `max_horizon`
@@ -388,9 +328,8 @@ mod tests {
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6, "{done}");
         net.advance_to(done);
         let flow = net.flow(id).unwrap();
-        assert!(flow.is_complete());
+        assert_eq!(flow.state, FlowState::Completed);
         assert_eq!(net.active_flow_count(), 0);
-        assert_eq!(net.completed().len(), 1);
         assert!((net.counters(NodeId(0)).tx_bytes - 62_500_000.0).abs() < 1.0);
         assert!((net.counters(NodeId(2)).rx_bytes - 62_500_000.0).abs() < 1.0);
     }
@@ -421,7 +360,7 @@ mod tests {
         let b = net.start_flow(NodeId(1), NodeId(3), 93_750_000.0, FlowKind::Shuffle);
         net.advance_to(SimTime::from_secs(10));
         let flow_b = net.flow(b).unwrap();
-        assert!(flow_b.is_complete());
+        assert_eq!(flow_b.state, FlowState::Completed);
         let done_at = flow_b.completed_at.unwrap().as_secs_f64();
         assert!((done_at - 2.0).abs() < 1e-6, "B finished at {done_at}");
     }
@@ -434,7 +373,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6);
         net.advance_to(done);
-        assert!(net.flow(id).unwrap().is_complete());
+        assert_eq!(net.flow(id).unwrap().state, FlowState::Completed);
     }
 
     #[test]
@@ -444,7 +383,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!(done.as_secs_f64() < 0.01);
         net.advance_to(done);
-        assert!(net.flow(id).unwrap().is_complete());
+        assert_eq!(net.flow(id).unwrap().state, FlowState::Completed);
     }
 
     #[test]
@@ -460,24 +399,6 @@ mod tests {
         // Cancelling again is a no-op.
         net.cancel_flow(b);
         assert_eq!(net.active_flow_count(), 1);
-    }
-
-    #[test]
-    fn node_rates_reflect_active_flows() {
-        let mut net = network();
-        net.start_flow(NodeId(0), NodeId(2), 1e9, FlowKind::Shuffle);
-        net.start_flow(NodeId(0), NodeId(3), 1e9, FlowKind::Shuffle);
-        let rates = net.node_rates(NodeId(0));
-        // Both flows leave node-1; their combined tx is bounded by the WAN (62.5 MB/s).
-        assert!(rates.tx_rate > 0.0);
-        assert!(rates.tx_rate <= 62_500_000.0 * 1.001);
-        assert_eq!(rates.rx_rate, 0.0);
-        let rx = net.node_rates(NodeId(2));
-        assert!(rx.rx_rate > 0.0);
-        assert_eq!(rx.tx_rate, 0.0);
-        // Idle node sees nothing.
-        let idle = net.node_rates(NodeId(1));
-        assert_eq!(idle, NodeRates::default());
     }
 
     #[test]
@@ -508,29 +429,22 @@ mod tests {
     #[test]
     fn run_to_quiescence_finishes_everything() {
         let mut net = network();
-        for i in 0..4 {
-            net.start_flow(
-                NodeId(i % 4),
-                NodeId((i + 2) % 4),
-                10_000_000.0,
-                FlowKind::Shuffle,
-            );
-        }
+        let ids: Vec<FlowId> = (0..4)
+            .map(|i| {
+                net.start_flow(
+                    NodeId(i % 4),
+                    NodeId((i + 2) % 4),
+                    10_000_000.0,
+                    FlowKind::Shuffle,
+                )
+            })
+            .collect();
         let end = net.run_to_quiescence(SimDuration::from_secs(3600));
         assert_eq!(net.active_flow_count(), 0);
         assert!(end > SimTime::ZERO);
-        assert_eq!(net.drain_completed().len(), 4);
-        assert!(net.completed().is_empty());
-    }
-
-    #[test]
-    fn bytes_in_flight_decreases() {
-        let mut net = network();
-        net.start_flow(NodeId(0), NodeId(2), 62_500_000.0, FlowKind::Shuffle);
-        let before = net.bytes_in_flight();
-        net.advance_to(SimTime::from_millis(200));
-        let after = net.bytes_in_flight();
-        assert!(after < before);
+        assert!(ids
+            .iter()
+            .all(|&id| net.flow(id).unwrap().state == FlowState::Completed));
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! * jitter is a small deterministic pseudo-random perturbation derived from
 //!   the caller-provided seed, so telemetry is reproducible run-to-run.
 
-use simcore::rng::SplitMix64;
-use simcore::SimDuration;
+use simcore::{SimDuration, SplitMix64};
 
 /// Parameters of the RTT model.
 #[derive(Debug, Clone)]
-pub struct RttModel {
+pub(crate) struct RttModel {
     /// Maximum queuing delay added when a path is fully saturated, expressed
     /// as a multiple of the base RTT.
     pub max_congestion_factor: f64,
@@ -44,17 +43,9 @@ impl Default for RttModel {
 }
 
 impl RttModel {
-    /// A model with no jitter (useful in analytic tests).
-    pub fn deterministic() -> Self {
-        RttModel {
-            jitter_fraction: 0.0,
-            ..Default::default()
-        }
-    }
-
     /// Compute the RTT given the uncongested base RTT, the bottleneck
     /// utilization along the path (0..=1) and a jitter seed.
-    pub fn rtt(&self, base: SimDuration, utilization: f64, jitter_seed: u64) -> SimDuration {
+    pub(crate) fn rtt(&self, base: SimDuration, utilization: f64, jitter_seed: u64) -> SimDuration {
         let u = utilization.clamp(0.0, 0.999);
         // M/M/1-flavoured queuing term, normalized so that utilization = 0.9
         // (queue term 9.0 with the default cap) yields `max_congestion_factor`
@@ -81,14 +72,20 @@ mod tests {
 
     #[test]
     fn uncongested_rtt_is_close_to_base() {
-        let m = RttModel::deterministic();
+        let m = RttModel {
+            jitter_fraction: 0.0,
+            ..Default::default()
+        };
         let base = SimDuration::from_millis(60);
         assert_eq!(m.rtt(base, 0.0, 0), base);
     }
 
     #[test]
     fn rtt_increases_with_utilization() {
-        let m = RttModel::deterministic();
+        let m = RttModel {
+            jitter_fraction: 0.0,
+            ..Default::default()
+        };
         let base = SimDuration::from_millis(60);
         let low = m.rtt(base, 0.2, 0);
         let mid = m.rtt(base, 0.6, 0);
@@ -129,7 +126,10 @@ mod tests {
 
     #[test]
     fn utilization_out_of_range_is_clamped() {
-        let m = RttModel::deterministic();
+        let m = RttModel {
+            jitter_fraction: 0.0,
+            ..Default::default()
+        };
         let base = SimDuration::from_millis(20);
         let neg = m.rtt(base, -5.0, 0);
         assert_eq!(neg, base);

@@ -58,7 +58,7 @@ pub struct Site {
     /// One-way delay between two nodes co-located at this site.
     pub lan_delay: SimDuration,
     /// Capacity of the local fabric between co-located nodes (bytes/sec).
-    pub lan_capacity: f64,
+    pub(crate) lan_capacity: f64,
 }
 
 /// A compute node attached to a site through a NIC.
@@ -71,9 +71,9 @@ pub struct NetNode {
     /// The site the node lives at.
     pub site: SiteId,
     /// NIC egress capacity in bytes/sec.
-    pub egress_capacity: f64,
+    pub(crate) egress_capacity: f64,
     /// NIC ingress capacity in bytes/sec.
-    pub ingress_capacity: f64,
+    pub(crate) ingress_capacity: f64,
 }
 
 /// A WAN link connecting two sites (full duplex: each direction has the full
@@ -89,7 +89,7 @@ pub struct Link {
     /// The other endpoint.
     pub b: SiteId,
     /// One-way propagation delay.
-    pub delay: SimDuration,
+    pub(crate) delay: SimDuration,
     /// Capacity per direction in bytes/sec.
     pub capacity: f64,
 }
@@ -115,7 +115,7 @@ pub struct Route {
     /// Resources traversed, in order.
     pub resources: Vec<Resource>,
     /// End-to-end one-way propagation delay.
-    pub delay: SimDuration,
+    pub(crate) delay: SimDuration,
     /// Site-level hops (for diagnostics).
     pub site_path: Vec<SiteId>,
 }
@@ -450,16 +450,6 @@ impl Topology {
         &self.sites[id.0]
     }
 
-    /// Look up a link by id.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0]
-    }
-
-    /// Look up a node by name.
-    pub fn node_by_name(&self, name: &str) -> Option<&NetNode> {
-        self.nodes.iter().find(|n| n.name == name)
-    }
-
     /// The route from `src` to `dst`: assembled from the precomputed
     /// site-pair table plus the endpoints' NICs. It allocates (its resource
     /// list and site path); the network's per-probe and per-reallocation
@@ -535,7 +525,7 @@ impl Topology {
     }
 
     /// The capacity of a [`Resource`] in bytes/sec.
-    pub fn resource_capacity(&self, r: Resource) -> f64 {
+    pub(crate) fn resource_capacity(&self, r: Resource) -> f64 {
         match r {
             Resource::NodeEgress(n) => self.nodes[n.0].egress_capacity,
             Resource::NodeIngress(n) => self.nodes[n.0].ingress_capacity,
@@ -555,7 +545,8 @@ impl Topology {
     }
 
     /// Iterate node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId)
     }
 }
@@ -587,8 +578,6 @@ mod tests {
         assert_eq!(t.node_count(), 4);
         assert_eq!(t.sites().len(), 2);
         assert_eq!(t.links().len(), 1);
-        assert_eq!(t.node_by_name("node-3").unwrap().id, NodeId(2));
-        assert!(t.node_by_name("nope").is_none());
     }
 
     #[test]

@@ -15,17 +15,17 @@ pub struct StageSpec {
     /// Human-readable name (`map`, `sort-reduce`, `pagerank-iter-2`...).
     pub name: String,
     /// Parent stage ids whose output this stage consumes.
-    pub parents: Vec<usize>,
+    pub(crate) parents: Vec<usize>,
     /// Number of tasks in the stage.
-    pub tasks: u32,
+    pub(crate) tasks: u32,
     /// CPU work per task, in core-seconds on an uncontended core.
-    pub cpu_seconds_per_task: f64,
+    pub(crate) cpu_seconds_per_task: f64,
     /// Total bytes fetched over the network from parent stages (shuffle read).
-    pub shuffle_read_bytes: f64,
+    pub(crate) shuffle_read_bytes: f64,
     /// Total bytes this stage materializes for its children (shuffle write).
-    pub shuffle_write_bytes: f64,
+    pub(crate) shuffle_write_bytes: f64,
     /// Peak memory needed per task, in bytes (drives spill behaviour).
-    pub memory_per_task_bytes: f64,
+    pub(crate) memory_per_task_bytes: f64,
     /// Skew factor: fraction of the stage's work concentrated on the single
     /// most loaded task slot (0 = perfectly balanced, 0.5 = half the work on
     /// one straggler). Joins use a high value.
@@ -34,12 +34,12 @@ pub struct StageSpec {
 
 impl StageSpec {
     /// Total CPU work of the stage in core-seconds.
-    pub fn total_cpu_seconds(&self) -> f64 {
+    pub(crate) fn total_cpu_seconds(&self) -> f64 {
         self.tasks as f64 * self.cpu_seconds_per_task
     }
 
     /// True when this stage reads a shuffle.
-    pub fn has_shuffle_input(&self) -> bool {
+    pub(crate) fn has_shuffle_input(&self) -> bool {
         self.shuffle_read_bytes > 0.0 && !self.parents.is_empty()
     }
 }
@@ -60,7 +60,7 @@ impl fmt::Display for StageSpec {
 
 /// Errors raised by DAG validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DagError {
+pub(crate) enum DagError {
     /// A stage references a parent with an id not smaller than its own.
     InvalidParent {
         /// The offending stage id.
@@ -95,10 +95,10 @@ pub struct JobDag {
     /// always have smaller ids.
     pub stages: Vec<StageSpec>,
     /// Bytes of result data collected onto the driver at the end of the job.
-    pub result_bytes_to_driver: f64,
+    pub(crate) result_bytes_to_driver: f64,
     /// CPU work performed by the driver itself (planning + final aggregation),
     /// in core-seconds.
-    pub driver_cpu_seconds: f64,
+    pub(crate) driver_cpu_seconds: f64,
     /// Fixed startup overhead (container start, JVM warmup) in seconds.
     pub startup_seconds: f64,
 }
@@ -106,7 +106,7 @@ pub struct JobDag {
 impl JobDag {
     /// Validate structural invariants: non-empty, topological parent order,
     /// every stage has at least one task.
-    pub fn validate(&self) -> Result<(), DagError> {
+    pub(crate) fn validate(&self) -> Result<(), DagError> {
         if self.stages.is_empty() {
             return Err(DagError::Empty);
         }
@@ -136,35 +136,12 @@ impl JobDag {
         self.stages.iter().map(|s| s.shuffle_read_bytes).sum()
     }
 
-    /// Number of stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Peak per-task memory across stages.
     pub fn peak_memory_per_task(&self) -> f64 {
         self.stages
             .iter()
             .map(|s| s.memory_per_task_bytes)
             .fold(0.0, f64::max)
-    }
-
-    /// Byte-conservation invariant: no stage reads more shuffle data than its
-    /// parents collectively wrote (a stage may read *less* — combiners and
-    /// iterative exchanges legitimately drop bytes — but never more).
-    pub fn shuffle_reads_covered(&self) -> bool {
-        self.stages.iter().all(|stage| {
-            if stage.parents.is_empty() {
-                return stage.shuffle_read_bytes == 0.0;
-            }
-            let written: f64 = stage
-                .parents
-                .iter()
-                .filter_map(|&p| self.stages.get(p))
-                .map(|p| p.shuffle_write_bytes)
-                .sum();
-            stage.shuffle_read_bytes <= written * (1.0 + 1e-9)
-        })
     }
 }
 
@@ -237,7 +214,7 @@ mod tests {
     #[test]
     fn aggregates() {
         let d = dag();
-        assert_eq!(d.stage_count(), 2);
+        assert_eq!(d.stages.len(), 2);
         assert_eq!(d.total_cpu_seconds(), 8.0 * 2.0 + 4.0 * 2.0);
         assert_eq!(d.total_shuffle_bytes(), 1e6);
         assert_eq!(d.peak_memory_per_task(), 64e6);

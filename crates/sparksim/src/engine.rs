@@ -27,8 +27,7 @@ use crate::dag::JobDag;
 use crate::placement::Placement;
 use crate::workload::WorkloadRequest;
 use simcore::{SimDuration, SimTime};
-use simnet::flow::FlowKind;
-use simnet::{FlowId, Network, NodeId};
+use simnet::{FlowId, FlowKind, Network, NodeId};
 
 /// Hook that lets the experiment harness keep background traffic alive while
 /// a job executes.
@@ -36,16 +35,6 @@ pub trait ContentionDriver {
     /// Inject any transfers due at or before `now` and return the next time
     /// this driver needs to act (or `None` when it has nothing scheduled).
     fn poll(&mut self, network: &mut Network, now: SimTime) -> Option<SimTime>;
-}
-
-/// A contention driver that never injects anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoContention;
-
-impl ContentionDriver for NoContention {
-    fn poll(&mut self, _network: &mut Network, _now: SimTime) -> Option<SimTime> {
-        None
-    }
 }
 
 // Constants of the execution model, fixed at the values every artifact runs.
@@ -69,7 +58,7 @@ const MAX_JOB_DURATION: SimDuration = SimDuration::from_secs(24 * 3600);
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageResult {
     /// Stage id.
-    pub stage_id: usize,
+    pub(crate) stage_id: usize,
     /// Stage name.
     pub name: String,
     /// Seconds spent in driver↔executor control traffic.
@@ -82,13 +71,6 @@ pub struct StageResult {
     pub spilled: bool,
 }
 
-impl StageResult {
-    /// Total stage wall-clock time.
-    pub fn total_seconds(&self) -> f64 {
-        self.control_seconds + self.shuffle_seconds + self.compute_seconds
-    }
-}
-
 /// Result of one job execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRunResult {
@@ -99,9 +81,9 @@ pub struct JobRunResult {
     /// Per-stage breakdown.
     pub stages: Vec<StageResult>,
     /// Seconds spent collecting results onto the driver.
-    pub result_collection_seconds: f64,
+    pub(crate) result_collection_seconds: f64,
     /// Seconds of driver-side computation.
-    pub driver_compute_seconds: f64,
+    pub(crate) driver_compute_seconds: f64,
     /// Seconds of fixed startup overhead (including executor registration).
     pub startup_seconds: f64,
     /// Total bytes shuffled over the network.
@@ -391,6 +373,18 @@ pub fn execute_job(
     }
 }
 
+/// A contention driver that never injects anything (a test fixture).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NoContention;
+
+#[cfg(test)]
+impl ContentionDriver for NoContention {
+    fn poll(&mut self, _network: &mut Network, _now: SimTime) -> Option<SimTime> {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,7 +455,11 @@ mod tests {
         assert!(result.startup_seconds > 0.0);
         assert_eq!(result.finished_at, SimTime::ZERO + result.completion);
         assert!(result.result_collection_seconds >= 0.0);
-        let total_from_parts: f64 = result.stages.iter().map(|s| s.total_seconds()).sum::<f64>()
+        let total_from_parts: f64 = result
+            .stages
+            .iter()
+            .map(|s| s.control_seconds + s.shuffle_seconds + s.compute_seconds)
+            .sum::<f64>()
             + result.startup_seconds
             + result.result_collection_seconds
             + result.driver_compute_seconds;

@@ -9,15 +9,15 @@
 //!
 //! This crate models those applications at the stage level:
 //!
-//! * [`workload`] — the workload catalogue: for a given application type,
+//! * `workload` — the workload catalogue: for a given application type,
 //!   input size, shuffle partition count and executor count it produces a
 //!   stage DAG with CPU work, shuffle volumes, memory footprints and skew.
-//! * [`dag`] — the stage DAG representation ([`dag::JobDag`], [`dag::StageSpec`])
+//! * `dag` — the stage DAG representation ([`JobDag`], [`StageSpec`])
 //!   with validation and aggregate statistics.
-//! * [`mix`] — workload-mix generators (shuffle-heavy, input-fetch-heavy,
+//! * `mix` — workload-mix generators (shuffle-heavy, input-fetch-heavy,
 //!   mixed DAG sizes, bursty arrivals) for the scenario-matrix sweep.
-//! * [`placement`] — where the driver and each executor run.
-//! * [`engine`] — the execution engine: walks the DAG stage by stage, runs
+//! * `placement` — where the driver and each executor run.
+//! * `engine` — the execution engine: walks the DAG stage by stage, runs
 //!   compute on the executors (slowed by host CPU contention), moves shuffle
 //!   data and driver-bound results through the `simnet` fluid network (sharing
 //!   bandwidth with background traffic), and reports per-stage and end-to-end
@@ -32,14 +32,14 @@
 
 #![warn(missing_docs)]
 
-pub mod dag;
-pub mod engine;
-pub mod mix;
-pub mod placement;
-pub mod workload;
+mod dag;
+mod engine;
+mod mix;
+mod placement;
+mod workload;
 
 pub use dag::{JobDag, StageSpec};
-pub use engine::{ContentionDriver, JobRunResult, NoContention, StageResult};
+pub use engine::{execute_job, ContentionDriver, JobRunResult, StageResult};
 pub use mix::{GeneratedJob, MixKind, WorkloadMixSpec};
 pub use placement::Placement;
-pub use workload::{WorkloadKind, WorkloadProfile, WorkloadRequest};
+pub use workload::{WorkloadKind, WorkloadRequest};

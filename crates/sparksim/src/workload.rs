@@ -17,7 +17,7 @@ use std::fmt;
 
 /// Average serialized record size in bytes (key + payload), used to convert
 /// the paper's "input size (number of records)" feature into data volume.
-pub const BYTES_PER_RECORD: f64 = 100.0;
+pub(crate) const BYTES_PER_RECORD: f64 = 100.0;
 
 /// The supported application types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,19 +62,8 @@ impl WorkloadKind {
         }
     }
 
-    /// Stable integer code used as the categorical feature value.
-    pub fn code(&self) -> usize {
-        match self {
-            WorkloadKind::Sort => 0,
-            WorkloadKind::PageRank => 1,
-            WorkloadKind::Join => 2,
-            WorkloadKind::GroupBy => 3,
-            WorkloadKind::WordCount => 4,
-        }
-    }
-
     /// Qualitative resource profile (the Table 2 characterization).
-    pub fn profile(&self) -> WorkloadProfile {
+    pub(crate) fn profile(&self) -> WorkloadProfile {
         match self {
             WorkloadKind::Sort => WorkloadProfile {
                 network_intensity: 1.0,
@@ -123,17 +112,17 @@ impl fmt::Display for WorkloadKind {
 
 /// Qualitative resource profile of a workload (normalized 0..=1 intensities).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadProfile {
+pub(crate) struct WorkloadProfile {
     /// How much of the input volume crosses the network in shuffles.
-    pub network_intensity: f64,
+    pub(crate) network_intensity: f64,
     /// CPU seconds per megabyte of input.
-    pub cpu_intensity: f64,
+    pub(crate) cpu_intensity: f64,
     /// Peak memory per task relative to its data share.
-    pub memory_intensity: f64,
+    pub(crate) memory_intensity: f64,
     /// Work skew across partitions (0 = balanced).
     pub skew: f64,
     /// Number of iterations (PageRank > 1).
-    pub iterations: u32,
+    pub(crate) iterations: u32,
 }
 
 /// A fully specified workload request: what the client submits.
@@ -192,7 +181,7 @@ impl WorkloadRequest {
     }
 
     /// Input volume in bytes.
-    pub fn input_bytes(&self) -> f64 {
+    pub(crate) fn input_bytes(&self) -> f64 {
         self.input_records as f64 * BYTES_PER_RECORD
     }
 
@@ -445,14 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn codes_are_distinct() {
-        let codes: std::collections::BTreeSet<usize> =
-            WorkloadKind::ALL.iter().map(|k| k.code()).collect();
-        assert_eq!(codes.len(), WorkloadKind::ALL.len());
-        assert_eq!(WorkloadKind::PAPER_SET.len(), 3);
-    }
-
-    #[test]
     fn profiles_match_table2_ordering() {
         // Sort and PageRank are the most network-intensive; Join is the most
         // memory-intensive and most skewed — that is the Table 2 story.
@@ -511,13 +492,13 @@ mod tests {
             shuffle >= 0.9 * req.input_bytes(),
             "sort must shuffle ~all input, got {shuffle}"
         );
-        assert_eq!(dag.stage_count(), 2);
+        assert_eq!(dag.stages.len(), 2);
     }
 
     #[test]
     fn pagerank_has_iterative_structure() {
         let dag = WorkloadRequest::new(WorkloadKind::PageRank, 1_000_000).build_dag();
-        assert_eq!(dag.stage_count(), 1 + 5);
+        assert_eq!(dag.stages.len(), 1 + 5);
         // Chain: each iteration depends on the previous stage.
         for (i, stage) in dag.stages.iter().enumerate().skip(1) {
             assert_eq!(stage.parents, vec![i - 1]);
@@ -529,7 +510,7 @@ mod tests {
         let req = WorkloadRequest::new(WorkloadKind::Join, 1_000_000);
         let join_dag = req.build_dag();
         let sort_dag = WorkloadRequest::new(WorkloadKind::Sort, 1_000_000).build_dag();
-        assert_eq!(join_dag.stage_count(), 3);
+        assert_eq!(join_dag.stages.len(), 3);
         assert_eq!(join_dag.stages[2].parents, vec![0, 1]);
         assert!(join_dag.stages[2].skew > sort_dag.stages[1].skew);
         assert!(join_dag.peak_memory_per_task() > sort_dag.peak_memory_per_task());

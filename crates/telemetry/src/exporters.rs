@@ -5,21 +5,18 @@
 //! * **Ping-mesh exporter** — a DaemonSet probing every other node and
 //!   exporting the observed RTT (the paper uses `ping_exporter`).
 //!
-//! Two forms are provided:
-//!
-//! * [`node_exporter_samples`] / [`ping_mesh_samples`] are pure functions
-//!   returning owned [`Sample`]s — the reference implementation, handy in
-//!   tests and one-off probes.
-//! * [`ExporterLayout`] is the interned fast path every scrape runs: it
-//!   interns every series key into the store **once** and caches the
-//!   [`SeriesId`]s, so each subsequent scrape appends raw values without
-//!   constructing a single `SeriesKey` or `String` — and the snapshot can be
-//!   assembled back out of the store through the same ids. It holds the one
-//!   interned evaluation loop ([`ExporterLayout::scrape_into`]): a single
-//!   round appends its `(series, value)` pairs straight into the store, the
-//!   pipelined ingest of [`crate::ingest`] pushes them onto a chunk batch.
+//! [`ExporterLayout`] is the one implementation every scrape runs: it interns
+//! every series key into the store **once** and caches the [`SeriesId`]s, so
+//! each subsequent scrape appends raw values without constructing a single
+//! `SeriesKey` or `String` — and the snapshot can be assembled back out of
+//! the store through the same ids. It holds the one interned evaluation loop
+//! ([`ExporterLayout::scrape_into`]): a single round appends its
+//! `(series, value)` pairs straight into the store, the pipelined ingest of
+//! [`crate::ingest`] pushes them onto a chunk batch. The unit tests keep the
+//! two exporters as plain sample-producing functions, the reference the
+//! layout is checked against.
 
-use crate::metrics::{MetricKind, Sample, SeriesKey};
+use crate::metrics::{MetricKind, SeriesKey};
 use crate::snapshot::{ClusterSnapshot, NodeTelemetry};
 use crate::store::{SeriesId, TimeSeriesStore};
 use crate::{
@@ -29,71 +26,6 @@ use crate::{
 use cluster::ClusterState;
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
-
-/// Collect node-exporter samples for every node in the cluster.
-///
-/// Counters (tx/rx bytes) come from the network's interface counters; gauges
-/// (load, available memory) come from the cluster's host-load model.
-pub fn node_exporter_samples(
-    cluster: &ClusterState,
-    network: &Network,
-    now: SimTime,
-) -> Vec<Sample> {
-    let mut samples = Vec::with_capacity(cluster.nodes().len() * 4);
-    for node in cluster.nodes() {
-        let instance = node.name.as_str();
-        let counters = network.counters(node.net_id);
-        samples.push(Sample::gauge(
-            SeriesKey::per_node(METRIC_NODE_LOAD1, instance),
-            node.cpu_load(),
-            now,
-        ));
-        samples.push(Sample::gauge(
-            SeriesKey::per_node(METRIC_NODE_MEM_AVAILABLE, instance),
-            node.memory_available(),
-            now,
-        ));
-        samples.push(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_TX_BYTES, instance),
-            counters.tx_bytes,
-            now,
-        ));
-        samples.push(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_RX_BYTES, instance),
-            counters.rx_bytes,
-            now,
-        ));
-    }
-    samples
-}
-
-/// Collect full-mesh ping samples: one `ping_rtt_seconds{source, target}`
-/// gauge per ordered node pair (excluding self-pairs).
-///
-/// The jitter seed mixes the pair identity and the scrape time so repeated
-/// scrapes see realistic variation while remaining reproducible.
-pub fn ping_mesh_samples(cluster: &ClusterState, network: &Network, now: SimTime) -> Vec<Sample> {
-    let nodes = cluster.nodes();
-    let mut samples = Vec::with_capacity(nodes.len() * nodes.len());
-    for a in nodes {
-        for b in nodes {
-            if a.name == b.name {
-                continue;
-            }
-            let seed = pair_seed(a.net_id.0 as u64, b.net_id.0 as u64, now);
-            let rtt = network.current_rtt(a.net_id, b.net_id, seed);
-            samples.push(Sample::gauge(
-                SeriesKey::new(
-                    METRIC_PING_RTT,
-                    &[("source", a.name.as_str()), ("target", b.name.as_str())],
-                ),
-                rtt.as_secs_f64(),
-                now,
-            ));
-        }
-    }
-    samples
-}
 
 /// Deterministic jitter seed for a (source, target, time) triple.
 pub(crate) fn pair_seed(a: u64, b: u64, now: SimTime) -> u64 {
@@ -107,7 +39,7 @@ pub(crate) fn pair_seed(a: u64, b: u64, now: SimTime) -> u64 {
 ///
 /// Built once (and rebuilt only if the cluster's node table changes); after
 /// that, scraping ([`ExporterLayout::scrape_into`]) and snapshot assembly
-/// ([`ExporterLayout::snapshot_into`]) are pure id-indexed work: no
+/// (`ExporterLayout::snapshot_into`) are pure id-indexed work: no
 /// `SeriesKey` construction, no label lookups, no `String` round-trips.
 #[derive(Debug, Clone)]
 pub struct ExporterLayout {
@@ -189,7 +121,7 @@ impl ExporterLayout {
     /// names in the same order *and* the same network interfaces (a rebuilt
     /// cluster can keep node names while permuting `net_id`s; reusing the
     /// cached ids would then scrape the wrong interface's counters).
-    pub fn matches(&self, cluster: &ClusterState) -> bool {
+    pub(crate) fn matches(&self, cluster: &ClusterState) -> bool {
         cluster.names_match(&self.node_names)
             && cluster
                 .nodes()
@@ -198,18 +130,14 @@ impl ExporterLayout {
                 .all(|(node, &net_id)| node.net_id == net_id)
     }
 
-    /// Node names in cluster id order.
-    pub fn node_names(&self) -> &[String] {
-        &self.node_names
-    }
-
     /// Evaluate every exporter series at `now` through the pre-interned ids,
     /// handing each `(series, value)` to `sink` — appended straight into the
     /// store by a single scrape round, pushed onto a chunk batch by the
-    /// pipelined ingest. Emits exactly the samples [`node_exporter_samples`]
-    /// and [`ping_mesh_samples`] would, in their order, without building any
-    /// of them; a pure function of `(cluster, network, now)`, which is what
-    /// lets rounds evaluate concurrently.
+    /// pipelined ingest. Emits exactly the samples of the node and ping-mesh
+    /// exporters (the unit tests' sample-producing reference), in their
+    /// order, without building any of them; a pure function of
+    /// `(cluster, network, now)`, which is what lets rounds evaluate
+    /// concurrently.
     pub fn scrape_into(
         &self,
         cluster: &ClusterState,
@@ -235,7 +163,7 @@ impl ExporterLayout {
     /// interned ids, reusing `snap`'s storage. Produces exactly what
     /// [`ClusterSnapshot::from_store`] would, minus every name lookup. A
     /// scratch snapshot that already holds this layout's node table keeps it.
-    pub fn snapshot_into(
+    pub(crate) fn snapshot_into(
         &self,
         store: &TimeSeriesStore,
         at: SimTime,
@@ -270,9 +198,75 @@ impl ExporterLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Sample;
     use cluster::{Node, Resources};
     use simcore::SimDuration;
     use simnet::{gbps, mbps, FlowId, NodeId, TopologyBuilder};
+
+    /// Collect node-exporter samples for every node in the cluster.
+    ///
+    /// Counters (tx/rx bytes) come from the network's interface counters; gauges
+    /// (load, available memory) come from the cluster's host-load model.
+    fn node_exporter_samples(
+        cluster: &ClusterState,
+        network: &Network,
+        now: SimTime,
+    ) -> Vec<Sample> {
+        let mut samples = Vec::with_capacity(cluster.nodes().len() * 4);
+        for node in cluster.nodes() {
+            let instance = node.name.as_str();
+            let counters = network.counters(node.net_id);
+            samples.push(Sample::gauge(
+                SeriesKey::per_node(METRIC_NODE_LOAD1, instance),
+                node.cpu_load(),
+                now,
+            ));
+            samples.push(Sample::gauge(
+                SeriesKey::per_node(METRIC_NODE_MEM_AVAILABLE, instance),
+                node.memory_available(),
+                now,
+            ));
+            samples.push(Sample::counter(
+                SeriesKey::per_node(METRIC_NODE_TX_BYTES, instance),
+                counters.tx_bytes,
+                now,
+            ));
+            samples.push(Sample::counter(
+                SeriesKey::per_node(METRIC_NODE_RX_BYTES, instance),
+                counters.rx_bytes,
+                now,
+            ));
+        }
+        samples
+    }
+
+    /// Collect full-mesh ping samples: one `ping_rtt_seconds{source, target}`
+    /// gauge per ordered node pair (excluding self-pairs).
+    ///
+    /// The jitter seed mixes the pair identity and the scrape time so repeated
+    /// scrapes see realistic variation while remaining reproducible.
+    fn ping_mesh_samples(cluster: &ClusterState, network: &Network, now: SimTime) -> Vec<Sample> {
+        let nodes = cluster.nodes();
+        let mut samples = Vec::with_capacity(nodes.len() * nodes.len());
+        for a in nodes {
+            for b in nodes {
+                if a.name == b.name {
+                    continue;
+                }
+                let seed = pair_seed(a.net_id.0 as u64, b.net_id.0 as u64, now);
+                let rtt = network.current_rtt(a.net_id, b.net_id, seed);
+                samples.push(Sample::gauge(
+                    SeriesKey::new(
+                        METRIC_PING_RTT,
+                        &[("source", a.name.as_str()), ("target", b.name.as_str())],
+                    ),
+                    rtt.as_secs_f64(),
+                    now,
+                ));
+            }
+        }
+        samples
+    }
 
     fn setup() -> (ClusterState, Network) {
         let mut b = TopologyBuilder::new();
@@ -325,7 +319,7 @@ mod tests {
             NodeId(0),
             NodeId(2),
             10_000_000.0,
-            simnet::flow::FlowKind::Background,
+            simnet::FlowKind::Background,
         );
         network.advance_to(SimTime::from_secs(5));
         let samples = node_exporter_samples(&cluster, &network, SimTime::from_secs(5));
@@ -390,15 +384,18 @@ mod tests {
         // Reference path: build owned samples and append them.
         let mut reference = TimeSeriesStore::new();
         for &t in &times {
-            reference.append_all(node_exporter_samples(&cluster, &network, t));
-            reference.append_all(ping_mesh_samples(&cluster, &network, t));
+            for sample in node_exporter_samples(&cluster, &network, t)
+                .into_iter()
+                .chain(ping_mesh_samples(&cluster, &network, t))
+            {
+                reference.append(sample);
+            }
         }
 
         // Interned path: intern once, then append raw values.
         let mut interned = TimeSeriesStore::new();
         let layout = ExporterLayout::build(&cluster, &mut interned);
         assert!(layout.matches(&cluster));
-        assert_eq!(layout.node_names(), &cluster.node_names()[..]);
         for &t in &times {
             layout.scrape_into(&cluster, &network, t, |id, v| {
                 interned.append_value(id, v, t)

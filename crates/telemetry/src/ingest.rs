@@ -32,7 +32,7 @@
 //! and evaluation no longer dwarfed the commit.
 //!
 //! Decisions read neither the lock nor the store: they take the manager's
-//! [`ConcurrentScrapeManager::published_handle`] (see [`crate::publish`]).
+//! [`ConcurrentScrapeManager::published_handle`] (see [`PublishedSnapshot`]).
 #![expect(
     clippy::disallowed_methods,
     reason = "blocking: the store lock is the ingest commit; only the writer lane, scrape calls and history readers (`TelemetryReader`) take it, and decisions read the published epoch instead"
@@ -78,7 +78,7 @@ pub struct IngestConfig {
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        let cores = simcore::parallel::default_workers();
+        let cores = simcore::default_workers();
         IngestConfig {
             // On a two-core box a single evaluation lane (inline on the
             // caller, overlapped with the writer lane) beats spawning
@@ -106,7 +106,6 @@ impl Default for IngestConfig {
 /// store from another thread.
 #[derive(Debug)]
 pub struct ConcurrentScrapeManager {
-    config: ScrapeConfig,
     ingest: IngestConfig,
     /// Store, layout, cadence and epoch publisher, shared with the readers.
     inner: Arc<Mutex<ScrapeManager>>,
@@ -122,15 +121,9 @@ impl ConcurrentScrapeManager {
     /// Create a manager with explicit ingest tuning.
     pub fn with_ingest(config: ScrapeConfig, ingest: IngestConfig) -> Self {
         ConcurrentScrapeManager {
-            inner: Arc::new(Mutex::new(ScrapeManager::new(config.clone()))),
-            config,
+            inner: Arc::new(Mutex::new(ScrapeManager::new(config))),
             ingest,
         }
-    }
-
-    /// The scrape configuration.
-    pub fn config(&self) -> &ScrapeConfig {
-        &self.config
     }
 
     /// Number of scrape rounds performed.
@@ -162,7 +155,7 @@ impl ConcurrentScrapeManager {
     }
 
     /// A cheap cloneable handle over **epoch-published immutable snapshots**
-    /// (see [`crate::publish`]): one consistent [`ClusterSnapshot`] per
+    /// ([`PublishedSnapshot`]): one consistent [`ClusterSnapshot`] per
     /// commit — per scrape round on the inline path, per chunk of
     /// [`IngestConfig::chunk_rounds`] rounds on the pipelined one — resolved
     /// by readers with a single atomic load and an `Arc` clone, never the
@@ -182,17 +175,6 @@ impl ConcurrentScrapeManager {
     /// ([`ScrapeManager::scrape`] under the lock).
     pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
         self.inner.lock().scrape(cluster, network, now);
-    }
-
-    /// Scrape only if the grid-aligned due time has been reached
-    /// ([`ScrapeManager::scrape_if_due`] under the lock).
-    pub fn scrape_if_due(
-        &mut self,
-        cluster: &ClusterState,
-        network: &Network,
-        now: SimTime,
-    ) -> bool {
-        self.inner.lock().scrape_if_due(cluster, network, now)
     }
 
     /// Run a whole scrape schedule (`times` ascending; a round at or before
@@ -428,27 +410,6 @@ mod tests {
         let b = SnapshotSource::snapshot(&one_by_one, at, window);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn cadence_matches_sequential_manager() {
-        let (cluster, network) = setup(2);
-        let config = ScrapeConfig {
-            interval: SimDuration::from_secs(15),
-            ..Default::default()
-        };
-        let mut concurrent = ConcurrentScrapeManager::new(config.clone());
-        let mut sequential = ScrapeManager::new(config);
-        for t in [0u64, 10, 18, 29, 30, 100] {
-            let now = SimTime::from_secs(t);
-            assert_eq!(
-                concurrent.scrape_if_due(&cluster, &network, now),
-                sequential.scrape_if_due(&cluster, &network, now),
-                "t = {t}"
-            );
-            assert_eq!(concurrent.next_scrape_due(), sequential.next_scrape_due());
-        }
-        assert_eq!(concurrent.scrape_count(), sequential.scrape_count());
     }
 
     #[test]

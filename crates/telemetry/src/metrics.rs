@@ -6,7 +6,7 @@ use std::fmt;
 
 /// A sorted label set (`BTreeMap` so identical label sets hash/compare equal
 /// regardless of insertion order).
-pub type Labels = BTreeMap<String, String>;
+pub(crate) type Labels = BTreeMap<String, String>;
 
 /// Whether a metric is a monotonically increasing counter or a point-in-time gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +28,7 @@ pub struct SeriesKey {
 
 impl SeriesKey {
     /// Build a key from a name and `(key, value)` label pairs.
-    pub fn new(name: impl Into<String>, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn new(name: impl Into<String>, labels: &[(&str, &str)]) -> Self {
         SeriesKey {
             name: name.into(),
             labels: labels
@@ -44,7 +44,7 @@ impl SeriesKey {
     }
 
     /// Value of one label.
-    pub fn label(&self, key: &str) -> Option<&str> {
+    pub(crate) fn label(&self, key: &str) -> Option<&str> {
         self.labels.get(key).map(String::as_str)
     }
 }
@@ -74,7 +74,7 @@ pub struct Sample {
     /// Observed value.
     pub value: f64,
     /// Scrape timestamp.
-    pub timestamp: SimTime,
+    pub(crate) timestamp: SimTime,
 }
 
 impl Sample {

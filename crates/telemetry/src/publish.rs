@@ -124,7 +124,8 @@ impl SnapshotPublisher {
     }
 
     /// The latest published epoch number (0 = none yet).
-    pub fn epoch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u64 {
         self.next_epoch - 1
     }
 

@@ -101,7 +101,7 @@ pub struct ScrapeManager {
     layout: Option<Arc<ExporterLayout>>,
     cadence: ScrapeCadence,
     scrape_count: u64,
-    /// Epoch publisher (see [`crate::publish`]), activated lazily by
+    /// Epoch publisher, activated lazily by
     /// [`ScrapeManager::published_handle`]: once active, every scrape also publishes
     /// an immutable snapshot of the new state. Cloning the manager detaches
     /// the clone's publisher (fresh epochs; the original's handles keep
@@ -130,22 +130,20 @@ impl ScrapeManager {
     }
 
     /// A cheap cloneable handle over epoch-published immutable snapshots
-    /// (see [`crate::publish`]): one consistent snapshot per scrape,
+    /// ([`PublishedSnapshot`]): one consistent snapshot per scrape,
     /// resolved by readers with an atomic load plus an `Arc` clone — never
     /// touching the store. Publishing activates on the first call; state
     /// scraped before activation is published immediately.
-    #[expect(
-        clippy::expect_used,
-        reason = "the publisher is created in the guarded branch immediately above"
-    )]
     pub fn published_handle(&mut self) -> PublishedSnapshot {
-        if self.publisher.is_none() {
-            self.publisher = Some(SnapshotPublisher::new());
-            if let Some(at) = self.last_scrape {
-                self.publish(at);
-            }
+        let activating = self.publisher.is_none();
+        let handle = self
+            .publisher
+            .get_or_insert_with(SnapshotPublisher::new)
+            .handle();
+        if let (true, Some(at)) = (activating, self.last_scrape) {
+            self.publish(at);
         }
-        self.publisher.as_ref().expect("publisher active").handle()
+        handle
     }
 
     /// Record a scrape at `at` and, when publishing is active, publish the
@@ -167,11 +165,6 @@ impl ScrapeManager {
     /// Read access to the underlying store.
     pub fn store(&self) -> &TimeSeriesStore {
         &self.store
-    }
-
-    /// The interned exporter layout, once the first scrape has built it.
-    pub fn layout(&self) -> Option<&ExporterLayout> {
-        self.layout.as_deref()
     }
 
     /// When the next scrape is due (immediately if never scraped).
@@ -295,14 +288,45 @@ mod tests {
     }
 
     #[test]
+    fn late_activation_publishes_the_last_scrape_to_every_handle() {
+        let (cluster, network) = setup();
+        // A handle taken after two scrapes reads the last scrape at once.
+        let mut mgr = ScrapeManager::new(ScrapeConfig::default());
+        mgr.scrape(&cluster, &network, SimTime::from_secs(5));
+        mgr.scrape(&cluster, &network, SimTime::from_secs(10));
+        let first = mgr.published_handle();
+        let epoch = first
+            .latest()
+            .expect("activation publishes the last scrape");
+        assert_eq!(epoch.snapshot.time, SimTime::from_secs(10));
+        // A second handle shares the publisher: activation does not repeat,
+        // and the next scrape is visible through both handles.
+        let second = mgr.published_handle();
+        assert_eq!(second.epoch(), epoch.epoch);
+        mgr.scrape(&cluster, &network, SimTime::from_secs(15));
+        for handle in [&first, &second] {
+            let next = handle.latest().expect("published");
+            assert_eq!(next.epoch, epoch.epoch + 1);
+            assert_eq!(next.snapshot.time, SimTime::from_secs(15));
+        }
+        // A handle taken before any scrape reads nothing until the first one.
+        let mut fresh = ScrapeManager::new(ScrapeConfig::default());
+        let early = fresh.published_handle();
+        assert!(early.latest().is_none());
+        fresh.scrape(&cluster, &network, SimTime::from_secs(20));
+        let epoch = early.latest().expect("the first scrape publishes");
+        assert_eq!(epoch.snapshot.time, SimTime::from_secs(20));
+    }
+
+    #[test]
     fn scrape_populates_store() {
         let (cluster, network) = setup();
         let mut mgr = ScrapeManager::new(ScrapeConfig::default());
         assert_eq!(mgr.scrape_count(), 0);
-        assert!(mgr.layout().is_none());
+        assert!(mgr.layout.is_none());
         mgr.scrape(&cluster, &network, SimTime::from_secs(10));
         assert_eq!(mgr.scrape_count(), 1);
-        assert!(mgr.layout().is_some());
+        assert!(mgr.layout.is_some());
         // 2 nodes x 4 node metrics + 2 ping pairs = 10 series.
         assert_eq!(mgr.store().series_count(), 10);
         assert_eq!(

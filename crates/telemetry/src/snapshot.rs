@@ -283,7 +283,7 @@ impl RttMesh {
     }
 
     /// Record the RTT from `src` to `dst`, growing the mesh if needed.
-    pub fn set(&mut self, src: NodeId, dst: NodeId, rtt_seconds: f64) {
+    pub(crate) fn set(&mut self, src: NodeId, dst: NodeId, rtt_seconds: f64) {
         let need = src.index().max(dst.index()) + 1;
         self.ensure_nodes(need);
         match &mut self.repr {
@@ -303,7 +303,7 @@ impl RttMesh {
     }
 
     /// The RTT from `src` to `dst`, if probed.
-    pub fn get(&self, src: NodeId, dst: NodeId) -> Option<f64> {
+    pub(crate) fn get(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         if src.index() >= self.n as usize || dst.index() >= self.n as usize {
             return None;
         }
@@ -338,7 +338,7 @@ impl RttMesh {
     /// target-id order. For sparse meshes the work is proportional to the
     /// row's entries, which is what keeps snapshot indexing linear at 10k
     /// nodes.
-    pub fn row(&self, src: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+    pub(crate) fn row(&self, src: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         match &self.repr {
             MeshRepr::Dense(values) => {
                 let n = self.n as usize;
@@ -404,7 +404,7 @@ impl ClusterSnapshot {
     /// name-resolving path; the scrape manager's interned layout path avoids
     /// the label lookups and re-interning entirely. Vector and mesh buffer
     /// capacity is reused; node names are re-interned.
-    pub fn assemble_from_store(
+    pub(crate) fn assemble_from_store(
         &mut self,
         store: &TimeSeriesStore,
         at: SimTime,
@@ -452,7 +452,7 @@ impl ClusterSnapshot {
     /// vectors' and mesh buffer's capacity (node-name `String`s are
     /// re-allocated on the next intern; the id-aligned
     /// [`ClusterSnapshot::reset_for`] path avoids even that).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.time = SimTime::ZERO;
         self.names.clear();
         self.sorted.clear();
@@ -571,7 +571,7 @@ impl ClusterSnapshot {
     ///
     /// # Panics
     /// Panics if `id` was not interned by this snapshot.
-    pub fn node_name(&self, id: NodeId) -> &str {
+    pub(crate) fn node_name(&self, id: NodeId) -> &str {
         &self.names[id.index()]
     }
 

@@ -32,13 +32,8 @@ pub struct SeriesId(pub u32);
 
 impl SeriesId {
     /// The id as a usize index into the store's series table.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Construct from a table index.
-    pub fn from_index(index: usize) -> Self {
-        SeriesId(index as u32)
     }
 }
 
@@ -129,7 +124,7 @@ impl TimeSeriesStore {
     /// Intern a series key, returning its stable [`SeriesId`]. The kind is
     /// fixed by the first intern; later interns of the same key return the
     /// existing id unchanged.
-    pub fn intern(&mut self, key: &SeriesKey, kind: MetricKind) -> SeriesId {
+    pub(crate) fn intern(&mut self, key: &SeriesKey, kind: MetricKind) -> SeriesId {
         if let Some(&id) = self.key_index.get(key) {
             return SeriesId(id);
         }
@@ -149,7 +144,7 @@ impl TimeSeriesStore {
     }
 
     /// Resolve a key to its interned id, if the series exists.
-    pub fn series_id(&self, key: &SeriesKey) -> Option<SeriesId> {
+    pub(crate) fn series_id(&self, key: &SeriesKey) -> Option<SeriesId> {
         self.key_index.get(key).copied().map(SeriesId)
     }
 
@@ -161,21 +156,13 @@ impl TimeSeriesStore {
         &self.keys[id.index()]
     }
 
-    /// The kind of an interned series.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this store.
-    pub fn kind(&self, id: SeriesId) -> MetricKind {
-        self.series[id.index()].kind
-    }
-
     /// Ids of every series with the given metric name, in intern order.
-    pub fn ids_for_name(&self, name: &str) -> &[SeriesId] {
+    pub(crate) fn ids_for_name(&self, name: &str) -> &[SeriesId] {
         self.name_index.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Append one sample, interning its key. Prefer
-    /// [`TimeSeriesStore::append_value`] with a pre-interned id on hot paths.
+    /// Append one sample, interning its key (scrape rounds append through
+    /// pre-interned ids instead).
     pub fn append(&mut self, sample: Sample) {
         let id = self.intern(&sample.key, sample.kind);
         self.append_value(id, sample.value, sample.timestamp);
@@ -192,7 +179,7 @@ impl TimeSeriesStore {
     /// (valid for *it*, but older than another series' tail) is therefore
     /// pruned exactly as far as any earlier append already pruned, and a
     /// late sample older than the retention window is itself discarded.
-    pub fn append_value(&mut self, id: SeriesId, value: f64, timestamp: SimTime) {
+    pub(crate) fn append_value(&mut self, id: SeriesId, value: f64, timestamp: SimTime) {
         if !self.push_point(id, value, timestamp) {
             return;
         }
@@ -254,19 +241,6 @@ impl TimeSeriesStore {
         true
     }
 
-    /// The newest timestamp ever accepted (`SimTime::ZERO` for an empty
-    /// store): the watermark retention prunes against.
-    pub fn max_timestamp(&self) -> SimTime {
-        self.max_ts
-    }
-
-    /// Append many samples.
-    pub fn append_all(&mut self, samples: impl IntoIterator<Item = Sample>) {
-        for s in samples {
-            self.append(s);
-        }
-    }
-
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
         self.series.len()
@@ -287,7 +261,7 @@ impl TimeSeriesStore {
     /// The common per-decision query asks for the freshest sample (`at` at or
     /// past the series tail) and is answered in O(1) from the tail; older
     /// instants fall back to a binary search.
-    pub fn instant_id(&self, id: SeriesId, at: SimTime) -> Option<f64> {
+    pub(crate) fn instant_id(&self, id: SeriesId, at: SimTime) -> Option<f64> {
         let points = self.series[id.index()].live();
         match points.last() {
             None => None,
@@ -319,7 +293,7 @@ impl TimeSeriesStore {
     /// from the tail — O(window), cache-local, independent of how much
     /// history retention keeps. Windows deeper in history fall back to
     /// `partition_point` binary searches.
-    pub fn range_id(&self, id: SeriesId, from: SimTime, to: SimTime) -> &[(SimTime, f64)] {
+    pub(crate) fn range_id(&self, id: SeriesId, from: SimTime, to: SimTime) -> &[(SimTime, f64)] {
         let points = self.series[id.index()].live();
         let hi = match points.last() {
             Some(&(t, _)) if t > to => points.partition_point(|&(t, _)| t <= to),
@@ -346,7 +320,7 @@ impl TimeSeriesStore {
     }
 
     /// `rate()` over a pre-interned counter series.
-    pub fn rate_id(&self, id: SeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
+    pub(crate) fn rate_id(&self, id: SeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
         if self.series[id.index()].kind != MetricKind::Counter {
             return None;
         }
@@ -382,7 +356,12 @@ impl TimeSeriesStore {
     }
 
     /// Average over a pre-interned series.
-    pub fn avg_over_id(&self, id: SeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
+    pub(crate) fn avg_over_id(
+        &self,
+        id: SeriesId,
+        at: SimTime,
+        window: SimDuration,
+    ) -> Option<f64> {
         let from_nanos = at.as_nanos().saturating_sub(window.as_nanos());
         let pts = self.range_id(id, SimTime::from_nanos(from_nanos), at);
         if pts.is_empty() {
@@ -392,7 +371,8 @@ impl TimeSeriesStore {
     }
 
     /// All series keys (sorted).
-    pub fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
         self.key_index.keys()
     }
 }
@@ -432,13 +412,12 @@ mod tests {
         assert_ne!(a, b);
         // Re-interning returns the same id and does not change the kind.
         assert_eq!(store.intern(&key("m", "node-1"), MetricKind::Counter), a);
-        assert_eq!(store.kind(a), MetricKind::Gauge);
+        assert_eq!(store.series[a.index()].kind, MetricKind::Gauge);
         assert_eq!(store.series_id(&key("m", "node-1")), Some(a));
         assert_eq!(store.series_id(&key("m", "node-9")), None);
         assert_eq!(store.key(b), &key("m", "node-2"));
         assert_eq!(store.ids_for_name("m"), &[a, b]);
         assert!(store.ids_for_name("other").is_empty());
-        assert_eq!(SeriesId::from_index(7).index(), 7);
         assert_eq!(format!("{}", SeriesId(4)), "s#4");
     }
 
@@ -549,7 +528,7 @@ mod tests {
         let b = key("node_load1", "node-b");
         store.append(Sample::gauge(b.clone(), 1.0, SimTime::from_secs(60)));
         store.append(Sample::gauge(a.clone(), 1.0, SimTime::from_secs(100)));
-        assert_eq!(store.max_timestamp(), SimTime::from_secs(100));
+        assert_eq!(store.max_ts, SimTime::from_secs(100));
         // A late sample for series b (in order for *b*) must prune b against
         // the watermark cutoff (100 - 30 = 70), not against its own stale
         // timestamp: the t = 60 point falls out even though 60 >= 75 - 30.
@@ -563,7 +542,7 @@ mod tests {
         assert_eq!(store.instant(&c, SimTime::MAX), None);
         assert!(store.range(&c, SimTime::ZERO, SimTime::MAX).is_empty());
         // The watermark never regressed.
-        assert_eq!(store.max_timestamp(), SimTime::from_secs(100));
+        assert_eq!(store.max_ts, SimTime::from_secs(100));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use netsched::core::builder::JobBuilder;
-use netsched::core::request::JobRequest;
+use netsched::core::{JobBuilder, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::SimDuration;
 use netsched::simnet::BackgroundLoadConfig;

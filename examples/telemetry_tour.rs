@@ -7,8 +7,7 @@
 //! cargo run --release --example telemetry_tour
 //! ```
 
-use netsched::core::features::FeatureSchema;
-use netsched::core::request::JobRequest;
+use netsched::core::{FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::BackgroundLoadConfig;

@@ -12,14 +12,12 @@
 //! cargo run --release --example train_and_schedule
 //! ```
 
-use netsched::core::context::SchedulingContext;
-use netsched::core::predictor::CompletionTimePredictor;
-use netsched::core::request::JobRequest;
-use netsched::core::schedulers::KubeDefaultScheduler;
-use netsched::experiments::workflow::{ExperimentConfig, Workflow};
-use netsched::experiments::FabricTestbed;
+use netsched::core::{
+    CompletionTimePredictor, JobRequest, KubeDefaultScheduler, SchedulingContext,
+};
+use netsched::experiments::{ExperimentConfig, FabricTestbed, Workflow};
 use netsched::mlcore::{evaluate_on, ModelConfig, ModelKind, TrainedModel};
-use netsched::simcore::rng::Rng;
+use netsched::simcore::Rng;
 use netsched::sparksim::WorkloadKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

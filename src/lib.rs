@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use netsched::experiments::{FabricTestbed, SimWorld};
-//! use netsched::core::request::JobRequest;
+//! use netsched::core::JobRequest;
 //! use netsched::sparksim::WorkloadKind;
 //!
 //! // A 6-node, 3-site cluster with the paper's RTTs.

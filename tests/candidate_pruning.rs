@@ -35,17 +35,15 @@
 use netsched::cluster::{
     ClusterState, DefaultScheduler, FeasibilityIndex, FilterResult, Node, PodId, PodSpec, Resources,
 };
-use netsched::core::context::{ContextScratch, SchedulingContext};
-use netsched::core::features::FeatureSchema;
-use netsched::core::predictor::CompletionTimePredictor;
-use netsched::core::request::JobRequest;
-use netsched::core::service::{SchedulerConfig, SchedulerService};
-use netsched::experiments::scale::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
+use netsched::core::{
+    CompletionTimePredictor, ContextScratch, FeatureSchema, JobRequest, SchedulerConfig,
+    SchedulerService, SchedulingContext,
+};
+use netsched::experiments::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
 use netsched::mlcore::{
     Dataset, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
 };
-use netsched::simcore::rng::Rng;
-use netsched::simcore::SimTime;
+use netsched::simcore::{Rng, SimTime};
 use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
 use proptest::prelude::*;
@@ -627,7 +625,7 @@ proptest! {
             })
             .collect();
         let budgets = [1, 2, 5, nodes - 1, nodes + 3];
-        let bits = |ranked: &[netsched::core::decision::RankedNode]| -> Vec<(ClusterNodeId, u64)> {
+        let bits = |ranked: &[netsched::core::RankedNode]| -> Vec<(ClusterNodeId, u64)> {
             ranked.iter().map(|r| (r.node, r.predicted_seconds.to_bits())).collect()
         };
         for family in cell_models() {

@@ -5,7 +5,7 @@ use netsched::telemetry::ClusterSnapshot;
 
 /// A snapshot's observable contents, bit for bit: the time, each scraped
 /// node's name, id and four telemetry fields, and every RTT entry.
-pub type SnapshotBits = (
+pub(crate) type SnapshotBits = (
     SimTime,
     Vec<(String, Option<u32>, [u64; 4])>,
     Vec<(u32, u32, u64)>,
@@ -14,7 +14,7 @@ pub type SnapshotBits = (
 /// Everything [`SnapshotBits`] lists of `snap`. Stricter than `PartialEq`,
 /// which ignores id assignment, and than comparing rendered decimals, which
 /// can print `-0.0` and `0.0` alike.
-pub fn snapshot_bits(snap: &ClusterSnapshot) -> SnapshotBits {
+pub(crate) fn snapshot_bits(snap: &ClusterSnapshot) -> SnapshotBits {
     let nodes = snap
         .iter_nodes()
         .map(|(name, t)| {

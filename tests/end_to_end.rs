@@ -8,17 +8,14 @@
 //! * the scheduler service can be bootstrapped, retrained and used online,
 //! * decisions produce valid Kubernetes-style manifests pinned to the chosen node.
 
-use netsched::core::predictor::CompletionTimePredictor;
-use netsched::core::request::JobRequest;
-use netsched::core::service::{SchedulerConfig, SchedulerService};
-use netsched::experiments::evaluation::{evaluate_table4, supervised_ranking};
-use netsched::experiments::workflow::{ExperimentConfig, Workflow};
-use netsched::experiments::{FabricTestbed, SimWorld};
+use netsched::core::{CompletionTimePredictor, JobRequest, SchedulerConfig, SchedulerService};
+use netsched::experiments::{
+    evaluate_table4, supervised_ranking, ExperimentConfig, FabricTestbed, SimWorld, Workflow,
+};
 use netsched::mlcore::{
     GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
 };
-use netsched::simcore::rng::Rng;
-use netsched::simcore::SimDuration;
+use netsched::simcore::{Rng, SimDuration};
 use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::SnapshotPublisher;
@@ -42,7 +39,7 @@ fn fast_models() -> ModelConfig {
 fn table4_shape_reproduces_on_a_small_dataset() {
     // 3 configs/workload x 4 repeats = 36 scenarios (216 samples).
     let config = ExperimentConfig {
-        workers: simcore::parallel::default_workers(),
+        workers: simcore::default_workers(),
         ..ExperimentConfig::quick(3, 4, 424242)
     };
     let dataset = Workflow::new(config).run();
@@ -147,7 +144,7 @@ fn supervised_choice_is_never_worse_on_average_than_random_choice() {
     // Average realized completion time of the model's choices should not
     // exceed the average over random choices on the same scenarios.
     let config = ExperimentConfig {
-        workers: simcore::parallel::default_workers(),
+        workers: simcore::default_workers(),
         ..ExperimentConfig::quick(2, 3, 31337)
     };
     let dataset = Workflow::new(config).run();
@@ -191,7 +188,7 @@ fn table4_ranks_held_out_scenarios_exactly_as_the_service_decides() {
     // be the evaluation's ranking, and its scores the per-row predictions
     // bit for bit; a top-2 budget must keep its prefix.
     let config = ExperimentConfig {
-        workers: simcore::parallel::default_workers(),
+        workers: simcore::default_workers(),
         ..ExperimentConfig::quick(2, 2, 5150)
     };
     let dataset = Workflow::new(config).run();

@@ -29,16 +29,13 @@
 //! traffic evaluates every ping probe without touching the heap.
 
 use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
-use netsched::core::context::{ContextScratch, SchedulingContext};
-use netsched::core::decision::NodeRanking;
-use netsched::core::predictor::CompletionTimePredictor;
-use netsched::core::request::JobRequest;
-use netsched::core::service::{SchedulerConfig, SchedulerService, SchedulingDecision};
+use netsched::core::{
+    CompletionTimePredictor, ContextScratch, JobRequest, NodeRanking, SchedulerConfig,
+    SchedulerService, SchedulingContext, SchedulingDecision,
+};
 use netsched::mlcore::{FlatTree, ModelKind};
-use netsched::simcore::rng::Rng;
-use netsched::simcore::{SimDuration, SimTime};
-use netsched::simnet::flow::FlowKind;
-use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
+use netsched::simcore::{Rng, SimDuration, SimTime};
+use netsched::simnet::{gbps, mbps, FlowKind, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{
     ClusterSnapshot, ExporterLayout, NodeTelemetry, PublishedSnapshot, ScrapeConfig, ScrapeManager,

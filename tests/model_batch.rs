@@ -16,7 +16,7 @@ use netsched::mlcore::{
     GradientBoostingConfig, ModelConfig, ModelKind, RandomForest, RandomForestConfig, TrainedModel,
     TreeNode,
 };
-use netsched::simcore::rng::Rng;
+use netsched::simcore::Rng;
 use proptest::prelude::*;
 
 /// The reference prediction: walk the canonical nested node list exactly the
@@ -407,8 +407,8 @@ fn flat_tree_equality_sees_through_nan_leaf_thresholds() {
 }
 
 /// Fixed-seed RF and GBDT models are pinned on their whole content (the
-/// `Debug` form: flat node arrays, leaf values, config and importances), and
-/// their sorted split grids on the bytes the pre-level-order tree produced.
+/// `Debug` form: flat node arrays, leaf values and config), and their sorted
+/// split grids on the bytes the pre-level-order tree produced.
 #[test]
 fn fixed_seed_models_and_split_grids_are_pinned() {
     let values: Vec<f64> = (0..800).map(|i| ((i * 71) % 113) as f64 / 7.0).collect();
@@ -432,12 +432,12 @@ fn fixed_seed_models_and_split_grids_are_pinned() {
     for (kind, model_pin, grid_pin) in [
         (
             ModelKind::RandomForest,
-            14639913683730068182,
+            11504484842133378149,
             6799315214492856764,
         ),
         (
             ModelKind::GradientBoosting,
-            6620302878492435340,
+            5810532493872441034,
             10509275948793810071,
         ),
     ] {

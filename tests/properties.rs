@@ -8,14 +8,10 @@
 //! a sealed snapshot is bit-identical to indexing an unsealed twin).
 
 use netsched::cluster::{ClusterState, Node, Resources};
-use netsched::core::decision::DecisionModule;
-use netsched::core::features::FeatureSchema;
-use netsched::core::request::JobRequest;
+use netsched::core::{DecisionModule, FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
-use netsched::simcore::rng::Rng;
-use netsched::simcore::{SimDuration, SimTime};
-use netsched::simnet::flow::FlowKind;
-use netsched::simnet::Network;
+use netsched::simcore::{Rng, SimDuration, SimTime};
+use netsched::simnet::{FlowKind, Network};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};

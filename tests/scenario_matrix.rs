@@ -8,8 +8,9 @@
 //! `scenario_sweep.{json,md}`, and what the `#[ignore]`d test at the bottom
 //! checks.
 
-use netsched::experiments::evaluation::KUBE_DEFAULT_METHOD;
-use netsched::experiments::scenarios::{run_sweep, ScenarioMatrix, SweepOptions, SweepReport};
+use netsched::experiments::{
+    run_sweep, ScenarioMatrix, SweepOptions, SweepReport, KUBE_DEFAULT_METHOD,
+};
 
 fn sweep(workers: usize) -> SweepReport {
     let options = SweepOptions {
@@ -92,7 +93,7 @@ fn sweep_is_deterministic_and_parallel_invariant() {
 
 #[test]
 fn smoke_sweep_preserves_paper_shape() {
-    let report = sweep(netsched::simcore::parallel::default_workers());
+    let report = sweep(netsched::simcore::default_workers());
     let cells = report.cells.len() as f64;
 
     // Aggregate shape: averaged over cells, the best supervised model's Top-1

@@ -12,16 +12,13 @@
 //!   raw bits).
 
 use netsched::cluster::{ClusterState, NodeId};
-use netsched::core::context::SchedulingContext;
-use netsched::core::features::FeatureSchema;
-use netsched::core::predictor::CompletionTimePredictor;
-use netsched::core::request::JobRequest;
-use netsched::core::schedulers::KubeDefaultScheduler;
-use netsched::core::NodeRanking;
+use netsched::core::{
+    CompletionTimePredictor, FeatureSchema, JobRequest, KubeDefaultScheduler, NodeRanking,
+    SchedulingContext,
+};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::mlcore::{Dataset, ModelConfig, ModelKind, TrainedModel};
-use netsched::simcore::rng::Rng;
-use netsched::simcore::SimDuration;
+use netsched::simcore::{Rng, SimDuration};
 use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::ClusterSnapshot;
@@ -39,7 +36,7 @@ fn frozen_world() -> (ClusterState, ClusterSnapshot) {
 /// driver pod, via the real scheduler filter (the oracle the indexed
 /// [`SchedulingContext::feasible_candidates`] path must agree with).
 fn feasible_names(request: &JobRequest, cluster: &ClusterState) -> Vec<String> {
-    use netsched::cluster::scheduler::{DefaultScheduler, FilterResult};
+    use netsched::cluster::{DefaultScheduler, FilterResult};
     let driver = request.to_job_spec().driver_pod(None);
     cluster
         .nodes()

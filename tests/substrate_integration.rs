@@ -2,8 +2,7 @@
 //! interactions that no single crate's unit tests can exercise alone.
 
 use netsched::cluster::{PodSpec, Resources};
-use netsched::core::features::{FeatureGroup, FeatureSchema};
-use netsched::core::request::JobRequest;
+use netsched::core::{FeatureGroup, FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::SimDuration;
 use netsched::simnet::BackgroundLoadConfig;
@@ -170,10 +169,9 @@ fn workload_families_have_distinct_runtime_signatures() {
 fn manifests_round_trip_through_the_default_scheduler_filter() {
     // A manifest pinned to node-3 must be placeable on node-3 and nowhere else
     // according to the same filtering logic the default scheduler uses.
-    use netsched::cluster::scheduler::FilterResult;
-    use netsched::cluster::DefaultScheduler;
+    use netsched::cluster::{DefaultScheduler, FilterResult};
     let request = JobRequest::named("pin-check", WorkloadKind::Join, 100_000, 2);
-    let built = netsched::core::builder::JobBuilder.build(&request, Some("node-3"));
+    let built = netsched::core::JobBuilder.build(&request, Some("node-3"));
     let cluster = FabricTestbed::paper().cluster;
     for node in cluster.nodes() {
         let verdict = DefaultScheduler::filter(&built.driver_pod, node);
