@@ -2,7 +2,6 @@
 
 use crate::node::{Node, HOSTNAME_LABEL};
 use crate::resources::Resources;
-use simcore::SimTime;
 use std::fmt;
 
 /// Identifier of a pod within a cluster.
@@ -82,10 +81,6 @@ pub(crate) struct Pod {
     pub phase: PodPhase,
     /// The node the pod is bound to, if any.
     pub node: Option<String>,
-    /// When the pod started running.
-    pub started_at: Option<SimTime>,
-    /// When the pod finished (succeeded or failed).
-    pub finished_at: Option<SimTime>,
 }
 
 impl Pod {
@@ -95,8 +90,6 @@ impl Pod {
             spec,
             phase: PodPhase::Pending,
             node: None,
-            started_at: None,
-            finished_at: None,
         }
     }
 }

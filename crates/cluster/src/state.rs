@@ -257,7 +257,6 @@ impl ClusterState {
         }
         pod.node = Some(node_name.to_string());
         pod.phase = PodPhase::Running;
-        pod.started_at = Some(now);
         let name = pod.spec.name.clone();
         self.record(now, name, "Scheduled", format!("bound to {node_name}"));
         Ok(())
@@ -289,7 +288,6 @@ impl ClusterState {
         } else {
             PodPhase::Failed
         };
-        pod.finished_at = Some(now);
         let requests = pod.spec.requests;
         let node_name = pod.node.clone().expect("running pod has a node");
         let pod_name = pod.spec.name.clone();
@@ -385,7 +383,11 @@ mod tests {
         assert_eq!(c.pod(id).unwrap().phase, PodPhase::Succeeded);
         assert_eq!(c.node("node-2").unwrap().allocated(), Resources::ZERO);
         assert_eq!(c.node("node-2").unwrap().pod_count(), 0);
-        assert_eq!(c.pod(id).unwrap().finished_at, Some(SimTime::from_secs(30)));
+        // A finished pod cannot finish again.
+        assert!(matches!(
+            c.complete_pod(id, true, SimTime::from_secs(31)),
+            Err(ClusterError::InvalidPhase(_))
+        ));
         // Events were recorded in order.
         let reasons: Vec<&str> = c.events().iter().map(|e| e.reason.as_str()).collect();
         assert_eq!(reasons, vec!["Created", "Scheduled", "Completed"]);

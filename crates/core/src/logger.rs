@@ -13,18 +13,11 @@
 use crate::features::{FeatureSchema, FeatureVector};
 use crate::request::JobRequest;
 use mlcore::Dataset;
-use simcore::SimTime;
 use telemetry::ClusterSnapshot;
 
 /// One training sample: pre-run features plus the measured duration.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrainingRecord {
-    /// When the job was submitted.
-    pub submitted_at: SimTime,
-    /// Application type (e.g. `sort`).
-    pub app_type: String,
-    /// Node the driver was launched on.
-    pub target_node: String,
     /// The constructed feature vector (aligned with the logger's schema).
     pub features: FeatureVector,
     /// Measured job completion time in seconds (the label).
@@ -74,9 +67,6 @@ impl ExecutionLogger {
     ) {
         let features = self.schema.construct(snapshot, target_node, request);
         self.records.push(TrainingRecord {
-            submitted_at: snapshot.time,
-            app_type: request.app_type().to_string(),
-            target_node: target_node.to_string(),
             features,
             completion_seconds,
         });
@@ -102,6 +92,7 @@ impl ExecutionLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
     use sparksim::WorkloadKind;
     use telemetry::NodeTelemetry;
 
@@ -131,8 +122,10 @@ mod tests {
         logger.log_execution(&snapshot(), &request(), "node-1", 33.5);
         logger.log_execution(&snapshot(), &request(), "node-1", 40.0);
         assert_eq!(logger.len(), 2);
-        assert_eq!(logger.records[0].target_node, "node-1");
-        assert_eq!(logger.records[0].app_type, "sort");
+        assert_eq!(
+            logger.records[0].features,
+            logger.schema.construct(&snapshot(), "node-1", &request())
+        );
         assert_eq!(logger.records[0].completion_seconds, 33.5);
         let data = logger.to_dataset();
         assert_eq!(data.len(), 2);

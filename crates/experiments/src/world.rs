@@ -107,11 +107,7 @@ impl ContentionDriver for BackgroundDriver {
         for (i, generator) in self.generators.iter_mut().enumerate() {
             // Has the pod's current download finished?
             if let Some(flow_id) = self.in_flight[i] {
-                let still_active = network
-                    .flow(flow_id)
-                    .map(|f| f.is_active())
-                    .unwrap_or(false);
-                if still_active {
+                if network.flow(flow_id).is_some() {
                     // Completion is tracked by the network's own event horizon.
                     continue;
                 }

@@ -6,7 +6,6 @@
 //! max-min fair rate.
 
 use crate::topology::NodeId;
-use simcore::SimTime;
 use std::fmt;
 
 /// Identifier of a flow (unique within one [`crate::network::Network`]).
@@ -17,17 +16,6 @@ impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "flow-{}", self.0)
     }
-}
-
-/// Lifecycle state of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowState {
-    /// Actively transferring bytes.
-    Active,
-    /// All bytes delivered.
-    Completed,
-    /// Cancelled before completion.
-    Cancelled,
 }
 
 /// Classification of the traffic, used for accounting and experiments.
@@ -45,7 +33,7 @@ pub enum FlowKind {
     Control,
 }
 
-/// A single flow tracked by the network.
+/// A single active flow tracked by the network.
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
@@ -60,14 +48,8 @@ pub struct Flow {
     pub(crate) transferred_bytes: f64,
     /// Current allocated rate in bytes/sec (updated on every reallocation).
     pub rate: f64,
-    /// Lifecycle state.
-    pub state: FlowState,
     /// Traffic class.
     pub kind: FlowKind,
-    /// When the flow was started.
-    pub started_at: SimTime,
-    /// When the flow completed (if it has).
-    pub(crate) completed_at: Option<SimTime>,
 }
 
 impl Flow {
@@ -78,7 +60,6 @@ impl Flow {
         dst: NodeId,
         total_bytes: f64,
         kind: FlowKind,
-        now: SimTime,
     ) -> Self {
         Flow {
             id,
@@ -87,21 +68,13 @@ impl Flow {
             total_bytes: total_bytes.max(0.0),
             transferred_bytes: 0.0,
             rate: 0.0,
-            state: FlowState::Active,
             kind,
-            started_at: now,
-            completed_at: None,
         }
     }
 
     /// Bytes still to transfer.
     pub(crate) fn remaining_bytes(&self) -> f64 {
         (self.total_bytes - self.transferred_bytes).max(0.0)
-    }
-
-    /// True when the flow is still transferring.
-    pub fn is_active(&self) -> bool {
-        self.state == FlowState::Active
     }
 
     /// Time to completion at the current rate, or `None` if the rate is zero.
@@ -121,20 +94,12 @@ mod tests {
     use super::*;
 
     fn flow(total: f64) -> Flow {
-        Flow::new(
-            FlowId(1),
-            NodeId(0),
-            NodeId(1),
-            total,
-            FlowKind::Shuffle,
-            SimTime::from_secs(1),
-        )
+        Flow::new(FlowId(1), NodeId(0), NodeId(1), total, FlowKind::Shuffle)
     }
 
     #[test]
-    fn new_flow_is_active_with_nothing_sent() {
+    fn new_flow_has_nothing_sent() {
         let f = flow(1000.0);
-        assert!(f.is_active());
         assert_eq!(f.remaining_bytes(), 1000.0);
         assert_eq!(f.eta_seconds(), None, "no rate allocated yet");
     }

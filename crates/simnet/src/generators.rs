@@ -506,10 +506,8 @@ mod tests {
     ) -> BTreeMap<Resource, f64> {
         let mut used: BTreeMap<Resource, f64> = BTreeMap::new();
         for flow in started.iter().filter_map(|&id| net.flow(id)) {
-            if flow.is_active() {
-                for &r in &topo.route(flow.src, flow.dst).resources {
-                    *used.entry(r).or_insert(0.0) += flow.rate;
-                }
+            for &r in &topo.route(flow.src, flow.dst).resources {
+                *used.entry(r).or_insert(0.0) += flow.rate;
             }
         }
         for (&r, u) in used.iter_mut() {

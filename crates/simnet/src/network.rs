@@ -1,6 +1,7 @@
 //! The fluid network simulator.
 //!
-//! [`Network`] tracks active flows, allocates max-min fair rates whenever the
+//! [`Network`] tracks active flows (a flow leaves the network when it
+//! completes or is cancelled), allocates max-min fair rates whenever the
 //! flow set changes, and transfers bytes when the owner advances simulated
 //! time. It also maintains per-node interface counters (cumulative tx/rx
 //! bytes) and per-resource utilization — exactly the signals the telemetry
@@ -20,7 +21,7 @@
 )]
 
 use crate::fairness::{max_min_fair_rates, FlowDemand};
-use crate::flow::{Flow, FlowId, FlowKind, FlowState};
+use crate::flow::{Flow, FlowId, FlowKind};
 use crate::rtt::RttModel;
 use crate::topology::{NodeId, Topology};
 use simcore::{SimDuration, SimTime};
@@ -84,7 +85,7 @@ impl Network {
     pub fn start_flow(&mut self, src: NodeId, dst: NodeId, bytes: f64, kind: FlowKind) -> FlowId {
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        let flow = Flow::new(id, src, dst, bytes, kind, self.now);
+        let flow = Flow::new(id, src, dst, bytes, kind);
         self.flows.insert(id, flow);
         self.active_order.push(id);
         self.reallocate();
@@ -93,17 +94,13 @@ impl Network {
 
     /// Cancel an active flow (used when a job is aborted). No-op if already finished.
     pub fn cancel_flow(&mut self, id: FlowId) {
-        if let Some(flow) = self.flows.get_mut(&id) {
-            if flow.state == FlowState::Active {
-                flow.state = FlowState::Cancelled;
-                flow.rate = 0.0;
-                self.active_order.retain(|&f| f != id);
-                self.reallocate();
-            }
+        if self.flows.remove(&id).is_some() {
+            self.active_order.retain(|&f| f != id);
+            self.reallocate();
         }
     }
 
-    /// Look up a flow by id (active, completed or cancelled).
+    /// Look up a flow by id: `Some` exactly while it is active.
     pub fn flow(&self, id: FlowId) -> Option<&Flow> {
         self.flows.get(&id)
     }
@@ -152,8 +149,7 @@ impl Network {
                 self.transfer_bytes(dt);
             }
             self.now = step_end;
-            let finished = self.collect_finished();
-            if !finished.is_empty() {
+            if self.remove_finished() {
                 self.reallocate();
             }
             if next_done.is_none() {
@@ -188,32 +184,24 @@ impl Network {
         }
     }
 
-    /// Mark flows that have delivered all bytes as completed.
-    #[expect(
-        clippy::expect_used,
-        reason = "active_order only holds ids of flows in the map; both are mutated together"
-    )]
-    fn collect_finished(&mut self) -> Vec<FlowId> {
-        let mut finished = Vec::new();
+    /// Remove the flows that have delivered all bytes, returning whether
+    /// there were any.
+    fn remove_finished(&mut self) -> bool {
+        let before = self.active_order.len();
         // Tolerance: a byte fraction left due to floating point is "done".
         // A thousandth of a byte can never matter for completion times but a
         // tighter threshold can strand flows whose ETA rounds below the clock
         // resolution.
         const EPS_BYTES: f64 = 1e-3;
-        self.active_order.retain(|&id| {
-            let flow = self.flows.get_mut(&id).expect("active flow exists");
-            if flow.remaining_bytes() <= EPS_BYTES {
-                flow.transferred_bytes = flow.total_bytes;
-                flow.state = FlowState::Completed;
-                flow.completed_at = Some(self.now);
-                flow.rate = 0.0;
-                finished.push(id);
-                false
-            } else {
-                true
+        let flows = &mut self.flows;
+        self.active_order.retain(|id| {
+            let done = flows[id].remaining_bytes() <= EPS_BYTES;
+            if done {
+                flows.remove(id);
             }
+            !done
         });
-        finished
+        self.active_order.len() < before
     }
 
     /// Recompute max-min fair rates for all active flows and refresh the
@@ -327,8 +315,10 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6, "{done}");
         net.advance_to(done);
-        let flow = net.flow(id).unwrap();
-        assert_eq!(flow.state, FlowState::Completed);
+        assert!(
+            net.flow(id).is_none(),
+            "a completed flow leaves the network"
+        );
         assert_eq!(net.active_flow_count(), 0);
         assert!((net.counters(NodeId(0)).tx_bytes - 62_500_000.0).abs() < 1.0);
         assert!((net.counters(NodeId(2)).rx_bytes - 62_500_000.0).abs() < 1.0);
@@ -356,13 +346,16 @@ mod tests {
         // Flow A: 31.25 MB, flow B: 93.75 MB, sharing 62.5 MB/s.
         // Phase 1: both at 31.25 MB/s, A finishes at t=1 (B has 62.5 MB left).
         // Phase 2: B alone at 62.5 MB/s, finishes 1 s later at t=2.
-        net.start_flow(NodeId(0), NodeId(2), 31_250_000.0, FlowKind::Shuffle);
+        let a = net.start_flow(NodeId(0), NodeId(2), 31_250_000.0, FlowKind::Shuffle);
         let b = net.start_flow(NodeId(1), NodeId(3), 93_750_000.0, FlowKind::Shuffle);
+        net.advance_to(net.next_completion().unwrap());
+        assert!((net.now().as_secs_f64() - 1.0).abs() < 1e-6);
+        assert!(net.flow(a).is_none());
+        assert!((net.flow(b).unwrap().rate - 62_500_000.0).abs() < 1.0);
+        let done_at = net.next_completion().unwrap().as_secs_f64();
+        assert!((done_at - 2.0).abs() < 1e-6, "B finishes at {done_at}");
         net.advance_to(SimTime::from_secs(10));
-        let flow_b = net.flow(b).unwrap();
-        assert_eq!(flow_b.state, FlowState::Completed);
-        let done_at = flow_b.completed_at.unwrap().as_secs_f64();
-        assert!((done_at - 2.0).abs() < 1e-6, "B finished at {done_at}");
+        assert!(net.flow(b).is_none());
     }
 
     #[test]
@@ -373,7 +366,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6);
         net.advance_to(done);
-        assert_eq!(net.flow(id).unwrap().state, FlowState::Completed);
+        assert!(net.flow(id).is_none());
     }
 
     #[test]
@@ -383,7 +376,7 @@ mod tests {
         let done = net.next_completion().unwrap();
         assert!(done.as_secs_f64() < 0.01);
         net.advance_to(done);
-        assert_eq!(net.flow(id).unwrap().state, FlowState::Completed);
+        assert!(net.flow(id).is_none());
     }
 
     #[test]
@@ -394,7 +387,7 @@ mod tests {
         assert!((net.flow(a).unwrap().rate - 31_250_000.0).abs() < 1.0);
         net.cancel_flow(b);
         assert!((net.flow(a).unwrap().rate - 62_500_000.0).abs() < 1.0);
-        assert_eq!(net.flow(b).unwrap().state, FlowState::Cancelled);
+        assert!(net.flow(b).is_none(), "a cancelled flow leaves the network");
         assert_eq!(net.active_flow_count(), 1);
         // Cancelling again is a no-op.
         net.cancel_flow(b);
@@ -439,12 +432,12 @@ mod tests {
                 )
             })
             .collect();
+        let last = net.next_completion().unwrap();
         let end = net.run_to_quiescence(SimDuration::from_secs(3600));
         assert_eq!(net.active_flow_count(), 0);
-        assert!(end > SimTime::ZERO);
-        assert!(ids
-            .iter()
-            .all(|&id| net.flow(id).unwrap().state == FlowState::Completed));
+        assert!(end >= last);
+        assert_eq!(net.next_completion(), None);
+        assert!(ids.iter().all(|&id| net.flow(id).is_none()));
     }
 
     #[test]

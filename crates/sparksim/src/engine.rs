@@ -139,9 +139,7 @@ fn wait_for_flows(
     deadline: SimTime,
 ) -> SimTime {
     loop {
-        let all_done = flows
-            .iter()
-            .all(|id| network.flow(*id).map(|f| !f.is_active()).unwrap_or(true));
+        let all_done = flows.iter().all(|id| network.flow(*id).is_none());
         if all_done {
             return network.now();
         }

@@ -19,7 +19,7 @@
 //!   mutates it in place — no node-table, mesh or `String` reallocation, only
 //!   the handful of values that scrape changed are rewritten. After the fill
 //!   the publisher **seals** the buffer ([`ClusterSnapshot::seal`]): the RTT
-//!   statistics of the source rows the fill dirtied are recomputed — once,
+//!   statistics of every source row not sealed yet are computed — once,
 //!   here, instead of once per reader per burst — and the snapshot gets a
 //!   process-unique `revision`. Readers key their derived views on that
 //!   revision, never on the `Arc`'s address: with four recycled buffers the
@@ -143,8 +143,8 @@ impl SnapshotPublisher {
 
     /// Publish the next epoch: `fill` rewrites the epoch's snapshot buffer
     /// (copy-on-write — in place unless a reader still retains the buffer
-    /// from `SLOT_COUNT` epochs ago) and the buffer is sealed (dirty RTT rows
-    /// resummarised, fresh revision — see [`ClusterSnapshot::seal`]); then it
+    /// from `SLOT_COUNT` epochs ago) and the buffer is sealed (unsealed RTT
+    /// rows summarised, fresh revision — see [`ClusterSnapshot::seal`]); then it
     /// is installed in its slot and the epoch counter is bumped with release
     /// ordering. Returns the published epoch number.
     pub fn publish_with(&mut self, fill: impl FnOnce(&mut ClusterSnapshot)) -> u64 {

@@ -239,13 +239,13 @@ impl ScrapeManager {
     }
 
     /// Assemble the scheduler-facing snapshot at `at` into `snap`, reusing
-    /// its storage. Uses the interned layout when available (the hot path —
-    /// no name resolution, cost independent of retained history), falling
-    /// back to the generic store walk before the first scrape.
+    /// its storage, through the interned layout (no name resolution, cost
+    /// independent of retained history). Before the first scrape there is no
+    /// layout and the store is empty, so the snapshot is empty too.
     pub fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot) {
         match &self.layout {
             Some(layout) => layout.snapshot_into(&self.store, at, rate_window, snap),
-            None => snap.assemble_from_store(&self.store, at, rate_window),
+            None => snap.reset_for(at, &[]),
         }
     }
 }

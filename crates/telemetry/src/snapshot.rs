@@ -15,7 +15,7 @@
 //! the published epochs are tested byte-identical against.
 //!
 //! Snapshots are **id-indexed**: node telemetry lives in a dense table and the
-//! RTT mesh ([`RttMesh`]) is keyed by `(NodeId, NodeId)` pairs, mirroring the
+//! RTT mesh ([`RttMesh`]) holds one row per source [`NodeId`], mirroring the
 //! cluster's node interning. Names are resolved only at the edges (reports,
 //! figures, tests); the scrape→store→snapshot→features path never round-trips
 //! through `String`. A snapshot produced by the scrape manager's interned
@@ -25,17 +25,16 @@
 //! # Sealing and revisions
 //!
 //! The Table-1 RTT statistics `(mean, max, std)` of a source row are a pure
-//! function of that row's mesh entries, so the single writer computes them
-//! **once, at publish time**: [`ClusterSnapshot::seal`] (called by
-//! [`crate::SnapshotPublisher::publish_with`] after its `fill`) recomputes the
-//! statistics of exactly the rows a `&mut` accessor dirtied since the last
-//! seal — a dirty-row *list*, so an epoch that rewrote only node telemetry
-//! seals in O(1) — and stamps the snapshot with a process-unique non-zero
-//! [`ClusterSnapshot::revision`]. The contract:
+//! function of that row's mesh entries, summed in ascending target-id order,
+//! so the single writer computes them **once, at publish time**:
+//! [`ClusterSnapshot::seal`] (called by
+//! [`crate::SnapshotPublisher::publish_with`] after its `fill`) summarises
+//! every row not yet sealed and stamps the snapshot with a process-unique
+//! non-zero [`ClusterSnapshot::revision`]. The contract:
 //!
 //! * every mutating accessor clears the revision (0 = "unsealed or mutated
-//!   since"), and RTT mutators additionally dirty the source row they touch;
-//!   bulk resets (`clear`, `reset_for`) drop the sealed rows wholesale;
+//!   since"); an RTT write also drops every sealed row, a node-telemetry
+//!   write none — so an epoch that rewrote only node telemetry seals in O(1);
 //! * `Clone`/`clone_from` copy the sealed rows and the revision — a clone has
 //!   the same contents, so it may share the stamp;
 //! * the public [`ClusterSnapshot::time`] field is *not* covered: the
@@ -43,12 +42,12 @@
 //!   [`ClusterSnapshot::index_into`] reads.
 //!
 //! Readers get two things from it. [`ClusterSnapshot::index_into`] copies
-//! sealed rows and accumulates only dirty or never-sealed ones — through the
-//! same accumulation routine, so the result is bit-identical to indexing an
-//! unsealed copy. And a consumer that remembers the revision it last indexed
-//! can skip re-indexing altogether when it is handed the same revision again;
-//! buffer *addresses* cannot serve as that key, because the publisher's slot
-//! ring recycles them.
+//! sealed rows and accumulates only the rest — through the same accumulation
+//! routine, so the result is bit-identical to indexing an unsealed copy. And
+//! a consumer that remembers the revision it last indexed can skip
+//! re-indexing altogether when it is handed the same revision again; buffer
+//! *addresses* cannot serve as that key, because the publisher's slot ring
+//! recycles them.
 
 use crate::metrics::SeriesKey;
 use crate::store::TimeSeriesStore;
@@ -61,47 +60,6 @@ use simcore::{SimDuration, SimTime};
 
 /// `(mean, max, std-dev)` of a row without probes.
 const NO_RTT_STATS: (f64, f64, f64) = (0.0, 0.0, 0.0);
-
-/// Publish-time RTT statistics: `(mean, max, std-dev)` per source row as of
-/// the last [`ClusterSnapshot::seal`], plus which of those rows a mutation
-/// has dirtied since. Rows at or past `stats.len()` were never sealed, so an
-/// empty value means "nothing sealed" and hand-built snapshots pay nothing.
-#[derive(Debug, Clone, Default)]
-struct SealedRtt {
-    stats: Vec<(f64, f64, f64)>,
-    /// Per sealed row: its mesh entries changed since the seal.
-    stale: Vec<bool>,
-    /// The rows flagged in `stale`, so resealing costs O(dirty rows) instead
-    /// of a scan over every flag.
-    stale_rows: Vec<u32>,
-}
-
-impl SealedRtt {
-    /// The sealed statistics of `row`, unless it is dirty or was never sealed.
-    fn get(&self, row: usize) -> Option<(f64, f64, f64)> {
-        match self.stale.get(row) {
-            Some(false) => Some(self.stats[row]),
-            _ => None,
-        }
-    }
-
-    /// Note that `row`'s mesh entries changed.
-    fn touch(&mut self, row: usize) {
-        if let Some(stale) = self.stale.get_mut(row) {
-            if !*stale {
-                *stale = true;
-                self.stale_rows.push(row as u32);
-            }
-        }
-    }
-
-    /// Forget every sealed row (the mesh was reset wholesale).
-    fn invalidate(&mut self) {
-        self.stats.clear();
-        self.stale.clear();
-        self.stale_rows.clear();
-    }
-}
 
 /// Host-level telemetry for one node at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -116,201 +74,52 @@ pub struct NodeTelemetry {
     pub rx_rate: f64,
 }
 
-/// Node count up to which the mesh stores a dense `n × n` matrix. The paper's
-/// worlds (6–64 nodes, fully probed by the ping mesh) stay dense, keeping
-/// every existing access pattern — and its floating-point accumulation order —
-/// byte-for-byte unchanged. Past this limit a dense matrix is quadratic
-/// memory (10k nodes ≈ 1.6 GB of `Option<f64>`), while the 1k–10k scale
-/// worlds only probe a sampled peer set, so the mesh switches to a sorted
-/// sparse map keyed `(source, target)`.
-const DENSE_NODE_LIMIT: usize = 512;
-
-/// Storage behind [`RttMesh`]: dense matrix at paper scale, sorted sparse map
-/// at 1k–10k scale. The representation is a pure function of the current
-/// dimension (`n <= DENSE_NODE_LIMIT` ⟺ dense), so equality can compare
-/// like-for-like.
-#[derive(Debug, Clone, PartialEq)]
-enum MeshRepr {
-    /// Row-major `n × n` values; `None` = pair not probed.
-    Dense(Vec<Option<f64>>),
-    /// Probed pairs keyed `(source, target)`; the `BTreeMap`'s lexicographic
-    /// key order **is** row-major order, so iteration matches the dense form.
-    Sparse(std::collections::BTreeMap<(u32, u32), f64>),
-}
-
-/// The empty dense form. `Vec::new` does not allocate, so resetting a mesh
-/// to it is heap-free.
-impl Default for MeshRepr {
-    fn default() -> Self {
-        MeshRepr::Dense(Vec::new())
-    }
-}
-
-/// Iterator over all probed `(source, target, rtt)` entries, row-major.
-enum MeshIter<'a> {
-    Dense {
-        values: std::iter::Enumerate<std::slice::Iter<'a, Option<f64>>>,
-        n: usize,
-    },
-    Sparse(std::collections::btree_map::Iter<'a, (u32, u32), f64>),
-}
-
-impl Iterator for MeshIter<'_> {
-    type Item = (NodeId, NodeId, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            MeshIter::Dense { values, n } => {
-                for (i, v) in values.by_ref() {
-                    if let Some(rtt) = v {
-                        return Some((NodeId((i / *n) as u32), NodeId((i % *n) as u32), *rtt));
-                    }
-                }
-                None
-            }
-            MeshIter::Sparse(iter) => iter.next().map(|(&(s, t), &v)| (NodeId(s), NodeId(t), v)),
-        }
-    }
-}
-
-/// Iterator over one source row's probed `(target, rtt)` entries, in
-/// ascending target-id order.
-enum RowIter<'a> {
-    Dense(std::iter::Enumerate<std::slice::Iter<'a, Option<f64>>>),
-    Sparse(std::collections::btree_map::Range<'a, (u32, u32), f64>),
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = (NodeId, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RowIter::Dense(values) => {
-                for (t, v) in values.by_ref() {
-                    if let Some(rtt) = v {
-                        return Some((NodeId(t as u32), *rtt));
-                    }
-                }
-                None
-            }
-            RowIter::Sparse(range) => range.next().map(|(&(_, t), &v)| (NodeId(t), v)),
-        }
-    }
-}
-
-/// The pairwise RTT mesh in seconds, keyed by `(source, target)` [`NodeId`]
-/// pairs: a dense matrix over the snapshot's node table at paper scale
-/// (reusable across fetches without reallocation), a sorted sparse map past
-/// `DENSE_NODE_LIMIT` (512) nodes where full meshes are neither probed nor
-/// affordable.
+/// The pairwise RTT mesh in seconds: one row per source [`NodeId`], holding
+/// its probed `(target, rtt)` pairs in ascending target id. Memory follows
+/// the probes, so the paper's fully probed 6–64-node meshes and the sampled
+/// peer sets of the 1k–10k scale worlds share one form, and rows keep their
+/// capacity across fetches.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RttMesh {
-    /// Matrix dimension (number of interned nodes).
-    n: u32,
-    /// Dense or sparse values, per [`MeshRepr`].
-    repr: MeshRepr,
-    /// Number of present entries.
+    /// Probed `(target, rtt)` pairs per source id, ascending by target.
+    rows: Vec<Vec<(NodeId, f64)>>,
+    /// Number of probed pairs.
     count: u32,
 }
 
 impl RttMesh {
-    /// Grow the mesh to hold at least `n` nodes, preserving entries and
-    /// migrating dense → sparse when `n` crosses [`DENSE_NODE_LIMIT`].
-    fn ensure_nodes(&mut self, n: usize) {
-        let old = self.n as usize;
-        if n <= old {
-            return;
-        }
-        match &mut self.repr {
-            MeshRepr::Sparse(_) => {
-                // Sparse keys are dimension-independent; nothing to move.
-            }
-            MeshRepr::Dense(values) if n <= DENSE_NODE_LIMIT => {
-                if old == 0 {
-                    // Fresh layout: reuse the existing buffer's capacity.
-                    values.clear();
-                    values.resize(n * n, None);
-                } else {
-                    let mut grown = vec![None; n * n];
-                    for s in 0..old {
-                        for t in 0..old {
-                            grown[s * n + t] = values[s * old + t];
-                        }
-                    }
-                    *values = grown;
-                }
-            }
-            MeshRepr::Dense(values) => {
-                let mut map = std::collections::BTreeMap::new();
-                for s in 0..old {
-                    for t in 0..old {
-                        if let Some(v) = values[s * old + t] {
-                            map.insert((s as u32, t as u32), v);
-                        }
-                    }
-                }
-                self.repr = MeshRepr::Sparse(map);
-            }
-        }
-        self.n = n as u32;
-    }
-
-    /// Reset all entries to "not probed" without shrinking the mesh.
+    /// Reset every row to "not probed", keeping each row's capacity.
     fn clear_values(&mut self) {
-        match &mut self.repr {
-            MeshRepr::Dense(values) => values.iter_mut().for_each(|v| *v = None),
-            MeshRepr::Sparse(map) => map.clear(),
-        }
+        self.rows.iter_mut().for_each(Vec::clear);
         self.count = 0;
     }
 
-    /// Empty the mesh (dimension back to zero) keeping the dense buffer's
-    /// allocation for the next layout.
-    fn reset(&mut self) {
-        self.n = 0;
-        self.count = 0;
-        match &mut self.repr {
-            MeshRepr::Dense(values) => values.clear(),
-            // An empty mesh is below the dense limit by definition; restore
-            // the representation invariant.
-            repr @ MeshRepr::Sparse(_) => *repr = MeshRepr::default(),
-        }
-    }
-
-    /// True while the mesh stores the dense matrix (paper-scale worlds).
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, MeshRepr::Dense(_))
-    }
-
-    /// Record the RTT from `src` to `dst`, growing the mesh if needed.
+    /// Record the RTT from `src` to `dst`. A write past the row's last
+    /// target (every write of a scrape, which walks targets in ascending
+    /// order) appends; any other inserts or overwrites in place.
     pub(crate) fn set(&mut self, src: NodeId, dst: NodeId, rtt_seconds: f64) {
-        let need = src.index().max(dst.index()) + 1;
-        self.ensure_nodes(need);
-        match &mut self.repr {
-            MeshRepr::Dense(values) => {
-                let slot = &mut values[src.index() * self.n as usize + dst.index()];
-                if slot.is_none() {
-                    self.count += 1;
-                }
-                *slot = Some(rtt_seconds);
-            }
-            MeshRepr::Sparse(map) => {
-                if map.insert((src.0, dst.0), rtt_seconds).is_none() {
-                    self.count += 1;
-                }
-            }
+        if self.rows.len() <= src.index() {
+            self.rows.resize_with(src.index() + 1, Vec::new);
         }
+        let row = &mut self.rows[src.index()];
+        match row.last() {
+            Some(&(last, _)) if last >= dst => match row.binary_search_by_key(&dst, |&(t, _)| t) {
+                Ok(at) => {
+                    row[at].1 = rtt_seconds;
+                    return;
+                }
+                Err(at) => row.insert(at, (dst, rtt_seconds)),
+            },
+            _ => row.push((dst, rtt_seconds)),
+        }
+        self.count += 1;
     }
 
     /// The RTT from `src` to `dst`, if probed.
     pub(crate) fn get(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        if src.index() >= self.n as usize || dst.index() >= self.n as usize {
-            return None;
-        }
-        match &self.repr {
-            MeshRepr::Dense(values) => values[src.index() * self.n as usize + dst.index()],
-            MeshRepr::Sparse(map) => map.get(&(src.0, dst.0)).copied(),
-        }
+        let row = self.row(src);
+        let at = row.binary_search_by_key(&dst, |&(t, _)| t).ok()?;
+        Some(row[at].1)
     }
 
     /// Number of probed pairs.
@@ -325,29 +134,16 @@ impl RttMesh {
 
     /// All probed `(source, target, rtt)` entries, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        match &self.repr {
-            MeshRepr::Dense(values) => MeshIter::Dense {
-                values: values.iter().enumerate(),
-                n: self.n as usize,
-            },
-            MeshRepr::Sparse(map) => MeshIter::Sparse(map.iter()),
-        }
+        self.rows.iter().enumerate().flat_map(|(src, row)| {
+            row.iter()
+                .map(move |&(dst, rtt)| (NodeId(src as u32), dst, rtt))
+        })
     }
 
     /// One source row's probed `(target, rtt)` entries in ascending
-    /// target-id order. For sparse meshes the work is proportional to the
-    /// row's entries, which is what keeps snapshot indexing linear at 10k
-    /// nodes.
-    pub(crate) fn row(&self, src: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        match &self.repr {
-            MeshRepr::Dense(values) => {
-                let n = self.n as usize;
-                let start = (src.index() * n).min(values.len());
-                let end = (start + n).min(values.len());
-                RowIter::Dense(values[start..end].iter().enumerate())
-            }
-            MeshRepr::Sparse(map) => RowIter::Sparse(map.range((src.0, 0)..=(src.0, u32::MAX))),
-        }
+    /// target-id order; empty for a source never probed from.
+    pub(crate) fn row(&self, src: NodeId) -> &[(NodeId, f64)] {
+        self.rows.get(src.index()).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -370,11 +166,12 @@ pub struct ClusterSnapshot {
     /// Telemetry per node id; `None` = node known (e.g. probed by the ping
     /// mesh) but not scraped.
     nodes: Vec<Option<NodeTelemetry>>,
-    /// Pairwise RTT measurements keyed by `(source, target)` node ids.
+    /// Pairwise RTT measurements, one row per source node id.
     rtt: RttMesh,
-    /// Publish-time RTT statistics (see the module docs). Derived state:
-    /// excluded from equality.
-    sealed: SealedRtt,
+    /// Publish-time RTT statistics `(mean, max, std-dev)` of the source rows
+    /// below its length (see the module docs). Derived state: excluded from
+    /// equality.
+    sealed: Vec<(f64, f64, f64)>,
     /// Process-unique stamp of the sealed contents; 0 = unsealed, or mutated
     /// since the last seal.
     revision: u64,
@@ -389,51 +186,37 @@ impl ClusterSnapshot {
         }
     }
 
-    /// Assemble a snapshot from the store at time `at`.
+    /// Assemble a snapshot from the store at time `at` — the generic,
+    /// name-resolving path; the scrape manager's interned layout avoids the
+    /// label lookups and re-interning entirely.
     ///
     /// `rate_window` controls the lookback used to turn tx/rx byte counters
     /// into rates; when fewer than two counter samples exist in the window
     /// the rate is reported as 0 (cold start).
     pub fn from_store(store: &TimeSeriesStore, at: SimTime, rate_window: SimDuration) -> Self {
-        let mut snap = ClusterSnapshot::default();
-        snap.assemble_from_store(store, at, rate_window);
-        snap
-    }
-
-    /// Re-assemble this snapshot in place from the store — the generic,
-    /// name-resolving path; the scrape manager's interned layout path avoids
-    /// the label lookups and re-interning entirely. Vector and mesh buffer
-    /// capacity is reused; node names are re-interned.
-    pub(crate) fn assemble_from_store(
-        &mut self,
-        store: &TimeSeriesStore,
-        at: SimTime,
-        rate_window: SimDuration,
-    ) {
-        self.clear();
-        self.time = at;
+        let mut snap = ClusterSnapshot::at(at);
         for &id in store.ids_for_name(METRIC_NODE_LOAD1) {
             if let Some(value) = store.instant_id(id, at) {
                 if let Some(instance) = store.key(id).label("instance") {
-                    let node = self.intern(instance);
-                    self.entry(node).cpu_load = value;
+                    let node = snap.intern(instance);
+                    snap.entry(node).cpu_load = value;
                 }
             }
         }
         for &id in store.ids_for_name(METRIC_NODE_MEM_AVAILABLE) {
             if let Some(value) = store.instant_id(id, at) {
                 if let Some(instance) = store.key(id).label("instance") {
-                    let node = self.intern(instance);
-                    self.entry(node).memory_available_bytes = value;
+                    let node = snap.intern(instance);
+                    snap.entry(node).memory_available_bytes = value;
                 }
             }
         }
-        for idx in 0..self.names.len() {
-            let Some(entry) = self.nodes[idx].as_mut() else {
+        for idx in 0..snap.names.len() {
+            let Some(entry) = snap.nodes[idx].as_mut() else {
                 continue;
             };
-            let tx_key = SeriesKey::per_node(METRIC_NODE_TX_BYTES, &self.names[idx]);
-            let rx_key = SeriesKey::per_node(METRIC_NODE_RX_BYTES, &self.names[idx]);
+            let tx_key = SeriesKey::per_node(METRIC_NODE_TX_BYTES, &snap.names[idx]);
+            let rx_key = SeriesKey::per_node(METRIC_NODE_RX_BYTES, &snap.names[idx]);
             entry.tx_rate = store.rate(&tx_key, at, rate_window).unwrap_or(0.0);
             entry.rx_rate = store.rate(&rx_key, at, rate_window).unwrap_or(0.0);
         }
@@ -441,25 +224,12 @@ impl ClusterSnapshot {
             if let Some(value) = store.instant_id(id, at) {
                 let key = store.key(id);
                 if let (Some(src), Some(dst)) = (key.label("source"), key.label("target")) {
-                    let (src, dst) = (self.intern(src), self.intern(dst));
-                    self.set_rtt(src, dst, value);
+                    let (src, dst) = (snap.intern(src), snap.intern(dst));
+                    snap.set_rtt(src, dst, value);
                 }
             }
         }
-    }
-
-    /// Fully clear the snapshot (names, telemetry, mesh), keeping the
-    /// vectors' and mesh buffer's capacity (node-name `String`s are
-    /// re-allocated on the next intern; the id-aligned
-    /// [`ClusterSnapshot::reset_for`] path avoids even that).
-    pub(crate) fn clear(&mut self) {
-        self.time = SimTime::ZERO;
-        self.names.clear();
-        self.sorted.clear();
-        self.nodes.clear();
-        self.rtt.reset();
-        self.sealed.invalidate();
-        self.revision = 0;
+        snap
     }
 
     /// Reset the snapshot for a fresh fetch over a fixed node table: keeps
@@ -469,21 +239,16 @@ impl ClusterSnapshot {
     pub fn reset_for(&mut self, time: SimTime, names: &[String]) {
         self.time = time;
         if self.names != names {
-            self.clear();
-            self.time = time;
+            self.names.clear();
+            self.sorted.clear();
+            self.nodes.clear();
             for name in names {
                 self.intern(name);
             }
-        } else {
-            self.clear_values();
         }
-    }
-
-    /// Drop every telemetry and mesh value, keeping the node table.
-    fn clear_values(&mut self) {
         self.nodes.iter_mut().for_each(|n| *n = None);
         self.rtt.clear_values();
-        self.sealed.invalidate();
+        self.sealed.clear();
         self.revision = 0;
     }
 
@@ -515,17 +280,10 @@ impl ClusterSnapshot {
         self.nodes[id.index()].get_or_insert_with(NodeTelemetry::default)
     }
 
-    /// Record one mesh entry, dirtying the sealed statistics of its source
-    /// row. A dense → sparse migration changes every row's accumulation order
-    /// (target-name order → target-id order), so it drops all sealed rows.
+    /// Record one mesh entry, dropping every sealed row.
     fn set_rtt(&mut self, src: NodeId, dst: NodeId, rtt_seconds: f64) {
-        let was_dense = self.rtt.is_dense();
         self.rtt.set(src, dst, rtt_seconds);
-        if was_dense == self.rtt.is_dense() {
-            self.sealed.touch(src.index());
-        } else {
-            self.sealed.invalidate();
-        }
+        self.sealed.clear();
         self.revision = 0;
     }
 
@@ -617,38 +375,43 @@ impl ClusterSnapshot {
     }
 
     /// Summary statistics (mean, max, std-dev) of the RTTs from `source` —
-    /// exactly the three RTT features in Table 1 of the paper. On dense
-    /// meshes accumulation runs in target-name order so results are
-    /// bit-identical to the name-keyed mesh this replaced.
+    /// exactly the three RTT features in Table 1 of the paper, summed in
+    /// ascending target-id order.
     pub fn rtt_stats_from(&self, source: &str) -> (f64, f64, f64) {
         self.node_id(source)
             .map_or(NO_RTT_STATS, |src| self.row_stats(src))
     }
 
     /// `(mean, max, std-dev)` of the RTTs probed from `src`: the sealed value
-    /// when the row is clean, otherwise accumulated now — the one routine
+    /// when there is one, otherwise accumulated now — the one routine
     /// [`ClusterSnapshot::seal`] fills sealed rows with, so the two agree
     /// bitwise.
     fn row_stats(&self, src: NodeId) -> (f64, f64, f64) {
         self.sealed
             .get(src.index())
+            .copied()
             .unwrap_or_else(|| self.accumulate_row_stats(src))
     }
 
+    /// Sum `src`'s mesh row in ascending target-id order. Both
+    /// [`ClusterSnapshot::rtt_stats_from`] and [`ClusterSnapshot::index_into`]
+    /// go through here, so the two can never disagree on accumulation order.
     fn accumulate_row_stats(&self, src: NodeId) -> (f64, f64, f64) {
         let mut stats = simcore::OnlineStats::new();
-        self.accumulate_rtts_from(src, &mut stats);
+        for &(_, rtt) in self.rtt.row(src) {
+            stats.push(rtt);
+        }
         if stats.count() == 0 {
             return NO_RTT_STATS;
         }
         (stats.mean(), stats.max(), stats.std_dev())
     }
 
-    /// Seal the snapshot: recompute the RTT statistics of every source row
-    /// dirtied (or interned) since the last seal, and stamp a fresh
-    /// process-unique [`ClusterSnapshot::revision`]. A no-op on a snapshot
-    /// that is still sealed. Cost is proportional to the dirty rows' entries
-    /// — nothing at all for an epoch that rewrote only node telemetry.
+    /// Seal the snapshot: summarise every source row past the sealed ones
+    /// and stamp a fresh process-unique [`ClusterSnapshot::revision`]. A
+    /// no-op on a snapshot that is still sealed. Cost is proportional to the
+    /// unsealed rows' entries — nothing at all for an epoch that rewrote only
+    /// node telemetry.
     #[expect(
         clippy::disallowed_types,
         reason = "ordering: Relaxed — the counter only hands out distinct stamps; the snapshot it stamps reaches readers through the publisher's own Release/Acquire epoch"
@@ -661,19 +424,10 @@ impl ClusterSnapshot {
         if self.revision != 0 {
             return;
         }
-        let mut sealed = std::mem::take(&mut self.sealed);
-        for &row in &sealed.stale_rows {
-            sealed.stats[row as usize] = self.accumulate_row_stats(NodeId(row));
-            sealed.stale[row as usize] = false;
+        for row in self.sealed.len()..self.names.len() {
+            let stats = self.accumulate_row_stats(NodeId(row as u32));
+            self.sealed.push(stats);
         }
-        sealed.stale_rows.clear();
-        for row in sealed.stats.len()..self.names.len() {
-            sealed
-                .stats
-                .push(self.accumulate_row_stats(NodeId(row as u32)));
-        }
-        sealed.stale.resize(sealed.stats.len(), false);
-        self.sealed = sealed;
         self.revision = NEXT_REVISION.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -682,27 +436,6 @@ impl ClusterSnapshot {
     /// has been mutated since. Equal non-zero revisions prove equal contents.
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// Push every RTT probed from `src` into `stats`. Dense meshes
-    /// accumulate in target-name order (the floating-point order the
-    /// paper-scale pins depend on); sparse meshes walk the source row in
-    /// target-id order so the work is proportional to the row's entries
-    /// rather than the node table. Both [`ClusterSnapshot::rtt_stats_from`]
-    /// and [`ClusterSnapshot::index_into`] go through here, so the two can
-    /// never disagree on accumulation order.
-    fn accumulate_rtts_from(&self, src: NodeId, stats: &mut simcore::OnlineStats) {
-        if self.rtt.is_dense() {
-            for &t in &self.sorted {
-                if let Some(rtt) = self.rtt.get(src, NodeId(t)) {
-                    stats.push(rtt);
-                }
-            }
-        } else {
-            for (_, rtt) in self.rtt.row(src) {
-                stats.push(rtt);
-            }
-        }
     }
 
     /// True when the snapshot has no scraped node at all.
@@ -727,17 +460,20 @@ impl ClusterSnapshot {
     /// exactly once (instead of once per candidate per decision) to
     /// precompute the Table-1 RTT statistics for every node. When the
     /// snapshot is id-aligned with the cluster (the interned scrape path)
-    /// no name is touched at all. Sealed RTT rows are copied; only rows
-    /// dirtied (or never sealed) since are accumulated, through the routine
-    /// that sealed the others. Steady-state bursts over a fixed cluster size
+    /// no name is touched at all. Sealed RTT rows are copied; only unsealed
+    /// rows are accumulated, through the routine that sealed the others.
+    /// Steady-state bursts over a fixed cluster size
     /// re-index without touching the heap.
     pub fn index_into(&self, cluster: &cluster::ClusterState, out: &mut IndexedTelemetry) {
         out.nodes.clear();
         out.rtt_stats.clear();
         if self.is_aligned_with(cluster) {
             out.nodes.extend_from_slice(&self.nodes);
-            out.rtt_stats
-                .extend((0..self.names.len()).map(|row| self.row_stats(NodeId(row as u32))));
+            out.rtt_stats.extend_from_slice(&self.sealed);
+            out.rtt_stats.extend(
+                (self.sealed.len()..self.names.len())
+                    .map(|row| self.accumulate_row_stats(NodeId(row as u32))),
+            );
         } else {
             for node in cluster.nodes() {
                 let id = self.node_id(&node.name);
@@ -950,16 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn reused_snapshot_equals_fresh_assembly() {
+    fn assembly_is_repeatable_and_reset_for_clears_the_values() {
         let store = build_store();
         let at = SimTime::from_secs(35);
         let w = SimDuration::from_secs(60);
-        let fresh = ClusterSnapshot::from_store(&store, at, w);
-        let mut reused = ClusterSnapshot::default();
-        for _ in 0..3 {
-            reused.assemble_from_store(&store, at, w);
-            assert_eq!(reused, fresh);
-        }
+        let mut reused = ClusterSnapshot::from_store(&store, at, w);
+        assert_eq!(reused, ClusterSnapshot::from_store(&store, at, w));
         // reset_for keeps the node table and clears the values.
         let names: Vec<String> = vec!["node-1".into(), "node-2".into()];
         reused.reset_for(SimTime::from_secs(40), &names);
@@ -1061,7 +793,7 @@ mod tests {
         let snap =
             ClusterSnapshot::from_store(&store, SimTime::from_secs(35), SimDuration::from_secs(60));
         let source = snap.node_id("node-1").unwrap();
-        assert_eq!(snap.rtt().row(source).count(), 2);
+        assert_eq!(snap.rtt().row(source).len(), 2);
         let (mean, max, std) = snap.rtt_stats_from("node-1");
         assert!((mean - 0.038).abs() < 1e-9);
         assert_eq!(max, 0.066);
@@ -1136,77 +868,83 @@ mod tests {
     }
 
     #[test]
-    fn sparse_mesh_matches_dense_semantics() {
-        // Same probes recorded twice: once within the dense limit, once
-        // shifted past it so the mesh goes sparse. Every accessor must agree.
-        let probes = [
-            (0u32, 3u32, 0.010),
-            (3, 0, 0.011),
-            (1, 2, 0.020),
-            (5, 5, 0.0),
-        ];
-        let mut dense = RttMesh::default();
-        let mut sparse = RttMesh::default();
-        let shift = super::DENSE_NODE_LIMIT as u32 + 100;
-        for &(s, t, v) in &probes {
-            dense.set(NodeId(s), NodeId(t), v);
-            sparse.set(NodeId(s + shift), NodeId(t + shift), v);
-        }
-        assert!(dense.is_dense());
-        assert!(!sparse.is_dense());
-        assert_eq!(dense.len(), sparse.len());
-        for &(s, t, v) in &probes {
-            assert_eq!(dense.get(NodeId(s), NodeId(t)), Some(v));
-            assert_eq!(sparse.get(NodeId(s + shift), NodeId(t + shift)), Some(v));
-        }
-        assert_eq!(sparse.get(NodeId(0), NodeId(3)), None);
-        // Row-major full iteration and per-row iteration line up.
-        let dense_iter: Vec<_> = dense.iter().collect();
-        let sparse_iter: Vec<_> = sparse
-            .iter()
-            .map(|(s, t, v)| (NodeId(s.0 - shift), NodeId(t.0 - shift), v))
-            .collect();
-        assert_eq!(dense_iter, sparse_iter);
-        let dense_row: Vec<_> = dense.row(NodeId(0)).collect();
-        let sparse_row: Vec<_> = sparse
-            .row(NodeId(shift))
-            .map(|(t, v)| (NodeId(t.0 - shift), v))
-            .collect();
-        assert_eq!(dense_row, vec![(NodeId(3), 0.010)]);
-        assert_eq!(dense_row, sparse_row);
-        // Overwrites do not double-count in either representation.
-        dense.set(NodeId(0), NodeId(3), 0.9);
-        sparse.set(NodeId(shift), NodeId(3 + shift), 0.9);
-        assert_eq!(dense.len(), sparse.len());
-        // Out-of-range rows are empty, not a panic.
-        assert_eq!(dense.row(NodeId(9999)).count(), 0);
-        assert_eq!(sparse.row(NodeId(9999)).count(), 0);
-    }
-
-    #[test]
-    fn dense_mesh_migrates_to_sparse_preserving_entries() {
+    fn mesh_rows_stay_target_ordered_under_any_write_order() {
         let mut mesh = RttMesh::default();
-        mesh.set(NodeId(0), NodeId(1), 0.001);
-        mesh.set(NodeId(1), NodeId(0), 0.002);
-        assert!(mesh.is_dense());
-        // Growing past the dense limit migrates without losing probes.
-        mesh.set(NodeId(super::DENSE_NODE_LIMIT as u32), NodeId(0), 0.003);
-        assert!(!mesh.is_dense());
-        assert_eq!(mesh.len(), 3);
-        assert_eq!(mesh.get(NodeId(0), NodeId(1)), Some(0.001));
-        assert_eq!(mesh.get(NodeId(1), NodeId(0)), Some(0.002));
-        assert_eq!(
-            mesh.get(NodeId(super::DENSE_NODE_LIMIT as u32), NodeId(0)),
-            Some(0.003)
-        );
+        // Out of order within row 0, a later row first, one self-probe.
+        for &(s, t, v) in &[
+            (0u32, 3u32, 0.030),
+            (2, 1, 0.021),
+            (0, 1, 0.010),
+            (0, 7, 0.070),
+            (0, 5, 0.050),
+            (5, 5, 0.0),
+        ] {
+            mesh.set(NodeId(s), NodeId(t), v);
+        }
+        assert_eq!(mesh.len(), 6);
+        let targets: Vec<_> = mesh.row(NodeId(0)).iter().map(|&(t, _)| t.0).collect();
+        assert_eq!(targets, vec![1, 3, 5, 7]);
+        assert_eq!(mesh.get(NodeId(0), NodeId(5)), Some(0.050));
+        assert_eq!(mesh.get(NodeId(0), NodeId(4)), None);
+        assert_eq!(mesh.get(NodeId(9), NodeId(0)), None);
+        // Row-major full iteration.
+        let all: Vec<_> = mesh.iter().map(|(s, t, _)| (s.0, t.0)).collect();
+        assert_eq!(all, vec![(0, 1), (0, 3), (0, 5), (0, 7), (2, 1), (5, 5)]);
+        // Overwrites, at the end of a row or inside it, do not double-count.
+        mesh.set(NodeId(0), NodeId(7), 0.9);
+        mesh.set(NodeId(0), NodeId(3), 0.8);
+        assert_eq!(mesh.len(), 6);
+        assert_eq!(mesh.get(NodeId(0), NodeId(3)), Some(0.8));
+        // Out-of-range rows are empty, not a panic.
+        assert!(mesh.row(NodeId(9999)).is_empty());
+        // Clearing keeps every row's buffer for the next fetch.
+        let capacity = mesh.rows[0].capacity();
+        mesh.clear_values();
+        assert!(mesh.is_empty());
+        assert_eq!(mesh.iter().count(), 0);
+        assert_eq!(mesh.rows[0].capacity(), capacity);
     }
 
     #[test]
-    fn large_snapshot_stats_use_sparse_mesh() {
+    fn rtt_rows_sum_in_target_id_order_not_name_order() {
+        // Twelve nodes interned node-1 … node-12: id order puts node-2 before
+        // node-10, name order puts it after node-12.
+        let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
+        let names: Vec<String> = (1..=12).map(|i| format!("node-{i}")).collect();
+        for name in &names {
+            snap.insert_node(name, NodeTelemetry::default());
+        }
+        let rtt = |t: usize| 0.1 / (t + 2) as f64;
+        // Written in reverse, so every probe takes the insert path.
+        for t in (1..names.len()).rev() {
+            snap.insert_rtt(&names[0], &names[t], rtt(t));
+        }
+        let summed = |order: Vec<usize>| {
+            let mut stats = simcore::OnlineStats::new();
+            order.into_iter().for_each(|t| stats.push(rtt(t)));
+            [stats.mean(), stats.max(), stats.std_dev()].map(f64::to_bits)
+        };
+        let id_order = summed((1..names.len()).collect());
+        let mut by_name: Vec<usize> = (1..names.len()).collect();
+        by_name.sort_by_key(|&t| &names[t]);
+        assert_ne!(
+            summed(by_name),
+            id_order,
+            "the two orders must round differently for this test to see the order"
+        );
+        let bits = |(mean, max, std): (f64, f64, f64)| [mean, max, std].map(f64::to_bits);
+        assert_eq!(bits(snap.rtt_stats_from("node-1")), id_order, "unsealed");
+        snap.seal();
+        assert_eq!(snap.sealed.len(), names.len());
+        assert_eq!(bits(snap.rtt_stats_from("node-1")), id_order, "sealed");
+    }
+
+    #[test]
+    fn large_sampled_mesh_indexes_like_name_lookups() {
         use cluster::{Node, Resources};
 
-        // A world past the dense limit with a sampled (non-full) RTT mesh.
-        let n = super::DENSE_NODE_LIMIT + 8;
+        // A 520-node world with a sampled (non-full) RTT mesh.
+        let n = 520;
         let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
         let mut c = cluster::ClusterState::new();
         for i in 0..n {
@@ -1235,7 +973,6 @@ mod tests {
                 );
             }
         }
-        assert!(!snap.rtt().is_dense());
         assert_eq!(snap.rtt().len(), 3 * n);
         assert!(snap.is_aligned_with(&c));
 
@@ -1252,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn sealing_resummarises_only_dirty_rows_and_stamps_a_revision() {
+    fn an_rtt_write_drops_every_sealed_row_and_a_node_write_none() {
         let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
         for (src, dst, rtt) in [("a", "b", 0.010), ("a", "c", 0.030), ("b", "a", 0.020)] {
             snap.insert_rtt(src, dst, rtt);
@@ -1263,68 +1000,45 @@ mod tests {
         let first = snap.revision();
         assert_ne!(first, 0);
         assert_eq!(snap.rtt_stats_from("a"), unsealed);
-        assert_eq!(snap.sealed.stats.len(), 3);
+        assert_eq!(snap.sealed.len(), 3);
         // Sealing a sealed snapshot changes nothing; a clone shares the stamp.
         snap.seal();
         assert_eq!(snap.revision(), first);
         assert_eq!(snap.clone().revision(), first);
 
-        // Node telemetry clears the revision but dirties no RTT row …
+        // Node telemetry clears the revision but keeps every sealed row, and
+        // the next seal computes none: a planted value survives it.
         snap.insert_node("a", NodeTelemetry::default());
         assert_eq!(snap.revision(), 0);
-        assert!(snap.sealed.stale_rows.is_empty());
-        // … a probe dirties exactly its source row, once.
-        snap.insert_rtt("b", "c", 0.5);
-        snap.insert_rtt("b", "a", 0.7);
-        assert_eq!(snap.sealed.stale_rows, vec![1]);
-        assert_eq!(snap.sealed.get(0), Some(unsealed));
-        assert_eq!(snap.sealed.get(1), None);
-        // Dirty rows read through to the mesh until the next seal.
-        let (mean, max, _) = snap.rtt_stats_from("b");
-        assert_eq!((mean, max), (0.6, 0.7));
+        assert_eq!(snap.sealed.len(), 3);
+        snap.sealed[0] = (7.0, 7.0, 7.0);
         snap.seal();
         assert!(snap.revision() > first, "revisions are never reused");
-        assert_eq!(
-            snap.sealed.get(1),
-            Some(snap.accumulate_row_stats(NodeId(1)))
-        );
+        assert_eq!(snap.sealed[0], (7.0, 7.0, 7.0));
+        snap.sealed[0] = unsealed;
 
-        // Interning a node after the seal leaves it unsealed until the next.
-        snap.insert_rtt("d", "a", 0.9);
-        assert_eq!(snap.sealed.get(3), None);
-        assert_eq!(snap.rtt_stats_from("d"), (0.9, 0.9, 0.0));
+        // An RTT write, to any row, drops every sealed row …
+        snap.insert_rtt("b", "c", 0.5);
+        assert_eq!(snap.revision(), 0);
+        assert!(snap.sealed.is_empty());
+        // … so every row reads through to the mesh until the next seal.
+        let (mean, max, _) = snap.rtt_stats_from("b");
+        assert!((mean - 0.26).abs() < 1e-12 && max == 0.5);
+        assert_eq!(snap.rtt_stats_from("a"), unsealed);
+        snap.seal();
+        assert_eq!(snap.sealed.len(), 3);
+        assert_eq!(snap.sealed[1], snap.accumulate_row_stats(NodeId(1)));
+
+        // A node interned after the seal stays unsealed until the next.
+        snap.insert_node("d", NodeTelemetry::default());
+        assert_eq!(snap.sealed.len(), 3);
+        snap.seal();
+        assert_eq!(snap.sealed.len(), 4);
+        assert_eq!(snap.rtt_stats_from("d"), NO_RTT_STATS);
         // Bulk resets drop every sealed row.
         snap.reset_for(SimTime::from_secs(2), &["a".to_string(), "b".to_string()]);
-        assert!(snap.sealed.stats.is_empty());
+        assert!(snap.sealed.is_empty());
         assert_eq!(snap.revision(), 0);
-    }
-
-    #[test]
-    fn dense_to_sparse_migration_drops_the_sealed_rows() {
-        // Dense rows accumulate in target-name order, sparse rows in target-id
-        // order, so a sealed dense row may differ bitwise from the sparse
-        // accumulation of the same entries: the migration must reseal.
-        let mut snap = ClusterSnapshot::at(SimTime::from_secs(1));
-        for (dst, rtt) in [("z", 0.1), ("m", 0.2), ("b", 0.3)] {
-            snap.insert_rtt("a", dst, rtt);
-        }
-        snap.seal();
-        assert!(snap.rtt().is_dense());
-        for i in 0..super::DENSE_NODE_LIMIT {
-            snap.insert_node(&format!("filler-{i}"), NodeTelemetry::default());
-        }
-        assert_eq!(
-            snap.sealed.get(0),
-            Some(snap.accumulate_row_stats(NodeId(0)))
-        );
-        let last = format!("filler-{}", super::DENSE_NODE_LIMIT - 1);
-        snap.insert_rtt(&last, "a", 0.4);
-        assert!(!snap.rtt().is_dense());
-        assert!(snap.sealed.stats.is_empty());
-        assert_eq!(
-            snap.rtt_stats_from("a"),
-            snap.accumulate_row_stats(NodeId(0))
-        );
     }
 
     #[test]

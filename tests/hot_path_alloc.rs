@@ -21,12 +21,13 @@
 //!   round (feasibility refreshed, telemetry re-indexed and diffed, dirty
 //!   scoreboard rows refreshed);
 //! - rankings over snapshots that were never sealed: a scraped one (every RTT
-//!   row summarised on the spot) and a hand-built one past the dense-mesh
-//!   limit whose node table is not in the cluster's order (sparse RTT rows,
-//!   nodes resolved by name).
+//!   row summarised on the spot) and a hand-built 600-node one whose node
+//!   table is not in the cluster's order (sampled RTT rows, nodes resolved
+//!   by name).
 //!
 //! On the ingest side, a warm exporter round over a 64-node mesh with live
-//! traffic evaluates every ping probe without touching the heap.
+//! traffic evaluates every ping probe, and refills and seals a warm snapshot
+//! buffer, without touching the heap.
 
 use netsched::cluster::{ClusterState, Node, PodSpec, Resources};
 use netsched::core::{
@@ -651,11 +652,11 @@ fn warm_ranking_over_an_unsealed_snapshot_is_allocation_free() {
 
 #[test]
 fn warm_ranking_over_a_sparse_snapshot_in_foreign_node_order_is_allocation_free() {
-    // Past 512 nodes a snapshot stores its RTT mesh as a sparse map, whose
-    // rows are walked with `RttMesh::row`; and a snapshot whose node table is
-    // not the cluster's, in the cluster's order, is resolved node by node
-    // through its name index. A hand-built 600-node snapshot, interned in
-    // reverse and never sealed, takes both branches on every context.
+    // A snapshot whose node table is not the cluster's, in the cluster's
+    // order, is resolved node by node through its name index, and an
+    // unsealed one sums every sampled RTT row on the spot. A hand-built
+    // 600-node snapshot, interned in reverse and never sealed, takes both
+    // branches on every context.
     const NODES: usize = 600;
     let (small, _network, mut scrape) = test_world();
     let published = scrape.published_handle();
@@ -679,7 +680,6 @@ fn warm_ranking_over_a_sparse_snapshot_in_foreign_node_order_is_allocation_free(
             snapshot.insert_rtt(&name(i), &name(i + peer), rtt);
         }
     }
-    assert!(!snapshot.rtt().is_dense());
     assert!(!snapshot.is_aligned_with(&cluster));
 
     let rankings =
@@ -748,5 +748,28 @@ fn warm_exporter_scrape_round_is_allocation_free() {
         (allocs, deallocs, reallocs),
         (0, 0, 0),
         "a warm exporter round must not touch the heap"
+    );
+
+    // The publish half of the round: refill a warm snapshot buffer from the
+    // store and seal it. Every RTT row keeps its capacity across the reset
+    // and a scrape writes targets in ascending order, so each probe appends.
+    let mut scrape = ScrapeManager::new(ScrapeConfig::default());
+    let window = ScrapeConfig::default().rate_window;
+    let mut snapshot = ClusterSnapshot::default();
+    for secs in [5, 10] {
+        scrape.scrape(&cluster, &network, SimTime::from_secs(secs));
+    }
+    scrape.snapshot_into(SimTime::from_secs(5), window, &mut snapshot);
+    snapshot.seal();
+    arm();
+    scrape.snapshot_into(SimTime::from_secs(10), window, &mut snapshot);
+    snapshot.seal();
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(snapshot.rtt().len(), NODES * (NODES - 1));
+    assert_ne!(snapshot.revision(), 0);
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "refilling and sealing a warm snapshot must not touch the heap"
     );
 }
