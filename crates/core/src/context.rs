@@ -608,7 +608,7 @@ mod tests {
         use simcore::Rng;
 
         let schema = FeatureSchema::standard();
-        let mut data = Dataset::new(schema.names().to_vec());
+        let mut data = Dataset::new(schema.len());
         let job = request("train");
         for load in 0..30 {
             let mut snap = snapshot(1);
@@ -774,7 +774,7 @@ mod tests {
 
         // A forest whose prediction grows with the candidate's CPU load.
         let schema = FeatureSchema::standard();
-        let mut data = Dataset::new(schema.names().to_vec());
+        let mut data = Dataset::new(schema.len());
         for step in 0..60 {
             let mut snap = snapshot(1);
             snap.node_mut("node-1").unwrap().cpu_load = step as f64 / 6.0;

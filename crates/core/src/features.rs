@@ -14,8 +14,12 @@
 //! | `input_records` | input data size | Job |
 //! | `executor_count`, `executor_cores`, `executor_memory_gb`, `shuffle_partitions` | resource configuration | Job |
 //!
-//! The schema is fixed and versioned by position so a model trained offline
-//! keeps working when re-loaded by a long-running scheduler.
+//! A [`FeatureSchema`] is an ordered list of [`Column`]s, and a row is
+//! positional over it: cell `i` holds column `i`'s value, from construction
+//! through the logger's dataset to training and inference. One exhaustive
+//! `match` on [`Column`] fills every cell, so a new column is one variant
+//! and the compiler refuses it until that `match` says how it is filled.
+//! Column names exist only to render Table 1.
 
 use crate::request::JobRequest;
 use mlcore::FeatureMatrix;
@@ -34,15 +38,83 @@ pub enum FeatureGroup {
     Job,
 }
 
-/// A named, grouped feature schema with a stable column order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureSchema {
-    names: Vec<String>,
-    groups: Vec<FeatureGroup>,
+/// One feature column of Table 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Column {
+    /// Mean RTT from the candidate node to its peers (seconds).
+    RttMean,
+    /// Largest RTT from the candidate node to its peers (seconds).
+    RttMax,
+    /// Standard deviation of the candidate node's RTTs (seconds).
+    RttStd,
+    /// Transmit throughput (bytes/s).
+    TxRate,
+    /// Receive throughput (bytes/s).
+    RxRate,
+    /// Load average (runnable processes).
+    CpuLoad,
+    /// Available memory (bytes).
+    MemoryAvailable,
+    /// One-hot application type: 1 when the job runs this workload.
+    App(WorkloadKind),
+    /// Input data size (records).
+    InputRecords,
+    /// Number of executors.
+    ExecutorCount,
+    /// Cores per executor.
+    ExecutorCores,
+    /// Memory per executor (GiB).
+    ExecutorMemoryGb,
+    /// Shuffle partitions.
+    ShufflePartitions,
 }
 
-/// One constructed feature vector (aligned with a [`FeatureSchema`]).
-pub(crate) type FeatureVector = Vec<f64>;
+impl Column {
+    /// Table 1's Type column.
+    pub(crate) fn group(self) -> FeatureGroup {
+        match self {
+            Column::RttMean | Column::RttMax | Column::RttStd | Column::TxRate | Column::RxRate => {
+                FeatureGroup::Network
+            }
+            Column::CpuLoad | Column::MemoryAvailable => FeatureGroup::Node,
+            Column::App(_)
+            | Column::InputRecords
+            | Column::ExecutorCount
+            | Column::ExecutorCores
+            | Column::ExecutorMemoryGb
+            | Column::ShufflePartitions => FeatureGroup::Job,
+        }
+    }
+
+    /// The column's name in Table 1.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Column::RttMean => "rtt_mean_s",
+            Column::RttMax => "rtt_max_s",
+            Column::RttStd => "rtt_std_s",
+            Column::TxRate => "tx_rate_bps",
+            Column::RxRate => "rx_rate_bps",
+            Column::CpuLoad => "cpu_load",
+            Column::MemoryAvailable => "memory_available_bytes",
+            Column::App(WorkloadKind::Sort) => "app_sort",
+            Column::App(WorkloadKind::PageRank) => "app_pagerank",
+            Column::App(WorkloadKind::Join) => "app_join",
+            Column::App(WorkloadKind::GroupBy) => "app_groupby",
+            Column::App(WorkloadKind::WordCount) => "app_wordcount",
+            Column::InputRecords => "input_records",
+            Column::ExecutorCount => "executor_count",
+            Column::ExecutorCores => "executor_cores",
+            Column::ExecutorMemoryGb => "executor_memory_gb",
+            Column::ShufflePartitions => "shuffle_partitions",
+        }
+    }
+}
+
+/// An ordered list of feature columns; rows are positional over it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureSchema {
+    columns: Vec<Column>,
+}
 
 impl Default for FeatureSchema {
     fn default() -> Self {
@@ -53,67 +125,49 @@ impl Default for FeatureSchema {
 impl FeatureSchema {
     /// The full Table 1 schema.
     pub fn standard() -> Self {
-        let mut names: Vec<String> = Vec::new();
-        let mut groups: Vec<FeatureGroup> = Vec::new();
-        let mut push = |name: &str, group: FeatureGroup| {
-            names.push(name.to_string());
-            groups.push(group);
-        };
-        push("rtt_mean_s", FeatureGroup::Network);
-        push("rtt_max_s", FeatureGroup::Network);
-        push("rtt_std_s", FeatureGroup::Network);
-        push("tx_rate_bps", FeatureGroup::Network);
-        push("rx_rate_bps", FeatureGroup::Network);
-        push("cpu_load", FeatureGroup::Node);
-        push("memory_available_bytes", FeatureGroup::Node);
-        for kind in WorkloadKind::ALL {
-            push(&format!("app_{}", kind.as_str()), FeatureGroup::Job);
-        }
-        push("input_records", FeatureGroup::Job);
-        push("executor_count", FeatureGroup::Job);
-        push("executor_cores", FeatureGroup::Job);
-        push("executor_memory_gb", FeatureGroup::Job);
-        push("shuffle_partitions", FeatureGroup::Job);
-        FeatureSchema { names, groups }
+        let mut columns = vec![
+            Column::RttMean,
+            Column::RttMax,
+            Column::RttStd,
+            Column::TxRate,
+            Column::RxRate,
+            Column::CpuLoad,
+            Column::MemoryAvailable,
+        ];
+        columns.extend(WorkloadKind::ALL.map(Column::App));
+        columns.extend([
+            Column::InputRecords,
+            Column::ExecutorCount,
+            Column::ExecutorCores,
+            Column::ExecutorMemoryGb,
+            Column::ShufflePartitions,
+        ]);
+        FeatureSchema { columns }
     }
 
-    /// A schema restricted to the given groups (ablation variants).
-    pub fn with_groups(groups_to_keep: &[FeatureGroup]) -> Self {
-        let full = Self::standard();
-        let mut names = Vec::new();
-        let mut groups = Vec::new();
-        for (name, group) in full.names.into_iter().zip(full.groups) {
-            if groups_to_keep.contains(&group) {
-                names.push(name);
-                groups.push(group);
-            }
-        }
-        FeatureSchema { names, groups }
-    }
-
-    /// Column names in order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Column groups in order.
-    pub fn groups(&self) -> &[FeatureGroup] {
-        &self.groups
+    /// The standard schema restricted to the given groups, in standard order
+    /// (ablation variants).
+    pub fn with_groups(groups: &[FeatureGroup]) -> Self {
+        let mut schema = Self::standard();
+        schema
+            .columns
+            .retain(|column| groups.contains(&column.group()));
+        schema
     }
 
     /// Number of features.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.columns.len()
     }
 
     /// True when the schema has no columns.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.columns.is_empty()
     }
 
-    /// Index of a named feature.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
+    /// Position of `column` in a row, if the schema has it.
+    pub fn position(&self, column: Column) -> Option<usize> {
+        self.columns.iter().position(|&c| c == column)
     }
 
     /// Build the feature vector for `candidate_node` given the telemetry
@@ -125,51 +179,23 @@ impl FeatureSchema {
         snapshot: &ClusterSnapshot,
         candidate_node: &str,
         job: &JobRequest,
-    ) -> FeatureVector {
-        let node = snapshot.node(candidate_node).copied().unwrap_or_default();
-        let rtt_stats = snapshot.rtt_stats_from(candidate_node);
-        let mut out = Vec::with_capacity(self.len());
-        self.construct_into(&mut out, &node, rtt_stats, job);
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; self.len()];
+        self.construct_row(&mut out, snapshot, candidate_node, job);
         out
     }
 
-    /// The value of one named feature from pre-resolved telemetry. Shared by
-    /// every construction variant so the vector and matrix paths produce the
-    /// same floats.
-    fn feature_value(
-        name: &str,
-        node: &NodeTelemetry,
-        rtt_stats: (f64, f64, f64),
+    /// [`FeatureSchema::construct`] into a borrowed row of this schema's
+    /// width (the logger's dataset row).
+    pub(crate) fn construct_row(
+        &self,
+        row: &mut [f64],
+        snapshot: &ClusterSnapshot,
+        candidate_node: &str,
         job: &JobRequest,
-    ) -> f64 {
-        let (rtt_mean, rtt_max, rtt_std) = rtt_stats;
-        match name {
-            "rtt_mean_s" => rtt_mean,
-            "rtt_max_s" => rtt_max,
-            "rtt_std_s" => rtt_std,
-            "tx_rate_bps" => node.tx_rate,
-            "rx_rate_bps" => node.rx_rate,
-            "cpu_load" => node.cpu_load,
-            "memory_available_bytes" => node.memory_available_bytes,
-            "input_records" => job.workload.input_records as f64,
-            "executor_count" => job.workload.executor_count as f64,
-            "executor_cores" => job.workload.executor_cores as f64,
-            "executor_memory_gb" => {
-                job.workload.executor_memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-            }
-            "shuffle_partitions" => job.workload.shuffle_partitions as f64,
-            other => {
-                if let Some(app) = other.strip_prefix("app_") {
-                    if app == job.app_type() {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    0.0
-                }
-            }
-        }
+    ) {
+        let node = snapshot.node(candidate_node).copied().unwrap_or_default();
+        self.fill(row, &node, snapshot.rtt_stats_from(candidate_node), job);
     }
 
     /// Allocation-free feature construction from pre-resolved telemetry: the
@@ -179,18 +205,14 @@ impl FeatureSchema {
     /// allocation.
     pub fn construct_into(
         &self,
-        out: &mut FeatureVector,
+        out: &mut Vec<f64>,
         node: &NodeTelemetry,
         rtt_stats: (f64, f64, f64),
         job: &JobRequest,
     ) {
         out.clear();
-        out.reserve(self.len());
-        out.extend(
-            self.names
-                .iter()
-                .map(|name| Self::feature_value(name, node, rtt_stats, job)),
-        );
+        out.resize(self.len(), 0.0);
+        self.fill(out, node, rtt_stats, job);
     }
 
     /// Append one candidate's feature row to a contiguous [`FeatureMatrix`]
@@ -208,22 +230,57 @@ impl FeatureSchema {
             self.len(),
             "matrix stride must match the schema width"
         );
-        let row = matrix.add_row();
-        for (slot, name) in row.iter_mut().zip(&self.names) {
-            *slot = Self::feature_value(name, node, rtt_stats, job);
+        self.fill(matrix.add_row(), node, rtt_stats, job);
+    }
+
+    /// Fill `row` positionally from pre-resolved telemetry: every
+    /// construction variant ends here, so the vector, matrix and logger
+    /// paths produce the same floats.
+    fn fill(
+        &self,
+        row: &mut [f64],
+        node: &NodeTelemetry,
+        (rtt_mean, rtt_max, rtt_std): (f64, f64, f64),
+        job: &JobRequest,
+    ) {
+        let workload = &job.workload;
+        for (slot, &column) in row.iter_mut().zip(&self.columns) {
+            *slot = match column {
+                Column::RttMean => rtt_mean,
+                Column::RttMax => rtt_max,
+                Column::RttStd => rtt_std,
+                Column::TxRate => node.tx_rate,
+                Column::RxRate => node.rx_rate,
+                Column::CpuLoad => node.cpu_load,
+                Column::MemoryAvailable => node.memory_available_bytes,
+                Column::App(kind) => {
+                    if workload.kind == kind {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                }
+                Column::InputRecords => workload.input_records as f64,
+                Column::ExecutorCount => workload.executor_count as f64,
+                Column::ExecutorCores => workload.executor_cores as f64,
+                Column::ExecutorMemoryGb => {
+                    workload.executor_memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
+                }
+                Column::ShufflePartitions => workload.shuffle_partitions as f64,
+            };
         }
     }
 
     /// Markdown rendering of the schema (Table 1 of the `reproduce` binary).
     pub fn to_markdown_table(&self) -> String {
         let mut out = String::from("| Feature | Type |\n|---|---|\n");
-        for (name, group) in self.names.iter().zip(&self.groups) {
-            let group = match group {
+        for column in &self.columns {
+            let group = match column.group() {
                 FeatureGroup::Network => "Network",
                 FeatureGroup::Node => "Node",
                 FeatureGroup::Job => "Job",
             };
-            out.push_str(&format!("| {name} | {group} |\n"));
+            out.push_str(&format!("| {} | {group} |\n", column.name()));
         }
         out
     }
@@ -266,30 +323,74 @@ mod tests {
     }
 
     #[test]
-    fn standard_schema_has_expected_columns() {
+    fn standard_schema_pins_table_1() {
+        use Column::*;
+        use FeatureGroup::{Job, Network, Node};
+        let expected = [
+            (RttMean, "rtt_mean_s", Network),
+            (RttMax, "rtt_max_s", Network),
+            (RttStd, "rtt_std_s", Network),
+            (TxRate, "tx_rate_bps", Network),
+            (RxRate, "rx_rate_bps", Network),
+            (CpuLoad, "cpu_load", Node),
+            (MemoryAvailable, "memory_available_bytes", Node),
+            (App(WorkloadKind::Sort), "app_sort", Job),
+            (App(WorkloadKind::PageRank), "app_pagerank", Job),
+            (App(WorkloadKind::Join), "app_join", Job),
+            (App(WorkloadKind::GroupBy), "app_groupby", Job),
+            (App(WorkloadKind::WordCount), "app_wordcount", Job),
+            (InputRecords, "input_records", Job),
+            (ExecutorCount, "executor_count", Job),
+            (ExecutorCores, "executor_cores", Job),
+            (ExecutorMemoryGb, "executor_memory_gb", Job),
+            (ShufflePartitions, "shuffle_partitions", Job),
+        ];
         let schema = FeatureSchema::standard();
-        assert!(!schema.is_empty());
-        // 7 telemetry + 5 one-hot app + 5 job config = 17.
         assert_eq!(schema.len(), 17);
-        assert_eq!(schema.names().len(), schema.groups().len());
-        assert_eq!(schema.index_of("cpu_load"), Some(5));
-        assert_eq!(schema.index_of("does_not_exist"), None);
-        let network = schema
-            .groups()
+        let triples: Vec<(Column, &str, FeatureGroup)> = schema
+            .columns
             .iter()
-            .filter(|g| **g == FeatureGroup::Network)
-            .count();
-        let node = schema
-            .groups()
-            .iter()
-            .filter(|g| **g == FeatureGroup::Node)
-            .count();
-        let jobg = schema
-            .groups()
-            .iter()
-            .filter(|g| **g == FeatureGroup::Job)
-            .count();
-        assert_eq!((network, node, jobg), (5, 2, 10));
+            .map(|&c| (c, c.name(), c.group()))
+            .collect();
+        assert_eq!(triples, expected);
+        for (i, (column, _, _)) in expected.iter().enumerate() {
+            assert_eq!(schema.position(*column), Some(i));
+        }
+        assert_eq!(FeatureSchema::with_groups(&[Job]).position(CpuLoad), None);
+    }
+
+    /// The standard schema holds every variant once, so its names are every
+    /// variant's name.
+    #[test]
+    fn every_column_name_is_distinct() {
+        let columns = FeatureSchema::standard().columns;
+        for (i, a) in columns.iter().enumerate() {
+            for b in &columns[i + 1..] {
+                assert_ne!(a, b);
+                assert_ne!(a.name(), b.name(), "{a:?} and {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn with_groups_keeps_standard_order_for_every_group_subset() {
+        let all = [FeatureGroup::Network, FeatureGroup::Node, FeatureGroup::Job];
+        let standard = FeatureSchema::standard().columns;
+        for mask in 0..8u8 {
+            let groups: Vec<FeatureGroup> = (0..3)
+                .filter(|bit| mask & (1 << bit) != 0)
+                .map(|bit| all[bit])
+                .collect();
+            let expected: Vec<Column> = standard
+                .iter()
+                .copied()
+                .filter(|c| groups.contains(&c.group()))
+                .collect();
+            // Listing the groups in reverse changes nothing.
+            let reversed: Vec<FeatureGroup> = groups.iter().rev().copied().collect();
+            assert_eq!(FeatureSchema::with_groups(&groups).columns, expected);
+            assert_eq!(FeatureSchema::with_groups(&reversed).columns, expected);
+        }
     }
 
     #[test]
@@ -297,31 +398,31 @@ mod tests {
         let schema = FeatureSchema::standard();
         let vec = schema.construct(&snapshot(), "node-1", &job());
         assert_eq!(vec.len(), schema.len());
-        let get = |name: &str| vec[schema.index_of(name).unwrap()];
-        assert!((get("rtt_mean_s") - 0.040).abs() < 1e-9);
-        assert_eq!(get("rtt_max_s"), 0.070);
-        assert!(get("rtt_std_s") > 0.0);
-        assert_eq!(get("tx_rate_bps"), 1e6);
-        assert_eq!(get("rx_rate_bps"), 2e6);
-        assert_eq!(get("cpu_load"), 2.5);
-        assert_eq!(get("memory_available_bytes"), 6e9);
-        assert_eq!(get("app_sort"), 1.0);
-        assert_eq!(get("app_join"), 0.0);
-        assert_eq!(get("input_records"), 250_000.0);
-        assert_eq!(get("executor_count"), 3.0);
-        assert_eq!(get("executor_memory_gb"), 1.0);
-        assert_eq!(get("shuffle_partitions"), 8.0);
+        let get = |column| vec[schema.position(column).unwrap()];
+        assert!((get(Column::RttMean) - 0.040).abs() < 1e-9);
+        assert_eq!(get(Column::RttMax), 0.070);
+        assert!(get(Column::RttStd) > 0.0);
+        assert_eq!(get(Column::TxRate), 1e6);
+        assert_eq!(get(Column::RxRate), 2e6);
+        assert_eq!(get(Column::CpuLoad), 2.5);
+        assert_eq!(get(Column::MemoryAvailable), 6e9);
+        assert_eq!(get(Column::App(WorkloadKind::Sort)), 1.0);
+        assert_eq!(get(Column::App(WorkloadKind::Join)), 0.0);
+        assert_eq!(get(Column::InputRecords), 250_000.0);
+        assert_eq!(get(Column::ExecutorCount), 3.0);
+        assert_eq!(get(Column::ExecutorMemoryGb), 1.0);
+        assert_eq!(get(Column::ShufflePartitions), 8.0);
     }
 
     #[test]
     fn unknown_node_falls_back_to_zeros() {
         let schema = FeatureSchema::standard();
         let vec = schema.construct(&snapshot(), "node-99", &job());
-        let get = |name: &str| vec[schema.index_of(name).unwrap()];
-        assert_eq!(get("cpu_load"), 0.0);
-        assert_eq!(get("rtt_mean_s"), 0.0);
+        let get = |column| vec[schema.position(column).unwrap()];
+        assert_eq!(get(Column::CpuLoad), 0.0);
+        assert_eq!(get(Column::RttMean), 0.0);
         // Job features are still present.
-        assert_eq!(get("input_records"), 250_000.0);
+        assert_eq!(get(Column::InputRecords), 250_000.0);
     }
 
     #[test]
@@ -329,7 +430,7 @@ mod tests {
         let schema = FeatureSchema::standard();
         let snap = snapshot();
         let job = job();
-        let mut buffer = FeatureVector::new();
+        let mut buffer = Vec::new();
         for node in ["node-1", "node-2", "node-99"] {
             let telemetry = snap.node(node).copied().unwrap_or_default();
             schema.construct_into(&mut buffer, &telemetry, snap.rtt_stats_from(node), &job);
@@ -363,12 +464,12 @@ mod tests {
     fn construct_follows_candidate_order() {
         let schema = FeatureSchema::standard();
         let candidates = ["node-2".to_string(), "node-1".to_string()];
-        let vecs: Vec<FeatureVector> = candidates
+        let vecs: Vec<Vec<f64>> = candidates
             .iter()
             .map(|node| schema.construct(&snapshot(), node, &job()))
             .collect();
         assert_eq!(vecs.len(), 2);
-        let cpu = schema.index_of("cpu_load").unwrap();
+        let cpu = schema.position(Column::CpuLoad).unwrap();
         assert_eq!(vecs[0][cpu], 0.5);
         assert_eq!(vecs[1][cpu], 2.5);
     }
@@ -378,9 +479,9 @@ mod tests {
         let network_only = FeatureSchema::with_groups(&[FeatureGroup::Network]);
         assert_eq!(network_only.len(), 5);
         assert!(network_only
-            .names()
+            .columns
             .iter()
-            .all(|n| n.starts_with("rtt") || n.contains("rate")));
+            .all(|c| c.group() == FeatureGroup::Network));
         let no_network = FeatureSchema::with_groups(&[FeatureGroup::Node, FeatureGroup::Job]);
         assert_eq!(no_network.len(), 12);
         let vec = no_network.construct(&snapshot(), "node-1", &job());
@@ -397,7 +498,7 @@ mod tests {
             let vec = schema.construct(&snapshot(), "node-1", &job);
             let hot: f64 = WorkloadKind::ALL
                 .iter()
-                .map(|k| vec[schema.index_of(&format!("app_{}", k.as_str())).unwrap()])
+                .map(|&k| vec[schema.position(Column::App(k)).unwrap()])
                 .sum();
             assert_eq!(hot, 1.0, "exactly one app indicator set for {kind}");
         }
@@ -407,8 +508,8 @@ mod tests {
     fn markdown_table_lists_every_feature() {
         let schema = FeatureSchema::standard();
         let md = schema.to_markdown_table();
-        for name in schema.names() {
-            assert!(md.contains(name.as_str()));
+        for column in &schema.columns {
+            assert!(md.contains(&format!("| {} |", column.name())));
         }
         assert!(md.contains("| Feature | Type |"));
         assert!(md.contains("Network"));

@@ -16,7 +16,7 @@
 //! | Decision Module | [`decision`] |
 //! | Job Builder (nodeAffinity injection) | [`builder`] |
 //! | Logger (training data collection) | `logger` |
-//! | Model Training | `training` |
+//! | Model Training | [`service`] ([`service::SchedulerService::retrain`]) |
 //!
 //! Supervised placement is one ranker,
 //! [`context::SchedulingContext::rank_feasible_batch_into`], called by
@@ -56,12 +56,11 @@ pub mod request;
 mod schedulers;
 // Named by path in `benchmark/src`; private once ROADMAP item 27 lands.
 pub mod service;
-mod training;
 
 pub use builder::JobBuilder;
 pub use context::{ContextScratch, PruningPolicy, SchedulingContext};
 pub use decision::{DecisionModule, NodeRanking, RankedNode};
-pub use features::{FeatureGroup, FeatureSchema};
+pub use features::{Column, FeatureGroup, FeatureSchema};
 pub use logger::ExecutionLogger;
 pub use predictor::{CompletionTimePredictor, ModelVersion};
 pub use request::JobRequest;

@@ -6,29 +6,21 @@
 //! metrics such as job duration ... The collected data is used to support
 //! offline model training."*
 //!
-//! Each [`TrainingRecord`] stores the feature vector constructed from the
-//! pre-submission snapshot (so training uses exactly what the scheduler will
-//! see at decision time) together with the measured completion time.
+//! Each logged execution appends one row to the logger's [`Dataset`]: the
+//! features constructed from the pre-submission snapshot (so training uses
+//! exactly what the scheduler will see at decision time), labelled with the
+//! measured completion time.
 
-use crate::features::{FeatureSchema, FeatureVector};
+use crate::features::FeatureSchema;
 use crate::request::JobRequest;
 use mlcore::Dataset;
 use telemetry::ClusterSnapshot;
 
-/// One training sample: pre-run features plus the measured duration.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct TrainingRecord {
-    /// The constructed feature vector (aligned with the logger's schema).
-    pub features: FeatureVector,
-    /// Measured job completion time in seconds (the label).
-    pub completion_seconds: f64,
-}
-
-/// Collects training records and converts them into an `mlcore` dataset.
+/// Collects training rows straight into an `mlcore` dataset.
 #[derive(Debug, Clone)]
 pub struct ExecutionLogger {
     schema: FeatureSchema,
-    records: Vec<TrainingRecord>,
+    data: Dataset,
 }
 
 impl Default for ExecutionLogger {
@@ -41,19 +33,19 @@ impl ExecutionLogger {
     /// Create a logger using the given feature schema.
     pub fn new(schema: FeatureSchema) -> Self {
         ExecutionLogger {
+            data: Dataset::new(schema.len()),
             schema,
-            records: Vec::new(),
         }
     }
 
     /// Number of records collected.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.data.len()
     }
 
     /// True when nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.data.is_empty()
     }
 
     /// Log one completed execution: the snapshot taken *before* submission,
@@ -65,33 +57,31 @@ impl ExecutionLogger {
         target_node: &str,
         completion_seconds: f64,
     ) {
-        let features = self.schema.construct(snapshot, target_node, request);
-        self.records.push(TrainingRecord {
-            features,
-            completion_seconds,
-        });
+        let row = self.data.add_row(completion_seconds);
+        self.schema
+            .construct_row(row, snapshot, target_node, request);
     }
 
-    /// Convert the log into a training dataset: each record's feature slice
-    /// is appended straight into the dataset's contiguous matrix, with no
-    /// intermediate row-of-`Vec`s copy.
-    #[expect(
-        clippy::expect_used,
-        reason = "every record comes from `log_execution`, which builds its row with this logger's schema"
-    )]
+    /// The schema every logged row is constructed with.
+    pub(crate) fn schema(&self) -> &FeatureSchema {
+        &self.schema
+    }
+
+    /// The log as a training dataset.
+    pub(crate) fn dataset(&self) -> &Dataset {
+        &self.data
+    }
+
+    /// An owned copy of the log as a training dataset.
     pub fn to_dataset(&self) -> Dataset {
-        let mut data = Dataset::new(self.schema.names().to_vec());
-        for record in &self.records {
-            data.push_row(&record.features, record.completion_seconds)
-                .expect("rows are built with the logger's own schema");
-        }
-        data
+        self.data.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::Column;
     use simcore::SimTime;
     use sparksim::WorkloadKind;
     use telemetry::NodeTelemetry;
@@ -122,17 +112,16 @@ mod tests {
         logger.log_execution(&snapshot(), &request(), "node-1", 33.5);
         logger.log_execution(&snapshot(), &request(), "node-1", 40.0);
         assert_eq!(logger.len(), 2);
-        assert_eq!(
-            logger.records[0].features,
-            logger.schema.construct(&snapshot(), "node-1", &request())
-        );
-        assert_eq!(logger.records[0].completion_seconds, 33.5);
         let data = logger.to_dataset();
+        assert_eq!(&data, logger.dataset());
         assert_eq!(data.len(), 2);
         assert_eq!(data.n_features(), logger.schema.len());
         assert_eq!(data.targets(), &[33.5, 40.0]);
+        let expected = logger.schema.construct(&snapshot(), "node-1", &request());
+        assert_eq!(data.row(0), expected);
+        assert_eq!(data.row(1), expected);
         // Feature vector contains the snapshot's cpu load.
-        let cpu_idx = logger.schema.index_of("cpu_load").unwrap();
+        let cpu_idx = logger.schema.position(Column::CpuLoad).unwrap();
         assert_eq!(data.row(0)[cpu_idx], 1.0);
     }
 }

@@ -11,11 +11,9 @@
 //! streams a whole candidate batch (one contiguous [`FeatureMatrix`]) through
 //! the model's flat-tree kernels in one call.
 
-use crate::features::{FeatureSchema, FeatureVector};
-use crate::request::JobRequest;
+use crate::features::FeatureSchema;
 use mlcore::{FeatureMatrix, ModelKind, TrainedModel};
 use std::fmt;
-use telemetry::ClusterSnapshot;
 
 /// The identity of one trained model, for consumers that cache anything
 /// derived from its predictions (the decision view's stage-one scoreboards).
@@ -151,24 +149,6 @@ impl CompletionTimePredictor {
         &self.model
     }
 
-    /// Predict the completion time (seconds) of `job` if its driver were
-    /// placed on `candidate_node`. Negative predictions are clamped to 0; a
-    /// NaN stays NaN, so the ranking puts that node last.
-    pub fn predict(
-        &self,
-        snapshot: &ClusterSnapshot,
-        candidate_node: &str,
-        job: &JobRequest,
-    ) -> f64 {
-        let features = self.schema.construct(snapshot, candidate_node, job);
-        self.predict_from_features(&features)
-    }
-
-    /// Predict directly from an already constructed feature vector.
-    pub fn predict_from_features(&self, features: &FeatureVector) -> f64 {
-        clamp_non_negative(self.model.predict_row(features))
-    }
-
     /// Batch inference: predict one completion time per row of `features`
     /// into a reused output buffer (cleared and refilled), negatives clamped
     /// to 0 and NaN kept. One call walks the whole candidate batch through the
@@ -196,11 +176,12 @@ fn clamp_non_negative(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FeatureGroup;
+    use crate::features::{Column, FeatureGroup};
+    use crate::request::JobRequest;
     use mlcore::{Dataset, ModelConfig, RandomForestConfig};
     use simcore::{Rng, SimTime};
     use sparksim::WorkloadKind;
-    use telemetry::NodeTelemetry;
+    use telemetry::{ClusterSnapshot, NodeTelemetry};
 
     fn snapshot_with(load1: f64, load2: f64) -> ClusterSnapshot {
         let mut snap = ClusterSnapshot::at(SimTime::from_secs(10));
@@ -240,11 +221,20 @@ mod tests {
         out
     }
 
+    /// Predict one already constructed row through a one-row batch.
+    fn predict_row(predictor: &CompletionTimePredictor, row: &[f64]) -> f64 {
+        let mut matrix = FeatureMatrix::new(row.len());
+        matrix.push_row(row);
+        let mut out = Vec::new();
+        predictor.predict_batch_into(&matrix, &mut out);
+        out[0]
+    }
+
     /// Train a predictor on synthetic data where completion time grows with
     /// the candidate's CPU load — so the fitted model should prefer idle nodes.
     fn trained_predictor(kind: ModelKind) -> CompletionTimePredictor {
         let schema = FeatureSchema::standard();
-        let mut data = Dataset::new(schema.names().to_vec());
+        let mut data = Dataset::new(schema.len());
         let mut rng = Rng::seed_from_u64(7);
         let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
         for _ in 0..400 {
@@ -273,11 +263,9 @@ mod tests {
             assert_eq!(predictor.model_kind(), kind);
             let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
             let snap = snapshot_with(5.0, 0.2);
-            let busy = predictor.predict(&snap, "node-1", &job);
-            let idle = predictor.predict(&snap, "node-2", &job);
-            assert!(busy > idle, "{kind}: busy {busy} should exceed idle {idle}");
             let all = predict_rows(&predictor, &snap, &["node-1", "node-2"], &job);
-            assert_eq!(all, vec![busy, idle]);
+            let (busy, idle) = (all[0], all[1]);
+            assert!(busy > idle, "{kind}: busy {busy} should exceed idle {idle}");
         }
     }
 
@@ -299,7 +287,7 @@ mod tests {
         let unfitted = TrainedModel::train(
             ModelKind::Linear,
             &ModelConfig::default(),
-            &Dataset::new(vec!["x".into()]),
+            &Dataset::new(1),
             &mut Rng::seed_from_u64(1),
         );
         assert!(CompletionTimePredictor::new(narrow, unfitted).is_ok());
@@ -311,7 +299,6 @@ mod tests {
         let job = JobRequest::named("sort", WorkloadKind::Sort, 1, 1);
         // An absurd snapshot far outside the training distribution.
         let snap = snapshot_with(-100.0, -100.0);
-        assert!(predictor.predict(&snap, "node-1", &job) >= 0.0);
         let batch = predict_rows(&predictor, &snap, &["node-1", "node-2"], &job);
         assert!(batch.iter().all(|&p| p >= 0.0));
     }
@@ -324,27 +311,15 @@ mod tests {
                 .unwrap();
         let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
         let snap = snapshot_with(3.0, 1.0);
+        let candidates = ["node-1", "node-2", "node-99"];
         assert_eq!(
-            predictor.predict(&snap, "node-1", &job),
-            rewrapped.predict(&snap, "node-1", &job)
+            predict_rows(&predictor, &snap, &candidates, &job),
+            predict_rows(&rewrapped, &snap, &candidates, &job)
         );
         // A rewrapped model is a new model as far as caches are concerned; a
         // clone is the same one.
         assert_ne!(rewrapped.version(), predictor.version());
         assert_eq!(predictor.clone().version(), predictor.version());
-    }
-
-    #[test]
-    fn predict_from_features_matches_predict() {
-        let predictor = trained_predictor(ModelKind::Linear);
-        let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
-        let snap = snapshot_with(2.0, 0.5);
-        let features = predictor.schema().construct(&snap, "node-1", &job);
-        assert_eq!(
-            predictor.predict(&snap, "node-1", &job),
-            predictor.predict_from_features(&features)
-        );
-        assert!(predictor.model().predict_row(&features).is_finite());
     }
 
     /// A NaN goes right at every split, like a value above every threshold
@@ -355,7 +330,7 @@ mod tests {
         let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
         for kind in [ModelKind::RandomForest, ModelKind::GradientBoosting] {
             let predictor = trained_predictor(kind);
-            let column = predictor.schema().index_of("cpu_load").unwrap();
+            let column = predictor.schema().position(Column::CpuLoad).unwrap();
             let thresholds = &predictor.signature_grid[column];
             assert!(!thresholds.is_empty(), "{kind}: the load column must split");
             let base = predictor
@@ -369,7 +344,7 @@ mod tests {
             let nan = with_load(f64::NAN);
             let below = with_load(thresholds[0] - 1.0);
             let above = with_load(thresholds[thresholds.len() - 1] + 1.0);
-            let predict = |row: &FeatureVector| predictor.predict_from_features(row).to_bits();
+            let predict = |row: &Vec<f64>| predict_row(&predictor, row).to_bits();
             assert_ne!(predict(&nan), predict(&below), "{kind}: NaN goes right");
             for other in [below, above] {
                 let (mut nan_cells, mut other_cells) = (nan.clone(), other.clone());
@@ -403,7 +378,8 @@ mod tests {
             let batch = predict_rows(&predictor, &snap, &candidates, &job);
             assert_eq!(batch.len(), 3);
             for (candidate, &b) in candidates.iter().zip(&batch) {
-                assert_eq!(b, predictor.predict(&snap, candidate, &job), "{candidate}");
+                let alone = predict_rows(&predictor, &snap, &[candidate], &job);
+                assert_eq!(alone, [b], "{candidate}");
             }
             // Empty candidate set produces an empty batch.
             assert!(predict_rows(&predictor, &snap, &[], &job).is_empty());

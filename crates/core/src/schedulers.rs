@@ -151,7 +151,7 @@ mod tests {
     /// A predictor trained to prefer low-CPU-load nodes.
     fn predictor() -> CompletionTimePredictor {
         let schema = FeatureSchema::standard();
-        let mut data = Dataset::new(schema.names().to_vec());
+        let mut data = Dataset::new(schema.len());
         let mut rng = Rng::seed_from_u64(5);
         let job = request();
         for load in 0..30 {

@@ -22,9 +22,8 @@ use crate::decision::{NodeRanking, RankedNode};
 use crate::logger::ExecutionLogger;
 use crate::predictor::CompletionTimePredictor;
 use crate::request::JobRequest;
-use crate::training::TrainingPipeline;
 use cluster::ClusterState;
-use mlcore::ModelKind;
+use mlcore::{ModelConfig, ModelKind, TrainedModel};
 use simcore::{Rng, SimTime};
 use std::sync::Arc;
 use telemetry::{ClusterSnapshot, PublishedSnapshot};
@@ -65,6 +64,12 @@ impl Default for SchedulerConfig {
     }
 }
 
+/// Share of the logged rows [`SchedulerService::retrain`] splits off before
+/// training and does not train on. Nothing evaluates that holdout yet; the
+/// split stays so that every retrained model, and the random stream after
+/// it, is the one the service has always produced.
+const RETRAIN_HOLDOUT_FRACTION: f64 = 0.25;
+
 /// The result of one scheduling decision.
 #[derive(Debug, Clone)]
 pub struct SchedulingDecision {
@@ -96,7 +101,6 @@ pub struct SchedulerService {
     config: SchedulerConfig,
     builder: JobBuilder,
     logger: ExecutionLogger,
-    pipeline: TrainingPipeline,
     predictor: Option<CompletionTimePredictor>,
     fallback_rng: Rng,
     /// The snapshot decisions are currently made against: the adopted
@@ -119,11 +123,9 @@ pub struct SchedulerService {
 impl SchedulerService {
     /// Create a service with no trained model yet.
     pub fn new(config: SchedulerConfig, seed: u64) -> Self {
-        let pipeline = TrainingPipeline::default();
         SchedulerService {
             builder: JobBuilder,
-            logger: ExecutionLogger::new(pipeline.schema.clone()),
-            pipeline,
+            logger: ExecutionLogger::default(),
             predictor: None,
             config,
             fallback_rng: Rng::seed_from_u64(seed),
@@ -141,7 +143,6 @@ impl SchedulerService {
     ) -> Self {
         let mut service = Self::new(config, seed);
         service.logger = ExecutionLogger::new(predictor.schema().clone());
-        service.pipeline = TrainingPipeline::with_schema(predictor.schema().clone());
         service.predictor = Some(predictor);
         service
     }
@@ -314,16 +315,28 @@ impl SchedulerService {
             .log_execution(snapshot, request, target_node, completion_seconds);
     }
 
-    /// Retrain the configured model family from the accumulated log. Returns
-    /// `false` (and leaves any existing model untouched) when fewer than
-    /// `min_training_samples` executions have been recorded. This is the only
-    /// point that replaces the held predictor.
+    /// Retrain the configured model family, with default hyperparameters,
+    /// on the accumulated log less a `RETRAIN_HOLDOUT_FRACTION` split.
+    /// Returns `false` (and leaves any existing model untouched) when fewer
+    /// than `min_training_samples` executions have been recorded. This is
+    /// the only point that replaces the held predictor.
+    #[expect(
+        clippy::expect_used,
+        reason = "the log's rows are built with the log's own schema, so the widths agree by construction"
+    )]
     pub fn retrain(&mut self, rng: &mut Rng) -> bool {
         if self.logger.len() < self.config.min_training_samples {
             return false;
         }
-        let data = self.logger.to_dataset();
-        self.predictor = Some(self.pipeline.train_one(self.config.model_kind, &data, rng));
+        let (train, _holdout) = self
+            .logger
+            .dataset()
+            .train_test_split(RETRAIN_HOLDOUT_FRACTION, rng);
+        let model =
+            TrainedModel::train(self.config.model_kind, &ModelConfig::default(), &train, rng);
+        let predictor = CompletionTimePredictor::new(self.logger.schema().clone(), model)
+            .expect("training rows are built with the logger's schema");
+        self.predictor = Some(predictor);
         true
     }
 }
@@ -331,11 +344,15 @@ impl SchedulerService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::{FeatureGroup, FeatureSchema};
     use cluster::{Node, Resources};
+    use mlcore::{evaluate_on, Dataset};
     use simcore::SimDuration;
-    use simnet::{gbps, mbps, FlowKind, Network, NodeId, TopologyBuilder};
+    use simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
     use sparksim::WorkloadKind;
-    use telemetry::{ConcurrentScrapeManager, ScrapeConfig, ScrapeManager, SnapshotSource};
+    use telemetry::{
+        ConcurrentScrapeManager, NodeTelemetry, ScrapeConfig, ScrapeManager, SnapshotSource,
+    };
 
     /// A 2 × 2-node two-site world, scraped once at t = 1 s, and the
     /// published handle decisions read.
@@ -664,7 +681,7 @@ mod tests {
         // and the snapshot a decision carries must be the one the manager's
         // own configured window yields (there is no second knob to drift).
         let (cluster, mut network, _, _) = test_world();
-        network.start_flow(NodeId(0), NodeId(2), 1e9, FlowKind::Background);
+        network.start_flow(NodeId(0), NodeId(2), 1e9);
         let config = ScrapeConfig {
             rate_window: SimDuration::from_secs(10),
             ..Default::default()
@@ -810,6 +827,83 @@ mod tests {
         let d = tight.schedule(&request(50), &published, &cluster, now);
         assert!(d.used_model);
         assert_eq!(d.ranking.ranked.as_slice(), &u.ranking.ranked[..2]);
+    }
+
+    /// Record `n` outcomes on "node-1" whose completion time grows with the
+    /// node's cpu load and RTT and with the input size.
+    fn record_synthetic(service: &mut SchedulerService, n: usize, seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
+        for i in 0..n {
+            let load = rng.uniform(0.0, 5.0);
+            let rtt = rng.uniform(0.001, 0.08);
+            let mut snap = ClusterSnapshot::at(SimTime::from_secs(i as u64));
+            snap.insert_node(
+                "node-1",
+                NodeTelemetry {
+                    cpu_load: load,
+                    memory_available_bytes: rng.uniform(2e9, 7e9),
+                    tx_rate: rng.uniform(0.0, 5e6),
+                    rx_rate: rng.uniform(0.0, 5e6),
+                },
+            );
+            snap.insert_rtt("node-1", "node-2", rtt);
+            let kind = *rng.choose(&WorkloadKind::PAPER_SET).unwrap();
+            let records = 50_000 + rng.gen_range(200_000);
+            let request = JobRequest::named(format!("job-{i}"), kind, records, 2);
+            let duration =
+                15.0 + 6.0 * load + 300.0 * rtt + records as f64 / 20_000.0 + rng.normal(0.0, 0.5);
+            service.record_outcome(&snap, &request, "node-1", duration);
+        }
+    }
+
+    #[test]
+    fn retrain_fits_every_family_with_a_good_holdout_fit() {
+        let mut unseen = SchedulerService::new(SchedulerConfig::default(), 0);
+        record_synthetic(&mut unseen, 125, 7);
+        let holdout = unseen.logger().to_dataset();
+        for kind in ModelKind::ALL {
+            let mut service = SchedulerService::new(
+                SchedulerConfig {
+                    model_kind: kind,
+                    ..Default::default()
+                },
+                0,
+            );
+            record_synthetic(&mut service, 400, 1);
+            assert!(service.retrain(&mut Rng::seed_from_u64(2)));
+            let predictor = service.predictor().unwrap();
+            assert_eq!(predictor.model_kind(), kind);
+            let train_r2 = evaluate_on(predictor.model(), service.logger().dataset()).r2;
+            let holdout_r2 = evaluate_on(predictor.model(), &holdout).r2;
+            assert!(holdout_r2 > 0.75, "{kind}: holdout r2 {holdout_r2}");
+            assert!(train_r2 >= holdout_r2 - 0.2);
+        }
+    }
+
+    #[test]
+    fn retrain_keeps_the_held_predictors_schema() {
+        let schema = FeatureSchema::with_groups(&[FeatureGroup::Job]);
+        let unfitted = TrainedModel::train(
+            ModelKind::Linear,
+            &ModelConfig::default(),
+            &Dataset::new(schema.len()),
+            &mut Rng::seed_from_u64(1),
+        );
+        let mut service = SchedulerService::with_predictor(
+            SchedulerConfig {
+                min_training_samples: 20,
+                model_kind: ModelKind::Linear,
+                ..Default::default()
+            },
+            CompletionTimePredictor::new(schema.clone(), unfitted).unwrap(),
+            3,
+        );
+        record_synthetic(&mut service, 40, 5);
+        assert_eq!(service.logger().dataset().n_features(), schema.len());
+        assert!(service.retrain(&mut Rng::seed_from_u64(4)));
+        let predictor = service.predictor().unwrap();
+        assert_eq!(predictor.schema(), &schema);
+        assert_eq!(predictor.model().n_features(), Some(schema.len()));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn evaluate_with_schema(
     let (train_idx, test_idx) = dataset.split_scenarios(test_fraction, &mut rng);
 
     // Build the training matrix under the restricted schema.
-    let mut train = mlcore::Dataset::new(schema.names().to_vec());
+    let mut train = mlcore::Dataset::new(schema.len());
     for &idx in &train_idx {
         let scenario = &dataset.scenarios[idx];
         let request = scenario.request();
@@ -147,7 +147,7 @@ pub fn forest_size_ablation(
     test_fraction: f64,
     seed: u64,
 ) -> Vec<AblationRow> {
-    let schema = dataset.schema.clone();
+    let schema = FeatureSchema::standard();
     sizes
         .iter()
         .map(|&n_trees| {
@@ -193,7 +193,7 @@ pub fn background_intensity_ablation(
             let dataset = Workflow::new(config).run();
             let mut row = evaluate_with_schema(
                 &dataset,
-                &dataset.schema.clone(),
+                &FeatureSchema::standard(),
                 ModelKind::RandomForest,
                 model_config,
                 test_fraction,

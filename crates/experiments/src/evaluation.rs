@@ -29,7 +29,7 @@ use crate::workflow::{ExperimentDataset, ScenarioRecord};
 use cluster::ClusterState;
 use mlcore::{evaluate_on, ModelConfig, ModelKind, RegressionMetrics, TrainedModel};
 use netsched_core::{
-    CompletionTimePredictor, KubeDefaultScheduler, NodeRanking, SchedulingContext,
+    CompletionTimePredictor, FeatureSchema, KubeDefaultScheduler, NodeRanking, SchedulingContext,
 };
 use simcore::Rng;
 
@@ -255,7 +255,7 @@ fn speedups_from(methods: &[MethodRankings], scenarios: &[&ScenarioRecord]) -> V
 /// and score Top-1/Top-2 accuracy plus speedup over the default scheduler.
 #[expect(
     clippy::expect_used,
-    reason = "experiment datasets are built from their own schema, so widths agree by construction"
+    reason = "experiment datasets are built with the standard schema, so widths agree by construction"
 )]
 pub(crate) fn evaluate_cell(
     dataset: &ExperimentDataset,
@@ -303,8 +303,8 @@ pub(crate) fn evaluate_cell(
             evaluate_on(&model, &test_data)
         };
         model_fits.push(ModelFit { kind, metrics: fit });
-        let predictor = CompletionTimePredictor::new(dataset.schema.clone(), model)
-            .expect("experiment datasets are built from their own schema");
+        let predictor = CompletionTimePredictor::new(FeatureSchema::standard(), model)
+            .expect("experiment datasets are built with the standard schema");
         methods.push(MethodRankings {
             method: kind.display_name().to_string(),
             rankings: test_scenarios
@@ -530,8 +530,7 @@ mod tests {
     #[test]
     fn a_nan_prediction_ranks_its_node_last() {
         use cluster::{Node, Resources};
-        use mlcore::Dataset;
-        use netsched_core::FeatureSchema;
+        use mlcore::{Dataset, FeatureMatrix};
         use telemetry::{ClusterSnapshot, NodeTelemetry};
 
         let names = ["node-a", "node-b", "node-c"];
@@ -561,7 +560,7 @@ mod tests {
 
         // A linear model whose completion time grows with CPU load.
         let schema = FeatureSchema::standard();
-        let mut data = Dataset::new(schema.names().to_vec());
+        let mut data = Dataset::new(schema.len());
         for step in 0..30 {
             let load = step as f64 / 5.0;
             let snapshot = with_loads([load, 0.0, 0.0]);
@@ -571,10 +570,12 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         let model =
             TrainedModel::train(ModelKind::Linear, &ModelConfig::default(), &data, &mut rng);
+        let mut row = FeatureMatrix::new(schema.len());
+        row.push_row(&schema.construct(&record.snapshot, "node-a", &record.request()));
         let predictor = CompletionTimePredictor::new(schema, model).unwrap();
-        assert!(predictor
-            .predict(&record.snapshot, "node-a", &record.request())
-            .is_nan());
+        let mut prediction = Vec::new();
+        predictor.predict_batch_into(&row, &mut prediction);
+        assert!(prediction[0].is_nan());
 
         let ranking = supervised_ranking(&predictor, &record, &cluster);
         assert_eq!(ranking, ["node-b", "node-c", "node-a"]);

@@ -19,7 +19,7 @@
 
 use crate::fabric::{NODE_CORES, NODE_MEMORY_GIB};
 use cluster::{ClusterState, Node, PodSpec, Resources};
-use netsched_core::{CompletionTimePredictor, JobRequest};
+use netsched_core::{CompletionTimePredictor, FeatureSchema, JobRequest};
 use simcore::{Rng, SimTime};
 use simnet::{TieredClosSpec, TopologySpec};
 use sparksim::WorkloadKind;
@@ -190,7 +190,7 @@ impl ScaleWorld {
 /// is the decision path, not an accuracy study).
 #[expect(
     clippy::expect_used,
-    reason = "the scale predictor is trained on a dataset built from its own schema"
+    reason = "the scale predictor is trained on a dataset built with the standard schema"
 )]
 pub fn train_scale_predictor(seed: u64) -> CompletionTimePredictor {
     use crate::workflow::{ExperimentConfig, Workflow};
@@ -207,8 +207,8 @@ pub fn train_scale_predictor(seed: u64) -> CompletionTimePredictor {
     };
     let model =
         mlcore::TrainedModel::train(mlcore::ModelKind::RandomForest, &config, &data, &mut rng);
-    CompletionTimePredictor::new(dataset.schema.clone(), model)
-        .expect("experiment datasets are built from their own schema")
+    CompletionTimePredictor::new(FeatureSchema::standard(), model)
+        .expect("experiment datasets are built with the standard schema")
 }
 
 #[cfg(test)]

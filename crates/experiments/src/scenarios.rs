@@ -29,7 +29,6 @@ use crate::fabric::{NODES_PER_SITE, SITE_NAMES};
 use crate::workflow::{ExperimentConfig, Workflow};
 use crate::world::Testbed;
 use mlcore::{GradientBoostingConfig, ModelConfig, RandomForestConfig};
-use netsched_core::FeatureSchema;
 use serde::{Serialize, Value};
 use simcore::parallel_map;
 use simnet::{
@@ -183,7 +182,6 @@ impl ScenarioSpec {
             background: self.load.background.clone(),
             warmup_seconds: self.mix.warmup_seconds(),
             testbed: self.testbed.clone(),
-            schema: FeatureSchema::standard(),
             // Cells are the unit of sweep parallelism; inside a cell the
             // workflow runs sequentially so a sweep never oversubscribes.
             workers: 1,

@@ -18,7 +18,7 @@
 use crate::config::{job_matrix, JobConfig};
 use crate::scenarios::TestbedSpec;
 use crate::world::SimWorld;
-use netsched_core::{ExecutionLogger, FeatureSchema, JobRequest};
+use netsched_core::{ExecutionLogger, JobRequest};
 use simcore::{parallel_map, Rng, SimDuration};
 use simnet::BackgroundLoadConfig;
 use telemetry::ClusterSnapshot;
@@ -79,14 +79,12 @@ impl ScenarioRecord {
     }
 }
 
-/// The full experiment dataset: every scenario plus the schema used to
-/// construct feature vectors from its snapshots.
+/// The full experiment dataset: every scenario and the substrate it ran on.
+/// Feature rows are built with the standard schema.
 #[derive(Debug, Clone)]
 pub struct ExperimentDataset {
     /// All scenarios, in generation order.
     pub scenarios: Vec<ScenarioRecord>,
-    /// Feature schema used for model training/evaluation.
-    pub schema: FeatureSchema,
     /// The substrate every scenario ran on (used to rebuild the candidate
     /// cluster at evaluation time).
     pub testbed: TestbedSpec,
@@ -104,9 +102,9 @@ impl ExperimentDataset {
     }
 
     /// Build an execution log (feature vector + label per sample) over the
-    /// given scenario indices, using this dataset's schema.
+    /// given scenario indices, using the standard schema.
     pub fn logger_for(&self, scenario_indices: &[usize]) -> ExecutionLogger {
-        let mut logger = ExecutionLogger::new(self.schema.clone());
+        let mut logger = ExecutionLogger::default();
         for &idx in scenario_indices {
             let scenario = &self.scenarios[idx];
             let request = scenario.request();
@@ -153,8 +151,6 @@ pub struct ExperimentConfig {
     /// The substrate to run on (the FABRIC slice by default; any generated
     /// scenario substrate otherwise).
     pub testbed: TestbedSpec,
-    /// Feature schema for downstream training.
-    pub schema: FeatureSchema,
     /// Worker threads for scenario-level parallelism.
     pub workers: usize,
 }
@@ -169,7 +165,6 @@ impl Default for ExperimentConfig {
             background: BackgroundLoadConfig::default(),
             warmup_seconds: (8.0, 20.0),
             testbed: TestbedSpec::Fabric,
-            schema: FeatureSchema::standard(),
             workers: simcore::default_workers(),
         }
     }
@@ -229,7 +224,6 @@ impl Workflow {
 
         ExperimentDataset {
             scenarios,
-            schema: self.config.schema.clone(),
             testbed: self.config.testbed.clone(),
         }
     }
@@ -358,7 +352,10 @@ mod tests {
         assert_eq!(logger.len(), dataset.sample_count());
         let data = logger.to_dataset();
         assert_eq!(data.len(), dataset.sample_count());
-        assert_eq!(data.n_features(), dataset.schema.len());
+        assert_eq!(
+            data.n_features(),
+            netsched_core::FeatureSchema::standard().len()
+        );
         // Labels are the recorded completion times.
         assert!(data.targets().iter().all(|&t| t > 0.0));
         // Partial logger selects a subset.

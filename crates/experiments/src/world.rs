@@ -123,12 +123,7 @@ impl ContentionDriver for BackgroundDriver {
             if self.in_flight[i].is_none() {
                 if self.next_start[i] <= now {
                     let transfer = generator.next_transfer(&mut self.rng);
-                    let flow = network.start_flow(
-                        transfer.src,
-                        transfer.dst,
-                        transfer.bytes,
-                        transfer.kind,
-                    );
+                    let flow = network.start_flow(transfer.src, transfer.dst, transfer.bytes);
                     self.in_flight[i] = Some(flow);
                 } else {
                     next = Some(match next {

@@ -110,11 +110,10 @@ impl FeatureMatrix {
     }
 }
 
-/// A tabular regression dataset: named feature columns, one contiguous
-/// row-major [`FeatureMatrix`] of samples, one target per row.
+/// A tabular regression dataset: one contiguous row-major [`FeatureMatrix`]
+/// of samples, positional over its columns, and one target per row.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
-    feature_names: Vec<String>,
     x: FeatureMatrix,
     targets: Vec<f64>,
 }
@@ -147,19 +146,17 @@ impl fmt::Display for DataError {
 impl std::error::Error for DataError {}
 
 impl Dataset {
-    /// Create an empty dataset with the given feature names.
-    pub fn new(feature_names: Vec<String>) -> Self {
-        let x = FeatureMatrix::new(feature_names.len());
+    /// Create an empty dataset of `n_features` columns.
+    pub fn new(n_features: usize) -> Self {
         Dataset {
-            feature_names,
-            x,
+            x: FeatureMatrix::new(n_features),
             targets: Vec::new(),
         }
     }
 
     /// Number of feature columns.
     pub fn n_features(&self) -> usize {
-        self.feature_names.len()
+        self.x.n_features()
     }
 
     /// Number of rows.
@@ -185,6 +182,13 @@ impl Dataset {
         Ok(())
     }
 
+    /// Append a zero-filled sample labelled `target` and return a mutable view
+    /// of its features, so callers can construct them in place.
+    pub fn add_row(&mut self, target: f64) -> &mut [f64] {
+        self.targets.push(target);
+        self.x.add_row()
+    }
+
     /// Append a sample (owned-`Vec` convenience over [`Dataset::push_row`]).
     pub fn push(&mut self, features: Vec<f64>, target: f64) -> Result<(), DataError> {
         self.push_row(&features, target)
@@ -208,7 +212,6 @@ impl Dataset {
     /// Build a new dataset containing only the given row indices.
     pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset {
-            feature_names: self.feature_names.clone(),
             x: FeatureMatrix::with_capacity(self.n_features(), indices.len()),
             targets: Vec::with_capacity(indices.len()),
         };
@@ -339,7 +342,7 @@ mod tests {
     use super::*;
 
     fn toy() -> Dataset {
-        let mut d = Dataset::new(vec!["a".into(), "b".into()]);
+        let mut d = Dataset::new(2);
         for i in 0..10 {
             d.push(vec![i as f64, (i * 2) as f64], i as f64 * 3.0)
                 .unwrap();
@@ -434,7 +437,7 @@ mod tests {
         assert!((means[0] - 4.5).abs() < 1e-12);
         assert!((means[1] - 9.0).abs() < 1e-12);
         assert!((d.target_mean() - 13.5).abs() < 1e-12);
-        assert_eq!(Dataset::new(vec!["x".into()]).target_mean(), 0.0);
+        assert_eq!(Dataset::new(1).target_mean(), 0.0);
     }
 
     #[test]
@@ -488,7 +491,7 @@ mod tests {
 
     #[test]
     fn scaler_handles_constant_columns() {
-        let mut d = Dataset::new(vec!["c".into()]);
+        let mut d = Dataset::new(1);
         for _ in 0..5 {
             d.push(vec![7.0], 1.0).unwrap();
         }

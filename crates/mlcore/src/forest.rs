@@ -179,8 +179,7 @@ mod tests {
     fn friedman_like(n: usize, seed: u64) -> Dataset {
         // A nonlinear benchmark-style response with interactions and noise.
         let mut rng = Rng::seed_from_u64(seed);
-        let names = (0..5).map(|i| format!("x{i}")).collect();
-        let mut d = Dataset::new(names);
+        let mut d = Dataset::new(5);
         for _ in 0..n {
             let x: Vec<f64> = (0..5).map(|_| rng.uniform(0.0, 1.0)).collect();
             let y = 10.0 * (std::f64::consts::PI * x[0] * x[1]).sin()
@@ -270,7 +269,7 @@ mod tests {
         let unfitted = RandomForest::default();
         assert_eq!(unfitted.predict_row(&[1.0, 2.0]), 0.0);
         let mut forest = RandomForest::new(small_config(4, 1));
-        let empty = Dataset::new(vec!["x".into()]);
+        let empty = Dataset::new(1);
         let mut rng = Rng::seed_from_u64(1);
         forest.fit(&empty, &mut rng);
         assert!(forest.is_fitted());

@@ -232,7 +232,7 @@ mod tests {
 
     fn nonlinear(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = Dataset::new(vec!["x1".into(), "x2".into(), "x3".into()]);
+        let mut d = Dataset::new(3);
         for _ in 0..n {
             let x1 = rng.uniform(0.0, 1.0);
             let x2 = rng.uniform(0.0, 1.0);
@@ -289,7 +289,7 @@ mod tests {
         // Pure-noise targets: validation error cannot improve, so boosting
         // must stop long before the configured round count.
         let mut rng = Rng::seed_from_u64(5);
-        let mut d = Dataset::new(vec!["x".into()]);
+        let mut d = Dataset::new(1);
         for _ in 0..300 {
             d.push(vec![rng.uniform(0.0, 1.0)], rng.normal(0.0, 1.0))
                 .unwrap();
@@ -337,7 +337,7 @@ mod tests {
     fn empty_dataset_predicts_zero() {
         let mut model = GradientBoosting::default();
         let mut rng = Rng::seed_from_u64(8);
-        model.fit(&Dataset::new(vec!["x".into()]), &mut rng);
+        model.fit(&Dataset::new(1), &mut rng);
         assert!(model.is_fitted());
         assert_eq!(model.predict_row(&[1.0]), 0.0);
         assert_eq!(model.trees.len(), 0);

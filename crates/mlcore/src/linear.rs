@@ -133,14 +133,6 @@ impl LinearRegression {
                 .sum::<f64>()
     }
 
-    /// Predict the target for one feature row.
-    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
-        match &self.scaler {
-            Some(s) => self.dot_standardized(s, row),
-            None => 0.0,
-        }
-    }
-
     /// Predict every row of a feature matrix into a reused output buffer.
     /// Standardization is fused into the dot product, so steady-state
     /// batches allocate nothing.
@@ -218,7 +210,7 @@ mod tests {
 
     fn linear_dataset(n: usize, noise: f64, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = Dataset::new(vec!["x1".into(), "x2".into(), "x3".into()]);
+        let mut d = Dataset::new(3);
         for _ in 0..n {
             let x1 = rng.uniform(0.0, 10.0);
             let x2 = rng.uniform(-5.0, 5.0);
@@ -257,7 +249,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_an_error() {
         let mut model = LinearRegression::default();
-        let empty = Dataset::new(vec!["x".into()]);
+        let empty = Dataset::new(1);
         assert_eq!(model.fit(&empty), Err(FitError::EmptyDataset));
         assert!(format!("{}", FitError::EmptyDataset).contains("empty"));
         assert!(format!("{}", FitError::SingularSystem).contains("singular"));
@@ -266,13 +258,15 @@ mod tests {
     #[test]
     fn unfitted_model_predicts_zero() {
         let model = LinearRegression::default();
-        assert_eq!(model.predict_row(&[1.0, 2.0, 3.0]), 0.0);
+        let mut probe = Dataset::new(3);
+        probe.push_row(&[1.0, 2.0, 3.0], 0.0).unwrap();
+        assert_eq!(model.predict(&probe), [0.0]);
     }
 
     #[test]
     fn duplicate_feature_columns_are_handled_by_ridge() {
         // Perfectly collinear features would make OLS singular; ridge keeps it solvable.
-        let mut d = Dataset::new(vec!["a".into(), "a_copy".into()]);
+        let mut d = Dataset::new(2);
         let mut rng = Rng::seed_from_u64(9);
         for _ in 0..100 {
             let x = rng.uniform(0.0, 1.0);
@@ -286,7 +280,7 @@ mod tests {
 
     #[test]
     fn constant_feature_does_not_break_fit() {
-        let mut d = Dataset::new(vec!["x".into(), "const".into()]);
+        let mut d = Dataset::new(2);
         let mut rng = Rng::seed_from_u64(11);
         for _ in 0..50 {
             let x = rng.uniform(0.0, 1.0);

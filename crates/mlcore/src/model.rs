@@ -98,15 +98,6 @@ impl TrainedModel {
         }
     }
 
-    /// Predict the target for one feature row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        match self {
-            TrainedModel::Linear(m) => m.predict_row(row),
-            TrainedModel::RandomForest(m) => m.predict_row(row),
-            TrainedModel::GradientBoosting(m) => m.predict_row(row),
-        }
-    }
-
     /// Predict every row of a feature matrix into a reused output buffer
     /// (cleared and refilled) through the family's batch kernel. The
     /// scheduler hands a whole candidate batch through here in one call.
@@ -181,7 +172,7 @@ mod tests {
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = Dataset::new(vec!["x1".into(), "x2".into()]);
+        let mut d = Dataset::new(2);
         for _ in 0..n {
             let x1 = rng.uniform(0.0, 5.0);
             let x2 = rng.uniform(0.0, 5.0);
@@ -246,11 +237,13 @@ mod tests {
 
     #[test]
     fn training_on_empty_data_is_safe() {
-        let empty = Dataset::new(vec!["x".into()]);
+        let empty = Dataset::new(1);
+        let mut probe = Dataset::new(1);
+        probe.push_row(&[1.0], 0.0).unwrap();
         let mut rng = Rng::seed_from_u64(7);
         for kind in ModelKind::ALL {
             let model = TrainedModel::train(kind, &small_config(), &empty, &mut rng);
-            assert_eq!(model.predict_row(&[1.0]), 0.0);
+            assert_eq!(model.predict(&probe), [0.0]);
         }
     }
 }

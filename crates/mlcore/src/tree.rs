@@ -723,7 +723,7 @@ mod tests {
 
     fn step_dataset() -> Dataset {
         // y = 10 when x < 5, else 20 — a single split should fit perfectly.
-        let mut d = Dataset::new(vec!["x".into()]);
+        let mut d = Dataset::new(1);
         for i in 0..10 {
             let x = i as f64;
             d.push(vec![x], if x < 5.0 { 10.0 } else { 20.0 }).unwrap();
@@ -733,7 +733,7 @@ mod tests {
 
     fn nonlinear_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = Dataset::new(vec!["x1".into(), "x2".into()]);
+        let mut d = Dataset::new(2);
         for _ in 0..n {
             let x1 = rng.uniform(0.0, 10.0);
             let x2 = rng.uniform(0.0, 10.0);
@@ -802,7 +802,7 @@ mod tests {
 
     #[test]
     fn constant_targets_become_single_leaf() {
-        let mut d = Dataset::new(vec!["x".into()]);
+        let mut d = Dataset::new(1);
         for i in 0..20 {
             d.push(vec![i as f64], 5.0).unwrap();
         }
@@ -817,7 +817,7 @@ mod tests {
 
     #[test]
     fn empty_fit_yields_safe_leaf() {
-        let d = Dataset::new(vec!["x".into()]);
+        let d = Dataset::new(1);
         let mut rng = Rng::seed_from_u64(9);
         let mut tree = DecisionTree::default();
         tree.fit(&d, &mut rng);

@@ -19,7 +19,7 @@ mod tests {
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = Dataset::new(vec!["x1".into(), "x2".into()]);
+        let mut d = Dataset::new(2);
         for _ in 0..n {
             let x1 = rng.uniform(0.0, 5.0);
             let x2 = rng.uniform(0.0, 5.0);

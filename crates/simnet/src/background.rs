@@ -11,7 +11,6 @@
 //! more of these generators on randomly chosen nodes per batch run, which is
 //! what creates the telemetry variation the supervised model learns from.
 
-use crate::flow::FlowKind;
 use crate::topology::NodeId;
 use simcore::{Rng, SimDuration};
 
@@ -55,8 +54,6 @@ pub struct BackgroundTransfer {
     pub bytes: f64,
     /// Delay (relative to the previous transfer's completion) before starting.
     pub gap: SimDuration,
-    /// Traffic class (always [`FlowKind::Background`]).
-    pub kind: FlowKind,
 }
 
 /// A background-load pod pinned to a host, downloading from a peer.
@@ -95,7 +92,6 @@ impl BackgroundLoadGenerator {
             dst: self.host,
             bytes,
             gap,
-            kind: FlowKind::Background,
         }
     }
 }
@@ -158,7 +154,6 @@ mod tests {
         let t = g.next_transfer(&mut rng);
         assert_eq!(t.dst, NodeId(2));
         assert_eq!(t.src, NodeId(5));
-        assert_eq!(t.kind, FlowKind::Background);
     }
 
     #[test]

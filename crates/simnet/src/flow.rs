@@ -18,21 +18,6 @@ impl fmt::Display for FlowId {
     }
 }
 
-/// Classification of the traffic, used for accounting and experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowKind {
-    /// Spark shuffle data between executors.
-    Shuffle,
-    /// Input data load (e.g. reading a partition from a remote store).
-    InputRead,
-    /// Result/output upload.
-    Output,
-    /// Background contention traffic (the paper's curl-loop pod).
-    Background,
-    /// Control-plane chatter (heartbeats, small RPCs).
-    Control,
-}
-
 /// A single active flow tracked by the network.
 #[derive(Debug, Clone)]
 pub struct Flow {
@@ -48,19 +33,11 @@ pub struct Flow {
     pub(crate) transferred_bytes: f64,
     /// Current allocated rate in bytes/sec (updated on every reallocation).
     pub rate: f64,
-    /// Traffic class.
-    pub kind: FlowKind,
 }
 
 impl Flow {
     /// Create a new active flow.
-    pub(crate) fn new(
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        total_bytes: f64,
-        kind: FlowKind,
-    ) -> Self {
+    pub(crate) fn new(id: FlowId, src: NodeId, dst: NodeId, total_bytes: f64) -> Self {
         Flow {
             id,
             src,
@@ -68,7 +45,6 @@ impl Flow {
             total_bytes: total_bytes.max(0.0),
             transferred_bytes: 0.0,
             rate: 0.0,
-            kind,
         }
     }
 
@@ -94,7 +70,7 @@ mod tests {
     use super::*;
 
     fn flow(total: f64) -> Flow {
-        Flow::new(FlowId(1), NodeId(0), NodeId(1), total, FlowKind::Shuffle)
+        Flow::new(FlowId(1), NodeId(0), NodeId(1), total)
     }
 
     #[test]

@@ -356,7 +356,7 @@ fn build_wan_mesh(spec: &WanMeshSpec, seed: u64) -> Result<Topology, TopologyErr
 mod tests {
     use super::*;
     use crate::fairness::{max_min_fair_rates, FlowDemand};
-    use crate::flow::{FlowId, FlowKind};
+    use crate::flow::FlowId;
     use crate::network::Network;
     use crate::rtt::RttModel;
     use crate::topology::{NodeId, Resource, Topology};
@@ -578,7 +578,6 @@ mod tests {
                         NodeId(x % n),
                         NodeId(y % n),
                         bytes,
-                        FlowKind::Background,
                     )),
                     2 => net.advance_to(net.now() + SimDuration::from_millis(x as u64 * 5)),
                     _ if !started.is_empty() => net.cancel_flow(started[x % started.len()]),

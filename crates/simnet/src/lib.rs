@@ -41,7 +41,7 @@ pub use background::{
     place_random_background_load, BackgroundLoadConfig, BackgroundLoadGenerator,
     BackgroundTransfer, BACKGROUND_POD_MEMORY_BYTES,
 };
-pub use flow::{Flow, FlowId, FlowKind};
+pub use flow::{Flow, FlowId};
 pub use generators::{LeafSpineSpec, StarLanSpec, TieredClosSpec, TopologySpec, WanMeshSpec};
 pub use network::{InterfaceCounters, Network};
 pub use topology::{LinkId, NetNode, NodeId, Site, SiteId, Topology, TopologyBuilder};

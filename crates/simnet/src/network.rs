@@ -21,7 +21,7 @@
 )]
 
 use crate::fairness::{max_min_fair_rates, FlowDemand};
-use crate::flow::{Flow, FlowId, FlowKind};
+use crate::flow::{Flow, FlowId};
 use crate::rtt::RttModel;
 use crate::topology::{NodeId, Topology};
 use simcore::{SimDuration, SimTime};
@@ -82,10 +82,10 @@ impl Network {
 
     /// Start a flow of `bytes` from `src` to `dst` and return its id.
     /// Rates of all active flows are re-allocated immediately.
-    pub fn start_flow(&mut self, src: NodeId, dst: NodeId, bytes: f64, kind: FlowKind) -> FlowId {
+    pub fn start_flow(&mut self, src: NodeId, dst: NodeId, bytes: f64) -> FlowId {
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        let flow = Flow::new(id, src, dst, bytes, kind);
+        let flow = Flow::new(id, src, dst, bytes);
         self.flows.insert(id, flow);
         self.active_order.push(id);
         self.reallocate();
@@ -311,7 +311,7 @@ mod tests {
     fn single_flow_completes_at_expected_time() {
         let mut net = network();
         // 62.5 MB over a 500 Mbps (= 62.5 MB/s) WAN bottleneck -> 1 second.
-        let id = net.start_flow(NodeId(0), NodeId(2), 62_500_000.0, FlowKind::Shuffle);
+        let id = net.start_flow(NodeId(0), NodeId(2), 62_500_000.0);
         let done = net.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6, "{done}");
         net.advance_to(done);
@@ -328,8 +328,8 @@ mod tests {
     fn two_flows_share_the_wan_bottleneck() {
         let mut net = network();
         // Two identical inter-site flows share 62.5 MB/s -> each gets 31.25 MB/s.
-        let a = net.start_flow(NodeId(0), NodeId(2), 31_250_000.0, FlowKind::Shuffle);
-        let b = net.start_flow(NodeId(1), NodeId(3), 31_250_000.0, FlowKind::Shuffle);
+        let a = net.start_flow(NodeId(0), NodeId(2), 31_250_000.0);
+        let b = net.start_flow(NodeId(1), NodeId(3), 31_250_000.0);
         let rate_a = net.flow(a).unwrap().rate;
         let rate_b = net.flow(b).unwrap().rate;
         assert!((rate_a - 31_250_000.0).abs() < 1.0);
@@ -346,8 +346,8 @@ mod tests {
         // Flow A: 31.25 MB, flow B: 93.75 MB, sharing 62.5 MB/s.
         // Phase 1: both at 31.25 MB/s, A finishes at t=1 (B has 62.5 MB left).
         // Phase 2: B alone at 62.5 MB/s, finishes 1 s later at t=2.
-        let a = net.start_flow(NodeId(0), NodeId(2), 31_250_000.0, FlowKind::Shuffle);
-        let b = net.start_flow(NodeId(1), NodeId(3), 93_750_000.0, FlowKind::Shuffle);
+        let a = net.start_flow(NodeId(0), NodeId(2), 31_250_000.0);
+        let b = net.start_flow(NodeId(1), NodeId(3), 93_750_000.0);
         net.advance_to(net.next_completion().unwrap());
         assert!((net.now().as_secs_f64() - 1.0).abs() < 1e-6);
         assert!(net.flow(a).is_none());
@@ -362,7 +362,7 @@ mod tests {
     fn intra_site_flows_use_lan_and_are_fast() {
         let mut net = network();
         // 125 MB at 1 Gbps NIC limit (125 MB/s) -> 1 second; LAN fabric is 10 Gbps.
-        let id = net.start_flow(NodeId(0), NodeId(1), 125_000_000.0, FlowKind::Shuffle);
+        let id = net.start_flow(NodeId(0), NodeId(1), 125_000_000.0);
         let done = net.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6);
         net.advance_to(done);
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn loopback_flow_completes_immediately() {
         let mut net = network();
-        let id = net.start_flow(NodeId(0), NodeId(0), 1_000_000_000.0, FlowKind::Shuffle);
+        let id = net.start_flow(NodeId(0), NodeId(0), 1_000_000_000.0);
         let done = net.next_completion().unwrap();
         assert!(done.as_secs_f64() < 0.01);
         net.advance_to(done);
@@ -382,8 +382,8 @@ mod tests {
     #[test]
     fn cancel_removes_flow_and_frees_bandwidth() {
         let mut net = network();
-        let a = net.start_flow(NodeId(0), NodeId(2), 62_500_000.0, FlowKind::Shuffle);
-        let b = net.start_flow(NodeId(1), NodeId(3), 62_500_000.0, FlowKind::Background);
+        let a = net.start_flow(NodeId(0), NodeId(2), 62_500_000.0);
+        let b = net.start_flow(NodeId(1), NodeId(3), 62_500_000.0);
         assert!((net.flow(a).unwrap().rate - 31_250_000.0).abs() < 1.0);
         net.cancel_flow(b);
         assert!((net.flow(a).unwrap().rate - 62_500_000.0).abs() < 1.0);
@@ -398,8 +398,8 @@ mod tests {
     fn rtt_grows_with_congestion() {
         let mut net = network();
         let quiet = net.current_rtt(NodeId(0), NodeId(2), 1);
-        net.start_flow(NodeId(0), NodeId(2), 1e12, FlowKind::Background);
-        net.start_flow(NodeId(1), NodeId(3), 1e12, FlowKind::Background);
+        net.start_flow(NodeId(0), NodeId(2), 1e12);
+        net.start_flow(NodeId(1), NodeId(3), 1e12);
         let busy = net.current_rtt(NodeId(0), NodeId(2), 1);
         assert!(busy > quiet, "busy {busy} should exceed quiet {quiet}");
         // Base RTT (60 ms) should still dominate the scale.
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn advance_is_monotone_and_idempotent_backwards() {
         let mut net = network();
-        net.start_flow(NodeId(0), NodeId(2), 62_500_000.0, FlowKind::Shuffle);
+        net.start_flow(NodeId(0), NodeId(2), 62_500_000.0);
         net.advance_to(SimTime::from_millis(500));
         let tx_at_half = net.counters(NodeId(0)).tx_bytes;
         assert!((tx_at_half - 31_250_000.0).abs() < 1.0);
@@ -423,14 +423,7 @@ mod tests {
     fn run_to_quiescence_finishes_everything() {
         let mut net = network();
         let ids: Vec<FlowId> = (0..4)
-            .map(|i| {
-                net.start_flow(
-                    NodeId(i % 4),
-                    NodeId((i + 2) % 4),
-                    10_000_000.0,
-                    FlowKind::Shuffle,
-                )
-            })
+            .map(|i| net.start_flow(NodeId(i % 4), NodeId((i + 2) % 4), 10_000_000.0))
             .collect();
         let last = net.next_completion().unwrap();
         let end = net.run_to_quiescence(SimDuration::from_secs(3600));
@@ -444,7 +437,7 @@ mod tests {
     fn path_utilization_is_bounded() {
         let mut net = network();
         for _ in 0..8 {
-            net.start_flow(NodeId(0), NodeId(2), 1e12, FlowKind::Background);
+            net.start_flow(NodeId(0), NodeId(2), 1e12);
         }
         let u = net.path_utilization(NodeId(0), NodeId(2));
         assert!(u > 0.9 && u <= 1.0, "utilization {u}");

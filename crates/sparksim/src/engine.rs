@@ -27,7 +27,7 @@ use crate::dag::JobDag;
 use crate::placement::Placement;
 use crate::workload::WorkloadRequest;
 use simcore::{SimDuration, SimTime};
-use simnet::{FlowId, FlowKind, Network, NodeId};
+use simnet::{FlowId, Network, NodeId};
 
 /// Hook that lets the experiment harness keep background traffic alive while
 /// a job executes.
@@ -290,7 +290,7 @@ pub fn execute_job(
                         continue; // node-local shuffle data does not cross the network
                     }
                     let bytes = (base_bytes * dst_factor * spill_factor).max(1.0);
-                    flows.push(network.start_flow(src, dst, bytes, FlowKind::Shuffle));
+                    flows.push(network.start_flow(src, dst, bytes));
                 }
             }
             if !flows.is_empty() {
@@ -337,12 +337,7 @@ pub fn execute_job(
         if src == placement.driver_node {
             continue;
         }
-        result_flows.push(network.start_flow(
-            src,
-            placement.driver_node,
-            bytes_per_exec.max(1.0),
-            FlowKind::Output,
-        ));
+        result_flows.push(network.start_flow(src, placement.driver_node, bytes_per_exec.max(1.0)));
     }
     if !result_flows.is_empty() {
         wait_for_flows(network, contention, &result_flows, deadline);
@@ -522,7 +517,7 @@ mod tests {
         // a driver on the quiet site.
         let mut contended = network();
         for _ in 0..4 {
-            contended.start_flow(NodeId(1), NodeId(3), 1e12, FlowKind::Background);
+            contended.start_flow(NodeId(1), NodeId(3), 1e12);
         }
         let slow = run(
             WorkloadKind::Join,
@@ -536,7 +531,7 @@ mod tests {
 
         let mut quiet = network();
         for _ in 0..4 {
-            quiet.start_flow(NodeId(1), NodeId(3), 1e12, FlowKind::Background);
+            quiet.start_flow(NodeId(1), NodeId(3), 1e12);
         }
         let fast = run(
             WorkloadKind::Join,
@@ -679,7 +674,7 @@ mod tests {
         impl ContentionDriver for OneShot {
             fn poll(&mut self, network: &mut Network, now: SimTime) -> Option<SimTime> {
                 if !self.injected && now >= SimTime::from_secs(1) {
-                    network.start_flow(NodeId(1), NodeId(3), 5e9, FlowKind::Background);
+                    network.start_flow(NodeId(1), NodeId(3), 5e9);
                     self.injected = true;
                     None
                 } else if self.injected {

@@ -315,12 +315,7 @@ mod tests {
     #[test]
     fn tx_counters_grow_after_traffic() {
         let (cluster, mut network) = setup();
-        let _: FlowId = network.start_flow(
-            NodeId(0),
-            NodeId(2),
-            10_000_000.0,
-            simnet::FlowKind::Background,
-        );
+        let _: FlowId = network.start_flow(NodeId(0), NodeId(2), 10_000_000.0);
         network.advance_to(SimTime::from_secs(5));
         let samples = node_exporter_samples(&cluster, &network, SimTime::from_secs(5));
         let tx_node1 = samples

@@ -7,7 +7,7 @@
 //! cargo run --release --example telemetry_tour
 //! ```
 
-use netsched::core::{FeatureSchema, JobRequest};
+use netsched::core::{Column, FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::BackgroundLoadConfig;
@@ -59,14 +59,14 @@ fn main() -> Result<(), &'static str> {
     );
     for node in world.cluster.node_names() {
         let features = schema.construct(&snapshot, &node, &request);
-        let column = |name| {
+        let column = |column| {
             schema
-                .index_of(name)
+                .position(column)
                 .ok_or("the standard schema lacks a column")
         };
-        let cpu = features[column("cpu_load")?];
-        let rtt = features[column("rtt_mean_s")?];
-        let rx = features[column("rx_rate_bps")?];
+        let cpu = features[column(Column::CpuLoad)?];
+        let rtt = features[column(Column::RttMean)?];
+        let rx = features[column(Column::RxRate)?];
         println!(
             "  {node}: cpu_load={cpu:.2}, rtt_mean={:.1} ms, rx_rate={:.2} MB/s, full vector = {:?}",
             rtt * 1000.0,

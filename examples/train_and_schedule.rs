@@ -13,7 +13,7 @@
 //! ```
 
 use netsched::core::{
-    CompletionTimePredictor, JobRequest, KubeDefaultScheduler, SchedulingContext,
+    CompletionTimePredictor, FeatureSchema, JobRequest, KubeDefaultScheduler, SchedulingContext,
 };
 use netsched::experiments::{ExperimentConfig, FabricTestbed, Workflow};
 use netsched::mlcore::{evaluate_on, ModelConfig, ModelKind, TrainedModel};
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("best model: {best_kind} (R² = {best_r2:.3})");
 
     // --- 3. Use the trained model for a new placement decision. ---
-    let predictor = CompletionTimePredictor::new(dataset.schema.clone(), best_model)?;
+    let predictor = CompletionTimePredictor::new(FeatureSchema::standard(), best_model)?;
     let mut kube_default = KubeDefaultScheduler::new(3);
 
     // Take a held-out scenario's frozen system state as "now".

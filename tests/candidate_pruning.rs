@@ -41,7 +41,8 @@ use netsched::core::{
 };
 use netsched::experiments::{train_scale_predictor, ScaleWorld, ScaleWorldSpec};
 use netsched::mlcore::{
-    Dataset, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
+    Dataset, FeatureMatrix, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig,
+    TrainedModel,
 };
 use netsched::simcore::{Rng, SimTime};
 use netsched::telemetry::{ClusterSnapshot, NodeTelemetry, SnapshotPublisher};
@@ -148,7 +149,7 @@ fn predictor() -> CompletionTimePredictor {
     CACHE
         .get_or_init(|| {
             let schema = FeatureSchema::standard();
-            let mut data = Dataset::new(schema.names().to_vec());
+            let mut data = Dataset::new(schema.len());
             let mut rng = Rng::seed_from_u64(5);
             let job = driver_request(0, 500, 1);
             for load in 0..40 {
@@ -205,7 +206,7 @@ fn random_telemetry(rng: &mut Rng) -> NodeTelemetry {
 )]
 fn cell_model(kind: ModelKind, variant: u64) -> CompletionTimePredictor {
     let schema = FeatureSchema::standard();
-    let mut data = Dataset::new(schema.names().to_vec());
+    let mut data = Dataset::new(schema.len());
     let mut rng = Rng::seed_from_u64(0xCE11 + variant);
     let kinds = netsched::sparksim::WorkloadKind::ALL;
     let weight = 3.0 + 2.0 * variant as f64;
@@ -786,12 +787,14 @@ fn a_model_at_the_same_address_and_a_recycled_buffer_serve_nothing_stale() {
     let address = std::ptr::from_ref(service.predictor().unwrap());
     let signature_row = |service: &SchedulerService| {
         let predictor = service.predictor().unwrap();
-        let mut row = Vec::new();
+        let mut row = FeatureMatrix::new(predictor.schema().len());
         let idle = NodeTelemetry::default();
         predictor
             .schema()
-            .construct_into(&mut row, &idle, (0.0, 0.0, 0.0), &request);
-        predictor.predict_from_features(&row).to_bits()
+            .construct_into_matrix(&mut row, &idle, (0.0, 0.0, 0.0), &request);
+        let mut prediction = Vec::new();
+        predictor.predict_batch_into(&row, &mut prediction);
+        prediction[0].to_bits()
     };
     let fingerprint = signature_row(&service);
 

@@ -8,12 +8,14 @@
 //! * the scheduler service can be bootstrapped, retrained and used online,
 //! * decisions produce valid Kubernetes-style manifests pinned to the chosen node.
 
-use netsched::core::{CompletionTimePredictor, JobRequest, SchedulerConfig, SchedulerService};
+use netsched::core::{
+    CompletionTimePredictor, FeatureSchema, JobRequest, SchedulerConfig, SchedulerService,
+};
 use netsched::experiments::{
     evaluate_table4, supervised_ranking, ExperimentConfig, FabricTestbed, SimWorld, Workflow,
 };
 use netsched::mlcore::{
-    GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
+    FeatureMatrix, GradientBoostingConfig, ModelConfig, ModelKind, RandomForestConfig, TrainedModel,
 };
 use netsched::simcore::{Rng, SimDuration};
 use netsched::simnet::BackgroundLoadConfig;
@@ -152,8 +154,8 @@ fn supervised_choice_is_never_worse_on_average_than_random_choice() {
     let (train_idx, test_idx) = dataset.split_scenarios(0.3, &mut rng);
     let train = dataset.logger_for(&train_idx).to_dataset();
     let model = TrainedModel::train(ModelKind::RandomForest, &fast_models(), &train, &mut rng);
-    let predictor = CompletionTimePredictor::new(dataset.schema.clone(), model)
-        .expect("dataset schema matches its own training data");
+    let predictor = CompletionTimePredictor::new(FeatureSchema::standard(), model)
+        .expect("experiment datasets are built with the standard schema");
 
     let mut model_total = 0.0;
     let mut random_total = 0.0;
@@ -199,8 +201,8 @@ fn table4_ranks_held_out_scenarios_exactly_as_the_service_decides() {
 
     for kind in ModelKind::ALL {
         let model = TrainedModel::train(kind, &fast_models(), &train, &mut rng);
-        let predictor = CompletionTimePredictor::new(dataset.schema.clone(), model)
-            .expect("dataset schema matches its own training data");
+        let predictor = CompletionTimePredictor::new(FeatureSchema::standard(), model)
+            .expect("experiment datasets are built with the standard schema");
         let service = |prune_top_k| {
             let config = SchedulerConfig {
                 model_kind: kind,
@@ -231,12 +233,21 @@ fn table4_ranks_held_out_scenarios_exactly_as_the_service_decides() {
                 })
                 .filter(|(name, _)| scenario.outcomes.iter().any(|o| o.node == *name))
                 .collect();
-            let evaluated: Vec<(String, u64)> = supervised_ranking(&predictor, scenario, &cluster)
+            let names = supervised_ranking(&predictor, scenario, &cluster);
+            let mut rows = FeatureMatrix::new(predictor.schema().len());
+            for name in &names {
+                rows.push_row(
+                    &predictor
+                        .schema()
+                        .construct(&scenario.snapshot, name, &request),
+                );
+            }
+            let mut seconds = Vec::new();
+            predictor.predict_batch_into(&rows, &mut seconds);
+            let evaluated: Vec<(String, u64)> = names
                 .into_iter()
-                .map(|name| {
-                    let seconds = predictor.predict(&scenario.snapshot, &name, &request);
-                    (name, seconds.to_bits())
-                })
+                .zip(seconds)
+                .map(|(name, seconds)| (name, seconds.to_bits()))
                 .collect();
             assert_eq!(kept, evaluated, "{kind} scenario {idx}");
 

@@ -36,7 +36,7 @@ use netsched::core::{
 };
 use netsched::mlcore::{FlatTree, ModelKind};
 use netsched::simcore::{Rng, SimDuration, SimTime};
-use netsched::simnet::{gbps, mbps, FlowKind, Network, NodeId, TopologyBuilder};
+use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{
     ClusterSnapshot, ExporterLayout, NodeTelemetry, PublishedSnapshot, ScrapeConfig, ScrapeManager,
@@ -714,7 +714,7 @@ fn warm_exporter_scrape_round_is_allocation_free() {
     );
     let mut network = Network::new(b.build().unwrap());
     for i in 0..8 {
-        network.start_flow(NodeId(i), NodeId(NODES - 1 - i), 1e12, FlowKind::Background);
+        network.start_flow(NodeId(i), NodeId(NODES - 1 - i), 1e12);
     }
     network.advance_to(SimTime::from_secs(1));
     assert_eq!(network.active_flow_count(), 8);

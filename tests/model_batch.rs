@@ -77,8 +77,7 @@ fn reference_gbdt(model: &GradientBoosting, row: &[f64]) -> f64 {
     reason = "test fixture: every chunk holds exactly `width` features"
 )]
 fn dataset_from(values: &[f64], width: usize) -> Dataset {
-    let names = (0..width).map(|i| format!("f{i}")).collect();
-    let mut data = Dataset::new(names);
+    let mut data = Dataset::new(width);
     for chunk in values.chunks_exact(width + 1) {
         data.push_row(&chunk[..width], chunk[width]).unwrap();
     }
@@ -239,7 +238,7 @@ proptest! {
 /// the canonical form is one `Leaf` node.
 #[test]
 fn degenerate_stump_is_a_single_leaf() {
-    let mut data = Dataset::new(vec!["x".into()]);
+    let mut data = Dataset::new(1);
     for i in 0..10 {
         data.push_row(&[i as f64], i as f64 * 2.0).unwrap();
     }
@@ -264,7 +263,7 @@ fn degenerate_stump_is_a_single_leaf() {
 /// the historical enum walk's `<=` comparison did.
 #[test]
 fn nan_features_follow_the_enum_walk_direction() {
-    let mut data = Dataset::new(vec!["x".into()]);
+    let mut data = Dataset::new(1);
     for i in 0..10 {
         let x = i as f64;
         data.push_row(&[x], if x < 5.0 { 10.0 } else { 20.0 })

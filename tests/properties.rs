@@ -8,10 +8,10 @@
 //! a sealed snapshot is bit-identical to indexing an unsealed twin).
 
 use netsched::cluster::{ClusterState, Node, Resources};
-use netsched::core::{DecisionModule, FeatureSchema, JobRequest};
+use netsched::core::{Column, DecisionModule, FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::{Rng, SimDuration, SimTime};
-use netsched::simnet::{FlowKind, Network};
+use netsched::simnet::Network;
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, SnapshotPublisher};
 use netsched::{ClusterNodeId, SimNodeId};
@@ -35,7 +35,7 @@ proptest! {
         let mut net = paper_network();
         let mut expected_total = 0.0;
         for &(src, dst, bytes) in &flows {
-            net.start_flow(SimNodeId(src), SimNodeId(dst), bytes, FlowKind::Shuffle);
+            net.start_flow(SimNodeId(src), SimNodeId(dst), bytes);
             if src != dst {
                 expected_total += bytes;
             }
@@ -54,8 +54,8 @@ proptest! {
         steps in prop::collection::vec(1u64..30, 1..10),
     ) {
         let mut net = paper_network();
-        net.start_flow(SimNodeId(0), SimNodeId(2), 1e9, FlowKind::Background);
-        net.start_flow(SimNodeId(3), SimNodeId(1), 5e8, FlowKind::Background);
+        net.start_flow(SimNodeId(0), SimNodeId(2), 1e9);
+        net.start_flow(SimNodeId(3), SimNodeId(1), 5e8);
         let mut last_tx = 0.0;
         let mut now = SimTime::ZERO;
         for step in steps {
@@ -168,10 +168,10 @@ proptest! {
         prop_assert!(features.iter().all(|v| v.is_finite()));
         let one_hot: f64 = WorkloadKind::ALL
             .iter()
-            .map(|k| features[schema.index_of(&format!("app_{}", k.as_str())).unwrap()])
+            .map(|&k| features[schema.position(Column::App(k)).unwrap()])
             .sum();
         prop_assert_eq!(one_hot, 1.0);
-        prop_assert_eq!(features[schema.index_of("input_records").unwrap()], records as f64);
+        prop_assert_eq!(features[schema.position(Column::InputRecords).unwrap()], records as f64);
     }
 }
 

@@ -54,7 +54,7 @@ fn feasible_names(request: &JobRequest, cluster: &ClusterState) -> Vec<String> {
 )]
 fn predictor(snapshot: &ClusterSnapshot) -> CompletionTimePredictor {
     let schema = FeatureSchema::standard();
-    let mut data = Dataset::new(schema.names().to_vec());
+    let mut data = Dataset::new(schema.len());
     let mut rng = Rng::seed_from_u64(9);
     let job = JobRequest::named("train", WorkloadKind::Sort, 100_000, 2);
     for (i, name) in snapshot.node_names().iter().enumerate() {

@@ -2,7 +2,7 @@
 //! interactions that no single crate's unit tests can exercise alone.
 
 use netsched::cluster::{PodSpec, Resources};
-use netsched::core::{FeatureGroup, FeatureSchema, JobRequest};
+use netsched::core::{Column, FeatureGroup, FeatureSchema, JobRequest};
 use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::SimDuration;
 use netsched::simnet::BackgroundLoadConfig;
@@ -115,19 +115,14 @@ fn feature_vectors_differ_between_congested_and_idle_nodes() {
     let busy_features = schema.construct(&snapshot, &host, &request);
     let idle_features = schema.construct(&snapshot, &idle, &request);
     assert_ne!(busy_features, idle_features);
-    let cpu = schema.index_of("cpu_load").unwrap();
+    let cpu = schema.position(Column::CpuLoad).unwrap();
     assert!(busy_features[cpu] > idle_features[cpu]);
     // Job features are identical across candidates (same request).
-    let job_columns: Vec<usize> = schema
-        .groups()
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| **g == FeatureGroup::Job)
-        .map(|(i, _)| i)
-        .collect();
-    for &col in &job_columns {
-        assert_eq!(busy_features[col], idle_features[col]);
-    }
+    let job = FeatureSchema::with_groups(&[FeatureGroup::Job]);
+    assert_eq!(
+        job.construct(&snapshot, &host, &request),
+        job.construct(&snapshot, &idle, &request)
+    );
 }
 
 #[test]
